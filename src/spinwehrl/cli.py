@@ -22,24 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DissipatorSpec, HamiltonianSpec
-from .entropy_rates import (
-    BathParams,
-    damping_phi_exact,
-    damping_phi_quadrature,
-    damping_pi_quadrature,
-    dephasing_pi_quadrature,
-    dephasing_pi_spin_half,
-    spin_half_damping_rates,
-)
 from .errors import ConfigError, NothingToCompare, SpinWehrlError
-from .phase_space import husimi, make_grid
+from .phase_space import make_grid
 from .scenarios import (
+    Model,
     PulseParams,
-    custom_scenario,
-    photon_pulse_scenario,
-    rotating_field,
-    spontaneous_emission,
-    thermal_quench,
+    photon_pulse_model,
+    rotating_field_model,
+    simulate,
+    spontaneous_emission_model,
+    thermal_quench_model,
     write_scenario_csv,
 )
 from .spin_ops import (
@@ -48,7 +40,6 @@ from .spin_ops import (
     SpinQuantumNumber,
     bloch_to_rho,
     gibbs_state,
-    rho_to_bloch,
 )
 
 SCENARIOS = {
@@ -63,33 +54,35 @@ _TIME_KEYS = {"t_max": True, "output_dt": True, "tol": False}
 _GRID_KEYS = {"n_theta": True, "n_phi": True}
 _OUTPUT_KEYS = {"csv": False}
 _COMPARE_KEYS = {"tolerance": False}
+# Scenario keys that must not be negative (rates, occupations, temperatures).
+_NON_NEGATIVE = {"gamma", "lambda", "nbar", "temperature", "initial_temperature", "bath_temperature"}
 
+# Required keys of each scenario, besides "scenario" and "time".
 _SCENARIO_KEYS = {
-    "spontaneous_emission": {"omega": True, "gamma": True, "temperature": True},
-    "thermal_quench": {
-        "omega": True,
-        "gamma": True,
-        "initial_temperature": True,
-        "bath_temperature": True,
-    },
-    "rotating_field": {
-        "b0": True,
-        "b1": True,
-        "drive_omega": True,
-        "dissipator": True,
-        "initial_state": True,
-    },
-    "photon_pulse": {"gamma0": True, "bandwidth": True, "a0": True},
-    "custom": {
-        "two_j": True,
-        "hamiltonian": True,
-        "dissipator": True,
-        "initial_state": True,
+    "spontaneous_emission": ("omega", "gamma", "temperature"),
+    "thermal_quench": ("omega", "gamma", "initial_temperature", "bath_temperature"),
+    "rotating_field": ("b0", "b1", "drive_omega", "dissipator", "initial_state"),
+    "photon_pulse": ("gamma0", "bandwidth", "a0"),
+    "custom": ("two_j", "hamiltonian", "dissipator", "initial_state"),
+}
+
+# Sections with a "type": the keys each type requires, all numeric except
+# the list of populations.
+_TYPED_SECTIONS = {
+    "dissipator": {"dephasing": ("lambda",), "amplitude_damping": ("gamma", "nbar")},
+    "hamiltonian": {"none": (), "static_jz": ("omega",), "rotating_field": ("b0", "b1", "drive_omega")},
+    "initial_state": {
+        "bloch": ("tau_x", "tau_y", "tau_z"),
+        "bloch_angles": ("tau", "theta", "phi"),
+        "diagonal": ("populations",),
+        "gibbs": ("temperature", "omega"),
     },
 }
 
 
 def _check_keys(section: dict, allowed: dict, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in {where}")
@@ -98,10 +91,14 @@ def _check_keys(section: dict, allowed: dict, where: str) -> None:
             raise ConfigError(f"missing required key '{key}' in {where}")
 
 
-def _number(section: dict, key: str, where: str) -> float:
+def _number(section, key, where: str, minimum: float = -math.inf) -> float:
     v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"key '{key}' in {where} must be a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"key '{key}' in {where} must be a finite number, got {v!r}")
+    if key in _NON_NEGATIVE:
+        minimum = max(minimum, 0.0)
+    if v < minimum:
+        raise ConfigError(f"key '{key}' in {where} must be >= {minimum:g}, got {v!r}")
     return float(v)
 
 
@@ -112,31 +109,33 @@ def validate_config(cfg: dict) -> dict:
     scenario = cfg.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"'scenario' must be one of {sorted(SCENARIOS)}, got {scenario!r}")
-    allowed = dict(_SCENARIO_KEYS[scenario])
+    allowed = dict.fromkeys(_SCENARIO_KEYS[scenario], True)
     allowed.update({"scenario": True, "time": True, "grid": False, "output": False, "compare": False})
     _check_keys(cfg, allowed, "config")
     _check_keys(cfg["time"], _TIME_KEYS, "'time'")
-    _number(cfg["time"], "t_max", "'time'")
-    _number(cfg["time"], "output_dt", "'time'")
-    if "tol" in cfg["time"]:
-        _number(cfg["time"], "tol", "'time'")
+    t_max = _number(cfg["time"], "t_max", "'time'")
+    dt = _number(cfg["time"], "output_dt", "'time'")
+    if dt <= 0 or round(t_max / dt) < 2:
+        raise ConfigError("'output_dt' must be positive and give at least two steps up to 't_max'")
+    if "tol" in cfg["time"] and _number(cfg["time"], "tol", "'time'") <= 0:
+        raise ConfigError("'tol' in 'time' must be positive")
     if "grid" in cfg:
         _check_keys(cfg["grid"], _GRID_KEYS, "'grid'")
+        for key in _GRID_KEYS:
+            _number(cfg["grid"], key, "'grid'", minimum=8)
     if "output" in cfg:
         _check_keys(cfg["output"], _OUTPUT_KEYS, "'output'")
+        if not isinstance(cfg["output"].get("csv", ""), str):
+            raise ConfigError("'csv' in 'output' must be a file name")
     if "compare" in cfg:
         _check_keys(cfg["compare"], _COMPARE_KEYS, "'compare'")
-    for key, required in _SCENARIO_KEYS[scenario].items():
-        if key in ("dissipator", "hamiltonian", "initial_state"):
-            continue
-        if key in cfg:
+        if "tolerance" in cfg["compare"]:
+            _number(cfg["compare"], "tolerance", "'compare'", minimum=0.0)
+    for key in _SCENARIO_KEYS[scenario]:
+        if key in _TYPED_SECTIONS:
+            _validate_typed_section(key, cfg[key])
+        else:
             _number(cfg, key, "config")
-    if "dissipator" in cfg:
-        _validate_dissipator(cfg["dissipator"])
-    if "hamiltonian" in cfg:
-        _validate_hamiltonian(cfg["hamiltonian"])
-    if "initial_state" in cfg:
-        _validate_initial_state(cfg["initial_state"])
     if scenario == "custom":
         two_j = cfg["two_j"]
         if not isinstance(two_j, int) or two_j < 1:
@@ -144,60 +143,20 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def _validate_dissipator(sec: dict) -> None:
-    kind = sec.get("type")
-    if kind == "dephasing":
-        _check_keys(sec, {"type": True, "lambda": True}, "'dissipator'")
-        _number(sec, "lambda", "'dissipator'")
-    elif kind == "amplitude_damping":
-        _check_keys(sec, {"type": True, "gamma": True, "nbar": True}, "'dissipator'")
-        _number(sec, "gamma", "'dissipator'")
-        _number(sec, "nbar", "'dissipator'")
-    else:
-        raise ConfigError(f"dissipator type must be 'dephasing' or 'amplitude_damping', got {kind!r}")
-
-
-def _validate_hamiltonian(sec: dict) -> None:
-    kind = sec.get("type")
-    if kind == "none":
-        _check_keys(sec, {"type": True}, "'hamiltonian'")
-    elif kind == "static_jz":
-        _check_keys(sec, {"type": True, "omega": True}, "'hamiltonian'")
-        _number(sec, "omega", "'hamiltonian'")
-    elif kind == "rotating_field":
-        _check_keys(sec, {"type": True, "b0": True, "b1": True, "drive_omega": True}, "'hamiltonian'")
-        for k in ("b0", "b1", "drive_omega"):
-            _number(sec, k, "'hamiltonian'")
-    else:
-        raise ConfigError(
-            f"hamiltonian type must be 'none', 'static_jz' or 'rotating_field', got {kind!r}"
-        )
-
-
-def _validate_initial_state(sec: dict) -> None:
-    kind = sec.get("type")
-    if kind == "bloch":
-        _check_keys(sec, {"type": True, "tau_x": True, "tau_y": True, "tau_z": True}, "'initial_state'")
-        for k in ("tau_x", "tau_y", "tau_z"):
-            _number(sec, k, "'initial_state'")
-    elif kind == "bloch_angles":
-        _check_keys(sec, {"type": True, "tau": True, "theta": True, "phi": True}, "'initial_state'")
-        for k in ("tau", "theta", "phi"):
-            _number(sec, k, "'initial_state'")
-    elif kind == "diagonal":
-        _check_keys(sec, {"type": True, "populations": True}, "'initial_state'")
-        pops = sec["populations"]
-        if not isinstance(pops, list) or not pops:
+def _validate_typed_section(name: str, sec: dict) -> None:
+    types = _TYPED_SECTIONS[name]
+    kind = sec.get("type") if isinstance(sec, dict) else None
+    if kind not in types:
+        raise ConfigError(f"{name} type must be one of {sorted(types)}, got {kind!r}")
+    _check_keys(sec, dict.fromkeys(("type", *types[kind]), True), f"'{name}'")
+    for key in types[kind]:
+        if key != "populations":
+            _number(sec, key, f"'{name}'")
+        elif isinstance(sec[key], list) and sec[key]:
+            for k in range(len(sec[key])):
+                _number(sec[key], k, "'populations'", minimum=0.0)
+        else:
             raise ConfigError("'populations' must be a non-empty list")
-    elif kind == "gibbs":
-        _check_keys(sec, {"type": True, "temperature": True, "omega": True}, "'initial_state'")
-        _number(sec, "temperature", "'initial_state'")
-        _number(sec, "omega", "'initial_state'")
-    else:
-        raise ConfigError(
-            "initial_state type must be 'bloch', 'bloch_angles', 'diagonal' or 'gibbs', "
-            f"got {kind!r}"
-        )
 
 
 def _build_initial_state(sec: dict, j: SpinQuantumNumber) -> DensityMatrix:
@@ -256,36 +215,41 @@ def _grid_from(cfg: dict, override: str | None):
     return make_grid()
 
 
-def run_config(cfg: dict, grid_override: str | None = None, tol_override: float | None = None):
-    """Execute a validated config and return its ScenarioResult."""
-    validate_config(cfg)
-    grid = _grid_from(cfg, grid_override)
-    t_max = float(cfg["time"]["t_max"])
-    dt = float(cfg["time"]["output_dt"])
-    tol = float(tol_override if tol_override is not None else cfg["time"].get("tol", 1e-10))
+def _model_from_config(cfg: dict) -> Model:
     kind = cfg["scenario"]
     if kind == "spontaneous_emission":
-        return spontaneous_emission(cfg["omega"], cfg["gamma"], cfg["temperature"], t_max, dt, grid=grid, tol=tol)
+        return spontaneous_emission_model(cfg["omega"], cfg["gamma"], cfg["temperature"])
     if kind == "thermal_quench":
-        return thermal_quench(
-            cfg["initial_temperature"], cfg["bath_temperature"], cfg["omega"], cfg["gamma"],
-            t_max, dt=dt, grid=grid, tol=tol,
+        return thermal_quench_model(
+            cfg["initial_temperature"], cfg["bath_temperature"], cfg["omega"], cfg["gamma"]
         )
     if kind == "rotating_field":
         rho0 = _build_initial_state(cfg["initial_state"], SpinQuantumNumber(1))
-        return rotating_field(
-            cfg["b0"], cfg["b1"], cfg["drive_omega"], _build_dissipator(cfg["dissipator"]),
-            rho0, t_max, dt=dt, grid=grid, tol=tol,
+        return rotating_field_model(
+            cfg["b0"], cfg["b1"], cfg["drive_omega"], _build_dissipator(cfg["dissipator"]), rho0,
         )
     if kind == "photon_pulse":
         params = PulseParams(gamma0=cfg["gamma0"], capital_omega=cfg["bandwidth"], a0=cfg["a0"])
-        return photon_pulse_scenario(params, t_max, dt, grid=grid, tol=tol)
+        return photon_pulse_model(params)
     j = SpinQuantumNumber(int(cfg["two_j"]))
-    rho0 = _build_initial_state(cfg["initial_state"], j)
-    return custom_scenario(
-        rho0, _build_hamiltonian(cfg["hamiltonian"]), _build_dissipator(cfg["dissipator"]),
-        t_max, dt, grid=grid, tol=tol,
+    return Model(
+        _build_initial_state(cfg["initial_state"], j),
+        _build_hamiltonian(cfg["hamiltonian"]),
+        _build_dissipator(cfg["dissipator"]),
     )
+
+
+def run_config(cfg: dict, grid_override: str | None = None, tol_override: float | None = None,
+               compare: bool = False):
+    """Execute a validated config and return its ScenarioResult; compare is
+    passed to scenarios.simulate."""
+    grid = _grid_from(cfg, grid_override)
+    tol = float(tol_override if tol_override is not None else cfg["time"].get("tol", 1e-10))
+    if tol <= 0:
+        raise ConfigError(f"integrator tolerance must be positive, got {tol:g}")
+    t_max = float(cfg["time"]["t_max"])
+    dt = float(cfg["time"]["output_dt"])
+    return simulate(_model_from_config(cfg), t_max, dt, grid=grid, tol=tol, compare=compare)
 
 
 def _fmt(x) -> str:
@@ -301,102 +265,19 @@ def _print_summary(cfg: dict, result) -> None:
     print(f"final Pi_wehrl:  {_fmt(w_final.pi)}    final Phi_wehrl: {_fmt(w_final.phi)}")
     print(f"final Pi_vN:     {_fmt(v_final.pi)}    final Phi_vN:    {_fmt(v_final.phi)}")
     print(f"Sigma (wehrl):   {_fmt(result.scalars.get('sigma_wehrl'))}")
-    deltas = _method_deltas(cfg, result)
-    for name, value in deltas.items():
+    for name, value in result.agreement.items():
         print(f"agreement {name}: max rel dev {_fmt(value)}")
 
 
-def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
-    if scale < 1e-12:  # both series vanish identically (equilibrium runs)
-        return 0.0
-    return float(np.max(np.abs(a - b)) / scale)
-
-
-def _method_deltas(cfg: dict, result) -> dict:
-    """Cheap cross-method checks printed with the run summary."""
-    deltas = {}
-    diss = cfg.get("dissipator")
-    damping = cfg["scenario"] in ("spontaneous_emission", "thermal_quench") or (
-        diss is not None and diss.get("type") == "amplitude_damping"
-    )
-    if damping and result.bloch is not None:
-        nbar = cfg.get("nbar", None)
-        if cfg["scenario"] in ("spontaneous_emission", "thermal_quench"):
-            nbar = result.scalars.get("nbar", 0.0)
-        elif diss is not None:
-            nbar = diss["nbar"]
-        gamma = cfg.get("gamma", diss["gamma"] if diss else None)
-        if nbar and gamma:
-            bath = BathParams(gamma=gamma, nbar=nbar)
-            j = SpinQuantumNumber(1)
-            closed = result.series("wehrl.phi")
-            exact = np.array(
-                [
-                    damping_phi_exact(s.populations(), bath, j)
-                    for s in result.trajectory.states
-                ]
-            )
-            deltas["phi closed-form vs exact-2F1"] = _rel_dev(closed, exact)
-    return deltas
-
-
 def compare_config(cfg: dict, tolerance: float, grid_override: str | None = None) -> int:
-    """Run every applicable rate method along the trajectory and report the
-    maximum relative deviation; returns a process exit code."""
-    validate_config(cfg)
-    result = run_config(cfg, grid_override=grid_override)
-    grid = _grid_from(cfg, grid_override)
-    kind = cfg["scenario"]
-    diss = cfg.get("dissipator")
-    is_dephasing = diss is not None and diss.get("type") == "dephasing"
-    is_damping = kind in ("spontaneous_emission", "thermal_quench") or (
-        diss is not None and diss.get("type") == "amplitude_damping"
-    )
-    two_j = int(cfg.get("two_j", 1))
-    checks = {}
-    if is_dephasing and two_j == 1:
-        lam = diss["lambda"]
-        quad = []
-        closed = []
-        for s in result.trajectory.states:
-            quad.append(dephasing_pi_quadrature(husimi(s, grid), lam))
-            closed.append(dephasing_pi_spin_half(rho_to_bloch(s), lam))
-        checks["pi quadrature vs closed-form"] = _rel_dev(quad, closed)
-    elif is_damping:
-        gamma = cfg.get("gamma", diss["gamma"] if diss else None)
-        nbar = result.scalars.get("nbar", diss["nbar"] if diss else None)
-        bath = BathParams(gamma=gamma, nbar=nbar)
-        j = result.trajectory.states[0].j
-        if bath.nbar == 0.0:
-            raise NothingToCompare("exact-2F1 flux needs nbar > 0; single method applies at T = 0")
-        phi_quad = []
-        phi_exact = []
-        pi_quad = []
-        for s in result.trajectory.states:
-            f = husimi(s, grid)
-            phi_quad.append(damping_phi_quadrature(f, bath))
-            phi_exact.append(damping_phi_exact(s.populations(), bath, j))
-            pi_quad.append(damping_pi_quadrature(f, bath).total)
-        checks["phi quadrature vs exact-2F1"] = _rel_dev(phi_quad, phi_exact)
-        if two_j == 1:
-            phi_closed = []
-            pi_closed = []
-            for s in result.trajectory.states:
-                r = spin_half_damping_rates(rho_to_bloch(s), bath, omega=0.0)
-                phi_closed.append(r.phi)
-                pi_closed.append(r.pi)
-            checks["phi quadrature vs closed-form"] = _rel_dev(phi_quad, phi_closed)
-            checks["phi exact-2F1 vs closed-form"] = _rel_dev(phi_exact, phi_closed)
-            checks["pi quadrature vs closed-form"] = _rel_dev(pi_quad, pi_closed)
-    else:
-        raise NothingToCompare(f"scenario {kind!r} exposes a single rate method")
-    worst = 0.0
-    for name, value in checks.items():
+    """Evaluate every applicable rate method in one pass over the trajectory
+    and report their pairwise maximum relative deviations; returns a process
+    exit code. Raises NothingToCompare, before integrating, when fewer than
+    two methods apply."""
+    result = run_config(cfg, grid_override=grid_override, compare=True)
+    for name, value in result.agreement.items():
         print(f"{name}: max rel dev {value:.3e}")
-        worst = max(worst, value)
+    worst = max(0.0, *result.agreement.values())
     if worst > tolerance:
         print(f"FAIL: worst deviation {worst:.3e} exceeds tolerance {tolerance:g}")
         return 1
@@ -432,15 +313,14 @@ SWEEP_COLUMNS = [
 
 def sweep_config(cfg: dict, param: str, values: list, out_path: Path,
                  grid_override: str | None = None) -> None:
-    """One scenario run per value; a summary-scalar row per run."""
-    validate_config(cfg)
+    """One scenario run per value, each validated; a summary-scalar row per run."""
     if not values:
         raise ConfigError("sweep needs a non-empty list of values")
     rows = []
     for v in values:
         trial = copy.deepcopy(cfg)
         _set_by_path(trial, param, v)
-        result = run_config(trial, grid_override=grid_override)
+        result = run_config(validate_config(trial), grid_override=grid_override)
         sigma = result.scalars.get("sigma_wehrl")
         row = [
             v,
@@ -465,13 +345,15 @@ def bundled_configs() -> dict:
 
 
 def _load_config(path: str) -> dict:
+    """Read and validate a config file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return validate_config(cfg)
 
 
 def _write_states_csv(result, path: Path) -> None:
@@ -527,12 +409,11 @@ def main(argv=None) -> int:
                 print(f"  {name}")
             return 0
         if args.command == "validate":
-            validate_config(_load_config(args.config))
+            _load_config(args.config)
             print("OK")
             return 0
         if args.command == "run":
             cfg = _load_config(args.config)
-            validate_config(cfg)
             result = run_config(cfg, grid_override=args.grid, tol_override=args.tol)
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,13 +16,14 @@ infinities rather than exceptions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import DissipatorSpec, Trajectory
 from .errors import TailNotConverged, UndefinedRatio, UnsupportedParameters
 from .hypergeom import gauss_2f1
 from .phase_space import HusimiField, Q_FLOOR, husimi_of_matrix
@@ -30,6 +31,7 @@ from .spin_ops import (
     BlochVector,
     DensityMatrix,
     SpinQuantumNumber,
+    rho_to_bloch,
     temperature_from_nbar,
 )
 from . import _kernels
@@ -320,6 +322,107 @@ def spin_half_damping_von_neumann(b: BlochVector, bath: BathParams, omega: float
         ds = -0.5 * g * atanh_over(tau) * shape / tbz
     phi_e = (g * omega / (2.0 * tbz)) * (tbz - b.tau_z)
     return EntropyRates(ds_dt=ds, pi=phi + ds, phi=phi, phi_energy=phi_e, method="von_neumann")
+
+
+# ---------------------------------------------------------------------------
+# Registry of the Wehrl rate methods: where each applies, what it gives.
+# ---------------------------------------------------------------------------
+
+
+def bath_at(d: DissipatorSpec, t: float) -> BathParams:
+    """The bath of a damping dissipator at time t."""
+    gamma = d.gamma_t(t) if d.kind == "time_dependent_damping" else d.gamma
+    return BathParams(gamma=gamma, nbar=d.nbar)
+
+
+def _quadrature_rates(state: DensityMatrix, field: HusimiField, d: DissipatorSpec, t: float) -> EntropyRates:
+    if d.kind == "dephasing":
+        pi = dephasing_pi_quadrature(field, d.lam)
+        return EntropyRates(ds_dt=pi, pi=pi, phi=0.0, phi_energy=0.0, method="quadrature")
+    bath = bath_at(d, t)
+    pi = damping_pi_quadrature(field, bath).total
+    phi = damping_phi_quadrature(field, bath)
+    return EntropyRates(ds_dt=pi - phi, pi=pi, phi=phi, phi_energy=0.0, method="quadrature")
+
+
+def _exact_2f1_rates(state: DensityMatrix, field, d: DissipatorSpec, t: float) -> EntropyRates:
+    phi = damping_phi_exact(state.populations(), bath_at(d, t), state.j)
+    return EntropyRates(ds_dt=math.nan, pi=math.nan, phi=phi, phi_energy=0.0, method="exact-2F1")
+
+
+def _closed_form_rates(state: DensityMatrix, field, d: DissipatorSpec, t: float) -> EntropyRates:
+    b = rho_to_bloch(state)
+    if d.kind == "dephasing":
+        return spin_half_dephasing_rates(b, d.lam)
+    return spin_half_damping_rates(b, bath_at(d, t), omega=0.0)
+
+
+@dataclass(frozen=True)
+class RateMethod:
+    """One route from a state to its Wehrl rates.
+
+    applies(two_j, dissipator) says where the method is defined and
+    trusted; gives names which of "pi" and "phi" it yields. rates(state,
+    field, dissipator, t) returns EntropyRates with phi_energy left at 0;
+    field is the state's HusimiField, or None if needs_field is False.
+    """
+
+    name: str
+    applies: Callable[[int, DissipatorSpec], bool]
+    gives: tuple
+    needs_field: bool
+    rates: Callable[[DensityMatrix, Optional[HusimiField], DissipatorSpec, float], EntropyRates]
+
+
+# In the order compare reports them. Neither the exact flux, singular at
+# nbar = 0, nor the quadrature, whose (2 nbar + 1) - cos(theta) denominator
+# vanishes at the north pole there, is cross-checked on a T = 0 bath.
+RATE_METHODS = {
+    m.name: m
+    for m in (
+        RateMethod("quadrature", lambda two_j, d: d.kind == "dephasing" or d.nbar > 0,
+                   ("pi", "phi"), True, _quadrature_rates),
+        RateMethod("exact-2F1", lambda two_j, d: d.kind != "dephasing" and d.nbar > 0,
+                   ("phi",), False, _exact_2f1_rates),
+        RateMethod("closed-form", lambda two_j, d: two_j == 1, ("pi", "phi"), False, _closed_form_rates),
+    )
+}
+
+
+def applicable_rate_methods(two_j: int, d: DissipatorSpec) -> list:
+    """Every registered method that applies, in registry order."""
+    return [m for m in RATE_METHODS.values() if m.applies(two_j, d)]
+
+
+def primary_rate_method(two_j: int, d: DissipatorSpec) -> RateMethod:
+    """The method whose rates a run reports: the closed form where it applies,
+    otherwise the quadrature, the one route defined for every J and channel,
+    evaluated also where it is not cross-checked."""
+    closed = RATE_METHODS["closed-form"]
+    return closed if closed.applies(two_j, d) else RATE_METHODS["quadrature"]
+
+
+def rate_pairs(methods: list, d: DissipatorSpec) -> list:
+    """(label, quantity, a, b) for each pair of methods that give the same
+    quantity: phi first (dephasing has no flux), then pi, each in the order
+    of methods."""
+    quantities = ("pi",) if d.kind == "dephasing" else ("phi", "pi")
+    return [
+        (f"{q} {a.name} vs {b.name}", q, a, b)
+        for q in quantities
+        for a, b in itertools.combinations(methods, 2)
+        if q in a.gives and q in b.gives
+    ]
+
+
+def max_relative_deviation(a, b) -> float:
+    """max |a - b| over the larger of the two series' maximum magnitudes."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    if scale < 1e-12:  # both series vanish identically (equilibrium runs)
+        return 0.0
+    return float(np.max(np.abs(a - b)) / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """End-to-end applications: spontaneous emission, thermal quench, driven
 spin in a rotating field, and a two-level atom hit by a single-photon pulse.
 
-Each scenario evolves the master equation on a uniform output grid and
-attaches Wehrl and von Neumann rate series plus derived scalars. Outputs
-are deterministic for fixed inputs (fixed integrator tolerances and
-quadrature grids).
+Every scenario is a Model (initial state, Hamiltonian, dissipator, and a
+hook adding the scenario's own scalars and extras) run through one
+pipeline, simulate: evolve the master equation on a uniform output grid,
+then reduce each state to Wehrl and von Neumann rates with the methods of
+the entropy_rates registry. Outputs are deterministic for fixed inputs
+(fixed integrator tolerances and quadrature grids).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,18 +22,18 @@ from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, evolve, lindb
 from .entropy_rates import (
     BathParams,
     EntropyRates,
+    applicable_rate_methods,
+    bath_at,
     coherence_bracket,
-    damping_phi_quadrature,
-    damping_pi_quadrature,
-    dephasing_pi_quadrature,
     integrate_rate_series,
-    spin_half_damping_rates,
+    max_relative_deviation,
+    primary_rate_method,
+    rate_pairs,
     spin_half_damping_von_neumann,
-    spin_half_dephasing_rates,
     spin_half_dephasing_von_neumann,
     von_neumann_rates,
 )
-from .errors import AmplitudeUnderflow, NonMarkovianRegime, NonPhysicalState
+from .errors import AmplitudeUnderflow, NonMarkovianRegime, NonPhysicalState, NothingToCompare
 from .phase_space import SphereGrid, husimi, make_grid, wehrl_entropy
 from .spin_ops import (
     BlochVector,
@@ -39,7 +42,6 @@ from .spin_ops import (
     bloch_to_rho,
     gibbs_state,
     nbar_from_temperature,
-    rho_to_bloch,
 )
 
 SIGMA_TAIL_TOL = 1e-10
@@ -47,7 +49,12 @@ SIGMA_TAIL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Trajectory plus rate series and summary scalars for one scenario."""
+    """Trajectory plus rate series and summary scalars for one scenario.
+
+    agreement maps each cross-method check, such as
+    "phi exact-2F1 vs closed-form", to its maximum relative deviation
+    along the trajectory.
+    """
 
     trajectory: Trajectory
     wehrl: list
@@ -56,6 +63,7 @@ class ScenarioResult:
     bloch: Optional[np.ndarray]
     scalars: dict
     extras: dict
+    agreement: dict = field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:
@@ -68,6 +76,17 @@ class ScenarioResult:
         return np.array([getattr(r, field) for r in bundles])
 
 
+@dataclass(frozen=True)
+class Model:
+    """What a scenario integrates. finish, if given, maps the finished
+    result to the scenario's own (scalars, extras)."""
+
+    rho0: DensityMatrix
+    h: HamiltonianSpec
+    d: DissipatorSpec
+    finish: Optional[Callable[[ScenarioResult], tuple]] = None
+
+
 def _uniform_grid(t_max: float, dt: float) -> np.ndarray:
     n = int(round(t_max / dt))
     if n < 2:
@@ -75,17 +94,109 @@ def _uniform_grid(t_max: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, t_max, n + 1)
 
 
-def _entropy_series(traj: Trajectory, grid: Optional[SphereGrid]) -> Optional[np.ndarray]:
-    if grid is None:
-        return None
-    return np.array([wehrl_entropy(husimi(s, grid)) for s in traj.states])
-
-
 def _sigma_or_none(times, pi_values) -> Optional[float]:
     pi_values = np.asarray(pi_values, dtype=float)
     if not np.all(np.isfinite(pi_values)) or abs(pi_values[-1]) >= SIGMA_TAIL_TOL:
         return None
     return integrate_rate_series(times, pi_values, SIGMA_TAIL_TOL)
+
+
+def _von_neumann(
+    state: DensityMatrix, b: Optional[BlochVector], t: float, h: HamiltonianSpec, d: DissipatorSpec
+) -> EntropyRates:
+    """Closed forms for spin 1/2 (b is the state's Bloch vector), the
+    eigendecomposition route for thermal damping against a static J_z
+    Hamiltonian, NaN otherwise."""
+    if b is not None:
+        if d.kind == "dephasing":
+            return spin_half_dephasing_von_neumann(b, d.lam)
+        return spin_half_damping_von_neumann(b, bath_at(d, t), omega=0.0)
+    if d.kind == "amplitude_damping" and h.kind == "static_jz":
+        rd = lindblad_rhs(state.entries, t, h, d)
+        return von_neumann_rates(state, rd, bath_at(d, t), h.omega)
+    return EntropyRates(math.nan, math.nan, math.nan, 0.0, method="von_neumann")
+
+
+def simulate(
+    model: Model,
+    t_max: float,
+    dt: float,
+    grid: Optional[SphereGrid] = None,
+    tol: float = 1e-10,
+    compare: bool = False,
+) -> ScenarioResult:
+    """Evolve a model and reduce each state to rates: the one pipeline
+    behind every scenario and CLI command.
+
+    The registry's primary method gives the Wehrl rates. The applicable
+    methods that need no Husimi field (with compare=True, all applicable
+    methods) are evaluated beside it when two of them apply, and their
+    pairwise deviations fill result.agreement; with compare=True and no
+    pair, NothingToCompare is raised before integrating. Each state's
+    Husimi field is built once, when grid is given (for the Wehrl entropy)
+    or a method needs it, and is freed before the next state's.
+    """
+    rho0, h, d = model.rho0, model.h, model.d
+    j = rho0.j
+    primary = primary_rate_method(j.two_j, d)
+    checks = [m for m in applicable_rate_methods(j.two_j, d) if compare or not m.needs_field]
+    pairs = rate_pairs(checks, d)
+    if compare and not pairs:
+        names = ", ".join(m.name for m in checks) or "none"
+        raise NothingToCompare(
+            f"fewer than two rate methods apply to 2J = {j.two_j}, {d.kind}, nbar = {d.nbar:g}: {names}"
+        )
+    methods = [primary] + [m for m in checks if pairs and m is not primary]
+    if grid is None and any(m.needs_field for m in methods):
+        grid = make_grid()
+    traj = evolve(rho0, h, d, _uniform_grid(t_max, dt), tol)
+    rates = {m.name: [] for m in methods}
+    entropy = None
+    if grid is not None:
+        # The Husimi transforms run back to back, each field freed before the
+        # next is built: light work in between, or the last field kept alive,
+        # evicts or re-faults the transform's large arrays, costing up to a
+        # third of its time.
+        entropy = np.empty(traj.times.size)
+        for k, (t, state) in enumerate(zip(traj.times, traj.states)):
+            q = husimi(state, grid)
+            entropy[k] = wehrl_entropy(q)
+            for m in methods:
+                if m.needs_field:
+                    rates[m.name].append(m.rates(state, q, d, t))
+            del q
+    bloch = traj.bloch_series() if j.two_j == 1 else None
+    wehrl = []
+    von_neumann = []
+    for k, (t, state) in enumerate(zip(traj.times, traj.states)):
+        fe = float(-np.trace(h.matrix(j, t) @ d.apply(state.entries, t)).real)
+        for m in methods:
+            if not m.needs_field:
+                rates[m.name].append(m.rates(state, None, d, t))
+        wehrl.append(replace(rates[primary.name][k], phi_energy=fe))
+        bv = None if bloch is None else BlochVector(*bloch[k])
+        von_neumann.append(replace(_von_neumann(state, bv, t, h, d), phi_energy=fe))
+    agreement = {
+        label: max_relative_deviation(
+            [getattr(r, quantity) for r in rates[a.name]],
+            [getattr(r, quantity) for r in rates[b.name]],
+        )
+        for label, quantity, a, b in pairs
+    }
+    result = ScenarioResult(
+        trajectory=traj,
+        wehrl=wehrl,
+        von_neumann=von_neumann,
+        entropy=entropy,
+        bloch=bloch,
+        scalars={"sigma_wehrl": _sigma_or_none(traj.times, [r.pi for r in wehrl])},
+        extras={},
+        agreement=agreement,
+    )
+    if model.finish is None:
+        return result
+    scalars, extras = model.finish(result)
+    return replace(result, scalars={**result.scalars, **scalars}, extras=extras)
 
 
 def spontaneous_emission(
@@ -98,25 +209,19 @@ def spontaneous_emission(
     tol: float = 1e-10,
 ) -> ScenarioResult:
     """Decay of the excited state |z+> under the thermal damping bath."""
+    return simulate(spontaneous_emission_model(omega, gamma, temperature), t_max, dt, grid, tol)
+
+
+def spontaneous_emission_model(omega: float, gamma: float, temperature: float) -> Model:
+    """The Model that spontaneous_emission integrates."""
     if temperature < 0:
         raise NonPhysicalState("temperature must be non-negative")
     nbar = nbar_from_temperature(omega, temperature) if temperature > 0 else 0.0
-    bath = BathParams(gamma=gamma, nbar=nbar)
-    rho0 = bloch_to_rho(BlochVector(0.0, 0.0, 1.0))
-    traj = evolve(rho0, HamiltonianSpec.static_jz(omega), DissipatorSpec.amplitude_damping(gamma, nbar), _uniform_grid(t_max, dt), tol)
-    bloch = traj.bloch_series()
-    wehrl = [spin_half_damping_rates(BlochVector(*b), bath, omega) for b in bloch]
-    vn = [spin_half_damping_von_neumann(BlochVector(*b), bath, omega) for b in bloch]
-    entropy = _entropy_series(traj, grid)
-    sigma = _sigma_or_none(traj.times, [r.pi for r in wehrl])
-    return ScenarioResult(
-        trajectory=traj,
-        wehrl=wehrl,
-        von_neumann=vn,
-        entropy=entropy,
-        bloch=bloch,
-        scalars={"sigma_wehrl": sigma, "temperature": temperature, "nbar": nbar},
-        extras={},
+    return Model(
+        bloch_to_rho(BlochVector(0.0, 0.0, 1.0)),
+        HamiltonianSpec.static_jz(omega),
+        DissipatorSpec.amplitude_damping(gamma, nbar),
+        lambda result: ({"temperature": temperature, "nbar": nbar}, {}),
     )
 
 
@@ -141,27 +246,25 @@ def thermal_quench(
     The evolved state remains thermal with a time-dependent temperature;
     the closed-form tau_z(t) is attached under extras["tau_z_closed_form"].
     """
+    model = thermal_quench_model(t0_temperature, bath_temperature, omega, gamma)
+    return simulate(model, t_max, dt, grid, tol)
+
+
+def thermal_quench_model(t0_temperature: float, bath_temperature: float, omega: float, gamma: float) -> Model:
+    """The Model that thermal_quench integrates."""
     if min(t0_temperature, bath_temperature) < 0:
         raise NonPhysicalState("temperatures must be non-negative")
-    j = SpinQuantumNumber(1)
     nbar = nbar_from_temperature(omega, bath_temperature) if bath_temperature > 0 else 0.0
     bath = BathParams(gamma=gamma, nbar=nbar)
-    rho0 = gibbs_state(j, omega, t0_temperature)
-    traj = evolve(rho0, HamiltonianSpec.static_jz(omega), DissipatorSpec.amplitude_damping(gamma, nbar), _uniform_grid(t_max, dt), tol)
-    bloch = traj.bloch_series()
-    wehrl = [spin_half_damping_rates(BlochVector(*b), bath, omega) for b in bloch]
-    vn = [spin_half_damping_von_neumann(BlochVector(*b), bath, omega) for b in bloch]
-    entropy = _entropy_series(traj, grid)
-    sigma = _sigma_or_none(traj.times, [r.pi for r in wehrl])
-    closed = quench_tau_z(traj.times, bloch[0, 2], bath)
-    return ScenarioResult(
-        trajectory=traj,
-        wehrl=wehrl,
-        von_neumann=vn,
-        entropy=entropy,
-        bloch=bloch,
-        scalars={"sigma_wehrl": sigma, "nbar": nbar},
-        extras={"tau_z_closed_form": closed},
+
+    def finish(result: ScenarioResult) -> tuple:
+        return {"nbar": nbar}, {"tau_z_closed_form": quench_tau_z(result.times, result.bloch[0, 2], bath)}
+
+    return Model(
+        gibbs_state(SpinQuantumNumber(1), omega, t0_temperature),
+        HamiltonianSpec.static_jz(omega),
+        DissipatorSpec.amplitude_damping(gamma, nbar),
+        finish,
     )
 
 
@@ -202,47 +305,27 @@ def rotating_field(
     """Spin 1/2 driven by a rotating transverse field, with dephasing or
     damping. Energy flux is reported as -tr(H(t) D(rho)) for the
     instantaneous Hamiltonian."""
+    model = rotating_field_model(b0, b1, drive_omega, dissipator, initial_state)
+    return simulate(model, t_max, dt, grid, tol)
+
+
+def rotating_field_model(
+    b0: float, b1: float, drive_omega: float, dissipator: DissipatorSpec, initial_state: DensityMatrix
+) -> Model:
+    """The Model that rotating_field integrates."""
     if initial_state.j.two_j != 1:
         raise NonPhysicalState("rotating_field scenario is defined for spin 1/2")
-    h = HamiltonianSpec.rotating_field(b0, b1, drive_omega)
-    traj = evolve(initial_state, h, dissipator, _uniform_grid(t_max, dt), tol)
-    bloch = traj.bloch_series()
 
-    wehrl = []
-    vn = []
-    phi_e = []
-    for t, state, b in zip(traj.times, traj.states, bloch):
-        bv = BlochVector(*b)
-        hm = h.matrix(state.j, t)
-        dm = dissipator.apply(state.entries, t)
-        fe = float(-np.trace(hm @ dm).real)
-        phi_e.append(fe)
-        if dissipator.kind == "dephasing":
-            w = spin_half_dephasing_rates(bv, dissipator.lam)
-            v = spin_half_dephasing_von_neumann(bv, dissipator.lam)
-        else:
+    def finish(result: ScenarioResult) -> tuple:
+        scalars = {}
+        if dissipator.kind == "amplitude_damping":
             bath = BathParams(gamma=dissipator.gamma, nbar=dissipator.nbar)
-            w = spin_half_damping_rates(bv, bath, omega=0.0)
-            v = spin_half_damping_von_neumann(bv, bath, omega=0.0)
-        wehrl.append(replace(w, phi_energy=fe))
-        vn.append(replace(v, phi_energy=fe))
+            scalars["steady_state"] = rotating_field_steady_state(b0, b1, drive_omega, bath)
+            scalars["pi_wehrl_final"] = result.wehrl[-1].pi
+            scalars["phi_wehrl_final"] = result.wehrl[-1].phi
+        return scalars, {"phi_energy_direct": result.series("wehrl.phi_energy")}
 
-    entropy = _entropy_series(traj, grid)
-    scalars = {}
-    if dissipator.kind in ("amplitude_damping",):
-        bath = BathParams(gamma=dissipator.gamma, nbar=dissipator.nbar)
-        scalars["steady_state"] = rotating_field_steady_state(b0, b1, drive_omega, bath)
-        scalars["pi_wehrl_final"] = wehrl[-1].pi
-        scalars["phi_wehrl_final"] = wehrl[-1].phi
-    return ScenarioResult(
-        trajectory=traj,
-        wehrl=wehrl,
-        von_neumann=vn,
-        entropy=entropy,
-        bloch=bloch,
-        scalars=scalars,
-        extras={"phi_energy_direct": np.array(phi_e)},
-    )
+    return Model(initial_state, HamiltonianSpec.rotating_field(b0, b1, drive_omega), dissipator, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -369,55 +452,47 @@ def photon_pulse_scenario(
     spin-1/2 closed forms with gamma -> Gamma_t, so the flux reduces to
     Phi(t) = (Gamma_t/2)(1 + tau_z(t)).
     """
+    return simulate(photon_pulse_model(params), t_max, dt, grid, tol)
+
+
+def photon_pulse_model(params: PulseParams) -> Model:
+    """The Model that photon_pulse_scenario integrates."""
     if not is_markovian(params):
         raise NonMarkovianRegime(
             f"a0 = {params.a0} below the threshold {markov_threshold(params):.6f}"
         )
 
+    # The integrator's right-hand side, and each state's dissipator, energy
+    # flux and rate methods, ask for both rates at one t in turn.
+    @functools.lru_cache(maxsize=1)
+    def rates_at(t: float) -> tuple:
+        return pulse_effective_rates(params, t)
+
     def gamma_t(t: float) -> float:
-        g, _ = pulse_effective_rates(params, t)
-        return g
+        return rates_at(t)[0]
 
     def omega_t(t: float) -> float:
-        _, w = pulse_effective_rates(params, t)
-        return w
+        return rates_at(t)[1]
+
+    def finish(result: ScenarioResult) -> tuple:
+        scalars = {"markovian": True, "markov_threshold": markov_threshold(params)}
+        a_abs2 = np.abs(np.asarray(pulse_amplitude(params, result.times))) ** 2
+        return scalars, {"gamma_t": np.array([gamma_t(t) for t in result.times]), "a_abs2": a_abs2}
 
     p_exc = params.a0 ** 2
     rho0 = DensityMatrix(
         SpinQuantumNumber(1), np.diag([p_exc, 1.0 - p_exc]).astype(complex)
     )
-    traj = evolve(
+    return Model(
         rho0,
         HamiltonianSpec.pulse_effective(omega_t),
         DissipatorSpec.time_dependent_damping(gamma_t, nbar=0.0),
-        _uniform_grid(t_max, dt),
-        tol,
-    )
-    bloch = traj.bloch_series()
-    gamma_series = np.array([gamma_t(t) for t in traj.times])
-    wehrl = []
-    vn = []
-    for g, b in zip(gamma_series, bloch):
-        bath = BathParams(gamma=float(g), nbar=0.0)
-        bv = BlochVector(*b)
-        wehrl.append(spin_half_damping_rates(bv, bath, omega=0.0))
-        vn.append(spin_half_damping_von_neumann(bv, bath, omega=0.0))
-    entropy = _entropy_series(traj, grid)
-    sigma = _sigma_or_none(traj.times, [r.pi for r in wehrl])
-    a_abs2 = np.abs(np.asarray(pulse_amplitude(params, traj.times))) ** 2
-    return ScenarioResult(
-        trajectory=traj,
-        wehrl=wehrl,
-        von_neumann=vn,
-        entropy=entropy,
-        bloch=bloch,
-        scalars={"sigma_wehrl": sigma, "markovian": True, "markov_threshold": markov_threshold(params)},
-        extras={"gamma_t": gamma_series, "a_abs2": a_abs2},
+        finish,
     )
 
 
 # ---------------------------------------------------------------------------
-# Generic (any-J) scenario used by the CLI's "custom" mode: quadrature rates.
+# Generic (any-J) scenario used by the CLI's "custom" mode.
 # ---------------------------------------------------------------------------
 
 
@@ -429,7 +504,6 @@ def custom_scenario(
     dt: float,
     grid: Optional[SphereGrid] = None,
     tol: float = 1e-10,
-    vn_omega: Optional[float] = None,
 ) -> ScenarioResult:
     """Evolve an arbitrary configuration and compute Wehrl rate series.
 
@@ -437,64 +511,11 @@ def custom_scenario(
     nbar = 0 boundary where the production quadrature is not certified);
     larger spins use the quadrature route. Von Neumann rates use the
     closed forms for spin 1/2 and the eigendecomposition route when the
-    dissipator is thermal damping against a static J_z Hamiltonian.
+    dissipator is thermal damping against a static J_z Hamiltonian. The
+    Wehrl entropy is computed on grid, by default make_grid().
     """
     grid = grid if grid is not None else make_grid()
-    traj = evolve(rho0, h, d, _uniform_grid(t_max, dt), tol)
-    j = rho0.j
-    wehrl = []
-    vn = []
-    entropy = np.empty(traj.times.size)
-    for k, (t, state) in enumerate(zip(traj.times, traj.states)):
-        field = husimi(state, grid)
-        entropy[k] = wehrl_entropy(field)
-        hm = h.matrix(j, t)
-        dm = d.apply(state.entries, t)
-        fe = float(-np.trace(hm @ dm).real)
-        gamma_now = 0.0
-        if d.kind != "dephasing":
-            gamma_now = d.gamma if d.kind == "amplitude_damping" else d.gamma_t(t)
-        if j.two_j == 1:
-            bv = rho_to_bloch(state)
-            if d.kind == "dephasing":
-                w = spin_half_dephasing_rates(bv, d.lam)
-            else:
-                w = spin_half_damping_rates(bv, BathParams(gamma=gamma_now, nbar=d.nbar), omega=0.0)
-            w = replace(w, phi_energy=fe)
-        elif d.kind == "dephasing":
-            pi = dephasing_pi_quadrature(field, d.lam)
-            w = EntropyRates(ds_dt=pi, pi=pi, phi=0.0, phi_energy=fe, method="quadrature")
-        else:
-            bath = BathParams(gamma=gamma_now, nbar=d.nbar)
-            pi = damping_pi_quadrature(field, bath).total
-            phi = damping_phi_quadrature(field, bath)
-            w = EntropyRates(ds_dt=pi - phi, pi=pi, phi=phi, phi_energy=fe, method="quadrature")
-        wehrl.append(w)
-        if j.two_j == 1:
-            bv = rho_to_bloch(state)
-            if d.kind == "dephasing":
-                vn.append(replace(spin_half_dephasing_von_neumann(bv, d.lam), phi_energy=fe))
-            else:
-                bath = BathParams(gamma=d.gamma if d.kind == "amplitude_damping" else d.gamma_t(t), nbar=d.nbar)
-                vn.append(replace(spin_half_damping_von_neumann(bv, bath, omega=0.0), phi_energy=fe))
-        elif d.kind == "amplitude_damping" and h.kind == "static_jz":
-            bath = BathParams(gamma=d.gamma, nbar=d.nbar)
-            rd = lindblad_rhs(state.entries, t, h, d)
-            vn.append(von_neumann_rates(state, rd, bath, vn_omega if vn_omega is not None else h.omega))
-        else:
-            vn.append(EntropyRates(math.nan, math.nan, math.nan, fe, method="von_neumann"))
-    bloch = traj.bloch_series() if j.two_j == 1 else None
-    pis = [r.pi for r in wehrl]
-    sigma = _sigma_or_none(traj.times, pis)
-    return ScenarioResult(
-        trajectory=traj,
-        wehrl=wehrl,
-        von_neumann=vn,
-        entropy=entropy,
-        bloch=bloch,
-        scalars={"sigma_wehrl": sigma},
-        extras={},
-    )
+    return simulate(Model(rho0, h, d), t_max, dt, grid, tol)
 
 
 def write_scenario_csv(result: ScenarioResult, path) -> None:
@@ -502,29 +523,16 @@ def write_scenario_csv(result: ScenarioResult, path) -> None:
     Pi_vN, Phi_vN, Phi_E and, for pulse runs, gamma_t. Full double precision;
     divergences appear as literal inf tokens."""
     cols = ["t", "tau_x", "tau_y", "tau_z", "S_wehrl", "Pi_wehrl", "Phi_wehrl", "Pi_vN", "Phi_vN", "Phi_E"]
-    has_gamma = "gamma_t" in result.extras
-    if has_gamma:
-        cols.append("gamma_t")
     n = result.times.size
     bloch = result.bloch if result.bloch is not None else np.full((n, 3), math.nan)
     entropy = result.entropy if result.entropy is not None else np.full(n, math.nan)
-    rows = []
-    for k in range(n):
-        row = [
-            result.times[k],
-            bloch[k, 0],
-            bloch[k, 1],
-            bloch[k, 2],
-            entropy[k],
-            result.wehrl[k].pi,
-            result.wehrl[k].phi,
-            result.von_neumann[k].pi,
-            result.von_neumann[k].phi,
-            result.wehrl[k].phi_energy,
-        ]
-        if has_gamma:
-            row.append(result.extras["gamma_t"][k])
-        rows.append(",".join(f"{v:.17g}" for v in row))
+    data = [result.times, *bloch.T, entropy]
+    for name in ("wehrl.pi", "wehrl.phi", "von_neumann.pi", "von_neumann.phi", "wehrl.phi_energy"):
+        data.append(result.series(name))
+    if "gamma_t" in result.extras:
+        cols.append("gamma_t")
+        data.append(result.extras["gamma_t"])
+    rows = [",".join(f"{v:.17g}" for v in row) for row in zip(*data)]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         fh.write("\n".join(rows) + "\n")

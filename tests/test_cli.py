@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +26,59 @@ QUENCH_IDLE = {
     "grid": {"n_theta": 48, "n_phi": 96},
     "output": {"csv": "quench.csv"},
 }
+
+
+CUSTOM_DEPHASING = {
+    "scenario": "custom",
+    "two_j": 1,
+    "hamiltonian": {"type": "none"},
+    "dissipator": {"type": "dephasing", "lambda": 1.0},
+    "initial_state": {"type": "bloch", "tau_x": 0.6, "tau_y": 0.0, "tau_z": 0.2},
+    "time": {"t_max": 0.5, "output_dt": 0.1},
+    "grid": {"n_theta": 48, "n_phi": 96},
+}
+
+CUSTOM_DAMPING_J2 = {
+    "scenario": "custom",
+    "two_j": 4,
+    "hamiltonian": {"type": "static_jz", "omega": 1.0},
+    "dissipator": {"type": "amplitude_damping", "gamma": 1.0, "nbar": 1.0},
+    "initial_state": {"type": "diagonal", "populations": [0.3, 0.25, 0.2, 0.15, 0.1]},
+    "time": {"t_max": 0.5, "output_dt": 0.1},
+    "grid": {"n_theta": 48, "n_phi": 96},
+}
+
+QUENCH_WARM = dict(QUENCH_IDLE, initial_temperature=2.0, time={"t_max": 1.0, "output_dt": 0.2})
+
+
+def with_value(cfg, dotted, value):
+    """Deep copy of cfg with the nested key at a dotted path set to value."""
+    out = copy.deepcopy(cfg)
+    *parents, leaf = dotted.split(".")
+    node = out
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(leaf) if isinstance(node, list) else leaf] = value
+    return out
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap every spinwehrl alias of module.name; returns the list of calls."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("spinwehrl") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def compare_check_names(out: str) -> list:
+    return [line.split(": max rel dev")[0] for line in out.splitlines() if ": max rel dev" in line]
 
 
 class TestValidate:
@@ -57,6 +112,34 @@ class TestValidate:
 
     def test_missing_file(self):
         assert main(["validate", "--config", "/nonexistent/x.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(with_value(QUENCH_IDLE, "time.output_dt", 3.0), id="output_dt>t_max"),
+            pytest.param(with_value(QUENCH_IDLE, "grid.n_theta", 4), id="grid<8"),
+            pytest.param(with_value(QUENCH_IDLE, "time.tol", 0.0), id="tol=0"),
+            pytest.param(with_value(QUENCH_IDLE, "time.tol", -1e-10), id="tol<0"),
+            pytest.param(with_value(QUENCH_IDLE, "time.t_max", math.nan), id="nan-t_max"),
+            pytest.param(with_value(QUENCH_IDLE, "time.output_dt", math.nan), id="nan-output_dt"),
+            pytest.param(with_value(QUENCH_IDLE, "grid.n_phi", "96"), id="grid-not-number"),
+            pytest.param(with_value(CUSTOM_DAMPING_J2, "initial_state.populations.1", "x"), id="population-not-number"),
+            pytest.param(with_value(CUSTOM_DAMPING_J2, "initial_state.populations.0", -0.1), id="population<0"),
+            pytest.param(with_value(CUSTOM_DEPHASING, "dissipator.lambda", -1.0), id="lambda<0"),
+            pytest.param(with_value(CUSTOM_DAMPING_J2, "dissipator.gamma", -1.0), id="gamma<0"),
+            pytest.param(with_value(QUENCH_IDLE, "gamma", -1.0), id="scenario-gamma<0"),
+            pytest.param(with_value(CUSTOM_DAMPING_J2, "dissipator.nbar", -0.5), id="nbar<0"),
+            pytest.param(with_value(CUSTOM_DEPHASING, "dissipator", 1.0), id="section-not-object"),
+            pytest.param(dict(QUENCH_IDLE, compare={"tolerance": "1e-5"}), id="tolerance-not-number"),
+            pytest.param(dict(QUENCH_IDLE, output={"csv": 5}), id="csv-not-name"),
+        ],
+    )
+    def test_malformed_config_is_a_config_error(self, tmp_path, cfg):
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path]) == 2
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
 
 
 class TestRun:
@@ -215,6 +298,69 @@ class TestCompare:
         }
         path = write_config(tmp_path, cfg)
         assert main(["compare", "--config", path]) == 2
+
+
+    @pytest.mark.parametrize(
+        "cfg, names",
+        [
+            pytest.param(CUSTOM_DEPHASING, ["pi quadrature vs closed-form"], id="spin-1/2-dephasing"),
+            pytest.param(
+                QUENCH_WARM,
+                [
+                    "phi quadrature vs exact-2F1",
+                    "phi quadrature vs closed-form",
+                    "phi exact-2F1 vs closed-form",
+                    "pi quadrature vs closed-form",
+                ],
+                id="spin-1/2-damping",
+            ),
+            pytest.param(CUSTOM_DAMPING_J2, ["phi quadrature vs exact-2F1"], id="2J=4-damping"),
+        ],
+    )
+    def test_check_names_and_order(self, tmp_path, capsys, cfg, names):
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", "--config", path, "--tol", "1.0"]) == 0
+        assert compare_check_names(capsys.readouterr().out) == names
+
+    @pytest.mark.parametrize("name", ["photon_pulse.json", "damping_theta_sweep.json"])
+    def test_single_method_rejected_before_integrating(self, monkeypatch, name):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("compare integrated a config with a single rate method")
+
+        monkeypatch.setattr("spinwehrl.scenarios.evolve", no_evolve)
+        assert main(["compare", "--config", str(bundled_configs()[name])]) == 2
+
+    def test_one_husimi_field_per_state(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.phase_space"], "husimi")
+        path = write_config(tmp_path, CUSTOM_DEPHASING)
+        assert main(["compare", "--config", path]) == 0
+        assert len(calls) == 6  # t = 0, 0.1, ..., 0.5
+
+
+class TestOneValidationPerCommand:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_validate_called_once(self, tmp_path, monkeypatch, command):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.cli"], "validate_config")
+        path = write_config(tmp_path, QUENCH_WARM)
+        argv = [command, "--config", path] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert main(argv) == 0
+        assert len(calls) == 1
+
+
+class TestRunAgreement:
+    def test_spin_half_damping_cross_checks_field_free_methods(self, tmp_path, capsys):
+        path = write_config(tmp_path, QUENCH_WARM)
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("agreement")]
+        assert len(lines) == 1 and lines[0].startswith("agreement phi exact-2F1 vs closed-form:")
+        assert float(lines[0].split()[-1]) < 1e-12
+
+    def test_spin_j_run_adds_no_exact_flux_work(self, tmp_path, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.hypergeom"], "gauss_2f1")
+        path = write_config(tmp_path, CUSTOM_DAMPING_J2)
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
+        assert "agreement" not in capsys.readouterr().out
+        assert calls == []
 
 
 class TestSweep:

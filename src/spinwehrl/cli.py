@@ -22,11 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DissipatorSpec, HamiltonianSpec
+from .entropy_rates import applicable_rate_methods
 from .errors import ConfigError, NothingToCompare, SpinWehrlError
 from .phase_space import make_grid
 from .scenarios import (
     Model,
     PulseParams,
+    compare,
+    cross_check,
     photon_pulse_model,
     rotating_field_model,
     simulate,
@@ -115,7 +118,7 @@ def validate_config(cfg: dict) -> dict:
     _check_keys(cfg["time"], _TIME_KEYS, "'time'")
     t_max = _number(cfg["time"], "t_max", "'time'")
     dt = _number(cfg["time"], "output_dt", "'time'")
-    if dt <= 0 or round(t_max / dt) < 2:
+    if dt <= 0 or not math.isfinite(t_max / dt) or round(t_max / dt) < 2:
         raise ConfigError("'output_dt' must be positive and give at least two steps up to 't_max'")
     if "tol" in cfg["time"] and _number(cfg["time"], "tol", "'time'") <= 0:
         raise ConfigError("'tol' in 'time' must be positive")
@@ -239,17 +242,21 @@ def _model_from_config(cfg: dict) -> Model:
     )
 
 
-def run_config(cfg: dict, grid_override: str | None = None, tol_override: float | None = None,
-               compare: bool = False):
-    """Execute a validated config and return its ScenarioResult; compare is
-    passed to scenarios.simulate."""
+def _scenario_args(cfg: dict, grid_override: str | None = None, tol_override: float | None = None) -> tuple:
+    """(model, t_max, dt, grid, tol) of a validated config: the arguments of
+    scenarios.simulate and scenarios.compare."""
     grid = _grid_from(cfg, grid_override)
     tol = float(tol_override if tol_override is not None else cfg["time"].get("tol", 1e-10))
-    if tol <= 0:
-        raise ConfigError(f"integrator tolerance must be positive, got {tol:g}")
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"integrator tolerance must be positive and finite, got {tol:g}")
     t_max = float(cfg["time"]["t_max"])
     dt = float(cfg["time"]["output_dt"])
-    return simulate(_model_from_config(cfg), t_max, dt, grid=grid, tol=tol, compare=compare)
+    return _model_from_config(cfg), t_max, dt, grid, tol
+
+
+def run_config(cfg: dict, grid_override: str | None = None, tol_override: float | None = None):
+    """Execute a validated config and return its ScenarioResult."""
+    return simulate(*_scenario_args(cfg, grid_override, tol_override))
 
 
 def _fmt(x) -> str:
@@ -265,7 +272,9 @@ def _print_summary(cfg: dict, result) -> None:
     print(f"final Pi_wehrl:  {_fmt(w_final.pi)}    final Phi_wehrl: {_fmt(w_final.phi)}")
     print(f"final Pi_vN:     {_fmt(v_final.pi)}    final Phi_vN:    {_fmt(v_final.phi)}")
     print(f"Sigma (wehrl):   {_fmt(result.scalars.get('sigma_wehrl'))}")
-    for name, value in result.agreement.items():
+    d = result.model.d
+    field_free = [m for m in applicable_rate_methods(result.model.rho0.j.two_j, d) if not m.needs_field]
+    for name, value in cross_check(d, result.trajectory, field_free).items():
         print(f"agreement {name}: max rel dev {_fmt(value)}")
 
 
@@ -274,10 +283,10 @@ def compare_config(cfg: dict, tolerance: float, grid_override: str | None = None
     and report their pairwise maximum relative deviations; returns a process
     exit code. Raises NothingToCompare, before integrating, when fewer than
     two methods apply."""
-    result = run_config(cfg, grid_override=grid_override, compare=True)
-    for name, value in result.agreement.items():
+    agreement = compare(*_scenario_args(cfg, grid_override))
+    for name, value in agreement.items():
         print(f"{name}: max rel dev {value:.3e}")
-    worst = max(0.0, *result.agreement.values())
+    worst = max(0.0, *agreement.values())
     if worst > tolerance:
         print(f"FAIL: worst deviation {worst:.3e} exceeds tolerance {tolerance:g}")
         return 1
@@ -429,6 +438,8 @@ def main(argv=None) -> int:
         if args.command == "compare":
             cfg = _load_config(args.config)
             tol = args.tol if args.tol is not None else cfg.get("compare", {}).get("tolerance", 1e-5)
+            if not tol >= 0:  # also refuses nan, which no deviation exceeds
+                raise ConfigError(f"comparison tolerance must be non-negative, got {tol:g}")
             return compare_config(cfg, tolerance=tol, grid_override=args.grid)
         if args.command == "sweep":
             cfg = _load_config(args.config)

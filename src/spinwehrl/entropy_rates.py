@@ -37,6 +37,8 @@ from .spin_ops import (
 from . import _kernels
 
 DIVERGENCE_EDGE = 1e-12
+# damping_phi_exact needs tau_bar_z above this: nbar above about 5e-16.
+EXACT_FLUX_MIN_TBZ = -1.0 + 1e-15
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -192,7 +194,7 @@ def damping_phi_exact(populations: np.ndarray, bath: BathParams, j: SpinQuantumN
     damping_phi_zero_temperature instead.
     """
     tbz = bath.tau_bar_z
-    if tbz <= -1.0 + 1e-15:
+    if tbz <= EXACT_FLUX_MIN_TBZ:
         raise UnsupportedParameters("tau_bar_z = -1: use damping_phi_zero_temperature")
     pops = np.asarray(populations, dtype=float)
     if pops.shape != (j.dim,):
@@ -357,19 +359,28 @@ def _closed_form_rates(state: DensityMatrix, field, d: DissipatorSpec, t: float)
     return spin_half_damping_rates(b, bath_at(d, t), omega=0.0)
 
 
+def _exact_2f1_applies(two_j: int, d: DissipatorSpec) -> bool:
+    return d.kind != "dephasing" and BathParams(gamma=0.0, nbar=d.nbar).tau_bar_z > EXACT_FLUX_MIN_TBZ
+
+
+def _pi_and_phi(d: DissipatorSpec) -> tuple:
+    return ("pi",) if d.kind == "dephasing" else ("phi", "pi")  # dephasing has no flux
+
+
 @dataclass(frozen=True)
 class RateMethod:
     """One route from a state to its Wehrl rates.
 
     applies(two_j, dissipator) says where the method is defined and
-    trusted; gives names which of "pi" and "phi" it yields. rates(state,
-    field, dissipator, t) returns EntropyRates with phi_energy left at 0;
-    field is the state's HusimiField, or None if needs_field is False.
+    trusted; gives(dissipator) names which of "pi" and "phi" it yields.
+    rates(state, field, dissipator, t) returns EntropyRates with
+    phi_energy left at 0; field is the state's HusimiField, or None if
+    needs_field is False.
     """
 
     name: str
     applies: Callable[[int, DissipatorSpec], bool]
-    gives: tuple
+    gives: Callable[[DissipatorSpec], tuple]
     needs_field: bool
     rates: Callable[[DensityMatrix, Optional[HusimiField], DissipatorSpec, float], EntropyRates]
 
@@ -381,10 +392,9 @@ RATE_METHODS = {
     m.name: m
     for m in (
         RateMethod("quadrature", lambda two_j, d: d.kind == "dephasing" or d.nbar > 0,
-                   ("pi", "phi"), True, _quadrature_rates),
-        RateMethod("exact-2F1", lambda two_j, d: d.kind != "dephasing" and d.nbar > 0,
-                   ("phi",), False, _exact_2f1_rates),
-        RateMethod("closed-form", lambda two_j, d: two_j == 1, ("pi", "phi"), False, _closed_form_rates),
+                   _pi_and_phi, True, _quadrature_rates),
+        RateMethod("exact-2F1", _exact_2f1_applies, lambda d: ("phi",), False, _exact_2f1_rates),
+        RateMethod("closed-form", lambda two_j, d: two_j == 1, _pi_and_phi, False, _closed_form_rates),
     )
 }
 
@@ -403,15 +413,13 @@ def primary_rate_method(two_j: int, d: DissipatorSpec) -> RateMethod:
 
 
 def rate_pairs(methods: list, d: DissipatorSpec) -> list:
-    """(label, quantity, a, b) for each pair of methods that give the same
-    quantity: phi first (dephasing has no flux), then pi, each in the order
-    of methods."""
-    quantities = ("pi",) if d.kind == "dephasing" else ("phi", "pi")
+    """(label, quantity, a, b) for each pair of methods that both give a
+    quantity: phi first, then pi, each in the order of methods."""
     return [
         (f"{q} {a.name} vs {b.name}", q, a, b)
-        for q in quantities
+        for q in ("phi", "pi")
         for a, b in itertools.combinations(methods, 2)
-        if q in a.gives and q in b.gives
+        if q in a.gives(d) and q in b.gives(d)
     ]
 
 

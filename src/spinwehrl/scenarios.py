@@ -4,16 +4,17 @@ spin in a rotating field, and a two-level atom hit by a single-photon pulse.
 Every scenario is a Model (initial state, Hamiltonian, dissipator, and a
 hook adding the scenario's own scalars and extras) run through one
 pipeline, simulate: evolve the master equation on a uniform output grid,
-then reduce each state to Wehrl and von Neumann rates with the methods of
-the entropy_rates registry. Outputs are deterministic for fixed inputs
-(fixed integrator tolerances and quadrature grids).
+then reduce each state to Wehrl and von Neumann rates with the primary
+method of the entropy_rates registry. compare instead cross-checks every
+method that applies. Outputs are deterministic for fixed inputs (fixed
+integrator tolerances and quadrature grids).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,13 +49,20 @@ SIGMA_TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ScenarioResult:
-    """Trajectory plus rate series and summary scalars for one scenario.
+class Model:
+    """What a scenario integrates. finish, if given, maps the finished
+    result to the scenario's own (scalars, extras)."""
 
-    agreement maps each cross-method check, such as
-    "phi exact-2F1 vs closed-form", to its maximum relative deviation
-    along the trajectory.
-    """
+    rho0: DensityMatrix
+    h: HamiltonianSpec
+    d: DissipatorSpec
+    finish: Optional[Callable[[ScenarioResult], tuple]] = None
+
+
+@dataclass(frozen=True)
+class ScenarioResult:
+    """Trajectory plus rate series and summary scalars for one scenario,
+    and the model it came from."""
 
     trajectory: Trajectory
     wehrl: list
@@ -63,7 +71,7 @@ class ScenarioResult:
     bloch: Optional[np.ndarray]
     scalars: dict
     extras: dict
-    agreement: dict = field(default_factory=dict)
+    model: Model
 
     @property
     def times(self) -> np.ndarray:
@@ -74,17 +82,6 @@ class ScenarioResult:
         method, _, field = name.partition(".")
         bundles = {"wehrl": self.wehrl, "von_neumann": self.von_neumann}[method]
         return np.array([getattr(r, field) for r in bundles])
-
-
-@dataclass(frozen=True)
-class Model:
-    """What a scenario integrates. finish, if given, maps the finished
-    result to the scenario's own (scalars, extras)."""
-
-    rho0: DensityMatrix
-    h: HamiltonianSpec
-    d: DissipatorSpec
-    finish: Optional[Callable[[ScenarioResult], tuple]] = None
 
 
 def _uniform_grid(t_max: float, dt: float) -> np.ndarray:
@@ -123,35 +120,22 @@ def simulate(
     dt: float,
     grid: Optional[SphereGrid] = None,
     tol: float = 1e-10,
-    compare: bool = False,
 ) -> ScenarioResult:
     """Evolve a model and reduce each state to rates: the one pipeline
-    behind every scenario and CLI command.
+    behind every scenario and the CLI's run and sweep.
 
-    The registry's primary method gives the Wehrl rates. The applicable
-    methods that need no Husimi field (with compare=True, all applicable
-    methods) are evaluated beside it when two of them apply, and their
-    pairwise deviations fill result.agreement; with compare=True and no
-    pair, NothingToCompare is raised before integrating. Each state's
+    The registry's primary method gives the Wehrl rates. Each state's
     Husimi field is built once, when grid is given (for the Wehrl entropy)
-    or a method needs it, and is freed before the next state's.
+    or the method needs it, and is freed before the next state's.
     """
     rho0, h, d = model.rho0, model.h, model.d
     j = rho0.j
-    primary = primary_rate_method(j.two_j, d)
-    checks = [m for m in applicable_rate_methods(j.two_j, d) if compare or not m.needs_field]
-    pairs = rate_pairs(checks, d)
-    if compare and not pairs:
-        names = ", ".join(m.name for m in checks) or "none"
-        raise NothingToCompare(
-            f"fewer than two rate methods apply to 2J = {j.two_j}, {d.kind}, nbar = {d.nbar:g}: {names}"
-        )
-    methods = [primary] + [m for m in checks if pairs and m is not primary]
-    if grid is None and any(m.needs_field for m in methods):
+    method = primary_rate_method(j.two_j, d)
+    if grid is None and method.needs_field:
         grid = make_grid()
     traj = evolve(rho0, h, d, _uniform_grid(t_max, dt), tol)
-    rates = {m.name: [] for m in methods}
     entropy = None
+    field_rates = []
     if grid is not None:
         # The Husimi transforms run back to back, each field freed before the
         # next is built: light work in between, or the last field kept alive,
@@ -161,28 +145,18 @@ def simulate(
         for k, (t, state) in enumerate(zip(traj.times, traj.states)):
             q = husimi(state, grid)
             entropy[k] = wehrl_entropy(q)
-            for m in methods:
-                if m.needs_field:
-                    rates[m.name].append(m.rates(state, q, d, t))
+            if method.needs_field:
+                field_rates.append(method.rates(state, q, d, t))
             del q
     bloch = traj.bloch_series() if j.two_j == 1 else None
     wehrl = []
     von_neumann = []
     for k, (t, state) in enumerate(zip(traj.times, traj.states)):
         fe = float(-np.trace(h.matrix(j, t) @ d.apply(state.entries, t)).real)
-        for m in methods:
-            if not m.needs_field:
-                rates[m.name].append(m.rates(state, None, d, t))
-        wehrl.append(replace(rates[primary.name][k], phi_energy=fe))
+        w = field_rates[k] if method.needs_field else method.rates(state, None, d, t)
+        wehrl.append(replace(w, phi_energy=fe))
         bv = None if bloch is None else BlochVector(*bloch[k])
         von_neumann.append(replace(_von_neumann(state, bv, t, h, d), phi_energy=fe))
-    agreement = {
-        label: max_relative_deviation(
-            [getattr(r, quantity) for r in rates[a.name]],
-            [getattr(r, quantity) for r in rates[b.name]],
-        )
-        for label, quantity, a, b in pairs
-    }
     result = ScenarioResult(
         trajectory=traj,
         wehrl=wehrl,
@@ -191,12 +165,53 @@ def simulate(
         bloch=bloch,
         scalars={"sigma_wehrl": _sigma_or_none(traj.times, [r.pi for r in wehrl])},
         extras={},
-        agreement=agreement,
+        model=model,
     )
     if model.finish is None:
         return result
     scalars, extras = model.finish(result)
     return replace(result, scalars={**result.scalars, **scalars}, extras=extras)
+
+
+def cross_check(
+    d: DissipatorSpec, traj: Trajectory, methods: list, grid: Optional[SphereGrid] = None
+) -> dict:
+    """Maximum relative deviation along traj of each check in
+    rate_pairs(methods, d), by label. Each state's Husimi field is built
+    once, on grid, if a method needs one, and freed before the next's; no
+    state is visited when there is no check."""
+    pairs = rate_pairs(methods, d)
+    if not pairs:
+        return {}
+    rates = {m.name: [] for m in methods}
+    needs_field = any(m.needs_field for m in methods)
+    for t, state in zip(traj.times, traj.states):
+        q = husimi(state, grid) if needs_field else None
+        for m in methods:
+            rates[m.name].append(m.rates(state, q, d, t))
+        del q
+    return {
+        label: max_relative_deviation(
+            [getattr(r, quantity) for r in rates[a.name]],
+            [getattr(r, quantity) for r in rates[b.name]],
+        )
+        for label, quantity, a, b in pairs
+    }
+
+
+def compare(model: Model, t_max: float, dt: float, grid: SphereGrid, tol: float = 1e-10) -> dict:
+    """Integrate once and cross-check every rate method that applies (see
+    cross_check). Raises NothingToCompare, before integrating, when no two
+    of them give a common quantity."""
+    methods = applicable_rate_methods(model.rho0.j.two_j, model.d)
+    if not rate_pairs(methods, model.d):
+        names = ", ".join(m.name for m in methods) or "none"
+        raise NothingToCompare(
+            f"fewer than two rate methods apply to 2J = {model.rho0.j.two_j}, {model.d.kind}, "
+            f"nbar = {model.d.nbar:g}: {names}"
+        )
+    traj = evolve(model.rho0, model.h, model.d, _uniform_grid(t_max, dt), tol)
+    return cross_check(model.d, traj, methods, grid)
 
 
 def spontaneous_emission(
@@ -523,16 +538,29 @@ def write_scenario_csv(result: ScenarioResult, path) -> None:
     Pi_vN, Phi_vN, Phi_E and, for pulse runs, gamma_t. Full double precision;
     divergences appear as literal inf tokens."""
     cols = ["t", "tau_x", "tau_y", "tau_z", "S_wehrl", "Pi_wehrl", "Phi_wehrl", "Pi_vN", "Phi_vN", "Phi_E"]
+    has_gamma = "gamma_t" in result.extras
+    if has_gamma:
+        cols.append("gamma_t")
     n = result.times.size
     bloch = result.bloch if result.bloch is not None else np.full((n, 3), math.nan)
     entropy = result.entropy if result.entropy is not None else np.full(n, math.nan)
-    data = [result.times, *bloch.T, entropy]
-    for name in ("wehrl.pi", "wehrl.phi", "von_neumann.pi", "von_neumann.phi", "wehrl.phi_energy"):
-        data.append(result.series(name))
-    if "gamma_t" in result.extras:
-        cols.append("gamma_t")
-        data.append(result.extras["gamma_t"])
-    rows = [",".join(f"{v:.17g}" for v in row) for row in zip(*data)]
+    rows = []
+    for k in range(n):
+        row = [
+            result.times[k],
+            bloch[k, 0],
+            bloch[k, 1],
+            bloch[k, 2],
+            entropy[k],
+            result.wehrl[k].pi,
+            result.wehrl[k].phi,
+            result.von_neumann[k].pi,
+            result.von_neumann[k].phi,
+            result.wehrl[k].phi_energy,
+        ]
+        if has_gamma:
+            row.append(result.extras["gamma_t"][k])
+        rows.append(",".join(f"{v:.17g}" for v in row))
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         fh.write("\n".join(rows) + "\n")

@@ -122,6 +122,7 @@ class TestValidate:
             pytest.param(with_value(QUENCH_IDLE, "time.tol", -1e-10), id="tol<0"),
             pytest.param(with_value(QUENCH_IDLE, "time.t_max", math.nan), id="nan-t_max"),
             pytest.param(with_value(QUENCH_IDLE, "time.output_dt", math.nan), id="nan-output_dt"),
+            pytest.param(with_value(QUENCH_IDLE, "time.output_dt", 1e-320), id="subnormal-output_dt"),
             pytest.param(with_value(QUENCH_IDLE, "grid.n_phi", "96"), id="grid-not-number"),
             pytest.param(with_value(CUSTOM_DAMPING_J2, "initial_state.populations.1", "x"), id="population-not-number"),
             pytest.param(with_value(CUSTOM_DAMPING_J2, "initial_state.populations.0", -0.1), id="population<0"),
@@ -140,6 +141,11 @@ class TestValidate:
         path = write_config(tmp_path, cfg)
         assert main(["validate", "--config", path]) == 2
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+    def test_bad_run_tolerance_is_a_config_error(self, tmp_path, tol):
+        path = write_config(tmp_path, QUENCH_IDLE)
+        assert main(["run", "--config", path, "--out", str(tmp_path), f"--tol={tol}"]) == 2
 
 
 class TestRun:
@@ -324,11 +330,14 @@ class TestCompare:
 
     @pytest.mark.parametrize("name", ["photon_pulse.json", "damping_theta_sweep.json"])
     def test_single_method_rejected_before_integrating(self, monkeypatch, name):
-        def no_evolve(*args, **kwargs):
-            raise AssertionError("compare integrated a config with a single rate method")
-
-        monkeypatch.setattr("spinwehrl.scenarios.evolve", no_evolve)
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
         assert main(["compare", "--config", str(bundled_configs()[name])]) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-5"])
+    def test_bad_comparison_tolerance_is_a_config_error(self, tmp_path, tol):
+        path = write_config(tmp_path, CUSTOM_DEPHASING)
+        assert main(["compare", "--config", path, f"--tol={tol}"]) == 2
 
     def test_one_husimi_field_per_state(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, sys.modules["spinwehrl.phase_space"], "husimi")
@@ -422,6 +431,22 @@ class TestSweep:
             bracket = tau + (tau**2 - 1) * math.atanh(tau)
             pi = phi + (tau**2 + tz * (2 + tz)) / (4 * tau**3) * bracket
             assert row[2] == pytest.approx(pi, rel=1e-10)
+
+    def test_temperature_sweep_near_zero_temperature(self, tmp_path):
+        # At T = 0.02 nbar ~ 2e-22 lies outside the exact 2F1 flux's domain;
+        # run and sweep report the closed form and need no cross-check.
+        cfg = dict(QUENCH_IDLE, scenario="spontaneous_emission", temperature=1.0)
+        del cfg["initial_temperature"], cfg["bath_temperature"]
+        path = write_config(tmp_path, cfg, "se.json")
+        code = main([
+            "sweep", "--config", path, "--param", "temperature",
+            "--values", "0.02,0.5", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        data = np.loadtxt(tmp_path / "se_sweep_temperature.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(data[:, 2:5]))
+        cold = write_config(tmp_path, dict(cfg, temperature=0.02), "cold.json")
+        assert main(["run", "--config", cold, "--out", str(tmp_path)]) == 0
 
     def test_empty_values_exit_code(self, tmp_path):
         path = write_config(tmp_path, QUENCH_IDLE)

@@ -46,12 +46,14 @@ from .phase_space import (
     angle_action_map,
     coherent_state,
     husimi,
+    husimi_fields,
     husimi_of_matrix,
     make_grid,
     phase_space_currents,
     tss_correspondences,
     v_function,
     wehrl_entropy,
+    wehrl_entropy_spin_half,
 )
 from .dynamics import (
     DissipatorSpec,
@@ -70,6 +72,7 @@ from .entropy_rates import (
     clausius_ratio,
     damping_phi_asymptotic,
     damping_phi_exact,
+    damping_quadrature,
     damping_phi_quadrature,
     damping_phi_zero_temperature,
     damping_pi_quadrature,

@@ -1,54 +1,62 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, in numpy.
 
-The jitted path is used by default whenever numba imports cleanly; setting
-the environment variable SPINWEHRL_NUMBA=0 before import selects the
-pure-numpy fallback. Both backends use a fixed summation order per node
-array so results are reproducible run to run.
+The Husimi transform is separable on the product grid (Driscoll & Healy
+1994): the coherent-state amplitudes factor as mag_m(theta) e^{-i m phi},
+so with b = a + s
 
-benchmarks/benchmark_kernels.py times the two backends against each other.
+    Q(theta, phi) = Re sum_{s >= 0} w_s c_s(theta) e^{i s phi},
+    c_s(theta) = sum_a mag_a(theta) mag_b(theta) rho_ab,
+
+w_0 = 1 and w_s = 2 otherwise. dQ/dtheta follows from mag * dmag and
+dQ/dphi brings down a factor of i s. Each state costs O(n_theta d^2) for
+the coefficients and one (n_theta, 2d) x (2d, n_phi) product for each field.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("SPINWEHRL_NUMBA", "1").strip().lower()
-_want_numba = _env not in ("0", "false", "off", "no")
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag in CI boxes without numba
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and _want_numba
+# Read by the benchmark harness; the numba backend is gone.
+USE_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# Husimi field contraction: q = <c|rho|c>, dq/dtheta, dq/dphi at every node.
-# amp, damp are (n_nodes, dim) amplitude tables; dq/dphi uses the diagonal
-# phase rule d c_m / d phi = -i m c_m.
-# ---------------------------------------------------------------------------
+def husimi_contract(mag, dmag, cos_sphi, sin_sphi, mats):
+    """q, dq/dtheta and dq/dphi of each matrix of a (T, d, d) stack, as
+    (T, n_theta * n_phi) arrays on the product grid (theta-major).
 
-def husimi_contract_numpy(amp, damp_dtheta, m_values, rho):
-    u = amp @ rho.T
-    q = np.einsum("ni,ni->n", amp.conj(), u).real
-    dq_dtheta = 2.0 * np.einsum("ni,ni->n", damp_dtheta.conj(), u).real
-    um = (amp * m_values[None, :]) @ rho.T
-    dq_dphi = 2.0 * np.einsum("ni,ni->n", amp.conj(), um).imag
+    mag, dmag are the (n_theta, d) amplitude moduli and their theta
+    derivatives (m descending); cos_sphi, sin_sphi are the (d, n_phi)
+    harmonics cos(s phi), sin(s phi) for s = 0 .. d-1. Only the Hermitian
+    part (M + M^dagger)/2 enters, so q = Re <Omega|M|Omega> for any M.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    n_mats, d, _ = mats.shape
+    n_theta = mag.shape[0]
+    herm = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+    # coef[field, t, theta, k]: k < d multiplies cos(k phi), k >= d sin((k-d) phi).
+    coef = np.empty((3, n_mats, n_theta, 2 * d))
+    for s in range(d):
+        lo, hi = mag[:, : d - s], mag[:, s:]
+        rows = np.concatenate([lo * hi, dmag[:, : d - s] * hi + lo * dmag[:, s:]])
+        diag = np.diagonal(herm, s, axis1=1, axis2=2)  # rho_{a, a+s}, (T, d-s)
+        c = (1.0 if s == 0 else 2.0) * (np.concatenate([diag.real, diag.imag]) @ rows.T)
+        re_q, im_q = c[:n_mats, :n_theta], c[n_mats:, :n_theta]
+        re_dth, im_dth = c[:n_mats, n_theta:], c[n_mats:, n_theta:]
+        coef[0, :, :, s], coef[0, :, :, d + s] = re_q, -im_q
+        coef[1, :, :, s], coef[1, :, :, d + s] = re_dth, -im_dth
+        coef[2, :, :, s], coef[2, :, :, d + s] = -s * im_q, -s * re_q
+    fields = coef.reshape(-1, 2 * d) @ np.concatenate([cos_sphi, sin_sphi])
+    q, dq_dtheta, dq_dphi = fields.reshape(3, n_mats, -1)
     return q, dq_dtheta, dq_dphi
 
 
 # ---------------------------------------------------------------------------
-# Fused quadrature reductions for the amplitude-damping rate integrands.
-# Returns raw weighted sums; physical prefactors are applied by the caller.
+# Fused quadrature reductions for the rate integrands. They return raw
+# weighted sums; physical prefactors are applied by the caller.
 # ---------------------------------------------------------------------------
 
-def damping_reduce_numpy(q, dq_dtheta, dq_dphi, cos_t, sin_t, weights, two_j, nbar, q_floor):
+
+def damping_reduce(q, dq_dtheta, dq_dphi, cos_t, sin_t, weights, two_j, nbar, q_floor):
     jj = 0.5 * two_j
     r = 2.0 * nbar + 1.0
     qc = np.maximum(q, q_floor)
@@ -62,97 +70,6 @@ def damping_reduce_numpy(q, dq_dtheta, dq_dphi, cos_t, sin_t, weights, two_j, nb
     return phi_raw, pi_damp_raw, pi_coh_raw
 
 
-def dephasing_reduce_numpy(q, dq_dphi, weights, q_floor):
+def dephasing_reduce(q, dq_dphi, weights, q_floor):
     qc = np.maximum(q, q_floor)
     return float(np.sum(weights * dq_dphi * dq_dphi / qc))
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _husimi_contract_jit(amp, damp_dtheta, m_values, rho):
-        n, d = amp.shape
-        q = np.empty(n)
-        dq_dtheta = np.empty(n)
-        dq_dphi = np.empty(n)
-        for i in range(n):
-            acc_q = 0.0
-            acc_th = 0.0
-            acc_ph = 0.0
-            for a in range(d):
-                u = 0.0 + 0.0j
-                um = 0.0 + 0.0j
-                for b in range(d):
-                    c = rho[a, b] * amp[i, b]
-                    u += c
-                    um += m_values[b] * c
-                ca = np.conj(amp[i, a])
-                acc_q += (ca * u).real
-                acc_th += (np.conj(damp_dtheta[i, a]) * u).real
-                acc_ph += (ca * um).imag
-            q[i] = acc_q
-            dq_dtheta[i] = 2.0 * acc_th
-            dq_dphi[i] = 2.0 * acc_ph
-        return q, dq_dtheta, dq_dphi
-
-    @numba.njit(cache=True)
-    def _damping_reduce_jit(q, dq_dtheta, dq_dphi, cos_t, sin_t, weights, two_j, nbar, q_floor):
-        jj = 0.5 * two_j
-        r = 2.0 * nbar + 1.0
-        phi_raw = 0.0
-        pi_damp_raw = 0.0
-        pi_coh_raw = 0.0
-        for i in range(q.shape[0]):
-            qc = q[i] if q[i] > q_floor else q_floor
-            den = r - cos_t[i]
-            drift = 2.0 * jj * q[i] * sin_t[i] + (cos_t[i] - r) * dq_dtheta[i]
-            phi_raw += weights[i] * sin_t[i] * (2.0 * jj * q[i] * sin_t[i] / den - dq_dtheta[i])
-            pi_damp_raw += weights[i] * drift * drift / (den * qc)
-            pi_coh_raw += (
-                weights[i]
-                * dq_dphi[i]
-                * dq_dphi[i]
-                * (r * cos_t[i] - 1.0)
-                * cos_t[i]
-                / (sin_t[i] * sin_t[i] * qc)
-            )
-        return phi_raw, pi_damp_raw, pi_coh_raw
-
-    @numba.njit(cache=True)
-    def _dephasing_reduce_jit(q, dq_dphi, weights, q_floor):
-        total = 0.0
-        for i in range(q.shape[0]):
-            qc = q[i] if q[i] > q_floor else q_floor
-            total += weights[i] * dq_dphi[i] * dq_dphi[i] / qc
-        return total
-
-    def husimi_contract_numba(amp, damp_dtheta, m_values, rho):
-        return _husimi_contract_jit(
-            np.ascontiguousarray(amp),
-            np.ascontiguousarray(damp_dtheta),
-            np.ascontiguousarray(m_values),
-            np.ascontiguousarray(rho),
-        )
-
-    def damping_reduce_numba(q, dq_dtheta, dq_dphi, cos_t, sin_t, weights, two_j, nbar, q_floor):
-        return _damping_reduce_jit(
-            q, dq_dtheta, dq_dphi, cos_t, sin_t, weights, float(two_j), float(nbar), q_floor
-        )
-
-    def dephasing_reduce_numba(q, dq_dphi, weights, q_floor):
-        return float(_dephasing_reduce_jit(q, dq_dphi, weights, q_floor))
-
-else:  # pragma: no cover
-    husimi_contract_numba = None
-    damping_reduce_numba = None
-    dephasing_reduce_numba = None
-
-
-if USE_NUMBA:
-    husimi_contract = husimi_contract_numba
-    damping_reduce = damping_reduce_numba
-    dephasing_reduce = dephasing_reduce_numba
-else:
-    husimi_contract = husimi_contract_numpy
-    damping_reduce = damping_reduce_numpy
-    dephasing_reduce = dephasing_reduce_numpy

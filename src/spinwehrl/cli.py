@@ -139,10 +139,18 @@ def validate_config(cfg: dict) -> dict:
             _validate_typed_section(key, cfg[key])
         else:
             _number(cfg, key, "config")
+    # A thermal bath's nbar is an occupation at the level splitting omega.
+    if scenario in ("spontaneous_emission", "thermal_quench") and cfg["omega"] <= 0:
+        raise ConfigError("'omega' must be positive: it is the level splitting of the bath")
     if scenario == "custom":
         two_j = cfg["two_j"]
         if not isinstance(two_j, int) or two_j < 1:
             raise ConfigError(f"'two_j' must be a positive integer, got {two_j!r}")
+        ham = cfg["hamiltonian"]
+        if ham["type"] == "rotating_field" and two_j != 1:
+            raise ConfigError("a rotating_field Hamiltonian requires two_j = 1")
+        if ham["type"] == "static_jz" and cfg["dissipator"]["type"] == "amplitude_damping" and ham["omega"] <= 0:
+            raise ConfigError("'omega' in 'hamiltonian' must be positive: it is the level splitting of the bath")
     return cfg
 
 

@@ -147,18 +147,26 @@ def dephasing_pi_von_neumann(b: BlochVector, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def damping_quadrature(field: HusimiField, bath: BathParams) -> tuple:
+    """(Phi, Pi terms) of the damping channel from one pass over the grid;
+    see damping_phi_quadrature and damping_pi_quadrature."""
+    grid = field.grid
+    phi_raw, pi_damp_raw, pi_coh_raw = _kernels.damping_reduce(
+        field.q, field.dq_dtheta, field.dq_dphi, grid.cos_theta, grid.sin_theta, grid.weights,
+        field.j.two_j, bath.nbar, Q_FLOOR,
+    )
+    norm = field.j.dim / (4.0 * np.pi)
+    phi = norm * bath.gamma * field.j.j * phi_raw
+    pref = 0.5 * bath.gamma * norm
+    damping_part = pref * pi_damp_raw
+    coherence_part = pref * pi_coh_raw
+    return phi, DampingPiTerms(damping_part + coherence_part, damping_part, coherence_part)
+
+
 def damping_phi_quadrature(field: HusimiField, bath: BathParams) -> float:
     """Phi = (2J+1)/(4 pi) gamma J * integral of
     sin(theta) { 2J Q sin(theta) / [(2 nbar + 1) - cos(theta)] - dQ/dtheta }."""
-    grid = field.grid
-    cos_t = np.cos(grid.theta)
-    sin_t = np.sin(grid.theta)
-    phi_raw, _, _ = _kernels.damping_reduce(
-        field.q, field.dq_dtheta, field.dq_dphi, cos_t, sin_t, grid.weights,
-        field.j.two_j, bath.nbar, Q_FLOOR,
-    )
-    jj = field.j.j
-    return (field.j.dim / (4.0 * np.pi)) * bath.gamma * jj * phi_raw
+    return damping_quadrature(field, bath)[0]
 
 
 def damping_pi_quadrature(field: HusimiField, bath: BathParams) -> DampingPiTerms:
@@ -168,17 +176,7 @@ def damping_pi_quadrature(field: HusimiField, bath: BathParams) -> DampingPiTerm
     The coherence term carries the same |J_z(Q)|^2 current as the dephasing
     channel, weighted by a temperature- and latitude-dependent factor.
     """
-    grid = field.grid
-    cos_t = np.cos(grid.theta)
-    sin_t = np.sin(grid.theta)
-    _, pi_damp_raw, pi_coh_raw = _kernels.damping_reduce(
-        field.q, field.dq_dtheta, field.dq_dphi, cos_t, sin_t, grid.weights,
-        field.j.two_j, bath.nbar, Q_FLOOR,
-    )
-    pref = 0.5 * bath.gamma * (field.j.dim / (4.0 * np.pi))
-    damping_part = pref * pi_damp_raw
-    coherence_part = pref * pi_coh_raw
-    return DampingPiTerms(damping_part + coherence_part, damping_part, coherence_part)
+    return damping_quadrature(field, bath)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +339,8 @@ def _quadrature_rates(state: DensityMatrix, field: HusimiField, d: DissipatorSpe
     if d.kind == "dephasing":
         pi = dephasing_pi_quadrature(field, d.lam)
         return EntropyRates(ds_dt=pi, pi=pi, phi=0.0, phi_energy=0.0, method="quadrature")
-    bath = bath_at(d, t)
-    pi = damping_pi_quadrature(field, bath).total
-    phi = damping_phi_quadrature(field, bath)
+    phi, pi_terms = damping_quadrature(field, bath_at(d, t))
+    pi = pi_terms.total
     return EntropyRates(ds_dt=pi - phi, pi=pi, phi=phi, phi_energy=0.0, method="quadrature")
 
 

@@ -16,8 +16,11 @@ Angular derivatives of the amplitudes are analytic (no finite differences).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -29,12 +32,11 @@ Q_FLOOR = 1e-300
 
 
 def _ln_binomials(two_j: int) -> np.ndarray:
-    """ln C(2J, J+m) for m descending from +J to -J (index k = J - m)."""
+    """ln C(2J, k) for k = 0 .. 2J, i.e. ln C(2J, J+m) with k = J - m."""
     # C(n, 0) = 1; C(n, k) = C(n, k-1) * (n - k + 1) / k, accumulated in logs.
     n = two_j
     steps = np.log((n - np.arange(n)) / (1.0 + np.arange(n)))
-    lnb = np.concatenate(([0.0], np.cumsum(steps)))
-    return lnb  # index k corresponds to J + m = n - k ... see _amplitude_table
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 @dataclass(frozen=True)
@@ -56,15 +58,24 @@ class SphereGrid:
     def n_nodes(self) -> int:
         return self.theta.size
 
+    @functools.cached_property
+    def cos_theta(self) -> np.ndarray:
+        return np.cos(self.theta)
+
+    @functools.cached_property
+    def sin_theta(self) -> np.ndarray:
+        return np.sin(self.theta)
+
     def integrate(self, values: np.ndarray) -> float:
         """Integral over the sphere of node samples, with d(Omega) weights."""
         return float(np.dot(self.weights, values))
 
     def amplitude_table(self, j: SpinQuantumNumber):
-        """Cached (amps, d amps/d theta, m values) arrays for this grid."""
+        """Cached separable tables (mag, dmag, cos_sphi, sin_sphi) for spin j:
+        see _amplitude_table."""
         tab = self._tables.get(j.two_j)
         if tab is None:
-            tab = _amplitude_table(j.two_j, self.theta, self.phi)
+            tab = _amplitude_table(j.two_j, self.theta_nodes, self.phi_nodes)
             self._tables[j.two_j] = tab
         return tab
 
@@ -94,25 +105,22 @@ def make_grid(n_theta: int = 96, n_phi: int = 192) -> SphereGrid:
 
 
 def _amplitude_table(two_j: int, theta: np.ndarray, phi: np.ndarray):
-    """Amplitudes <J,m|Omega> and their theta derivatives at each node.
+    """Separable factors of the amplitudes <J,m|theta,phi> = mag_m(theta) e^{-i m phi}.
 
-    Returns (amp, damp_dtheta, m_values) with shape (n_nodes, 2J+1); the phi
-    derivative is diagonal, d c_m/d phi = -i m c_m, and is not tabulated.
+    Returns (mag, dmag, cos_sphi, sin_sphi): the (n_theta, 2J+1) moduli and
+    their theta derivatives, m descending, and the (2J+1, n_phi) harmonics
+    cos(s phi), sin(s phi) for s = 0 .. 2J.
     """
     jj = 0.5 * two_j
     ms = jj - np.arange(two_j + 1)
-    lnb = _ln_binomials(two_j)  # index k = J - m, C(2J, J+m) = C(2J, 2J-k)
-    # C(2J, J+m) with J+m = 2J-k equals C(2J, k) by symmetry.
     half = 0.5 * theta
     c2 = np.cos(half)
     s2 = np.sin(half)
-    ln_c = np.log(c2)
-    ln_s = np.log(s2)
-    mag = np.exp(0.5 * lnb[None, :] + np.outer(ln_c, jj + ms) + np.outer(ln_s, jj - ms))
-    amp = mag * np.exp(-1j * np.outer(phi, ms))
+    lnb = _ln_binomials(two_j)
+    mag = np.exp(0.5 * lnb[None, :] + np.outer(np.log(c2), jj + ms) + np.outer(np.log(s2), jj - ms))
     dfac = 0.5 * ((jj - ms)[None, :] * (c2 / s2)[:, None] - (jj + ms)[None, :] * (s2 / c2)[:, None])
-    damp = amp * dfac
-    return np.ascontiguousarray(amp), np.ascontiguousarray(damp), ms
+    sphi = np.outer(np.arange(two_j + 1), phi)
+    return mag, mag * dfac, np.cos(sphi), np.sin(sphi)
 
 
 @dataclass(frozen=True)
@@ -131,14 +139,17 @@ def coherent_state(j: SpinQuantumNumber, theta: float, phi: float) -> CoherentSt
     """Spin coherent state at interior polar angle theta in (0, pi)."""
     if not 0.0 < theta < np.pi:
         raise ValueError("theta must lie strictly inside (0, pi)")
-    amp, damp, ms = _amplitude_table(j.two_j, np.array([theta]), np.array([phi]))
+    mag, dmag, _, _ = _amplitude_table(j.two_j, np.array([theta]), np.array([phi]))
+    ms = j.m_values()
+    phase = np.exp(-1j * ms * phi)
+    amp = mag[0] * phase
     return CoherentStateVector(
         j=j,
         theta=theta,
         phi=phi,
-        amplitudes=amp[0],
-        d_theta=damp[0],
-        d_phi=-1j * ms * amp[0],
+        amplitudes=amp,
+        d_theta=dmag[0] * phase,
+        d_phi=-1j * ms * amp,
     )
 
 
@@ -167,21 +178,41 @@ class HusimiField:
         np.savetxt(path, data, fmt="%.17g", delimiter=",", header="theta,phi,q", comments="")
 
 
+# Grid nodes per call of the transform (four states on the default grid):
+# enough states to amortise its Python loop over the 2J+1 diagonals, few
+# enough to keep the stacked fields small on any grid.
+_CHUNK_NODES = 4 * 96 * 192
+
+
+def husimi_fields(states, grid: SphereGrid) -> Iterator[HusimiField]:
+    """The Husimi field of each state of an iterable of one spin, in order.
+
+    States are transformed in chunks, so memory stays bounded however many
+    there are.
+    """
+    it = iter(states)
+    per_chunk = max(1, _CHUNK_NODES // grid.n_nodes)
+    while chunk := list(itertools.islice(it, per_chunk)):
+        j = chunk[0].j
+        q, dth, dph = _kernels.husimi_contract(
+            *grid.amplitude_table(j), np.stack([s.entries for s in chunk])
+        )
+        for k in range(len(chunk)):
+            yield HusimiField(grid=grid, j=j, q=q[k], dq_dtheta=dth[k], dq_dphi=dph[k])
+
+
 def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:
     """Evaluate the Husimi-Q function of rho on the grid."""
-    amp, damp, ms = grid.amplitude_table(rho.j)
-    q, dth, dph = _kernels.husimi_contract(amp, damp, ms, rho.entries)
-    return HusimiField(grid=grid, j=rho.j, q=q, dq_dtheta=dth, dq_dphi=dph)
+    return next(husimi_fields([rho], grid))
 
 
 def husimi_of_matrix(mat: np.ndarray, j: SpinQuantumNumber, grid: SphereGrid) -> np.ndarray:
-    """<Omega|M|Omega> for an arbitrary Hermitian matrix (no state checks).
+    """Re <Omega|M|Omega> for an arbitrary matrix (no state checks).
 
     Used for generator fields such as <Omega|D(rho)|Omega>.
     """
-    amp, damp, ms = grid.amplitude_table(j)
-    q, _, _ = _kernels.husimi_contract(amp, damp, ms, np.asarray(mat, dtype=complex))
-    return q
+    q, _, _ = _kernels.husimi_contract(*grid.amplitude_table(j), np.asarray(mat)[None])
+    return q[0]
 
 
 def wehrl_entropy(field: HusimiField) -> float:
@@ -189,6 +220,24 @@ def wehrl_entropy(field: HusimiField) -> float:
     q = field.q
     integrand = np.where(q > 0.0, q * np.log(np.maximum(q, Q_FLOOR)), 0.0)
     return -(field.j.dim / (4.0 * np.pi)) * field.grid.integrate(integrand)
+
+
+def wehrl_entropy_spin_half(tau: float) -> float:
+    """Exact Wehrl entropy of a spin-1/2 state with Bloch length tau:
+
+    S = -(1/tau) [u^2 ln u - u^2/2] from u = (1 - tau)/2 to (1 + tau)/2,
+
+    by its series ln 2 - tau^2/6 - tau^4/60 below tau = 1e-3; tau is
+    clamped to 1.
+    """
+    tau = min(abs(tau), 1.0)
+    if tau < 1e-3:
+        return math.log(2.0) - tau * tau / 6.0 - tau**4 / 60.0
+
+    def f(u: float) -> float:
+        return u * u * math.log(u) - 0.5 * u * u if u > 0.0 else 0.0
+
+    return -(f(0.5 * (1.0 + tau)) - f(0.5 * (1.0 - tau))) / tau
 
 
 @dataclass(frozen=True)
@@ -208,9 +257,9 @@ def phase_space_currents(field: HusimiField) -> PhaseSpaceCurrents:
 
     evaluated at the (interior) grid nodes.
     """
-    th = field.grid.theta
-    ph = field.grid.phi
-    cot = np.cos(th) / np.sin(th)
+    grid = field.grid
+    ph = grid.phi
+    cot = grid.cos_theta / grid.sin_theta
     j_z = -1j * field.dq_dphi
     j_plus = np.exp(1j * ph) * (field.dq_dtheta + 1j * cot * field.dq_dphi)
     j_minus = -np.exp(-1j * ph) * (field.dq_dtheta - 1j * cot * field.dq_dphi)

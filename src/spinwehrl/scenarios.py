@@ -13,6 +13,7 @@ integrator tolerances and quadrature grids).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -35,7 +36,7 @@ from .entropy_rates import (
     von_neumann_rates,
 )
 from .errors import AmplitudeUnderflow, NonMarkovianRegime, NonPhysicalState, NothingToCompare
-from .phase_space import SphereGrid, husimi, make_grid, wehrl_entropy
+from .phase_space import SphereGrid, husimi_fields, make_grid, wehrl_entropy, wehrl_entropy_spin_half
 from .spin_ops import (
     BlochVector,
     DensityMatrix,
@@ -124,9 +125,10 @@ def simulate(
     """Evolve a model and reduce each state to rates: the one pipeline
     behind every scenario and the CLI's run and sweep.
 
-    The registry's primary method gives the Wehrl rates. Each state's
-    Husimi field is built once, when grid is given (for the Wehrl entropy)
-    or the method needs it, and is freed before the next state's.
+    The registry's primary method gives the Wehrl rates. When grid is
+    given the Wehrl entropy is computed too: in closed form for spin 1/2,
+    otherwise on the grid. Husimi fields are built, once per state, only
+    where a rate or entropy needs them.
     """
     rho0, h, d = model.rho0, model.h, model.d
     j = rho0.j
@@ -134,27 +136,20 @@ def simulate(
     if grid is None and method.needs_field:
         grid = make_grid()
     traj = evolve(rho0, h, d, _uniform_grid(t_max, dt), tol)
-    entropy = None
-    field_rates = []
-    if grid is not None:
-        # The Husimi transforms run back to back, each field freed before the
-        # next is built: light work in between, or the last field kept alive,
-        # evicts or re-faults the transform's large arrays, costing up to a
-        # third of its time.
-        entropy = np.empty(traj.times.size)
-        for k, (t, state) in enumerate(zip(traj.times, traj.states)):
-            q = husimi(state, grid)
-            entropy[k] = wehrl_entropy(q)
-            if method.needs_field:
-                field_rates.append(method.rates(state, q, d, t))
-            del q
     bloch = traj.bloch_series() if j.two_j == 1 else None
+    entropy = None if grid is None else np.empty(traj.times.size)
+    entropy_on_grid = entropy is not None and bloch is None
+    if method.needs_field or entropy_on_grid:
+        fields = husimi_fields(traj.states, grid)
+    else:
+        fields = itertools.repeat(None)
     wehrl = []
     von_neumann = []
-    for k, (t, state) in enumerate(zip(traj.times, traj.states)):
+    for k, (t, state, q) in enumerate(zip(traj.times, traj.states, fields)):
+        if entropy is not None:
+            entropy[k] = wehrl_entropy(q) if entropy_on_grid else wehrl_entropy_spin_half(math.hypot(*bloch[k]))
         fe = float(-np.trace(h.matrix(j, t) @ d.apply(state.entries, t)).real)
-        w = field_rates[k] if method.needs_field else method.rates(state, None, d, t)
-        wehrl.append(replace(w, phi_energy=fe))
+        wehrl.append(replace(method.rates(state, q, d, t), phi_energy=fe))
         bv = None if bloch is None else BlochVector(*bloch[k])
         von_neumann.append(replace(_von_neumann(state, bv, t, h, d), phi_energy=fe))
     result = ScenarioResult(
@@ -178,18 +173,19 @@ def cross_check(
 ) -> dict:
     """Maximum relative deviation along traj of each check in
     rate_pairs(methods, d), by label. Each state's Husimi field is built
-    once, on grid, if a method needs one, and freed before the next's; no
-    state is visited when there is no check."""
+    once, on grid, if a method needs one; no state is visited when there is
+    no check."""
     pairs = rate_pairs(methods, d)
     if not pairs:
         return {}
     rates = {m.name: [] for m in methods}
-    needs_field = any(m.needs_field for m in methods)
-    for t, state in zip(traj.times, traj.states):
-        q = husimi(state, grid) if needs_field else None
+    if any(m.needs_field for m in methods):
+        fields = husimi_fields(traj.states, grid)
+    else:
+        fields = itertools.repeat(None)
+    for t, state, q in zip(traj.times, traj.states, fields):
         for m in methods:
             rates[m.name].append(m.rates(state, q, d, t))
-        del q
     return {
         label: max_relative_deviation(
             [getattr(r, quantity) for r in rates[a.name]],

@@ -133,6 +133,13 @@ class TestValidate:
             pytest.param(with_value(CUSTOM_DEPHASING, "dissipator", 1.0), id="section-not-object"),
             pytest.param(dict(QUENCH_IDLE, compare={"tolerance": "1e-5"}), id="tolerance-not-number"),
             pytest.param(dict(QUENCH_IDLE, output={"csv": 5}), id="csv-not-name"),
+            pytest.param(with_value(CUSTOM_DAMPING_J2, "hamiltonian.omega", 0.0), id="static_jz-omega=0-damping"),
+            pytest.param(with_value(CUSTOM_DAMPING_J2, "hamiltonian.omega", -1.0), id="static_jz-omega<0-damping"),
+            pytest.param(
+                with_value(CUSTOM_DAMPING_J2, "hamiltonian", {"type": "rotating_field", "b0": 1.0, "b1": 0.5, "drive_omega": 1.0}),
+                id="rotating_field-two_j>1",
+            ),
+            pytest.param(dict(QUENCH_IDLE, omega=-1.0), id="scenario-omega<0"),
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, cfg):
@@ -340,10 +347,10 @@ class TestCompare:
         assert main(["compare", "--config", path, f"--tol={tol}"]) == 2
 
     def test_one_husimi_field_per_state(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, sys.modules["spinwehrl.phase_space"], "husimi")
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl._kernels"], "husimi_contract")
         path = write_config(tmp_path, CUSTOM_DEPHASING)
         assert main(["compare", "--config", path]) == 0
-        assert len(calls) == 6  # t = 0, 0.1, ..., 0.5
+        assert sum(len(args[-1]) for args in calls) == 6  # states at t = 0, 0.1, ..., 0.5
 
 
 class TestOneValidationPerCommand:

@@ -1,102 +1,96 @@
-"""Cross-checks between the numba and pure-numpy kernel backends."""
+"""The separable Husimi transform against the per-node reference contraction."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
-from spinwehrl import SpinQuantumNumber, make_grid
-from spinwehrl import _kernels
+from spinwehrl import BathParams, SpinQuantumNumber, husimi, husimi_fields, husimi_of_matrix, make_grid
+from spinwehrl import _kernels, phase_space
+from spinwehrl.dynamics import DissipatorSpec
+from spinwehrl.entropy_rates import RATE_METHODS, damping_phi_quadrature, damping_pi_quadrature, damping_quadrature
 from conftest import random_density_matrix
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
+
+def reference_amplitudes(two_j, grid):
+    """<J,m|Omega> and its theta derivative at every node, (n_nodes, 2J+1),
+    m descending, straight from the coherent-state formula."""
+    jj = 0.5 * two_j
+    ms = jj - np.arange(two_j + 1)
+    binom = np.array([math.comb(two_j, int(jj + m)) for m in ms], dtype=float)
+    c = np.cos(0.5 * grid.theta)[:, None]
+    s = np.sin(0.5 * grid.theta)[:, None]
+    amp = np.sqrt(binom) * c ** (jj + ms) * s ** (jj - ms) * np.exp(-1j * np.outer(grid.phi, ms))
+    damp = amp * 0.5 * ((jj - ms) * c / s - (jj + ms) * s / c)
+    return amp, damp, ms
 
 
-@needs_numba
-class TestBackendAgreement:
-    @pytest.mark.parametrize("two_j", [1, 4, 12])
-    def test_husimi_contract(self, two_j, rng):
+def reference_contraction(amp, damp, ms, mat):
+    """Re <Omega|M|Omega> and, for Hermitian M, its angular derivatives:
+    one O(d^2) contraction per node."""
+    u = amp @ mat.T
+    q = np.einsum("ni,ni->n", amp.conj(), u).real
+    dq_dtheta = 2.0 * np.einsum("ni,ni->n", damp.conj(), u).real
+    um = (amp * ms[None, :]) @ mat.T
+    dq_dphi = 2.0 * np.einsum("ni,ni->n", amp.conj(), um).imag
+    return q, dq_dtheta, dq_dphi
+
+
+class TestSeparableTransform:
+    @pytest.mark.parametrize("two_j", [1, 2, 5, 12, 40])
+    def test_matches_per_node_contraction(self, two_j, rng):
         grid = make_grid(48, 96)
         j = SpinQuantumNumber(two_j)
-        amp, damp, ms = grid.amplitude_table(j)
-        rho = random_density_matrix(j, rng).entries
-        q1, dt1, dp1 = _kernels.husimi_contract_numpy(amp, damp, ms, rho)
-        q2, dt2, dp2 = _kernels.husimi_contract_numba(amp, damp, ms, rho)
-        assert np.max(np.abs(q1 - q2)) < 1e-13
-        assert np.max(np.abs(dt1 - dt2)) < 1e-12
-        assert np.max(np.abs(dp1 - dp2)) < 1e-12
+        amp, damp, ms = reference_amplitudes(two_j, grid)
+        for state in [random_density_matrix(j, rng) for _ in range(3)]:
+            field = husimi(state, grid)
+            q, dth, dph = reference_contraction(amp, damp, ms, state.entries)
+            assert np.max(np.abs(field.q - q)) < 1e-13
+            assert np.max(np.abs(field.dq_dtheta - dth)) < 1e-13
+            assert np.max(np.abs(field.dq_dphi - dph)) < 1e-13
 
-    def test_damping_reduce(self, rng):
+    def test_non_hermitian_matrix(self, rng):
         grid = make_grid(48, 96)
-        j = SpinQuantumNumber(2)
-        amp, damp, ms = grid.amplitude_table(j)
-        rho = random_density_matrix(j, rng).entries
-        q, dth, dph = _kernels.husimi_contract_numpy(amp, damp, ms, rho)
-        cos_t, sin_t = np.cos(grid.theta), np.sin(grid.theta)
-        args = (q, dth, dph, cos_t, sin_t, grid.weights, 2, 0.7, 1e-300)
-        a = _kernels.damping_reduce_numpy(*args)
-        b = _kernels.damping_reduce_numba(*args)
-        for x, y in zip(a, b):
-            assert x == pytest.approx(y, rel=1e-12, abs=1e-13)
+        j = SpinQuantumNumber(4)
+        mat = rng.normal(size=(j.dim, j.dim)) + 1j * rng.normal(size=(j.dim, j.dim))
+        q, _, _ = reference_contraction(*reference_amplitudes(4, grid), mat)
+        assert np.max(np.abs(husimi_of_matrix(mat, j, grid) - q)) < 1e-13
 
-    def test_dephasing_reduce(self, rng):
-        grid = make_grid(48, 96)
-        j = SpinQuantumNumber(2)
-        amp, damp, ms = grid.amplitude_table(j)
-        rho = random_density_matrix(j, rng).entries
-        q, _, dph = _kernels.husimi_contract_numpy(amp, damp, ms, rho)
-        a = _kernels.dephasing_reduce_numpy(q, dph, grid.weights, 1e-300)
-        b = _kernels.dephasing_reduce_numba(q, dph, grid.weights, 1e-300)
-        assert a == pytest.approx(b, rel=1e-12)
-
-
-class TestEnvFlag:
-    def test_fallback_selected_by_env(self):
-        code = (
-            "from spinwehrl import _kernels; "
-            "assert not _kernels.USE_NUMBA; "
-            "assert _kernels.husimi_contract is _kernels.husimi_contract_numpy; "
-            "print('numpy fallback active')"
-        )
-        env = dict(os.environ, SPINWEHRL_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert "numpy fallback active" in out.stdout
-
-    def test_default_prefers_numba_when_available(self):
-        if not _kernels.HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        env = {k: v for k, v in os.environ.items() if k != "SPINWEHRL_NUMBA"}
-        code = (
-            "from spinwehrl import _kernels; "
-            "assert _kernels.USE_NUMBA; print('jit active')"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-
-
-class TestNumpyFallbackResults:
-    def test_rates_identical_across_backends(self, rng):
-        # same physical answers through the public API path
-        from spinwehrl import BathParams, husimi, damping_phi_quadrature
-        from spinwehrl.phase_space import make_grid as mg
-
+    def test_fields_across_a_chunk_boundary(self, rng):
+        grid = make_grid(24, 48)
         j = SpinQuantumNumber(3)
-        rho = random_density_matrix(j, rng)
-        grid = mg(48, 96)
-        field = husimi(rho, grid)
-        bath = BathParams(gamma=1.0, nbar=0.5)
-        via_dispatch = damping_phi_quadrature(field, bath)
+        per_chunk = phase_space._CHUNK_NODES // grid.n_nodes
+        states = [random_density_matrix(j, rng) for _ in range(2 * per_chunk + 3)]
+        fields = list(husimi_fields(states, grid))
+        assert len(fields) == len(states)
+        for state, field in zip(states, fields):
+            one = husimi(state, grid)
+            for name in ("q", "dq_dtheta", "dq_dphi"):
+                assert np.max(np.abs(getattr(field, name) - getattr(one, name))) < 1e-14
 
-        cos_t, sin_t = np.cos(grid.theta), np.sin(grid.theta)
-        raw = _kernels.damping_reduce_numpy(
-            field.q, field.dq_dtheta, field.dq_dphi, cos_t, sin_t, grid.weights, 3, 0.5, 1e-300
-        )[0]
-        reference = (j.dim / (4 * np.pi)) * bath.gamma * j.j * raw
-        assert via_dispatch == pytest.approx(reference, rel=1e-12)
+
+class TestDampingQuadrature:
+    def test_one_reduce_per_state(self, rng, monkeypatch):
+        calls = []
+        original = _kernels.damping_reduce
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(_kernels, "damping_reduce", counted)
+        j = SpinQuantumNumber(4)
+        field = husimi(random_density_matrix(j, rng), make_grid(48, 96))
+        d = DissipatorSpec.amplitude_damping(1.0, 0.5)
+        rates = RATE_METHODS["quadrature"].rates(None, field, d, 0.0)
+        assert len(calls) == 1
+        assert np.isfinite(rates.pi) and np.isfinite(rates.phi)
+
+    def test_fused_matches_the_split_functions(self, rng):
+        j = SpinQuantumNumber(3)
+        field = husimi(random_density_matrix(j, rng), make_grid(48, 96))
+        bath = BathParams(gamma=1.0, nbar=0.5)
+        phi, pi = damping_quadrature(field, bath)
+        assert phi == damping_phi_quadrature(field, bath)
+        assert pi == damping_pi_quadrature(field, bath)
+        assert pi.total == pytest.approx(pi.damping_part + pi.coherence_part, rel=1e-15)

@@ -19,6 +19,7 @@ from spinwehrl import (
     v_function,
     von_neumann_entropy,
     wehrl_entropy,
+    wehrl_entropy_spin_half,
 )
 from conftest import random_density_matrix
 
@@ -222,6 +223,20 @@ class TestWehrlEntropy:
         assert margins.min() > -1e-9
         # the bound is strict away from the fully mixed corner
         assert margins.max() > 0.1
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-4, 0.5, 0.99, 1.0])
+    def test_spin_half_closed_form_against_fine_grid(self, tau):
+        fine = make_grid(400, 800)
+        v = np.array([0.3, -0.5, 0.8])
+        rho = bloch_to_rho(BlochVector(*(tau * v / np.linalg.norm(v))))
+        # Q has a zero at a pure state, where the grid converges like n^-4.
+        tol = 1e-11 if tau == 1.0 else 1e-13
+        assert wehrl_entropy_spin_half(tau) == pytest.approx(wehrl_entropy(husimi(rho, fine)), abs=tol)
+
+    def test_spin_half_closed_form_series_joins_the_formula(self):
+        below, above = wehrl_entropy_spin_half(1e-3 - 1e-12), wehrl_entropy_spin_half(1e-3)
+        assert below == pytest.approx(above, abs=1e-13)
+        assert wehrl_entropy_spin_half(1.0 + 1e-9) == wehrl_entropy_spin_half(1.0)
 
 
 class TestCurrents:

@@ -5,8 +5,8 @@ rejected. Rates are given in units of the scenario's reference rate
 (lambda for dephasing, gamma for damping), matching the dimensionless
 ratios used throughout (b0/gamma, bandwidth/gamma0, T/omega, ...).
 
-Exit codes: 0 success, 1 comparison above tolerance, 2 configuration
-error, 3 numerical failure.
+Exit codes: 0 success, 1 comparison above tolerance, 2 configuration or
+I/O error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import copy
 import json
 import math
 import sys
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .dynamics import DissipatorSpec, HamiltonianSpec
 from .entropy_rates import applicable_rate_methods
-from .errors import ConfigError, NothingToCompare, SpinWehrlError
+from .errors import ConfigError, DimensionMismatch, InvalidFrequency, NonPhysicalState, NothingToCompare, SpinWehrlError
 from .phase_space import make_grid
 from .scenarios import (
     Model,
@@ -35,6 +36,7 @@ from .scenarios import (
     simulate,
     spontaneous_emission_model,
     thermal_quench_model,
+    write_csv,
     write_scenario_csv,
 )
 from .spin_ops import (
@@ -45,14 +47,6 @@ from .spin_ops import (
     gibbs_state,
 )
 
-SCENARIOS = {
-    "spontaneous_emission": "excited spin-1/2 relaxing into a thermal damping bath",
-    "thermal_quench": "Gibbs state at T0 relaxing toward a bath at T",
-    "rotating_field": "driven spin-1/2 with dephasing or damping",
-    "photon_pulse": "two-level atom absorbing a single-photon pulse (T = 0)",
-    "custom": "any spin J with explicit Hamiltonian/dissipator/initial state",
-}
-
 _TIME_KEYS = {"t_max": True, "output_dt": True, "tol": False}
 _GRID_KEYS = {"n_theta": True, "n_phi": True}
 _OUTPUT_KEYS = {"csv": False}
@@ -60,27 +54,97 @@ _COMPARE_KEYS = {"tolerance": False}
 # Scenario keys that must not be negative (rates, occupations, temperatures).
 _NON_NEGATIVE = {"gamma", "lambda", "nbar", "temperature", "initial_temperature", "bath_temperature"}
 
-# Required keys of each scenario, besides "scenario" and "time".
-_SCENARIO_KEYS = {
-    "spontaneous_emission": ("omega", "gamma", "temperature"),
-    "thermal_quench": ("omega", "gamma", "initial_temperature", "bath_temperature"),
-    "rotating_field": ("b0", "b1", "drive_omega", "dissipator", "initial_state"),
-    "photon_pulse": ("gamma0", "bandwidth", "a0"),
-    "custom": ("two_j", "hamiltonian", "dissipator", "initial_state"),
-}
 
-# Sections with a "type": the keys each type requires, all numeric except
-# the list of populations.
-_TYPED_SECTIONS = {
-    "dissipator": {"dephasing": ("lambda",), "amplitude_damping": ("gamma", "nbar")},
-    "hamiltonian": {"none": (), "static_jz": ("omega",), "rotating_field": ("b0", "b1", "drive_omega")},
+def _bloch_angles_state(j: SpinQuantumNumber, tau: float, theta: float, phi: float) -> DensityMatrix:
+    st = math.sin(theta)
+    return bloch_to_rho(BlochVector(tau * st * math.cos(phi), tau * st * math.sin(phi), tau * math.cos(theta)))
+
+
+def _diagonal_state(j: SpinQuantumNumber, populations: list) -> DensityMatrix:
+    pops = np.asarray(populations, dtype=float)
+    total = pops.sum()
+    if total <= 0:
+        raise ConfigError("populations must have a positive sum")
+    return DensityMatrix(SpinQuantumNumber(pops.size - 1), np.diag(pops / total).astype(complex))
+
+
+# Each type of a typed section: its required keys, all numbers except the
+# list of populations, and the builder of its object from their values.
+# Initial states are built for the config's spin j; bloch and diagonal
+# states carry their own.
+SECTIONS = {
+    "dissipator": {
+        "dephasing": (("lambda",), DissipatorSpec.dephasing),
+        "amplitude_damping": (("gamma", "nbar"), DissipatorSpec.amplitude_damping),
+    },
+    "hamiltonian": {
+        "none": ((), HamiltonianSpec.none),
+        "static_jz": (("omega",), HamiltonianSpec.static_jz),
+        "rotating_field": (("b0", "b1", "drive_omega"), HamiltonianSpec.rotating_field),
+    },
     "initial_state": {
-        "bloch": ("tau_x", "tau_y", "tau_z"),
-        "bloch_angles": ("tau", "theta", "phi"),
-        "diagonal": ("populations",),
-        "gibbs": ("temperature", "omega"),
+        "bloch": (("tau_x", "tau_y", "tau_z"), lambda j, *tau: bloch_to_rho(BlochVector(*tau))),
+        "bloch_angles": (("tau", "theta", "phi"), _bloch_angles_state),
+        "diagonal": (("populations",), _diagonal_state),
+        "gibbs": (("temperature", "omega"), lambda j, temperature, omega: gibbs_state(j, omega, temperature)),
     },
 }
+
+
+def _custom_model(two_j: float, h: HamiltonianSpec, d: DissipatorSpec, rho0: DensityMatrix) -> Model:
+    if rho0.j.two_j != two_j:
+        raise ConfigError(f"the initial state has two_j = {rho0.j.two_j}, not the config's {two_j:g}")
+    # The von Neumann rates read a thermal bath's nbar as an occupation at omega.
+    if h.kind == "static_jz" and d.kind == "amplitude_damping" and h.omega <= 0:
+        raise InvalidFrequency("'omega' in 'hamiltonian' must be positive: it is the level splitting of the bath")
+    return Model(rho0, h, d)
+
+
+# Each scenario: its description, its required keys besides "scenario" and
+# "time" (numbers, or typed sections built from SECTIONS), and the builder
+# of its Model from their values in that order.
+SCENARIOS = {
+    "spontaneous_emission": (
+        "excited spin-1/2 relaxing into a thermal damping bath",
+        ("omega", "gamma", "temperature"),
+        spontaneous_emission_model,
+    ),
+    "thermal_quench": (
+        "Gibbs state at T0 relaxing toward a bath at T",
+        ("initial_temperature", "bath_temperature", "omega", "gamma"),
+        thermal_quench_model,
+    ),
+    "rotating_field": (
+        "driven spin-1/2 with dephasing or damping",
+        ("b0", "b1", "drive_omega", "dissipator", "initial_state"),
+        rotating_field_model,
+    ),
+    "photon_pulse": (
+        "two-level atom absorbing a single-photon pulse (T = 0)",
+        ("gamma0", "bandwidth", "a0"),
+        lambda gamma0, bandwidth, a0: photon_pulse_model(PulseParams(gamma0, bandwidth, a0)),
+    ),
+    "custom": (
+        "any spin J with explicit Hamiltonian/dissipator/initial state",
+        ("two_j", "hamiltonian", "dissipator", "initial_state"),
+        _custom_model,
+    ),
+}
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """A checked config: what run, compare and sweep execute. grid is
+    (n_theta, n_phi), or empty for make_grid's default."""
+
+    scenario: str
+    model: Model
+    t_max: float
+    dt: float
+    tol: float
+    grid: tuple
+    csv: str
+    tolerance: float
 
 
 def _check_keys(section: dict, allowed: dict, where: str) -> None:
@@ -105,166 +169,90 @@ def _number(section, key, where: str, minimum: float = -math.inf) -> float:
     return float(v)
 
 
-def validate_config(cfg: dict) -> dict:
-    """Structural validation; returns the config untouched on success."""
+def _typed_section(name: str, sec: dict, j: SpinQuantumNumber):
+    """The object a typed section describes, built from its row of SECTIONS."""
+    types = SECTIONS[name]
+    kind = sec.get("type") if isinstance(sec, dict) else None
+    if kind not in types:
+        raise ConfigError(f"{name} type must be one of {sorted(types)}, got {kind!r}")
+    keys, build = types[kind]
+    _check_keys(sec, dict.fromkeys(("type", *keys), True), f"'{name}'")
+    values = []
+    for key in keys:
+        if key != "populations":
+            values.append(_number(sec, key, f"'{name}'"))
+        elif isinstance(sec[key], list) and sec[key]:
+            values.append([_number(sec[key], k, "'populations'", minimum=0.0) for k in range(len(sec[key]))])
+        else:
+            raise ConfigError("'populations' must be a non-empty list")
+    return build(j, *values) if name == "initial_state" else build(*values)
+
+
+def validate_config(cfg: dict) -> RunPlan:
+    """Check a config's keys and numbers and build its Model, without
+    integrating or building the sphere grid. A model that its constructors
+    refuse is a ConfigError; a pulse below the Markovianity threshold
+    raises NonMarkovianRegime, as it would in run."""
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be a JSON object")
     scenario = cfg.get("scenario")
     if scenario not in SCENARIOS:
         raise ConfigError(f"'scenario' must be one of {sorted(SCENARIOS)}, got {scenario!r}")
-    allowed = dict.fromkeys(_SCENARIO_KEYS[scenario], True)
+    _, keys, build = SCENARIOS[scenario]
+    allowed = dict.fromkeys(keys, True)
     allowed.update({"scenario": True, "time": True, "grid": False, "output": False, "compare": False})
     _check_keys(cfg, allowed, "config")
-    _check_keys(cfg["time"], _TIME_KEYS, "'time'")
-    t_max = _number(cfg["time"], "t_max", "'time'")
-    dt = _number(cfg["time"], "output_dt", "'time'")
+    time = cfg["time"]
+    _check_keys(time, _TIME_KEYS, "'time'")
+    t_max = _number(time, "t_max", "'time'")
+    dt = _number(time, "output_dt", "'time'")
     if dt <= 0 or not math.isfinite(t_max / dt) or round(t_max / dt) < 2:
         raise ConfigError("'output_dt' must be positive and give at least two steps up to 't_max'")
-    if "tol" in cfg["time"] and _number(cfg["time"], "tol", "'time'") <= 0:
+    tol = _number(time, "tol", "'time'") if "tol" in time else 1e-10
+    if tol <= 0:
         raise ConfigError("'tol' in 'time' must be positive")
+    grid = ()
     if "grid" in cfg:
         _check_keys(cfg["grid"], _GRID_KEYS, "'grid'")
-        for key in _GRID_KEYS:
-            _number(cfg["grid"], key, "'grid'", minimum=8)
-    if "output" in cfg:
-        _check_keys(cfg["output"], _OUTPUT_KEYS, "'output'")
-        if not isinstance(cfg["output"].get("csv", ""), str):
-            raise ConfigError("'csv' in 'output' must be a file name")
-    if "compare" in cfg:
-        _check_keys(cfg["compare"], _COMPARE_KEYS, "'compare'")
-        if "tolerance" in cfg["compare"]:
-            _number(cfg["compare"], "tolerance", "'compare'", minimum=0.0)
-    for key in _SCENARIO_KEYS[scenario]:
-        if key in _TYPED_SECTIONS:
-            _validate_typed_section(key, cfg[key])
-        else:
-            _number(cfg, key, "config")
-    # A thermal bath's nbar is an occupation at the level splitting omega.
-    if scenario in ("spontaneous_emission", "thermal_quench") and cfg["omega"] <= 0:
-        raise ConfigError("'omega' must be positive: it is the level splitting of the bath")
-    if scenario == "custom":
-        two_j = cfg["two_j"]
-        if not isinstance(two_j, int) or two_j < 1:
-            raise ConfigError(f"'two_j' must be a positive integer, got {two_j!r}")
-        ham = cfg["hamiltonian"]
-        if ham["type"] == "rotating_field" and two_j != 1:
-            raise ConfigError("a rotating_field Hamiltonian requires two_j = 1")
-        if ham["type"] == "static_jz" and cfg["dissipator"]["type"] == "amplitude_damping" and ham["omega"] <= 0:
-            raise ConfigError("'omega' in 'hamiltonian' must be positive: it is the level splitting of the bath")
-    return cfg
+        grid = tuple(int(_number(cfg["grid"], key, "'grid'", minimum=8)) for key in _GRID_KEYS)
+    output = cfg.get("output", {})
+    _check_keys(output, _OUTPUT_KEYS, "'output'")
+    csv = output.get("csv", f"{scenario}.csv")
+    if not isinstance(csv, str):
+        raise ConfigError("'csv' in 'output' must be a file name")
+    comparison = cfg.get("compare", {})
+    _check_keys(comparison, _COMPARE_KEYS, "'compare'")
+    tolerance = _number(comparison, "tolerance", "'compare'", minimum=0.0) if "tolerance" in comparison else 1e-5
+    two_j = cfg.get("two_j", 1)  # only custom sets it; the other scenarios are spin 1/2
+    if isinstance(two_j, bool) or not isinstance(two_j, int) or two_j < 1:
+        raise ConfigError(f"'two_j' must be a positive integer, got {two_j!r}")
+    j = SpinQuantumNumber(two_j)
+    try:
+        model = build(*(
+            _typed_section(key, cfg[key], j) if key in SECTIONS else _number(cfg, key, "config") for key in keys
+        ))
+        model.h.matrix(model.rho0.j, 0.0)  # a Hamiltonian defined for another spin raises here
+    except (NonPhysicalState, InvalidFrequency, DimensionMismatch) as exc:
+        raise ConfigError(str(exc)) from exc
+    return RunPlan(scenario, model, t_max, dt, tol, grid, csv, tolerance)
 
 
-def _validate_typed_section(name: str, sec: dict) -> None:
-    types = _TYPED_SECTIONS[name]
-    kind = sec.get("type") if isinstance(sec, dict) else None
-    if kind not in types:
-        raise ConfigError(f"{name} type must be one of {sorted(types)}, got {kind!r}")
-    _check_keys(sec, dict.fromkeys(("type", *types[kind]), True), f"'{name}'")
-    for key in types[kind]:
-        if key != "populations":
-            _number(sec, key, f"'{name}'")
-        elif isinstance(sec[key], list) and sec[key]:
-            for k in range(len(sec[key])):
-                _number(sec[key], k, "'populations'", minimum=0.0)
-        else:
-            raise ConfigError("'populations' must be a non-empty list")
-
-
-def _build_initial_state(sec: dict, j: SpinQuantumNumber) -> DensityMatrix:
-    kind = sec["type"]
-    if kind == "bloch":
-        if j.two_j != 1:
-            raise ConfigError("bloch initial states require two_j = 1")
-        return bloch_to_rho(BlochVector(sec["tau_x"], sec["tau_y"], sec["tau_z"]))
-    if kind == "bloch_angles":
-        if j.two_j != 1:
-            raise ConfigError("bloch_angles initial states require two_j = 1")
-        tau, th, ph = sec["tau"], sec["theta"], sec["phi"]
-        return bloch_to_rho(
-            BlochVector(
-                tau * math.sin(th) * math.cos(ph),
-                tau * math.sin(th) * math.sin(ph),
-                tau * math.cos(th),
-            )
-        )
-    if kind == "diagonal":
-        pops = np.asarray(sec["populations"], dtype=float)
-        if pops.size != j.dim:
-            raise ConfigError(f"expected {j.dim} populations for two_j={j.two_j}, got {pops.size}")
-        total = pops.sum()
-        if total <= 0:
-            raise ConfigError("populations must have a positive sum")
-        return DensityMatrix(j, np.diag(pops / total).astype(complex))
-    if kind == "gibbs":
-        return gibbs_state(j, sec["omega"], sec["temperature"])
-    raise ConfigError(f"unsupported initial_state type {kind!r}")
-
-
-def _build_dissipator(sec: dict) -> DissipatorSpec:
-    if sec["type"] == "dephasing":
-        return DissipatorSpec.dephasing(sec["lambda"])
-    return DissipatorSpec.amplitude_damping(sec["gamma"], sec["nbar"])
-
-
-def _build_hamiltonian(sec: dict) -> HamiltonianSpec:
-    if sec["type"] == "none":
-        return HamiltonianSpec.none()
-    if sec["type"] == "static_jz":
-        return HamiltonianSpec.static_jz(sec["omega"])
-    return HamiltonianSpec.rotating_field(sec["b0"], sec["b1"], sec["drive_omega"])
-
-
-def _grid_from(cfg: dict, override: str | None):
+def _grid_from(plan: RunPlan, override: str | None):
     if override:
         try:
             a, b = override.lower().split("x")
             return make_grid(int(a), int(b))
         except ValueError as exc:
             raise ConfigError(f"--grid must look like 96x192, got {override!r}") from exc
-    if "grid" in cfg:
-        return make_grid(int(cfg["grid"]["n_theta"]), int(cfg["grid"]["n_phi"]))
-    return make_grid()
+    return make_grid(*plan.grid)
 
 
-def _model_from_config(cfg: dict) -> Model:
-    kind = cfg["scenario"]
-    if kind == "spontaneous_emission":
-        return spontaneous_emission_model(cfg["omega"], cfg["gamma"], cfg["temperature"])
-    if kind == "thermal_quench":
-        return thermal_quench_model(
-            cfg["initial_temperature"], cfg["bath_temperature"], cfg["omega"], cfg["gamma"]
-        )
-    if kind == "rotating_field":
-        rho0 = _build_initial_state(cfg["initial_state"], SpinQuantumNumber(1))
-        return rotating_field_model(
-            cfg["b0"], cfg["b1"], cfg["drive_omega"], _build_dissipator(cfg["dissipator"]), rho0,
-        )
-    if kind == "photon_pulse":
-        params = PulseParams(gamma0=cfg["gamma0"], capital_omega=cfg["bandwidth"], a0=cfg["a0"])
-        return photon_pulse_model(params)
-    j = SpinQuantumNumber(int(cfg["two_j"]))
-    return Model(
-        _build_initial_state(cfg["initial_state"], j),
-        _build_hamiltonian(cfg["hamiltonian"]),
-        _build_dissipator(cfg["dissipator"]),
-    )
-
-
-def _scenario_args(cfg: dict, grid_override: str | None = None, tol_override: float | None = None) -> tuple:
-    """(model, t_max, dt, grid, tol) of a validated config: the arguments of
-    scenarios.simulate and scenarios.compare."""
-    grid = _grid_from(cfg, grid_override)
-    tol = float(tol_override if tol_override is not None else cfg["time"].get("tol", 1e-10))
+def run_config(plan: RunPlan, grid_override: str | None = None, tol_override: float | None = None):
+    """Execute a validated config and return its ScenarioResult."""
+    tol = plan.tol if tol_override is None else tol_override
     if not 0 < tol < math.inf:
         raise ConfigError(f"integrator tolerance must be positive and finite, got {tol:g}")
-    t_max = float(cfg["time"]["t_max"])
-    dt = float(cfg["time"]["output_dt"])
-    return _model_from_config(cfg), t_max, dt, grid, tol
-
-
-def run_config(cfg: dict, grid_override: str | None = None, tol_override: float | None = None):
-    """Execute a validated config and return its ScenarioResult."""
-    return simulate(*_scenario_args(cfg, grid_override, tol_override))
+    return simulate(plan.model, plan.t_max, plan.dt, _grid_from(plan, grid_override), tol)
 
 
 def _fmt(x) -> str:
@@ -273,10 +261,10 @@ def _fmt(x) -> str:
     return f"{x:.6g}"
 
 
-def _print_summary(cfg: dict, result) -> None:
+def _print_summary(plan: RunPlan, result) -> None:
     w_final = result.wehrl[-1]
     v_final = result.von_neumann[-1]
-    print(f"scenario: {cfg['scenario']}  steps: {result.times.size}  t_max: {result.times[-1]:g}")
+    print(f"scenario: {plan.scenario}  steps: {result.times.size}  t_max: {result.times[-1]:g}")
     print(f"final Pi_wehrl:  {_fmt(w_final.pi)}    final Phi_wehrl: {_fmt(w_final.phi)}")
     print(f"final Pi_vN:     {_fmt(v_final.pi)}    final Phi_vN:    {_fmt(v_final.phi)}")
     print(f"Sigma (wehrl):   {_fmt(result.scalars.get('sigma_wehrl'))}")
@@ -286,12 +274,12 @@ def _print_summary(cfg: dict, result) -> None:
         print(f"agreement {name}: max rel dev {_fmt(value)}")
 
 
-def compare_config(cfg: dict, tolerance: float, grid_override: str | None = None) -> int:
+def compare_config(plan: RunPlan, tolerance: float, grid_override: str | None = None) -> int:
     """Evaluate every applicable rate method in one pass over the trajectory
     and report their pairwise maximum relative deviations; returns a process
     exit code. Raises NothingToCompare, before integrating, when fewer than
     two methods apply."""
-    agreement = compare(*_scenario_args(cfg, grid_override))
+    agreement = compare(plan.model, plan.t_max, plan.dt, _grid_from(plan, grid_override), plan.tol)
     for name, value in agreement.items():
         print(f"{name}: max rel dev {value:.3e}")
     worst = max(0.0, *agreement.values())
@@ -339,7 +327,7 @@ def sweep_config(cfg: dict, param: str, values: list, out_path: Path,
         _set_by_path(trial, param, v)
         result = run_config(validate_config(trial), grid_override=grid_override)
         sigma = result.scalars.get("sigma_wehrl")
-        row = [
+        rows.append([
             v,
             math.nan if sigma is None else sigma,
             result.wehrl[0].pi,
@@ -347,11 +335,8 @@ def sweep_config(cfg: dict, param: str, values: list, out_path: Path,
             result.wehrl[-1].phi,
             result.von_neumann[0].pi,
             result.von_neumann[-1].pi,
-        ]
-        rows.append(",".join(f"{x:.17g}" for x in row))
-    with open(out_path, "w") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        fh.write("\n".join(rows) + "\n")
+        ])
+    write_csv(out_path, SWEEP_COLUMNS, rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
 
 
@@ -362,30 +347,20 @@ def bundled_configs() -> dict:
 
 
 def _load_config(path: str) -> dict:
-    """Read and validate a config file."""
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return validate_config(cfg)
+    """The JSON object of a config file, unchecked."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
 def _write_states_csv(result, path: Path) -> None:
     """Trajectory dump: t plus Re/Im of every density-matrix entry."""
-    d = result.trajectory.states[0].dim
-    header = ["t"]
-    for a in range(d):
-        for b in range(d):
-            header += [f"re_rho_{a}{b}", f"im_rho_{a}{b}"]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, s in zip(result.times, result.trajectory.states):
-            flat = s.entries.ravel()
-            row = [t] + [x for z in flat for x in (z.real, z.imag)]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    states = np.stack([s.entries for s in result.trajectory.states])
+    n, d, _ = states.shape
+    header = ["t"] + [f"{part}_rho_{a}{b}" for a in range(d) for b in range(d) for part in ("re", "im")]
+    write_csv(path, header, np.column_stack([result.times, states.reshape(n, -1).view(float)]))
 
 
 def main(argv=None) -> int:
@@ -411,7 +386,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.add_argument("--grid", default=None)
 
-    p_val = sub.add_parser("validate", help="schema-check a config file")
+    p_val = sub.add_parser("validate", help="check a config file and build its run, without integrating")
     p_val.add_argument("--config", required=True)
 
     sub.add_parser("list-scenarios", help="list scenario types and bundled configs")
@@ -419,38 +394,35 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "list-scenarios":
-            for name, desc in SCENARIOS.items():
+            for name, (desc, _, _) in SCENARIOS.items():
                 print(f"{name}: {desc}")
             print("\nbundled configs:")
             for name in bundled_configs():
                 print(f"  {name}")
             return 0
+        cfg = _load_config(args.config)
+        plan = validate_config(cfg)
         if args.command == "validate":
-            _load_config(args.config)
             print("OK")
             return 0
         if args.command == "run":
-            cfg = _load_config(args.config)
-            result = run_config(cfg, grid_override=args.grid, tol_override=args.tol)
+            result = run_config(plan, grid_override=args.grid, tol_override=args.tol)
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            csv_name = cfg.get("output", {}).get("csv", f"{cfg['scenario']}.csv")
-            csv_path = out_dir / csv_name
+            csv_path = out_dir / plan.csv
             write_scenario_csv(result, csv_path)
             print(f"wrote {csv_path}")
             if args.states_csv:
                 _write_states_csv(result, Path(args.states_csv))
                 print(f"wrote {args.states_csv}")
-            _print_summary(cfg, result)
+            _print_summary(plan, result)
             return 0
         if args.command == "compare":
-            cfg = _load_config(args.config)
-            tol = args.tol if args.tol is not None else cfg.get("compare", {}).get("tolerance", 1e-5)
+            tol = plan.tolerance if args.tol is None else args.tol
             if not tol >= 0:  # also refuses nan, which no deviation exceeds
                 raise ConfigError(f"comparison tolerance must be non-negative, got {tol:g}")
-            return compare_config(cfg, tolerance=tol, grid_override=args.grid)
+            return compare_config(plan, tolerance=tol, grid_override=args.grid)
         if args.command == "sweep":
-            cfg = _load_config(args.config)
             raw = [v for v in args.values.split(",") if v.strip()]
             if not raw:
                 raise ConfigError("--values is empty")
@@ -466,6 +438,9 @@ def main(argv=None) -> int:
             return 0
     except (ConfigError, NothingToCompare) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:  # a file that cannot be read or written
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 2
     except SpinWehrlError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -68,7 +68,7 @@ class ScenarioResult:
     trajectory: Trajectory
     wehrl: list
     von_neumann: list
-    entropy: Optional[np.ndarray]
+    entropy: np.ndarray
     bloch: Optional[np.ndarray]
     scalars: dict
     extras: dict
@@ -125,29 +125,25 @@ def simulate(
     """Evolve a model and reduce each state to rates: the one pipeline
     behind every scenario and the CLI's run and sweep.
 
-    The registry's primary method gives the Wehrl rates. When grid is
-    given the Wehrl entropy is computed too: in closed form for spin 1/2,
-    otherwise on the grid. Husimi fields are built, once per state, only
-    where a rate or entropy needs them.
+    The registry's primary method gives the Wehrl rates. The Wehrl
+    entropy is in closed form for spin 1/2, otherwise on the grid. Husimi
+    fields are built, once per state and on grid (by default make_grid()),
+    only where a rate or the entropy needs them.
     """
     rho0, h, d = model.rho0, model.h, model.d
     j = rho0.j
     method = primary_rate_method(j.two_j, d)
-    if grid is None and method.needs_field:
-        grid = make_grid()
     traj = evolve(rho0, h, d, _uniform_grid(t_max, dt), tol)
     bloch = traj.bloch_series() if j.two_j == 1 else None
-    entropy = None if grid is None else np.empty(traj.times.size)
-    entropy_on_grid = entropy is not None and bloch is None
-    if method.needs_field or entropy_on_grid:
-        fields = husimi_fields(traj.states, grid)
+    if method.needs_field or bloch is None:
+        fields = husimi_fields(traj.states, grid if grid is not None else make_grid())
     else:
         fields = itertools.repeat(None)
+    entropy = np.empty(traj.times.size)
     wehrl = []
     von_neumann = []
     for k, (t, state, q) in enumerate(zip(traj.times, traj.states, fields)):
-        if entropy is not None:
-            entropy[k] = wehrl_entropy(q) if entropy_on_grid else wehrl_entropy_spin_half(math.hypot(*bloch[k]))
+        entropy[k] = wehrl_entropy(q) if bloch is None else wehrl_entropy_spin_half(math.hypot(*bloch[k]))
         fe = float(-np.trace(h.matrix(j, t) @ d.apply(state.entries, t)).real)
         wehrl.append(replace(method.rates(state, q, d, t), phi_energy=fe))
         bv = None if bloch is None else BlochVector(*bloch[k])
@@ -224,10 +220,9 @@ def spontaneous_emission(
 
 
 def spontaneous_emission_model(omega: float, gamma: float, temperature: float) -> Model:
-    """The Model that spontaneous_emission integrates."""
-    if temperature < 0:
-        raise NonPhysicalState("temperature must be non-negative")
-    nbar = nbar_from_temperature(omega, temperature) if temperature > 0 else 0.0
+    """The Model that spontaneous_emission integrates. Raises
+    InvalidFrequency for omega <= 0, the level splitting of the bath."""
+    nbar = nbar_from_temperature(omega, temperature)
     return Model(
         bloch_to_rho(BlochVector(0.0, 0.0, 1.0)),
         HamiltonianSpec.static_jz(omega),
@@ -262,10 +257,9 @@ def thermal_quench(
 
 
 def thermal_quench_model(t0_temperature: float, bath_temperature: float, omega: float, gamma: float) -> Model:
-    """The Model that thermal_quench integrates."""
-    if min(t0_temperature, bath_temperature) < 0:
-        raise NonPhysicalState("temperatures must be non-negative")
-    nbar = nbar_from_temperature(omega, bath_temperature) if bath_temperature > 0 else 0.0
+    """The Model that thermal_quench integrates. Raises InvalidFrequency
+    for omega <= 0, the level splitting of the bath."""
+    nbar = nbar_from_temperature(omega, bath_temperature)
     bath = BathParams(gamma=gamma, nbar=nbar)
 
     def finish(result: ScenarioResult) -> tuple:
@@ -522,41 +516,27 @@ def custom_scenario(
     nbar = 0 boundary where the production quadrature is not certified);
     larger spins use the quadrature route. Von Neumann rates use the
     closed forms for spin 1/2 and the eigendecomposition route when the
-    dissipator is thermal damping against a static J_z Hamiltonian. The
-    Wehrl entropy is computed on grid, by default make_grid().
+    dissipator is thermal damping against a static J_z Hamiltonian. See
+    simulate for the grid.
     """
-    grid = grid if grid is not None else make_grid()
     return simulate(Model(rho0, h, d), t_max, dt, grid, tol)
+
+
+def write_csv(path, header: list, table) -> None:
+    """A table as CSV under a header line, at full double precision;
+    divergences appear as literal inf tokens."""
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def write_scenario_csv(result: ScenarioResult, path) -> None:
     """CSV with columns t, tau_x, tau_y, tau_z, S_wehrl, Pi_wehrl, Phi_wehrl,
-    Pi_vN, Phi_vN, Phi_E and, for pulse runs, gamma_t. Full double precision;
-    divergences appear as literal inf tokens."""
+    Pi_vN, Phi_vN, Phi_E and, for pulse runs, gamma_t (see write_csv)."""
     cols = ["t", "tau_x", "tau_y", "tau_z", "S_wehrl", "Pi_wehrl", "Phi_wehrl", "Pi_vN", "Phi_vN", "Phi_E"]
-    has_gamma = "gamma_t" in result.extras
-    if has_gamma:
+    bloch = result.bloch if result.bloch is not None else np.full((result.times.size, 3), math.nan)
+    table = [result.times, *bloch.T, result.entropy]
+    rates = ("wehrl.pi", "wehrl.phi", "von_neumann.pi", "von_neumann.phi", "wehrl.phi_energy")
+    table += [result.series(name) for name in rates]
+    if "gamma_t" in result.extras:
         cols.append("gamma_t")
-    n = result.times.size
-    bloch = result.bloch if result.bloch is not None else np.full((n, 3), math.nan)
-    entropy = result.entropy if result.entropy is not None else np.full(n, math.nan)
-    rows = []
-    for k in range(n):
-        row = [
-            result.times[k],
-            bloch[k, 0],
-            bloch[k, 1],
-            bloch[k, 2],
-            entropy[k],
-            result.wehrl[k].pi,
-            result.wehrl[k].phi,
-            result.von_neumann[k].pi,
-            result.von_neumann[k].phi,
-            result.wehrl[k].phi_energy,
-        ]
-        if has_gamma:
-            row.append(result.extras["gamma_t"][k])
-        rows.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.write("\n".join(rows) + "\n")
+        table.append(result.extras["gamma_t"])
+    write_csv(path, cols, np.column_stack(table))

@@ -202,7 +202,8 @@ def nbar_from_temperature(omega: float, temperature: float) -> float:
     if temperature == 0.0:
         return 0.0
     x = omega / temperature
-    return 1.0 / math.expm1(x)
+    # Beyond x = 700 the -1 is below double precision, and expm1 overflows.
+    return 1.0 / math.expm1(x) if x < 700.0 else math.exp(-x)
 
 
 def temperature_from_nbar(omega: float, nbar: float) -> float:

@@ -50,6 +50,26 @@ CUSTOM_DAMPING_J2 = {
 
 QUENCH_WARM = dict(QUENCH_IDLE, initial_temperature=2.0, time={"t_max": 1.0, "output_dt": 0.2})
 
+PULSE = {
+    "scenario": "photon_pulse",
+    "gamma0": 1.0,
+    "bandwidth": 10.0,
+    "a0": 0.9,
+    "time": {"t_max": 1.0, "output_dt": 0.2},
+    "grid": {"n_theta": 48, "n_phi": 96},
+}
+
+ROTATING_DEPHASING = {
+    "scenario": "rotating_field",
+    "b0": 1.0,
+    "b1": 0.5,
+    "drive_omega": 1.0,
+    "dissipator": {"type": "dephasing", "lambda": 1.0},
+    "initial_state": {"type": "bloch", "tau_x": 0.5, "tau_y": 0.0, "tau_z": 0.5},
+    "time": {"t_max": 0.5, "output_dt": 0.1},
+    "grid": {"n_theta": 48, "n_phi": 96},
+}
+
 
 def with_value(cfg, dotted, value):
     """Deep copy of cfg with the nested key at a dotted path set to value."""
@@ -140,6 +160,18 @@ class TestValidate:
                 id="rotating_field-two_j>1",
             ),
             pytest.param(dict(QUENCH_IDLE, omega=-1.0), id="scenario-omega<0"),
+            pytest.param(with_value(CUSTOM_DEPHASING, "two_j", 2), id="two_j=2-bloch"),
+            pytest.param(
+                with_value(with_value(CUSTOM_DAMPING_J2, "two_j", 2), "initial_state.populations", [0.6, 0.4]),
+                id="two_j=2-two-populations",
+            ),
+            pytest.param(with_value(CUSTOM_DAMPING_J2, "initial_state.populations", [0.0] * 5), id="populations-all-zero"),
+            pytest.param(dict(PULSE, bandwidth=0.5), id="bandwidth<=gamma0"),
+            pytest.param(dict(PULSE, a0=1.5), id="a0>1"),
+            pytest.param(
+                with_value(ROTATING_DEPHASING, "initial_state", {"type": "bloch", "tau_x": 1.0, "tau_y": 1.0, "tau_z": 1.0}),
+                id="bloch-tau>1",
+            ),
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, cfg):
@@ -148,6 +180,19 @@ class TestValidate:
         path = write_config(tmp_path, cfg)
         assert main(["validate", "--config", path]) == 2
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+
+    def test_non_markovian_pulse_exit_code(self, tmp_path):
+        # a0 below the Markovianity threshold 0.8 is a numerical failure in
+        # validate as in run
+        path = write_config(tmp_path, dict(PULSE, bandwidth=4.0, a0=0.7071067811865476))
+        assert main(["validate", "--config", path]) == 3
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 3
+
+    def test_validation_builds_no_grid(self, monkeypatch):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.phase_space"], "make_grid")
+        for path in bundled_configs().values():
+            validate_config(json.loads(path.read_text()))
+        assert calls == []
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
     def test_bad_run_tolerance_is_a_config_error(self, tmp_path, tol):
@@ -351,6 +396,34 @@ class TestCompare:
         path = write_config(tmp_path, CUSTOM_DEPHASING)
         assert main(["compare", "--config", path]) == 0
         assert sum(len(args[-1]) for args in calls) == 6  # states at t = 0, 0.1, ..., 0.5
+
+
+class TestIOErrors:
+    """Files that cannot be read or written exit 2 with a message."""
+
+    def run_io(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("I/O error:") and "Traceback" not in err
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        path = write_config(tmp_path, CUSTOM_DEPHASING)
+        self.run_io(capsys, ["run", "--config", path, "--out", path])
+
+    def test_states_csv_in_missing_directory(self, tmp_path, capsys):
+        path = write_config(tmp_path, CUSTOM_DEPHASING)
+        dump = str(tmp_path / "missing" / "x.csv")
+        self.run_io(capsys, ["run", "--config", path, "--out", str(tmp_path), "--states-csv", dump])
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self.run_io(capsys, ["validate", "--config", str(tmp_path)])
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        cfg = dict(CUSTOM_DEPHASING, output={"csv": "\xe9.csv"})
+        path.write_bytes(json.dumps(cfg, ensure_ascii=False).encode("latin-1"))
+        self.run_io(capsys, ["validate", "--config", str(path)])
 
 
 class TestOneValidationPerCommand:

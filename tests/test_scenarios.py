@@ -29,7 +29,11 @@ from spinwehrl import (
     spontaneous_emission,
     thermal_quench,
 )
+from spinwehrl import scenarios
 from spinwehrl.dynamics import HamiltonianSpec
+from spinwehrl.errors import InvalidFrequency
+from spinwehrl.phase_space import wehrl_entropy_spin_half
+from spinwehrl.scenarios import spontaneous_emission_model, thermal_quench_model
 
 
 class TestSpontaneousEmission:
@@ -309,6 +313,22 @@ class TestPhotonPulseScenario:
                                    t_max=6.0, dt=0.05, grid=None)
         assert np.max(np.abs(res.bloch[:, 2] - ref.bloch[:, 2])) < 1e-8
         assert np.max(np.abs(res.series("wehrl.pi") - ref.series("wehrl.pi"))) < 1e-8
+
+
+class TestModelBuilders:
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    def test_bath_splitting_must_be_positive(self, omega, temperature):
+        with pytest.raises(InvalidFrequency):
+            spontaneous_emission_model(omega, 1.0, temperature)
+        with pytest.raises(InvalidFrequency):
+            thermal_quench_model(1.0, temperature, omega, 1.0)
+
+    def test_spin_half_entropy_needs_no_grid(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "make_grid", lambda *args: pytest.fail("make_grid called"))
+        res = thermal_quench(2.0, 1.0, omega=1.0, gamma=1.0, t_max=1.0, dt=0.1, grid=None)
+        expected = [wehrl_entropy_spin_half(math.hypot(*b)) for b in res.bloch]
+        assert np.array_equal(res.entropy, expected)
 
 
 class TestCustomScenario:

@@ -146,6 +146,11 @@ class TestOccupation:
             back = temperature_from_nbar(0.7, n)
             assert back == pytest.approx(t, rel=1e-12)
 
+    def test_far_below_the_splitting(self):
+        # exp(omega/T) overflows above omega/T ~ 709.8; nbar is exp(-omega/T) there
+        assert nbar_from_temperature(1.0, 1e-3) == 0.0
+        assert nbar_from_temperature(1.0, 1.0 / 705.0) == pytest.approx(math.exp(-705.0), rel=1e-15)
+
     def test_invalid_frequency(self):
         with pytest.raises(InvalidFrequency):
             nbar_from_temperature(0.0, 1.0)

@@ -406,9 +406,13 @@ def main(argv=None) -> int:
             print("OK")
             return 0
         if args.command == "run":
-            result = run_config(plan, grid_override=args.grid, tol_override=args.tol)
+            # Output paths are checked before integrating, so that a bad one
+            # loses no work.
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
+            if args.states_csv and not Path(args.states_csv).parent.is_dir():
+                raise FileNotFoundError(f"the directory of --states-csv {args.states_csv!r} does not exist")
+            result = run_config(plan, grid_override=args.grid, tol_override=args.tol)
             csv_path = out_dir / plan.csv
             write_scenario_csv(result, csv_path)
             print(f"wrote {csv_path}")

@@ -26,7 +26,7 @@ class NonMarkovianRate(SpinWehrlError):
 
 
 class StiffnessFailure(SpinWehrlError):
-    """Adaptive integrator failed (step-size underflow)."""
+    """Propagated states lost trace beyond the drift bound."""
 
 
 class UndefinedAngles(SpinWehrlError):
@@ -34,7 +34,8 @@ class UndefinedAngles(SpinWehrlError):
 
 
 class UnsupportedParameters(SpinWehrlError):
-    """Hypergeometric parameters outside the supported regime."""
+    """Parameters outside the supported regime: hypergeometric parameters, or a
+    generator that evolve has no exact propagator for."""
 
 
 class PrecisionFailure(SpinWehrlError):

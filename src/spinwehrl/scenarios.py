@@ -467,22 +467,26 @@ def photon_pulse_model(params: PulseParams) -> Model:
             f"a0 = {params.a0} below the threshold {markov_threshold(params):.6f}"
         )
 
-    # The integrator's right-hand side, and each state's dissipator, energy
-    # flux and rate methods, ask for both rates at one t in turn.
+    # evolve asks for each rate on an array of quadrature nodes; each
+    # state's dissipator, energy flux and rate methods ask for both rates at
+    # one t in turn.
     @functools.lru_cache(maxsize=1)
-    def rates_at(t: float) -> tuple:
+    def rates_at_time(t: float) -> tuple:
         return pulse_effective_rates(params, t)
 
-    def gamma_t(t: float) -> float:
+    def rates_at(t) -> tuple:
+        return rates_at_time(t) if isinstance(t, float) else pulse_effective_rates(params, t)
+
+    def gamma_t(t):
         return rates_at(t)[0]
 
-    def omega_t(t: float) -> float:
+    def omega_t(t):
         return rates_at(t)[1]
 
     def finish(result: ScenarioResult) -> tuple:
         scalars = {"markovian": True, "markov_threshold": markov_threshold(params)}
         a_abs2 = np.abs(np.asarray(pulse_amplitude(params, result.times))) ** 2
-        return scalars, {"gamma_t": np.array([gamma_t(t) for t in result.times]), "a_abs2": a_abs2}
+        return scalars, {"gamma_t": gamma_t(result.times), "a_abs2": a_abs2}
 
     p_exc = params.a0 ** 2
     rho0 = DensityMatrix(

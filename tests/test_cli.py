@@ -407,14 +407,19 @@ class TestIOErrors:
         assert code == 2
         assert err.startswith("I/O error:") and "Traceback" not in err
 
-    def test_out_is_a_file(self, tmp_path, capsys):
+    def test_out_is_a_file(self, tmp_path, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
         path = write_config(tmp_path, CUSTOM_DEPHASING)
         self.run_io(capsys, ["run", "--config", path, "--out", path])
+        assert calls == []  # checked before integrating
 
-    def test_states_csv_in_missing_directory(self, tmp_path, capsys):
+    def test_states_csv_in_missing_directory(self, tmp_path, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
         path = write_config(tmp_path, CUSTOM_DEPHASING)
         dump = str(tmp_path / "missing" / "x.csv")
         self.run_io(capsys, ["run", "--config", path, "--out", str(tmp_path), "--states-csv", dump])
+        assert calls == []  # checked before integrating, and before writing the run CSV
+        assert not (tmp_path / "custom.csv").exists()
 
     def test_config_is_a_directory(self, tmp_path, capsys):
         self.run_io(capsys, ["validate", "--config", str(tmp_path)])

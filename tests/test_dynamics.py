@@ -189,24 +189,6 @@ class TestEvolve:
         purity = [float(np.trace(s.entries @ s.entries).real) for s in traj.states]
         assert np.all(np.diff(purity) < 1e-10)
 
-    def test_tolerance_convergence(self):
-        # halving-type study: loosening tol by 1e3 should cost accuracy
-        omega, gamma, nbar = 1.0, 1.0, 0.5
-        j = SpinQuantumNumber(1)
-        rho0 = gibbs_state(j, omega, 2.0)
-        tbz = -1.0 / (2 * nbar + 1)
-        tz0 = rho_to_bloch(rho0).tau_z
-        t_grid = np.linspace(0, 4, 41)
-        errs = []
-        for tol in (1e-5, 1e-8, 1e-11):
-            traj = evolve(rho0, HamiltonianSpec.static_jz(omega),
-                          DissipatorSpec.amplitude_damping(gamma, nbar), t_grid, tol=tol)
-            tz = traj.bloch_series()[:, 2]
-            expected = tbz + np.exp(-gamma * t_grid / abs(tbz)) * (tz0 - tbz)
-            errs.append(np.max(np.abs(tz - expected)))
-        assert errs[1] < errs[0] / 5
-        assert errs[2] < errs[1] / 5
-
     def test_trace_and_spectrum_along_trajectory(self, rng):
         j = SpinQuantumNumber(2)
         rho0 = random_density_matrix(j, rng)

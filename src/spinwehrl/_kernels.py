@@ -50,6 +50,17 @@ def husimi_contract(mag, dmag, cos_sphi, sin_sphi, mats):
     return q, dq_dtheta, dq_dphi
 
 
+def libm(fn, *args) -> np.ndarray:
+    """fn, a function of the math module, element by element over arrays
+    that broadcast together. numpy's own loops for atanh, log and pow can
+    round differently from the C library in the last bit; the closed forms
+    evaluate through this so that their array and scalar results agree bit
+    for bit."""
+    arrays = np.broadcast_arrays(*args)
+    values = map(fn, *(np.ravel(a).tolist() for a in arrays))
+    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
+
+
 # ---------------------------------------------------------------------------
 # Fused quadrature reductions for the rate integrands. They return raw
 # weighted sums; physical prefactors are applied by the caller.

@@ -173,7 +173,7 @@ def _typed_section(name: str, sec: dict, j: SpinQuantumNumber):
     """The object a typed section describes, built from its row of SECTIONS."""
     types = SECTIONS[name]
     kind = sec.get("type") if isinstance(sec, dict) else None
-    if kind not in types:
+    if not isinstance(kind, str) or kind not in types:
         raise ConfigError(f"{name} type must be one of {sorted(types)}, got {kind!r}")
     keys, build = types[kind]
     _check_keys(sec, dict.fromkeys(("type", *keys), True), f"'{name}'")
@@ -196,7 +196,7 @@ def validate_config(cfg: dict) -> RunPlan:
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be a JSON object")
     scenario = cfg.get("scenario")
-    if scenario not in SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigError(f"'scenario' must be one of {sorted(SCENARIOS)}, got {scenario!r}")
     _, keys, build = SCENARIOS[scenario]
     allowed = dict.fromkeys(keys, True)
@@ -251,7 +251,7 @@ def run_config(plan: RunPlan, grid_override: str | None = None, tol_override: fl
     """Execute a validated config and return its ScenarioResult."""
     tol = plan.tol if tol_override is None else tol_override
     if not 0 < tol < math.inf:
-        raise ConfigError(f"integrator tolerance must be positive and finite, got {tol:g}")
+        raise ConfigError(f"tol must be positive and finite, got {tol:g}")
     return simulate(plan.model, plan.t_max, plan.dt, _grid_from(plan, grid_override), tol)
 
 
@@ -262,11 +262,10 @@ def _fmt(x) -> str:
 
 
 def _print_summary(plan: RunPlan, result) -> None:
-    w_final = result.wehrl[-1]
-    v_final = result.von_neumann[-1]
+    w, v = result.wehrl, result.von_neumann
     print(f"scenario: {plan.scenario}  steps: {result.times.size}  t_max: {result.times[-1]:g}")
-    print(f"final Pi_wehrl:  {_fmt(w_final.pi)}    final Phi_wehrl: {_fmt(w_final.phi)}")
-    print(f"final Pi_vN:     {_fmt(v_final.pi)}    final Phi_vN:    {_fmt(v_final.phi)}")
+    print(f"final Pi_wehrl:  {_fmt(w.pi[-1])}    final Phi_wehrl: {_fmt(w.phi[-1])}")
+    print(f"final Pi_vN:     {_fmt(v.pi[-1])}    final Phi_vN:    {_fmt(v.phi[-1])}")
     print(f"Sigma (wehrl):   {_fmt(result.scalars.get('sigma_wehrl'))}")
     d = result.model.d
     field_free = [m for m in applicable_rate_methods(result.model.rho0.j.two_j, d) if not m.needs_field]
@@ -327,14 +326,15 @@ def sweep_config(cfg: dict, param: str, values: list, out_path: Path,
         _set_by_path(trial, param, v)
         result = run_config(validate_config(trial), grid_override=grid_override)
         sigma = result.scalars.get("sigma_wehrl")
+        w, vn = result.wehrl, result.von_neumann
         rows.append([
             v,
             math.nan if sigma is None else sigma,
-            result.wehrl[0].pi,
-            result.wehrl[-1].pi,
-            result.wehrl[-1].phi,
-            result.von_neumann[0].pi,
-            result.von_neumann[-1].pi,
+            w.pi[0],
+            w.pi[-1],
+            w.phi[-1],
+            vn.pi[0],
+            vn.pi[-1],
         ])
     write_csv(out_path, SWEEP_COLUMNS, rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
@@ -357,7 +357,7 @@ def _load_config(path: str) -> dict:
 
 def _write_states_csv(result, path: Path) -> None:
     """Trajectory dump: t plus Re/Im of every density-matrix entry."""
-    states = np.stack([s.entries for s in result.trajectory.states])
+    states = result.trajectory.entries
     n, d, _ = states.shape
     header = ["t"] + [f"{part}_rho_{a}{b}" for a in range(d) for b in range(d) for part in ("re", "im")]
     write_csv(path, header, np.column_stack([result.times, states.reshape(n, -1).view(float)]))
@@ -371,7 +371,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=".", help="output directory")
     p_run.add_argument("--grid", default=None, help="override grid, e.g. 96x192")
-    p_run.add_argument("--tol", type=float, default=None, help="override integrator tolerance")
+    p_run.add_argument("--tol", type=float, default=None, help="override time.tol (checked, changes no result)")
     p_run.add_argument("--states-csv", default=None, help="also dump the raw state trajectory")
 
     p_cmp = sub.add_parser("compare", help="cross-check every applicable rate method")

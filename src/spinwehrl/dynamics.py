@@ -25,19 +25,38 @@ evolve propagates it exactly, with numpy alone, in one of two ways:
 Matrix exponentials use the [13/13] Pade approximant with scaling and
 squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005). Output
 states are Hermitized and trace-renormalized, with the drift monitored
-against a hard bound.
+against a hard bound, and validated as one stack.
+
+The Hamiltonian, the dissipators and lindblad_rhs act on one (d, d)
+matrix at a time t, or on an (n, d, d) stack of them at n times.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonMarkovianRate, NonPhysicalState, StiffnessFailure, UnsupportedParameters
-from .spin_ops import DensityMatrix, SpinQuantumNumber, make_spin_operators
+from .errors import (
+    DimensionMismatch,
+    NonMarkovianRate,
+    NonPhysicalState,
+    StiffnessFailure,
+    UnsupportedParameters,
+    WrongDimension,
+)
+from .spin_ops import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    DensityMatrix,
+    SpinQuantumNumber,
+    check_density_entries,
+    make_spin_operators,
+)
 
 TRACE_DRIFT_BOUND = 1e-9
 
@@ -54,12 +73,13 @@ _THETA13 = 5.371920351148152
 _EXPM_BATCH = 1 << 18
 # Gauss-Legendre rule for the integral of a time-dependent rate over a step.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 
 def _spin_number_for(rho: np.ndarray) -> SpinQuantumNumber:
-    d = rho.shape[0]
-    if rho.ndim != 2 or rho.shape != (d, d) or d < 2:
-        raise DimensionMismatch(f"expected a square matrix of dim >= 2, got {rho.shape}")
+    d = rho.shape[-1] if rho.ndim else 0
+    if rho.ndim < 2 or rho.shape[-2] != d or d < 2:
+        raise DimensionMismatch(f"expected square matrices of dim >= 2, got {rho.shape}")
     return SpinQuantumNumber(d - 1)
 
 
@@ -92,7 +112,9 @@ class HamiltonianSpec:
         times, and evolve integrates it over each step."""
         return cls(kind="pulse_effective", omega_t=omega_t)
 
-    def matrix(self, j: SpinQuantumNumber, t: float) -> np.ndarray:
+    def matrix(self, j: SpinQuantumNumber, t) -> np.ndarray:
+        """H at the time t, or at each of an array of times (a stack); a
+        static Hamiltonian is one (d, d) matrix either way."""
         ops = make_spin_operators(j)
         if self.kind == "none":
             return np.zeros((j.dim, j.dim), dtype=complex)
@@ -101,12 +123,12 @@ class HamiltonianSpec:
         if self.kind == "rotating_field":
             if j.two_j != 1:
                 raise DimensionMismatch("rotating_field Hamiltonian is defined for spin 1/2")
-            wt = self.drive_omega * t
+            wt = np.asarray(self.drive_omega * t)[..., None, None]
             return -self.b0 * ops.jz - self.b1 * (np.cos(wt) * ops.jx + np.sin(wt) * ops.jy)
         if self.kind == "pulse_effective":
             if j.two_j != 1:
                 raise DimensionMismatch("pulse_effective Hamiltonian is defined for spin 1/2")
-            return self.omega_t(t) * ops.jz
+            return np.asarray(self.omega_t(t))[..., None, None] * ops.jz
         raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
 
 
@@ -138,16 +160,19 @@ class DissipatorSpec:
         array of times, and evolve integrates it over each step."""
         return cls(kind="time_dependent_damping", gamma_t=gamma_t, nbar=nbar)
 
-    def apply(self, rho: np.ndarray, t: float) -> np.ndarray:
+    def apply(self, rho: np.ndarray, t) -> np.ndarray:
+        """D(rho) of one matrix at the time t, or of an (n, d, d) stack at
+        an array of n times."""
         if self.kind == "dephasing":
             return dephasing_dissipator(rho, self.lam)
         if self.kind == "amplitude_damping":
             return amplitude_damping_dissipator(rho, self.gamma, self.nbar)
         if self.kind == "time_dependent_damping":
-            g = self.gamma_t(t)
-            if g < 0:
-                raise NonMarkovianRate(f"gamma_t({t}) = {g} is negative")
-            return amplitude_damping_dissipator(rho, g, self.nbar)
+            g = np.asarray(self.gamma_t(t), dtype=float)
+            if np.any(g < 0):
+                n = np.argmax(np.ravel(g) < 0)
+                raise NonMarkovianRate(f"gamma_t({np.ravel(t)[n]}) = {np.ravel(g)[n]} is negative")
+            return amplitude_damping_dissipator(rho, g[..., None, None], self.nbar)
         raise ValueError(f"unknown dissipator kind {self.kind!r}")
 
 
@@ -159,8 +184,9 @@ def dephasing_dissipator(rho: np.ndarray, lam: float) -> np.ndarray:
     return -0.5 * lam * diff * diff * np.asarray(rho, dtype=complex)
 
 
-def amplitude_damping_dissipator(rho: np.ndarray, gamma: float, nbar: float) -> np.ndarray:
-    """Thermal amplitude-damping dissipator targeting the Gibbs state of omega*J_z."""
+def amplitude_damping_dissipator(rho: np.ndarray, gamma, nbar: float) -> np.ndarray:
+    """Thermal amplitude-damping dissipator targeting the Gibbs state of
+    omega*J_z; gamma is a number, or an array that broadcasts against rho."""
     rho = np.asarray(rho, dtype=complex)
     ops = make_spin_operators(_spin_number_for(rho))
     jp, jm = ops.jp, ops.jm
@@ -183,8 +209,9 @@ def current_superoperator_f(rho: np.ndarray, nbar: float) -> np.ndarray:
     return (nbar + 1.0) * rho @ ops.jp - nbar * ops.jp @ rho
 
 
-def lindblad_rhs(rho: np.ndarray, t: float, h: HamiltonianSpec, d: DissipatorSpec) -> np.ndarray:
-    """d rho/dt = -i [H(t), rho] + D(rho)."""
+def lindblad_rhs(rho: np.ndarray, t, h: HamiltonianSpec, d: DissipatorSpec) -> np.ndarray:
+    """d rho/dt = -i [H(t), rho] + D(rho), of one matrix or of a stack (see
+    the module docstring)."""
     rho = np.asarray(rho, dtype=complex)
     j = _spin_number_for(rho)
     hm = h.matrix(j, t)
@@ -193,18 +220,33 @@ def lindblad_rhs(rho: np.ndarray, t: float, h: HamiltonianSpec, d: DissipatorSpe
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered sequence of validated states with solver diagnostics."""
+    """Validated states on a time grid, as one read-only (n, d, d) stack of
+    density-matrix entries, with the propagation's drift diagnostics."""
 
     times: np.ndarray
-    states: list
+    entries: np.ndarray
     max_trace_drift: float
     max_hermiticity_drift: float
 
-    def bloch_series(self) -> np.ndarray:
-        """(n, 3) array of tau vectors; spin-1/2 trajectories only."""
-        from .spin_ops import rho_to_bloch
+    @property
+    def j(self) -> SpinQuantumNumber:
+        return SpinQuantumNumber(self.entries.shape[-1] - 1)
 
-        return np.array([rho_to_bloch(s).as_array() for s in self.states])
+    @functools.cached_property
+    def states(self) -> list:
+        """The states as DensityMatrix objects, built on first access."""
+        return [DensityMatrix(self.j, s) for s in self.entries]
+
+    def populations(self) -> np.ndarray:
+        """(n, d) J_z populations (m descending)."""
+        return self.entries.diagonal(axis1=1, axis2=2).real
+
+    def bloch_series(self) -> np.ndarray:
+        """(n, 3) array of tau vectors tau_i = tr(rho sigma_i); spin-1/2
+        trajectories only."""
+        if self.j.two_j != 1:
+            raise WrongDimension(f"Bloch representation needs two_j=1, got {self.j.two_j}")
+        return np.einsum("nab,iba->ni", self.entries, _PAULIS).real
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -361,12 +403,16 @@ def evolve(
     herm = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
     traces = np.trace(herm, axis1=1, axis2=2).real
     drift = np.abs(traces - 1.0)
-    if np.any(drift > TRACE_DRIFT_BOUND):
-        first = drift[np.argmax(drift > TRACE_DRIFT_BOUND)]
+    beyond = ~(drift <= TRACE_DRIFT_BOUND)  # a nan drift (overflow) is beyond it too
+    if np.any(beyond):
+        first = drift[np.argmax(beyond)]
         raise StiffnessFailure(f"trace drift {first:.3e} exceeds {TRACE_DRIFT_BOUND}")
+    entries = herm / traces[:, None, None]
+    check_density_entries(entries)
+    entries.setflags(write=False)
     return Trajectory(
         times=t_grid,
-        states=[DensityMatrix(rho0.j, s / tr) for s, tr in zip(herm, traces)],
+        entries=entries,
         max_trace_drift=float(drift.max()),
         max_hermiticity_drift=float(np.max(np.abs(raw - herm))),
     )

@@ -12,6 +12,11 @@ cross-validate each other:
 Von Neumann counterparts are provided for comparison; they diverge for
 pure states and for zero-temperature baths, which is signalled with
 infinities rather than exceptions.
+
+The closed forms, the exact flux and the von Neumann rates take one state
+or a whole trajectory's arrays: a BlochVector or an (n, 3) array of Bloch
+vectors, one density matrix or an (n, d, d) stack, populations of shape
+(d,) or (n, d). Scalar calls return floats; array calls return arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,7 +36,6 @@ from .spin_ops import (
     BlochVector,
     DensityMatrix,
     SpinQuantumNumber,
-    rho_to_bloch,
     temperature_from_nbar,
 )
 from . import _kernels
@@ -45,13 +49,14 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 @dataclass(frozen=True)
 class BathParams:
-    """Amplitude-damping bath: rate gamma and mean occupation nbar."""
+    """Amplitude-damping bath: rate gamma and mean occupation nbar. gamma
+    may be an array, the rate at each time of a trajectory."""
 
     gamma: float
     nbar: float
 
     def __post_init__(self):
-        if self.gamma < 0 or self.nbar < 0:
+        if np.any(np.asarray(self.gamma) < 0) or self.nbar < 0:
             raise UnsupportedParameters("gamma and nbar must be non-negative")
 
     @property
@@ -62,7 +67,8 @@ class BathParams:
 
 @dataclass(frozen=True)
 class EntropyRates:
-    """Rate bundle {dS/dt, Pi, Phi, Phi_E} with the method that produced it."""
+    """Rate bundle {dS/dt, Pi, Phi, Phi_E} with the method that produced it:
+    floats for one state, or arrays of one shape over a trajectory."""
 
     ds_dt: float
     pi: float
@@ -80,35 +86,65 @@ class DampingPiTerms(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Scalar helpers shared by the closed forms.
+# Helpers shared by the closed forms. Their branches are picked by masks;
+# a branch is evaluated where it is not taken at a harmless stand-in
+# argument, so that no element raises or warns. Powers and atanh go through
+# the C library (_kernels.libm), as in a scalar evaluation.
 # ---------------------------------------------------------------------------
 
 
-def coherence_bracket(tau: float) -> float:
-    """g(tau) = [tau - (1 - tau^2) atanh(tau)] / tau^3.
+def _out(x):
+    """A float for a scalar result, a float array otherwise."""
+    x = np.array(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
 
-    Even in tau, finite on [-1, 1]: g(0) = 2/3 by series, g(+-1) = 1.
+
+def _rates(method: str, ds_dt, pi, phi, phi_energy) -> EntropyRates:
+    """EntropyRates of floats, or of arrays of one shape if any is an array."""
+    fields = np.broadcast_arrays(ds_dt, pi, phi, phi_energy)
+    return EntropyRates(*map(_out, fields), method=method)
+
+
+def _bloch_parts(b) -> tuple:
+    """(tau_z, tau, tau_x^2 + tau_y^2, tau_z^2) of a BlochVector, or of each
+    row of an (..., 3) array of Bloch vectors."""
+    if isinstance(b, BlochVector):
+        return b.tau_z, b.tau, b.tau_x**2 + b.tau_y**2, b.tau_z**2
+    tx, ty, tz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    tx2, ty2, tz2 = (_kernels.libm(math.pow, c, 2.0) for c in (tx, ty, tz))
+    perp2 = tx2 + ty2
+    return tz, np.sqrt(perp2 + tz2), perp2, tz2
+
+
+def coherence_bracket(tau):
+    """g(tau) = [tau - (1 - tau^2) atanh(tau)] / tau^3, of a number or
+    elementwise of an array.
+
+    Even in tau, finite on [-1, 1]: g(0) = 2/3 by series below |tau| = 0.01,
+    g(+-1) = 1.
     """
-    x = abs(tau)
-    if x > 1.0:
-        raise UnsupportedParameters(f"|tau| = {x} exceeds 1")
-    if x == 1.0:
-        return 1.0
-    if x < 0.01:
-        x2 = x * x
-        return 2.0 / 3.0 + x2 * (2.0 / 15.0 + x2 * (2.0 / 35.0 + x2 * (2.0 / 63.0 + x2 * 2.0 / 99.0)))
-    return (x - (1.0 - x * x) * math.atanh(x)) / x**3
+    x = np.abs(tau)
+    if np.any(x > 1.0):
+        raise UnsupportedParameters(f"|tau| = {np.max(x)} exceeds 1")
+    x2 = x * x
+    series = 2.0 / 3.0 + x2 * (2.0 / 15.0 + x2 * (2.0 / 35.0 + x2 * (2.0 / 63.0 + x2 * 2.0 / 99.0)))
+    small, edge = x < 0.01, x == 1.0
+    y = np.where(small | edge, 0.5, x)
+    direct = (y - (1.0 - y * y) * _kernels.libm(math.atanh, y)) / _kernels.libm(math.pow, y, 3.0)
+    return _out(np.where(small, series, np.where(edge, 1.0, direct)))
 
 
-def atanh_over(x: float) -> float:
-    """atanh(x)/x, with the x -> 0 limit handled by series."""
-    ax = abs(x)
-    if ax >= 1.0:
-        raise UnsupportedParameters(f"|x| = {ax} is outside (-1, 1)")
-    if ax < 0.01:
-        x2 = x * x
-        return 1.0 + x2 * (1.0 / 3.0 + x2 * (1.0 / 5.0 + x2 * (1.0 / 7.0 + x2 / 9.0)))
-    return math.atanh(x) / x
+def atanh_over(x):
+    """atanh(x)/x, of a number or elementwise of an array, with the x -> 0
+    limit handled by series below |x| = 0.01."""
+    ax = np.abs(x)
+    if np.any(ax >= 1.0):
+        raise UnsupportedParameters(f"|x| = {np.max(ax)} is outside (-1, 1)")
+    x2 = x * x
+    series = 1.0 + x2 * (1.0 / 3.0 + x2 * (1.0 / 5.0 + x2 * (1.0 / 7.0 + x2 / 9.0)))
+    small = ax < 0.01
+    y = np.where(small, 0.5, x)
+    return _out(np.where(small, series, _kernels.libm(math.atanh, y) / y))
 
 
 # ---------------------------------------------------------------------------
@@ -125,21 +161,22 @@ def dephasing_pi_quadrature(field: HusimiField, lam: float) -> float:
     return 0.5 * lam * (field.j.dim / (4.0 * np.pi)) * raw
 
 
-def dephasing_pi_spin_half(b: BlochVector, lam: float) -> float:
+def dephasing_pi_spin_half(b, lam: float):
     """Closed form Pi = (lambda/4) (tau_x^2 + tau_y^2) g(tau) for spin 1/2."""
-    perp2 = b.tau_x**2 + b.tau_y**2
-    return 0.25 * lam * perp2 * coherence_bracket(b.tau)
+    _, tau, perp2, _ = _bloch_parts(b)
+    return _out(0.25 * lam * perp2 * coherence_bracket(tau))
 
 
-def dephasing_pi_von_neumann(b: BlochVector, lam: float) -> float:
+def dephasing_pi_von_neumann(b, lam: float):
     """Pi_vN = (lambda/2) (tau_x^2 + tau_y^2) atanh(tau)/tau.
 
-    Diverges for pure states; returns +inf once tau >= 1 - 1e-12.
+    Diverges for pure states: +inf once tau >= 1 - 1e-12, or 0 there
+    without coherence.
     """
-    perp2 = b.tau_x**2 + b.tau_y**2
-    if b.tau >= 1.0 - DIVERGENCE_EDGE:
-        return 0.0 if perp2 == 0.0 else math.inf
-    return 0.5 * lam * perp2 * atanh_over(b.tau)
+    _, tau, perp2, _ = _bloch_parts(b)
+    edge = tau >= 1.0 - DIVERGENCE_EDGE
+    finite = 0.5 * lam * perp2 * atanh_over(np.where(edge, 0.0, tau))
+    return _out(np.where(edge, np.where(perp2 == 0.0, 0.0, math.inf), finite))
 
 
 # ---------------------------------------------------------------------------
@@ -184,34 +221,35 @@ def damping_pi_quadrature(field: HusimiField, bath: BathParams) -> DampingPiTerm
 # ---------------------------------------------------------------------------
 
 
-def damping_phi_exact(populations: np.ndarray, bath: BathParams, j: SpinQuantumNumber) -> float:
-    """Exact damping entropy flux from the J_z populations (m descending).
+def damping_phi_exact(populations: np.ndarray, bath: BathParams, j: SpinQuantumNumber):
+    """Exact damping entropy flux from the J_z populations (m descending),
+    of one state, shape (d,), or of each row of a (..., d) array.
 
-    The flux depends only on the diagonal of the state. Valid for
-    tau_bar_z in (-1, 0); the T = 0 boundary must use
+    The flux depends only on the diagonal of the state, linearly: its
+    2(2J+1) 2F1 values depend on J and nbar alone and are evaluated once per
+    call. Valid for tau_bar_z in (-1, 0); the T = 0 boundary must use
     damping_phi_zero_temperature instead.
     """
     tbz = bath.tau_bar_z
     if tbz <= EXACT_FLUX_MIN_TBZ:
         raise UnsupportedParameters("tau_bar_z = -1: use damping_phi_zero_temperature")
     pops = np.asarray(populations, dtype=float)
-    if pops.shape != (j.dim,):
+    if pops.ndim == 0 or pops.shape[-1] != j.dim:
         raise UnsupportedParameters(f"expected {j.dim} populations, got shape {pops.shape}")
     jj = j.j
-    ms = j.m_values()
-    jz = float(np.dot(pops, ms))
     z = 2.0 * tbz / (tbz - 1.0)
     c = 3.0 + 2.0 * jj
-    acc = 0.0
-    for p, m in zip(pops, ms):
+    # Summed over m in basis order, term by term, so that a state's flux does
+    # not depend on how many states share the call.
+    acc = jz = 0.0
+    for k, m in enumerate(j.m_values()):
         f1 = gauss_2f1(1.0, 1.0 + jj + m, c, z)
         f2 = gauss_2f1(1.0, 2.0 + jj + m, c, z)
-        acc += p * (
-            ((1.0 + jj - m) / tbz) * f1
-            + ((1.0 + jj + m) * (1.0 + 4.0 * jj + 1.0 / tbz) / (1.0 - tbz)) * f2
-        )
+        weight = ((1.0 + jj - m) / tbz) * f1 + ((1.0 + jj + m) * (1.0 + 4.0 * jj + 1.0 / tbz) / (1.0 - tbz)) * f2
+        acc = acc + pops[..., k] * weight
+        jz = jz + pops[..., k] * m
     total = (1.0 + tbz) / tbz + 2.0 * (jj + jz) - 0.5 * ((1.0 + tbz) / (1.0 + jj)) * acc
-    return bath.gamma * jj * total
+    return _out(bath.gamma * jj * total)
 
 
 def damping_phi_zero_temperature(jz_expect: float, gamma: float, j: SpinQuantumNumber) -> float:
@@ -246,18 +284,21 @@ def damping_phi_asymptotic(populations: np.ndarray, bath: BathParams, j: SpinQua
     return 2.0 * bath.gamma * jj * (jj + jz + ((1.0 + tbz) / (2.0 * tbz)) * bracket)
 
 
-def energy_flux(rho: DensityMatrix, bath: BathParams, omega: float) -> float:
-    """Phi_E = (gamma omega / tau_bar_z) [tau_bar_z (J(J+1) - <J_z^2>) - <J_z>].
+def energy_flux(rho, bath: BathParams, omega: float):
+    """Phi_E = (gamma omega / tau_bar_z) [tau_bar_z (J(J+1) - <J_z^2>) - <J_z>]
+    of a DensityMatrix or of each matrix of an (..., d, d) stack of entries.
 
     Equals -tr(H D(rho)) for H = omega J_z.
     """
+    entries = np.asarray(getattr(rho, "entries", rho))
+    j = SpinQuantumNumber(entries.shape[-1] - 1)
     tbz = bath.tau_bar_z
-    jj = rho.j.j
-    ms = rho.j.m_values()
-    pops = rho.populations()
-    jz = float(np.dot(pops, ms))
-    jz2 = float(np.dot(pops, ms * ms))
-    return (bath.gamma * omega / tbz) * (tbz * (jj * (jj + 1.0) - jz2) - jz)
+    jj = j.j
+    ms = j.m_values()
+    pops = entries.diagonal(axis1=-2, axis2=-1).real
+    jz = pops @ ms
+    jz2 = pops @ (ms * ms)
+    return _out((bath.gamma * omega / tbz) * (tbz * (jj * (jj + 1.0) - jz2) - jz))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +306,7 @@ def energy_flux(rho: DensityMatrix, bath: BathParams, omega: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def spin_half_damping_rates(b: BlochVector, bath: BathParams, omega: float) -> EntropyRates:
+def spin_half_damping_rates(b, bath: BathParams, omega: float) -> EntropyRates:
     """Wehrl rates of the damping channel for spin 1/2.
 
     The flux bracket and the production correction share the coherence
@@ -275,53 +316,57 @@ def spin_half_damping_rates(b: BlochVector, bath: BathParams, omega: float) -> E
     """
     tbz = bath.tau_bar_z
     g = bath.gamma
-    tau = b.tau
-    phi = 0.5 * g * coherence_bracket(tbz) * (b.tau_z - tbz)
+    tz, tau, _, tz2 = _bloch_parts(b)
+    phi = 0.5 * g * coherence_bracket(tbz) * (tz - tbz)
     correction = (
         0.5 * g
-        * (2.0 * tbz * b.tau_z - (tau * tau + b.tau_z**2))
+        * (2.0 * tbz * tz - (tau * tau + tz2))
         / (2.0 * tbz)
         * coherence_bracket(tau)
     )
     pi = phi + correction
-    phi_e = (g * omega / (2.0 * tbz)) * (tbz - b.tau_z)
+    phi_e = (g * omega / (2.0 * tbz)) * (tbz - tz)
     method = "zero_T" if tbz == -1.0 else "closed_form_spin_half"
-    return EntropyRates(ds_dt=pi - phi, pi=pi, phi=phi, phi_energy=phi_e, method=method)
+    return _rates(method, pi - phi, pi, phi, phi_e)
 
 
-def spin_half_dephasing_rates(b: BlochVector, lam: float) -> EntropyRates:
+def spin_half_dephasing_rates(b, lam: float) -> EntropyRates:
     """Wehrl rates of the dephasing channel for spin 1/2 (no flux)."""
     pi = dephasing_pi_spin_half(b, lam)
-    return EntropyRates(ds_dt=pi, pi=pi, phi=0.0, phi_energy=0.0, method="closed_form_spin_half")
+    return _rates("closed_form_spin_half", pi, pi, 0.0, 0.0)
 
 
-def spin_half_dephasing_von_neumann(b: BlochVector, lam: float) -> EntropyRates:
+def spin_half_dephasing_von_neumann(b, lam: float) -> EntropyRates:
     """Von Neumann rates of the dephasing channel for spin 1/2 (no flux)."""
     pi = dephasing_pi_von_neumann(b, lam)
-    return EntropyRates(ds_dt=pi, pi=pi, phi=0.0, phi_energy=0.0, method="von_neumann")
+    return _rates("von_neumann", pi, pi, 0.0, 0.0)
 
 
-def spin_half_damping_von_neumann(b: BlochVector, bath: BathParams, omega: float) -> EntropyRates:
+def spin_half_damping_von_neumann(b, bath: BathParams, omega: float) -> EntropyRates:
     """Von Neumann rates of the damping channel for spin 1/2.
 
     Phi_vN diverges as tau_bar_z -> -1 (zero-temperature bath) and the
-    production diverges for pure states; both are reported as infinities.
+    production diverges for pure states; both are reported as infinities
+    (0 where their factor vanishes).
     """
     tbz = bath.tau_bar_z
     g = bath.gamma
-    tau = b.tau
-    dev = b.tau_z - tbz
+    tz, tau, _, _ = _bloch_parts(b)
+    dev = tz - tbz
     if tbz <= -1.0 + DIVERGENCE_EDGE:
-        phi = 0.0 if dev == 0.0 else math.copysign(math.inf, dev)
+        phi = np.where(dev == 0.0, 0.0, np.copysign(math.inf, dev))
     else:
         phi = g * atanh_over(tbz) * dev
-    shape = tau * tau + b.tau_z * (b.tau_z - 2.0 * tbz)
-    if tau >= 1.0 - DIVERGENCE_EDGE:
-        ds = 0.0 if shape == 0.0 else math.copysign(math.inf, -shape / tbz)
-    else:
-        ds = -0.5 * g * atanh_over(tau) * shape / tbz
-    phi_e = (g * omega / (2.0 * tbz)) * (tbz - b.tau_z)
-    return EntropyRates(ds_dt=ds, pi=phi + ds, phi=phi, phi_energy=phi_e, method="von_neumann")
+    shape = tau * tau + tz * (tz - 2.0 * tbz)
+    edge = tau >= 1.0 - DIVERGENCE_EDGE
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as for floats
+        ds = np.where(
+            edge,
+            np.where(shape == 0.0, 0.0, np.copysign(math.inf, -shape / tbz)),
+            -0.5 * g * atanh_over(np.where(edge, 0.0, tau)) * shape / tbz,
+        )
+        phi_e = (g * omega / (2.0 * tbz)) * (tbz - tz)
+        return _rates("von_neumann", ds, phi + ds, phi, phi_e)
 
 
 # ---------------------------------------------------------------------------
@@ -329,31 +374,34 @@ def spin_half_damping_von_neumann(b: BlochVector, bath: BathParams, omega: float
 # ---------------------------------------------------------------------------
 
 
-def bath_at(d: DissipatorSpec, t: float) -> BathParams:
-    """The bath of a damping dissipator at time t."""
+def bath_at(d: DissipatorSpec, t) -> BathParams:
+    """The bath of a damping dissipator at time t, or at an array of times."""
     gamma = d.gamma_t(t) if d.kind == "time_dependent_damping" else d.gamma
     return BathParams(gamma=gamma, nbar=d.nbar)
 
 
-def _quadrature_rates(state: DensityMatrix, field: HusimiField, d: DissipatorSpec, t: float) -> EntropyRates:
+def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
     if d.kind == "dephasing":
-        pi = dephasing_pi_quadrature(field, d.lam)
-        return EntropyRates(ds_dt=pi, pi=pi, phi=0.0, phi_energy=0.0, method="quadrature")
-    phi, pi_terms = damping_quadrature(field, bath_at(d, t))
-    pi = pi_terms.total
-    return EntropyRates(ds_dt=pi - phi, pi=pi, phi=phi, phi_energy=0.0, method="quadrature")
+        pi = np.array([dephasing_pi_quadrature(field, d.lam) for field in fields])
+        return _rates("quadrature", pi, pi, 0.0, 0.0)
+    rows = []
+    for field, t in zip(fields, times):
+        phi, terms = damping_quadrature(field, bath_at(d, t))
+        rows.append((phi, terms.total))
+    phi, pi = np.array(rows).T
+    return _rates("quadrature", pi - phi, pi, phi, 0.0)
 
 
-def _exact_2f1_rates(state: DensityMatrix, field, d: DissipatorSpec, t: float) -> EntropyRates:
-    phi = damping_phi_exact(state.populations(), bath_at(d, t), state.j)
-    return EntropyRates(ds_dt=math.nan, pi=math.nan, phi=phi, phi_energy=0.0, method="exact-2F1")
+def _exact_2f1_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
+    phi = damping_phi_exact(traj.populations(), bath_at(d, times), traj.j)
+    return _rates("exact-2F1", math.nan, math.nan, phi, 0.0)
 
 
-def _closed_form_rates(state: DensityMatrix, field, d: DissipatorSpec, t: float) -> EntropyRates:
-    b = rho_to_bloch(state)
+def _closed_form_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
+    b = traj.bloch_series()
     if d.kind == "dephasing":
         return spin_half_dephasing_rates(b, d.lam)
-    return spin_half_damping_rates(b, bath_at(d, t), omega=0.0)
+    return spin_half_damping_rates(b, bath_at(d, times), omega=0.0)
 
 
 def _exact_2f1_applies(two_j: int, d: DissipatorSpec) -> bool:
@@ -366,20 +414,23 @@ def _pi_and_phi(d: DissipatorSpec) -> tuple:
 
 @dataclass(frozen=True)
 class RateMethod:
-    """One route from a state to its Wehrl rates.
+    """One route from a trajectory to its Wehrl rates.
 
     applies(two_j, dissipator) says where the method is defined and
     trusted; gives(dissipator) names which of "pi" and "phi" it yields.
-    rates(state, field, dissipator, t) returns EntropyRates with
-    phi_energy left at 0; field is the state's HusimiField, or None if
-    needs_field is False.
+    rates(trajectory, fields, dissipator, times) returns one EntropyRates
+    of arrays over times, with phi_energy left at 0. fields is an iterable
+    of the states' HusimiFields in time order (husimi_fields builds them a
+    few at a time), which the method consumes once, or None if needs_field
+    is False; a method that needs fields reads nothing else of the
+    trajectory.
     """
 
     name: str
     applies: Callable[[int, DissipatorSpec], bool]
     gives: Callable[[DissipatorSpec], tuple]
     needs_field: bool
-    rates: Callable[[DensityMatrix, Optional[HusimiField], DissipatorSpec, float], EntropyRates]
+    rates: Callable[[Trajectory, Optional[Iterable[HusimiField]], DissipatorSpec, np.ndarray], EntropyRates]
 
 
 # In the order compare reports them. Neither the exact flux, singular at
@@ -444,20 +495,19 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(evals * np.log(evals)))
 
 
-def von_neumann_rates(
-    rho: DensityMatrix, rho_dot: np.ndarray, bath: BathParams, omega: float
-) -> EntropyRates:
+def von_neumann_rates(rho, rho_dot: np.ndarray, bath: BathParams, omega: float) -> EntropyRates:
     """General-J von Neumann bundle: dS/dt = -tr(rho_dot ln rho),
-    Phi = Phi_E / T, Pi = dS/dt + Phi. T = 0 is flagged with infinities."""
-    evals, vecs = np.linalg.eigh(rho.entries)
-    log_rho = (vecs * np.log(np.clip(evals, EIG_LOG_FLOOR, None))) @ vecs.conj().T
-    ds = float(-np.trace(np.asarray(rho_dot) @ log_rho).real)
+    Phi = Phi_E / T, Pi = dS/dt + Phi, of a DensityMatrix or of each matrix
+    of a stack (one batched eigh). T = 0 is flagged with infinities."""
+    evals, vecs = np.linalg.eigh(getattr(rho, "entries", rho))
+    log_rho = (vecs * np.log(np.clip(evals, EIG_LOG_FLOOR, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    ds = -np.trace(np.asarray(rho_dot) @ log_rho, axis1=-2, axis2=-1).real
     phi_e = energy_flux(rho, bath, omega)
     if bath.nbar == 0.0:
-        phi = 0.0 if phi_e == 0.0 else math.copysign(math.inf, phi_e)
+        phi = np.where(phi_e == 0.0, 0.0, np.copysign(math.inf, phi_e))
     else:
         phi = phi_e / temperature_from_nbar(omega, bath.nbar)
-    return EntropyRates(ds_dt=ds, pi=ds + phi, phi=phi, phi_energy=phi_e, method="von_neumann")
+    return _rates("von_neumann", ds, ds + phi, phi, phi_e)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,8 @@ _CHUNK_NODES = 4 * 96 * 192
 
 
 def husimi_fields(states, grid: SphereGrid) -> Iterator[HusimiField]:
-    """The Husimi field of each state of an iterable of one spin, in order.
+    """The Husimi field of each state, in order: states is an iterable of
+    DensityMatrix of one spin, or an (n, d, d) stack of their entries.
 
     States are transformed in chunks, so memory stays bounded however many
     there are.
@@ -193,10 +194,9 @@ def husimi_fields(states, grid: SphereGrid) -> Iterator[HusimiField]:
     it = iter(states)
     per_chunk = max(1, _CHUNK_NODES // grid.n_nodes)
     while chunk := list(itertools.islice(it, per_chunk)):
-        j = chunk[0].j
-        q, dth, dph = _kernels.husimi_contract(
-            *grid.amplitude_table(j), np.stack([s.entries for s in chunk])
-        )
+        mats = np.stack([getattr(s, "entries", s) for s in chunk])
+        j = SpinQuantumNumber(mats.shape[-1] - 1)
+        q, dth, dph = _kernels.husimi_contract(*grid.amplitude_table(j), mats)
         for k in range(len(chunk)):
             yield HusimiField(grid=grid, j=j, q=q[k], dq_dtheta=dth[k], dq_dphi=dph[k])
 
@@ -222,22 +222,28 @@ def wehrl_entropy(field: HusimiField) -> float:
     return -(field.j.dim / (4.0 * np.pi)) * field.grid.integrate(integrand)
 
 
-def wehrl_entropy_spin_half(tau: float) -> float:
-    """Exact Wehrl entropy of a spin-1/2 state with Bloch length tau:
+def wehrl_entropy_spin_half(tau):
+    """Exact Wehrl entropy of a spin-1/2 state with Bloch length tau, a
+    number or elementwise an array:
 
     S = -(1/tau) [u^2 ln u - u^2/2] from u = (1 - tau)/2 to (1 + tau)/2,
 
     by its series ln 2 - tau^2/6 - tau^4/60 below tau = 1e-3; tau is
     clamped to 1.
     """
-    tau = min(abs(tau), 1.0)
-    if tau < 1e-3:
-        return math.log(2.0) - tau * tau / 6.0 - tau**4 / 60.0
+    tau = np.minimum(np.abs(tau), 1.0)
+    series = math.log(2.0) - tau * tau / 6.0 - _kernels.libm(math.pow, tau, 4.0) / 60.0
 
-    def f(u: float) -> float:
-        return u * u * math.log(u) - 0.5 * u * u if u > 0.0 else 0.0
+    def f(u):
+        # u ln u at u > 0 through the C library, as _kernels.libm explains.
+        pos = u > 0.0
+        v = np.where(pos, u, 1.0)
+        return np.where(pos, v * v * _kernels.libm(math.log, v) - 0.5 * v * v, 0.0)
 
-    return -(f(0.5 * (1.0 + tau)) - f(0.5 * (1.0 - tau))) / tau
+    small = tau < 1e-3
+    t = np.where(small, 0.5, tau)
+    s = np.where(small, series, -(f(0.5 * (1.0 + t)) - f(0.5 * (1.0 - t))) / t)
+    return float(s) if s.ndim == 0 else s
 
 
 @dataclass(frozen=True)

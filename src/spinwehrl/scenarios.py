@@ -3,23 +3,22 @@ spin in a rotating field, and a two-level atom hit by a single-photon pulse.
 
 Every scenario is a Model (initial state, Hamiltonian, dissipator, and a
 hook adding the scenario's own scalars and extras) run through one
-pipeline, simulate: evolve the master equation on a uniform output grid,
-then reduce each state to Wehrl and von Neumann rates with the primary
-method of the entropy_rates registry. compare instead cross-checks every
-method that applies. Outputs are deterministic for fixed inputs (fixed
-integrator tolerances and quadrature grids).
+pipeline, simulate: evolve the master equation exactly on a uniform output
+grid, then reduce the trajectory's arrays to Wehrl and von Neumann rate
+series with the primary method of the entropy_rates registry. compare
+instead cross-checks every method that applies. Outputs are deterministic
+for fixed inputs (exact propagators and fixed quadrature grids).
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import _kernels
 from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, evolve, lindblad_rhs
 from .entropy_rates import (
     BathParams,
@@ -63,11 +62,12 @@ class Model:
 @dataclass(frozen=True)
 class ScenarioResult:
     """Trajectory plus rate series and summary scalars for one scenario,
-    and the model it came from."""
+    and the model it came from. wehrl and von_neumann are EntropyRates
+    whose fields are arrays over the trajectory's times."""
 
     trajectory: Trajectory
-    wehrl: list
-    von_neumann: list
+    wehrl: EntropyRates
+    von_neumann: EntropyRates
     entropy: np.ndarray
     bloch: Optional[np.ndarray]
     scalars: dict
@@ -79,10 +79,9 @@ class ScenarioResult:
         return self.trajectory.times
 
     def series(self, name: str) -> np.ndarray:
-        """Extract a rate field ('pi', 'phi', 'ds_dt', 'phi_energy') as arrays."""
+        """A rate series by name, e.g. 'wehrl.pi' or 'von_neumann.phi_energy'."""
         method, _, field = name.partition(".")
-        bundles = {"wehrl": self.wehrl, "von_neumann": self.von_neumann}[method]
-        return np.array([getattr(r, field) for r in bundles])
+        return getattr({"wehrl": self.wehrl, "von_neumann": self.von_neumann}[method], field)
 
 
 def _uniform_grid(t_max: float, dt: float) -> np.ndarray:
@@ -99,20 +98,28 @@ def _sigma_or_none(times, pi_values) -> Optional[float]:
     return integrate_rate_series(times, pi_values, SIGMA_TAIL_TOL)
 
 
-def _von_neumann(
-    state: DensityMatrix, b: Optional[BlochVector], t: float, h: HamiltonianSpec, d: DissipatorSpec
-) -> EntropyRates:
-    """Closed forms for spin 1/2 (b is the state's Bloch vector), the
-    eigendecomposition route for thermal damping against a static J_z
+def _von_neumann(traj: Trajectory, bloch: Optional[np.ndarray], h: HamiltonianSpec, d: DissipatorSpec) -> EntropyRates:
+    """Closed forms for spin 1/2 (bloch is the trajectory's Bloch array),
+    the eigendecomposition route for thermal damping against a static J_z
     Hamiltonian, NaN otherwise."""
-    if b is not None:
+    times = traj.times
+    if bloch is not None:
         if d.kind == "dephasing":
-            return spin_half_dephasing_von_neumann(b, d.lam)
-        return spin_half_damping_von_neumann(b, bath_at(d, t), omega=0.0)
+            return spin_half_dephasing_von_neumann(bloch, d.lam)
+        return spin_half_damping_von_neumann(bloch, bath_at(d, times), omega=0.0)
     if d.kind == "amplitude_damping" and h.kind == "static_jz":
-        rd = lindblad_rhs(state.entries, t, h, d)
-        return von_neumann_rates(state, rd, bath_at(d, t), h.omega)
-    return EntropyRates(math.nan, math.nan, math.nan, 0.0, method="von_neumann")
+        rd = lindblad_rhs(traj.entries, times, h, d)
+        return von_neumann_rates(traj.entries, rd, bath_at(d, times), h.omega)
+    nan = np.full(times.size, math.nan)
+    return EntropyRates(nan, nan, nan, np.zeros(times.size), method="von_neumann")
+
+
+def _recording_entropy(fields, entropy: np.ndarray):
+    """The fields unchanged, writing the Wehrl entropy of the k-th into
+    entropy[k] as it passes."""
+    for k, field in enumerate(fields):
+        entropy[k] = wehrl_entropy(field)
+        yield field
 
 
 def simulate(
@@ -122,39 +129,38 @@ def simulate(
     grid: Optional[SphereGrid] = None,
     tol: float = 1e-10,
 ) -> ScenarioResult:
-    """Evolve a model and reduce each state to rates: the one pipeline
-    behind every scenario and the CLI's run and sweep.
+    """Evolve a model and reduce its trajectory to rate series: the one
+    pipeline behind every scenario and the CLI's run and sweep.
 
-    The registry's primary method gives the Wehrl rates. The Wehrl
-    entropy is in closed form for spin 1/2, otherwise on the grid. Husimi
-    fields are built, once per state and on grid (by default make_grid()),
-    only where a rate or the entropy needs them.
+    The registry's primary method gives the Wehrl rates: the closed forms
+    for spin 1/2, on the trajectory's Bloch array, and otherwise the
+    quadrature, whose one pass over the Husimi fields (built a few states
+    at a time on grid, by default make_grid()) also gives the Wehrl
+    entropy. Spin-1/2 runs take the entropy from its closed form and build
+    no field.
     """
     rho0, h, d = model.rho0, model.h, model.d
     j = rho0.j
     method = primary_rate_method(j.two_j, d)
     traj = evolve(rho0, h, d, _uniform_grid(t_max, dt), tol)
-    bloch = traj.bloch_series() if j.two_j == 1 else None
-    if method.needs_field or bloch is None:
-        fields = husimi_fields(traj.states, grid if grid is not None else make_grid())
+    times = traj.times
+    if j.two_j == 1:
+        bloch = traj.bloch_series()
+        entropy = wehrl_entropy_spin_half(_kernels.libm(math.hypot, *bloch.T))
+        wehrl = method.rates(traj, None, d, times)
     else:
-        fields = itertools.repeat(None)
-    entropy = np.empty(traj.times.size)
-    wehrl = []
-    von_neumann = []
-    for k, (t, state, q) in enumerate(zip(traj.times, traj.states, fields)):
-        entropy[k] = wehrl_entropy(q) if bloch is None else wehrl_entropy_spin_half(math.hypot(*bloch[k]))
-        fe = float(-np.trace(h.matrix(j, t) @ d.apply(state.entries, t)).real)
-        wehrl.append(replace(method.rates(state, q, d, t), phi_energy=fe))
-        bv = None if bloch is None else BlochVector(*bloch[k])
-        von_neumann.append(replace(_von_neumann(state, bv, t, h, d), phi_energy=fe))
+        bloch = None
+        entropy = np.empty(times.size)
+        fields = husimi_fields(traj.entries, grid if grid is not None else make_grid())
+        wehrl = method.rates(traj, _recording_entropy(fields, entropy), d, times)
+    fe = -np.trace(h.matrix(j, times) @ d.apply(traj.entries, times), axis1=-2, axis2=-1).real
     result = ScenarioResult(
         trajectory=traj,
-        wehrl=wehrl,
-        von_neumann=von_neumann,
+        wehrl=replace(wehrl, phi_energy=fe),
+        von_neumann=replace(_von_neumann(traj, bloch, h, d), phi_energy=fe),
         entropy=entropy,
         bloch=bloch,
-        scalars={"sigma_wehrl": _sigma_or_none(traj.times, [r.pi for r in wehrl])},
+        scalars={"sigma_wehrl": _sigma_or_none(times, wehrl.pi)},
         extras={},
         model=model,
     )
@@ -168,25 +174,18 @@ def cross_check(
     d: DissipatorSpec, traj: Trajectory, methods: list, grid: Optional[SphereGrid] = None
 ) -> dict:
     """Maximum relative deviation along traj of each check in
-    rate_pairs(methods, d), by label. Each state's Husimi field is built
-    once, on grid, if a method needs one; no state is visited when there is
-    no check."""
+    rate_pairs(methods, d), by label. Each method that needs Husimi fields
+    gets them built on grid, each state's once; nothing is evaluated when
+    there is no check."""
     pairs = rate_pairs(methods, d)
     if not pairs:
         return {}
-    rates = {m.name: [] for m in methods}
-    if any(m.needs_field for m in methods):
-        fields = husimi_fields(traj.states, grid)
-    else:
-        fields = itertools.repeat(None)
-    for t, state, q in zip(traj.times, traj.states, fields):
-        for m in methods:
-            rates[m.name].append(m.rates(state, q, d, t))
+    rates = {
+        m.name: m.rates(traj, husimi_fields(traj.entries, grid) if m.needs_field else None, d, traj.times)
+        for m in methods
+    }
     return {
-        label: max_relative_deviation(
-            [getattr(r, quantity) for r in rates[a.name]],
-            [getattr(r, quantity) for r in rates[b.name]],
-        )
+        label: max_relative_deviation(getattr(rates[a.name], quantity), getattr(rates[b.name], quantity))
         for label, quantity, a, b in pairs
     }
 
@@ -326,8 +325,8 @@ def rotating_field_model(
         if dissipator.kind == "amplitude_damping":
             bath = BathParams(gamma=dissipator.gamma, nbar=dissipator.nbar)
             scalars["steady_state"] = rotating_field_steady_state(b0, b1, drive_omega, bath)
-            scalars["pi_wehrl_final"] = result.wehrl[-1].pi
-            scalars["phi_wehrl_final"] = result.wehrl[-1].phi
+            scalars["pi_wehrl_final"] = float(result.wehrl.pi[-1])
+            scalars["phi_wehrl_final"] = float(result.wehrl.phi[-1])
         return scalars, {"phi_energy_direct": result.series("wehrl.phi_energy")}
 
     return Model(initial_state, HamiltonianSpec.rotating_field(b0, b1, drive_omega), dissipator, finish)
@@ -373,7 +372,7 @@ def markov_threshold(params: PulseParams) -> float:
     """Smallest a0 keeping the effective decay rate non-negative:
     a0 >= sqrt(delta/(1+delta)) with delta = 4 r / (1 - r)^2, r = bandwidth ratio."""
     r = params.capital_omega / params.gamma0
-    delta = 4.0 * r / (1.0 - r) ** 2
+    delta = 4.0 * r / (1.0 - r) / (1.0 - r)  # not (1 - r)**2, which overflows
     return math.sqrt(delta / (1.0 + delta))
 
 
@@ -467,21 +466,13 @@ def photon_pulse_model(params: PulseParams) -> Model:
             f"a0 = {params.a0} below the threshold {markov_threshold(params):.6f}"
         )
 
-    # evolve asks for each rate on an array of quadrature nodes; each
-    # state's dissipator, energy flux and rate methods ask for both rates at
-    # one t in turn.
-    @functools.lru_cache(maxsize=1)
-    def rates_at_time(t: float) -> tuple:
-        return pulse_effective_rates(params, t)
-
-    def rates_at(t) -> tuple:
-        return rates_at_time(t) if isinstance(t, float) else pulse_effective_rates(params, t)
-
+    # evolve asks for each rate on an array of quadrature nodes, and the
+    # rates and energy flux on the array of output times.
     def gamma_t(t):
-        return rates_at(t)[0]
+        return pulse_effective_rates(params, t)[0]
 
     def omega_t(t):
-        return rates_at(t)[1]
+        return pulse_effective_rates(params, t)[1]
 
     def finish(result: ScenarioResult) -> tuple:
         scalars = {"markovian": True, "markov_threshold": markov_threshold(params)}

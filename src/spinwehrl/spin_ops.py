@@ -54,13 +54,33 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_density_entries(rho: np.ndarray) -> None:
+    """Raise NonPhysicalState unless rho, one (d, d) matrix or a (..., d, d)
+    stack of them, is Hermitian, of unit trace and positive semidefinite up
+    to HERMITICITY_TOL, TRACE_TOL and EIGENVALUE_FLOOR, with finite entries.
+    For a stack the message names the worst matrix's defect."""
+    if not np.all(np.isfinite(rho)):
+        raise NonPhysicalState("matrix has non-finite entries")
+    adjoint = rho.conj().swapaxes(-1, -2)
+    herm = np.max(np.abs(rho - adjoint), axis=(-2, -1))
+    if np.any(herm > HERMITICITY_TOL):
+        raise NonPhysicalState(f"matrix is not Hermitian (defect {np.max(herm):.3e})")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    drift = np.abs(tr - 1.0)
+    if np.any(drift > TRACE_TOL):
+        raise NonPhysicalState(f"trace is {np.ravel(tr)[np.argmax(drift)]}, expected 1")
+    lo = np.min(np.linalg.eigvalsh(0.5 * (rho + adjoint)))
+    if lo < EIGENVALUE_FLOOR:
+        raise NonPhysicalState(f"matrix has negative eigenvalue {lo:.3e}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated (2J+1)x(2J+1) density matrix.
 
     Construction enforces Hermiticity, unit trace and positive
-    semidefiniteness up to the tolerances below; integrator round-off within
-    those bands is accepted.
+    semidefiniteness up to the tolerances of check_density_entries;
+    round-off of the propagation within those bands is accepted.
     """
 
     j: SpinQuantumNumber
@@ -71,15 +91,7 @@ class DensityMatrix:
         d = self.j.dim
         if rho.shape != (d, d):
             raise DimensionMismatch(f"expected {(d, d)} matrix, got {rho.shape}")
-        herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > HERMITICITY_TOL:
-            raise NonPhysicalState(f"matrix is not Hermitian (defect {herm:.3e})")
-        tr = np.trace(rho)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NonPhysicalState(f"trace is {tr}, expected 1")
-        lo = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-        if lo < EIGENVALUE_FLOOR:
-            raise NonPhysicalState(f"matrix has negative eigenvalue {lo:.3e}")
+        check_density_entries(rho)
         object.__setattr__(self, "entries", _freeze(rho))
 
     @property
@@ -100,8 +112,10 @@ class BlochVector:
     tau_z: float
 
     def __post_init__(self):
-        if self.tau > 1.0 + 1e-12:
-            raise NonPhysicalState(f"Bloch vector length {self.tau} exceeds 1")
+        # Components are bounded first: squaring a huge one would overflow.
+        parts = (self.tau_x, self.tau_y, self.tau_z)
+        if not all(abs(c) <= 1.0 + 1e-12 for c in parts) or self.tau > 1.0 + 1e-12:
+            raise NonPhysicalState(f"Bloch vector length {math.hypot(*parts)} exceeds 1")
 
     @property
     def tau(self) -> float:
@@ -202,6 +216,8 @@ def nbar_from_temperature(omega: float, temperature: float) -> float:
     if temperature == 0.0:
         return 0.0
     x = omega / temperature
+    if x < 1e-300:  # 1/x would overflow
+        raise NonPhysicalState(f"T/omega = {temperature / omega:g} exceeds 1e300")
     # Beyond x = 700 the -1 is below double precision, and expm1 overflows.
     return 1.0 / math.expm1(x) if x < 700.0 else math.exp(-x)
 

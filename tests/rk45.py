@@ -38,7 +38,7 @@ def evolve_rk45(rho0: DensityMatrix, h, d, t_grid, tol: float = 1e-10) -> Trajec
     if not sol.success:
         raise StiffnessFailure(f"integrator failed: {sol.message}")
 
-    states = []
+    entries = []
     max_trace_drift = 0.0
     max_herm_drift = 0.0
     for k in range(t_grid.size):
@@ -49,10 +49,10 @@ def evolve_rk45(rho0: DensityMatrix, h, d, t_grid, tol: float = 1e-10) -> Trajec
         max_trace_drift = max(max_trace_drift, abs(tr - 1.0))
         if abs(tr - 1.0) > TRACE_DRIFT_BOUND:
             raise StiffnessFailure(f"trace drift {abs(tr - 1.0):.3e} exceeds {TRACE_DRIFT_BOUND}")
-        states.append(DensityMatrix(rho0.j, herm / tr))
+        entries.append(DensityMatrix(rho0.j, herm / tr).entries)
     return Trajectory(
         times=t_grid,
-        states=states,
+        entries=np.array(entries),
         max_trace_drift=max_trace_drift,
         max_hermiticity_drift=max_herm_drift,
     )

@@ -315,18 +315,18 @@ def test_criterion_09_rotating_field_steady_state():
     rho0 = bloch_to_rho(BlochVector(1.0, 0.0, 0.0))
     res = rotating_field(b0, b1, w, DissipatorSpec.amplitude_damping(gamma, nbar),
                          rho0, t_max=15.0, dt=0.01, grid=None)
-    assert abs(res.wehrl[-1].pi - res.wehrl[-1].phi) <= 1e-4
-    assert res.wehrl[-1].pi == pytest.approx(ss["pi_wehrl"], abs=1e-4)
-    assert res.von_neumann[-1].pi == pytest.approx(ss["pi_vn"], abs=1e-4)
+    assert abs(res.wehrl.pi[-1] - res.wehrl.phi[-1]) <= 1e-4
+    assert res.wehrl.pi[-1] == pytest.approx(ss["pi_wehrl"], abs=1e-4)
+    assert res.von_neumann.pi[-1] == pytest.approx(ss["pi_vn"], abs=1e-4)
     # T -> 0: Wehrl value gamma b1^2 / (gamma^2 + 2 b1^2 + 4 (b0 + w)^2)
     b0, b1, w = 2.0, 3.0, 1.0
     expected = gamma * b1**2 / (gamma**2 + 2 * b1**2 + 4 * (b0 + w) ** 2)
     res0 = rotating_field(b0, b1, w, DissipatorSpec.amplitude_damping(gamma, 0.0),
                           rho0, t_max=25.0, dt=0.01, grid=None)
-    assert res0.wehrl[-1].pi == pytest.approx(expected, abs=1e-4)
-    assert abs(res0.wehrl[-1].pi - res0.wehrl[-1].phi) <= 1e-4
-    print(f"\nACCEPTANCE 9 PASS: steady state Pi = Phi, Wehrl {res.wehrl[-1].pi:.6f} "
-          f"(pred {ss['pi_wehrl']:.6f}), T->0 value {res0.wehrl[-1].pi:.6f} (pred {expected:.6f})")
+    assert res0.wehrl.pi[-1] == pytest.approx(expected, abs=1e-4)
+    assert abs(res0.wehrl.pi[-1] - res0.wehrl.phi[-1]) <= 1e-4
+    print(f"\nACCEPTANCE 9 PASS: steady state Pi = Phi, Wehrl {res.wehrl.pi[-1]:.6f} "
+          f"(pred {ss['pi_wehrl']:.6f}), T->0 value {res0.wehrl.pi[-1]:.6f} (pred {expected:.6f})")
 
 
 def test_criterion_10_photon_pulse():

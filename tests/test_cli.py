@@ -168,6 +168,18 @@ class TestValidate:
             pytest.param(with_value(CUSTOM_DAMPING_J2, "initial_state.populations", [0.0] * 5), id="populations-all-zero"),
             pytest.param(dict(PULSE, bandwidth=0.5), id="bandwidth<=gamma0"),
             pytest.param(dict(PULSE, a0=1.5), id="a0>1"),
+            pytest.param(dict(QUENCH_IDLE, scenario=[]), id="scenario-unhashable"),
+            pytest.param(with_value(CUSTOM_DEPHASING, "dissipator.type", ["dephasing"]), id="type-unhashable"),
+            pytest.param(
+                with_value(ROTATING_DEPHASING, "initial_state", {"type": "bloch", "tau_x": 0, "tau_y": 0, "tau_z": 1e300}),
+                id="bloch-component-overflows",
+            ),
+            pytest.param(dict(QUENCH_IDLE, omega=1e-73, bath_temperature=1e300), id="occupation-overflows"),
+            pytest.param(
+                with_value(CUSTOM_DAMPING_J2, "initial_state", {"type": "gibbs", "temperature": 5e-324, "omega": 1.0}),
+                id="gibbs-populations-not-finite",
+                marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning"),
+            ),
             pytest.param(
                 with_value(ROTATING_DEPHASING, "initial_state", {"type": "bloch", "tau_x": 1.0, "tau_y": 1.0, "tau_z": 1.0}),
                 id="bloch-tau>1",
@@ -456,6 +468,18 @@ class TestRunAgreement:
         assert "agreement" not in capsys.readouterr().out
         assert calls == []
 
+    def test_spin_half_damping_run_evaluates_the_2f1_weights_once(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.hypergeom"], "gauss_2f1")
+        path = write_config(tmp_path, QUENCH_WARM)  # 6 states
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 4  # 2(2J+1), not that many per state
+
+    def test_compare_evaluates_the_2f1_weights_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.hypergeom"], "gauss_2f1")
+        path = bundled_configs()["damping_j2_compare.json"]  # 2J = 4, 11 states
+        assert main(["compare", "--config", str(path)]) == 0
+        assert len(calls) == 2 * (4 + 1)
+
 
 class TestSweep:
     def test_temperature_sweep_sigma_table(self, tmp_path):
@@ -549,6 +573,12 @@ class TestListScenarios:
         for name in ("spontaneous_emission", "thermal_quench", "rotating_field", "photon_pulse", "custom"):
             assert name in out
         assert "photon_pulse.json" in out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(bundled_configs()))
+def test_bundled_run_emits_no_warning(tmp_path, name):
+    assert main(["run", "--config", str(bundled_configs()[name]), "--out", str(tmp_path)]) == 0
 
 
 class TestBundledConfigRuntimes:

@@ -10,6 +10,8 @@ from spinwehrl import (
     NonMarkovianRate,
     NonPhysicalState,
     SpinQuantumNumber,
+    StiffnessFailure,
+    WrongDimension,
     amplitude_damping_dissipator,
     bloch_to_rho,
     current_superoperator_f,
@@ -156,6 +158,31 @@ class TestLindbladRhs:
 
 
 class TestEvolve:
+    def test_trajectory_carries_one_validated_stack(self, rng):
+        rho0 = random_density_matrix(SpinQuantumNumber(3), rng)
+        t_grid = np.linspace(0.0, 1.0, 6)
+        traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5), t_grid)
+        assert traj.entries.shape == (6, 4, 4) and not traj.entries.flags.writeable
+        assert traj.j == rho0.j
+        assert np.array_equal(traj.entries[0], rho0.entries)
+        assert np.array_equal(traj.populations(), traj.entries.diagonal(axis1=1, axis2=2).real)
+        states = traj.states  # built on first access, then kept
+        assert states is traj.states and len(states) == 6
+        assert all(np.array_equal(s.entries, e) for s, e in zip(states, traj.entries))
+
+    def test_bloch_series_of_larger_spin_rejected(self, rng):
+        rho0 = random_density_matrix(SpinQuantumNumber(2), rng)
+        traj = evolve(rho0, HamiltonianSpec.none(), DissipatorSpec.dephasing(1.0), np.linspace(0.0, 1.0, 3))
+        with pytest.raises(WrongDimension):
+            traj.bloch_series()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_states_are_a_stiffness_failure(self):
+        rho0 = bloch_to_rho(BlochVector(0.3, 0.0, 0.5))
+        h = HamiltonianSpec.rotating_field(1.0, 1e300, 1.0)  # its propagator overflows to nan
+        with pytest.raises(StiffnessFailure):
+            evolve(rho0, h, DissipatorSpec.dephasing(0.1), np.linspace(0.0, 1.0, 3))
+
     def test_quench_matches_closed_form(self):
         # tau_z(t) = tau_bar_z + exp(-gamma t/|tau_bar_z|)(tau_z(0) - tau_bar_z)
         omega, gamma = 1.0, 1.0

@@ -35,12 +35,16 @@ from spinwehrl import (
     integrate_rate_series,
     make_grid,
     make_spin_operators,
+    gauss_2f1,
     spin_half_damping_rates,
     spin_half_damping_von_neumann,
+    spin_half_dephasing_rates,
+    spin_half_dephasing_von_neumann,
     temperature_from_nbar,
     total_entropy_produced,
     von_neumann_rates,
 )
+from spinwehrl.entropy_rates import atanh_over, coherence_bracket
 from conftest import random_density_matrix, random_diagonal_state
 
 mp.mp.dps = 40
@@ -458,3 +462,158 @@ class TestTotalEntropyProduced:
         times = np.linspace(0, 1, 50)
         with pytest.raises(TailNotConverged):
             integrate_rate_series(times, np.full(50, 0.3))
+
+
+# Bloch lengths at and around every branch point of the closed forms: zero,
+# inside and at the edge of the series branch (|tau| < 0.01), the middle,
+# the divergence edge 1 - DIVERGENCE_EDGE and the pure state.
+EDGE_TAUS = [0.0, 0.005, 0.01, 0.5, 1.0 - 1e-12, 1.0]
+EDGE_BATHS = [BathParams(gamma=0.8, nbar=0.0), BathParams(gamma=0.8, nbar=0.5)]  # tau_bar_z = -1, -0.5
+
+
+def edge_bloch_rows() -> np.ndarray:
+    """Bloch vectors of every length in EDGE_TAUS along +x (all coherence),
+    +z and -z (none), and, below tau = 1, along a generic direction."""
+    generic = np.array([0.48, 0.64, -0.6])
+    rows = [tau * np.array(axis) for tau in EDGE_TAUS for axis in ([1.0, 0, 0], [0, 0, 1.0], [0, 0, -1.0])]
+    rows += [tau * generic for tau in EDGE_TAUS[:-2]]
+    return np.array(rows)
+
+
+class TestArrayForms:
+    """The closed forms over an (n, 3) Bloch array equal their scalar
+    evaluation at each row, bit for bit, and warn nowhere."""
+
+    pytestmark = pytest.mark.filterwarnings("error")
+
+    @staticmethod
+    def assert_rowwise(array_result, scalar_results):
+        assert isinstance(scalar_results[0], float)
+        np.testing.assert_array_equal(array_result, np.array(scalar_results), strict=True)
+
+    def test_helpers(self):
+        taus = np.array(EDGE_TAUS + [-t for t in EDGE_TAUS] + [-1.0, -0.5])
+        self.assert_rowwise(coherence_bracket(taus), [coherence_bracket(float(t)) for t in taus])
+        inside = taus[np.abs(taus) < 1.0]
+        self.assert_rowwise(atanh_over(inside), [atanh_over(float(x)) for x in inside])
+        assert coherence_bracket(0.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        np.testing.assert_array_equal(coherence_bracket(np.array([1.0, -1.0])), [1.0, 1.0])
+        assert coherence_bracket(np.array(-0.5)) == coherence_bracket(-0.5)
+
+    def test_helpers_match_math_module_reference(self):
+        # The scalar code these forms replaced, in the math module: equal to
+        # the last bit, so that outputs do not move.
+        def g_ref(t):
+            x = abs(t)
+            if x == 1.0:
+                return 1.0
+            if x < 0.01:
+                x2 = x * x
+                return 2.0 / 3.0 + x2 * (2.0 / 15.0 + x2 * (2.0 / 35.0 + x2 * (2.0 / 63.0 + x2 * 2.0 / 99.0)))
+            return (x - (1.0 - x * x) * math.atanh(x)) / x**3
+
+        rows = np.random.default_rng(5).uniform(-1.0, 1.0, size=(400, 3)) / math.sqrt(3.0)
+        taus = np.concatenate([rows[:, 0], EDGE_TAUS])
+        np.testing.assert_array_equal(coherence_bracket(taus), [g_ref(t) for t in taus])
+        inside = taus[np.abs(taus) < 1.0]
+        np.testing.assert_array_equal(atanh_over(inside), [
+            1.0 + x * x * (1.0 / 3.0 + x * x * (1.0 / 5.0 + x * x * (1.0 / 7.0 + x * x / 9.0))) if abs(x) < 0.01
+            else math.atanh(x) / x
+            for x in inside
+        ])
+        expected = [0.25 * 0.7 * (x**2 + y**2) * g_ref(math.sqrt(x**2 + y**2 + z**2)) for x, y, z in rows]
+        np.testing.assert_array_equal(dephasing_pi_spin_half(rows, 0.7), expected)
+
+    def test_out_of_range_still_raises(self):
+        with pytest.raises(UnsupportedParameters):
+            coherence_bracket(np.array([0.5, 1.0 + 1e-9]))
+        with pytest.raises(UnsupportedParameters):
+            atanh_over(np.array([0.5, -1.0]))
+
+    @pytest.mark.parametrize("form", [dephasing_pi_spin_half, dephasing_pi_von_neumann])
+    def test_dephasing_production(self, form):
+        rows = edge_bloch_rows()
+        self.assert_rowwise(form(rows, 0.7), [form(BlochVector(*b), 0.7) for b in rows])
+
+    @pytest.mark.parametrize("form", [spin_half_dephasing_rates, spin_half_dephasing_von_neumann])
+    def test_dephasing_bundles(self, form):
+        rows = edge_bloch_rows()
+        bundle = form(rows, 0.7)
+        scalars = [form(BlochVector(*b), 0.7) for b in rows]
+        for name in ("ds_dt", "pi", "phi", "phi_energy"):
+            self.assert_rowwise(getattr(bundle, name), [getattr(r, name) for r in scalars])
+
+    @pytest.mark.parametrize("bath", EDGE_BATHS, ids=["tbz=-1", "tbz=-0.5"])
+    @pytest.mark.parametrize("form", [spin_half_damping_rates, spin_half_damping_von_neumann])
+    def test_damping_bundles(self, form, bath):
+        rows = edge_bloch_rows()
+        bundle = form(rows, bath, 1.3)
+        scalars = [form(BlochVector(*b), bath, 1.3) for b in rows]
+        assert bundle.method == scalars[0].method
+        for name in ("ds_dt", "pi", "phi", "phi_energy"):
+            self.assert_rowwise(getattr(bundle, name), [getattr(r, name) for r in scalars])
+
+    def test_time_dependent_rate(self):
+        rows = edge_bloch_rows()
+        gammas = np.linspace(0.1, 2.0, len(rows))
+        bundle = spin_half_damping_rates(rows, BathParams(gamma=gammas, nbar=0.0), 0.0)
+        for k, (b, g) in enumerate(zip(rows, gammas)):
+            assert bundle.phi[k] == spin_half_damping_rates(BlochVector(*b), BathParams(gamma=g, nbar=0.0), 0.0).phi
+
+    def test_divergence_semantics(self):
+        edge = 1.0 - 1e-12
+        x_axis = np.array([[edge, 0, 0], [1.0, 0, 0], [0.999, 0, 0]])
+        pi = dephasing_pi_von_neumann(x_axis, 1.0)
+        assert pi[0] == pi[1] == math.inf and math.isfinite(pi[2])
+        assert np.all(dephasing_pi_von_neumann(np.array([[0, 0, edge], [0, 0, -1.0]]), 1.0) == 0.0)
+        zero_t = BathParams(gamma=1.0, nbar=0.0)
+        vn = spin_half_damping_von_neumann(np.array([[0, 0, -1.0], [0, 0, 1.0], [0.3, 0, 0]]), zero_t, 0.0)
+        # The T = 0 ground state is the equilibrium: no divergent flux there.
+        np.testing.assert_array_equal(vn.phi, [0.0, math.inf, math.inf])
+        np.testing.assert_array_equal(vn.ds_dt[:2], [0.0, math.inf])
+
+
+class TestExactFluxWeightsOncePerCall:
+    @staticmethod
+    def per_state_loop(pops, bath, j):
+        """The flux of one state term by term over m, as a scalar code
+        would evaluate it, with its own 2F1 values."""
+        tbz, jj = bath.tau_bar_z, j.j
+        z, c = 2.0 * tbz / (tbz - 1.0), 3.0 + 2.0 * jj
+        acc = 0.0
+        for p, m in zip(pops, j.m_values()):
+            acc += p * (
+                ((1.0 + jj - m) / tbz) * gauss_2f1(1.0, 1.0 + jj + m, c, z)
+                + ((1.0 + jj + m) * (1.0 + 4.0 * jj + 1.0 / tbz) / (1.0 - tbz)) * gauss_2f1(1.0, 2.0 + jj + m, c, z)
+            )
+        jz = float(np.dot(pops, j.m_values()))
+        total = (1.0 + tbz) / tbz + 2.0 * (jj + jz) - 0.5 * ((1.0 + tbz) / (1.0 + jj)) * acc
+        return bath.gamma * jj * total
+
+    @pytest.mark.parametrize("two_j", [1, 4, 12, 40])
+    def test_rows_match_the_per_state_loop(self, two_j):
+        rng = np.random.default_rng(7 + two_j)
+        j = SpinQuantumNumber(two_j)
+        bath = BathParams(gamma=0.7, nbar=0.4)
+        pops = rng.dirichlet(np.ones(j.dim), size=12)
+        rows = damping_phi_exact(pops, bath, j)
+        assert rows.shape == (12,)
+        expected = np.array([self.per_state_loop(p, bath, j) for p in pops])
+        np.testing.assert_allclose(rows, expected, rtol=1e-14, atol=0)
+        one_by_one = [damping_phi_exact(p, bath, j) for p in pops]
+        assert all(isinstance(x, float) for x in one_by_one)
+        np.testing.assert_allclose(rows, one_by_one, rtol=1e-14, atol=0)
+
+    def test_leading_axes_and_time_dependent_rate(self):
+        rng = np.random.default_rng(3)
+        j = SpinQuantumNumber(3)
+        pops = rng.dirichlet(np.ones(j.dim), size=(2, 5))
+        gammas = rng.uniform(0.1, 1.0, size=(2, 5))
+        out = damping_phi_exact(pops, BathParams(gamma=gammas, nbar=0.2), j)
+        assert out.shape == (2, 5)
+        one = damping_phi_exact(pops[1, 3], BathParams(gamma=gammas[1, 3], nbar=0.2), j)
+        assert out[1, 3] == pytest.approx(one, rel=1e-15)
+
+    def test_wrong_population_length_rejected(self):
+        with pytest.raises(UnsupportedParameters):
+            damping_phi_exact(np.full((4, 3), 1.0 / 3.0), BathParams(gamma=1.0, nbar=0.5), J_HALF)

@@ -82,9 +82,10 @@ class TestDampingQuadrature:
         j = SpinQuantumNumber(4)
         field = husimi(random_density_matrix(j, rng), make_grid(48, 96))
         d = DissipatorSpec.amplitude_damping(1.0, 0.5)
-        rates = RATE_METHODS["quadrature"].rates(None, field, d, 0.0)
+        rates = RATE_METHODS["quadrature"].rates(None, [field], d, np.array([0.0]))
         assert len(calls) == 1
-        assert np.isfinite(rates.pi) and np.isfinite(rates.phi)
+        assert rates.pi.shape == rates.phi.shape == (1,)
+        assert np.isfinite(rates.pi[0]) and np.isfinite(rates.phi[0])
 
     def test_fused_matches_the_split_functions(self, rng):
         j = SpinQuantumNumber(3)

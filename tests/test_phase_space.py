@@ -238,6 +238,25 @@ class TestWehrlEntropy:
         assert below == pytest.approx(above, abs=1e-13)
         assert wehrl_entropy_spin_half(1.0 + 1e-9) == wehrl_entropy_spin_half(1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_spin_half_closed_form_over_an_array(self):
+        def s_ref(tau):  # the scalar code the array form replaced
+            tau = min(abs(tau), 1.0)
+            if tau < 1e-3:
+                return math.log(2.0) - tau * tau / 6.0 - tau**4 / 60.0
+
+            def f(u):
+                return u * u * math.log(u) - 0.5 * u * u if u > 0.0 else 0.0
+
+            return -(f(0.5 * (1.0 + tau)) - f(0.5 * (1.0 - tau))) / tau
+
+        taus = np.concatenate([[0.0, 5e-4, 1e-3, 1.0 - 1e-12, 1.0, 1.0 + 1e-9, -0.5],
+                               np.random.default_rng(2).uniform(0.0, 1.0, 300)])
+        s = wehrl_entropy_spin_half(taus)
+        np.testing.assert_array_equal(s, [s_ref(t) for t in taus])
+        np.testing.assert_array_equal(s, [wehrl_entropy_spin_half(float(t)) for t in taus])
+        assert isinstance(wehrl_entropy_spin_half(0.5), float)
+
 
 class TestCurrents:
     def test_diagonal_state_has_no_azimuthal_current(self, small_grid, rng):

@@ -124,9 +124,9 @@ class TestRotatingField:
         rho0 = bloch_to_rho(BlochVector(1.0, 0.0, 0.0))
         res = rotating_field(5.0, 10.0, 5.0, DissipatorSpec.amplitude_damping(1.0, 1.0),
                              rho0, t_max=15.0, dt=0.01, grid=None)
-        assert res.wehrl[-1].pi == pytest.approx(res.wehrl[-1].phi, abs=1e-6)
-        assert res.wehrl[-1].pi == pytest.approx(ss["pi_wehrl"], rel=1e-6)
-        assert res.von_neumann[-1].pi == pytest.approx(ss["pi_vn"], rel=1e-6)
+        assert res.wehrl.pi[-1] == pytest.approx(res.wehrl.phi[-1], abs=1e-6)
+        assert res.wehrl.pi[-1] == pytest.approx(ss["pi_wehrl"], rel=1e-6)
+        assert res.von_neumann.pi[-1] == pytest.approx(ss["pi_vn"], rel=1e-6)
         assert res.bloch[-1, 2] == pytest.approx(ss["tau_z"], abs=1e-9)
 
     def test_zero_temperature_steady_value(self):
@@ -140,7 +140,7 @@ class TestRotatingField:
         rho0 = bloch_to_rho(BlochVector(1.0, 0.0, 0.0))
         res = rotating_field(b0, b1, w, DissipatorSpec.amplitude_damping(gamma, 0.0),
                              rho0, t_max=25.0, dt=0.01, grid=None)
-        assert res.wehrl[-1].pi == pytest.approx(expected, abs=1e-6)
+        assert res.wehrl.pi[-1] == pytest.approx(expected, abs=1e-6)
 
     def test_dephasing_variant_bounded_wehrl_vs_spiking_von_neumann(self):
         # strong-detuning drive b0/l = 5, b1/l = 1, w/l = 1 from the pure |x-> state
@@ -267,6 +267,8 @@ class TestEffectiveRates:
         delta = 4 * 10 / (1 - 10) ** 2
         assert markov_threshold(p10) == pytest.approx(math.sqrt(delta / (1 + delta)), rel=1e-14)
         assert markov_threshold(p10) == pytest.approx(0.5749596, abs=1e-6)
+        # A bandwidth ratio of 1e300 overflows (1 - r)^2 but not the threshold.
+        assert markov_threshold(PulseParams(gamma0=1e-300, capital_omega=1.0, a0=1.0)) == pytest.approx(2e-150)
         assert is_markovian(p10)
         t = np.linspace(0, 12, 2000)
         g, _ = pulse_effective_rates(p10, t)

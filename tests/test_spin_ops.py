@@ -19,6 +19,7 @@ from spinwehrl import (
     rho_to_bloch,
     temperature_from_nbar,
 )
+from spinwehrl.spin_ops import check_density_entries
 from conftest import random_bloch
 
 
@@ -51,6 +52,10 @@ class TestSpinOperators:
 
 
 class TestBlochMaps:
+    def test_huge_component_rejected_without_overflow(self):
+        with pytest.raises(NonPhysicalState):
+            BlochVector(0.0, 0.0, 1e300)
+
     def test_maximally_mixed(self):
         rho = bloch_to_rho(BlochVector(0, 0, 0))
         assert np.allclose(rho.entries, 0.5 * np.eye(2))
@@ -100,6 +105,19 @@ class TestDensityMatrixValidation:
         with pytest.raises(DimensionMismatch):
             DensityMatrix(SpinQuantumNumber(2), np.eye(2, dtype=complex) / 2)
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(NonPhysicalState, match="non-finite"):
+            DensityMatrix(SpinQuantumNumber(1), np.diag([math.nan, 1.0]).astype(complex))
+
+    def test_stack_is_checked_with_the_same_bounds(self):
+        good = np.stack([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])]).astype(complex)
+        check_density_entries(good)
+        for bad in (np.diag([1.2, -0.2]), np.diag([0.6, 0.6]), np.array([[0.5, 0.1], [0.3, 0.5]])):
+            with pytest.raises(NonPhysicalState):
+                DensityMatrix(SpinQuantumNumber(1), bad.astype(complex))
+            with pytest.raises(NonPhysicalState):
+                check_density_entries(np.stack([good[0], bad, good[1]]).astype(complex))
+
 
 class TestGibbsState:
     def test_zero_temperature_ground_state(self):
@@ -126,6 +144,10 @@ class TestGibbsState:
 class TestOccupation:
     def test_zero_temperature(self):
         assert nbar_from_temperature(1.0, 0.0) == 0.0
+
+    def test_unbounded_occupation_rejected(self):
+        with pytest.raises(NonPhysicalState):
+            nbar_from_temperature(1e-73, 1e300)
 
     def test_ln2_crossing(self):
         # beta*omega = ln 2 makes exp(beta omega) - 1 = 1

@@ -46,6 +46,7 @@ from .phase_space import (
     angle_action_map,
     coherent_state,
     husimi,
+    husimi_chunks,
     husimi_fields,
     husimi_of_matrix,
     make_grid,

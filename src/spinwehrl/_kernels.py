@@ -62,25 +62,50 @@ def libm(fn, *args) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fused quadrature reductions for the rate integrands. They return raw
-# weighted sums; physical prefactors are applied by the caller.
+# Quadrature reductions of the rate integrands over a chunk of states. Node
+# arrays are (..., n_theta, n_phi), one row per theta node of the product
+# grid, so every theta-dependent factor is one (n_theta,) vector: each term
+# is summed over phi, then contracted with its theta vector. weights are the
+# Gauss-Legendre weights with the uniform phi weight folded in. They return
+# raw weighted sums, one per state (a scalar for a single (n_theta, n_phi)
+# field); physical prefactors are applied by the caller.
 # ---------------------------------------------------------------------------
 
 
+def _sum_over_phi(x, y, inv):
+    """sum over phi of x * y * inv, without a node-sized temporary."""
+    return np.einsum("...p,...p,...p->...", x, y, inv)
+
+
+def _inverse_floored(q, q_floor):
+    """1 / max(q, q_floor), in a new array."""
+    inv = np.maximum(q, q_floor)
+    return np.divide(1.0, inv, out=inv)
+
+
 def damping_reduce(q, dq_dtheta, dq_dphi, cos_t, sin_t, weights, two_j, nbar, q_floor):
-    jj = 0.5 * two_j
+    """(phi, pi_damping, pi_coherence) raw sums of each state. With
+    r = 2 nbar + 1 and Q floored at q_floor in the denominators:
+
+    phi:          sin (2J Q sin / (r - cos) - dQ/dtheta),
+    pi_damping:   (2J Q sin + (cos - r) dQ/dtheta)^2 / ((r - cos) Q),
+    pi_coherence: (dQ/dphi)^2 (r cos - 1) cos / (sin^2 Q).
+
+    Both the flux and the drift term are read from one node array,
+    u = dQ/dtheta - 2J Q sin / (r - cos): phi sums -sin u, and
+    pi_damping sums (r - cos) u^2 / Q.
+    """
     r = 2.0 * nbar + 1.0
-    qc = np.maximum(q, q_floor)
     den = r - cos_t
-    drift = 2.0 * jj * q * sin_t + (cos_t - r) * dq_dtheta
-    phi_raw = float(np.sum(weights * sin_t * (2.0 * jj * q * sin_t / den - dq_dtheta)))
-    pi_damp_raw = float(np.sum(weights * drift * drift / (den * qc)))
-    pi_coh_raw = float(
-        np.sum(weights * dq_dphi * dq_dphi * (r * cos_t - 1.0) * cos_t / (sin_t * sin_t * qc))
-    )
-    return phi_raw, pi_damp_raw, pi_coh_raw
+    inv = _inverse_floored(q, q_floor)
+    u = np.multiply(q, (-two_j * sin_t / den)[:, None])
+    u += dq_dtheta
+    phi = -(u.sum(axis=-1) @ (weights * sin_t))
+    pi_damp = _sum_over_phi(u, u, inv) @ (weights * den)
+    pi_coh = _sum_over_phi(dq_dphi, dq_dphi, inv) @ (weights * (r * cos_t - 1.0) * cos_t / (sin_t * sin_t))
+    return phi, pi_damp, pi_coh
 
 
 def dephasing_reduce(q, dq_dphi, weights, q_floor):
-    qc = np.maximum(q, q_floor)
-    return float(np.sum(weights * dq_dphi * dq_dphi / qc))
+    """Raw sum of (dQ/dphi)^2 / Q of each state, Q floored at q_floor."""
+    return _sum_over_phi(dq_dphi, dq_dphi, _inverse_floored(q, q_floor)) @ weights

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DissipatorSpec, HamiltonianSpec
-from .entropy_rates import applicable_rate_methods
+from .entropy_rates import applicable_rate_methods, primary_rate_method
 from .errors import ConfigError, DimensionMismatch, InvalidFrequency, NonPhysicalState, NothingToCompare, SpinWehrlError
 from .phase_space import make_grid
 from .scenarios import (
@@ -49,6 +49,7 @@ from .spin_ops import (
 
 _TIME_KEYS = {"t_max": True, "output_dt": True, "tol": False}
 _GRID_KEYS = {"n_theta": True, "n_phi": True}
+_GRID_MIN = 8  # the smallest n_theta and n_phi that make_grid accepts
 _OUTPUT_KEYS = {"csv": False}
 _COMPARE_KEYS = {"tolerance": False}
 # Scenario keys that must not be negative (rates, occupations, temperatures).
@@ -214,7 +215,7 @@ def validate_config(cfg: dict) -> RunPlan:
     grid = ()
     if "grid" in cfg:
         _check_keys(cfg["grid"], _GRID_KEYS, "'grid'")
-        grid = tuple(int(_number(cfg["grid"], key, "'grid'", minimum=8)) for key in _GRID_KEYS)
+        grid = tuple(int(_number(cfg["grid"], key, "'grid'", minimum=_GRID_MIN)) for key in _GRID_KEYS)
     output = cfg.get("output", {})
     _check_keys(output, _OUTPUT_KEYS, "'output'")
     csv = output.get("csv", f"{scenario}.csv")
@@ -237,22 +238,29 @@ def validate_config(cfg: dict) -> RunPlan:
     return RunPlan(scenario, model, t_max, dt, tol, grid, csv, tolerance)
 
 
-def _grid_from(plan: RunPlan, override: str | None):
-    if override:
-        try:
-            a, b = override.lower().split("x")
-            return make_grid(int(a), int(b))
-        except ValueError as exc:
-            raise ConfigError(f"--grid must look like 96x192, got {override!r}") from exc
-    return make_grid(*plan.grid)
+def _grid_size(plan: RunPlan, override: str | None) -> tuple:
+    """The checked (n_theta, n_phi) of --grid if given, else the config's."""
+    if not override:
+        return plan.grid
+    try:
+        a, b = override.lower().split("x")
+        size = int(a), int(b)
+        if min(size) >= _GRID_MIN:
+            return size
+    except ValueError:
+        pass
+    raise ConfigError(f"--grid must look like 96x192, with both sizes >= {_GRID_MIN}, got {override!r}")
 
 
 def run_config(plan: RunPlan, grid_override: str | None = None, tol_override: float | None = None):
-    """Execute a validated config and return its ScenarioResult."""
+    """Execute a validated config and return its ScenarioResult. The sphere
+    grid is built only if the run makes Husimi fields."""
+    size = _grid_size(plan, grid_override)
     tol = plan.tol if tol_override is None else tol_override
     if not 0 < tol < math.inf:
         raise ConfigError(f"tol must be positive and finite, got {tol:g}")
-    return simulate(plan.model, plan.t_max, plan.dt, _grid_from(plan, grid_override), tol)
+    grid = make_grid(*size) if primary_rate_method(plan.model.rho0.j.two_j, plan.model.d).needs_field else None
+    return simulate(plan.model, plan.t_max, plan.dt, grid, tol)
 
 
 def _fmt(x) -> str:
@@ -278,7 +286,7 @@ def compare_config(plan: RunPlan, tolerance: float, grid_override: str | None = 
     and report their pairwise maximum relative deviations; returns a process
     exit code. Raises NothingToCompare, before integrating, when fewer than
     two methods apply."""
-    agreement = compare(plan.model, plan.t_max, plan.dt, _grid_from(plan, grid_override), plan.tol)
+    agreement = compare(plan.model, plan.t_max, plan.dt, make_grid(*_grid_size(plan, grid_override)), plan.tol)
     for name, value in agreement.items():
         print(f"{name}: max rel dev {value:.3e}")
     worst = max(0.0, *agreement.values())

@@ -78,7 +78,8 @@ class EntropyRates:
 
 
 class DampingPiTerms(NamedTuple):
-    """Damping entropy production split into its two integrand terms."""
+    """Damping entropy production split into its two integrand terms:
+    floats for one state, arrays for a chunk of states."""
 
     total: float
     damping_part: float
@@ -152,13 +153,22 @@ def atanh_over(x):
 # ---------------------------------------------------------------------------
 
 
-def dephasing_pi_quadrature(field: HusimiField, lam: float) -> float:
-    """Pi = (lambda/2) (2J+1)/(4 pi) * integral of |J_z(Q)|^2 / Q.
+def _dephasing_sums(field: HusimiField):
+    grid = field.grid
+    return _kernels.dephasing_reduce(grid.by_theta(field.q), grid.by_theta(field.dq_dphi), grid.theta_weights, Q_FLOOR)
+
+
+def _dephasing_pi(sums, j: SpinQuantumNumber, lam: float):
+    return 0.5 * lam * (j.dim / (4.0 * np.pi)) * sums
+
+
+def dephasing_pi_quadrature(field: HusimiField, lam: float):
+    """Pi = (lambda/2) (2J+1)/(4 pi) * integral of |J_z(Q)|^2 / Q, a float
+    for a one-state field, an array for a chunk.
 
     Non-negative; zero iff Q is independent of phi at every node.
     """
-    raw = _kernels.dephasing_reduce(field.q, field.dq_dphi, field.grid.weights, Q_FLOOR)
-    return 0.5 * lam * (field.j.dim / (4.0 * np.pi)) * raw
+    return _out(_dephasing_pi(_dephasing_sums(field), field.j, lam))
 
 
 def dephasing_pi_spin_half(b, lam: float):
@@ -184,20 +194,30 @@ def dephasing_pi_von_neumann(b, lam: float):
 # ---------------------------------------------------------------------------
 
 
-def damping_quadrature(field: HusimiField, bath: BathParams) -> tuple:
-    """(Phi, Pi terms) of the damping channel from one pass over the grid;
-    see damping_phi_quadrature and damping_pi_quadrature."""
+def _damping_sums(field: HusimiField, nbar: float) -> tuple:
     grid = field.grid
-    phi_raw, pi_damp_raw, pi_coh_raw = _kernels.damping_reduce(
-        field.q, field.dq_dtheta, field.dq_dphi, grid.cos_theta, grid.sin_theta, grid.weights,
-        field.j.two_j, bath.nbar, Q_FLOOR,
+    return _kernels.damping_reduce(
+        grid.by_theta(field.q), grid.by_theta(field.dq_dtheta), grid.by_theta(field.dq_dphi),
+        grid.cos_theta, grid.sin_theta, grid.theta_weights, field.j.two_j, nbar, Q_FLOOR,
     )
-    norm = field.j.dim / (4.0 * np.pi)
-    phi = norm * bath.gamma * field.j.j * phi_raw
+
+
+def _damping_rates(sums, j: SpinQuantumNumber, bath: BathParams) -> tuple:
+    phi_raw, pi_damp_raw, pi_coh_raw = sums
+    norm = j.dim / (4.0 * np.pi)
+    phi = norm * bath.gamma * j.j * phi_raw
     pref = 0.5 * bath.gamma * norm
     damping_part = pref * pi_damp_raw
     coherence_part = pref * pi_coh_raw
-    return phi, DampingPiTerms(damping_part + coherence_part, damping_part, coherence_part)
+    terms = DampingPiTerms(_out(damping_part + coherence_part), _out(damping_part), _out(coherence_part))
+    return _out(phi), terms
+
+
+def damping_quadrature(field: HusimiField, bath: BathParams) -> tuple:
+    """(Phi, Pi terms) of the damping channel from one pass over the grid,
+    floats for a one-state field, arrays for a chunk; see
+    damping_phi_quadrature and damping_pi_quadrature."""
+    return _damping_rates(_damping_sums(field, bath.nbar), field.j, bath)
 
 
 def damping_phi_quadrature(field: HusimiField, bath: BathParams) -> float:
@@ -381,15 +401,18 @@ def bath_at(d: DissipatorSpec, t) -> BathParams:
 
 
 def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
+    # One kernel call per chunk; the prefactors, and the bath's gamma at
+    # every time, apply once to the concatenated sums.
+    sums = []
+    for field in fields:
+        sums.append(_dephasing_sums(field) if d.kind == "dephasing" else _damping_sums(field, d.nbar))
+        j = field.j
+    sums = np.concatenate(sums, axis=-1)
     if d.kind == "dephasing":
-        pi = np.array([dephasing_pi_quadrature(field, d.lam) for field in fields])
+        pi = _dephasing_pi(sums, j, d.lam)
         return _rates("quadrature", pi, pi, 0.0, 0.0)
-    rows = []
-    for field, t in zip(fields, times):
-        phi, terms = damping_quadrature(field, bath_at(d, t))
-        rows.append((phi, terms.total))
-    phi, pi = np.array(rows).T
-    return _rates("quadrature", pi - phi, pi, phi, 0.0)
+    phi, terms = _damping_rates(sums, j, bath_at(d, times))
+    return _rates("quadrature", terms.total - phi, terms.total, phi, 0.0)
 
 
 def _exact_2f1_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
@@ -420,10 +443,10 @@ class RateMethod:
     trusted; gives(dissipator) names which of "pi" and "phi" it yields.
     rates(trajectory, fields, dissipator, times) returns one EntropyRates
     of arrays over times, with phi_energy left at 0. fields is an iterable
-    of the states' HusimiFields in time order (husimi_fields builds them a
-    few at a time), which the method consumes once, or None if needs_field
-    is False; a method that needs fields reads nothing else of the
-    trajectory.
+    of the states' Husimi fields in time order, a chunk of states per
+    HusimiField (see husimi_chunks), which the method consumes once, or
+    None if needs_field is False; a method that needs fields reads nothing
+    else of the trajectory.
     """
 
     name: str

@@ -60,15 +60,30 @@ class SphereGrid:
 
     @functools.cached_property
     def cos_theta(self) -> np.ndarray:
-        return np.cos(self.theta)
+        """cos(theta) of each theta node, (n_theta,)."""
+        return np.cos(self.theta_nodes)
 
     @functools.cached_property
     def sin_theta(self) -> np.ndarray:
-        return np.sin(self.theta)
+        """sin(theta) of each theta node, (n_theta,)."""
+        return np.sin(self.theta_nodes)
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integral over the sphere of node samples, with d(Omega) weights."""
-        return float(np.dot(self.weights, values))
+    @functools.cached_property
+    def theta_weights(self) -> np.ndarray:
+        """The d(Omega) weight of each theta row, (n_theta,): the
+        Gauss-Legendre weight times the uniform phi weight."""
+        return self.by_theta(self.weights)[:, 0].copy()
+
+    def by_theta(self, values: np.ndarray) -> np.ndarray:
+        """Node values (..., n_nodes) viewed as (..., n_theta, n_phi)."""
+        return values.reshape(*values.shape[:-1], self.n_theta, self.n_phi)
+
+    def integrate(self, values: np.ndarray):
+        """Integral over the sphere of node samples, with d(Omega) weights:
+        a float for one (n_nodes,) field, an array for a (k, n_nodes)
+        stack. Each theta row is summed over phi, then weighted."""
+        sums = self.by_theta(np.asarray(values)).sum(axis=-1) @ self.theta_weights
+        return float(sums) if sums.ndim == 0 else sums
 
     def amplitude_table(self, j: SpinQuantumNumber):
         """Cached separable tables (mag, dmag, cos_sphi, sin_sphi) for spin j:
@@ -158,8 +173,9 @@ class HusimiField:
     """Q(Omega) = <Omega|rho|Omega> with analytic angular derivatives.
 
     q, dq_dtheta and dq_dphi are real node arrays (Q is real for Hermitian
-    rho, hence so are its angular derivatives); the complex azimuthal
-    current -i dQ/dphi is exposed by phase_space_currents.
+    rho, hence so are its angular derivatives): (n_nodes,) for one state,
+    or (k, n_nodes) for a chunk of k states (see husimi_chunks). The
+    complex azimuthal current -i dQ/dphi is exposed by phase_space_currents.
     """
 
     grid: SphereGrid
@@ -168,12 +184,13 @@ class HusimiField:
     dq_dtheta: np.ndarray
     dq_dphi: np.ndarray
 
-    def normalization(self) -> float:
-        """(2J+1)/(4 pi) * integral of Q; equals 1 for a unit-trace state."""
+    def normalization(self):
+        """(2J+1)/(4 pi) * integral of Q, of each state; equals 1 for a
+        unit-trace state."""
         return (self.j.dim / (4.0 * np.pi)) * self.grid.integrate(self.q)
 
     def to_csv(self, path) -> None:
-        """Dump (theta, phi, q) rows for external plotting."""
+        """Dump (theta, phi, q) rows of a one-state field for external plotting."""
         data = np.column_stack([self.grid.theta, self.grid.phi, self.q])
         np.savetxt(path, data, fmt="%.17g", delimiter=",", header="theta,phi,q", comments="")
 
@@ -184,12 +201,13 @@ class HusimiField:
 _CHUNK_NODES = 4 * 96 * 192
 
 
-def husimi_fields(states, grid: SphereGrid) -> Iterator[HusimiField]:
-    """The Husimi field of each state, in order: states is an iterable of
+def husimi_chunks(states, grid: SphereGrid) -> Iterator[HusimiField]:
+    """The Husimi fields of the states, in order, a chunk of states per
+    HusimiField of (k, n_nodes) arrays: states is an iterable of
     DensityMatrix of one spin, or an (n, d, d) stack of their entries.
 
-    States are transformed in chunks, so memory stays bounded however many
-    there are.
+    Each chunk is one call of the transform, so memory stays bounded
+    however many states there are.
     """
     it = iter(states)
     per_chunk = max(1, _CHUNK_NODES // grid.n_nodes)
@@ -197,8 +215,14 @@ def husimi_fields(states, grid: SphereGrid) -> Iterator[HusimiField]:
         mats = np.stack([getattr(s, "entries", s) for s in chunk])
         j = SpinQuantumNumber(mats.shape[-1] - 1)
         q, dth, dph = _kernels.husimi_contract(*grid.amplitude_table(j), mats)
-        for k in range(len(chunk)):
-            yield HusimiField(grid=grid, j=j, q=q[k], dq_dtheta=dth[k], dq_dphi=dph[k])
+        yield HusimiField(grid=grid, j=j, q=q, dq_dtheta=dth, dq_dphi=dph)
+
+
+def husimi_fields(states, grid: SphereGrid) -> Iterator[HusimiField]:
+    """The one-state Husimi field of each state, in order (see husimi_chunks)."""
+    for chunk in husimi_chunks(states, grid):
+        for q, dth, dph in zip(chunk.q, chunk.dq_dtheta, chunk.dq_dphi):
+            yield HusimiField(grid=grid, j=chunk.j, q=q, dq_dtheta=dth, dq_dphi=dph)
 
 
 def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:
@@ -215,10 +239,14 @@ def husimi_of_matrix(mat: np.ndarray, j: SpinQuantumNumber, grid: SphereGrid) ->
     return q[0]
 
 
-def wehrl_entropy(field: HusimiField) -> float:
-    """S = -(2J+1)/(4 pi) * integral of Q ln Q (nats); x ln x -> 0 at Q = 0."""
+def wehrl_entropy(field: HusimiField):
+    """S = -(2J+1)/(4 pi) * integral of Q ln Q (nats); x ln x -> 0 at Q = 0.
+    A float for a one-state field, an array for a chunk."""
     q = field.q
-    integrand = np.where(q > 0.0, q * np.log(np.maximum(q, Q_FLOOR)), 0.0)
+    integrand = np.maximum(q, Q_FLOOR)
+    np.log(integrand, out=integrand)
+    integrand *= q
+    integrand[~(q > 0.0)] = 0.0
     return -(field.j.dim / (4.0 * np.pi)) * field.grid.integrate(integrand)
 
 
@@ -265,7 +293,7 @@ def phase_space_currents(field: HusimiField) -> PhaseSpaceCurrents:
     """
     grid = field.grid
     ph = grid.phi
-    cot = grid.cos_theta / grid.sin_theta
+    cot = np.repeat(grid.cos_theta / grid.sin_theta, grid.n_phi)
     j_z = -1j * field.dq_dphi
     j_plus = np.exp(1j * ph) * (field.dq_dtheta + 1j * cot * field.dq_dphi)
     j_minus = -np.exp(-1j * ph) * (field.dq_dtheta - 1j * cot * field.dq_dphi)

@@ -35,7 +35,7 @@ from .entropy_rates import (
     von_neumann_rates,
 )
 from .errors import AmplitudeUnderflow, NonMarkovianRegime, NonPhysicalState, NothingToCompare
-from .phase_space import SphereGrid, husimi_fields, make_grid, wehrl_entropy, wehrl_entropy_spin_half
+from .phase_space import SphereGrid, husimi_chunks, make_grid, wehrl_entropy, wehrl_entropy_spin_half
 from .spin_ops import (
     BlochVector,
     DensityMatrix,
@@ -114,12 +114,15 @@ def _von_neumann(traj: Trajectory, bloch: Optional[np.ndarray], h: HamiltonianSp
     return EntropyRates(nan, nan, nan, np.zeros(times.size), method="von_neumann")
 
 
-def _recording_entropy(fields, entropy: np.ndarray):
-    """The fields unchanged, writing the Wehrl entropy of the k-th into
-    entropy[k] as it passes."""
-    for k, field in enumerate(fields):
-        entropy[k] = wehrl_entropy(field)
-        yield field
+def _recording_entropy(chunks, entropy: np.ndarray):
+    """The Husimi chunks unchanged, writing the Wehrl entropies of their
+    states into entropy, in order, as they pass."""
+    start = 0
+    for chunk in chunks:
+        s = wehrl_entropy(chunk)
+        entropy[start : start + s.size] = s
+        start += s.size
+        yield chunk
 
 
 def simulate(
@@ -151,8 +154,8 @@ def simulate(
     else:
         bloch = None
         entropy = np.empty(times.size)
-        fields = husimi_fields(traj.entries, grid if grid is not None else make_grid())
-        wehrl = method.rates(traj, _recording_entropy(fields, entropy), d, times)
+        chunks = husimi_chunks(traj.entries, grid if grid is not None else make_grid())
+        wehrl = method.rates(traj, _recording_entropy(chunks, entropy), d, times)
     fe = -np.trace(h.matrix(j, times) @ d.apply(traj.entries, times), axis1=-2, axis2=-1).real
     result = ScenarioResult(
         trajectory=traj,
@@ -181,7 +184,7 @@ def cross_check(
     if not pairs:
         return {}
     rates = {
-        m.name: m.rates(traj, husimi_fields(traj.entries, grid) if m.needs_field else None, d, traj.times)
+        m.name: m.rates(traj, husimi_chunks(traj.entries, grid) if m.needs_field else None, d, traj.times)
         for m in methods
     }
     return {

@@ -200,8 +200,10 @@ def gibbs_state(j: SpinQuantumNumber, omega: float, temperature: float) -> Densi
     elif math.isinf(temperature):
         pops = np.full(j.dim, 1.0 / j.dim)
     else:
-        logw = -energies / temperature
-        logw -= logw.max()
+        # Log-weights relative to the lowest energy are <= 0: where
+        # -omega m / T overflows they reach -inf and their weights 0.
+        with np.errstate(over="ignore"):
+            logw = -(energies - energies.min()) / temperature
         pops = np.exp(logw)
         pops /= pops.sum()
     return DensityMatrix(j, np.diag(pops.astype(complex)))

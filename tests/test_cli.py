@@ -8,6 +8,7 @@ import pytest
 
 from spinwehrl.cli import bundled_configs, main, validate_config
 from spinwehrl.errors import ConfigError
+from spinwehrl.spin_ops import SpinQuantumNumber, gibbs_state
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -176,11 +177,6 @@ class TestValidate:
             ),
             pytest.param(dict(QUENCH_IDLE, omega=1e-73, bath_temperature=1e300), id="occupation-overflows"),
             pytest.param(
-                with_value(CUSTOM_DAMPING_J2, "initial_state", {"type": "gibbs", "temperature": 5e-324, "omega": 1.0}),
-                id="gibbs-populations-not-finite",
-                marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning"),
-            ),
-            pytest.param(
                 with_value(ROTATING_DEPHASING, "initial_state", {"type": "bloch", "tau_x": 1.0, "tau_y": 1.0, "tau_z": 1.0}),
                 id="bloch-tau>1",
             ),
@@ -205,6 +201,19 @@ class TestValidate:
         for path in bundled_configs().values():
             validate_config(json.loads(path.read_text()))
         assert calls == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("two_j", [1, 4])
+    def test_gibbs_state_below_the_smallest_temperature_is_the_ground_state(self, tmp_path, two_j):
+        # -omega m / T overflows at T = 5e-324: the weights above the ground
+        # energy underflow to 0.
+        cfg = with_value(CUSTOM_DAMPING_J2, "initial_state", {"type": "gibbs", "temperature": 5e-324, "omega": 1.0})
+        cfg = with_value(cfg, "two_j", two_j)
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path]) == 0
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
+        ground = gibbs_state(SpinQuantumNumber(two_j), 1, 0.0)
+        assert np.array_equal(validate_config(cfg).model.rho0.entries, ground.entries)
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
     def test_bad_run_tolerance_is_a_config_error(self, tmp_path, tol):
@@ -253,6 +262,37 @@ class TestRun:
         lines = dump.read_text().splitlines()
         assert lines[0].split(",")[:3] == ["t", "re_rho_00", "im_rho_00"]
         assert len(lines) == 22  # header + 21 output steps
+
+    def test_spin_half_run_builds_no_grid(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.phase_space"], "make_grid")
+        argv = ["run", "--config", write_config(tmp_path, QUENCH_IDLE), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert main(argv + ["--grid", "48x96"]) == 0
+        assert calls == []
+        path = write_config(tmp_path, CUSTOM_DAMPING_J2)
+        assert main(["run", "--config", path, "--out", str(tmp_path), "--grid", "24x48"]) == 0
+        assert calls == [(24, 48)]
+
+    @pytest.mark.parametrize(
+        "cfg, grid",
+        [
+            (QUENCH_IDLE, "4x4"),
+            (QUENCH_IDLE, "abc"),
+            (QUENCH_IDLE, "96x192x2"),
+            (with_value(QUENCH_IDLE, "grid.n_phi", 4), None),
+            (with_value(CUSTOM_DAMPING_J2, "grid.n_theta", 4), None),
+            (CUSTOM_DAMPING_J2, "8x4"),
+        ],
+        ids=[
+            "spin-half-4x4", "spin-half-abc", "spin-half-three-sizes", "spin-half-section", "spin-j-section",
+            "spin-j-8x4",
+        ],
+    )
+    def test_bad_grid_exits_2_before_integrating(self, tmp_path, monkeypatch, cfg, grid):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
+        argv = ["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]
+        assert main(argv + (["--grid", grid] if grid else [])) == 2
+        assert calls == []
 
     def test_pulse_run_has_gamma_column(self, tmp_path):
         cfg = {

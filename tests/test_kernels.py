@@ -1,14 +1,33 @@
-"""The separable Husimi transform against the per-node reference contraction."""
+"""The separable Husimi transform against the per-node reference contraction,
+and the quadrature reductions over chunks of states."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spinwehrl import BathParams, SpinQuantumNumber, husimi, husimi_fields, husimi_of_matrix, make_grid
+from spinwehrl import (
+    BathParams,
+    DensityMatrix,
+    SpinQuantumNumber,
+    husimi,
+    husimi_chunks,
+    husimi_fields,
+    husimi_of_matrix,
+    make_grid,
+    wehrl_entropy,
+)
 from spinwehrl import _kernels, phase_space
-from spinwehrl.dynamics import DissipatorSpec
-from spinwehrl.entropy_rates import RATE_METHODS, damping_phi_quadrature, damping_pi_quadrature, damping_quadrature
+from spinwehrl.dynamics import DissipatorSpec, HamiltonianSpec
+from spinwehrl.entropy_rates import (
+    RATE_METHODS,
+    bath_at,
+    damping_phi_quadrature,
+    damping_pi_quadrature,
+    damping_quadrature,
+    dephasing_pi_quadrature,
+)
+from spinwehrl.scenarios import Model, simulate
 from conftest import random_density_matrix
 
 
@@ -69,24 +88,68 @@ class TestSeparableTransform:
                 assert np.max(np.abs(getattr(field, name) - getattr(one, name))) < 1e-14
 
 
-class TestDampingQuadrature:
-    def test_one_reduce_per_state(self, rng, monkeypatch):
-        calls = []
-        original = _kernels.damping_reduce
+def pipeline_rates(d, states, grid):
+    """The quadrature's rates of the states, fed by Husimi chunks as in simulate."""
+    times = np.linspace(0.0, 1.0, len(states))
+    return RATE_METHODS["quadrature"].rates(None, husimi_chunks(states, grid), d, times), times
+
+
+class TestChunkReduction:
+    """A chunk of states reduces to the rates of its states one by one."""
+
+    @pytest.fixture(params=[(24, 48), (192, 384)], ids=["many-per-chunk", "one-per-chunk"])
+    def grid_and_states(self, request, rng):
+        grid = make_grid(*request.param)
+        per_chunk = max(1, phase_space._CHUNK_NODES // grid.n_nodes)
+        assert (per_chunk == 1) == (request.param == (192, 384))
+        j = SpinQuantumNumber(3)
+        return grid, [random_density_matrix(j, rng) for _ in range(2 * per_chunk + 3)]
+
+    def test_dephasing(self, grid_and_states):
+        grid, states = grid_and_states
+        rates, _ = pipeline_rates(DissipatorSpec.dephasing(0.7), states, grid)
+        one = [dephasing_pi_quadrature(husimi(s, grid), 0.7) for s in states]
+        np.testing.assert_allclose(rates.pi, one, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("time_dependent", [False, True], ids=["constant-gamma", "gamma-array"])
+    def test_damping(self, grid_and_states, time_dependent):
+        grid, states = grid_and_states
+        nbar = 0.5
+        if time_dependent:
+            d = DissipatorSpec.time_dependent_damping(lambda t: 1.0 + np.sin(3.0 * np.asarray(t)) ** 2, nbar)
+        else:
+            d = DissipatorSpec.amplitude_damping(1.3, nbar)
+        rates, times = pipeline_rates(d, states, grid)
+        one = [damping_quadrature(husimi(s, grid), bath_at(d, t)) for s, t in zip(states, times)]
+        np.testing.assert_allclose(rates.phi, [phi for phi, _ in one], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(rates.pi, [pi.total for _, pi in one], rtol=1e-13, atol=0)
+
+    def test_wehrl_entropy(self, grid_and_states):
+        grid, states = grid_and_states
+        chunked = np.concatenate([wehrl_entropy(chunk) for chunk in husimi_chunks(states, grid)])
+        one = [wehrl_entropy(husimi(s, grid)) for s in states]
+        np.testing.assert_allclose(chunked, one, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("kind", ["dephasing", "amplitude_damping"])
+    def test_one_reduce_per_chunk(self, monkeypatch, kind):
+        name = "dephasing_reduce" if kind == "dephasing" else "damping_reduce"
+        shapes = []
+        original = getattr(_kernels, name)
 
         def counted(*args):
-            calls.append(args)
+            shapes.append(args[0].shape)
             return original(*args)
 
-        monkeypatch.setattr(_kernels, "damping_reduce", counted)
-        j = SpinQuantumNumber(4)
-        field = husimi(random_density_matrix(j, rng), make_grid(48, 96))
-        d = DissipatorSpec.amplitude_damping(1.0, 0.5)
-        rates = RATE_METHODS["quadrature"].rates(None, [field], d, np.array([0.0]))
-        assert len(calls) == 1
-        assert rates.pi.shape == rates.phi.shape == (1,)
-        assert np.isfinite(rates.pi[0]) and np.isfinite(rates.phi[0])
+        monkeypatch.setattr(_kernels, name, counted)
+        grid = make_grid(96, 192)  # four states per chunk
+        d = DissipatorSpec.dephasing(1.0) if kind == "dephasing" else DissipatorSpec.amplitude_damping(1.0, 0.5)
+        rho0 = DensityMatrix(SpinQuantumNumber(4), np.diag([0.3, 0.25, 0.2, 0.15, 0.1]).astype(complex))
+        result = simulate(Model(rho0, HamiltonianSpec.static_jz(1.0), d), t_max=1.0, dt=0.1, grid=grid)
+        assert shapes == [(4, 96, 192), (4, 96, 192), (3, 96, 192)]  # 11 states
+        assert result.wehrl.pi.shape == (11,) and np.all(np.isfinite(result.wehrl.pi))
 
+
+class TestDampingQuadrature:
     def test_fused_matches_the_split_functions(self, rng):
         j = SpinQuantumNumber(3)
         field = husimi(random_density_matrix(j, rng), make_grid(48, 96))

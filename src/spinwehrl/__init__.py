@@ -20,7 +20,6 @@ from .errors import (
     SpinWehrlError,
     StiffnessFailure,
     TailNotConverged,
-    UndefinedAngles,
     UndefinedRatio,
     UnsupportedParameters,
     WrongDimension,
@@ -42,17 +41,11 @@ from .phase_space import (
     CoherentStateVector,
     HusimiField,
     SphereGrid,
-    angle_action_inverse,
-    angle_action_map,
     coherent_state,
     husimi,
     husimi_chunks,
-    husimi_fields,
-    husimi_of_matrix,
     make_grid,
     phase_space_currents,
-    tss_correspondences,
-    v_function,
     wehrl_entropy,
     wehrl_entropy_spin_half,
 )
@@ -61,7 +54,6 @@ from .dynamics import (
     HamiltonianSpec,
     Trajectory,
     amplitude_damping_dissipator,
-    current_superoperator_f,
     dephasing_dissipator,
     evolve,
     lindblad_rhs,
@@ -80,33 +72,32 @@ from .entropy_rates import (
     dephasing_pi_quadrature,
     dephasing_pi_spin_half,
     dephasing_pi_von_neumann,
-    dissipative_entropy_rate,
     energy_flux,
-    generator_entropy_rate,
     integrate_rate_series,
     spin_half_damping_rates,
     spin_half_damping_von_neumann,
     spin_half_dephasing_rates,
     spin_half_dephasing_von_neumann,
-    total_entropy_produced,
     von_neumann_entropy,
     von_neumann_rates,
 )
 from .scenarios import (
+    Model,
     PulseParams,
     ScenarioResult,
-    custom_scenario,
+    compare,
     is_markovian,
     markov_threshold,
-    photon_pulse_scenario,
+    photon_pulse_model,
     pulse_amplitude,
     pulse_effective_rates,
     pulse_gamma_explicit,
     pulse_xi,
-    rotating_field,
+    rotating_field_model,
     rotating_field_steady_state,
-    spontaneous_emission,
-    thermal_quench,
+    simulate,
+    spontaneous_emission_model,
+    thermal_quench_model,
     write_scenario_csv,
 )
 

@@ -142,7 +142,6 @@ class RunPlan:
     model: Model
     t_max: float
     dt: float
-    tol: float
     grid: tuple
     csv: str
     tolerance: float
@@ -209,8 +208,7 @@ def validate_config(cfg: dict) -> RunPlan:
     dt = _number(time, "output_dt", "'time'")
     if dt <= 0 or not math.isfinite(t_max / dt) or round(t_max / dt) < 2:
         raise ConfigError("'output_dt' must be positive and give at least two steps up to 't_max'")
-    tol = _number(time, "tol", "'time'") if "tol" in time else 1e-10
-    if tol <= 0:
+    if "tol" in time and _number(time, "tol", "'time'") <= 0:  # checked, changes no result
         raise ConfigError("'tol' in 'time' must be positive")
     grid = ()
     if "grid" in cfg:
@@ -235,7 +233,7 @@ def validate_config(cfg: dict) -> RunPlan:
         model.h.matrix(model.rho0.j, 0.0)  # a Hamiltonian defined for another spin raises here
     except (NonPhysicalState, InvalidFrequency, DimensionMismatch) as exc:
         raise ConfigError(str(exc)) from exc
-    return RunPlan(scenario, model, t_max, dt, tol, grid, csv, tolerance)
+    return RunPlan(scenario, model, t_max, dt, grid, csv, tolerance)
 
 
 def _grid_size(plan: RunPlan, override: str | None) -> tuple:
@@ -252,15 +250,12 @@ def _grid_size(plan: RunPlan, override: str | None) -> tuple:
     raise ConfigError(f"--grid must look like 96x192, with both sizes >= {_GRID_MIN}, got {override!r}")
 
 
-def run_config(plan: RunPlan, grid_override: str | None = None, tol_override: float | None = None):
+def run_config(plan: RunPlan, grid_override: str | None = None):
     """Execute a validated config and return its ScenarioResult. The sphere
     grid is built only if the run makes Husimi fields."""
     size = _grid_size(plan, grid_override)
-    tol = plan.tol if tol_override is None else tol_override
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"tol must be positive and finite, got {tol:g}")
     grid = make_grid(*size) if primary_rate_method(plan.model.rho0.j.two_j, plan.model.d).needs_field else None
-    return simulate(plan.model, plan.t_max, plan.dt, grid, tol)
+    return simulate(plan.model, plan.t_max, plan.dt, grid)
 
 
 def _fmt(x) -> str:
@@ -286,7 +281,7 @@ def compare_config(plan: RunPlan, tolerance: float, grid_override: str | None = 
     and report their pairwise maximum relative deviations; returns a process
     exit code. Raises NothingToCompare, before integrating, when fewer than
     two methods apply."""
-    agreement = compare(plan.model, plan.t_max, plan.dt, make_grid(*_grid_size(plan, grid_override)), plan.tol)
+    agreement = compare(plan.model, plan.t_max, plan.dt, make_grid(*_grid_size(plan, grid_override)))
     for name, value in agreement.items():
         print(f"{name}: max rel dev {value:.3e}")
     worst = max(0.0, *agreement.values())
@@ -414,13 +409,15 @@ def main(argv=None) -> int:
             print("OK")
             return 0
         if args.command == "run":
+            if args.tol is not None and not 0 < args.tol < math.inf:
+                raise ConfigError(f"tol must be positive and finite, got {args.tol:g}")
             # Output paths are checked before integrating, so that a bad one
             # loses no work.
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
             if args.states_csv and not Path(args.states_csv).parent.is_dir():
                 raise FileNotFoundError(f"the directory of --states-csv {args.states_csv!r} does not exist")
-            result = run_config(plan, grid_override=args.grid, tol_override=args.tol)
+            result = run_config(plan, grid_override=args.grid)
             csv_path = out_dir / plan.csv
             write_scenario_csv(result, csv_path)
             print(f"wrote {csv_path}")

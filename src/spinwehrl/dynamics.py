@@ -33,7 +33,6 @@ matrix at a time t, or on an (n, d, d) stack of them at n times.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -197,18 +196,6 @@ def amplitude_damping_dissipator(rho: np.ndarray, gamma, nbar: float) -> np.ndar
     return gamma * (nbar + 1.0) * down + gamma * nbar * up
 
 
-def current_superoperator_f(rho: np.ndarray, nbar: float) -> np.ndarray:
-    """Matrix current f(rho) = (nbar+1) rho J+ - nbar J+ rho.
-
-    The damping dissipator is the divergence of this current:
-    D(rho) = (gamma/2) ([J-, f(rho)] - [J+, f(rho)^dagger]), and f
-    annihilates the thermal target state.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    ops = make_spin_operators(_spin_number_for(rho))
-    return (nbar + 1.0) * rho @ ops.jp - nbar * ops.jp @ rho
-
-
 def lindblad_rhs(rho: np.ndarray, t, h: HamiltonianSpec, d: DissipatorSpec) -> np.ndarray:
     """d rho/dt = -i [H(t), rho] + D(rho), of one matrix or of a stack (see
     the module docstring)."""
@@ -231,11 +218,6 @@ class Trajectory:
     @property
     def j(self) -> SpinQuantumNumber:
         return SpinQuantumNumber(self.entries.shape[-1] - 1)
-
-    @functools.cached_property
-    def states(self) -> list:
-        """The states as DensityMatrix objects, built on first access."""
-        return [DensityMatrix(self.j, s) for s in self.entries]
 
     def populations(self) -> np.ndarray:
         """(n, d) J_z populations (m descending)."""
@@ -373,21 +355,12 @@ def _rotating_frame(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, 
     return x.reshape(-1, dim, dim) * lab
 
 
-def evolve(
-    rho0: DensityMatrix,
-    h: HamiltonianSpec,
-    d: DissipatorSpec,
-    t_grid: np.ndarray,
-    tol: float = 1e-10,
-) -> Trajectory:
+def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: np.ndarray) -> Trajectory:
     """The states of the master equation on t_grid, from exact propagators
-    (see the module docstring). tol must be positive but does not change the
-    result. A time-dependent rate callable takes an array of times; a
-    negative damping rate raises NonMarkovianRate, and a rotating field with
-    a time-dependent damping rate, whose parts do not commute, raises
-    UnsupportedParameters."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    (see the module docstring). A time-dependent rate callable takes an
+    array of times; a negative damping rate raises NonMarkovianRate, and a
+    rotating field with a time-dependent damping rate, whose parts do not
+    commute, raises UnsupportedParameters."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing with at least two points")

@@ -31,7 +31,7 @@ import numpy as np
 from .dynamics import DissipatorSpec, Trajectory
 from .errors import TailNotConverged, UndefinedRatio, UnsupportedParameters
 from .hypergeom import gauss_2f1
-from .phase_space import HusimiField, Q_FLOOR, husimi_of_matrix
+from .phase_space import HusimiField, Q_FLOOR
 from .spin_ops import (
     BlochVector,
     DensityMatrix,
@@ -545,26 +545,6 @@ def clausius_ratio(rates: EntropyRates, temperature: float, j: SpinQuantumNumber
     return rates.phi * temperature * (1.0 + 1.0 / j.j) / rates.phi_energy
 
 
-def dissipative_entropy_rate(field: HusimiField, dissipator_field: np.ndarray) -> float:
-    """dS/dt|_diss = -(2J+1)/(4 pi) * integral of D(Q) ln Q.
-
-    dissipator_field holds <Omega|D(rho)|Omega> on the same grid (see
-    phase_space.husimi_of_matrix).
-    """
-    lnq = np.log(np.maximum(field.q, Q_FLOOR))
-    return -(field.j.dim / (4.0 * np.pi)) * field.grid.integrate(np.asarray(dissipator_field) * lnq)
-
-
-def generator_entropy_rate(
-    generator_matrix: np.ndarray, field: HusimiField
-) -> float:
-    """Entropy rate contributed by an arbitrary generator matrix G:
-    -(2J+1)/(4 pi) * integral of <Omega|G|Omega> ln Q. Vanishes for the
-    commutator generator of any Hamiltonian linear in J_i."""
-    gfield = husimi_of_matrix(generator_matrix, field.j, field.grid)
-    return dissipative_entropy_rate(field, gfield)
-
-
 def integrate_rate_series(times: np.ndarray, values: np.ndarray, tail_tol: float = 1e-10) -> float:
     """Trapezoid integral of a rate series whose tail must have decayed."""
     times = np.asarray(times, dtype=float)
@@ -573,12 +553,3 @@ def integrate_rate_series(times: np.ndarray, values: np.ndarray, tail_tol: float
         raise TailNotConverged(f"|rate| = {abs(values[-1]):.3e} at the final time, >= {tail_tol}")
     return float(_trapezoid(values, times))
 
-
-def total_entropy_produced(
-    trajectory: Trajectory,
-    rate_fn: Callable[[DensityMatrix, float], float],
-    tail_tol: float = 1e-10,
-) -> float:
-    """Sigma = integral of Pi(t) dt along the trajectory."""
-    pis = np.array([rate_fn(s, t) for s, t in zip(trajectory.states, trajectory.times)])
-    return integrate_rate_series(trajectory.times, pis, tail_tol)

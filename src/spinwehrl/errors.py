@@ -29,10 +29,6 @@ class StiffnessFailure(SpinWehrlError):
     """Propagated states lost trace beyond the drift bound."""
 
 
-class UndefinedAngles(SpinWehrlError):
-    """Angle-action map is undefined at the origin of the two-mode plane."""
-
-
 class UnsupportedParameters(SpinWehrlError):
     """Parameters outside the supported regime: hypergeometric parameters, or a
     generator that evolve has no exact propagator for."""

@@ -25,7 +25,6 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels
-from .errors import UndefinedAngles
 from .spin_ops import DensityMatrix, SpinQuantumNumber
 
 Q_FLOOR = 1e-300
@@ -189,11 +188,6 @@ class HusimiField:
         unit-trace state."""
         return (self.j.dim / (4.0 * np.pi)) * self.grid.integrate(self.q)
 
-    def to_csv(self, path) -> None:
-        """Dump (theta, phi, q) rows of a one-state field for external plotting."""
-        data = np.column_stack([self.grid.theta, self.grid.phi, self.q])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",", header="theta,phi,q", comments="")
-
 
 # Grid nodes per call of the transform (four states on the default grid):
 # enough states to amortise its Python loop over the 2J+1 diagonals, few
@@ -218,25 +212,11 @@ def husimi_chunks(states, grid: SphereGrid) -> Iterator[HusimiField]:
         yield HusimiField(grid=grid, j=j, q=q, dq_dtheta=dth, dq_dphi=dph)
 
 
-def husimi_fields(states, grid: SphereGrid) -> Iterator[HusimiField]:
-    """The one-state Husimi field of each state, in order (see husimi_chunks)."""
-    for chunk in husimi_chunks(states, grid):
-        for q, dth, dph in zip(chunk.q, chunk.dq_dtheta, chunk.dq_dphi):
-            yield HusimiField(grid=grid, j=chunk.j, q=q, dq_dtheta=dth, dq_dphi=dph)
-
-
 def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:
-    """Evaluate the Husimi-Q function of rho on the grid."""
-    return next(husimi_fields([rho], grid))
-
-
-def husimi_of_matrix(mat: np.ndarray, j: SpinQuantumNumber, grid: SphereGrid) -> np.ndarray:
-    """Re <Omega|M|Omega> for an arbitrary matrix (no state checks).
-
-    Used for generator fields such as <Omega|D(rho)|Omega>.
-    """
-    q, _, _ = _kernels.husimi_contract(*grid.amplitude_table(j), np.asarray(mat)[None])
-    return q[0]
+    """The one-state Husimi field of rho on the grid: the chunk of
+    husimi_chunks that holds rho alone."""
+    chunk = next(husimi_chunks([rho], grid))
+    return HusimiField(grid=grid, j=chunk.j, q=chunk.q[0], dq_dtheta=chunk.dq_dtheta[0], dq_dphi=chunk.dq_dphi[0])
 
 
 def wehrl_entropy(field: HusimiField):
@@ -298,128 +278,3 @@ def phase_space_currents(field: HusimiField) -> PhaseSpaceCurrents:
     j_plus = np.exp(1j * ph) * (field.dq_dtheta + 1j * cot * field.dq_dphi)
     j_minus = -np.exp(-1j * ph) * (field.dq_dtheta - 1j * cot * field.dq_dphi)
     return PhaseSpaceCurrents(j_plus=j_plus, j_minus=j_minus, j_z=j_z)
-
-
-# ---------------------------------------------------------------------------
-# Two-mode (bosonic) cross-representation used for verification.
-# ---------------------------------------------------------------------------
-
-
-class VFunction:
-    """Polynomial kernel V(alpha, beta) of the two-mode Husimi function.
-
-    V is a homogeneous polynomial of degree 2J in (alpha, beta) and in
-    (alpha*, beta*) separately, with coefficients given by the density
-    matrix; evaluate() returns V and its four first Wirtinger partials from
-    the exact finite double sum.
-    """
-
-    def __init__(self, rho: DensityMatrix):
-        self.j = rho.j
-        jj = self.j.j
-        ms = self.j.m_values()
-        d = self.j.dim
-        fact = np.array([math.lgamma(k + 1) for k in range(self.j.two_j + 1)])
-        norm = np.zeros((d, d))
-        for a in range(d):
-            for b in range(d):
-                norm[a, b] = math.exp(
-                    -0.5
-                    * (
-                        fact[int(jj + ms[a])]
-                        + fact[int(jj - ms[a])]
-                        + fact[int(jj + ms[b])]
-                        + fact[int(jj - ms[b])]
-                    )
-                )
-        self._coef = rho.entries * norm
-        self._p_row = (jj + ms).astype(int)  # alpha* exponent per row index
-        self._q_row = (jj - ms).astype(int)  # beta* exponent per row index
-
-    def evaluate(self, alpha: complex, beta: complex) -> dict:
-        """V and partials d/d alpha, d/d beta, d/d alpha*, d/d beta* at a point."""
-        p = self._p_row
-        q = self._q_row
-        ac = np.conj(alpha)
-        bc = np.conj(beta)
-        pow_a = np.array([alpha**k for k in range(self.j.two_j + 1)])
-        pow_b = np.array([beta**k for k in range(self.j.two_j + 1)])
-        pow_ac = np.array([ac**k for k in range(self.j.two_j + 1)])
-        pow_bc = np.array([bc**k for k in range(self.j.two_j + 1)])
-        row = pow_ac[p] * pow_bc[q]  # (alpha*)^(J+m) (beta*)^(J-m)
-        col = pow_a[p] * pow_b[q]  # alpha^(J+m') beta^(J-m')
-        d_row_ac = np.where(p > 0, p * pow_ac[np.maximum(p - 1, 0)] * pow_bc[q], 0.0)
-        d_row_bc = np.where(q > 0, q * pow_ac[p] * pow_bc[np.maximum(q - 1, 0)], 0.0)
-        d_col_a = np.where(p > 0, p * pow_a[np.maximum(p - 1, 0)] * pow_b[q], 0.0)
-        d_col_b = np.where(q > 0, q * pow_a[p] * pow_b[np.maximum(q - 1, 0)], 0.0)
-        c = self._coef
-        return {
-            "v": complex(row @ c @ col),
-            "d_alpha": complex(row @ c @ d_col_a),
-            "d_beta": complex(row @ c @ d_col_b),
-            "d_alpha_conj": complex(d_row_ac @ c @ col),
-            "d_beta_conj": complex(d_row_bc @ c @ col),
-        }
-
-    def q_value(self, alpha: complex, beta: complex) -> float:
-        """Two-mode Husimi value Q(alpha, beta) = e^{-|c|^2} V / pi^2."""
-        action = abs(alpha) ** 2 + abs(beta) ** 2
-        return float((math.exp(-action) / math.pi**2) * self.evaluate(alpha, beta)["v"].real)
-
-
-def v_function(rho: DensityMatrix) -> VFunction:
-    return VFunction(rho)
-
-
-def tss_correspondences(v: VFunction, alpha: complex, beta: complex, nbar: float = 0.0) -> dict:
-    """Current values of V at (alpha, beta) in the two-mode representation:
-
-    f(V)   = [(nbar+1) beta d_alpha - nbar alpha* d_beta*] V,
-    J_+(V) = (alpha* d_beta* - beta d_alpha) V,
-    J_-(V) = (beta* d_alpha* - alpha d_beta) V,
-    J_z(V) = ((alpha* d_alpha* + beta d_beta) - c.c.) V / 2.
-    """
-    d = v.evaluate(alpha, beta)
-    ac = np.conj(alpha)
-    bc = np.conj(beta)
-    f = (nbar + 1.0) * beta * d["d_alpha"] - nbar * ac * d["d_beta_conj"]
-    j_plus = ac * d["d_beta_conj"] - beta * d["d_alpha"]
-    j_minus = bc * d["d_alpha_conj"] - alpha * d["d_beta"]
-    j_z = 0.5 * (
-        ac * d["d_alpha_conj"] + beta * d["d_beta"] - alpha * d["d_alpha"] - bc * d["d_beta_conj"]
-    )
-    return {"v": d["v"], "f": f, "j_plus": j_plus, "j_minus": j_minus, "j_z": j_z, **d}
-
-
-@dataclass(frozen=True)
-class AngleAction:
-    action: float
-    theta: float
-    phi: float
-    psi: float
-
-
-def angle_action_map(alpha: complex, beta: complex) -> AngleAction:
-    """Invert alpha = sqrt(I) cos(theta/2) e^{-i(phi+psi)/2},
-    beta = sqrt(I) sin(theta/2) e^{i(phi-psi)/2}."""
-    ra = abs(alpha)
-    rb = abs(beta)
-    action = ra * ra + rb * rb
-    if action == 0.0:
-        raise UndefinedAngles("angle-action variables undefined at alpha = beta = 0")
-    theta = 2.0 * math.atan2(rb, ra)
-    arg_a = math.atan2(alpha.imag, alpha.real) if ra > 0 else 0.0
-    arg_b = math.atan2(beta.imag, beta.real) if rb > 0 else 0.0
-    phi = arg_b - arg_a
-    psi = -(arg_a + arg_b)
-    return AngleAction(action=action, theta=theta, phi=phi, psi=psi)
-
-
-def angle_action_inverse(action: float, theta: float, phi: float, psi: float = 0.0):
-    """Map angle-action variables back to the two-mode amplitudes."""
-    if action <= 0:
-        raise UndefinedAngles("action must be positive")
-    r = math.sqrt(action)
-    alpha = r * math.cos(0.5 * theta) * np.exp(-0.5j * (phi + psi))
-    beta = r * math.sin(0.5 * theta) * np.exp(0.5j * (phi - psi))
-    return complex(alpha), complex(beta)

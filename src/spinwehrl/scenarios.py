@@ -125,27 +125,23 @@ def _recording_entropy(chunks, entropy: np.ndarray):
         yield chunk
 
 
-def simulate(
-    model: Model,
-    t_max: float,
-    dt: float,
-    grid: Optional[SphereGrid] = None,
-    tol: float = 1e-10,
-) -> ScenarioResult:
+def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] = None) -> ScenarioResult:
     """Evolve a model and reduce its trajectory to rate series: the one
     pipeline behind every scenario and the CLI's run and sweep.
 
     The registry's primary method gives the Wehrl rates: the closed forms
-    for spin 1/2, on the trajectory's Bloch array, and otherwise the
-    quadrature, whose one pass over the Husimi fields (built a few states
-    at a time on grid, by default make_grid()) also gives the Wehrl
-    entropy. Spin-1/2 runs take the entropy from its closed form and build
-    no field.
+    for spin 1/2, on the trajectory's Bloch array (exact for any state,
+    including the nbar = 0 boundary where the quadrature is not
+    certified), and otherwise the quadrature, whose one pass over the
+    Husimi fields (built a few states at a time on grid, by default
+    make_grid()) also gives the Wehrl entropy. Spin-1/2 runs take the
+    entropy from its closed form and build no field. The von Neumann
+    rates are those of _von_neumann.
     """
     rho0, h, d = model.rho0, model.h, model.d
     j = rho0.j
     method = primary_rate_method(j.two_j, d)
-    traj = evolve(rho0, h, d, _uniform_grid(t_max, dt), tol)
+    traj = evolve(rho0, h, d, _uniform_grid(t_max, dt))
     times = traj.times
     if j.two_j == 1:
         bloch = traj.bloch_series()
@@ -193,7 +189,7 @@ def cross_check(
     }
 
 
-def compare(model: Model, t_max: float, dt: float, grid: SphereGrid, tol: float = 1e-10) -> dict:
+def compare(model: Model, t_max: float, dt: float, grid: SphereGrid) -> dict:
     """Integrate once and cross-check every rate method that applies (see
     cross_check). Raises NothingToCompare, before integrating, when no two
     of them give a common quantity."""
@@ -204,26 +200,14 @@ def compare(model: Model, t_max: float, dt: float, grid: SphereGrid, tol: float 
             f"fewer than two rate methods apply to 2J = {model.rho0.j.two_j}, {model.d.kind}, "
             f"nbar = {model.d.nbar:g}: {names}"
         )
-    traj = evolve(model.rho0, model.h, model.d, _uniform_grid(t_max, dt), tol)
+    traj = evolve(model.rho0, model.h, model.d, _uniform_grid(t_max, dt))
     return cross_check(model.d, traj, methods, grid)
 
 
-def spontaneous_emission(
-    omega: float,
-    gamma: float,
-    temperature: float,
-    t_max: float,
-    dt: float,
-    grid: Optional[SphereGrid] = None,
-    tol: float = 1e-10,
-) -> ScenarioResult:
-    """Decay of the excited state |z+> under the thermal damping bath."""
-    return simulate(spontaneous_emission_model(omega, gamma, temperature), t_max, dt, grid, tol)
-
-
 def spontaneous_emission_model(omega: float, gamma: float, temperature: float) -> Model:
-    """The Model that spontaneous_emission integrates. Raises
-    InvalidFrequency for omega <= 0, the level splitting of the bath."""
+    """Decay of the excited state |z+> under the thermal damping bath.
+    Raises InvalidFrequency for omega <= 0, the level splitting of the
+    bath."""
     nbar = nbar_from_temperature(omega, temperature)
     return Model(
         bloch_to_rho(BlochVector(0.0, 0.0, 1.0)),
@@ -239,28 +223,13 @@ def quench_tau_z(t: np.ndarray, tau_z0: float, bath: BathParams) -> np.ndarray:
     return tbz + np.exp(-bath.gamma * np.asarray(t) / abs(tbz)) * (tau_z0 - tbz)
 
 
-def thermal_quench(
-    t0_temperature: float,
-    bath_temperature: float,
-    omega: float,
-    gamma: float,
-    t_max: float,
-    dt: float = 0.01,
-    grid: Optional[SphereGrid] = None,
-    tol: float = 1e-10,
-) -> ScenarioResult:
+def thermal_quench_model(t0_temperature: float, bath_temperature: float, omega: float, gamma: float) -> Model:
     """Gibbs state prepared at T0 relaxing toward the bath at temperature T.
 
     The evolved state remains thermal with a time-dependent temperature;
     the closed-form tau_z(t) is attached under extras["tau_z_closed_form"].
+    Raises InvalidFrequency for omega <= 0, the level splitting of the bath.
     """
-    model = thermal_quench_model(t0_temperature, bath_temperature, omega, gamma)
-    return simulate(model, t_max, dt, grid, tol)
-
-
-def thermal_quench_model(t0_temperature: float, bath_temperature: float, omega: float, gamma: float) -> Model:
-    """The Model that thermal_quench integrates. Raises InvalidFrequency
-    for omega <= 0, the level splitting of the bath."""
     nbar = nbar_from_temperature(omega, bath_temperature)
     bath = BathParams(gamma=gamma, nbar=nbar)
 
@@ -298,28 +267,12 @@ def rotating_field_steady_state(b0: float, b1: float, drive_omega: float, bath: 
     return {"tau_z": tau_z, "pi_wehrl": pi_wehrl, "pi_vn": pi_vn}
 
 
-def rotating_field(
-    b0: float,
-    b1: float,
-    drive_omega: float,
-    dissipator: DissipatorSpec,
-    initial_state: DensityMatrix,
-    t_max: float,
-    dt: float = 0.01,
-    grid: Optional[SphereGrid] = None,
-    tol: float = 1e-10,
-) -> ScenarioResult:
-    """Spin 1/2 driven by a rotating transverse field, with dephasing or
-    damping. Energy flux is reported as -tr(H(t) D(rho)) for the
-    instantaneous Hamiltonian."""
-    model = rotating_field_model(b0, b1, drive_omega, dissipator, initial_state)
-    return simulate(model, t_max, dt, grid, tol)
-
-
 def rotating_field_model(
     b0: float, b1: float, drive_omega: float, dissipator: DissipatorSpec, initial_state: DensityMatrix
 ) -> Model:
-    """The Model that rotating_field integrates."""
+    """Spin 1/2 driven by a rotating transverse field, with dephasing or
+    damping. Energy flux is reported as -tr(H(t) D(rho)) for the
+    instantaneous Hamiltonian."""
     if initial_state.j.two_j != 1:
         raise NonPhysicalState("rotating_field scenario is defined for spin 1/2")
 
@@ -446,24 +399,14 @@ def pulse_gamma_explicit(params: PulseParams, t):
     return out if out.ndim else float(out)
 
 
-def photon_pulse_scenario(
-    params: PulseParams,
-    t_max: float,
-    dt: float,
-    grid: Optional[SphereGrid] = None,
-    tol: float = 1e-10,
-) -> ScenarioResult:
+def photon_pulse_model(params: PulseParams) -> Model:
     """Master-equation evolution with the time-dependent decay rate Gamma_t.
 
     The bath is at zero temperature (tau_bar_z = -1); Wehrl rates use the
     spin-1/2 closed forms with gamma -> Gamma_t, so the flux reduces to
-    Phi(t) = (Gamma_t/2)(1 + tau_z(t)).
+    Phi(t) = (Gamma_t/2)(1 + tau_z(t)). Raises NonMarkovianRegime below
+    the Markovianity threshold.
     """
-    return simulate(photon_pulse_model(params), t_max, dt, grid, tol)
-
-
-def photon_pulse_model(params: PulseParams) -> Model:
-    """The Model that photon_pulse_scenario integrates."""
     if not is_markovian(params):
         raise NonMarkovianRegime(
             f"a0 = {params.a0} below the threshold {markov_threshold(params):.6f}"
@@ -492,32 +435,6 @@ def photon_pulse_model(params: PulseParams) -> Model:
         DissipatorSpec.time_dependent_damping(gamma_t, nbar=0.0),
         finish,
     )
-
-
-# ---------------------------------------------------------------------------
-# Generic (any-J) scenario used by the CLI's "custom" mode.
-# ---------------------------------------------------------------------------
-
-
-def custom_scenario(
-    rho0: DensityMatrix,
-    h: HamiltonianSpec,
-    d: DissipatorSpec,
-    t_max: float,
-    dt: float,
-    grid: Optional[SphereGrid] = None,
-    tol: float = 1e-10,
-) -> ScenarioResult:
-    """Evolve an arbitrary configuration and compute Wehrl rate series.
-
-    Spin-1/2 runs use the closed forms (exact for any state, including the
-    nbar = 0 boundary where the production quadrature is not certified);
-    larger spins use the quadrature route. Von Neumann rates use the
-    closed forms for spin 1/2 and the eigendecomposition route when the
-    dissipator is thermal damping against a static J_z Hamiltonian. See
-    simulate for the grid.
-    """
-    return simulate(Model(rho0, h, d), t_max, dt, grid, tol)
 
 
 def write_csv(path, header: list, table) -> None:

@@ -1,0 +1,179 @@
+"""Oracles that the tests compare the package against; no path of the
+package calls them.
+
+* The two-mode (Schwinger boson) cross-representation of the Husimi
+  function: its polynomial kernel V(alpha, beta), the current
+  correspondences on it, and the angle-action map.
+* The ln Q route to entropy rates: -(2J+1)/(4 pi) * integral of
+  <Omega|G|Omega> ln Q for a generator G, against which the quadrature's
+  current forms are checked.
+* The matrix current f(rho) whose divergence is the damping dissipator.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from spinwehrl import _kernels
+from spinwehrl.phase_space import Q_FLOOR, HusimiField, SphereGrid
+from spinwehrl.spin_ops import DensityMatrix, SpinQuantumNumber, make_spin_operators
+
+
+class VFunction:
+    """Polynomial kernel V(alpha, beta) of the two-mode Husimi function.
+
+    V is a homogeneous polynomial of degree 2J in (alpha, beta) and in
+    (alpha*, beta*) separately, with coefficients given by the density
+    matrix; evaluate() returns V and its four first Wirtinger partials from
+    the exact finite double sum.
+    """
+
+    def __init__(self, rho: DensityMatrix):
+        self.j = rho.j
+        jj = self.j.j
+        ms = self.j.m_values()
+        d = self.j.dim
+        fact = np.array([math.lgamma(k + 1) for k in range(self.j.two_j + 1)])
+        norm = np.zeros((d, d))
+        for a in range(d):
+            for b in range(d):
+                norm[a, b] = math.exp(
+                    -0.5
+                    * (
+                        fact[int(jj + ms[a])]
+                        + fact[int(jj - ms[a])]
+                        + fact[int(jj + ms[b])]
+                        + fact[int(jj - ms[b])]
+                    )
+                )
+        self._coef = rho.entries * norm
+        self._p_row = (jj + ms).astype(int)  # alpha* exponent per row index
+        self._q_row = (jj - ms).astype(int)  # beta* exponent per row index
+
+    def evaluate(self, alpha: complex, beta: complex) -> dict:
+        """V and partials d/d alpha, d/d beta, d/d alpha*, d/d beta* at a point."""
+        p = self._p_row
+        q = self._q_row
+        ac = np.conj(alpha)
+        bc = np.conj(beta)
+        pow_a = np.array([alpha**k for k in range(self.j.two_j + 1)])
+        pow_b = np.array([beta**k for k in range(self.j.two_j + 1)])
+        pow_ac = np.array([ac**k for k in range(self.j.two_j + 1)])
+        pow_bc = np.array([bc**k for k in range(self.j.two_j + 1)])
+        row = pow_ac[p] * pow_bc[q]  # (alpha*)^(J+m) (beta*)^(J-m)
+        col = pow_a[p] * pow_b[q]  # alpha^(J+m') beta^(J-m')
+        d_row_ac = np.where(p > 0, p * pow_ac[np.maximum(p - 1, 0)] * pow_bc[q], 0.0)
+        d_row_bc = np.where(q > 0, q * pow_ac[p] * pow_bc[np.maximum(q - 1, 0)], 0.0)
+        d_col_a = np.where(p > 0, p * pow_a[np.maximum(p - 1, 0)] * pow_b[q], 0.0)
+        d_col_b = np.where(q > 0, q * pow_a[p] * pow_b[np.maximum(q - 1, 0)], 0.0)
+        c = self._coef
+        return {
+            "v": complex(row @ c @ col),
+            "d_alpha": complex(row @ c @ d_col_a),
+            "d_beta": complex(row @ c @ d_col_b),
+            "d_alpha_conj": complex(d_row_ac @ c @ col),
+            "d_beta_conj": complex(d_row_bc @ c @ col),
+        }
+
+    def q_value(self, alpha: complex, beta: complex) -> float:
+        """Two-mode Husimi value Q(alpha, beta) = e^{-|c|^2} V / pi^2."""
+        action = abs(alpha) ** 2 + abs(beta) ** 2
+        return float((math.exp(-action) / math.pi**2) * self.evaluate(alpha, beta)["v"].real)
+
+
+def v_function(rho: DensityMatrix) -> VFunction:
+    return VFunction(rho)
+
+
+def tss_correspondences(v: VFunction, alpha: complex, beta: complex, nbar: float = 0.0) -> dict:
+    """Current values of V at (alpha, beta) in the two-mode representation:
+
+    f(V)   = [(nbar+1) beta d_alpha - nbar alpha* d_beta*] V,
+    J_+(V) = (alpha* d_beta* - beta d_alpha) V,
+    J_-(V) = (beta* d_alpha* - alpha d_beta) V,
+    J_z(V) = ((alpha* d_alpha* + beta d_beta) - c.c.) V / 2.
+    """
+    d = v.evaluate(alpha, beta)
+    ac = np.conj(alpha)
+    bc = np.conj(beta)
+    f = (nbar + 1.0) * beta * d["d_alpha"] - nbar * ac * d["d_beta_conj"]
+    j_plus = ac * d["d_beta_conj"] - beta * d["d_alpha"]
+    j_minus = bc * d["d_alpha_conj"] - alpha * d["d_beta"]
+    j_z = 0.5 * (
+        ac * d["d_alpha_conj"] + beta * d["d_beta"] - alpha * d["d_alpha"] - bc * d["d_beta_conj"]
+    )
+    return {"v": d["v"], "f": f, "j_plus": j_plus, "j_minus": j_minus, "j_z": j_z, **d}
+
+
+@dataclass(frozen=True)
+class AngleAction:
+    action: float
+    theta: float
+    phi: float
+    psi: float
+
+
+def angle_action_map(alpha: complex, beta: complex) -> AngleAction:
+    """Invert alpha = sqrt(I) cos(theta/2) e^{-i(phi+psi)/2},
+    beta = sqrt(I) sin(theta/2) e^{i(phi-psi)/2}."""
+    ra = abs(alpha)
+    rb = abs(beta)
+    action = ra * ra + rb * rb
+    if action == 0.0:
+        raise ValueError("angle-action variables undefined at alpha = beta = 0")
+    theta = 2.0 * math.atan2(rb, ra)
+    arg_a = math.atan2(alpha.imag, alpha.real) if ra > 0 else 0.0
+    arg_b = math.atan2(beta.imag, beta.real) if rb > 0 else 0.0
+    phi = arg_b - arg_a
+    psi = -(arg_a + arg_b)
+    return AngleAction(action=action, theta=theta, phi=phi, psi=psi)
+
+
+def angle_action_inverse(action: float, theta: float, phi: float, psi: float = 0.0):
+    """Map angle-action variables back to the two-mode amplitudes."""
+    if action <= 0:
+        raise ValueError("action must be positive")
+    r = math.sqrt(action)
+    alpha = r * math.cos(0.5 * theta) * np.exp(-0.5j * (phi + psi))
+    beta = r * math.sin(0.5 * theta) * np.exp(0.5j * (phi - psi))
+    return complex(alpha), complex(beta)
+
+
+def current_superoperator_f(rho: np.ndarray, nbar: float) -> np.ndarray:
+    """Matrix current f(rho) = (nbar+1) rho J+ - nbar J+ rho.
+
+    The damping dissipator is the divergence of this current:
+    D(rho) = (gamma/2) ([J-, f(rho)] - [J+, f(rho)^dagger]), and f
+    annihilates the thermal target state.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    ops = make_spin_operators(SpinQuantumNumber(rho.shape[-1] - 1))
+    return (nbar + 1.0) * rho @ ops.jp - nbar * ops.jp @ rho
+
+
+def husimi_of_matrix(mat: np.ndarray, j: SpinQuantumNumber, grid: SphereGrid) -> np.ndarray:
+    """Re <Omega|M|Omega> for an arbitrary matrix (no state checks).
+
+    Used for generator fields such as <Omega|D(rho)|Omega>.
+    """
+    q, _, _ = _kernels.husimi_contract(*grid.amplitude_table(j), np.asarray(mat)[None])
+    return q[0]
+
+
+def dissipative_entropy_rate(field: HusimiField, dissipator_field: np.ndarray) -> float:
+    """dS/dt|_diss = -(2J+1)/(4 pi) * integral of D(Q) ln Q.
+
+    dissipator_field holds <Omega|D(rho)|Omega> on the same grid (see
+    husimi_of_matrix).
+    """
+    lnq = np.log(np.maximum(field.q, Q_FLOOR))
+    return -(field.j.dim / (4.0 * np.pi)) * field.grid.integrate(np.asarray(dissipator_field) * lnq)
+
+
+def generator_entropy_rate(generator_matrix: np.ndarray, field: HusimiField) -> float:
+    """Entropy rate contributed by an arbitrary generator matrix G:
+    -(2J+1)/(4 pi) * integral of <Omega|G|Omega> ln Q. Vanishes for the
+    commutator generator of any Hamiltonian linear in J_i."""
+    gfield = husimi_of_matrix(generator_matrix, field.j, field.grid)
+    return dissipative_entropy_rate(field, gfield)

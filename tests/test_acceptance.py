@@ -12,6 +12,7 @@ import pytest
 from spinwehrl import (
     BathParams,
     BlochVector,
+    DensityMatrix,
     DissipatorSpec,
     HamiltonianSpec,
     NonMarkovianRegime,
@@ -34,11 +35,12 @@ from spinwehrl import (
     is_markovian,
     make_grid,
     markov_threshold,
-    photon_pulse_scenario,
+    photon_pulse_model,
     pulse_effective_rates,
     pulse_gamma_explicit,
-    rotating_field,
+    rotating_field_model,
     rotating_field_steady_state,
+    simulate,
     spin_half_damping_rates,
     spin_half_damping_von_neumann,
     temperature_from_nbar,
@@ -197,11 +199,11 @@ def test_criterion_05_entropy_balance(grid_default, rng):
                   DissipatorSpec.amplitude_damping(1.0, 0.5)))
     worst = 0.0
     for label, rho0, diss in cases:
-        traj = evolve(rho0, HamiltonianSpec.none(), diss, t_grid, tol=1e-11)
+        traj = evolve(rho0, HamiltonianSpec.none(), diss, t_grid)
         entropy = np.empty(t_grid.size)
         model = np.empty(t_grid.size)
-        for k, state in enumerate(traj.states):
-            field = husimi(state, grid_default)
+        for k, entries in enumerate(traj.entries):
+            field = husimi(DensityMatrix(traj.j, entries), grid_default)
             entropy[k] = wehrl_entropy(field)
             if diss.kind == "dephasing":
                 pi = dephasing_pi_quadrature(field, diss.lam)
@@ -313,16 +315,16 @@ def test_criterion_09_rotating_field_steady_state():
     bath = BathParams(gamma=gamma, nbar=nbar)
     ss = rotating_field_steady_state(b0, b1, w, bath)
     rho0 = bloch_to_rho(BlochVector(1.0, 0.0, 0.0))
-    res = rotating_field(b0, b1, w, DissipatorSpec.amplitude_damping(gamma, nbar),
-                         rho0, t_max=15.0, dt=0.01, grid=None)
+    res = simulate(rotating_field_model(b0, b1, w, DissipatorSpec.amplitude_damping(gamma, nbar), rho0),
+                   t_max=15.0, dt=0.01)
     assert abs(res.wehrl.pi[-1] - res.wehrl.phi[-1]) <= 1e-4
     assert res.wehrl.pi[-1] == pytest.approx(ss["pi_wehrl"], abs=1e-4)
     assert res.von_neumann.pi[-1] == pytest.approx(ss["pi_vn"], abs=1e-4)
     # T -> 0: Wehrl value gamma b1^2 / (gamma^2 + 2 b1^2 + 4 (b0 + w)^2)
     b0, b1, w = 2.0, 3.0, 1.0
     expected = gamma * b1**2 / (gamma**2 + 2 * b1**2 + 4 * (b0 + w) ** 2)
-    res0 = rotating_field(b0, b1, w, DissipatorSpec.amplitude_damping(gamma, 0.0),
-                          rho0, t_max=25.0, dt=0.01, grid=None)
+    res0 = simulate(rotating_field_model(b0, b1, w, DissipatorSpec.amplitude_damping(gamma, 0.0), rho0),
+                    t_max=25.0, dt=0.01)
     assert res0.wehrl.pi[-1] == pytest.approx(expected, abs=1e-4)
     assert abs(res0.wehrl.pi[-1] - res0.wehrl.phi[-1]) <= 1e-4
     print(f"\nACCEPTANCE 9 PASS: steady state Pi = Phi, Wehrl {res.wehrl.pi[-1]:.6f} "
@@ -341,7 +343,7 @@ def test_criterion_10_photon_pulse():
     assert is_markovian(PulseParams(gamma0=1.0, capital_omega=4.0, a0=0.85))
     assert not is_markovian(PulseParams(gamma0=1.0, capital_omega=10.0, a0=0.5))
     with pytest.raises(NonMarkovianRegime):
-        photon_pulse_scenario(p4, t_max=4.0, dt=0.05, grid=None)
+        simulate(photon_pulse_model(p4), t_max=4.0, dt=0.05)
     # the two Gamma_t expressions agree
     t = np.linspace(0.0, 10.0, 501)
     g_log, _ = pulse_effective_rates(p10, t)
@@ -349,7 +351,7 @@ def test_criterion_10_photon_pulse():
     dev_gamma = float(np.max(np.abs(g_log - g_exp)))
     assert dev_gamma <= 1e-8
     # master equation population equals |a(t)|^2; flux identity pointwise
-    res = photon_pulse_scenario(p10, t_max=10.0, dt=0.02, grid=None)
+    res = simulate(photon_pulse_model(p10), t_max=10.0, dt=0.02)
     dev_pop = float(np.max(np.abs(res.bloch[:, 2] - (2 * res.extras["a_abs2"] - 1))))
     assert dev_pop <= 1e-6
     phi = res.series("wehrl.phi")

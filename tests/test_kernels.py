@@ -12,8 +12,6 @@ from spinwehrl import (
     SpinQuantumNumber,
     husimi,
     husimi_chunks,
-    husimi_fields,
-    husimi_of_matrix,
     make_grid,
     wehrl_entropy,
 )
@@ -29,6 +27,7 @@ from spinwehrl.entropy_rates import (
 )
 from spinwehrl.scenarios import Model, simulate
 from conftest import random_density_matrix
+from oracles import husimi_of_matrix
 
 
 def reference_amplitudes(two_j, grid):
@@ -80,12 +79,12 @@ class TestSeparableTransform:
         j = SpinQuantumNumber(3)
         per_chunk = phase_space._CHUNK_NODES // grid.n_nodes
         states = [random_density_matrix(j, rng) for _ in range(2 * per_chunk + 3)]
-        fields = list(husimi_fields(states, grid))
-        assert len(fields) == len(states)
-        for state, field in zip(states, fields):
-            one = husimi(state, grid)
-            for name in ("q", "dq_dtheta", "dq_dphi"):
-                assert np.max(np.abs(getattr(field, name) - getattr(one, name))) < 1e-14
+        chunks = list(husimi_chunks(states, grid))
+        assert sum(len(chunk.q) for chunk in chunks) == len(states)
+        for name in ("q", "dq_dtheta", "dq_dphi"):
+            rows = np.concatenate([getattr(chunk, name) for chunk in chunks])
+            for state, row in zip(states, rows):
+                assert np.max(np.abs(row - getattr(husimi(state, grid), name))) < 1e-14
 
 
 def pipeline_rates(d, states, grid):

@@ -40,10 +40,6 @@ from conftest import random_density_matrix
 from rk45 import evolve_rk45
 
 
-def entries(traj) -> np.ndarray:
-    return np.array([s.entries for s in traj.states])
-
-
 def liouvillian_blocks() -> list:
     """Generators evolve exponentiates: damping blocks of several coherence
     orders with their Hamiltonian and dephasing phases, and the 4x4
@@ -103,24 +99,24 @@ class TestCovariantPropagator:
         rho0 = random_density_matrix(SpinQuantumNumber(40), rng)
         h, d = HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5)
         t_grid = np.linspace(0.0, 0.2, 11)
-        exact = entries(evolve(rho0, h, d, t_grid))
-        oracle = entries(evolve_rk45(rho0, h, d, t_grid, tol=1e-12))
+        exact = evolve(rho0, h, d, t_grid).entries
+        oracle = evolve_rk45(rho0, h, d, t_grid, tol=1e-12).entries
         assert np.max(np.abs(exact - oracle)) < 1e-11
 
     def test_dephasing_matches_rk45(self, rng):
         rho0 = random_density_matrix(SpinQuantumNumber(3), rng)
         h, d = HamiltonianSpec.static_jz(0.7), DissipatorSpec.dephasing(0.8)
         t_grid = np.linspace(0.0, 4.0, 41)
-        exact = entries(evolve(rho0, h, d, t_grid))
-        oracle = entries(evolve_rk45(rho0, h, d, t_grid, tol=1e-12))
+        exact = evolve(rho0, h, d, t_grid).entries
+        oracle = evolve_rk45(rho0, h, d, t_grid, tol=1e-12).entries
         assert np.max(np.abs(exact - oracle)) < 1e-11
 
     def test_non_uniform_grid_matches_rk45(self, rng):
         rho0 = random_density_matrix(SpinQuantumNumber(2), rng)
         h, d = HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.3)
         t_grid = np.cumsum(np.concatenate(([0.0], rng.uniform(0.01, 0.3, 20))))
-        exact = entries(evolve(rho0, h, d, t_grid))
-        oracle = entries(evolve_rk45(rho0, h, d, t_grid, tol=1e-12))
+        exact = evolve(rho0, h, d, t_grid).entries
+        oracle = evolve_rk45(rho0, h, d, t_grid, tol=1e-12).entries
         assert np.max(np.abs(exact - oracle)) < 1e-11
 
     def test_thermal_quench_matches_closed_form(self):
@@ -138,7 +134,7 @@ class TestCovariantPropagator:
         params = PulseParams(gamma0=1.0, capital_omega=10.0, a0=1.0 / math.sqrt(2.0))
         model = photon_pulse_model(params)
         t_grid = _uniform_grid(12.0, 0.02)
-        states = entries(evolve(model.rho0, model.h, model.d, t_grid))
+        states = evolve(model.rho0, model.h, model.d, t_grid).entries
         a_abs2 = np.abs(pulse_amplitude(params, t_grid)) ** 2
         assert np.max(np.abs(states[:, 0, 0].real - a_abs2)) <= 1e-12
         assert np.all(states[:, 0, 1] == 0.0) and np.all(states[:, 1, 0] == 0.0)
@@ -171,13 +167,6 @@ class TestCovariantPropagator:
         assert 0.0 <= traj.max_trace_drift < 1e-13
         assert 0.0 <= traj.max_hermiticity_drift < 1e-13
 
-    def test_tol_does_not_change_the_states(self, rng):
-        rho0 = random_density_matrix(SpinQuantumNumber(4), rng)
-        h, d = HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5)
-        t_grid = np.linspace(0.0, 1.0, 11)
-        assert np.array_equal(entries(evolve(rho0, h, d, t_grid, tol=1e-5)),
-                              entries(evolve(rho0, h, d, t_grid, tol=1e-12)))
-
 
 def bloch_oracle(h: HamiltonianSpec, d: DissipatorSpec, tau0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """tau(t) from the spin-1/2 Bloch equations, integrated with DOP853:
@@ -207,7 +196,7 @@ class TestRotatingFramePropagator:
         t_grid = _uniform_grid(plan.t_max, plan.dt)
         exact = evolve(m.rho0, m.h, m.d, t_grid)
         oracle = evolve_rk45(m.rho0, m.h, m.d, t_grid, tol=1e-12)
-        assert np.max(np.abs(entries(exact) - entries(oracle))) < 1e-11
+        assert np.max(np.abs(exact.entries - oracle.entries)) < 1e-11
         bloch = bloch_oracle(m.h, m.d, rho_to_bloch(m.rho0).as_array(), t_grid)
         assert np.max(np.abs(exact.bloch_series() - bloch)) < 1e-11
 

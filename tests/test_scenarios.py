@@ -11,59 +11,59 @@ from spinwehrl import (
     NonMarkovianRegime,
     PulseParams,
     SpinQuantumNumber,
+    DensityMatrix,
+    Model,
     bloch_to_rho,
-    custom_scenario,
-    generator_entropy_rate,
     gibbs_state,
     husimi,
     is_markovian,
     make_grid,
     markov_threshold,
-    photon_pulse_scenario,
+    photon_pulse_model,
     pulse_amplitude,
     pulse_effective_rates,
     pulse_gamma_explicit,
     pulse_xi,
-    rotating_field,
+    rotating_field_model,
     rotating_field_steady_state,
-    spontaneous_emission,
-    thermal_quench,
+    simulate,
+    spontaneous_emission_model,
+    thermal_quench_model,
 )
 from spinwehrl import scenarios
 from spinwehrl.dynamics import HamiltonianSpec
 from spinwehrl.errors import InvalidFrequency
 from spinwehrl.phase_space import wehrl_entropy_spin_half
-from spinwehrl.scenarios import spontaneous_emission_model, thermal_quench_model
+
+from oracles import generator_entropy_rate
 
 
 class TestSpontaneousEmission:
     def test_zero_temperature_flux_profile(self):
         # Phi(t) = (gamma/2)(1 + tau_z(t)) at T = 0
-        res = spontaneous_emission(omega=1.0, gamma=1.0, temperature=0.0,
-                                   t_max=10.0, dt=0.05, grid=None)
+        res = simulate(spontaneous_emission_model(omega=1.0, gamma=1.0, temperature=0.0), t_max=10.0, dt=0.05)
         phi = res.series("wehrl.phi")
         expected = 0.5 * (1.0 + res.bloch[:, 2])
         assert np.max(np.abs(phi - expected)) < 1e-9
 
     def test_zero_temperature_von_neumann_flagged(self):
-        res = spontaneous_emission(omega=1.0, gamma=1.0, temperature=0.0,
-                                   t_max=5.0, dt=0.1, grid=None)
+        res = simulate(spontaneous_emission_model(omega=1.0, gamma=1.0, temperature=0.0), t_max=5.0, dt=0.1)
         assert np.all(np.isinf(res.series("von_neumann.phi")[:-1]))
         assert np.all(np.isfinite(res.series("wehrl.pi")))
 
     def test_total_entropy_ordering_with_temperature(self):
         # colder bath produces more total entropy from the excited state
-        cold = spontaneous_emission(1.0, 1.0, temperature=0.2, t_max=16.0, dt=0.005, grid=None)
-        warm = spontaneous_emission(1.0, 1.0, temperature=1.0, t_max=16.0, dt=0.005, grid=None)
+        cold = simulate(spontaneous_emission_model(1.0, 1.0, temperature=0.2), t_max=16.0, dt=0.005)
+        warm = simulate(spontaneous_emission_model(1.0, 1.0, temperature=1.0), t_max=16.0, dt=0.005)
         assert cold.scalars["sigma_wehrl"] is not None
         assert warm.scalars["sigma_wehrl"] is not None
         assert cold.scalars["sigma_wehrl"] > warm.scalars["sigma_wehrl"]
 
     def test_hot_bath_sigma_finite_and_smallest(self):
         # tau_bar_z -> 0: relaxation is fast but the totals stay ordered in T
-        hot = spontaneous_emission(1.0, 1.0, temperature=50.0, t_max=0.5, dt=0.0005, grid=None)
-        warm = spontaneous_emission(1.0, 1.0, temperature=1.0, t_max=16.0, dt=0.005, grid=None)
-        cold = spontaneous_emission(1.0, 1.0, temperature=0.2, t_max=16.0, dt=0.005, grid=None)
+        hot = simulate(spontaneous_emission_model(1.0, 1.0, temperature=50.0), t_max=0.5, dt=0.0005)
+        warm = simulate(spontaneous_emission_model(1.0, 1.0, temperature=1.0), t_max=16.0, dt=0.005)
+        cold = simulate(spontaneous_emission_model(1.0, 1.0, temperature=0.2), t_max=16.0, dt=0.005)
         sigmas = [r.scalars["sigma_wehrl"] for r in (hot, warm, cold)]
         assert all(s is not None and math.isfinite(s) for s in sigmas)
         assert sigmas[0] < sigmas[1] < sigmas[2]
@@ -71,23 +71,23 @@ class TestSpontaneousEmission:
 
 class TestThermalQuench:
     def test_equal_temperatures_idle(self):
-        res = thermal_quench(1.0, 1.0, omega=1.0, gamma=1.0, t_max=3.0, dt=0.05, grid=None)
+        res = simulate(thermal_quench_model(1.0, 1.0, omega=1.0, gamma=1.0), t_max=3.0, dt=0.05)
         assert np.max(np.abs(res.series("wehrl.pi"))) < 1e-12
         assert np.max(np.abs(res.series("wehrl.phi"))) < 1e-12
 
     def test_tau_z_matches_closed_form(self):
-        res = thermal_quench(2.0, 1.0, omega=1.0, gamma=1.0, t_max=8.0, dt=0.02, grid=None)
+        res = simulate(thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), t_max=8.0, dt=0.02)
         assert np.max(np.abs(res.bloch[:, 2] - res.extras["tau_z_closed_form"])) < 1e-8
 
     def test_states_stay_thermal(self):
-        res = thermal_quench(2.0, 1.0, omega=1.0, gamma=1.0, t_max=5.0, dt=0.05, grid=None)
-        for s in res.trajectory.states:
-            off = s.entries - np.diag(s.entries.diagonal())
+        res = simulate(thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), t_max=5.0, dt=0.05)
+        for s in res.trajectory.entries:
+            off = s - np.diag(s.diagonal())
             assert np.max(np.abs(off)) < 1e-12
 
     def test_balance_and_flux_sign_flip(self):
-        heat = thermal_quench(1.0, 2.0, omega=1.0, gamma=1.0, t_max=6.0, dt=0.02, grid=None)
-        cool = thermal_quench(2.0, 1.0, omega=1.0, gamma=1.0, t_max=6.0, dt=0.02, grid=None)
+        heat = simulate(thermal_quench_model(1.0, 2.0, omega=1.0, gamma=1.0), t_max=6.0, dt=0.02)
+        cool = simulate(thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), t_max=6.0, dt=0.02)
         for res in (heat, cool):
             ds = res.series("wehrl.ds_dt")
             assert np.max(np.abs(ds - (res.series("wehrl.pi") - res.series("wehrl.phi")))) < 1e-12
@@ -98,7 +98,7 @@ class TestThermalQuench:
     def test_exponential_tail_rate(self):
         # Pi and Phi decay with rate gamma/|tau_bar_z| at late times
         omega, gamma = 1.0, 1.0
-        res = thermal_quench(2.0, 1.0, omega=omega, gamma=gamma, t_max=10.0, dt=0.02, grid=None)
+        res = simulate(thermal_quench_model(2.0, 1.0, omega=omega, gamma=gamma), t_max=10.0, dt=0.02)
         nbar = res.scalars["nbar"]
         rate_expected = gamma * (2 * nbar + 1)
         t = res.times
@@ -113,17 +113,17 @@ class TestRotatingField:
         omega, gamma = 1.0, 1.0
         nbar = 0.8
         rho0 = gibbs_state(SpinQuantumNumber(1), omega, nbar_to_temp(omega, nbar))
-        res = rotating_field(b0=-omega, b1=0.0, drive_omega=0.5,
-                             dissipator=DissipatorSpec.amplitude_damping(gamma, nbar),
-                             initial_state=rho0, t_max=4.0, dt=0.05, grid=None)
+        model = rotating_field_model(b0=-omega, b1=0.0, drive_omega=0.5,
+                                     dissipator=DissipatorSpec.amplitude_damping(gamma, nbar), initial_state=rho0)
+        res = simulate(model, t_max=4.0, dt=0.05)
         assert np.max(np.abs(res.series("wehrl.pi"))) < 1e-10
 
     def test_damping_reaches_steady_state(self):
         bath = BathParams(gamma=1.0, nbar=1.0)
         ss = rotating_field_steady_state(5.0, 10.0, 5.0, bath)
         rho0 = bloch_to_rho(BlochVector(1.0, 0.0, 0.0))
-        res = rotating_field(5.0, 10.0, 5.0, DissipatorSpec.amplitude_damping(1.0, 1.0),
-                             rho0, t_max=15.0, dt=0.01, grid=None)
+        res = simulate(rotating_field_model(5.0, 10.0, 5.0, DissipatorSpec.amplitude_damping(1.0, 1.0), rho0),
+                       t_max=15.0, dt=0.01)
         assert res.wehrl.pi[-1] == pytest.approx(res.wehrl.phi[-1], abs=1e-6)
         assert res.wehrl.pi[-1] == pytest.approx(ss["pi_wehrl"], rel=1e-6)
         assert res.von_neumann.pi[-1] == pytest.approx(ss["pi_vn"], rel=1e-6)
@@ -138,15 +138,15 @@ class TestRotatingField:
         assert ss["pi_wehrl"] == pytest.approx(expected, rel=1e-12)
         assert ss["pi_vn"] == math.inf
         rho0 = bloch_to_rho(BlochVector(1.0, 0.0, 0.0))
-        res = rotating_field(b0, b1, w, DissipatorSpec.amplitude_damping(gamma, 0.0),
-                             rho0, t_max=25.0, dt=0.01, grid=None)
+        res = simulate(rotating_field_model(b0, b1, w, DissipatorSpec.amplitude_damping(gamma, 0.0), rho0),
+                       t_max=25.0, dt=0.01)
         assert res.wehrl.pi[-1] == pytest.approx(expected, abs=1e-6)
 
     def test_dephasing_variant_bounded_wehrl_vs_spiking_von_neumann(self):
         # strong-detuning drive b0/l = 5, b1/l = 1, w/l = 1 from the pure |x-> state
         rho0 = bloch_to_rho(BlochVector(-1.0, 0.0, 0.0))
-        res = rotating_field(5.0, 1.0, 1.0, DissipatorSpec.dephasing(1.0),
-                             rho0, t_max=6.0, dt=0.01, grid=None)
+        res = simulate(rotating_field_model(5.0, 1.0, 1.0, DissipatorSpec.dephasing(1.0), rho0),
+                       t_max=6.0, dt=0.01)
         pi_w = res.series("wehrl.pi")
         pi_v = res.series("von_neumann.pi")
         assert np.all(np.isfinite(pi_w))
@@ -159,19 +159,19 @@ class TestRotatingField:
         grid = make_grid(64, 128)
         rho0 = bloch_to_rho(BlochVector(0.7, 0.0, 0.2))
         h = HamiltonianSpec.rotating_field(5.0, 10.0, 5.0)
-        res = rotating_field(5.0, 10.0, 5.0, DissipatorSpec.amplitude_damping(1.0, 1.0),
-                             rho0, t_max=0.5, dt=0.05, grid=None)
-        for t, s in list(zip(res.times, res.trajectory.states))[::3]:
-            hm = h.matrix(s.j, t)
-            gen = -1j * (hm @ s.entries - s.entries @ hm)
-            assert abs(generator_entropy_rate(gen, husimi(s, grid))) < 1e-6
+        res = simulate(rotating_field_model(5.0, 10.0, 5.0, DissipatorSpec.amplitude_damping(1.0, 1.0), rho0),
+                       t_max=0.5, dt=0.05)
+        for t, s in list(zip(res.times, res.trajectory.entries))[::3]:
+            hm = h.matrix(res.trajectory.j, t)
+            gen = -1j * (hm @ s - s @ hm)
+            assert abs(generator_entropy_rate(gen, husimi(DensityMatrix(res.trajectory.j, s), grid))) < 1e-6
 
     def test_driven_balance_holds_with_unitary_term(self):
         # the drive is linear in the spin operators, so the full-dynamics
         # entropy still obeys dS/dt = Pi - Phi of the dissipator alone
         rho0 = bloch_to_rho(BlochVector(0.7, 0.0, 0.2))
-        res = rotating_field(5.0, 10.0, 5.0, DissipatorSpec.amplitude_damping(1.0, 1.0),
-                             rho0, t_max=1.0, dt=0.002, grid=make_grid(64, 128))
+        res = simulate(rotating_field_model(5.0, 10.0, 5.0, DissipatorSpec.amplitude_damping(1.0, 1.0), rho0),
+                       t_max=1.0, dt=0.002, grid=make_grid(64, 128))
         ds_fd = np.gradient(res.entropy, res.times, edge_order=2)
         model = res.series("wehrl.pi") - res.series("wehrl.phi")
         assert np.max(np.abs(ds_fd[2:-2] - model[2:-2])) < 1e-4
@@ -293,26 +293,25 @@ class TestPhotonPulseScenario:
     def test_rejects_non_markovian_parameters(self):
         p = PulseParams(gamma0=1.0, capital_omega=4.0, a0=math.sqrt(0.5))
         with pytest.raises(NonMarkovianRegime):
-            photon_pulse_scenario(p, t_max=5.0, dt=0.05, grid=None)
+            simulate(photon_pulse_model(p), t_max=5.0, dt=0.05)
 
     def test_population_identity(self):
         p = PulseParams(gamma0=1.0, capital_omega=10.0, a0=math.sqrt(0.5))
-        res = photon_pulse_scenario(p, t_max=10.0, dt=0.02, grid=None)
+        res = simulate(photon_pulse_model(p), t_max=10.0, dt=0.02)
         tz = res.bloch[:, 2]
         assert np.max(np.abs(tz - (2 * res.extras["a_abs2"] - 1))) < 1e-6
 
     def test_flux_identity(self):
         p = PulseParams(gamma0=1.0, capital_omega=10.0, a0=math.sqrt(0.5))
-        res = photon_pulse_scenario(p, t_max=10.0, dt=0.02, grid=None)
+        res = simulate(photon_pulse_model(p), t_max=10.0, dt=0.02)
         phi = res.series("wehrl.phi")
         expected = 0.5 * res.extras["gamma_t"] * (1 + res.bloch[:, 2])
         assert np.max(np.abs(phi - expected)) < 1e-8
 
     def test_reduces_to_spontaneous_emission_without_pulse(self):
         p = PulseParams(gamma0=1.0, capital_omega=10.0, a0=1.0)
-        res = photon_pulse_scenario(p, t_max=6.0, dt=0.05, grid=None)
-        ref = spontaneous_emission(omega=1.0, gamma=1.0, temperature=0.0,
-                                   t_max=6.0, dt=0.05, grid=None)
+        res = simulate(photon_pulse_model(p), t_max=6.0, dt=0.05)
+        ref = simulate(spontaneous_emission_model(omega=1.0, gamma=1.0, temperature=0.0), t_max=6.0, dt=0.05)
         assert np.max(np.abs(res.bloch[:, 2] - ref.bloch[:, 2])) < 1e-8
         assert np.max(np.abs(res.series("wehrl.pi") - ref.series("wehrl.pi"))) < 1e-8
 
@@ -328,7 +327,7 @@ class TestModelBuilders:
 
     def test_spin_half_entropy_needs_no_grid(self, monkeypatch):
         monkeypatch.setattr(scenarios, "make_grid", lambda *args: pytest.fail("make_grid called"))
-        res = thermal_quench(2.0, 1.0, omega=1.0, gamma=1.0, t_max=1.0, dt=0.1, grid=None)
+        res = simulate(thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), t_max=1.0, dt=0.1)
         expected = [wehrl_entropy_spin_half(math.hypot(*b)) for b in res.bloch]
         assert np.array_equal(res.entropy, expected)
 
@@ -340,14 +339,8 @@ class TestCustomScenario:
         omega, gamma, nbar = 1.0, 1.0, 0.5
         rho0 = gibbs_state(j, omega, 3.0)
         grid = make_grid(64, 128)
-        res = custom_scenario(
-            rho0,
-            HamiltonianSpec.static_jz(omega),
-            DissipatorSpec.amplitude_damping(gamma, nbar),
-            t_max=2.0,
-            dt=0.01,
-            grid=grid,
-        )
+        res = simulate(Model(rho0, HamiltonianSpec.static_jz(omega), DissipatorSpec.amplitude_damping(gamma, nbar)),
+                       t_max=2.0, dt=0.01, grid=grid)
         s = res.entropy
         t = res.times
         ds_fd = np.gradient(s, t, edge_order=2)
@@ -358,14 +351,8 @@ class TestCustomScenario:
         j = SpinQuantumNumber(2)
         omega, gamma, nbar = 1.0, 1.0, 0.5
         rho0 = gibbs_state(j, omega, 3.0)
-        res = custom_scenario(
-            rho0,
-            HamiltonianSpec.static_jz(omega),
-            DissipatorSpec.amplitude_damping(gamma, nbar),
-            t_max=1.0,
-            dt=0.1,
-            grid=make_grid(48, 96),
-        )
+        res = simulate(Model(rho0, HamiltonianSpec.static_jz(omega), DissipatorSpec.amplitude_damping(gamma, nbar)),
+                       t_max=1.0, dt=0.1, grid=make_grid(48, 96))
         pi_v = res.series("von_neumann.pi")
         pi_w = res.series("wehrl.pi")
         assert np.all(np.isfinite(pi_v))
@@ -375,7 +362,7 @@ class TestCustomScenario:
     def test_deterministic_outputs(self):
         rho0 = bloch_to_rho(BlochVector(0.5, 0.0, 0.0))
         kwargs = dict(t_max=0.5, dt=0.05, grid=make_grid(48, 96))
-        a = custom_scenario(rho0, HamiltonianSpec.none(), DissipatorSpec.dephasing(1.0), **kwargs)
-        b = custom_scenario(rho0, HamiltonianSpec.none(), DissipatorSpec.dephasing(1.0), **kwargs)
+        a = simulate(Model(rho0, HamiltonianSpec.none(), DissipatorSpec.dephasing(1.0)), **kwargs)
+        b = simulate(Model(rho0, HamiltonianSpec.none(), DissipatorSpec.dephasing(1.0)), **kwargs)
         assert np.array_equal(a.entropy, b.entropy)
         assert np.array_equal(a.series("wehrl.pi"), b.series("wehrl.pi"))

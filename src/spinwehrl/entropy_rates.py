@@ -43,6 +43,9 @@ from . import _kernels
 DIVERGENCE_EDGE = 1e-12
 # damping_phi_exact needs tau_bar_z above this: nbar above about 5e-16.
 EXACT_FLUX_MIN_TBZ = -1.0 + 1e-15
+# Above this nbar the exact flux is not cross-checked: its error grows like
+# nbar times the machine epsilon (see damping_phi_exact).
+EXACT_FLUX_MAX_NBAR = 1e6
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -249,6 +252,12 @@ def damping_phi_exact(populations: np.ndarray, bath: BathParams, j: SpinQuantumN
     2(2J+1) 2F1 values depend on J and nbar alone and are evaluated once per
     call. Valid for tau_bar_z in (-1, 0); the T = 0 boundary must use
     damping_phi_zero_temperature instead.
+
+    Its terms cancel at O(nbar), so its error grows like nbar times the
+    machine epsilon. Against an mpmath evaluation of the same formula, over
+    random and pure states and relative to their largest flux, the error
+    is below 1e-9 at nbar = 1e6 (EXACT_FLUX_MAX_NBAR), 5e-9 at 1e7, 1e-7
+    at 1e8 and 6e-6 at 1e10, for 2J = 1 to 40.
     """
     tbz = bath.tau_bar_z
     if tbz <= EXACT_FLUX_MIN_TBZ:
@@ -428,7 +437,8 @@ def _closed_form_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.nd
 
 
 def _exact_2f1_applies(two_j: int, d: DissipatorSpec) -> bool:
-    return d.kind != "dephasing" and BathParams(gamma=0.0, nbar=d.nbar).tau_bar_z > EXACT_FLUX_MIN_TBZ
+    tbz = BathParams(gamma=0.0, nbar=d.nbar).tau_bar_z
+    return d.kind != "dephasing" and tbz > EXACT_FLUX_MIN_TBZ and d.nbar <= EXACT_FLUX_MAX_NBAR
 
 
 def _pi_and_phi(d: DissipatorSpec) -> tuple:

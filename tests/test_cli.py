@@ -49,6 +49,17 @@ CUSTOM_DAMPING_J2 = {
     "grid": {"n_theta": 48, "n_phi": 96},
 }
 
+# nbar ~ 1e15, far above EXACT_FLUX_MAX_NBAR, where the exact flux would
+# miss the closed form by 0.375.
+HOT_EMISSION = {
+    "scenario": "spontaneous_emission",
+    "omega": 1.0,
+    "gamma": 1e-10,
+    "temperature": 1e15,
+    "time": {"t_max": 2.0, "output_dt": 0.1},
+    "grid": {"n_theta": 48, "n_phi": 96},
+}
+
 QUENCH_WARM = dict(QUENCH_IDLE, initial_temperature=2.0, time={"t_max": 1.0, "output_dt": 0.2})
 
 PULSE = {
@@ -321,6 +332,19 @@ class TestRun:
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.filterwarnings("error")
+    def test_hot_bath_run(self, tmp_path):
+        # T/omega = 1e8: gamma dt (2 nbar + 1) = 2e7 per output step
+        cfg = {
+            "scenario": "spontaneous_emission",
+            "omega": 1.0,
+            "gamma": 1.0,
+            "temperature": 1e8,
+            "time": {"t_max": 2.0, "output_dt": 0.1},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
+
     def test_dephasing_tau_one_emits_inf_token(self, tmp_path):
         cfg = {
             "scenario": "custom",
@@ -425,12 +449,23 @@ class TestCompare:
                 id="spin-1/2-damping",
             ),
             pytest.param(CUSTOM_DAMPING_J2, ["phi quadrature vs exact-2F1"], id="2J=4-damping"),
+            pytest.param(
+                HOT_EMISSION,
+                ["phi quadrature vs closed-form", "pi quadrature vs closed-form"],
+                id="spin-1/2-damping-above-exact-flux-bound",
+            ),
         ],
     )
     def test_check_names_and_order(self, tmp_path, capsys, cfg, names):
         path = write_config(tmp_path, cfg)
         assert main(["compare", "--config", path, "--tol", "1.0"]) == 0
         assert compare_check_names(capsys.readouterr().out) == names
+
+    def test_hot_spin_j_bath_has_nothing_to_compare(self, tmp_path):
+        cfg = copy.deepcopy(CUSTOM_DAMPING_J2)
+        cfg["dissipator"]["nbar"] = 1e7  # above EXACT_FLUX_MAX_NBAR: the quadrature alone applies
+        path = write_config(tmp_path, cfg)
+        assert main(["compare", "--config", path]) == 2
 
     @pytest.mark.parametrize("name", ["photon_pulse.json", "damping_theta_sweep.json"])
     def test_single_method_rejected_before_integrating(self, monkeypatch, name):

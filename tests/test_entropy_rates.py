@@ -40,7 +40,7 @@ from spinwehrl import (
     temperature_from_nbar,
     von_neumann_rates,
 )
-from spinwehrl.entropy_rates import atanh_over, coherence_bracket
+from spinwehrl.entropy_rates import EXACT_FLUX_MAX_NBAR, applicable_rate_methods, atanh_over, coherence_bracket
 from conftest import random_density_matrix, random_diagonal_state
 from oracles import dissipative_entropy_rate, generator_entropy_rate, husimi_of_matrix
 
@@ -199,6 +199,36 @@ class TestDampingExactFlux:
         bath = BathParams(gamma=1.0, nbar=0.0)
         with pytest.raises(UnsupportedParameters):
             damping_phi_exact(np.array([0.5, 0.5]), bath, J_HALF)
+
+    @pytest.mark.parametrize("two_j", [1, 4, 40])
+    def test_error_at_the_nbar_bound(self, two_j, rng):
+        # the same formula in 40 digits, over random and pure states; the
+        # error is relative to their largest flux, as compare measures it
+        j = SpinQuantumNumber(two_j)
+        nbar = mp.mpf(EXACT_FLUX_MAX_NBAR)
+        tbz = -1 / (2 * nbar + 1)
+        jj = mp.mpf(two_j) / 2
+        z, c = 2 * tbz / (tbz - 1), 3 + 2 * jj
+        weights = []
+        for m in map(mp.mpf, j.m_values()):
+            f1 = mp.hyp2f1(1, 1 + jj + m, c, z)
+            f2 = mp.hyp2f1(1, 2 + jj + m, c, z)
+            weights.append(((1 + jj - m) / tbz) * f1 + ((1 + jj + m) * (1 + 4 * jj + 1 / tbz) / (1 - tbz)) * f2)
+        pops = np.vstack([rng.dirichlet(np.ones(j.dim), size=6), np.eye(j.dim)[[0, -1]]])
+        oracle = [
+            float(jj * ((1 + tbz) / tbz + 2 * (jj + mp.fsum(mp.mpf(p) * m for p, m in zip(row, j.m_values())))
+                        - ((1 + tbz) / (1 + jj)) * mp.fsum(mp.mpf(p) * w for p, w in zip(row, weights)) / 2))
+            for row in pops
+        ]
+        exact = damping_phi_exact(pops, BathParams(gamma=1.0, nbar=EXACT_FLUX_MAX_NBAR), j)
+        assert np.max(np.abs(exact - oracle)) <= 1e-8 * np.max(np.abs(oracle))
+
+    def test_not_cross_checked_above_the_nbar_bound(self):
+        def names(nbar):
+            return [m.name for m in applicable_rate_methods(4, DissipatorSpec.amplitude_damping(1.0, nbar))]
+
+        assert names(EXACT_FLUX_MAX_NBAR) == ["quadrature", "exact-2F1"]
+        assert names(EXACT_FLUX_MAX_NBAR * (1 + 1e-12)) == ["quadrature"]
 
 
 class TestZeroTemperatureFlux:

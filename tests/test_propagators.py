@@ -31,6 +31,7 @@ from spinwehrl import (
     nbar_from_temperature,
     pulse_amplitude,
     rho_to_bloch,
+    temperature_from_nbar,
 )
 from spinwehrl.cli import bundled_configs, validate_config
 from spinwehrl import dynamics
@@ -166,6 +167,19 @@ class TestCovariantPropagator:
                       np.linspace(0.0, 3.0, 31))
         assert 0.0 <= traj.max_trace_drift < 1e-13
         assert 0.0 <= traj.max_hermiticity_drift < 1e-13
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [1e8, 1e12])
+    @pytest.mark.parametrize("two_j", [1, 4])
+    def test_fast_damping_reaches_the_thermal_populations(self, two_j, gamma, rng):
+        # gamma dt up to 1e11 per step, where scaling and squaring alone lets
+        # the population propagator's column sums drift past the trace bound
+        j, nbar = SpinQuantumNumber(two_j), 0.5
+        rho0 = random_density_matrix(j, rng)
+        traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(gamma, nbar),
+                      np.linspace(0.0, 1.0, 11))
+        thermal = gibbs_state(j, 1.0, temperature_from_nbar(1.0, nbar)).populations()
+        assert np.max(np.abs(traj.populations()[1:] - thermal)) <= 1e-12
 
 
 def bloch_oracle(h: HamiltonianSpec, d: DissipatorSpec, tau0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:

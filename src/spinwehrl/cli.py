@@ -269,7 +269,7 @@ def _print_summary(plan: RunPlan, result) -> None:
     print(f"scenario: {plan.scenario}  steps: {result.times.size}  t_max: {result.times[-1]:g}")
     print(f"final Pi_wehrl:  {_fmt(w.pi[-1])}    final Phi_wehrl: {_fmt(w.phi[-1])}")
     print(f"final Pi_vN:     {_fmt(v.pi[-1])}    final Phi_vN:    {_fmt(v.phi[-1])}")
-    print(f"Sigma (wehrl):   {_fmt(result.scalars.get('sigma_wehrl'))}")
+    print(f"Sigma (wehrl):   {_fmt(result.sigma_wehrl)}")
     d = result.model.d
     field_free = [m for m in applicable_rate_methods(result.model.rho0.j.two_j, d) if not m.needs_field]
     for name, value in cross_check(d, result.trajectory, field_free).items():
@@ -328,11 +328,10 @@ def sweep_config(cfg: dict, param: str, values: list, out_path: Path,
         trial = copy.deepcopy(cfg)
         _set_by_path(trial, param, v)
         result = run_config(validate_config(trial), grid_override=grid_override)
-        sigma = result.scalars.get("sigma_wehrl")
         w, vn = result.wehrl, result.von_neumann
         rows.append([
             v,
-            math.nan if sigma is None else sigma,
+            math.nan if result.sigma_wehrl is None else result.sigma_wehrl,
             w.pi[0],
             w.pi[-1],
             w.phi[-1],

@@ -1,9 +1,8 @@
 """End-to-end applications: spontaneous emission, thermal quench, driven
 spin in a rotating field, and a two-level atom hit by a single-photon pulse.
 
-Every scenario is a Model (initial state, Hamiltonian, dissipator, and a
-hook adding the scenario's own scalars and extras) run through one
-pipeline, simulate: evolve the master equation exactly on a uniform output
+Every scenario is a Model (initial state, Hamiltonian and dissipator) run
+through one pipeline, simulate: evolve the master equation exactly on a uniform output
 grid, then reduce the trajectory's arrays to Wehrl and von Neumann rate
 series with the primary method of the entropy_rates registry. compare
 instead cross-checks every method that applies. Outputs are deterministic
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,38 +49,32 @@ SIGMA_TAIL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Model:
-    """What a scenario integrates. finish, if given, maps the finished
-    result to the scenario's own (scalars, extras)."""
+    """What a scenario integrates."""
 
     rho0: DensityMatrix
     h: HamiltonianSpec
     d: DissipatorSpec
-    finish: Optional[Callable[[ScenarioResult], tuple]] = None
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Trajectory plus rate series and summary scalars for one scenario,
-    and the model it came from. wehrl and von_neumann are EntropyRates
-    whose fields are arrays over the trajectory's times."""
+    """What simulate computed for one model: the trajectory, its Wehrl and
+    von Neumann rates (EntropyRates whose fields are arrays over the
+    trajectory's times), the Wehrl entropy, the Bloch vectors (spin 1/2
+    only), the total Wehrl production sigma_wehrl (None where the
+    trapezoid on the output grid does not resolve it), and the model."""
 
     trajectory: Trajectory
     wehrl: EntropyRates
     von_neumann: EntropyRates
     entropy: np.ndarray
     bloch: Optional[np.ndarray]
-    scalars: dict
-    extras: dict
+    sigma_wehrl: Optional[float]
     model: Model
 
     @property
     def times(self) -> np.ndarray:
         return self.trajectory.times
-
-    def series(self, name: str) -> np.ndarray:
-        """A rate series by name, e.g. 'wehrl.pi' or 'von_neumann.phi_energy'."""
-        method, _, field = name.partition(".")
-        return getattr({"wehrl": self.wehrl, "von_neumann": self.von_neumann}[method], field)
 
 
 def _uniform_grid(t_max: float, dt: float) -> np.ndarray:
@@ -153,20 +146,15 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
         chunks = husimi_chunks(traj.entries, grid if grid is not None else make_grid())
         wehrl = method.rates(traj, _recording_entropy(chunks, entropy), d, times)
     fe = -np.trace(h.matrix(j, times) @ d.apply(traj.entries, times), axis1=-2, axis2=-1).real
-    result = ScenarioResult(
+    return ScenarioResult(
         trajectory=traj,
         wehrl=replace(wehrl, phi_energy=fe),
         von_neumann=replace(_von_neumann(traj, bloch, h, d), phi_energy=fe),
         entropy=entropy,
         bloch=bloch,
-        scalars={"sigma_wehrl": _sigma_or_none(times, wehrl.pi)},
-        extras={},
+        sigma_wehrl=_sigma_or_none(times, wehrl.pi),
         model=model,
     )
-    if model.finish is None:
-        return result
-    scalars, extras = model.finish(result)
-    return replace(result, scalars={**result.scalars, **scalars}, extras=extras)
 
 
 def cross_check(
@@ -205,15 +193,13 @@ def compare(model: Model, t_max: float, dt: float, grid: SphereGrid) -> dict:
 
 
 def spontaneous_emission_model(omega: float, gamma: float, temperature: float) -> Model:
-    """Decay of the excited state |z+> under the thermal damping bath.
-    Raises InvalidFrequency for omega <= 0, the level splitting of the
-    bath."""
-    nbar = nbar_from_temperature(omega, temperature)
+    """Decay of the excited state |z+> under the thermal damping bath at
+    nbar_from_temperature(omega, temperature). Raises InvalidFrequency for
+    omega <= 0, the level splitting of the bath."""
     return Model(
         bloch_to_rho(BlochVector(0.0, 0.0, 1.0)),
         HamiltonianSpec.static_jz(omega),
-        DissipatorSpec.amplitude_damping(gamma, nbar),
-        lambda result: ({"temperature": temperature, "nbar": nbar}, {}),
+        DissipatorSpec.amplitude_damping(gamma, nbar_from_temperature(omega, temperature)),
     )
 
 
@@ -227,20 +213,13 @@ def thermal_quench_model(t0_temperature: float, bath_temperature: float, omega: 
     """Gibbs state prepared at T0 relaxing toward the bath at temperature T.
 
     The evolved state remains thermal with a time-dependent temperature;
-    the closed-form tau_z(t) is attached under extras["tau_z_closed_form"].
-    Raises InvalidFrequency for omega <= 0, the level splitting of the bath.
+    quench_tau_z gives its tau_z(t) in closed form. Raises InvalidFrequency
+    for omega <= 0, the level splitting of the bath.
     """
-    nbar = nbar_from_temperature(omega, bath_temperature)
-    bath = BathParams(gamma=gamma, nbar=nbar)
-
-    def finish(result: ScenarioResult) -> tuple:
-        return {"nbar": nbar}, {"tau_z_closed_form": quench_tau_z(result.times, result.bloch[0, 2], bath)}
-
     return Model(
         gibbs_state(SpinQuantumNumber(1), omega, t0_temperature),
         HamiltonianSpec.static_jz(omega),
-        DissipatorSpec.amplitude_damping(gamma, nbar),
-        finish,
+        DissipatorSpec.amplitude_damping(gamma, nbar_from_temperature(omega, bath_temperature)),
     )
 
 
@@ -272,20 +251,11 @@ def rotating_field_model(
 ) -> Model:
     """Spin 1/2 driven by a rotating transverse field, with dephasing or
     damping. Energy flux is reported as -tr(H(t) D(rho)) for the
-    instantaneous Hamiltonian."""
+    instantaneous Hamiltonian. With damping, rotating_field_steady_state
+    gives the long-time state and rates."""
     if initial_state.j.two_j != 1:
         raise NonPhysicalState("rotating_field scenario is defined for spin 1/2")
-
-    def finish(result: ScenarioResult) -> tuple:
-        scalars = {}
-        if dissipator.kind == "amplitude_damping":
-            bath = BathParams(gamma=dissipator.gamma, nbar=dissipator.nbar)
-            scalars["steady_state"] = rotating_field_steady_state(b0, b1, drive_omega, bath)
-            scalars["pi_wehrl_final"] = float(result.wehrl.pi[-1])
-            scalars["phi_wehrl_final"] = float(result.wehrl.phi[-1])
-        return scalars, {"phi_energy_direct": result.series("wehrl.phi_energy")}
-
-    return Model(initial_state, HamiltonianSpec.rotating_field(b0, b1, drive_omega), dissipator, finish)
+    return Model(initial_state, HamiltonianSpec.rotating_field(b0, b1, drive_omega), dissipator)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +374,9 @@ def photon_pulse_model(params: PulseParams) -> Model:
 
     The bath is at zero temperature (tau_bar_z = -1); Wehrl rates use the
     spin-1/2 closed forms with gamma -> Gamma_t, so the flux reduces to
-    Phi(t) = (Gamma_t/2)(1 + tau_z(t)). Raises NonMarkovianRegime below
-    the Markovianity threshold.
+    Phi(t) = (Gamma_t/2)(1 + tau_z(t)), and pulse_amplitude gives the
+    excited amplitude a(t), with tau_z = 2|a|^2 - 1. Raises
+    NonMarkovianRegime below the Markovianity threshold (markov_threshold).
     """
     if not is_markovian(params):
         raise NonMarkovianRegime(
@@ -420,11 +391,6 @@ def photon_pulse_model(params: PulseParams) -> Model:
     def omega_t(t):
         return pulse_effective_rates(params, t)[1]
 
-    def finish(result: ScenarioResult) -> tuple:
-        scalars = {"markovian": True, "markov_threshold": markov_threshold(params)}
-        a_abs2 = np.abs(np.asarray(pulse_amplitude(params, result.times))) ** 2
-        return scalars, {"gamma_t": gamma_t(result.times), "a_abs2": a_abs2}
-
     p_exc = params.a0 ** 2
     rho0 = DensityMatrix(
         SpinQuantumNumber(1), np.diag([p_exc, 1.0 - p_exc]).astype(complex)
@@ -433,7 +399,6 @@ def photon_pulse_model(params: PulseParams) -> Model:
         rho0,
         HamiltonianSpec.pulse_effective(omega_t),
         DissipatorSpec.time_dependent_damping(gamma_t, nbar=0.0),
-        finish,
     )
 
 
@@ -445,13 +410,14 @@ def write_csv(path, header: list, table) -> None:
 
 def write_scenario_csv(result: ScenarioResult, path) -> None:
     """CSV with columns t, tau_x, tau_y, tau_z, S_wehrl, Pi_wehrl, Phi_wehrl,
-    Pi_vN, Phi_vN, Phi_E and, for pulse runs, gamma_t (see write_csv)."""
+    Pi_vN, Phi_vN, Phi_E and, for a time-dependent damping rate such as a
+    pulse's, gamma_t (see write_csv)."""
     cols = ["t", "tau_x", "tau_y", "tau_z", "S_wehrl", "Pi_wehrl", "Phi_wehrl", "Pi_vN", "Phi_vN", "Phi_E"]
     bloch = result.bloch if result.bloch is not None else np.full((result.times.size, 3), math.nan)
-    table = [result.times, *bloch.T, result.entropy]
-    rates = ("wehrl.pi", "wehrl.phi", "von_neumann.pi", "von_neumann.phi", "wehrl.phi_energy")
-    table += [result.series(name) for name in rates]
-    if "gamma_t" in result.extras:
+    w, v = result.wehrl, result.von_neumann
+    table = [result.times, *bloch.T, result.entropy, w.pi, w.phi, v.pi, v.phi, w.phi_energy]
+    d = result.model.d
+    if d.kind == "time_dependent_damping":
         cols.append("gamma_t")
-        table.append(result.extras["gamma_t"])
+        table.append(d.gamma_t(result.times))
     write_csv(path, cols, np.column_stack(table))

@@ -36,6 +36,7 @@ from spinwehrl import (
     make_grid,
     markov_threshold,
     photon_pulse_model,
+    pulse_amplitude,
     pulse_effective_rates,
     pulse_gamma_explicit,
     rotating_field_model,
@@ -352,10 +353,11 @@ def test_criterion_10_photon_pulse():
     assert dev_gamma <= 1e-8
     # master equation population equals |a(t)|^2; flux identity pointwise
     res = simulate(photon_pulse_model(p10), t_max=10.0, dt=0.02)
-    dev_pop = float(np.max(np.abs(res.bloch[:, 2] - (2 * res.extras["a_abs2"] - 1))))
+    a_abs2 = np.abs(pulse_amplitude(p10, res.times)) ** 2
+    dev_pop = float(np.max(np.abs(res.bloch[:, 2] - (2 * a_abs2 - 1))))
     assert dev_pop <= 1e-6
-    phi = res.series("wehrl.phi")
-    dev_phi = float(np.max(np.abs(phi - 0.5 * res.extras["gamma_t"] * (1 + res.bloch[:, 2]))))
+    phi = res.wehrl.phi
+    dev_phi = float(np.max(np.abs(phi - 0.5 * res.model.d.gamma_t(res.times) * (1 + res.bloch[:, 2]))))
     assert dev_phi <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

@@ -34,6 +34,7 @@ from spinwehrl import scenarios
 from spinwehrl.dynamics import HamiltonianSpec
 from spinwehrl.errors import InvalidFrequency
 from spinwehrl.phase_space import wehrl_entropy_spin_half
+from spinwehrl.scenarios import quench_tau_z
 
 from oracles import generator_entropy_rate
 
@@ -42,29 +43,29 @@ class TestSpontaneousEmission:
     def test_zero_temperature_flux_profile(self):
         # Phi(t) = (gamma/2)(1 + tau_z(t)) at T = 0
         res = simulate(spontaneous_emission_model(omega=1.0, gamma=1.0, temperature=0.0), t_max=10.0, dt=0.05)
-        phi = res.series("wehrl.phi")
+        phi = res.wehrl.phi
         expected = 0.5 * (1.0 + res.bloch[:, 2])
         assert np.max(np.abs(phi - expected)) < 1e-9
 
     def test_zero_temperature_von_neumann_flagged(self):
         res = simulate(spontaneous_emission_model(omega=1.0, gamma=1.0, temperature=0.0), t_max=5.0, dt=0.1)
-        assert np.all(np.isinf(res.series("von_neumann.phi")[:-1]))
-        assert np.all(np.isfinite(res.series("wehrl.pi")))
+        assert np.all(np.isinf(res.von_neumann.phi[:-1]))
+        assert np.all(np.isfinite(res.wehrl.pi))
 
     def test_total_entropy_ordering_with_temperature(self):
         # colder bath produces more total entropy from the excited state
         cold = simulate(spontaneous_emission_model(1.0, 1.0, temperature=0.2), t_max=16.0, dt=0.005)
         warm = simulate(spontaneous_emission_model(1.0, 1.0, temperature=1.0), t_max=16.0, dt=0.005)
-        assert cold.scalars["sigma_wehrl"] is not None
-        assert warm.scalars["sigma_wehrl"] is not None
-        assert cold.scalars["sigma_wehrl"] > warm.scalars["sigma_wehrl"]
+        assert cold.sigma_wehrl is not None
+        assert warm.sigma_wehrl is not None
+        assert cold.sigma_wehrl > warm.sigma_wehrl
 
     def test_hot_bath_sigma_finite_and_smallest(self):
         # tau_bar_z -> 0: relaxation is fast but the totals stay ordered in T
         hot = simulate(spontaneous_emission_model(1.0, 1.0, temperature=50.0), t_max=0.5, dt=0.0005)
         warm = simulate(spontaneous_emission_model(1.0, 1.0, temperature=1.0), t_max=16.0, dt=0.005)
         cold = simulate(spontaneous_emission_model(1.0, 1.0, temperature=0.2), t_max=16.0, dt=0.005)
-        sigmas = [r.scalars["sigma_wehrl"] for r in (hot, warm, cold)]
+        sigmas = [r.sigma_wehrl for r in (hot, warm, cold)]
         assert all(s is not None and math.isfinite(s) for s in sigmas)
         assert sigmas[0] < sigmas[1] < sigmas[2]
 
@@ -72,12 +73,13 @@ class TestSpontaneousEmission:
 class TestThermalQuench:
     def test_equal_temperatures_idle(self):
         res = simulate(thermal_quench_model(1.0, 1.0, omega=1.0, gamma=1.0), t_max=3.0, dt=0.05)
-        assert np.max(np.abs(res.series("wehrl.pi"))) < 1e-12
-        assert np.max(np.abs(res.series("wehrl.phi"))) < 1e-12
+        assert np.max(np.abs(res.wehrl.pi)) < 1e-12
+        assert np.max(np.abs(res.wehrl.phi)) < 1e-12
 
     def test_tau_z_matches_closed_form(self):
         res = simulate(thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), t_max=8.0, dt=0.02)
-        assert np.max(np.abs(res.bloch[:, 2] - res.extras["tau_z_closed_form"])) < 1e-8
+        expected = quench_tau_z(res.times, res.bloch[0, 2], BathParams(gamma=1.0, nbar=res.model.d.nbar))
+        assert np.max(np.abs(res.bloch[:, 2] - expected)) < 1e-8
 
     def test_states_stay_thermal(self):
         res = simulate(thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), t_max=5.0, dt=0.05)
@@ -89,20 +91,20 @@ class TestThermalQuench:
         heat = simulate(thermal_quench_model(1.0, 2.0, omega=1.0, gamma=1.0), t_max=6.0, dt=0.02)
         cool = simulate(thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), t_max=6.0, dt=0.02)
         for res in (heat, cool):
-            ds = res.series("wehrl.ds_dt")
-            assert np.max(np.abs(ds - (res.series("wehrl.pi") - res.series("wehrl.phi")))) < 1e-12
+            ds = res.wehrl.ds_dt
+            assert np.max(np.abs(ds - (res.wehrl.pi - res.wehrl.phi))) < 1e-12
         # heating: entropy flows in from the bath (Phi < 0); cooling: out
-        assert np.all(heat.series("wehrl.phi")[:-1] < 0)
-        assert np.all(cool.series("wehrl.phi")[:-1] > 0)
+        assert np.all(heat.wehrl.phi[:-1] < 0)
+        assert np.all(cool.wehrl.phi[:-1] > 0)
 
     def test_exponential_tail_rate(self):
         # Pi and Phi decay with rate gamma/|tau_bar_z| at late times
         omega, gamma = 1.0, 1.0
         res = simulate(thermal_quench_model(2.0, 1.0, omega=omega, gamma=gamma), t_max=10.0, dt=0.02)
-        nbar = res.scalars["nbar"]
+        nbar = res.model.d.nbar
         rate_expected = gamma * (2 * nbar + 1)
         t = res.times
-        phi = res.series("wehrl.phi")
+        phi = res.wehrl.phi
         mask = (t > 5.0) & (t < 9.0)
         slope = np.polyfit(t[mask], np.log(np.abs(phi[mask])), 1)[0]
         assert slope == pytest.approx(-rate_expected, rel=1e-3)
@@ -116,7 +118,7 @@ class TestRotatingField:
         model = rotating_field_model(b0=-omega, b1=0.0, drive_omega=0.5,
                                      dissipator=DissipatorSpec.amplitude_damping(gamma, nbar), initial_state=rho0)
         res = simulate(model, t_max=4.0, dt=0.05)
-        assert np.max(np.abs(res.series("wehrl.pi"))) < 1e-10
+        assert np.max(np.abs(res.wehrl.pi)) < 1e-10
 
     def test_damping_reaches_steady_state(self):
         bath = BathParams(gamma=1.0, nbar=1.0)
@@ -147,8 +149,8 @@ class TestRotatingField:
         rho0 = bloch_to_rho(BlochVector(-1.0, 0.0, 0.0))
         res = simulate(rotating_field_model(5.0, 1.0, 1.0, DissipatorSpec.dephasing(1.0), rho0),
                        t_max=6.0, dt=0.01)
-        pi_w = res.series("wehrl.pi")
-        pi_v = res.series("von_neumann.pi")
+        pi_w = res.wehrl.pi
+        pi_v = res.von_neumann.pi
         assert np.all(np.isfinite(pi_w))
         assert np.max(pi_w) <= 0.25 + 1e-9  # lambda/4 bound on pure states
         assert np.isinf(pi_v[0])  # starts pure
@@ -173,7 +175,7 @@ class TestRotatingField:
         res = simulate(rotating_field_model(5.0, 10.0, 5.0, DissipatorSpec.amplitude_damping(1.0, 1.0), rho0),
                        t_max=1.0, dt=0.002, grid=make_grid(64, 128))
         ds_fd = np.gradient(res.entropy, res.times, edge_order=2)
-        model = res.series("wehrl.pi") - res.series("wehrl.phi")
+        model = res.wehrl.pi - res.wehrl.phi
         assert np.max(np.abs(ds_fd[2:-2] - model[2:-2])) < 1e-4
 
 
@@ -299,13 +301,13 @@ class TestPhotonPulseScenario:
         p = PulseParams(gamma0=1.0, capital_omega=10.0, a0=math.sqrt(0.5))
         res = simulate(photon_pulse_model(p), t_max=10.0, dt=0.02)
         tz = res.bloch[:, 2]
-        assert np.max(np.abs(tz - (2 * res.extras["a_abs2"] - 1))) < 1e-6
+        assert np.max(np.abs(tz - (2 * np.abs(pulse_amplitude(p, res.times)) ** 2 - 1))) < 1e-6
 
     def test_flux_identity(self):
         p = PulseParams(gamma0=1.0, capital_omega=10.0, a0=math.sqrt(0.5))
         res = simulate(photon_pulse_model(p), t_max=10.0, dt=0.02)
-        phi = res.series("wehrl.phi")
-        expected = 0.5 * res.extras["gamma_t"] * (1 + res.bloch[:, 2])
+        phi = res.wehrl.phi
+        expected = 0.5 * res.model.d.gamma_t(res.times) * (1 + res.bloch[:, 2])
         assert np.max(np.abs(phi - expected)) < 1e-8
 
     def test_reduces_to_spontaneous_emission_without_pulse(self):
@@ -313,7 +315,7 @@ class TestPhotonPulseScenario:
         res = simulate(photon_pulse_model(p), t_max=6.0, dt=0.05)
         ref = simulate(spontaneous_emission_model(omega=1.0, gamma=1.0, temperature=0.0), t_max=6.0, dt=0.05)
         assert np.max(np.abs(res.bloch[:, 2] - ref.bloch[:, 2])) < 1e-8
-        assert np.max(np.abs(res.series("wehrl.pi") - ref.series("wehrl.pi"))) < 1e-8
+        assert np.max(np.abs(res.wehrl.pi - ref.wehrl.pi)) < 1e-8
 
 
 class TestModelBuilders:
@@ -344,7 +346,7 @@ class TestCustomScenario:
         s = res.entropy
         t = res.times
         ds_fd = np.gradient(s, t, edge_order=2)
-        ds_model = res.series("wehrl.pi") - res.series("wehrl.phi")
+        ds_model = res.wehrl.pi - res.wehrl.phi
         assert np.max(np.abs(ds_fd[2:-2] - ds_model[2:-2])) < 1e-4
 
     def test_von_neumann_general_route_present(self):
@@ -353,8 +355,8 @@ class TestCustomScenario:
         rho0 = gibbs_state(j, omega, 3.0)
         res = simulate(Model(rho0, HamiltonianSpec.static_jz(omega), DissipatorSpec.amplitude_damping(gamma, nbar)),
                        t_max=1.0, dt=0.1, grid=make_grid(48, 96))
-        pi_v = res.series("von_neumann.pi")
-        pi_w = res.series("wehrl.pi")
+        pi_v = res.von_neumann.pi
+        pi_w = res.wehrl.pi
         assert np.all(np.isfinite(pi_v))
         assert np.all(pi_v >= -1e-10)
         assert np.all(pi_v[:-1] >= pi_w[:-1])
@@ -365,4 +367,4 @@ class TestCustomScenario:
         a = simulate(Model(rho0, HamiltonianSpec.none(), DissipatorSpec.dephasing(1.0)), **kwargs)
         b = simulate(Model(rho0, HamiltonianSpec.none(), DissipatorSpec.dephasing(1.0)), **kwargs)
         assert np.array_equal(a.entropy, b.entropy)
-        assert np.array_equal(a.series("wehrl.pi"), b.series("wehrl.pi"))
+        assert np.array_equal(a.wehrl.pi, b.wehrl.pi)

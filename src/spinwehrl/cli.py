@@ -169,6 +169,12 @@ def _number(section, key, where: str, minimum: float = -math.inf) -> float:
     return float(v)
 
 
+def _integer(value, what: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _typed_section(name: str, sec: dict, j: SpinQuantumNumber):
     """The object a typed section describes, built from its row of SECTIONS."""
     types = SECTIONS[name]
@@ -213,7 +219,7 @@ def validate_config(cfg: dict) -> RunPlan:
     grid = ()
     if "grid" in cfg:
         _check_keys(cfg["grid"], _GRID_KEYS, "'grid'")
-        grid = tuple(int(_number(cfg["grid"], key, "'grid'", minimum=_GRID_MIN)) for key in _GRID_KEYS)
+        grid = tuple(_integer(cfg["grid"][key], f"key '{key}' in 'grid'", _GRID_MIN) for key in _GRID_KEYS)
     output = cfg.get("output", {})
     _check_keys(output, _OUTPUT_KEYS, "'output'")
     csv = output.get("csv", f"{scenario}.csv")
@@ -222,10 +228,8 @@ def validate_config(cfg: dict) -> RunPlan:
     comparison = cfg.get("compare", {})
     _check_keys(comparison, _COMPARE_KEYS, "'compare'")
     tolerance = _number(comparison, "tolerance", "'compare'", minimum=0.0) if "tolerance" in comparison else 1e-5
-    two_j = cfg.get("two_j", 1)  # only custom sets it; the other scenarios are spin 1/2
-    if isinstance(two_j, bool) or not isinstance(two_j, int) or two_j < 1:
-        raise ConfigError(f"'two_j' must be a positive integer, got {two_j!r}")
-    j = SpinQuantumNumber(two_j)
+    # only custom sets two_j; the other scenarios are spin 1/2
+    j = SpinQuantumNumber(_integer(cfg.get("two_j", 1), "'two_j'", 1))
     try:
         model = build(*(
             _typed_section(key, cfg[key], j) if key in SECTIONS else _number(cfg, key, "config") for key in keys

@@ -8,6 +8,7 @@ import pytest
 
 from spinwehrl.cli import bundled_configs, main, validate_config
 from spinwehrl.errors import ConfigError
+from spinwehrl.scenarios import PulseParams, pulse_effective_rates
 from spinwehrl.spin_ops import SpinQuantumNumber, gibbs_state
 
 
@@ -150,6 +151,10 @@ class TestValidate:
         [
             pytest.param(with_value(QUENCH_IDLE, "time.output_dt", 3.0), id="output_dt>t_max"),
             pytest.param(with_value(QUENCH_IDLE, "grid.n_theta", 4), id="grid<8"),
+            pytest.param(with_value(QUENCH_IDLE, "grid.n_theta", 16.9), id="grid-n_theta-not-integer"),
+            pytest.param(with_value(QUENCH_IDLE, "grid.n_phi", 32.5), id="grid-n_phi-not-integer"),
+            pytest.param(with_value(QUENCH_IDLE, "grid.n_theta", 16.0), id="grid-n_theta-float"),
+            pytest.param(with_value(QUENCH_IDLE, "grid.n_phi", True), id="grid-n_phi-bool"),
             pytest.param(with_value(QUENCH_IDLE, "time.tol", 0.0), id="tol=0"),
             pytest.param(with_value(QUENCH_IDLE, "time.tol", -1e-10), id="tol<0"),
             pytest.param(with_value(QUENCH_IDLE, "time.t_max", math.nan), id="nan-t_max"),
@@ -319,6 +324,10 @@ class TestRun:
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
         header = (tmp_path / "pulse.csv").read_text().splitlines()[0]
         assert header.endswith("gamma_t")
+        # %.17g round-trips, so the column is the pulse's own Gamma_t bit for bit
+        table = np.loadtxt(tmp_path / "pulse.csv", delimiter=",", skiprows=1)
+        params = PulseParams(gamma0=1.0, capital_omega=10.0, a0=0.7071067811865476)
+        assert np.array_equal(table[:, -1], pulse_effective_rates(params, table[:, 0])[0])
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = {

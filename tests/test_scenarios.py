@@ -69,6 +69,19 @@ class TestSpontaneousEmission:
         assert all(s is not None and math.isfinite(s) for s in sigmas)
         assert sigmas[0] < sigmas[1] < sigmas[2]
 
+    @pytest.mark.parametrize("temperature, t_max, dt", [(1e8, 10.0, 0.1), (10.0, 5.0, 0.02)])
+    def test_sigma_unresolved_by_the_output_grid_is_none(self, temperature, t_max, dt):
+        # Pi decays within about one output step; the trapezoid gave 5.0e6
+        # for a Sigma of 0.193, and 0.236 for 0.210 (Richardson estimates 33%, 8%)
+        res = simulate(spontaneous_emission_model(1.0, 1.0, temperature), t_max=t_max, dt=dt)
+        assert np.all(np.isfinite(res.wehrl.pi)) and abs(res.wehrl.pi[-1]) < scenarios.SIGMA_TAIL_TOL
+        assert res.sigma_wehrl is None
+
+    def test_sigma_resolved_on_a_finer_grid(self):
+        fine = simulate(spontaneous_emission_model(1.0, 1.0, 10.0), t_max=5.0, dt=0.002)
+        finer = simulate(spontaneous_emission_model(1.0, 1.0, 10.0), t_max=5.0, dt=0.0002)
+        assert fine.sigma_wehrl == pytest.approx(finer.sigma_wehrl, rel=1e-2)
+
 
 class TestThermalQuench:
     def test_equal_temperatures_idle(self):

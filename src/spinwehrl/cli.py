@@ -16,16 +16,15 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import DissipatorSpec, HamiltonianSpec
-from .entropy_rates import applicable_rate_methods, primary_rate_method
 from .errors import ConfigError, DimensionMismatch, InvalidFrequency, NonPhysicalState, NothingToCompare, SpinWehrlError
-from .phase_space import make_grid
+from .phase_space import GRID_MIN, SphereGrid, make_grid
 from .scenarios import (
     Model,
     PulseParams,
@@ -49,7 +48,6 @@ from .spin_ops import (
 
 _TIME_KEYS = {"t_max": True, "output_dt": True, "tol": False}
 _GRID_KEYS = {"n_theta": True, "n_phi": True}
-_GRID_MIN = 8  # the smallest n_theta and n_phi that make_grid accepts
 _OUTPUT_KEYS = {"csv": False}
 _COMPARE_KEYS = {"tolerance": False}
 # Scenario keys that must not be negative (rates, occupations, temperatures).
@@ -135,14 +133,13 @@ SCENARIOS = {
 
 @dataclass(frozen=True)
 class RunPlan:
-    """A checked config: what run, compare and sweep execute. grid is
-    (n_theta, n_phi), or empty for make_grid's default."""
+    """A checked config: what run, compare and sweep execute."""
 
     scenario: str
     model: Model
     t_max: float
     dt: float
-    grid: tuple
+    grid: SphereGrid
     csv: str
     tolerance: float
 
@@ -195,10 +192,10 @@ def _typed_section(name: str, sec: dict, j: SpinQuantumNumber):
 
 
 def validate_config(cfg: dict) -> RunPlan:
-    """Check a config's keys and numbers and build its Model, without
-    integrating or building the sphere grid. A model that its constructors
-    refuse is a ConfigError; a pulse below the Markovianity threshold
-    raises NonMarkovianRegime, as it would in run."""
+    """Check a config's keys and numbers and build its Model and sphere
+    grid, without integrating or computing the grid's nodes. A model that
+    its constructors refuse is a ConfigError; a pulse below the
+    Markovianity threshold raises NonMarkovianRegime, as it would in run."""
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be a JSON object")
     scenario = cfg.get("scenario")
@@ -216,10 +213,10 @@ def validate_config(cfg: dict) -> RunPlan:
         raise ConfigError("'output_dt' must be positive and give at least two steps up to 't_max'")
     if "tol" in time and _number(time, "tol", "'time'") <= 0:  # checked, changes no result
         raise ConfigError("'tol' in 'time' must be positive")
-    grid = ()
+    size = ()
     if "grid" in cfg:
         _check_keys(cfg["grid"], _GRID_KEYS, "'grid'")
-        grid = tuple(_integer(cfg["grid"][key], f"key '{key}' in 'grid'", _GRID_MIN) for key in _GRID_KEYS)
+        size = tuple(_integer(cfg["grid"][key], f"key '{key}' in 'grid'", GRID_MIN) for key in _GRID_KEYS)
     output = cfg.get("output", {})
     _check_keys(output, _OUTPUT_KEYS, "'output'")
     csv = output.get("csv", f"{scenario}.csv")
@@ -237,29 +234,7 @@ def validate_config(cfg: dict) -> RunPlan:
         model.h.matrix(model.rho0.j, 0.0)  # a Hamiltonian defined for another spin raises here
     except (NonPhysicalState, InvalidFrequency, DimensionMismatch) as exc:
         raise ConfigError(str(exc)) from exc
-    return RunPlan(scenario, model, t_max, dt, grid, csv, tolerance)
-
-
-def _grid_size(plan: RunPlan, override: str | None) -> tuple:
-    """The checked (n_theta, n_phi) of --grid if given, else the config's."""
-    if not override:
-        return plan.grid
-    try:
-        a, b = override.lower().split("x")
-        size = int(a), int(b)
-        if min(size) >= _GRID_MIN:
-            return size
-    except ValueError:
-        pass
-    raise ConfigError(f"--grid must look like 96x192, with both sizes >= {_GRID_MIN}, got {override!r}")
-
-
-def run_config(plan: RunPlan, grid_override: str | None = None):
-    """Execute a validated config and return its ScenarioResult. The sphere
-    grid is built only if the run makes Husimi fields."""
-    size = _grid_size(plan, grid_override)
-    grid = make_grid(*size) if primary_rate_method(plan.model.rho0.j.two_j, plan.model.d).needs_field else None
-    return simulate(plan.model, plan.t_max, plan.dt, grid)
+    return RunPlan(scenario, model, t_max, dt, make_grid(*size), csv, tolerance)
 
 
 def _fmt(x) -> str:
@@ -274,25 +249,23 @@ def _print_summary(plan: RunPlan, result) -> None:
     print(f"final Pi_wehrl:  {_fmt(w.pi[-1])}    final Phi_wehrl: {_fmt(w.phi[-1])}")
     print(f"final Pi_vN:     {_fmt(v.pi[-1])}    final Phi_vN:    {_fmt(v.phi[-1])}")
     print(f"Sigma (wehrl):   {_fmt(result.sigma_wehrl)}")
-    d = result.model.d
-    field_free = [m for m in applicable_rate_methods(result.model.rho0.j.two_j, d) if not m.needs_field]
-    for name, value in cross_check(d, result.trajectory, field_free).items():
+    for name, value in cross_check(result.model.d, result.trajectory).items():
         print(f"agreement {name}: max rel dev {_fmt(value)}")
 
 
-def compare_config(plan: RunPlan, tolerance: float, grid_override: str | None = None) -> int:
+def compare_config(plan: RunPlan) -> int:
     """Evaluate every applicable rate method in one pass over the trajectory
-    and report their pairwise maximum relative deviations; returns a process
-    exit code. Raises NothingToCompare, before integrating, when fewer than
-    two methods apply."""
-    agreement = compare(plan.model, plan.t_max, plan.dt, make_grid(*_grid_size(plan, grid_override)))
+    and report their pairwise maximum relative deviations against the plan's
+    tolerance; returns a process exit code. Raises NothingToCompare, before
+    integrating, when fewer than two methods apply."""
+    agreement = compare(plan.model, plan.t_max, plan.dt, plan.grid)
     for name, value in agreement.items():
         print(f"{name}: max rel dev {value:.3e}")
     worst = max(0.0, *agreement.values())
-    if worst > tolerance:
-        print(f"FAIL: worst deviation {worst:.3e} exceeds tolerance {tolerance:g}")
+    if worst > plan.tolerance:
+        print(f"FAIL: worst deviation {worst:.3e} exceeds tolerance {plan.tolerance:g}")
         return 1
-    print(f"OK: worst deviation {worst:.3e} within tolerance {tolerance:g}")
+    print(f"OK: worst deviation {worst:.3e} within tolerance {plan.tolerance:g}")
     return 0
 
 
@@ -322,16 +295,17 @@ SWEEP_COLUMNS = [
 ]
 
 
-def sweep_config(cfg: dict, param: str, values: list, out_path: Path,
-                 grid_override: str | None = None) -> None:
-    """One scenario run per value, each validated; a summary-scalar row per run."""
+def sweep_config(cfg: dict, param: str, values: list, out_path: Path, grid: SphereGrid) -> None:
+    """One scenario run per value, each validated and run on grid; a
+    summary-scalar row per run."""
     if not values:
         raise ConfigError("sweep needs a non-empty list of values")
     rows = []
     for v in values:
         trial = copy.deepcopy(cfg)
         _set_by_path(trial, param, v)
-        result = run_config(validate_config(trial), grid_override=grid_override)
+        plan = validate_config(trial)
+        result = simulate(plan.model, plan.t_max, plan.dt, grid)
         w, vn = result.wehrl, result.von_neumann
         rows.append([
             v,
@@ -411,6 +385,18 @@ def main(argv=None) -> int:
         if args.command == "validate":
             print("OK")
             return 0
+        if args.grid:
+            try:
+                a, b = args.grid.lower().split("x")
+                plan = replace(plan, grid=make_grid(int(a), int(b)))
+            except ValueError:
+                raise ConfigError(
+                    f"--grid must look like 96x192, with both sizes >= {GRID_MIN}, got {args.grid!r}"
+                ) from None
+        if args.command == "compare" and args.tol is not None:
+            if not args.tol >= 0:  # also refuses nan, which no deviation exceeds
+                raise ConfigError(f"comparison tolerance must be non-negative, got {args.tol:g}")
+            plan = replace(plan, tolerance=args.tol)
         if args.command == "run":
             if args.tol is not None and not 0 < args.tol < math.inf:
                 raise ConfigError(f"tol must be positive and finite, got {args.tol:g}")
@@ -420,7 +406,7 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
             if args.states_csv and not Path(args.states_csv).parent.is_dir():
                 raise FileNotFoundError(f"the directory of --states-csv {args.states_csv!r} does not exist")
-            result = run_config(plan, grid_override=args.grid)
+            result = simulate(plan.model, plan.t_max, plan.dt, plan.grid)
             csv_path = out_dir / plan.csv
             write_scenario_csv(result, csv_path)
             print(f"wrote {csv_path}")
@@ -430,10 +416,7 @@ def main(argv=None) -> int:
             _print_summary(plan, result)
             return 0
         if args.command == "compare":
-            tol = plan.tolerance if args.tol is None else args.tol
-            if not tol >= 0:  # also refuses nan, which no deviation exceeds
-                raise ConfigError(f"comparison tolerance must be non-negative, got {tol:g}")
-            return compare_config(plan, tolerance=tol, grid_override=args.grid)
+            return compare_config(plan)
         if args.command == "sweep":
             raw = [v for v in args.values.split(",") if v.strip()]
             if not raw:
@@ -446,7 +429,7 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
             stem = Path(args.config).stem
             out_path = out_dir / f"{stem}_sweep_{args.param.replace('.', '_')}.csv"
-            sweep_config(cfg, args.param, values, out_path, grid_override=args.grid)
+            sweep_config(cfg, args.param, values, out_path, plan.grid)
             return 0
     except (ConfigError, NothingToCompare) as exc:
         print(f"config error: {exc}", file=sys.stderr)

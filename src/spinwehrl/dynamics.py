@@ -248,7 +248,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     r = np.linalg.solve(v - u, v + u)
     for k in range(int(squarings.max(initial=0))):
-        r = np.where((squarings > k)[..., None, None], r @ r, r)
+        need = squarings > k  # square only the matrices not yet squared enough
+        s = r[need]
+        r[need] = s @ s
     return r
 
 

@@ -28,6 +28,7 @@ from . import _kernels
 from .spin_ops import DensityMatrix, SpinQuantumNumber
 
 Q_FLOOR = 1e-300
+GRID_MIN = 8  # the smallest n_theta and n_phi of a SphereGrid
 
 
 def _ln_binomials(two_j: int) -> np.ndarray:
@@ -40,22 +41,52 @@ def _ln_binomials(two_j: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Quadrature nodes and weights on the unit sphere (flattened, C order)."""
+    """Gauss-Legendre x uniform-phi product rule on the unit sphere, of
+    n_theta x n_phi nodes (flattened in C order, theta major).
+
+    Only the sizes are stored: the nodes, weights and amplitude tables are
+    computed on first use, so a grid that is never integrated over costs
+    nothing.
+    """
 
     n_theta: int
     n_phi: int
-    theta: np.ndarray  # (n_theta*n_phi,)
-    phi: np.ndarray
-    weights: np.ndarray
-    theta_nodes: np.ndarray  # (n_theta,)
-    phi_nodes: np.ndarray  # (n_phi,)
 
     def __post_init__(self):
+        if self.n_theta < GRID_MIN or self.n_phi < GRID_MIN:
+            raise ValueError(f"grid needs n_theta >= {GRID_MIN} and n_phi >= {GRID_MIN}")
         object.__setattr__(self, "_tables", {})
 
     @property
     def n_nodes(self) -> int:
-        return self.theta.size
+        return self.n_theta * self.n_phi
+
+    @functools.cached_property
+    def _legendre(self) -> tuple:
+        """The Gauss-Legendre nodes u = cos(theta) and weights, u descending
+        (theta ascending)."""
+        u, wu = np.polynomial.legendre.leggauss(self.n_theta)
+        return u[::-1], wu[::-1]
+
+    @functools.cached_property
+    def theta_nodes(self) -> np.ndarray:
+        """theta of each row, ascending, (n_theta,)."""
+        return np.arccos(self._legendre[0])
+
+    @functools.cached_property
+    def phi_nodes(self) -> np.ndarray:
+        """phi of each column, (n_phi,)."""
+        return 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
+
+    @functools.cached_property
+    def theta(self) -> np.ndarray:
+        """theta of each node, (n_nodes,)."""
+        return np.repeat(self.theta_nodes, self.n_phi)
+
+    @functools.cached_property
+    def phi(self) -> np.ndarray:
+        """phi of each node, (n_nodes,)."""
+        return np.tile(self.phi_nodes, self.n_theta)
 
     @functools.cached_property
     def cos_theta(self) -> np.ndarray:
@@ -71,7 +102,7 @@ class SphereGrid:
     def theta_weights(self) -> np.ndarray:
         """The d(Omega) weight of each theta row, (n_theta,): the
         Gauss-Legendre weight times the uniform phi weight."""
-        return self.by_theta(self.weights)[:, 0].copy()
+        return self._legendre[1] * (2.0 * np.pi / self.n_phi)
 
     def by_theta(self, values: np.ndarray) -> np.ndarray:
         """Node values (..., n_nodes) viewed as (..., n_theta, n_phi)."""
@@ -96,26 +127,9 @@ class SphereGrid:
 
 def make_grid(n_theta: int = 96, n_phi: int = 192) -> SphereGrid:
     """Gauss-Legendre x uniform-phi product rule; exact for spherical
-    polynomials up to combined degree min(2*n_theta - 1, n_phi - 1)."""
-    if n_theta < 8 or n_phi < 8:
-        raise ValueError("grid needs n_theta >= 8 and n_phi >= 8")
-    u, wu = np.polynomial.legendre.leggauss(n_theta)
-    # ascending theta = descending u
-    theta_nodes = np.arccos(u[::-1])
-    wu = wu[::-1]
-    phi_nodes = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    w_phi = 2.0 * np.pi / n_phi
-    th, ph = np.meshgrid(theta_nodes, phi_nodes, indexing="ij")
-    w = np.outer(wu * w_phi, np.ones(n_phi))
-    return SphereGrid(
-        n_theta=n_theta,
-        n_phi=n_phi,
-        theta=th.ravel(),
-        phi=ph.ravel(),
-        weights=w.ravel(),
-        theta_nodes=theta_nodes,
-        phi_nodes=phi_nodes,
-    )
+    polynomials up to combined degree min(2*n_theta - 1, n_phi - 1).
+    Raises ValueError for a size below GRID_MIN."""
+    return SphereGrid(n_theta, n_phi)
 
 
 def _amplitude_table(two_j: int, theta: np.ndarray, phi: np.ndarray):

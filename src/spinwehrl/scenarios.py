@@ -168,13 +168,13 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     )
 
 
-def cross_check(
-    d: DissipatorSpec, traj: Trajectory, methods: list, grid: Optional[SphereGrid] = None
-) -> dict:
-    """Maximum relative deviation along traj of each check in
-    rate_pairs(methods, d), by label. Each method that needs Husimi fields
-    gets them built on grid, each state's once; nothing is evaluated when
-    there is no check."""
+def cross_check(d: DissipatorSpec, traj: Trajectory, grid: Optional[SphereGrid] = None) -> dict:
+    """Maximum relative deviation along traj of each check in rate_pairs,
+    by label. The methods are those that apply to traj's spin and d: all of
+    them when given a grid, on which each state's Husimi field is built
+    once, and without one only those that need no Husimi field. Nothing is
+    evaluated when there is no check."""
+    methods = [m for m in applicable_rate_methods(traj.j.two_j, d) if grid is not None or not m.needs_field]
     pairs = rate_pairs(methods, d)
     if not pairs:
         return {}
@@ -200,7 +200,7 @@ def compare(model: Model, t_max: float, dt: float, grid: SphereGrid) -> dict:
             f"nbar = {model.d.nbar:g}: {names}"
         )
     traj = evolve(model.rho0, model.h, model.d, _uniform_grid(t_max, dt))
-    return cross_check(model.d, traj, methods, grid)
+    return cross_check(model.d, traj, grid)
 
 
 def spontaneous_emission_model(omega: float, gamma: float, temperature: float) -> Model:

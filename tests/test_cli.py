@@ -110,6 +110,27 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_legendre_rules(monkeypatch):
+    """Wrap numpy's Gauss-Legendre rule; returns the list of calls, each
+    (n,): a sphere grid computes its nodes through it."""
+    original = np.polynomial.legendre.leggauss
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", wrapper)
+    return calls
+
+
+def husimi_grid_sizes(calls) -> set:
+    """(n_theta, n_phi) of each recorded husimi_contract call, whose
+    arguments are the amplitude table (mag, dmag, cos_sphi, sin_sphi) and
+    the states."""
+    return {(args[0].shape[0], args[2].shape[1]) for args in calls}
+
+
 def compare_check_names(out: str) -> list:
     return [line.split(": max rel dev")[0] for line in out.splitlines() if ": max rel dev" in line]
 
@@ -213,7 +234,7 @@ class TestValidate:
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 3
 
     def test_validation_builds_no_grid(self, monkeypatch):
-        calls = count_calls(monkeypatch, sys.modules["spinwehrl.phase_space"], "make_grid")
+        calls = count_legendre_rules(monkeypatch)
         for path in bundled_configs().values():
             validate_config(json.loads(path.read_text()))
         assert calls == []
@@ -280,14 +301,14 @@ class TestRun:
         assert len(lines) == 22  # header + 21 output steps
 
     def test_spin_half_run_builds_no_grid(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, sys.modules["spinwehrl.phase_space"], "make_grid")
+        calls = count_legendre_rules(monkeypatch)
         argv = ["run", "--config", write_config(tmp_path, QUENCH_IDLE), "--out", str(tmp_path)]
         assert main(argv) == 0
         assert main(argv + ["--grid", "48x96"]) == 0
         assert calls == []
         path = write_config(tmp_path, CUSTOM_DAMPING_J2)
         assert main(["run", "--config", path, "--out", str(tmp_path), "--grid", "24x48"]) == 0
-        assert calls == [(24, 48)]
+        assert calls == [(24,)]
 
     @pytest.mark.parametrize(
         "cfg, grid",
@@ -308,6 +329,18 @@ class TestRun:
         calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
         argv = ["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]
         assert main(argv + (["--grid", grid] if grid else [])) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    def test_bad_grid_section_exits_2_with_a_grid_override(self, tmp_path, monkeypatch, command):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
+        path = write_config(tmp_path, with_value(CUSTOM_DAMPING_J2, "grid.n_theta", 4))
+        extra = {
+            "run": ["--out", str(tmp_path)],
+            "compare": [],
+            "sweep": ["--param", "dissipator.nbar", "--values", "1.0", "--out", str(tmp_path)],
+        }[command]
+        assert main([command, "--config", path, "--grid", "24x48"] + extra) == 2
         assert calls == []
 
     def test_pulse_run_has_gamma_column(self, tmp_path):
@@ -487,6 +520,22 @@ class TestCompare:
         path = write_config(tmp_path, CUSTOM_DEPHASING)
         assert main(["compare", "--config", path, f"--tol={tol}"]) == 2
 
+    def test_grid_override_builds_the_fields_on_it(self, tmp_path, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl._kernels"], "husimi_contract")
+        path = write_config(tmp_path, CUSTOM_DAMPING_J2)  # 48x96 in the file
+        assert main(["compare", "--config", path, "--grid", "24x48", "--tol", "1.0"]) == 0
+        assert husimi_grid_sizes(calls) == {(24, 48)}
+        assert sum(len(args[-1]) for args in calls) == 6
+        out = capsys.readouterr().out
+        small = write_config(tmp_path, with_value(CUSTOM_DAMPING_J2, "grid", {"n_theta": 24, "n_phi": 48}), "small.json")
+        assert main(["compare", "--config", small, "--tol", "1.0"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_infinite_tolerance_accepts_any_deviation(self, tmp_path, capsys):
+        path = write_config(tmp_path, CUSTOM_DEPHASING)
+        assert main(["compare", "--config", path, "--tol=inf"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith("within tolerance inf")
+
     def test_one_husimi_field_per_state(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, sys.modules["spinwehrl._kernels"], "husimi_contract")
         path = write_config(tmp_path, CUSTOM_DEPHASING)
@@ -640,6 +689,19 @@ class TestSweep:
         assert np.all(np.isfinite(data[:, 2:5]))
         cold = write_config(tmp_path, dict(cfg, temperature=0.02), "cold.json")
         assert main(["run", "--config", cold, "--out", str(tmp_path)]) == 0
+
+    def test_grid_override_reaches_every_value(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl._kernels"], "husimi_contract")
+        argv = ["sweep", "--param", "dissipator.nbar", "--values", "0.5,1.0,2.0"]
+        path = write_config(tmp_path, CUSTOM_DAMPING_J2, "j2.json")  # 48x96 in the file
+        assert main(argv + ["--config", path, "--out", str(tmp_path / "a"), "--grid", "24x48"]) == 0
+        assert husimi_grid_sizes(calls) == {(24, 48)}
+        assert sum(len(args[-1]) for args in calls) == 3 * 6
+        small = with_value(CUSTOM_DAMPING_J2, "grid", {"n_theta": 24, "n_phi": 48})
+        path = write_config(tmp_path, small, "j2.json")
+        assert main(argv + ["--config", path, "--out", str(tmp_path / "b")]) == 0
+        name = "j2_sweep_dissipator_nbar.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_empty_values_exit_code(self, tmp_path):
         path = write_config(tmp_path, QUENCH_IDLE)

@@ -76,6 +76,18 @@ class TestExpm:
         for ak, rk in zip(a, stacked):
             assert np.allclose(rk, expm(ak), rtol=1e-14, atol=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_stack_squares_each_matrix_only_as_often_as_it_needs(self):
+        # 2J = 4 damping blocks at weights 1e-3 ... 1e12 need from 0 to 43
+        # squarings. 400 I needs 7, and its exponential e^400 I overflows if
+        # it is squared once more.
+        blocks = _damping_blocks(SpinQuantumNumber(4), 0.5, [0, 1, 2, 3, 4])
+        a = (np.logspace(-3, 12, 16)[:, None, None, None] * blocks).reshape(-1, 5, 5)
+        a = np.concatenate([a, [400.0 * np.eye(5)]])
+        stacked = expm(a)
+        for ak, rk in zip(a, stacked):
+            assert np.array_equal(rk, expm(ak))
+
     def test_zero_matrix(self):
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
 

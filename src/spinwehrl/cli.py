@@ -29,7 +29,6 @@ from .scenarios import (
     Model,
     PulseParams,
     compare,
-    cross_check,
     photon_pulse_model,
     rotating_field_model,
     simulate,
@@ -249,7 +248,7 @@ def _print_summary(plan: RunPlan, result) -> None:
     print(f"final Pi_wehrl:  {_fmt(w.pi[-1])}    final Phi_wehrl: {_fmt(w.phi[-1])}")
     print(f"final Pi_vN:     {_fmt(v.pi[-1])}    final Phi_vN:    {_fmt(v.phi[-1])}")
     print(f"Sigma (wehrl):   {_fmt(result.sigma_wehrl)}")
-    for name, value in cross_check(result.model.d, result.trajectory).items():
+    for name, value in result.agreement.items():
         print(f"agreement {name}: max rel dev {_fmt(value)}")
 
 
@@ -333,6 +332,8 @@ def _load_config(path: str) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError("config is nested too deeply") from None
 
 
 def _write_states_csv(result, path: Path) -> None:

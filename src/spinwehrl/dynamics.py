@@ -383,16 +383,19 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
         raise ValueError("t_grid must be strictly increasing with at least two points")
     # Refuses an unknown kind, and a Hamiltonian defined for another spin.
     lindblad_rhs(rho0.entries, t_grid[0], h, d)
-    if h.kind != "rotating_field":
-        raw = _covariant(rho0, h, d, t_grid)
-    elif d.kind == "time_dependent_damping":
-        raise UnsupportedParameters("a rotating field with a time-dependent damping rate has no exact propagator")
-    else:
-        raw = _rotating_frame(rho0, h, d, t_grid)
-
-    herm = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-    traces = np.trace(herm, axis1=1, axis2=2).real
-    drift = np.abs(traces - 1.0)
+    # A propagator that overflows (nbar ~ 1e20 and beyond needs hundreds of
+    # squarings) gives inf/nan states silently: their nan trace drift is
+    # refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if h.kind != "rotating_field":
+            raw = _covariant(rho0, h, d, t_grid)
+        elif d.kind == "time_dependent_damping":
+            raise UnsupportedParameters("a rotating field with a time-dependent damping rate has no exact propagator")
+        else:
+            raw = _rotating_frame(rho0, h, d, t_grid)
+        herm = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+        traces = np.trace(herm, axis1=1, axis2=2).real
+        drift = np.abs(traces - 1.0)
     beyond = ~(drift <= TRACE_DRIFT_BOUND)  # a nan drift (overflow) is beyond it too
     if np.any(beyond):
         first = drift[np.argmax(beyond)]

@@ -156,22 +156,15 @@ def atanh_over(x):
 # ---------------------------------------------------------------------------
 
 
-def _dephasing_sums(field: HusimiField):
-    grid = field.grid
-    return _kernels.dephasing_reduce(grid.by_theta(field.q), grid.by_theta(field.dq_dphi), grid.theta_weights, Q_FLOOR)
-
-
-def _dephasing_pi(sums, j: SpinQuantumNumber, lam: float):
-    return 0.5 * lam * (j.dim / (4.0 * np.pi)) * sums
-
-
 def dephasing_pi_quadrature(field: HusimiField, lam: float):
     """Pi = (lambda/2) (2J+1)/(4 pi) * integral of |J_z(Q)|^2 / Q, a float
     for a one-state field, an array for a chunk.
 
     Non-negative; zero iff Q is independent of phi at every node.
     """
-    return _out(_dephasing_pi(_dephasing_sums(field), field.j, lam))
+    grid = field.grid
+    sums = _kernels.dephasing_reduce(grid.by_theta(field.q), grid.by_theta(field.dq_dphi), grid.theta_weights, Q_FLOOR)
+    return _out(0.5 * lam * (field.j.dim / (4.0 * np.pi)) * sums)
 
 
 def dephasing_pi_spin_half(b, lam: float):
@@ -197,16 +190,15 @@ def dephasing_pi_von_neumann(b, lam: float):
 # ---------------------------------------------------------------------------
 
 
-def _damping_sums(field: HusimiField, nbar: float) -> tuple:
-    grid = field.grid
-    return _kernels.damping_reduce(
+def damping_quadrature(field: HusimiField, bath: BathParams) -> tuple:
+    """(Phi, Pi terms) of the damping channel from one pass over the grid,
+    floats for a one-state field, arrays for a chunk; see
+    damping_phi_quadrature and damping_pi_quadrature."""
+    grid, j = field.grid, field.j
+    phi_raw, pi_damp_raw, pi_coh_raw = _kernels.damping_reduce(
         grid.by_theta(field.q), grid.by_theta(field.dq_dtheta), grid.by_theta(field.dq_dphi),
-        grid.cos_theta, grid.sin_theta, grid.theta_weights, field.j.two_j, nbar, Q_FLOOR,
+        grid.cos_theta, grid.sin_theta, grid.theta_weights, j.two_j, bath.nbar, Q_FLOOR,
     )
-
-
-def _damping_rates(sums, j: SpinQuantumNumber, bath: BathParams) -> tuple:
-    phi_raw, pi_damp_raw, pi_coh_raw = sums
     norm = j.dim / (4.0 * np.pi)
     phi = norm * bath.gamma * j.j * phi_raw
     pref = 0.5 * bath.gamma * norm
@@ -214,13 +206,6 @@ def _damping_rates(sums, j: SpinQuantumNumber, bath: BathParams) -> tuple:
     coherence_part = pref * pi_coh_raw
     terms = DampingPiTerms(_out(damping_part + coherence_part), _out(damping_part), _out(coherence_part))
     return _out(phi), terms
-
-
-def damping_quadrature(field: HusimiField, bath: BathParams) -> tuple:
-    """(Phi, Pi terms) of the damping channel from one pass over the grid,
-    floats for a one-state field, arrays for a chunk; see
-    damping_phi_quadrature and damping_pi_quadrature."""
-    return _damping_rates(_damping_sums(field, bath.nbar), field.j, bath)
 
 
 def damping_phi_quadrature(field: HusimiField, bath: BathParams) -> float:
@@ -410,18 +395,18 @@ def bath_at(d: DissipatorSpec, t) -> BathParams:
 
 
 def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
-    # One kernel call per chunk; the prefactors, and the bath's gamma at
-    # every time, apply once to the concatenated sums.
-    sums = []
-    for field in fields:
-        sums.append(_dephasing_sums(field) if d.kind == "dephasing" else _damping_sums(field, d.nbar))
-        j = field.j
-    sums = np.concatenate(sums, axis=-1)
+    # One quadrature call per chunk, with the bath at the chunk's times.
     if d.kind == "dephasing":
-        pi = _dephasing_pi(sums, j, d.lam)
+        pi = np.concatenate([dephasing_pi_quadrature(field, d.lam) for field in fields])
         return _rates("quadrature", pi, pi, 0.0, 0.0)
-    phi, terms = _damping_rates(sums, j, bath_at(d, times))
-    return _rates("quadrature", terms.total - phi, terms.total, phi, 0.0)
+    phi, pi, start = [], [], 0
+    for field in fields:
+        chunk_phi, terms = damping_quadrature(field, bath_at(d, times[start : start + field.q.shape[0]]))
+        start += field.q.shape[0]
+        phi.append(chunk_phi)
+        pi.append(terms.total)
+    phi, pi = np.concatenate(phi), np.concatenate(pi)
+    return _rates("quadrature", pi - phi, pi, phi, 0.0)
 
 
 def _exact_2f1_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import _kernels
-from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, evolve, lindblad_rhs
+from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, evolve
 from .entropy_rates import (
     BathParams,
     EntropyRates,
+    RateMethod,
     applicable_rate_methods,
     bath_at,
     coherence_bracket,
@@ -63,7 +64,8 @@ class ScenarioResult:
     von Neumann rates (EntropyRates whose fields are arrays over the
     trajectory's times), the Wehrl entropy, the Bloch vectors (spin 1/2
     only), the total Wehrl production sigma_wehrl (None where Pi has not
-    decayed or the output grid does not resolve it), and the model."""
+    decayed or the output grid does not resolve it), the checks among the
+    methods that need no Husimi field (see _agreement), and the model."""
 
     trajectory: Trajectory
     wehrl: EntropyRates
@@ -71,6 +73,7 @@ class ScenarioResult:
     entropy: np.ndarray
     bloch: Optional[np.ndarray]
     sigma_wehrl: Optional[float]
+    agreement: dict
     model: Model
 
     @property
@@ -102,18 +105,19 @@ def _sigma_or_none(times, pi_values) -> Optional[float]:
     return None if abs(sigma - coarse) / 3.0 > max(1e-2 * abs(sigma), SIGMA_TAIL_TOL) else sigma
 
 
-def _von_neumann(traj: Trajectory, bloch: Optional[np.ndarray], h: HamiltonianSpec, d: DissipatorSpec) -> EntropyRates:
+def _von_neumann(traj: Trajectory, bloch: Optional[np.ndarray], h: HamiltonianSpec, d: DissipatorSpec,
+                 hm: np.ndarray, dr: np.ndarray) -> EntropyRates:
     """Closed forms for spin 1/2 (bloch is the trajectory's Bloch array),
     the eigendecomposition route for thermal damping against a static J_z
-    Hamiltonian, NaN otherwise."""
+    Hamiltonian from hm = H(t) and dr = D(rho), NaN otherwise."""
     times = traj.times
     if bloch is not None:
         if d.kind == "dephasing":
             return spin_half_dephasing_von_neumann(bloch, d.lam)
         return spin_half_damping_von_neumann(bloch, bath_at(d, times), omega=0.0)
     if d.kind == "amplitude_damping" and h.kind == "static_jz":
-        rd = lindblad_rhs(traj.entries, times, h, d)
-        return von_neumann_rates(traj.entries, rd, bath_at(d, times), h.omega)
+        rho = traj.entries
+        return von_neumann_rates(rho, -1j * (hm @ rho - rho @ hm) + dr, bath_at(d, times), h.omega)
     nan = np.full(times.size, math.nan)
     return EntropyRates(nan, nan, nan, np.zeros(times.size), method="von_neumann")
 
@@ -129,6 +133,20 @@ def _recording_entropy(chunks, entropy: np.ndarray):
         yield chunk
 
 
+def _agreement(methods: list, d: DissipatorSpec, series: Callable[[RateMethod], EntropyRates]) -> dict:
+    """Maximum relative deviation of each check in rate_pairs among methods,
+    by label, from series(method), each method's rates over a trajectory.
+    Nothing is evaluated when there is no check."""
+    pairs = rate_pairs(methods, d)
+    if not pairs:
+        return {}
+    rates = {m.name: series(m) for m in methods}
+    return {
+        label: max_relative_deviation(getattr(rates[a.name], quantity), getattr(rates[b.name], quantity))
+        for label, quantity, a, b in pairs
+    }
+
+
 def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] = None) -> ScenarioResult:
     """Evolve a model and reduce its trajectory to rate series: the one
     pipeline behind every scenario and the CLI's run and sweep.
@@ -139,68 +157,57 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     certified), and otherwise the quadrature, whose one pass over the
     Husimi fields (built a few states at a time on grid, by default
     make_grid()) also gives the Wehrl entropy. Spin-1/2 runs take the
-    entropy from its closed form and build no field. The von Neumann
-    rates are those of _von_neumann.
+    entropy from its closed form and build no field. The agreement checks
+    the primary series against the other methods that need no field. The
+    von Neumann rates are those of _von_neumann.
     """
     rho0, h, d = model.rho0, model.h, model.d
     j = rho0.j
     method = primary_rate_method(j.two_j, d)
     traj = evolve(rho0, h, d, _uniform_grid(t_max, dt))
     times = traj.times
-    if j.two_j == 1:
-        bloch = traj.bloch_series()
-        entropy = wehrl_entropy_spin_half(_kernels.libm(math.hypot, *bloch.T))
-        wehrl = method.rates(traj, None, d, times)
-    else:
+    if method.needs_field:
         bloch = None
         entropy = np.empty(times.size)
         chunks = husimi_chunks(traj.entries, grid if grid is not None else make_grid())
         wehrl = method.rates(traj, _recording_entropy(chunks, entropy), d, times)
-    fe = -np.trace(h.matrix(j, times) @ d.apply(traj.entries, times), axis1=-2, axis2=-1).real
+    else:
+        bloch = traj.bloch_series()
+        entropy = wehrl_entropy_spin_half(_kernels.libm(math.hypot, *bloch.T))
+        wehrl = method.rates(traj, None, d, times)
+    field_free = [m for m in applicable_rate_methods(j.two_j, d) if not m.needs_field]
+    agreement = _agreement(field_free, d, lambda m: wehrl if m is method else m.rates(traj, None, d, times))
+    hm, dr = h.matrix(j, times), d.apply(traj.entries, times)
+    fe = -np.trace(hm @ dr, axis1=-2, axis2=-1).real
     return ScenarioResult(
         trajectory=traj,
         wehrl=replace(wehrl, phi_energy=fe),
-        von_neumann=replace(_von_neumann(traj, bloch, h, d), phi_energy=fe),
+        von_neumann=replace(_von_neumann(traj, bloch, h, d, hm, dr), phi_energy=fe),
         entropy=entropy,
         bloch=bloch,
         sigma_wehrl=_sigma_or_none(times, wehrl.pi),
+        agreement=agreement,
         model=model,
     )
 
 
-def cross_check(d: DissipatorSpec, traj: Trajectory, grid: Optional[SphereGrid] = None) -> dict:
-    """Maximum relative deviation along traj of each check in rate_pairs,
-    by label. The methods are those that apply to traj's spin and d: all of
-    them when given a grid, on which each state's Husimi field is built
-    once, and without one only those that need no Husimi field. Nothing is
-    evaluated when there is no check."""
-    methods = [m for m in applicable_rate_methods(traj.j.two_j, d) if grid is not None or not m.needs_field]
-    pairs = rate_pairs(methods, d)
-    if not pairs:
-        return {}
-    rates = {
-        m.name: m.rates(traj, husimi_chunks(traj.entries, grid) if m.needs_field else None, d, traj.times)
-        for m in methods
-    }
-    return {
-        label: max_relative_deviation(getattr(rates[a.name], quantity), getattr(rates[b.name], quantity))
-        for label, quantity, a, b in pairs
-    }
-
-
 def compare(model: Model, t_max: float, dt: float, grid: SphereGrid) -> dict:
-    """Integrate once and cross-check every rate method that applies (see
-    cross_check). Raises NothingToCompare, before integrating, when no two
-    of them give a common quantity."""
-    methods = applicable_rate_methods(model.rho0.j.two_j, model.d)
-    if not rate_pairs(methods, model.d):
+    """Integrate once and give the maximum relative deviation of each check
+    in rate_pairs among every rate method that applies, by label, building
+    each state's Husimi field on grid once. Raises NothingToCompare, before
+    integrating, when no two of them give a common quantity."""
+    d = model.d
+    methods = applicable_rate_methods(model.rho0.j.two_j, d)
+    if not rate_pairs(methods, d):
         names = ", ".join(m.name for m in methods) or "none"
         raise NothingToCompare(
-            f"fewer than two rate methods apply to 2J = {model.rho0.j.two_j}, {model.d.kind}, "
-            f"nbar = {model.d.nbar:g}: {names}"
+            f"fewer than two rate methods apply to 2J = {model.rho0.j.two_j}, {d.kind}, "
+            f"nbar = {d.nbar:g}: {names}"
         )
-    traj = evolve(model.rho0, model.h, model.d, _uniform_grid(t_max, dt))
-    return cross_check(model.d, traj, grid)
+    traj = evolve(model.rho0, model.h, d, _uniform_grid(t_max, dt))
+    return _agreement(
+        methods, d, lambda m: m.rates(traj, husimi_chunks(traj.entries, grid) if m.needs_field else None, d, traj.times)
+    )
 
 
 def spontaneous_emission_model(omega: float, gamma: float, temperature: float) -> Model:

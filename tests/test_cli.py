@@ -167,6 +167,13 @@ class TestValidate:
     def test_missing_file(self):
         assert main(["validate", "--config", "/nonexistent/x.json"]) == 2
 
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -586,6 +593,16 @@ class TestOneValidationPerCommand:
         assert len(calls) == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [1e-20, 1e-300])
+def test_overflowing_bath_fails_without_warnings(tmp_path, capsys, omega):
+    # nbar ~ 1/omega: the damping propagator overflows to a nan trace.
+    path = write_config(tmp_path, dict(QUENCH_IDLE, omega=omega))
+    assert main(["run", "--config", path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: StiffnessFailure:")
+
+
 class TestRunAgreement:
     def test_spin_half_damping_cross_checks_field_free_methods(self, tmp_path, capsys):
         path = write_config(tmp_path, QUENCH_WARM)
@@ -593,6 +610,12 @@ class TestRunAgreement:
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("agreement")]
         assert len(lines) == 1 and lines[0].startswith("agreement phi exact-2F1 vs closed-form:")
         assert float(lines[0].split()[-1]) < 1e-12
+
+    def test_spin_half_damping_run_evaluates_the_closed_form_once(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.entropy_rates"], "spin_half_damping_rates")
+        path = write_config(tmp_path, QUENCH_WARM)
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_spin_j_run_adds_no_exact_flux_work(self, tmp_path, monkeypatch, capsys):
         calls = count_calls(monkeypatch, sys.modules["spinwehrl.hypergeom"], "gauss_2f1")

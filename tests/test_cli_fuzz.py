@@ -1,6 +1,6 @@
 """Contract fuzz of the command line: whatever the config and arguments,
 main returns an exit code from the documented set and never lets an
-exception escape.
+exception or warning escape.
 
 Configs are drawn valid for their scenario, then often broken: a key
 dropped, an unknown key added, or a value replaced by junk or by an extreme
@@ -15,6 +15,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -103,6 +104,7 @@ def as_argv(spec, config: str, out: str) -> list:
     return argv + extra + (["--out", out] if command == "run" else [])
 
 
+@pytest.mark.filterwarnings("error")  # a warning escaping main is a failure too
 @settings(max_examples=50, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=configs(), spec=ARGV)

@@ -30,8 +30,9 @@ from spinwehrl import (
     spontaneous_emission_model,
     thermal_quench_model,
 )
-from spinwehrl import scenarios
+from spinwehrl import dynamics, scenarios
 from spinwehrl.dynamics import HamiltonianSpec
+from spinwehrl.entropy_rates import RATE_METHODS
 from spinwehrl.errors import InvalidFrequency
 from spinwehrl.phase_space import wehrl_entropy_spin_half
 from spinwehrl.scenarios import quench_tau_z
@@ -345,6 +346,42 @@ class TestModelBuilders:
         res = simulate(thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), t_max=1.0, dt=0.1)
         expected = [wehrl_entropy_spin_half(math.hypot(*b)) for b in res.bloch]
         assert np.array_equal(res.entropy, expected)
+
+
+SPIN_J_DAMPING = Model(
+    gibbs_state(SpinQuantumNumber(4), 1.0, 3.0), HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5)
+)
+
+
+class TestEachSeriesOnce:
+    def test_dissipator_applied_to_the_trajectory_once(self, monkeypatch):
+        original = dynamics.amplitude_damping_dissipator
+        shapes = []
+
+        def wrapper(rho, *args):
+            shapes.append(np.shape(rho))
+            return original(rho, *args)
+
+        monkeypatch.setattr(dynamics, "amplitude_damping_dissipator", wrapper)
+        res = simulate(SPIN_J_DAMPING, t_max=0.5, dt=0.1, grid=make_grid(24, 48))
+        assert shapes.count(res.trajectory.entries.shape) == 1
+
+    @pytest.mark.parametrize(
+        "model, labels",
+        [
+            (thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), ["phi exact-2F1 vs closed-form"]),
+            (Model(bloch_to_rho(BlochVector(0.5, 0.0, 0.3)), HamiltonianSpec.none(), DissipatorSpec.dephasing(1.0)), []),
+            (SPIN_J_DAMPING, []),
+        ],
+        ids=["spin-half-damping", "spin-half-dephasing", "spin-j-damping"],
+    )
+    def test_agreement_is_the_field_free_part_of_compare(self, model, labels):
+        grid = make_grid(24, 48)
+        res = simulate(model, t_max=0.5, dt=0.1, grid=grid)
+        field_methods = [m.name for m in RATE_METHODS.values() if m.needs_field]
+        checks = scenarios.compare(model, t_max=0.5, dt=0.1, grid=grid)
+        assert res.agreement == {k: v for k, v in checks.items() if not any(name in k for name in field_methods)}
+        assert list(res.agreement) == labels
 
 
 class TestCustomScenario:

@@ -2,17 +2,28 @@
 
 The Husimi transform is separable on the product grid (Driscoll & Healy
 1994): the coherent-state amplitudes factor as mag_m(theta) e^{-i m phi},
-so with b = a + s
+so with b = a + s each theta row of Q is a short phi-Fourier series,
 
-    Q(theta, phi) = Re sum_{s >= 0} w_s c_s(theta) e^{i s phi},
-    c_s(theta) = sum_a mag_a(theta) mag_b(theta) rho_ab,
+    Q(theta, phi) = Re sum_{s >= 0} c_s(theta) e^{i s phi},
+    c_s(theta) = w_s sum_a mag_a(theta) mag_b(theta) rho_ab,
 
-w_0 = 1 and w_s = 2 otherwise. dQ/dtheta follows from mag * dmag and
-dQ/dphi brings down a factor of i s. Each state costs O(n_theta d^2) for
-the coefficients and one (n_theta, 2d) x (2d, n_phi) product for each field.
+w_0 = 1 and w_s = 2 otherwise. dQ/dtheta follows from the theta derivative
+of mag_a mag_b, and dQ/dphi brings down a factor of i s. husimi_contract
+forms the coefficients of a stack of states with one gather of the shifted
+diagonals rho_{a, a+s} and one product batched over s with the pair tables
+of SphereGrid.amplitude_table: O(n_theta d^2) per state, and no Python
+loop over s. Node values cost one (rows, 2d) x (2d, n_phi) product with
+the harmonics, and each consumer evaluates only the rows it reads.
+
+Coefficient arrays are real and coefficient-major, (2d, ...): row 2s
+multiplies cos(s phi) and row 2s + 1 multiplies sin(s phi), so that
+Q = sum_s Re(c_s) cos(s phi) - Im(c_s) sin(s phi). The trailing axes are
+the states, if any, then the theta rows.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -20,34 +31,59 @@ import numpy as np
 USE_NUMBA = False
 
 
-def husimi_contract(mag, dmag, cos_sphi, sin_sphi, mats):
-    """q, dq/dtheta and dq/dphi of each matrix of a (T, d, d) stack, as
-    (T, n_theta * n_phi) arrays on the product grid (theta-major).
+@functools.lru_cache(maxsize=None)
+def _pair_indices(d: int) -> np.ndarray:
+    """Flat indices into a d x d matrix, (2, d, d): [0, s, a] of entry
+    (a, a + s) and [1, s, a] of entry (a + s, a), with a + s clipped to
+    d - 1 where it runs past the matrix (the pair tables are zero there)."""
+    a = np.arange(d)
+    b = np.minimum(a + a[:, None], d - 1)
+    return np.stack([a * d + b, b * d + a])
 
-    mag, dmag are the (n_theta, d) amplitude moduli and their theta
-    derivatives (m descending); cos_sphi, sin_sphi are the (d, n_phi)
-    harmonics cos(s phi), sin(s phi) for s = 0 .. d-1. Only the Hermitian
-    part (M + M^dagger)/2 enters, so q = Re <Omega|M|Omega> for any M.
+
+def husimi_contract(pairs, mats):
+    """phi-Fourier coefficients of q and dq/dtheta of each matrix of a
+    (T, d, d) stack, as a (2, 2d, T, n_theta) array (see the module
+    docstring).
+
+    pairs is the (2, d, d, n_theta) table of SphereGrid.amplitude_table:
+    pairs[0, s, a] = (w_s / 2) mag_a mag_{a+s} over the theta nodes,
+    pairs[1, s, a] its theta derivative, both zero where a + s > 2J. Only
+    the Hermitian part (M + M^dagger)/2 enters, so q = Re <Omega|M|Omega>
+    for any M.
     """
     mats = np.asarray(mats, dtype=complex)
     n_mats, d, _ = mats.shape
-    n_theta = mag.shape[0]
-    herm = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
-    # coef[field, t, theta, k]: k < d multiplies cos(k phi), k >= d sin((k-d) phi).
-    coef = np.empty((3, n_mats, n_theta, 2 * d))
-    for s in range(d):
-        lo, hi = mag[:, : d - s], mag[:, s:]
-        rows = np.concatenate([lo * hi, dmag[:, : d - s] * hi + lo * dmag[:, s:]])
-        diag = np.diagonal(herm, s, axis1=1, axis2=2)  # rho_{a, a+s}, (T, d-s)
-        c = (1.0 if s == 0 else 2.0) * (np.concatenate([diag.real, diag.imag]) @ rows.T)
-        re_q, im_q = c[:n_mats, :n_theta], c[n_mats:, :n_theta]
-        re_dth, im_dth = c[:n_mats, n_theta:], c[n_mats:, n_theta:]
-        coef[0, :, :, s], coef[0, :, :, d + s] = re_q, -im_q
-        coef[1, :, :, s], coef[1, :, :, d + s] = re_dth, -im_dth
-        coef[2, :, :, s], coef[2, :, :, d + s] = -s * im_q, -s * re_q
-    fields = coef.reshape(-1, 2 * d) @ np.concatenate([cos_sphi, sin_sphi])
-    q, dq_dtheta, dq_dphi = fields.reshape(3, n_mats, -1)
-    return q, dq_dtheta, dq_dphi
+    upper, lower = mats.reshape(n_mats, d * d)[:, _pair_indices(d)].transpose(1, 2, 0, 3)
+    # conj(M_{a,a+s}) + M_{a+s,a} is 2 conj(H_{a,a+s}) for the Hermitian part H:
+    # with the pair weights w_s / 2, its real part gives Re c_s, its imaginary -Im c_s.
+    diag = upper.conj()
+    diag += lower
+    parts = np.concatenate([diag.real, diag.imag], axis=1)  # (s, [re, im] x T, a)
+    return np.matmul(parts, pairs).reshape(2, 2 * d, n_mats, -1)
+
+
+def phi_derivative(coef, out):
+    """Coefficients of dQ/dphi from those of Q, into out (a float array of
+    coef's shape), returned: row 2s is s times row 2s + 1 of coef, and row
+    2s + 1 is -s times row 2s."""
+    s = np.arange(len(coef) // 2).reshape(-1, *[1] * (coef.ndim - 1))
+    np.multiply(coef[1::2], s, out=out[0::2])
+    np.multiply(coef[0::2], -s, out=out[1::2])
+    return out
+
+
+def node_rows(rows, harmonics, out):
+    """Node values (f, ..., n_phi) of f stacked coefficient arrays, rows of
+    shape (f, 2d, ...): one product with the (2d, n_phi) harmonics
+    cos(s phi), sin(s phi) interleaved. out is None or a flat float buffer
+    that holds at least the result, whose leading part it then occupies."""
+    n_rows, n_coef = rows.shape[:2]
+    n_phi = harmonics.shape[-1]
+    flat = rows.reshape(n_rows, n_coef, -1).transpose(0, 2, 1)
+    if out is not None:
+        out = out[: flat.shape[0] * flat.shape[1] * n_phi].reshape(n_rows, -1, n_phi)
+    return np.matmul(flat, harmonics, out=out).reshape(n_rows, *rows.shape[2:], n_phi)
 
 
 def libm(fn, *args) -> np.ndarray:
@@ -62,50 +98,62 @@ def libm(fn, *args) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature reductions of the rate integrands over a chunk of states. Node
-# arrays are (..., n_theta, n_phi), one row per theta node of the product
-# grid, so every theta-dependent factor is one (n_theta,) vector: each term
-# is summed over phi, then contracted with its theta vector. weights are the
-# Gauss-Legendre weights with the uniform phi weight folded in. They return
-# raw weighted sums, one per state (a scalar for a single (n_theta, n_phi)
-# field); physical prefactors are applied by the caller.
+# Quadrature reductions of the rate integrands over the coefficients of a
+# field, (2, 2d, n_theta) for one state or (2, 2d, k, n_theta) for a chunk
+# (see husimi_contract). Each evaluates the node rows it reads in one
+# harmonic product, into out (None, or a flat buffer reused across chunks;
+# see node_rows), and sums each row over phi before contracting it with a
+# theta vector. weights are the Gauss-Legendre weights with the uniform phi
+# weight folded in. They return raw weighted sums, one per state (a scalar
+# for one state); physical prefactors are applied by the caller.
 # ---------------------------------------------------------------------------
 
 
-def _sum_over_phi(x, y, inv):
-    """sum over phi of x * y * inv, without a node-sized temporary."""
-    return np.einsum("...p,...p,...p->...", x, y, inv)
+def _inverse_and_squares(nodes, q_floor):
+    """Given node rows [Q, x, ...], Q replaced in place by 1 / max(Q,
+    q_floor) and every other row by its square, then the sum over phi of
+    each squared row times the inverse, (rows - 1, ...)."""
+    q, rest = nodes[0], nodes[1:]
+    np.maximum(q, q_floor, out=q)
+    np.divide(1.0, q, out=q)
+    np.square(rest, out=rest)
+    return np.einsum("f...p,...p->f...", rest, q)
 
 
-def _inverse_floored(q, q_floor):
-    """1 / max(q, q_floor), in a new array."""
-    inv = np.maximum(q, q_floor)
-    return np.divide(1.0, inv, out=inv)
-
-
-def damping_reduce(q, dq_dtheta, dq_dphi, cos_t, sin_t, weights, two_j, nbar, q_floor):
+def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coherence_weights, q_floor, out):
     """(phi, pi_damping, pi_coherence) raw sums of each state. With
-    r = 2 nbar + 1 and Q floored at q_floor in the denominators:
+    r = 2 nbar + 1, the drift u = dQ/dtheta - 2J Q sin / (r - cos) and Q
+    floored at q_floor in the denominators, the integrands are
 
-    phi:          sin (2J Q sin / (r - cos) - dQ/dtheta),
-    pi_damping:   (2J Q sin + (cos - r) dQ/dtheta)^2 / ((r - cos) Q),
-    pi_coherence: (dQ/dphi)^2 (r cos - 1) cos / (sin^2 Q).
+    phi:          -sin u,
+    pi_damping:   (r - cos) u^2 / Q,
+    pi_coherence: (dQ/dphi)^2 (r cos - 1) cos / (sin^2 Q),
 
-    Both the flux and the drift term are read from one node array,
-    u = dQ/dtheta - 2J Q sin / (r - cos): phi sums -sin u, and
-    pi_damping sums (r - cos) u^2 / Q.
+    and the theta vectors are drift = 2J sin / (r - cos), phi_weights =
+    -n_phi sin weights, damping_weights = (r - cos) weights and
+    coherence_weights = (r cos - 1) cos weights / sin^2. u's coefficients
+    are dQ/dtheta's less drift times Q's. The flux integrand is linear in u,
+    so its sum over the phi nodes of a theta row is n_phi times u's s = 0
+    cosine coefficient, exactly when 2J < n_phi. Only Q, u and dQ/dphi are
+    evaluated at nodes.
     """
-    r = 2.0 * nbar + 1.0
-    den = r - cos_t
-    inv = _inverse_floored(q, q_floor)
-    u = np.multiply(q, (-two_j * sin_t / den)[:, None])
-    u += dq_dtheta
-    phi = -(u.sum(axis=-1) @ (weights * sin_t))
-    pi_damp = _sum_over_phi(u, u, inv) @ (weights * den)
-    pi_coh = _sum_over_phi(dq_dphi, dq_dphi, inv) @ (weights * (r * cos_t - 1.0) * cos_t / (sin_t * sin_t))
-    return phi, pi_damp, pi_coh
+    q, dq_dtheta = coef
+    rows = np.empty((3,) + q.shape)
+    rows[0] = q
+    np.multiply(q, drift, out=rows[1])
+    np.subtract(dq_dtheta, rows[1], out=rows[1])
+    phi_derivative(q, rows[2])
+    phi = rows[1, 0] @ phi_weights
+    pi_damp, pi_coh = _inverse_and_squares(node_rows(rows, harmonics, out), q_floor)
+    return phi, pi_damp @ damping_weights, pi_coh @ coherence_weights
 
 
-def dephasing_reduce(q, dq_dphi, weights, q_floor):
-    """Raw sum of (dQ/dphi)^2 / Q of each state, Q floored at q_floor."""
-    return _sum_over_phi(dq_dphi, dq_dphi, _inverse_floored(q, q_floor)) @ weights
+def dephasing_reduce(coef, harmonics, weights, q_floor, out):
+    """Raw sum of (dQ/dphi)^2 / Q of each state, Q floored at q_floor; only
+    Q and dQ/dphi are evaluated at nodes."""
+    q = coef[0]
+    rows = np.empty((2,) + q.shape)
+    rows[0] = q
+    phi_derivative(q, rows[1])
+    (sums,) = _inverse_and_squares(node_rows(rows, harmonics, out), q_floor)
+    return sums @ weights

@@ -59,7 +59,9 @@ class BathParams:
     nbar: float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.gamma) < 0) or self.nbar < 0:
+        gamma = self.gamma
+        negative = gamma < 0 if isinstance(gamma, (int, float)) else np.any(np.asarray(gamma) < 0)
+        if negative or self.nbar < 0:
             raise UnsupportedParameters("gamma and nbar must be non-negative")
 
     @property
@@ -156,6 +158,11 @@ def atanh_over(x):
 # ---------------------------------------------------------------------------
 
 
+def _dephasing_pi(raw, j: SpinQuantumNumber, lam: float):
+    """Pi of the dephasing channel from the raw sums of dephasing_reduce."""
+    return _out(0.5 * lam * (j.dim / (4.0 * np.pi)) * raw)
+
+
 def dephasing_pi_quadrature(field: HusimiField, lam: float):
     """Pi = (lambda/2) (2J+1)/(4 pi) * integral of |J_z(Q)|^2 / Q, a float
     for a one-state field, an array for a chunk.
@@ -163,8 +170,8 @@ def dephasing_pi_quadrature(field: HusimiField, lam: float):
     Non-negative; zero iff Q is independent of phi at every node.
     """
     grid = field.grid
-    sums = _kernels.dephasing_reduce(grid.by_theta(field.q), grid.by_theta(field.dq_dphi), grid.theta_weights, Q_FLOOR)
-    return _out(0.5 * lam * (field.j.dim / (4.0 * np.pi)) * sums)
+    _, harmonics = grid.amplitude_table(field.j)
+    return _dephasing_pi(_kernels.dephasing_reduce(field.coef, harmonics, grid.theta_weights, Q_FLOOR, None), field.j, lam)
 
 
 def dephasing_pi_spin_half(b, lam: float):
@@ -190,22 +197,40 @@ def dephasing_pi_von_neumann(b, lam: float):
 # ---------------------------------------------------------------------------
 
 
+def _damping_vectors(grid, two_j: int, nbar: float) -> tuple:
+    """The theta vectors of _kernels.damping_reduce on grid: drift,
+    phi_weights, damping_weights and coherence_weights."""
+    r = 2.0 * nbar + 1.0
+    cos_t, sin_t, weights = grid.cos_theta, grid.sin_theta, grid.theta_weights
+    den = r - cos_t
+    return (
+        two_j * sin_t / den,
+        -grid.n_phi * weights * sin_t,
+        weights * den,
+        weights * (r * cos_t - 1.0) * cos_t / (sin_t * sin_t),
+    )
+
+
+def _damping_terms(raw, j: SpinQuantumNumber, bath: BathParams) -> tuple:
+    """(Phi, Pi terms) of the damping channel from the raw sums
+    (phi, pi_damping, pi_coherence) of _kernels.damping_reduce."""
+    phi_raw, pi_damp_raw, pi_coh_raw = raw
+    norm = j.dim / (4.0 * np.pi)
+    pref = 0.5 * bath.gamma * norm
+    damping_part = pref * pi_damp_raw
+    coherence_part = pref * pi_coh_raw
+    terms = DampingPiTerms(_out(damping_part + coherence_part), _out(damping_part), _out(coherence_part))
+    return _out(norm * bath.gamma * j.j * phi_raw), terms
+
+
 def damping_quadrature(field: HusimiField, bath: BathParams) -> tuple:
     """(Phi, Pi terms) of the damping channel from one pass over the grid,
     floats for a one-state field, arrays for a chunk; see
     damping_phi_quadrature and damping_pi_quadrature."""
     grid, j = field.grid, field.j
-    phi_raw, pi_damp_raw, pi_coh_raw = _kernels.damping_reduce(
-        grid.by_theta(field.q), grid.by_theta(field.dq_dtheta), grid.by_theta(field.dq_dphi),
-        grid.cos_theta, grid.sin_theta, grid.theta_weights, j.two_j, bath.nbar, Q_FLOOR,
-    )
-    norm = j.dim / (4.0 * np.pi)
-    phi = norm * bath.gamma * j.j * phi_raw
-    pref = 0.5 * bath.gamma * norm
-    damping_part = pref * pi_damp_raw
-    coherence_part = pref * pi_coh_raw
-    terms = DampingPiTerms(_out(damping_part + coherence_part), _out(damping_part), _out(coherence_part))
-    return _out(phi), terms
+    _, harmonics = grid.amplitude_table(j)
+    vectors = _damping_vectors(grid, j.two_j, bath.nbar)
+    return _damping_terms(_kernels.damping_reduce(field.coef, harmonics, *vectors, Q_FLOOR, None), j, bath)
 
 
 def damping_phi_quadrature(field: HusimiField, bath: BathParams) -> float:
@@ -395,18 +420,28 @@ def bath_at(d: DissipatorSpec, t) -> BathParams:
 
 
 def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
-    # One quadrature call per chunk, with the bath at the chunk's times.
-    if d.kind == "dephasing":
-        pi = np.concatenate([dephasing_pi_quadrature(field, d.lam) for field in fields])
-        return _rates("quadrature", pi, pi, 0.0, 0.0)
-    phi, pi, start = [], [], 0
+    # The kernel of dephasing_pi_quadrature or damping_quadrature, with its
+    # theta vectors and the bath made once per trajectory (the fields share
+    # one grid and spin), every chunk's node rows in one reused buffer, and
+    # the prefactors applied to the raw sums of all chunks at once.
+    dephasing = d.kind == "dephasing"
+    reduce = _kernels.dephasing_reduce if dephasing else _kernels.damping_reduce
+    raw, out = [], np.empty(0)
     for field in fields:
-        chunk_phi, terms = damping_quadrature(field, bath_at(d, times[start : start + field.q.shape[0]]))
-        start += field.q.shape[0]
-        phi.append(chunk_phi)
-        pi.append(terms.total)
-    phi, pi = np.concatenate(phi), np.concatenate(pi)
-    return _rates("quadrature", pi - phi, pi, phi, 0.0)
+        grid, j = field.grid, field.j
+        if not raw:
+            _, harmonics = grid.amplitude_table(j)
+            vectors = (grid.theta_weights,) if dephasing else _damping_vectors(grid, j.two_j, d.nbar)
+        nodes = 3 * field.coef[0, 0].size * grid.n_phi
+        if out.size < nodes:
+            out = np.empty(nodes)
+        raw.append(np.asarray(reduce(field.coef, harmonics, *vectors, Q_FLOOR, out)))
+    raw = np.concatenate(raw, axis=-1)
+    if dephasing:
+        pi = _dephasing_pi(raw, j, d.lam)
+        return _rates("quadrature", pi, pi, 0.0, 0.0)
+    phi, terms = _damping_terms(raw, j, bath_at(d, times))
+    return _rates("quadrature", terms.total - phi, terms.total, phi, 0.0)
 
 
 def _exact_2f1_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
@@ -414,11 +449,16 @@ def _exact_2f1_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndar
     return _rates("exact-2F1", math.nan, math.nan, phi, 0.0)
 
 
-def _closed_form_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
-    b = traj.bloch_series()
+def closed_form_rates(bloch: np.ndarray, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
+    """The spin-1/2 closed-form Wehrl rates of d over a trajectory's (n, 3)
+    Bloch array at its times, with phi_energy left at 0."""
     if d.kind == "dephasing":
-        return spin_half_dephasing_rates(b, d.lam)
-    return spin_half_damping_rates(b, bath_at(d, times), omega=0.0)
+        return spin_half_dephasing_rates(bloch, d.lam)
+    return spin_half_damping_rates(bloch, bath_at(d, times), omega=0.0)
+
+
+def _closed_form_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
+    return closed_form_rates(traj.bloch_series(), d, times)
 
 
 def _exact_2f1_applies(two_j: int, d: DissipatorSpec) -> bool:

@@ -116,8 +116,8 @@ class SphereGrid:
         return float(sums) if sums.ndim == 0 else sums
 
     def amplitude_table(self, j: SpinQuantumNumber):
-        """Cached separable tables (mag, dmag, cos_sphi, sin_sphi) for spin j:
-        see _amplitude_table."""
+        """Cached separable tables (pairs, harmonics) for spin j: see
+        _amplitude_table."""
         tab = self._tables.get(j.two_j)
         if tab is None:
             tab = _amplitude_table(j.two_j, self.theta_nodes, self.phi_nodes)
@@ -132,13 +132,10 @@ def make_grid(n_theta: int = 96, n_phi: int = 192) -> SphereGrid:
     return SphereGrid(n_theta, n_phi)
 
 
-def _amplitude_table(two_j: int, theta: np.ndarray, phi: np.ndarray):
-    """Separable factors of the amplitudes <J,m|theta,phi> = mag_m(theta) e^{-i m phi}.
-
-    Returns (mag, dmag, cos_sphi, sin_sphi): the (n_theta, 2J+1) moduli and
-    their theta derivatives, m descending, and the (2J+1, n_phi) harmonics
-    cos(s phi), sin(s phi) for s = 0 .. 2J.
-    """
+def _magnitudes(two_j: int, theta: np.ndarray) -> tuple:
+    """The moduli mag_m(theta) of the amplitudes <J,m|theta,phi> =
+    mag_m(theta) e^{-i m phi} and their theta derivatives, each
+    (n_theta, 2J+1), m descending."""
     jj = 0.5 * two_j
     ms = jj - np.arange(two_j + 1)
     half = 0.5 * theta
@@ -147,8 +144,29 @@ def _amplitude_table(two_j: int, theta: np.ndarray, phi: np.ndarray):
     lnb = _ln_binomials(two_j)
     mag = np.exp(0.5 * lnb[None, :] + np.outer(np.log(c2), jj + ms) + np.outer(np.log(s2), jj - ms))
     dfac = 0.5 * ((jj - ms)[None, :] * (c2 / s2)[:, None] - (jj + ms)[None, :] * (s2 / c2)[:, None])
-    sphi = np.outer(np.arange(two_j + 1), phi)
-    return mag, mag * dfac, np.cos(sphi), np.sin(sphi)
+    return mag, mag * dfac
+
+
+def _amplitude_table(two_j: int, theta: np.ndarray, phi: np.ndarray):
+    """Separable tables of the Husimi transform (see _kernels).
+
+    Returns (pairs, harmonics): the (2, d, d, n_theta) pair table, whose
+    pairs[0, s, a] is (w_s / 2) mag_a mag_{a+s} over the theta nodes and
+    pairs[1, s, a] its theta derivative, zero where a + s > 2J; and the
+    (2d, n_phi) harmonics, cos(s phi) in row 2s and sin(s phi) in row
+    2s + 1, for s = 0 .. 2J.
+    """
+    d = two_j + 1
+    mag, dmag = _magnitudes(two_j, theta)
+    a = np.arange(d)
+    b = np.minimum(a + a[:, None], d - 1)  # (s, a)
+    half_w = np.where(a[:, None] == 0, 0.5, 1.0) * (a + a[:, None] < d)
+    mag_a, dmag_a = mag[:, None, :], dmag[:, None, :]
+    prod = half_w * mag_a * mag[:, b]  # (n_theta, s, a)
+    deriv = half_w * (dmag_a * mag[:, b] + mag_a * dmag[:, b])
+    pairs = np.ascontiguousarray(np.stack([prod, deriv]).transpose(0, 2, 3, 1))
+    sphi = np.outer(a, phi)
+    return pairs, np.stack([np.cos(sphi), np.sin(sphi)], axis=1).reshape(2 * d, -1)
 
 
 @dataclass(frozen=True)
@@ -167,7 +185,7 @@ def coherent_state(j: SpinQuantumNumber, theta: float, phi: float) -> CoherentSt
     """Spin coherent state at interior polar angle theta in (0, pi)."""
     if not 0.0 < theta < np.pi:
         raise ValueError("theta must lie strictly inside (0, pi)")
-    mag, dmag, _, _ = _amplitude_table(j.two_j, np.array([theta]), np.array([phi]))
+    mag, dmag = _magnitudes(j.two_j, np.array([theta]))
     ms = j.m_values()
     phase = np.exp(-1j * ms * phi)
     amp = mag[0] * phase
@@ -183,19 +201,38 @@ def coherent_state(j: SpinQuantumNumber, theta: float, phi: float) -> CoherentSt
 
 @dataclass(frozen=True)
 class HusimiField:
-    """Q(Omega) = <Omega|rho|Omega> with analytic angular derivatives.
+    """Q(Omega) = <Omega|rho|Omega> with analytic angular derivatives, held
+    as the phi-Fourier coefficients of each theta row (see _kernels).
 
-    q, dq_dtheta and dq_dphi are real node arrays (Q is real for Hermitian
-    rho, hence so are its angular derivatives): (n_nodes,) for one state,
-    or (k, n_nodes) for a chunk of k states (see husimi_chunks). The
-    complex azimuthal current -i dQ/dphi is exposed by phase_space_currents.
+    coef holds the real coefficients of Q and of dQ/dtheta: (2, 2d, n_theta)
+    for one state, or (2, 2d, k, n_theta) for a chunk of k states (see
+    husimi_chunks). q, dq_dtheta and dq_dphi are the real node arrays (Q is
+    real for Hermitian rho, hence so are its angular derivatives),
+    (n_nodes,) or (k, n_nodes), each evaluated on first use; the quadrature
+    reads the coefficients and evaluates its own node rows. The complex
+    azimuthal current -i dQ/dphi is exposed by phase_space_currents.
     """
 
     grid: SphereGrid
     j: SpinQuantumNumber
-    q: np.ndarray
-    dq_dtheta: np.ndarray
-    dq_dphi: np.ndarray
+    coef: np.ndarray
+
+    def _nodes(self, rows: np.ndarray) -> np.ndarray:
+        _, harmonics = self.grid.amplitude_table(self.j)
+        nodes = _kernels.node_rows(rows[None], harmonics, None)[0]
+        return nodes.reshape(*nodes.shape[:-2], self.grid.n_nodes)
+
+    @functools.cached_property
+    def q(self) -> np.ndarray:
+        return self._nodes(self.coef[0])
+
+    @functools.cached_property
+    def dq_dtheta(self) -> np.ndarray:
+        return self._nodes(self.coef[1])
+
+    @functools.cached_property
+    def dq_dphi(self) -> np.ndarray:
+        return self._nodes(_kernels.phi_derivative(self.coef[0], np.empty_like(self.coef[0])))
 
     def normalization(self):
         """(2J+1)/(4 pi) * integral of Q, of each state; equals 1 for a
@@ -203,34 +240,41 @@ class HusimiField:
         return (self.j.dim / (4.0 * np.pi)) * self.grid.integrate(self.q)
 
 
-# Grid nodes per call of the transform (four states on the default grid):
-# enough states to amortise its Python loop over the 2J+1 diagonals, few
-# enough to keep the stacked fields small on any grid.
-_CHUNK_NODES = 4 * 96 * 192
+# Grid nodes per chunk of states (two on the default grid). A chunk is one
+# call of the transform and one of a reduction, whose node rows, up to
+# three per state, fill one buffer. Of one, two and four states per chunk
+# on 96 x 192, two ran the six bundled compares fastest.
+_CHUNK_NODES = 2 * 96 * 192
 
 
 def husimi_chunks(states, grid: SphereGrid) -> Iterator[HusimiField]:
     """The Husimi fields of the states, in order, a chunk of states per
-    HusimiField of (k, n_nodes) arrays: states is an iterable of
-    DensityMatrix of one spin, or an (n, d, d) stack of their entries.
+    HusimiField: states is an iterable of DensityMatrix of one spin, or an
+    (n, d, d) stack of their entries, which is sliced without a copy.
 
     Each chunk is one call of the transform, so memory stays bounded
     however many states there are.
     """
-    it = iter(states)
     per_chunk = max(1, _CHUNK_NODES // grid.n_nodes)
-    while chunk := list(itertools.islice(it, per_chunk)):
-        mats = np.stack([getattr(s, "entries", s) for s in chunk])
-        j = SpinQuantumNumber(mats.shape[-1] - 1)
-        q, dth, dph = _kernels.husimi_contract(*grid.amplitude_table(j), mats)
-        yield HusimiField(grid=grid, j=j, q=q, dq_dtheta=dth, dq_dphi=dph)
+    if isinstance(states, np.ndarray):
+        stacks = (states[start : start + per_chunk] for start in range(0, len(states), per_chunk))
+    else:
+        it = iter(states)
+        chunks = iter(lambda: list(itertools.islice(it, per_chunk)), [])
+        stacks = (np.stack([getattr(s, "entries", s) for s in chunk]) for chunk in chunks)
+    j = None
+    for mats in stacks:
+        if j is None:
+            j = SpinQuantumNumber(mats.shape[-1] - 1)
+            pairs, _ = grid.amplitude_table(j)
+        yield HusimiField(grid, j, _kernels.husimi_contract(pairs, mats))
 
 
 def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:
     """The one-state Husimi field of rho on the grid: the chunk of
     husimi_chunks that holds rho alone."""
     chunk = next(husimi_chunks([rho], grid))
-    return HusimiField(grid=grid, j=chunk.j, q=chunk.q[0], dq_dtheta=chunk.dq_dtheta[0], dq_dphi=chunk.dq_dphi[0])
+    return HusimiField(grid, chunk.j, chunk.coef[:, :, 0])
 
 
 def wehrl_entropy(field: HusimiField):

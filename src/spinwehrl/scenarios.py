@@ -26,6 +26,7 @@ from .entropy_rates import (
     RateMethod,
     applicable_rate_methods,
     bath_at,
+    closed_form_rates,
     coherence_bracket,
     integrate_rate_series,
     max_relative_deviation,
@@ -174,7 +175,7 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     else:
         bloch = traj.bloch_series()
         entropy = wehrl_entropy_spin_half(_kernels.libm(math.hypot, *bloch.T))
-        wehrl = method.rates(traj, None, d, times)
+        wehrl = closed_form_rates(bloch, d, times)  # method.rates, on the Bloch array above
     field_free = [m for m in applicable_rate_methods(j.two_j, d) if not m.needs_field]
     agreement = _agreement(field_free, d, lambda m: wehrl if m is method else m.rates(traj, None, d, times))
     hm, dr = h.matrix(j, times), d.apply(traj.entries, times)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spinwehrl import _kernels
-from spinwehrl.phase_space import Q_FLOOR, HusimiField, SphereGrid
+from spinwehrl.phase_space import Q_FLOOR, HusimiField, SphereGrid, husimi_chunks
 from spinwehrl.spin_ops import DensityMatrix, SpinQuantumNumber, make_spin_operators
 
 
@@ -157,8 +156,8 @@ def husimi_of_matrix(mat: np.ndarray, j: SpinQuantumNumber, grid: SphereGrid) ->
 
     Used for generator fields such as <Omega|D(rho)|Omega>.
     """
-    q, _, _ = _kernels.husimi_contract(*grid.amplitude_table(j), np.asarray(mat)[None])
-    return q[0]
+    mats = np.asarray(mat, dtype=complex).reshape(1, j.dim, j.dim)
+    return next(husimi_chunks(mats, grid)).q[0]
 
 
 def dissipative_entropy_rate(field: HusimiField, dissipator_field: np.ndarray) -> float:

@@ -124,11 +124,13 @@ def count_legendre_rules(monkeypatch):
     return calls
 
 
-def husimi_grid_sizes(calls) -> set:
-    """(n_theta, n_phi) of each recorded husimi_contract call, whose
-    arguments are the amplitude table (mag, dmag, cos_sphi, sin_sphi) and
-    the states."""
-    return {(args[0].shape[0], args[2].shape[1]) for args in calls}
+def husimi_grid_sizes(contract_calls, reduce_calls) -> set:
+    """(n_theta, n_phi) of the recorded Husimi fields: n_theta of each
+    husimi_contract call, whose arguments are the (2, d, d, n_theta) pair
+    table and the states, with n_phi of each call of a quadrature reduction,
+    whose second argument is the (2d, n_phi) harmonics of its node rows.
+    A single pair means every field was on that one grid."""
+    return {(c[0].shape[-1], r[1].shape[-1]) for c in contract_calls for r in reduce_calls}
 
 
 def compare_check_names(out: str) -> list:
@@ -529,9 +531,10 @@ class TestCompare:
 
     def test_grid_override_builds_the_fields_on_it(self, tmp_path, monkeypatch, capsys):
         calls = count_calls(monkeypatch, sys.modules["spinwehrl._kernels"], "husimi_contract")
+        reduces = count_calls(monkeypatch, sys.modules["spinwehrl._kernels"], "damping_reduce")
         path = write_config(tmp_path, CUSTOM_DAMPING_J2)  # 48x96 in the file
         assert main(["compare", "--config", path, "--grid", "24x48", "--tol", "1.0"]) == 0
-        assert husimi_grid_sizes(calls) == {(24, 48)}
+        assert husimi_grid_sizes(calls, reduces) == {(24, 48)}
         assert sum(len(args[-1]) for args in calls) == 6
         out = capsys.readouterr().out
         small = write_config(tmp_path, with_value(CUSTOM_DAMPING_J2, "grid", {"n_theta": 24, "n_phi": 48}), "small.json")
@@ -715,10 +718,11 @@ class TestSweep:
 
     def test_grid_override_reaches_every_value(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, sys.modules["spinwehrl._kernels"], "husimi_contract")
+        reduces = count_calls(monkeypatch, sys.modules["spinwehrl._kernels"], "damping_reduce")
         argv = ["sweep", "--param", "dissipator.nbar", "--values", "0.5,1.0,2.0"]
         path = write_config(tmp_path, CUSTOM_DAMPING_J2, "j2.json")  # 48x96 in the file
         assert main(argv + ["--config", path, "--out", str(tmp_path / "a"), "--grid", "24x48"]) == 0
-        assert husimi_grid_sizes(calls) == {(24, 48)}
+        assert husimi_grid_sizes(calls, reduces) == {(24, 48)}
         assert sum(len(args[-1]) for args in calls) == 3 * 6
         small = with_value(CUSTOM_DAMPING_J2, "grid", {"n_theta": 24, "n_phi": 48})
         path = write_config(tmp_path, small, "j2.json")

@@ -21,6 +21,7 @@ from spinwehrl import (
     damping_phi_quadrature,
     damping_phi_zero_temperature,
     damping_pi_quadrature,
+    damping_quadrature,
     dephasing_dissipator,
     dephasing_pi_quadrature,
     dephasing_pi_spin_half,
@@ -114,6 +115,22 @@ class TestDephasingVonNeumann:
             assert dephasing_pi_von_neumann(b, 1.0) > dephasing_pi_spin_half(b, 1.0)
 
 
+class TestBathParams:
+    @pytest.mark.parametrize("gamma", [-1e-3, -1, np.float64(-2.0), np.array([1.0, -1e-12, 2.0])],
+                             ids=["float", "int", "numpy-float", "array-element"])
+    def test_negative_rate_raises(self, gamma):
+        with pytest.raises(UnsupportedParameters):
+            BathParams(gamma=gamma, nbar=0.5)
+
+    def test_negative_occupation_raises(self):
+        with pytest.raises(UnsupportedParameters):
+            BathParams(gamma=np.array([1.0, 2.0]), nbar=-1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.5, np.array([0.0, 1.0])])
+    def test_non_negative_rates_accepted(self, gamma):
+        assert BathParams(gamma=gamma, nbar=0.0).tau_bar_z == -1.0
+
+
 class TestDampingQuadrature:
     def test_gibbs_flux_vanishes(self, default_grid):
         bath = BathParams(gamma=1.0, nbar=0.7)
@@ -122,6 +139,34 @@ class TestDampingQuadrature:
         field = husimi(rho, default_grid)
         assert damping_phi_quadrature(field, bath) == pytest.approx(0.0, abs=1e-8)
         assert damping_pi_quadrature(field, bath).total == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("nbar", [0.1, 1.0])
+    @pytest.mark.parametrize("two_j", [1, 4, 12])
+    def test_rates_vanish_at_the_gibbs_state(self, two_j, nbar, default_grid, rng):
+        # u = dQ/dtheta - 2J Q sin/(r - cos) vanishes identically there, and
+        # it is formed from the coefficients of two fields that do not.
+        j = SpinQuantumNumber(two_j)
+        bath = BathParams(gamma=1.0, nbar=nbar)
+        omega = 1.0
+        gibbs = husimi(gibbs_state(j, omega, temperature_from_nbar(omega, nbar)), default_grid)
+        scale = damping_pi_quadrature(husimi(random_density_matrix(j, rng), default_grid), bath).total
+        phi, pi = damping_quadrature(gibbs, bath)
+        assert scale > 1e-3
+        assert abs(phi) <= 1e-13 * scale
+        assert abs(pi.total) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("two_j", [1, 4, 40])
+    def test_flux_from_the_constant_coefficient_is_the_node_sum(self, two_j, default_grid, rng):
+        j = SpinQuantumNumber(two_j)
+        bath = BathParams(gamma=1.3, nbar=0.5)
+        field = husimi(random_density_matrix(j, rng), default_grid)
+        grid = default_grid
+        r = 2.0 * bath.nbar + 1.0
+        drift = two_j * grid.sin_theta / (r - grid.cos_theta)
+        u = grid.by_theta(field.dq_dtheta) - drift[:, None] * grid.by_theta(field.q)
+        node_sum = -(u.sum(axis=-1) @ (grid.theta_weights * grid.sin_theta))
+        expected = (j.dim / (4.0 * np.pi)) * bath.gamma * j.j * node_sum
+        assert damping_quadrature(field, bath)[0] == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_spin_half_flux_matches_closed_form(self, default_grid, rng):
         bath = BathParams(gamma=1.0, nbar=0.5)

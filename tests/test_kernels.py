@@ -136,15 +136,18 @@ class TestChunkReduction:
         original = getattr(_kernels, name)
 
         def counted(*args):
-            shapes.append(args[0].shape)
+            shapes.append(args[0].shape)  # the chunk's coefficients
             return original(*args)
 
         monkeypatch.setattr(_kernels, name, counted)
-        grid = make_grid(96, 192)  # four states per chunk
+        grid = make_grid(96, 192)
+        per_chunk = phase_space._CHUNK_NODES // grid.n_nodes
+        assert 1 < per_chunk < 11
         d = DissipatorSpec.dephasing(1.0) if kind == "dephasing" else DissipatorSpec.amplitude_damping(1.0, 0.5)
         rho0 = DensityMatrix(SpinQuantumNumber(4), np.diag([0.3, 0.25, 0.2, 0.15, 0.1]).astype(complex))
         result = simulate(Model(rho0, HamiltonianSpec.static_jz(1.0), d), t_max=1.0, dt=0.1, grid=grid)
-        assert shapes == [(4, 96, 192), (4, 96, 192), (3, 96, 192)]  # 11 states
+        sizes = [per_chunk] * (11 // per_chunk) + [11 % per_chunk] * (11 % per_chunk > 0)  # 11 states
+        assert shapes == [(2, 2 * 5, k, 96) for k in sizes]
         assert result.wehrl.pi.shape == (11,) and np.all(np.isfinite(result.wehrl.pi))
 
 

@@ -383,6 +383,22 @@ class TestEachSeriesOnce:
         assert res.agreement == {k: v for k, v in checks.items() if not any(name in k for name in field_methods)}
         assert list(res.agreement) == labels
 
+    @pytest.mark.parametrize("dissipator", [DissipatorSpec.dephasing(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5)],
+                             ids=["dephasing", "damping"])
+    def test_spin_half_bloch_array_computed_once(self, monkeypatch, dissipator):
+        original = dynamics.Trajectory.bloch_series
+        calls = []
+
+        def counted(traj):
+            calls.append(traj.times.size)
+            return original(traj)
+
+        monkeypatch.setattr(dynamics.Trajectory, "bloch_series", counted)
+        model = Model(bloch_to_rho(BlochVector(0.5, 0.1, 0.3)), HamiltonianSpec.static_jz(1.0), dissipator)
+        res = simulate(model, t_max=0.5, dt=0.1)
+        assert calls == [6]
+        np.testing.assert_array_equal(res.bloch, original(res.trajectory))
+
 
 class TestCustomScenario:
     def test_general_spin_balance(self):

@@ -352,7 +352,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=".", help="output directory")
     p_run.add_argument("--grid", default=None, help="override grid, e.g. 96x192")
-    p_run.add_argument("--tol", type=float, default=None, help="override time.tol (checked, changes no result)")
     p_run.add_argument("--states-csv", default=None, help="also dump the raw state trajectory")
 
     p_cmp = sub.add_parser("compare", help="cross-check every applicable rate method")
@@ -399,8 +398,6 @@ def main(argv=None) -> int:
                 raise ConfigError(f"comparison tolerance must be non-negative, got {args.tol:g}")
             plan = replace(plan, tolerance=args.tol)
         if args.command == "run":
-            if args.tol is not None and not 0 < args.tol < math.inf:
-                raise ConfigError(f"tol must be positive and finite, got {args.tol:g}")
             # Output paths are checked before integrating, so that a bad one
             # loses no work.
             out_dir = Path(args.out)

@@ -33,6 +33,7 @@ matrix at a time t, or on an (n, d, d) stack of them at n times.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -223,12 +224,15 @@ class Trajectory:
         """(n, d) J_z populations (m descending)."""
         return self.entries.diagonal(axis1=1, axis2=2).real
 
-    def bloch_series(self) -> np.ndarray:
-        """(n, 3) array of tau vectors tau_i = tr(rho sigma_i); spin-1/2
-        trajectories only."""
+    @functools.cached_property
+    def bloch(self) -> np.ndarray:
+        """(n, 3) array of tau vectors tau_i = tr(rho sigma_i), computed on
+        first read; spin-1/2 trajectories only."""
         if self.j.two_j != 1:
             raise WrongDimension(f"Bloch representation needs two_j=1, got {self.j.two_j}")
-        return np.einsum("nab,iba->ni", self.entries, _PAULIS).real
+        bloch = np.einsum("nab,iba->ni", self.entries, _PAULIS).real
+        bloch.setflags(write=False)  # shared by every reader, as entries is
+        return bloch
 
 
 def expm(a: np.ndarray) -> np.ndarray:

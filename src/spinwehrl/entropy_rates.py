@@ -41,7 +41,8 @@ from .spin_ops import (
 from . import _kernels
 
 DIVERGENCE_EDGE = 1e-12
-# damping_phi_exact needs tau_bar_z above this: nbar above about 5e-16.
+# At tau_bar_z up to this (nbar below about 5e-16) damping_phi_exact gives
+# its T -> 0 limit, damping_phi_zero_temperature.
 EXACT_FLUX_MIN_TBZ = -1.0 + 1e-15
 # Above this nbar the exact flux is not cross-checked: its error grows like
 # nbar times the machine epsilon (see damping_phi_exact).
@@ -260,8 +261,8 @@ def damping_phi_exact(populations: np.ndarray, bath: BathParams, j: SpinQuantumN
 
     The flux depends only on the diagonal of the state, linearly: its
     2(2J+1) 2F1 values depend on J and nbar alone and are evaluated once per
-    call. Valid for tau_bar_z in (-1, 0); the T = 0 boundary must use
-    damping_phi_zero_temperature instead.
+    call. At tau_bar_z <= EXACT_FLUX_MIN_TBZ, the T = 0 boundary, it is
+    the limit damping_phi_zero_temperature.
 
     Its terms cancel at O(nbar), so its error grows like nbar times the
     machine epsilon. Against an mpmath evaluation of the same formula, over
@@ -270,11 +271,11 @@ def damping_phi_exact(populations: np.ndarray, bath: BathParams, j: SpinQuantumN
     at 1e8 and 6e-6 at 1e10, for 2J = 1 to 40.
     """
     tbz = bath.tau_bar_z
-    if tbz <= EXACT_FLUX_MIN_TBZ:
-        raise UnsupportedParameters("tau_bar_z = -1: use damping_phi_zero_temperature")
     pops = np.asarray(populations, dtype=float)
     if pops.ndim == 0 or pops.shape[-1] != j.dim:
         raise UnsupportedParameters(f"expected {j.dim} populations, got shape {pops.shape}")
+    if tbz <= EXACT_FLUX_MIN_TBZ:
+        return damping_phi_zero_temperature(pops @ j.m_values(), bath.gamma, j)
     jj = j.j
     z = 2.0 * tbz / (tbz - 1.0)
     c = 3.0 + 2.0 * jj
@@ -291,12 +292,13 @@ def damping_phi_exact(populations: np.ndarray, bath: BathParams, j: SpinQuantumN
     return _out(bath.gamma * jj * total)
 
 
-def damping_phi_zero_temperature(jz_expect: float, gamma: float, j: SpinQuantumNumber) -> float:
-    """T -> 0 damping flux Phi = 2 gamma J (J + <J_z>), valid for any J."""
+def damping_phi_zero_temperature(jz_expect, gamma, j: SpinQuantumNumber):
+    """T -> 0 damping flux Phi = 2 gamma J (J + <J_z>), valid for any J, of
+    numbers or elementwise of arrays that broadcast."""
     jj = j.j
-    if not -jj - 1e-9 <= jz_expect <= jj + 1e-9:
+    if not np.all(np.abs(jz_expect) <= jj + 1e-9):
         raise UnsupportedParameters(f"<J_z> = {jz_expect} outside [-J, J]")
-    return 2.0 * gamma * jj * (jj + jz_expect)
+    return _out(2.0 * gamma * jj * (jj + jz_expect))
 
 
 def damping_phi_asymptotic(populations: np.ndarray, bath: BathParams, j: SpinQuantumNumber) -> float:
@@ -449,25 +451,10 @@ def _exact_2f1_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndar
     return _rates("exact-2F1", math.nan, math.nan, phi, 0.0)
 
 
-def closed_form_rates(bloch: np.ndarray, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
-    """The spin-1/2 closed-form Wehrl rates of d over a trajectory's (n, 3)
-    Bloch array at its times, with phi_energy left at 0."""
-    if d.kind == "dephasing":
-        return spin_half_dephasing_rates(bloch, d.lam)
-    return spin_half_damping_rates(bloch, bath_at(d, times), omega=0.0)
-
-
 def _closed_form_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
-    return closed_form_rates(traj.bloch_series(), d, times)
-
-
-def _exact_2f1_applies(two_j: int, d: DissipatorSpec) -> bool:
-    tbz = BathParams(gamma=0.0, nbar=d.nbar).tau_bar_z
-    return d.kind != "dephasing" and tbz > EXACT_FLUX_MIN_TBZ and d.nbar <= EXACT_FLUX_MAX_NBAR
-
-
-def _pi_and_phi(d: DissipatorSpec) -> tuple:
-    return ("pi",) if d.kind == "dephasing" else ("phi", "pi")  # dephasing has no flux
+    if d.kind == "dephasing":
+        return spin_half_dephasing_rates(traj.bloch, d.lam)
+    return spin_half_damping_rates(traj.bloch, bath_at(d, times), omega=0.0)
 
 
 @dataclass(frozen=True)
@@ -475,32 +462,31 @@ class RateMethod:
     """One route from a trajectory to its Wehrl rates.
 
     applies(two_j, dissipator) says where the method is defined and
-    trusted; gives(dissipator) names which of "pi" and "phi" it yields.
-    rates(trajectory, fields, dissipator, times) returns one EntropyRates
-    of arrays over times, with phi_energy left at 0. fields is an iterable
-    of the states' Husimi fields in time order, a chunk of states per
-    HusimiField (see husimi_chunks), which the method consumes once, or
-    None if needs_field is False; a method that needs fields reads nothing
-    else of the trajectory.
+    trusted; gives names which of "phi" and "pi" it yields (rate_pairs
+    drops "phi" for dephasing, which has no flux). rates(trajectory,
+    fields, dissipator, times) returns one EntropyRates of arrays over
+    times, with phi_energy left at 0. fields is an iterable of the states'
+    Husimi fields in time order, a chunk of states per HusimiField (see
+    husimi_chunks), which the method consumes once, or None if needs_field
+    is False; a method that needs fields reads nothing else of the
+    trajectory.
     """
 
     name: str
     applies: Callable[[int, DissipatorSpec], bool]
-    gives: Callable[[DissipatorSpec], tuple]
+    gives: tuple
     needs_field: bool
     rates: Callable[[Trajectory, Optional[Iterable[HusimiField]], DissipatorSpec, np.ndarray], EntropyRates]
 
 
-# In the order compare reports them. Neither the exact flux, singular at
-# nbar = 0, nor the quadrature, whose (2 nbar + 1) - cos(theta) denominator
-# vanishes at the north pole there, is cross-checked on a T = 0 bath.
+# In the order compare reports them.
 RATE_METHODS = {
     m.name: m
     for m in (
-        RateMethod("quadrature", lambda two_j, d: d.kind == "dephasing" or d.nbar > 0,
-                   _pi_and_phi, True, _quadrature_rates),
-        RateMethod("exact-2F1", _exact_2f1_applies, lambda d: ("phi",), False, _exact_2f1_rates),
-        RateMethod("closed-form", lambda two_j, d: two_j == 1, _pi_and_phi, False, _closed_form_rates),
+        RateMethod("quadrature", lambda two_j, d: True, ("phi", "pi"), True, _quadrature_rates),
+        RateMethod("exact-2F1", lambda two_j, d: d.kind != "dephasing" and d.nbar <= EXACT_FLUX_MAX_NBAR,
+                   ("phi",), False, _exact_2f1_rates),
+        RateMethod("closed-form", lambda two_j, d: two_j == 1, ("phi", "pi"), False, _closed_form_rates),
     )
 }
 
@@ -512,20 +498,20 @@ def applicable_rate_methods(two_j: int, d: DissipatorSpec) -> list:
 
 def primary_rate_method(two_j: int, d: DissipatorSpec) -> RateMethod:
     """The method whose rates a run reports: the closed form where it applies,
-    otherwise the quadrature, the one route defined for every J and channel,
-    evaluated also where it is not cross-checked."""
+    otherwise the quadrature, which applies to every J, channel and nbar."""
     closed = RATE_METHODS["closed-form"]
     return closed if closed.applies(two_j, d) else RATE_METHODS["quadrature"]
 
 
 def rate_pairs(methods: list, d: DissipatorSpec) -> list:
     """(label, quantity, a, b) for each pair of methods that both give a
-    quantity: phi first, then pi, each in the order of methods."""
+    quantity of d: phi first, then pi, each in the order of methods."""
+    quantities = ("pi",) if d.kind == "dephasing" else ("phi", "pi")  # dephasing has no flux
     return [
         (f"{q} {a.name} vs {b.name}", q, a, b)
-        for q in ("phi", "pi")
+        for q in quantities
         for a, b in itertools.combinations(methods, 2)
-        if q in a.gives(d) and q in b.gives(d)
+        if q in a.gives and q in b.gives
     ]
 
 

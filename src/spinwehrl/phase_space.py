@@ -17,7 +17,6 @@ Angular derivatives of the amplitudes are analytic (no finite differences).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -247,34 +246,25 @@ class HusimiField:
 _CHUNK_NODES = 2 * 96 * 192
 
 
-def husimi_chunks(states, grid: SphereGrid) -> Iterator[HusimiField]:
-    """The Husimi fields of the states, in order, a chunk of states per
-    HusimiField: states is an iterable of DensityMatrix of one spin, or an
-    (n, d, d) stack of their entries, which is sliced without a copy.
+def husimi_chunks(states: np.ndarray, grid: SphereGrid) -> Iterator[HusimiField]:
+    """The Husimi fields of an (n, d, d) stack of density-matrix entries,
+    in order, a chunk of states per HusimiField; the stack is sliced
+    without a copy.
 
     Each chunk is one call of the transform, so memory stays bounded
     however many states there are.
     """
     per_chunk = max(1, _CHUNK_NODES // grid.n_nodes)
-    if isinstance(states, np.ndarray):
-        stacks = (states[start : start + per_chunk] for start in range(0, len(states), per_chunk))
-    else:
-        it = iter(states)
-        chunks = iter(lambda: list(itertools.islice(it, per_chunk)), [])
-        stacks = (np.stack([getattr(s, "entries", s) for s in chunk]) for chunk in chunks)
-    j = None
-    for mats in stacks:
-        if j is None:
-            j = SpinQuantumNumber(mats.shape[-1] - 1)
-            pairs, _ = grid.amplitude_table(j)
-        yield HusimiField(grid, j, _kernels.husimi_contract(pairs, mats))
+    j = SpinQuantumNumber(states.shape[-1] - 1)
+    pairs, _ = grid.amplitude_table(j)
+    for start in range(0, len(states), per_chunk):
+        yield HusimiField(grid, j, _kernels.husimi_contract(pairs, states[start : start + per_chunk]))
 
 
 def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:
-    """The one-state Husimi field of rho on the grid: the chunk of
-    husimi_chunks that holds rho alone."""
-    chunk = next(husimi_chunks([rho], grid))
-    return HusimiField(grid, chunk.j, chunk.coef[:, :, 0])
+    """The one-state Husimi field of rho on the grid."""
+    pairs, _ = grid.amplitude_table(rho.j)
+    return HusimiField(grid, rho.j, _kernels.husimi_contract(pairs, rho.entries[None])[:, :, 0])
 
 
 def wehrl_entropy(field: HusimiField):

@@ -26,7 +26,6 @@ from .entropy_rates import (
     RateMethod,
     applicable_rate_methods,
     bath_at,
-    closed_form_rates,
     coherence_bracket,
     integrate_rate_series,
     max_relative_deviation,
@@ -106,16 +105,16 @@ def _sigma_or_none(times, pi_values) -> Optional[float]:
     return None if abs(sigma - coarse) / 3.0 > max(1e-2 * abs(sigma), SIGMA_TAIL_TOL) else sigma
 
 
-def _von_neumann(traj: Trajectory, bloch: Optional[np.ndarray], h: HamiltonianSpec, d: DissipatorSpec,
-                 hm: np.ndarray, dr: np.ndarray) -> EntropyRates:
-    """Closed forms for spin 1/2 (bloch is the trajectory's Bloch array),
-    the eigendecomposition route for thermal damping against a static J_z
+def _von_neumann(traj: Trajectory, h: HamiltonianSpec, d: DissipatorSpec, hm: np.ndarray,
+                 dr: np.ndarray) -> EntropyRates:
+    """Closed forms for spin 1/2, on the trajectory's Bloch array, the
+    eigendecomposition route for thermal damping against a static J_z
     Hamiltonian from hm = H(t) and dr = D(rho), NaN otherwise."""
     times = traj.times
-    if bloch is not None:
+    if traj.j.two_j == 1:
         if d.kind == "dephasing":
-            return spin_half_dephasing_von_neumann(bloch, d.lam)
-        return spin_half_damping_von_neumann(bloch, bath_at(d, times), omega=0.0)
+            return spin_half_dephasing_von_neumann(traj.bloch, d.lam)
+        return spin_half_damping_von_neumann(traj.bloch, bath_at(d, times), omega=0.0)
     if d.kind == "amplitude_damping" and h.kind == "static_jz":
         rho = traj.entries
         return von_neumann_rates(rho, -1j * (hm @ rho - rho @ hm) + dr, bath_at(d, times), h.omega)
@@ -153,14 +152,13 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     pipeline behind every scenario and the CLI's run and sweep.
 
     The registry's primary method gives the Wehrl rates: the closed forms
-    for spin 1/2, on the trajectory's Bloch array (exact for any state,
-    including the nbar = 0 boundary where the quadrature is not
-    certified), and otherwise the quadrature, whose one pass over the
-    Husimi fields (built a few states at a time on grid, by default
-    make_grid()) also gives the Wehrl entropy. Spin-1/2 runs take the
-    entropy from its closed form and build no field. The agreement checks
-    the primary series against the other methods that need no field. The
-    von Neumann rates are those of _von_neumann.
+    for spin 1/2, on the trajectory's Bloch array, and otherwise the
+    quadrature, whose one pass over the Husimi fields (built a few states
+    at a time on grid, by default make_grid()) also gives the Wehrl
+    entropy. Spin-1/2 runs take the entropy from its closed form and build
+    no field. The agreement checks the primary series against the other
+    methods that need no field. The von Neumann rates are those of
+    _von_neumann.
     """
     rho0, h, d = model.rho0, model.h, model.d
     j = rho0.j
@@ -168,14 +166,12 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     traj = evolve(rho0, h, d, _uniform_grid(t_max, dt))
     times = traj.times
     if method.needs_field:
-        bloch = None
-        entropy = np.empty(times.size)
-        chunks = husimi_chunks(traj.entries, grid if grid is not None else make_grid())
-        wehrl = method.rates(traj, _recording_entropy(chunks, entropy), d, times)
+        bloch, entropy = None, np.empty(times.size)
+        fields = _recording_entropy(husimi_chunks(traj.entries, grid if grid is not None else make_grid()), entropy)
     else:
-        bloch = traj.bloch_series()
+        bloch, fields = traj.bloch, None
         entropy = wehrl_entropy_spin_half(_kernels.libm(math.hypot, *bloch.T))
-        wehrl = closed_form_rates(bloch, d, times)  # method.rates, on the Bloch array above
+    wehrl = method.rates(traj, fields, d, times)
     field_free = [m for m in applicable_rate_methods(j.two_j, d) if not m.needs_field]
     agreement = _agreement(field_free, d, lambda m: wehrl if m is method else m.rates(traj, None, d, times))
     hm, dr = h.matrix(j, times), d.apply(traj.entries, times)
@@ -183,7 +179,7 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     return ScenarioResult(
         trajectory=traj,
         wehrl=replace(wehrl, phi_energy=fe),
-        von_neumann=replace(_von_neumann(traj, bloch, h, d, hm, dr), phi_energy=fe),
+        von_neumann=replace(_von_neumann(traj, h, d, hm, dr), phi_energy=fe),
         entropy=entropy,
         bloch=bloch,
         sigma_wehrl=_sigma_or_none(times, wehrl.pi),
@@ -200,7 +196,7 @@ def compare(model: Model, t_max: float, dt: float, grid: SphereGrid) -> dict:
     d = model.d
     methods = applicable_rate_methods(model.rho0.j.two_j, d)
     if not rate_pairs(methods, d):
-        names = ", ".join(m.name for m in methods) or "none"
+        names = ", ".join(m.name for m in methods)
         raise NothingToCompare(
             f"fewer than two rate methods apply to 2J = {model.rho0.j.two_j}, {d.kind}, "
             f"nbar = {d.nbar:g}: {names}"

@@ -50,6 +50,16 @@ CUSTOM_DAMPING_J2 = {
     "grid": {"n_theta": 48, "n_phi": 96},
 }
 
+SPIN_J_DEPHASING = dict(CUSTOM_DAMPING_J2, dissipator={"type": "dephasing", "lambda": 1.0})
+
+# What compare checks on spin-1/2 damping up to EXACT_FLUX_MAX_NBAR, T = 0 included.
+SPIN_HALF_DAMPING_CHECKS = [
+    "phi quadrature vs exact-2F1",
+    "phi quadrature vs closed-form",
+    "phi exact-2F1 vs closed-form",
+    "pi quadrature vs closed-form",
+]
+
 # nbar ~ 1e15, far above EXACT_FLUX_MAX_NBAR, where the exact flux would
 # miss the closed form by 0.375.
 HOT_EMISSION = {
@@ -261,10 +271,14 @@ class TestValidate:
         ground = gibbs_state(SpinQuantumNumber(two_j), 1, 0.0)
         assert np.array_equal(validate_config(cfg).model.rho0.entries, ground.entries)
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
-    def test_bad_run_tolerance_is_a_config_error(self, tmp_path, tol):
+    def test_run_has_no_tolerance_flag(self, tmp_path, monkeypatch):
+        # time.tol is still read and checked from the config, but run takes no --tol.
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
         path = write_config(tmp_path, QUENCH_IDLE)
-        assert main(["run", "--config", path, "--out", str(tmp_path), f"--tol={tol}"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", path, "--out", str(tmp_path), "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert calls == []
 
 
 class TestRun:
@@ -472,33 +486,18 @@ class TestCompare:
         path = write_config(tmp_path, cfg)
         assert main(["compare", "--config", path, "--tol", "1e-18"]) == 1
 
-    def test_single_method_scenario_rejected(self, tmp_path):
-        cfg = {
-            "scenario": "photon_pulse",
-            "gamma0": 1.0,
-            "bandwidth": 10.0,
-            "a0": 0.7071067811865476,
-            "time": {"t_max": 1.0, "output_dt": 0.2},
-            "grid": {"n_theta": 48, "n_phi": 96},
-        }
-        path = write_config(tmp_path, cfg)
+    def test_single_method_scenario_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, SPIN_J_DEPHASING)
         assert main(["compare", "--config", path]) == 2
-
+        err = capsys.readouterr().err
+        assert err.startswith("config error: fewer than two rate methods apply")
+        assert err.rstrip().endswith("2J = 4, dephasing, nbar = 0: quadrature")
 
     @pytest.mark.parametrize(
         "cfg, names",
         [
             pytest.param(CUSTOM_DEPHASING, ["pi quadrature vs closed-form"], id="spin-1/2-dephasing"),
-            pytest.param(
-                QUENCH_WARM,
-                [
-                    "phi quadrature vs exact-2F1",
-                    "phi quadrature vs closed-form",
-                    "phi exact-2F1 vs closed-form",
-                    "pi quadrature vs closed-form",
-                ],
-                id="spin-1/2-damping",
-            ),
+            pytest.param(QUENCH_WARM, SPIN_HALF_DAMPING_CHECKS, id="spin-1/2-damping"),
             pytest.param(CUSTOM_DAMPING_J2, ["phi quadrature vs exact-2F1"], id="2J=4-damping"),
             pytest.param(
                 HOT_EMISSION,
@@ -512,16 +511,40 @@ class TestCompare:
         assert main(["compare", "--config", path, "--tol", "1.0"]) == 0
         assert compare_check_names(capsys.readouterr().out) == names
 
+    @pytest.mark.parametrize(
+        "name, names",
+        [
+            ("photon_pulse.json", SPIN_HALF_DAMPING_CHECKS),
+            ("damping_theta_sweep.json", SPIN_HALF_DAMPING_CHECKS),
+            ("spin-j", ["phi quadrature vs exact-2F1"]),
+        ],
+    )
+    def test_zero_temperature_baths_are_cross_checked(self, tmp_path, capsys, name, names):
+        # Every method applies at nbar = 0; each config passes at its own
+        # tolerance (1e-5 where it sets none).
+        if name == "spin-j":
+            path = write_config(tmp_path, with_value(CUSTOM_DAMPING_J2, "dissipator.nbar", 0.0))
+        else:
+            path = str(bundled_configs()[name])
+        assert main(["compare", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert compare_check_names(out) == names
+        assert out.splitlines()[-1].endswith("within tolerance 1e-05")
+
     def test_hot_spin_j_bath_has_nothing_to_compare(self, tmp_path):
         cfg = copy.deepcopy(CUSTOM_DAMPING_J2)
         cfg["dissipator"]["nbar"] = 1e7  # above EXACT_FLUX_MAX_NBAR: the quadrature alone applies
         path = write_config(tmp_path, cfg)
         assert main(["compare", "--config", path]) == 2
 
-    @pytest.mark.parametrize("name", ["photon_pulse.json", "damping_theta_sweep.json"])
-    def test_single_method_rejected_before_integrating(self, monkeypatch, name):
+    @pytest.mark.parametrize(
+        "cfg",
+        [SPIN_J_DEPHASING, with_value(CUSTOM_DAMPING_J2, "dissipator.nbar", 2e6)],
+        ids=["spin-j-dephasing", "spin-j-damping-above-exact-flux-bound"],
+    )
+    def test_single_method_rejected_before_integrating(self, tmp_path, monkeypatch, cfg):
         calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
-        assert main(["compare", "--config", str(bundled_configs()[name])]) == 2
+        assert main(["compare", "--config", write_config(tmp_path, cfg)]) == 2
         assert calls == []
 
     @pytest.mark.parametrize("tol", ["nan", "-1e-5"])
@@ -701,8 +724,8 @@ class TestSweep:
             assert row[2] == pytest.approx(pi, rel=1e-10)
 
     def test_temperature_sweep_near_zero_temperature(self, tmp_path):
-        # At T = 0.02 nbar ~ 2e-22 lies outside the exact 2F1 flux's domain;
-        # run and sweep report the closed form and need no cross-check.
+        # At T = 0.02 nbar ~ 2e-22, where the exact 2F1 flux is its T -> 0
+        # limit; run and sweep report the closed form.
         cfg = dict(QUENCH_IDLE, scenario="spontaneous_emission", temperature=1.0)
         del cfg["initial_temperature"], cfg["bath_temperature"]
         path = write_config(tmp_path, cfg, "se.json")

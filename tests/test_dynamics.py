@@ -171,7 +171,7 @@ class TestEvolve:
         rho0 = random_density_matrix(SpinQuantumNumber(2), rng)
         traj = evolve(rho0, HamiltonianSpec.none(), DissipatorSpec.dephasing(1.0), np.linspace(0.0, 1.0, 3))
         with pytest.raises(WrongDimension):
-            traj.bloch_series()
+            traj.bloch
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_states_are_a_stiffness_failure(self):
@@ -192,7 +192,7 @@ class TestEvolve:
         t_grid = np.linspace(0, 6, 121)
         traj = evolve(rho0, HamiltonianSpec.static_jz(omega),
                       DissipatorSpec.amplitude_damping(gamma, nbar), t_grid)
-        tz = traj.bloch_series()[:, 2]
+        tz = traj.bloch[:, 2]
         expected = tbz + np.exp(-gamma * t_grid / abs(tbz)) * (tz0 - tbz)
         assert np.max(np.abs(tz - expected)) < 1e-8
 

@@ -41,7 +41,14 @@ from spinwehrl import (
     temperature_from_nbar,
     von_neumann_rates,
 )
-from spinwehrl.entropy_rates import EXACT_FLUX_MAX_NBAR, applicable_rate_methods, atanh_over, coherence_bracket
+from spinwehrl.entropy_rates import (
+    EXACT_FLUX_MAX_NBAR,
+    EXACT_FLUX_MIN_TBZ,
+    applicable_rate_methods,
+    atanh_over,
+    coherence_bracket,
+    primary_rate_method,
+)
 from conftest import random_density_matrix, random_diagonal_state
 from oracles import dissipative_entropy_rate, generator_entropy_rate, husimi_of_matrix
 
@@ -140,11 +147,12 @@ class TestDampingQuadrature:
         assert damping_phi_quadrature(field, bath) == pytest.approx(0.0, abs=1e-8)
         assert damping_pi_quadrature(field, bath).total == pytest.approx(0.0, abs=1e-8)
 
-    @pytest.mark.parametrize("nbar", [0.1, 1.0])
+    @pytest.mark.parametrize("nbar", [0.0, 0.1, 1.0])
     @pytest.mark.parametrize("two_j", [1, 4, 12])
     def test_rates_vanish_at_the_gibbs_state(self, two_j, nbar, default_grid, rng):
         # u = dQ/dtheta - 2J Q sin/(r - cos) vanishes identically there, and
-        # it is formed from the coefficients of two fields that do not.
+        # it is formed from the coefficients of two fields that do not; at
+        # nbar = 0 both terms grow like 1/theta toward the north pole.
         j = SpinQuantumNumber(two_j)
         bath = BathParams(gamma=1.0, nbar=nbar)
         omega = 1.0
@@ -176,6 +184,25 @@ class TestDampingQuadrature:
             quad = damping_phi_quadrature(husimi(bloch_to_rho(b), default_grid), bath)
             closed = spin_half_damping_rates(b, bath, omega=1.0).phi
             assert quad == pytest.approx(closed, rel=1e-6)
+
+    def test_zero_temperature_spin_half_matches_closed_form(self, default_grid, rng):
+        bath = BathParams(gamma=1.3, nbar=0.0)
+        for _ in range(8):
+            v = rng.normal(size=3)
+            b = BlochVector(*(v * rng.uniform(0.0, 0.9) / np.linalg.norm(v)))
+            phi, terms = damping_quadrature(husimi(bloch_to_rho(b), default_grid), bath)
+            closed = spin_half_damping_rates(b, bath, omega=1.0)
+            assert phi == pytest.approx(closed.phi, rel=1e-12, abs=0)
+            assert terms.total == pytest.approx(closed.pi, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("two_j", [4, 12])
+    def test_zero_temperature_flux_matches_its_limit(self, two_j, default_grid, rng):
+        j = SpinQuantumNumber(two_j)
+        bath = BathParams(gamma=1.3, nbar=0.0)
+        for _ in range(4):
+            rho = random_density_matrix(j, rng)
+            limit = damping_phi_zero_temperature(float(rho.populations() @ j.m_values()), bath.gamma, j)
+            assert damping_phi_quadrature(husimi(rho, default_grid), bath) == pytest.approx(limit, rel=1e-13, abs=0)
 
     def test_spin_one_flux_matches_exact(self, default_grid, rng):
         j = SpinQuantumNumber(2)
@@ -240,10 +267,22 @@ class TestDampingExactFlux:
         exact = damping_phi_exact(rho.populations(), bath, j)
         assert quad == pytest.approx(exact, rel=1e-6)
 
-    def test_zero_temperature_boundary_rejected(self):
-        bath = BathParams(gamma=1.0, nbar=0.0)
-        with pytest.raises(UnsupportedParameters):
-            damping_phi_exact(np.array([0.5, 0.5]), bath, J_HALF)
+    def test_zero_temperature_boundary_rejected(self, rng):
+        # At and below EXACT_FLUX_MIN_TBZ the exact flux is its T -> 0 limit,
+        # of one state and of each row of a stack with gamma an array.
+        for two_j in (1, 4, 12):
+            j = SpinQuantumNumber(two_j)
+            pops = rng.dirichlet(np.ones(j.dim), size=5)
+            jz = pops @ j.m_values()
+            gamma = rng.uniform(0.5, 2.0, size=5)
+            for nbar in (0.0, 1e-17):
+                assert BathParams(gamma=1.0, nbar=nbar).tau_bar_z <= EXACT_FLUX_MIN_TBZ
+                np.testing.assert_array_equal(
+                    damping_phi_exact(pops, BathParams(gamma=gamma, nbar=nbar), j),
+                    damping_phi_zero_temperature(jz, gamma, j),
+                )
+                one = damping_phi_exact(pops[0], BathParams(gamma=1.3, nbar=nbar), j)
+                assert one == damping_phi_zero_temperature(float(jz[0]), 1.3, j)
 
     @pytest.mark.parametrize("two_j", [1, 4, 40])
     def test_error_at_the_nbar_bound(self, two_j, rng):
@@ -274,6 +313,14 @@ class TestDampingExactFlux:
 
         assert names(EXACT_FLUX_MAX_NBAR) == ["quadrature", "exact-2F1"]
         assert names(EXACT_FLUX_MAX_NBAR * (1 + 1e-12)) == ["quadrature"]
+
+
+@pytest.mark.parametrize("nbar", [0.0, 0.5, 2e6])
+@pytest.mark.parametrize("kind", ["dephasing", "amplitude_damping"])
+@pytest.mark.parametrize("two_j", [1, 4, 12])
+def test_the_primary_method_is_one_that_applies(two_j, kind, nbar):
+    d = DissipatorSpec(kind, lam=1.0, gamma=1.0, nbar=nbar)
+    assert primary_rate_method(two_j, d) in applicable_rate_methods(two_j, d)
 
 
 class TestZeroTemperatureFlux:
@@ -517,7 +564,7 @@ class TestTotalEntropyProduced:
                       DissipatorSpec.amplitude_damping(gamma, nbar), t_grid)
 
         def sigma_of(traj):
-            return integrate_rate_series(traj.times, spin_half_damping_rates(traj.bloch_series(), bath, omega).pi)
+            return integrate_rate_series(traj.times, spin_half_damping_rates(traj.bloch, bath, omega).pi)
 
         sigma = sigma_of(traj)
         assert sigma > 0

@@ -79,7 +79,7 @@ class TestSeparableTransform:
         j = SpinQuantumNumber(3)
         per_chunk = phase_space._CHUNK_NODES // grid.n_nodes
         states = [random_density_matrix(j, rng) for _ in range(2 * per_chunk + 3)]
-        chunks = list(husimi_chunks(states, grid))
+        chunks = list(husimi_chunks(np.stack([s.entries for s in states]), grid))
         assert sum(len(chunk.q) for chunk in chunks) == len(states)
         for name in ("q", "dq_dtheta", "dq_dphi"):
             rows = np.concatenate([getattr(chunk, name) for chunk in chunks])
@@ -90,7 +90,8 @@ class TestSeparableTransform:
 def pipeline_rates(d, states, grid):
     """The quadrature's rates of the states, fed by Husimi chunks as in simulate."""
     times = np.linspace(0.0, 1.0, len(states))
-    return RATE_METHODS["quadrature"].rates(None, husimi_chunks(states, grid), d, times), times
+    fields = husimi_chunks(np.stack([s.entries for s in states]), grid)
+    return RATE_METHODS["quadrature"].rates(None, fields, d, times), times
 
 
 class TestChunkReduction:
@@ -125,7 +126,8 @@ class TestChunkReduction:
 
     def test_wehrl_entropy(self, grid_and_states):
         grid, states = grid_and_states
-        chunked = np.concatenate([wehrl_entropy(chunk) for chunk in husimi_chunks(states, grid)])
+        stack = np.stack([s.entries for s in states])
+        chunked = np.concatenate([wehrl_entropy(chunk) for chunk in husimi_chunks(stack, grid)])
         one = [wehrl_entropy(husimi(s, grid)) for s in states]
         np.testing.assert_allclose(chunked, one, rtol=1e-13, atol=0)
 

@@ -140,7 +140,7 @@ class TestCovariantPropagator:
         t_grid = _uniform_grid(12.0, 0.02)
         traj = evolve(rho0, HamiltonianSpec.static_jz(omega), DissipatorSpec.amplitude_damping(gamma, nbar), t_grid)
         expected = quench_tau_z(t_grid, rho_to_bloch(rho0).tau_z, BathParams(gamma=gamma, nbar=nbar))
-        assert np.max(np.abs(traj.bloch_series()[:, 2] - expected)) <= 1e-13
+        assert np.max(np.abs(traj.bloch[:, 2] - expected)) <= 1e-13
 
     def test_photon_pulse_excitation_is_the_amplitude(self):
         # rho_ee(t) = a0^2 |a(t)/a0|^2 = |a(t)|^2, and no coherence is created
@@ -224,7 +224,7 @@ class TestRotatingFramePropagator:
         oracle = evolve_rk45(m.rho0, m.h, m.d, t_grid, tol=1e-12)
         assert np.max(np.abs(exact.entries - oracle.entries)) < 1e-11
         bloch = bloch_oracle(m.h, m.d, rho_to_bloch(m.rho0).as_array(), t_grid)
-        assert np.max(np.abs(exact.bloch_series() - bloch)) < 1e-11
+        assert np.max(np.abs(exact.bloch - bloch)) < 1e-11
 
     def test_time_dependent_damping_is_unsupported(self):
         rho0 = bloch_to_rho(BlochVector(1.0, 0.0, 0.0))
@@ -247,7 +247,7 @@ class TestRK45Oracle:
         for tol in (1e-5, 1e-8, 1e-11):
             traj = evolve_rk45(rho0, HamiltonianSpec.static_jz(omega),
                                DissipatorSpec.amplitude_damping(gamma, nbar), t_grid, tol=tol)
-            tz = traj.bloch_series()[:, 2]
+            tz = traj.bloch[:, 2]
             expected = tbz + np.exp(-gamma * t_grid / abs(tbz)) * (tz0 - tbz)
             errs.append(np.max(np.abs(tz - expected)))
         assert errs[1] < errs[0] / 5

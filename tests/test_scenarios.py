@@ -1,4 +1,6 @@
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,8 +374,11 @@ class TestEachSeriesOnce:
             (thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), ["phi exact-2F1 vs closed-form"]),
             (Model(bloch_to_rho(BlochVector(0.5, 0.0, 0.3)), HamiltonianSpec.none(), DissipatorSpec.dephasing(1.0)), []),
             (SPIN_J_DAMPING, []),
+            (spontaneous_emission_model(omega=1.0, gamma=1.0, temperature=0.0), ["phi exact-2F1 vs closed-form"]),
+            (replace(SPIN_J_DAMPING, d=DissipatorSpec.amplitude_damping(1.0, 0.0)), []),
         ],
-        ids=["spin-half-damping", "spin-half-dephasing", "spin-j-damping"],
+        ids=["spin-half-damping", "spin-half-dephasing", "spin-j-damping", "spin-half-damping-T0",
+             "spin-j-damping-T0"],
     )
     def test_agreement_is_the_field_free_part_of_compare(self, model, labels):
         grid = make_grid(24, 48)
@@ -386,18 +391,22 @@ class TestEachSeriesOnce:
     @pytest.mark.parametrize("dissipator", [DissipatorSpec.dephasing(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5)],
                              ids=["dephasing", "damping"])
     def test_spin_half_bloch_array_computed_once(self, monkeypatch, dissipator):
-        original = dynamics.Trajectory.bloch_series
+        # The closed-form rates, the von Neumann rates and the result all
+        # read the trajectory's cached, read-only Bloch array.
+        original = dynamics.Trajectory.bloch.func
         calls = []
 
         def counted(traj):
             calls.append(traj.times.size)
             return original(traj)
 
-        monkeypatch.setattr(dynamics.Trajectory, "bloch_series", counted)
+        cached = functools.cached_property(counted)
+        cached.__set_name__(dynamics.Trajectory, "bloch")
+        monkeypatch.setattr(dynamics.Trajectory, "bloch", cached)
         model = Model(bloch_to_rho(BlochVector(0.5, 0.1, 0.3)), HamiltonianSpec.static_jz(1.0), dissipator)
         res = simulate(model, t_max=0.5, dt=0.1)
         assert calls == [6]
-        np.testing.assert_array_equal(res.bloch, original(res.trajectory))
+        assert res.bloch is res.trajectory.bloch and not res.bloch.flags.writeable
 
 
 class TestCustomScenario:

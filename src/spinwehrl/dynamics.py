@@ -71,6 +71,11 @@ _PADE13 = tuple(c / 64764752532480000.0 for c in (
 _THETA13 = 5.371920351148152
 # Matrix entries exponentiated per batch when each step has its own propagator.
 _EXPM_BATCH = 1 << 18
+# Each step's damping exponent gamma dt (2 nbar + 1) is capped here, which
+# keeps scaling and squaring in range at huge nbar. The slowest damping rates
+# are gamma (2 nbar + 1) for populations and half that for coherences, so a
+# longer step gives the same propagator, the stationary projector, to e^-50.
+_RELAXED = 100.0
 # Gauss-Legendre rule for the integral of a time-dependent rate over a step.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
@@ -315,9 +320,9 @@ def _conserve_populations(r: np.ndarray) -> np.ndarray:
     whose first order is 0, with the columns of each order-0 block divided
     by their sums. exp(dGamma A_0) conserves the trace exactly, but scaling
     and squaring lets its column sums drift from 1 as dGamma (2 nbar + 1)
-    grows: by 1.4e-4 at gamma dt = 1e12 for spin 1/2, by 5e-3 at 2J = 40,
-    which the trace-drift bound would refuse. A nan or inf propagator stays
-    nan, and raises StiffnessFailure there."""
+    grows: up to the _RELAXED cap, by 2.3e-12 per step at 2J = 40, which
+    compounds over the steps toward the trace-drift bound. A nan or inf
+    propagator stays nan, and raises StiffnessFailure there."""
     pops = r[..., 0, :, :]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pops /= pops.sum(axis=-2, keepdims=True)
@@ -337,6 +342,7 @@ def _covariant(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_gri
             raise NonMarkovianRate(f"gamma_t({nodes.flat[n]}) = {gamma.flat[n]} is negative")
     else:
         dgamma = d.gamma * steps  # zero for dephasing
+    dgamma = np.minimum(dgamma, 0.5 * _RELAXED / (d.nbar + 0.5))
     dtheta = _step_integrals(h.omega_t, t_grid)[2] if h.kind == "pulse_effective" else h.omega * steps
     orders = [k for k in range(dim) if np.any(rho.diagonal(-k)) or np.any(rho.diagonal(k))]
     ks = np.array(orders)
@@ -371,7 +377,8 @@ def _rotating_frame(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, 
     lab = np.exp(-1j * h.drive_omega * t_grid[:, None, None] * (m[:, None] - m[None, :]))
     x = np.empty((t_grid.size, dim * dim), dtype=complex)
     x[0] = (rho0.entries * lab[0].conj()).ravel()
-    for n, r in enumerate(_step_propagators(_steps(t_grid), generator)):
+    steps = _steps(t_grid) if d.gamma == 0 else np.minimum(_steps(t_grid), 0.5 * _RELAXED / d.gamma / (d.nbar + 0.5))
+    for n, r in enumerate(_step_propagators(steps, generator)):
         x[n + 1] = r @ x[n]
     return x.reshape(-1, dim, dim) * lab
 
@@ -387,9 +394,9 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
         raise ValueError("t_grid must be strictly increasing with at least two points")
     # Refuses an unknown kind, and a Hamiltonian defined for another spin.
     lindblad_rhs(rho0.entries, t_grid[0], h, d)
-    # A propagator that overflows (nbar ~ 1e20 and beyond needs hundreds of
-    # squarings) gives inf/nan states silently: their nan trace drift is
-    # refused below.
+    # A propagator that overflows (a generator with inf entries, at nbar
+    # near the largest float) gives inf/nan states silently: their nan
+    # trace drift is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         if h.kind != "rotating_field":
             raw = _covariant(rho0, h, d, t_grid)

@@ -73,14 +73,13 @@ class BathParams:
 
 @dataclass(frozen=True)
 class EntropyRates:
-    """Rate bundle {dS/dt, Pi, Phi, Phi_E} with the method that produced it:
-    floats for one state, or arrays of one shape over a trajectory."""
+    """Rate bundle {dS/dt, Pi, Phi} of one method: floats for one state, or
+    arrays of one shape over a trajectory. The energy flux Phi_E belongs to
+    the run (see energy_flux and ScenarioResult.phi_energy)."""
 
     ds_dt: float
     pi: float
     phi: float
-    phi_energy: float
-    method: str
 
 
 class DampingPiTerms(NamedTuple):
@@ -106,10 +105,9 @@ def _out(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _rates(method: str, ds_dt, pi, phi, phi_energy) -> EntropyRates:
+def _rates(ds_dt, pi, phi) -> EntropyRates:
     """EntropyRates of floats, or of arrays of one shape if any is an array."""
-    fields = np.broadcast_arrays(ds_dt, pi, phi, phi_energy)
-    return EntropyRates(*map(_out, fields), method=method)
+    return EntropyRates(*map(_out, np.broadcast_arrays(ds_dt, pi, phi)))
 
 
 def _bloch_parts(b) -> tuple:
@@ -347,13 +345,13 @@ def energy_flux(rho, bath: BathParams, omega: float):
 # ---------------------------------------------------------------------------
 
 
-def spin_half_damping_rates(b, bath: BathParams, omega: float) -> EntropyRates:
+def spin_half_damping_rates(b, bath: BathParams) -> EntropyRates:
     """Wehrl rates of the damping channel for spin 1/2.
 
     The flux bracket and the production correction share the coherence
     bracket g; evaluating g at tau_bar_z = -1 reproduces the T -> 0 forms
     Phi = (gamma/2)(1 + tau_z), so the zero-temperature boundary needs no
-    separate formula (only a method tag).
+    separate formula.
     """
     tbz = bath.tau_bar_z
     g = bath.gamma
@@ -366,24 +364,22 @@ def spin_half_damping_rates(b, bath: BathParams, omega: float) -> EntropyRates:
         * coherence_bracket(tau)
     )
     pi = phi + correction
-    phi_e = (g * omega / (2.0 * tbz)) * (tbz - tz)
-    method = "zero_T" if tbz == -1.0 else "closed_form_spin_half"
-    return _rates(method, pi - phi, pi, phi, phi_e)
+    return _rates(pi - phi, pi, phi)
 
 
 def spin_half_dephasing_rates(b, lam: float) -> EntropyRates:
     """Wehrl rates of the dephasing channel for spin 1/2 (no flux)."""
     pi = dephasing_pi_spin_half(b, lam)
-    return _rates("closed_form_spin_half", pi, pi, 0.0, 0.0)
+    return _rates(pi, pi, 0.0)
 
 
 def spin_half_dephasing_von_neumann(b, lam: float) -> EntropyRates:
     """Von Neumann rates of the dephasing channel for spin 1/2 (no flux)."""
     pi = dephasing_pi_von_neumann(b, lam)
-    return _rates("von_neumann", pi, pi, 0.0, 0.0)
+    return _rates(pi, pi, 0.0)
 
 
-def spin_half_damping_von_neumann(b, bath: BathParams, omega: float) -> EntropyRates:
+def spin_half_damping_von_neumann(b, bath: BathParams) -> EntropyRates:
     """Von Neumann rates of the damping channel for spin 1/2.
 
     Phi_vN diverges as tau_bar_z -> -1 (zero-temperature bath) and the
@@ -406,8 +402,7 @@ def spin_half_damping_von_neumann(b, bath: BathParams, omega: float) -> EntropyR
             np.where(shape == 0.0, 0.0, np.copysign(math.inf, -shape / tbz)),
             -0.5 * g * atanh_over(np.where(edge, 0.0, tau)) * shape / tbz,
         )
-        phi_e = (g * omega / (2.0 * tbz)) * (tbz - tz)
-        return _rates("von_neumann", ds, phi + ds, phi, phi_e)
+        return _rates(ds, phi + ds, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -441,20 +436,20 @@ def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, ti
     raw = np.concatenate(raw, axis=-1)
     if dephasing:
         pi = _dephasing_pi(raw, j, d.lam)
-        return _rates("quadrature", pi, pi, 0.0, 0.0)
+        return _rates(pi, pi, 0.0)
     phi, terms = _damping_terms(raw, j, bath_at(d, times))
-    return _rates("quadrature", terms.total - phi, terms.total, phi, 0.0)
+    return _rates(terms.total - phi, terms.total, phi)
 
 
 def _exact_2f1_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
     phi = damping_phi_exact(traj.populations(), bath_at(d, times), traj.j)
-    return _rates("exact-2F1", math.nan, math.nan, phi, 0.0)
+    return _rates(math.nan, math.nan, phi)
 
 
 def _closed_form_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
     if d.kind == "dephasing":
         return spin_half_dephasing_rates(traj.bloch, d.lam)
-    return spin_half_damping_rates(traj.bloch, bath_at(d, times), omega=0.0)
+    return spin_half_damping_rates(traj.bloch, bath_at(d, times))
 
 
 @dataclass(frozen=True)
@@ -465,11 +460,11 @@ class RateMethod:
     trusted; gives names which of "phi" and "pi" it yields (rate_pairs
     drops "phi" for dephasing, which has no flux). rates(trajectory,
     fields, dissipator, times) returns one EntropyRates of arrays over
-    times, with phi_energy left at 0. fields is an iterable of the states'
-    Husimi fields in time order, a chunk of states per HusimiField (see
-    husimi_chunks), which the method consumes once, or None if needs_field
-    is False; a method that needs fields reads nothing else of the
-    trajectory.
+    times, NaN in a field the method does not compute (exact-2F1's ds_dt
+    and pi). fields is an iterable of the states' Husimi fields in time
+    order, a chunk of states per HusimiField (see husimi_chunks), which
+    the method consumes once, or None if needs_field is False; a method
+    that needs fields reads nothing else of the trajectory.
     """
 
     name: str
@@ -551,7 +546,7 @@ def von_neumann_rates(rho, rho_dot: np.ndarray, bath: BathParams, omega: float) 
         phi = np.where(phi_e == 0.0, 0.0, np.copysign(math.inf, phi_e))
     else:
         phi = phi_e / temperature_from_nbar(omega, bath.nbar)
-    return _rates("von_neumann", ds, ds + phi, phi, phi_e)
+    return _rates(ds, ds + phi, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +554,11 @@ def von_neumann_rates(rho, rho_dot: np.ndarray, bath: BathParams, omega: float) 
 # ---------------------------------------------------------------------------
 
 
-def clausius_ratio(rates: EntropyRates, temperature: float, j: SpinQuantumNumber) -> float:
-    """Phi * T * (1 + 1/J) / Phi_E; tends to 1 in the high-temperature limit."""
-    if rates.phi_energy == 0.0:
+def clausius_ratio(phi: float, phi_energy: float, temperature: float, j: SpinQuantumNumber) -> float:
+    """phi * T * (1 + 1/J) / phi_energy; tends to 1 in the high-temperature limit."""
+    if phi_energy == 0.0:
         raise UndefinedRatio("energy flux is zero")
-    return rates.phi * temperature * (1.0 + 1.0 / j.j) / rates.phi_energy
+    return phi * temperature * (1.0 + 1.0 / j.j) / phi_energy
 
 
 def integrate_rate_series(times: np.ndarray, values: np.ndarray, tail_tol: float = 1e-10) -> float:

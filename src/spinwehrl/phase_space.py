@@ -41,7 +41,8 @@ def _ln_binomials(two_j: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SphereGrid:
     """Gauss-Legendre x uniform-phi product rule on the unit sphere, of
-    n_theta x n_phi nodes (flattened in C order, theta major).
+    n_theta x n_phi nodes. Node arrays are (..., n_theta, n_phi): row i is
+    at theta_nodes[i], column k at phi_nodes[k].
 
     Only the sizes are stored: the nodes, weights and amplitude tables are
     computed on first use, so a grid that is never integrated over costs
@@ -78,16 +79,6 @@ class SphereGrid:
         return 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
 
     @functools.cached_property
-    def theta(self) -> np.ndarray:
-        """theta of each node, (n_nodes,)."""
-        return np.repeat(self.theta_nodes, self.n_phi)
-
-    @functools.cached_property
-    def phi(self) -> np.ndarray:
-        """phi of each node, (n_nodes,)."""
-        return np.tile(self.phi_nodes, self.n_theta)
-
-    @functools.cached_property
     def cos_theta(self) -> np.ndarray:
         """cos(theta) of each theta node, (n_theta,)."""
         return np.cos(self.theta_nodes)
@@ -103,15 +94,11 @@ class SphereGrid:
         Gauss-Legendre weight times the uniform phi weight."""
         return self._legendre[1] * (2.0 * np.pi / self.n_phi)
 
-    def by_theta(self, values: np.ndarray) -> np.ndarray:
-        """Node values (..., n_nodes) viewed as (..., n_theta, n_phi)."""
-        return values.reshape(*values.shape[:-1], self.n_theta, self.n_phi)
-
     def integrate(self, values: np.ndarray):
         """Integral over the sphere of node samples, with d(Omega) weights:
-        a float for one (n_nodes,) field, an array for a (k, n_nodes)
-        stack. Each theta row is summed over phi, then weighted."""
-        sums = self.by_theta(np.asarray(values)).sum(axis=-1) @ self.theta_weights
+        a float for one (n_theta, n_phi) field, an array for a stack
+        (k, n_theta, n_phi). Each theta row is summed over phi, then weighted."""
+        sums = np.asarray(values).sum(axis=-1) @ self.theta_weights
         return float(sums) if sums.ndim == 0 else sums
 
     def amplitude_table(self, j: SpinQuantumNumber):
@@ -207,9 +194,9 @@ class HusimiField:
     for one state, or (2, 2d, k, n_theta) for a chunk of k states (see
     husimi_chunks). q, dq_dtheta and dq_dphi are the real node arrays (Q is
     real for Hermitian rho, hence so are its angular derivatives),
-    (n_nodes,) or (k, n_nodes), each evaluated on first use; the quadrature
-    reads the coefficients and evaluates its own node rows. The complex
-    azimuthal current -i dQ/dphi is exposed by phase_space_currents.
+    (n_theta, n_phi) or (k, n_theta, n_phi), each evaluated on first use;
+    the quadrature reads the coefficients and evaluates its own node rows.
+    phase_space_currents gives the complex azimuthal current -i dQ/dphi.
     """
 
     grid: SphereGrid
@@ -218,8 +205,7 @@ class HusimiField:
 
     def _nodes(self, rows: np.ndarray) -> np.ndarray:
         _, harmonics = self.grid.amplitude_table(self.j)
-        nodes = _kernels.node_rows(rows[None], harmonics, None)[0]
-        return nodes.reshape(*nodes.shape[:-2], self.grid.n_nodes)
+        return _kernels.node_rows(rows[None], harmonics, None)[0]
 
     @functools.cached_property
     def q(self) -> np.ndarray:
@@ -317,11 +303,11 @@ def phase_space_currents(field: HusimiField) -> PhaseSpaceCurrents:
     J_+(Q) = e^{i phi} (d_theta + i cot(theta) d_phi) Q,
     J_-(Q) = -e^{-i phi} (d_theta - i cot(theta) d_phi) Q,
 
-    evaluated at the (interior) grid nodes.
+    evaluated at the (interior) grid nodes, in the field's node layout.
     """
     grid = field.grid
-    ph = grid.phi
-    cot = np.repeat(grid.cos_theta / grid.sin_theta, grid.n_phi)
+    ph = grid.phi_nodes
+    cot = (grid.cos_theta / grid.sin_theta)[:, None]
     j_z = -1j * field.dq_dphi
     j_plus = np.exp(1j * ph) * (field.dq_dtheta + 1j * cot * field.dq_dphi)
     j_minus = -np.exp(-1j * ph) * (field.dq_dtheta - 1j * cot * field.dq_dphi)

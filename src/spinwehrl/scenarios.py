@@ -13,7 +13,7 @@ grids).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,16 +62,16 @@ class Model:
 class ScenarioResult:
     """What simulate computed for one model: the trajectory, its Wehrl and
     von Neumann rates (EntropyRates whose fields are arrays over the
-    trajectory's times), the Wehrl entropy, the Bloch vectors (spin 1/2
-    only), the total Wehrl production sigma_wehrl (None where Pi has not
-    decayed or the output grid does not resolve it), the checks among the
-    methods that need no Husimi field (see _agreement), and the model."""
+    trajectory's times), the energy flux phi_energy = -tr(H(t) D(rho)),
+    the Wehrl entropy, the total Wehrl production sigma_wehrl (None where
+    Pi has not decayed or the output grid does not resolve it), the checks
+    among the field-free methods (see _agreement), and the model."""
 
     trajectory: Trajectory
     wehrl: EntropyRates
     von_neumann: EntropyRates
+    phi_energy: np.ndarray
     entropy: np.ndarray
-    bloch: Optional[np.ndarray]
     sigma_wehrl: Optional[float]
     agreement: dict
     model: Model
@@ -114,12 +114,12 @@ def _von_neumann(traj: Trajectory, h: HamiltonianSpec, d: DissipatorSpec, hm: np
     if traj.j.two_j == 1:
         if d.kind == "dephasing":
             return spin_half_dephasing_von_neumann(traj.bloch, d.lam)
-        return spin_half_damping_von_neumann(traj.bloch, bath_at(d, times), omega=0.0)
+        return spin_half_damping_von_neumann(traj.bloch, bath_at(d, times))
     if d.kind == "amplitude_damping" and h.kind == "static_jz":
         rho = traj.entries
         return von_neumann_rates(rho, -1j * (hm @ rho - rho @ hm) + dr, bath_at(d, times), h.omega)
     nan = np.full(times.size, math.nan)
-    return EntropyRates(nan, nan, nan, np.zeros(times.size), method="von_neumann")
+    return EntropyRates(nan, nan, nan)
 
 
 def _recording_entropy(chunks, entropy: np.ndarray):
@@ -166,22 +166,21 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     traj = evolve(rho0, h, d, _uniform_grid(t_max, dt))
     times = traj.times
     if method.needs_field:
-        bloch, entropy = None, np.empty(times.size)
+        entropy = np.empty(times.size)
         fields = _recording_entropy(husimi_chunks(traj.entries, grid if grid is not None else make_grid()), entropy)
     else:
-        bloch, fields = traj.bloch, None
-        entropy = wehrl_entropy_spin_half(_kernels.libm(math.hypot, *bloch.T))
+        fields = None
+        entropy = wehrl_entropy_spin_half(_kernels.libm(math.hypot, *traj.bloch.T))
     wehrl = method.rates(traj, fields, d, times)
     field_free = [m for m in applicable_rate_methods(j.two_j, d) if not m.needs_field]
     agreement = _agreement(field_free, d, lambda m: wehrl if m is method else m.rates(traj, None, d, times))
     hm, dr = h.matrix(j, times), d.apply(traj.entries, times)
-    fe = -np.trace(hm @ dr, axis1=-2, axis2=-1).real
     return ScenarioResult(
         trajectory=traj,
-        wehrl=replace(wehrl, phi_energy=fe),
-        von_neumann=replace(_von_neumann(traj, h, d, hm, dr), phi_energy=fe),
+        wehrl=wehrl,
+        von_neumann=_von_neumann(traj, h, d, hm, dr),
+        phi_energy=-np.trace(hm @ dr, axis1=-2, axis2=-1).real,
         entropy=entropy,
-        bloch=bloch,
         sigma_wehrl=_sigma_or_none(times, wehrl.pi),
         agreement=agreement,
         model=model,
@@ -428,9 +427,9 @@ def write_scenario_csv(result: ScenarioResult, path) -> None:
     Pi_vN, Phi_vN, Phi_E and, for a time-dependent damping rate such as a
     pulse's, gamma_t (see write_csv)."""
     cols = ["t", "tau_x", "tau_y", "tau_z", "S_wehrl", "Pi_wehrl", "Phi_wehrl", "Pi_vN", "Phi_vN", "Phi_E"]
-    bloch = result.bloch if result.bloch is not None else np.full((result.times.size, 3), math.nan)
+    bloch = result.trajectory.bloch if result.trajectory.j.two_j == 1 else np.full((result.times.size, 3), math.nan)
     w, v = result.wehrl, result.von_neumann
-    table = [result.times, *bloch.T, result.entropy, w.pi, w.phi, v.pi, v.phi, w.phi_energy]
+    table = [result.times, *bloch.T, result.entropy, w.pi, w.phi, v.pi, v.phi, result.phi_energy]
     d = result.model.d
     if d.kind == "time_dependent_damping":
         cols.append("gamma_t")

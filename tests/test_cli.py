@@ -8,8 +8,9 @@ import pytest
 
 from spinwehrl.cli import bundled_configs, main, validate_config
 from spinwehrl.errors import ConfigError
-from spinwehrl.scenarios import PulseParams, pulse_effective_rates
-from spinwehrl.spin_ops import SpinQuantumNumber, gibbs_state
+from spinwehrl.entropy_rates import BathParams
+from spinwehrl.scenarios import PulseParams, pulse_effective_rates, rotating_field_steady_state
+from spinwehrl.spin_ops import SpinQuantumNumber, gibbs_state, temperature_from_nbar
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -619,14 +620,53 @@ class TestOneValidationPerCommand:
         assert len(calls) == 1
 
 
+def run_final_state(tmp_path, capsys, cfg) -> np.ndarray:
+    """The last state of a run of cfg, read back from its --states-csv dump,
+    after checking that the run exits 0 and writes nothing to stderr."""
+    path = write_config(tmp_path, cfg)
+    states = tmp_path / "states.csv"
+    assert main(["run", "--config", path, "--out", str(tmp_path), "--states-csv", str(states)]) == 0
+    assert capsys.readouterr().err == ""
+    final = np.loadtxt(states, delimiter=",", skiprows=1)[-1, 1:]
+    d = math.isqrt(final.size // 2)
+    return (final[0::2] + 1j * final[1::2]).reshape(d, d)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("omega", [1e-20, 1e-300])
-def test_overflowing_bath_fails_without_warnings(tmp_path, capsys, omega):
-    # nbar ~ 1/omega: the damping propagator overflows to a nan trace.
-    path = write_config(tmp_path, dict(QUENCH_IDLE, omega=omega))
-    assert main(["run", "--config", path, "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("numerical failure: StiffnessFailure:")
+def test_huge_nbar_bath_relaxes_without_warnings(tmp_path, capsys, omega):
+    # nbar ~ 1/omega, up to 1e300: each step's damping exponent is capped
+    # where the step has relaxed, so the propagator stays in range.
+    rho = run_final_state(tmp_path, capsys, dict(QUENCH_IDLE, omega=omega))
+    thermal = gibbs_state(SpinQuantumNumber(1), omega, 1.0).populations()
+    assert np.max(np.abs(rho.diagonal().real - thermal)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nbar", [1e20, 1e30, 1e100, 1e300])
+@pytest.mark.parametrize("two_j", [1, 4, 40])
+def test_huge_nbar_custom_run_reaches_the_thermal_state(tmp_path, capsys, two_j, nbar):
+    cfg = with_value(CUSTOM_DAMPING_J2, "two_j", two_j)
+    cfg = with_value(cfg, "dissipator.nbar", nbar)
+    cfg = with_value(cfg, "initial_state.populations", [1.0] + [0.0] * two_j)
+    cfg = with_value(cfg, "grid", {"n_theta": 8, "n_phi": 16})
+    rho = run_final_state(tmp_path, capsys, cfg)
+    j = SpinQuantumNumber(two_j)
+    thermal = gibbs_state(j, 1.0, temperature_from_nbar(1.0, nbar)).populations()
+    assert np.max(np.abs(rho - np.diag(thermal))) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nbar", [1e8, 1e30])
+def test_huge_nbar_rotating_field_reaches_its_steady_state(tmp_path, capsys, nbar):
+    cfg = json.loads(bundled_configs()["rotating_field_damping.json"].read_text())
+    cfg = with_value(cfg, "dissipator.nbar", nbar)
+    cfg = with_value(cfg, "time", {"t_max": 1.0, "output_dt": 0.1})
+    rho = run_final_state(tmp_path, capsys, cfg)
+    bath = BathParams(gamma=cfg["dissipator"]["gamma"], nbar=nbar)
+    steady = rotating_field_steady_state(cfg["b0"], cfg["b1"], cfg["drive_omega"], bath)
+    assert (rho[0, 0] - rho[1, 1]).real == pytest.approx(steady["tau_z"], abs=1e-12)
+    assert abs(rho[0, 1]) <= 1e-12
 
 
 class TestRunAgreement:

@@ -5,7 +5,8 @@ exception or warning escape.
 Configs are drawn valid for their scenario, then often broken: a key
 dropped, an unknown key added, or a value replaced by junk or by an extreme
 number. Runs stay small: at most ten output steps and grids of at most
-8 x 16.
+8 x 16. The number of examples comes from the hypothesis profile (see
+conftest.py): 50 by default, 3,000 with --hypothesis-profile=fuzz.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from spinwehrl.cli import main
@@ -27,7 +28,9 @@ def unit(lo=0.0, hi=1.0):
 
 
 DEPHASING = st.fixed_dictionaries({"type": st.just("dephasing"), "lambda": unit(0.0, 2.0)})
-DAMPING = st.fixed_dictionaries({"type": st.just("amplitude_damping"), "gamma": unit(0.0, 2.0), "nbar": unit(0.0, 2.0)})
+# nbar up to 1e300, where each step's damping exponent is capped.
+NBAR = st.one_of(unit(0.0, 2.0), st.sampled_from([1e20, 1e300]))
+DAMPING = st.fixed_dictionaries({"type": st.just("amplitude_damping"), "gamma": unit(0.0, 2.0), "nbar": NBAR})
 DISSIPATOR = st.one_of(DEPHASING, DAMPING)
 BLOCH_ANGLES = st.fixed_dictionaries(
     {"type": st.just("bloch_angles"), "tau": unit(), "theta": unit(0.0, math.pi), "phi": unit(0.0, 2 * math.pi)}
@@ -86,9 +89,10 @@ def configs(draw):
 
 ARGV = st.one_of(
     st.just(("validate", [])),
-    st.tuples(st.just("run"), st.sampled_from([[], ["--tol", "1e-9"], ["--tol", "0"], ["--grid", "8x16"],
-                                               ["--grid", "4x4"], ["--grid", "bad"], ["--states-csv", "s.csv"]])),
-    st.tuples(st.just("compare"), st.sampled_from([[], ["--tol", "1"], ["--tol", "-1"], ["--grid", "8x8"]])),
+    st.tuples(st.just("run"), st.sampled_from([[], ["--grid", "8x16"], ["--grid", "4x4"], ["--grid", "bad"],
+                                               ["--states-csv", "s.csv"], ["--states-csv", "missing/s.csv"]])),
+    st.tuples(st.just("compare"), st.sampled_from([[], ["--tol", "1"], ["--tol", "-1"], ["--tol", "0"],
+                                                   ["--tol", "nan"], ["--grid", "8x8"]])),
     st.tuples(st.just("sweep"), st.sampled_from(["gamma", "omega", "two_j", "a0", "initial_state.tau", "nope"]),
               st.lists(st.sampled_from(["0.1", "0.5", "2", "-1", "0", "x"]), min_size=1, max_size=3)),
 )
@@ -100,13 +104,11 @@ def as_argv(spec, config: str, out: str) -> list:
     if command == "sweep":
         param, values = rest
         return argv + ["--param", param, "--values", ",".join(values), "--out", out]
-    extra = [str(Path(out) / a) if a == "s.csv" else a for a in rest[0]]
+    extra = [str(Path(out) / a) if a.endswith("s.csv") else a for a in rest[0]]
     return argv + extra + (["--out", out] if command == "run" else [])
 
 
 @pytest.mark.filterwarnings("error")  # a warning escaping main is a failure too
-@settings(max_examples=50, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=configs(), spec=ARGV)
 def test_main_keeps_its_exit_code_contract(cfg, spec):
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -8,6 +9,7 @@ from spinwehrl import (
     BathParams,
     BlochVector,
     DissipatorSpec,
+    EntropyRates,
     HamiltonianSpec,
     SpinQuantumNumber,
     TailNotConverged,
@@ -30,6 +32,7 @@ from spinwehrl import (
     evolve,
     gibbs_state,
     husimi,
+    husimi_chunks,
     integrate_rate_series,
     make_grid,
     make_spin_operators,
@@ -171,7 +174,7 @@ class TestDampingQuadrature:
         grid = default_grid
         r = 2.0 * bath.nbar + 1.0
         drift = two_j * grid.sin_theta / (r - grid.cos_theta)
-        u = grid.by_theta(field.dq_dtheta) - drift[:, None] * grid.by_theta(field.q)
+        u = field.dq_dtheta - drift[:, None] * field.q
         node_sum = -(u.sum(axis=-1) @ (grid.theta_weights * grid.sin_theta))
         expected = (j.dim / (4.0 * np.pi)) * bath.gamma * j.j * node_sum
         assert damping_quadrature(field, bath)[0] == pytest.approx(expected, rel=1e-13, abs=0)
@@ -182,7 +185,7 @@ class TestDampingQuadrature:
             tz = rng.uniform(-0.9, 0.9)
             b = BlochVector(0.0, 0.0, tz)
             quad = damping_phi_quadrature(husimi(bloch_to_rho(b), default_grid), bath)
-            closed = spin_half_damping_rates(b, bath, omega=1.0).phi
+            closed = spin_half_damping_rates(b, bath).phi
             assert quad == pytest.approx(closed, rel=1e-6)
 
     def test_zero_temperature_spin_half_matches_closed_form(self, default_grid, rng):
@@ -191,7 +194,7 @@ class TestDampingQuadrature:
             v = rng.normal(size=3)
             b = BlochVector(*(v * rng.uniform(0.0, 0.9) / np.linalg.norm(v)))
             phi, terms = damping_quadrature(husimi(bloch_to_rho(b), default_grid), bath)
-            closed = spin_half_damping_rates(b, bath, omega=1.0)
+            closed = spin_half_damping_rates(b, bath)
             assert phi == pytest.approx(closed.phi, rel=1e-12, abs=0)
             assert terms.total == pytest.approx(closed.pi, rel=1e-12, abs=0)
 
@@ -216,7 +219,7 @@ class TestDampingQuadrature:
         bath = BathParams(gamma=1.0, nbar=0.5)  # tau_bar_z = -1/2
         b = BlochVector(0.0, 0.0, 0.3)
         quad = damping_pi_quadrature(husimi(bloch_to_rho(b), default_grid), bath).total
-        closed = spin_half_damping_rates(b, bath, omega=1.0).pi
+        closed = spin_half_damping_rates(b, bath).pi
         assert quad == pytest.approx(closed, rel=1e-5)
 
     def test_coherence_term_tracks_off_diagonals(self, default_grid):
@@ -246,7 +249,7 @@ class TestDampingExactFlux:
                 tz = rng.uniform(-0.95, 0.95)
                 pops = np.array([(1 + tz) / 2, (1 - tz) / 2])
                 exact = damping_phi_exact(pops, bath, J_HALF)
-                closed = spin_half_damping_rates(BlochVector(0, 0, tz), bath, 1.0).phi
+                closed = spin_half_damping_rates(BlochVector(0, 0, tz), bath).phi
                 assert exact == pytest.approx(closed, rel=1e-10, abs=1e-12)
 
     def test_spin_three_half_matches_quadrature(self, rng):
@@ -321,6 +324,29 @@ class TestDampingExactFlux:
 def test_the_primary_method_is_one_that_applies(two_j, kind, nbar):
     d = DissipatorSpec(kind, lam=1.0, gamma=1.0, nbar=nbar)
     assert primary_rate_method(two_j, d) in applicable_rate_methods(two_j, d)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 0.5])
+@pytest.mark.parametrize("kind", ["dephasing", "amplitude_damping"])
+@pytest.mark.parametrize("two_j", [1, 4])
+def test_each_method_gives_only_what_it_computes(two_j, kind, nbar):
+    # A bundle holds ds_dt, pi and phi over the trajectory's times, NaN
+    # exactly where its method computes nothing: exact-2F1's ds_dt and pi.
+    d = DissipatorSpec(kind, lam=1.0, gamma=1.0, nbar=nbar)
+    rho0 = random_density_matrix(SpinQuantumNumber(two_j), np.random.default_rng(two_j))
+    traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 0.5, 6))
+    for method in applicable_rate_methods(two_j, d):
+        fields = husimi_chunks(traj.entries, make_grid(24, 48)) if method.needs_field else None
+        rates = method.rates(traj, fields, d, traj.times)
+        assert [f.name for f in dataclasses.fields(rates)] == ["ds_dt", "pi", "phi"]
+        assert isinstance(rates, EntropyRates)
+        for name in ("ds_dt", "pi", "phi"):
+            values = getattr(rates, name)
+            assert values.shape == traj.times.shape
+            if method.name == "exact-2F1" and name != "phi":
+                assert np.all(np.isnan(values))
+            else:
+                assert np.all(np.isfinite(values))
 
 
 class TestZeroTemperatureFlux:
@@ -408,6 +434,19 @@ class TestEnergyFlux:
             expected = bath.gamma * omega / (2 * tbz) * (tbz - tz)
             assert energy_flux(rho, bath, omega) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("nbar", [0.0, 0.4, 1e3])
+    def test_spin_half_closed_form_on_random_bloch_vectors(self, nbar):
+        # oracle: the spin-1/2 closed form (gamma omega / 2 tau_bar_z)(tau_bar_z - tau_z),
+        # which the spin-1/2 rate bundles used to carry
+        gen = np.random.default_rng(3)
+        rows = gen.normal(size=(50, 3))
+        rows *= gen.uniform(0.0, 1.0, size=(50, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+        bath = BathParams(gamma=1.2, nbar=nbar)
+        omega, tbz = 0.8, bath.tau_bar_z
+        stack = np.stack([bloch_to_rho(BlochVector(*b)).entries for b in rows])
+        expected = (bath.gamma * omega / (2.0 * tbz)) * (tbz - rows[:, 2])
+        np.testing.assert_allclose(energy_flux(stack, bath, omega), expected, rtol=1e-12, atol=1e-15)
+
     def test_matches_direct_trace(self, rng):
         # oracle: Phi_E = -tr(H D(rho)) with H = omega J_z
         j = SpinQuantumNumber(4)
@@ -424,16 +463,15 @@ class TestEnergyFlux:
 class TestSpinHalfClosedForms:
     def test_equilibrium_rates_vanish(self):
         bath = BathParams(gamma=1.0, nbar=0.5)
-        r = spin_half_damping_rates(gibbs_bloch(bath), bath, omega=1.0)
+        r = spin_half_damping_rates(gibbs_bloch(bath), bath)
         assert r.pi == pytest.approx(0.0, abs=1e-14)
         assert r.phi == pytest.approx(0.0, abs=1e-14)
-        assert r.phi_energy == pytest.approx(0.0, abs=1e-14)
+        assert energy_flux(bloch_to_rho(gibbs_bloch(bath)), bath, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_temperature_excited_flux(self):
         bath = BathParams(gamma=1.0, nbar=0.0)
-        r = spin_half_damping_rates(BlochVector(0, 0, 1.0), bath, omega=1.0)
+        r = spin_half_damping_rates(BlochVector(0, 0, 1.0), bath)
         assert r.phi == pytest.approx(1.0, rel=1e-12)
-        assert r.method == "zero_T"
 
     def test_zero_temperature_profile(self, rng):
         # Pi from the general formula at tau_bar_z = -1 equals the dedicated
@@ -443,27 +481,27 @@ class TestSpinHalfClosedForms:
             tau = rng.uniform(0.05, 0.999)
             th = rng.uniform(0, math.pi)
             b = BlochVector(tau * math.sin(th), 0.0, tau * math.cos(th))
-            r = spin_half_damping_rates(b, bath, omega=1.0)
+            r = spin_half_damping_rates(b, bath)
             bracket = tau + (tau**2 - 1) * math.atanh(tau)
             expected = r.phi + 1.0 * (tau**2 + b.tau_z * (2 + b.tau_z)) / (4 * tau**3) * bracket
             assert r.pi == pytest.approx(expected, rel=1e-10)
 
     def test_von_neumann_equilibrium(self):
         bath = BathParams(gamma=1.0, nbar=0.5)
-        r = spin_half_damping_von_neumann(gibbs_bloch(bath), bath, omega=1.0)
+        r = spin_half_damping_von_neumann(gibbs_bloch(bath), bath)
         assert r.pi == pytest.approx(0.0, abs=1e-14)
         assert r.phi == pytest.approx(0.0, abs=1e-14)
 
     def test_von_neumann_exceeds_wehrl(self):
         bath = BathParams(gamma=1.0, nbar=0.5)
         b = BlochVector(0, 0, 0.3)
-        vn = spin_half_damping_von_neumann(b, bath, omega=1.0)
-        w = spin_half_damping_rates(b, bath, omega=1.0)
+        vn = spin_half_damping_von_neumann(b, bath)
+        w = spin_half_damping_rates(b, bath)
         assert vn.pi > w.pi
 
     def test_von_neumann_zero_temperature_flag(self):
         bath = BathParams(gamma=1.0, nbar=0.0)
-        r = spin_half_damping_von_neumann(BlochVector(0, 0, 0.3), bath, omega=1.0)
+        r = spin_half_damping_von_neumann(BlochVector(0, 0, 0.3), bath)
         assert r.phi == math.inf
         assert r.pi == math.inf
 
@@ -478,7 +516,7 @@ class TestSpinHalfClosedForms:
             rho = bloch_to_rho(b)
             drho = amplitude_damping_dissipator(rho.entries, bath.gamma, bath.nbar)
             general = von_neumann_rates(rho, drho, bath, omega)
-            closed = spin_half_damping_von_neumann(b, bath, omega)
+            closed = spin_half_damping_von_neumann(b, bath)
             assert general.phi == pytest.approx(closed.phi, rel=1e-10, abs=1e-12)
             assert general.pi == pytest.approx(closed.pi, rel=1e-8, abs=1e-10)
 
@@ -491,19 +529,13 @@ class TestClausiusRatio:
         nbar = 1.0 / math.expm1(omega / temp)
         bath = BathParams(gamma=1.0, nbar=nbar)
         rho = gibbs_state(j, omega, temp * 1.05)
-        from spinwehrl import EntropyRates
-
         phi = damping_phi_exact(rho.populations(), bath, j)
         phi_e = energy_flux(rho, bath, omega)
-        rates = EntropyRates(ds_dt=0.0, pi=0.0, phi=phi, phi_energy=phi_e, method="exact_hypergeom")
-        assert clausius_ratio(rates, temp, j) == pytest.approx(1.0, abs=0.01)
+        assert clausius_ratio(phi, phi_e, temp, j) == pytest.approx(1.0, abs=0.01)
 
     def test_zero_energy_flux_rejected(self):
-        from spinwehrl import EntropyRates
-
-        rates = EntropyRates(0.0, 0.0, 0.0, 0.0, "closed_form_spin_half")
         with pytest.raises(UndefinedRatio):
-            clausius_ratio(rates, 1.0, J_HALF)
+            clausius_ratio(0.0, 0.0, 1.0, J_HALF)
 
 
 class TestDissipativeEntropyRate:
@@ -536,7 +568,7 @@ class TestDissipativeEntropyRate:
             amplitude_damping_dissipator(rho.entries, bath.gamma, bath.nbar), rho.j, default_grid
         )
         rate = dissipative_entropy_rate(field, dfield)
-        closed = spin_half_damping_rates(b, bath, omega=1.0)
+        closed = spin_half_damping_rates(b, bath)
         assert rate == pytest.approx(closed.pi - closed.phi, abs=1e-6)
 
     def test_linear_hamiltonian_contributes_nothing(self, default_grid, rng):
@@ -564,7 +596,7 @@ class TestTotalEntropyProduced:
                       DissipatorSpec.amplitude_damping(gamma, nbar), t_grid)
 
         def sigma_of(traj):
-            return integrate_rate_series(traj.times, spin_half_damping_rates(traj.bloch, bath, omega).pi)
+            return integrate_rate_series(traj.times, spin_half_damping_rates(traj.bloch, bath).pi)
 
         sigma = sigma_of(traj)
         assert sigma > 0
@@ -658,25 +690,24 @@ class TestArrayForms:
         rows = edge_bloch_rows()
         bundle = form(rows, 0.7)
         scalars = [form(BlochVector(*b), 0.7) for b in rows]
-        for name in ("ds_dt", "pi", "phi", "phi_energy"):
+        for name in ("ds_dt", "pi", "phi"):
             self.assert_rowwise(getattr(bundle, name), [getattr(r, name) for r in scalars])
 
     @pytest.mark.parametrize("bath", EDGE_BATHS, ids=["tbz=-1", "tbz=-0.5"])
     @pytest.mark.parametrize("form", [spin_half_damping_rates, spin_half_damping_von_neumann])
     def test_damping_bundles(self, form, bath):
         rows = edge_bloch_rows()
-        bundle = form(rows, bath, 1.3)
-        scalars = [form(BlochVector(*b), bath, 1.3) for b in rows]
-        assert bundle.method == scalars[0].method
-        for name in ("ds_dt", "pi", "phi", "phi_energy"):
+        bundle = form(rows, bath)
+        scalars = [form(BlochVector(*b), bath) for b in rows]
+        for name in ("ds_dt", "pi", "phi"):
             self.assert_rowwise(getattr(bundle, name), [getattr(r, name) for r in scalars])
 
     def test_time_dependent_rate(self):
         rows = edge_bloch_rows()
         gammas = np.linspace(0.1, 2.0, len(rows))
-        bundle = spin_half_damping_rates(rows, BathParams(gamma=gammas, nbar=0.0), 0.0)
+        bundle = spin_half_damping_rates(rows, BathParams(gamma=gammas, nbar=0.0))
         for k, (b, g) in enumerate(zip(rows, gammas)):
-            assert bundle.phi[k] == spin_half_damping_rates(BlochVector(*b), BathParams(gamma=g, nbar=0.0), 0.0).phi
+            assert bundle.phi[k] == spin_half_damping_rates(BlochVector(*b), BathParams(gamma=g, nbar=0.0)).phi
 
     def test_divergence_semantics(self):
         edge = 1.0 - 1e-12
@@ -685,7 +716,7 @@ class TestArrayForms:
         assert pi[0] == pi[1] == math.inf and math.isfinite(pi[2])
         assert np.all(dephasing_pi_von_neumann(np.array([[0, 0, edge], [0, 0, -1.0]]), 1.0) == 0.0)
         zero_t = BathParams(gamma=1.0, nbar=0.0)
-        vn = spin_half_damping_von_neumann(np.array([[0, 0, -1.0], [0, 0, 1.0], [0.3, 0, 0]]), zero_t, 0.0)
+        vn = spin_half_damping_von_neumann(np.array([[0, 0, -1.0], [0, 0, 1.0], [0.3, 0, 0]]), zero_t)
         # The T = 0 ground state is the equilibrium: no divergent flux there.
         np.testing.assert_array_equal(vn.phi, [0.0, math.inf, math.inf])
         np.testing.assert_array_equal(vn.ds_dt[:2], [0.0, math.inf])

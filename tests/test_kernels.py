@@ -31,14 +31,15 @@ from oracles import husimi_of_matrix
 
 
 def reference_amplitudes(two_j, grid):
-    """<J,m|Omega> and its theta derivative at every node, (n_nodes, 2J+1),
-    m descending, straight from the coherent-state formula."""
+    """<J,m|Omega> and its theta derivative at every node,
+    (n_theta, n_phi, 2J+1), m descending, straight from the coherent-state
+    formula."""
     jj = 0.5 * two_j
     ms = jj - np.arange(two_j + 1)
     binom = np.array([math.comb(two_j, int(jj + m)) for m in ms], dtype=float)
-    c = np.cos(0.5 * grid.theta)[:, None]
-    s = np.sin(0.5 * grid.theta)[:, None]
-    amp = np.sqrt(binom) * c ** (jj + ms) * s ** (jj - ms) * np.exp(-1j * np.outer(grid.phi, ms))
+    c = np.cos(0.5 * grid.theta_nodes)[:, None, None]
+    s = np.sin(0.5 * grid.theta_nodes)[:, None, None]
+    amp = np.sqrt(binom) * c ** (jj + ms) * s ** (jj - ms) * np.exp(-1j * grid.phi_nodes[:, None] * ms)
     damp = amp * 0.5 * ((jj - ms) * c / s - (jj + ms) * s / c)
     return amp, damp, ms
 
@@ -47,10 +48,10 @@ def reference_contraction(amp, damp, ms, mat):
     """Re <Omega|M|Omega> and, for Hermitian M, its angular derivatives:
     one O(d^2) contraction per node."""
     u = amp @ mat.T
-    q = np.einsum("ni,ni->n", amp.conj(), u).real
-    dq_dtheta = 2.0 * np.einsum("ni,ni->n", damp.conj(), u).real
-    um = (amp * ms[None, :]) @ mat.T
-    dq_dphi = 2.0 * np.einsum("ni,ni->n", amp.conj(), um).imag
+    q = np.einsum("...i,...i->...", amp.conj(), u).real
+    dq_dtheta = 2.0 * np.einsum("...i,...i->...", damp.conj(), u).real
+    um = (amp * ms) @ mat.T
+    dq_dphi = 2.0 * np.einsum("...i,...i->...", amp.conj(), um).imag
     return q, dq_dtheta, dq_dphi
 
 

@@ -10,6 +10,7 @@ from spinwehrl import (
     bloch_to_rho,
     coherent_state,
     husimi,
+    husimi_chunks,
     make_grid,
     phase_space_currents,
     von_neumann_entropy,
@@ -20,19 +21,26 @@ from conftest import random_density_matrix
 from oracles import angle_action_inverse, angle_action_map, tss_correspondences, v_function
 
 
+def node_angles(grid):
+    """(theta, phi) of every node, each (n_theta, n_phi)."""
+    return np.broadcast_arrays(grid.theta_nodes[:, None], grid.phi_nodes)
+
+
 class TestGrid:
     def test_weight_sum_is_sphere_area(self, default_grid):
-        assert default_grid.integrate(np.ones(default_grid.n_nodes)) == pytest.approx(
+        assert default_grid.integrate(np.ones((default_grid.n_theta, default_grid.n_phi))) == pytest.approx(
             4 * math.pi, abs=1e-10
         )
 
     def test_cos2_integral(self, default_grid):
-        val = default_grid.integrate(np.cos(default_grid.theta) ** 2)
+        theta, _ = node_angles(default_grid)
+        val = default_grid.integrate(np.cos(theta) ** 2)
         assert val == pytest.approx(4 * math.pi / 3, abs=1e-12)
 
     def test_sin2_cos2_integral(self, default_grid):
         # analytic oracle: int sin^2(theta) cos^2(phi) dOmega = (4/3) pi ... times pi/pi
-        integrand = np.sin(default_grid.theta) ** 2 * np.cos(default_grid.phi) ** 2
+        theta, phi = node_angles(default_grid)
+        integrand = np.sin(theta) ** 2 * np.cos(phi) ** 2
         assert default_grid.integrate(integrand) == pytest.approx(4 * math.pi / 3, abs=1e-12)
 
     def test_high_degree_polynomial_exact(self, small_grid):
@@ -41,16 +49,33 @@ class TestGrid:
 
         c = np.zeros(9)
         c[8] = 1.0
-        val = small_grid.integrate(legval(np.cos(small_grid.theta), c))
+        val = small_grid.integrate(legval(np.cos(node_angles(small_grid)[0]), c))
         assert abs(val) < 1e-12
 
     def test_nodes_avoid_poles(self, default_grid):
-        assert default_grid.theta.min() > 0.0
-        assert default_grid.theta.max() < math.pi
+        assert default_grid.theta_nodes.min() > 0.0
+        assert default_grid.theta_nodes.max() < math.pi
 
     def test_minimum_size_enforced(self):
         with pytest.raises(ValueError):
             make_grid(4, 64)
+
+
+class TestNodeLayout:
+    def test_node_arrays_are_theta_rows_by_phi_columns(self, small_grid):
+        # one layout for every node array: (..., n_theta, n_phi), as the kernels make them
+        states = [random_density_matrix(SpinQuantumNumber(3), np.random.default_rng(k)) for k in range(3)]
+        shape = (small_grid.n_theta, small_grid.n_phi)
+        one = husimi(states[0], small_grid)
+        chunk = next(husimi_chunks(np.stack([s.entries for s in states]), small_grid))
+        for name in ("q", "dq_dtheta", "dq_dphi"):
+            assert getattr(one, name).shape == shape
+            assert getattr(chunk, name).shape == (3, *shape)
+            assert np.max(np.abs(getattr(chunk, name)[0] - getattr(one, name))) < 1e-14
+        cur = phase_space_currents(one)
+        assert cur.j_plus.shape == cur.j_minus.shape == cur.j_z.shape == shape
+        assert small_grid.integrate(chunk.q).shape == (3,)
+        assert not any(hasattr(small_grid, name) for name in ("theta", "phi", "by_theta"))
 
 
 class TestCoherentState:
@@ -105,7 +130,7 @@ class TestHusimi:
         rho = np.zeros((j.dim, j.dim), dtype=complex)
         rho[0, 0] = 1.0
         f = husimi(DensityMatrix(j, rho), small_grid)
-        expected = np.cos(small_grid.theta / 2) ** (2 * two_j)
+        expected = np.cos(small_grid.theta_nodes[:, None] / 2) ** (2 * two_j)
         assert np.max(np.abs(f.q - expected)) < 1e-12
 
     @pytest.mark.parametrize("two_j", [1, 4, 8, 12])
@@ -151,10 +176,10 @@ class TestHusimi:
         rho = random_density_matrix(j, rng)
         f = husimi(rho, small_grid)
         idx = rng.integers(0, small_grid.n_nodes, size=50)
-        for i in idx:
-            c = coherent_state(j, small_grid.theta[i], small_grid.phi[i])
+        for i, k in zip(*np.unravel_index(idx, (small_grid.n_theta, small_grid.n_phi))):
+            c = coherent_state(j, small_grid.theta_nodes[i], small_grid.phi_nodes[k])
             dth = 2 * (c.d_theta.conj() @ rho.entries @ c.amplitudes).real
-            assert f.dq_dtheta[i] == pytest.approx(dth, abs=1e-12)
+            assert f.dq_dtheta[i, k] == pytest.approx(dth, abs=1e-12)
 
     def test_rotation_about_z_permutes_phi_grid(self, small_grid, rng):
         # rotating rho about z by one phi step shifts Q by one grid column
@@ -164,8 +189,8 @@ class TestHusimi:
         chi = 2 * math.pi / small_grid.n_phi
         u = np.diag(np.exp(-1j * chi * ms))
         rot = DensityMatrix(j, u @ rho.entries @ u.conj().T)
-        q0 = husimi(rho, small_grid).q.reshape(small_grid.n_theta, small_grid.n_phi)
-        q1 = husimi(rot, small_grid).q.reshape(small_grid.n_theta, small_grid.n_phi)
+        q0 = husimi(rho, small_grid).q
+        q1 = husimi(rot, small_grid).q
         assert np.max(np.abs(q1 - np.roll(q0, 1, axis=1))) < 1e-10
 
 
@@ -258,7 +283,7 @@ class TestCurrents:
         # oracle: Q = (1 + sin(theta) cos(phi))/2 so -i dQ/dphi = (i/2) sin sin
         rho = bloch_to_rho(BlochVector(1, 0, 0))
         cur = phase_space_currents(husimi(rho, small_grid))
-        th, ph = small_grid.theta, small_grid.phi
+        th, ph = small_grid.theta_nodes[:, None], small_grid.phi_nodes
         expected = 0.5j * np.sin(th) * np.sin(ph)
         assert np.max(np.abs(cur.j_z - expected)) < 1e-12
 

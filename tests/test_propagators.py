@@ -193,6 +193,22 @@ class TestCovariantPropagator:
         thermal = gibbs_state(j, 1.0, temperature_from_nbar(1.0, nbar)).populations()
         assert np.max(np.abs(traj.populations()[1:] - thermal)) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nbar", [0.0, 0.5, 1e3, 1e10, 1e20, 1e300])
+    @pytest.mark.parametrize("two_j", [1, 4, 12, 40])
+    def test_a_relaxed_step_is_the_thermal_projector(self, two_j, nbar):
+        # gamma dt (2 nbar + 1) >= 1e3, past the cap on each step's damping
+        # exponent: one step maps any state to the thermal one, its
+        # populations to the Gibbs populations and every coherence to 0.
+        j = SpinQuantumNumber(two_j)
+        rho0 = random_density_matrix(j, np.random.default_rng(two_j))
+        traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1e3, nbar),
+                      np.linspace(0.0, 1.0, 3))
+        thermal = gibbs_state(j, 1.0, temperature_from_nbar(1.0, nbar)).populations()
+        final = traj.entries[1:]
+        assert np.max(np.abs(traj.populations()[1:] - thermal)) <= 1e-14
+        assert np.max(np.abs(final - final.diagonal(axis1=1, axis2=2)[:, :, None] * np.eye(j.dim))) <= 1e-15
+
 
 def bloch_oracle(h: HamiltonianSpec, d: DissipatorSpec, tau0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """tau(t) from the spin-1/2 Bloch equations, integrated with DOP853:

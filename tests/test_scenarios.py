@@ -16,6 +16,7 @@ from spinwehrl import (
     DensityMatrix,
     Model,
     bloch_to_rho,
+    energy_flux,
     gibbs_state,
     husimi,
     is_markovian,
@@ -39,6 +40,7 @@ from spinwehrl.errors import InvalidFrequency
 from spinwehrl.phase_space import wehrl_entropy_spin_half
 from spinwehrl.scenarios import quench_tau_z
 
+from conftest import random_density_matrix
 from oracles import generator_entropy_rate
 
 
@@ -47,7 +49,7 @@ class TestSpontaneousEmission:
         # Phi(t) = (gamma/2)(1 + tau_z(t)) at T = 0
         res = simulate(spontaneous_emission_model(omega=1.0, gamma=1.0, temperature=0.0), t_max=10.0, dt=0.05)
         phi = res.wehrl.phi
-        expected = 0.5 * (1.0 + res.bloch[:, 2])
+        expected = 0.5 * (1.0 + res.trajectory.bloch[:, 2])
         assert np.max(np.abs(phi - expected)) < 1e-9
 
     def test_zero_temperature_von_neumann_flagged(self):
@@ -94,8 +96,8 @@ class TestThermalQuench:
 
     def test_tau_z_matches_closed_form(self):
         res = simulate(thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), t_max=8.0, dt=0.02)
-        expected = quench_tau_z(res.times, res.bloch[0, 2], BathParams(gamma=1.0, nbar=res.model.d.nbar))
-        assert np.max(np.abs(res.bloch[:, 2] - expected)) < 1e-8
+        expected = quench_tau_z(res.times, res.trajectory.bloch[0, 2], BathParams(gamma=1.0, nbar=res.model.d.nbar))
+        assert np.max(np.abs(res.trajectory.bloch[:, 2] - expected)) < 1e-8
 
     def test_states_stay_thermal(self):
         res = simulate(thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), t_max=5.0, dt=0.05)
@@ -145,7 +147,7 @@ class TestRotatingField:
         assert res.wehrl.pi[-1] == pytest.approx(res.wehrl.phi[-1], abs=1e-6)
         assert res.wehrl.pi[-1] == pytest.approx(ss["pi_wehrl"], rel=1e-6)
         assert res.von_neumann.pi[-1] == pytest.approx(ss["pi_vn"], rel=1e-6)
-        assert res.bloch[-1, 2] == pytest.approx(ss["tau_z"], abs=1e-9)
+        assert res.trajectory.bloch[-1, 2] == pytest.approx(ss["tau_z"], abs=1e-9)
 
     def test_zero_temperature_steady_value(self):
         # gamma b1^2 / (gamma^2 + 2 b1^2 + 4 (b0 + omega)^2)
@@ -170,7 +172,7 @@ class TestRotatingField:
         assert np.all(np.isfinite(pi_w))
         assert np.max(pi_w) <= 0.25 + 1e-9  # lambda/4 bound on pure states
         assert np.isinf(pi_v[0])  # starts pure
-        taus = np.linalg.norm(res.bloch, axis=1)
+        taus = np.linalg.norm(res.trajectory.bloch, axis=1)
         assert np.all(pi_v[taus < 1 - 1e-12] >= pi_w[taus < 1 - 1e-12] - 1e-12)
 
     def test_unitary_part_does_not_move_wehrl_entropy(self):
@@ -316,21 +318,21 @@ class TestPhotonPulseScenario:
     def test_population_identity(self):
         p = PulseParams(gamma0=1.0, capital_omega=10.0, a0=math.sqrt(0.5))
         res = simulate(photon_pulse_model(p), t_max=10.0, dt=0.02)
-        tz = res.bloch[:, 2]
+        tz = res.trajectory.bloch[:, 2]
         assert np.max(np.abs(tz - (2 * np.abs(pulse_amplitude(p, res.times)) ** 2 - 1))) < 1e-6
 
     def test_flux_identity(self):
         p = PulseParams(gamma0=1.0, capital_omega=10.0, a0=math.sqrt(0.5))
         res = simulate(photon_pulse_model(p), t_max=10.0, dt=0.02)
         phi = res.wehrl.phi
-        expected = 0.5 * res.model.d.gamma_t(res.times) * (1 + res.bloch[:, 2])
+        expected = 0.5 * res.model.d.gamma_t(res.times) * (1 + res.trajectory.bloch[:, 2])
         assert np.max(np.abs(phi - expected)) < 1e-8
 
     def test_reduces_to_spontaneous_emission_without_pulse(self):
         p = PulseParams(gamma0=1.0, capital_omega=10.0, a0=1.0)
         res = simulate(photon_pulse_model(p), t_max=6.0, dt=0.05)
         ref = simulate(spontaneous_emission_model(omega=1.0, gamma=1.0, temperature=0.0), t_max=6.0, dt=0.05)
-        assert np.max(np.abs(res.bloch[:, 2] - ref.bloch[:, 2])) < 1e-8
+        assert np.max(np.abs(res.trajectory.bloch[:, 2] - ref.trajectory.bloch[:, 2])) < 1e-8
         assert np.max(np.abs(res.wehrl.pi - ref.wehrl.pi)) < 1e-8
 
 
@@ -346,7 +348,7 @@ class TestModelBuilders:
     def test_spin_half_entropy_needs_no_grid(self, monkeypatch):
         monkeypatch.setattr(scenarios, "make_grid", lambda *args: pytest.fail("make_grid called"))
         res = simulate(thermal_quench_model(2.0, 1.0, omega=1.0, gamma=1.0), t_max=1.0, dt=0.1)
-        expected = [wehrl_entropy_spin_half(math.hypot(*b)) for b in res.bloch]
+        expected = [wehrl_entropy_spin_half(math.hypot(*b)) for b in res.trajectory.bloch]
         assert np.array_equal(res.entropy, expected)
 
 
@@ -391,8 +393,8 @@ class TestEachSeriesOnce:
     @pytest.mark.parametrize("dissipator", [DissipatorSpec.dephasing(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5)],
                              ids=["dephasing", "damping"])
     def test_spin_half_bloch_array_computed_once(self, monkeypatch, dissipator):
-        # The closed-form rates, the von Neumann rates and the result all
-        # read the trajectory's cached, read-only Bloch array.
+        # The closed-form rates, the von Neumann rates and the Wehrl entropy
+        # all read the trajectory's cached, read-only Bloch array.
         original = dynamics.Trajectory.bloch.func
         calls = []
 
@@ -406,7 +408,20 @@ class TestEachSeriesOnce:
         model = Model(bloch_to_rho(BlochVector(0.5, 0.1, 0.3)), HamiltonianSpec.static_jz(1.0), dissipator)
         res = simulate(model, t_max=0.5, dt=0.1)
         assert calls == [6]
-        assert res.bloch is res.trajectory.bloch and not res.bloch.flags.writeable
+        assert not res.trajectory.bloch.flags.writeable
+
+
+class TestEnergyFlux:
+    @pytest.mark.parametrize("two_j", [1, 4, 12])
+    def test_phi_energy_is_the_thermal_energy_flux(self, two_j):
+        # simulate's -tr(H D(rho)) against energy_flux, the closed form for H = omega J_z
+        omega, bath = 0.8, BathParams(gamma=1.3, nbar=0.4)
+        rho0 = random_density_matrix(SpinQuantumNumber(two_j), np.random.default_rng(two_j))
+        model = Model(rho0, HamiltonianSpec.static_jz(omega), DissipatorSpec.amplitude_damping(bath.gamma, bath.nbar))
+        res = simulate(model, t_max=1.0, dt=0.1, grid=make_grid(24, 48))
+        expected = energy_flux(res.trajectory.entries, bath, omega)
+        assert res.phi_energy.shape == res.times.shape
+        assert np.max(np.abs(res.phi_energy - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestCustomScenario:

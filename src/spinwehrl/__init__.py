@@ -20,7 +20,6 @@ from .errors import (
     SpinWehrlError,
     StiffnessFailure,
     TailNotConverged,
-    UndefinedRatio,
     UnsupportedParameters,
     WrongDimension,
 )
@@ -30,18 +29,14 @@ from .spin_ops import (
     SpinOperators,
     SpinQuantumNumber,
     bloch_to_rho,
-    expectation,
     gibbs_state,
     make_spin_operators,
     nbar_from_temperature,
-    rho_to_bloch,
     temperature_from_nbar,
 )
 from .phase_space import (
-    CoherentStateVector,
     HusimiField,
     SphereGrid,
-    coherent_state,
     husimi,
     husimi_chunks,
     make_grid,
@@ -62,8 +57,6 @@ from .hypergeom import gauss_2f1
 from .entropy_rates import (
     BathParams,
     EntropyRates,
-    clausius_ratio,
-    damping_phi_asymptotic,
     damping_phi_exact,
     damping_quadrature,
     damping_phi_quadrature,
@@ -91,7 +84,6 @@ from .scenarios import (
     photon_pulse_model,
     pulse_amplitude,
     pulse_effective_rates,
-    pulse_gamma_explicit,
     pulse_xi,
     rotating_field_model,
     rotating_field_steady_state,

@@ -9,15 +9,15 @@ time-dependent) thermal amplitude-damping dissipator
 
 evolve propagates it exactly, with numpy alone, in one of two ways:
 
-- A J_z-covariant generator (a none, static_jz or pulse_effective
-  Hamiltonian with any dissipator) maps each coherence order k = a - b,
-  the k-th diagonal of rho, onto itself. The Hamiltonian and dephasing
-  multiply it by a number, i k omega - lambda k^2 / 2; damping couples
-  neighbouring entries of it, a tridiagonal block A_|k| of size d - |k|.
-  Over one output step the propagator of order k is therefore
-  exp(dGamma A_|k|) exp(i k dTheta - lambda k^2 dt / 2), where dGamma and
-  dTheta are the integrals of gamma(t) and omega(t) over the step
-  (Gauss-Legendre per step when they depend on time).
+- A J_z-covariant generator (no Hamiltonian or a static omega J_z, with
+  any dissipator) maps each coherence order k = a - b, the k-th diagonal
+  of rho, onto itself. The Hamiltonian and dephasing multiply it by a
+  number, i k omega - lambda k^2 / 2; damping couples neighbouring entries
+  of it, a tridiagonal block A_|k| of size d - |k|. Over one output step
+  the propagator of order k is therefore
+  exp(dGamma A_|k|) exp(i k omega dt - lambda k^2 dt / 2), where dGamma is
+  the integral of gamma(t) over the step (Gauss-Legendre per step when it
+  depends on time).
 - The rotating field is time-independent in the frame co-rotating with
   the drive: rho(t) = U(t) rho'(t) U(t)^dagger with U = exp(-i w t J_z),
   and rho' follows H' = -(b0 + w) J_z - b1 J_x.
@@ -97,7 +97,6 @@ class HamiltonianSpec:
     b0: float = 0.0
     b1: float = 0.0
     drive_omega: float = 0.0
-    omega_t: Optional[Callable] = None
 
     @classmethod
     def none(cls) -> "HamiltonianSpec":
@@ -110,12 +109,6 @@ class HamiltonianSpec:
     @classmethod
     def rotating_field(cls, b0: float, b1: float, drive_omega: float) -> "HamiltonianSpec":
         return cls(kind="rotating_field", b0=b0, b1=b1, drive_omega=drive_omega)
-
-    @classmethod
-    def pulse_effective(cls, omega_t: Callable) -> "HamiltonianSpec":
-        """omega_t(t) J_z for spin 1/2; omega_t takes a time or an array of
-        times, and evolve integrates it over each step."""
-        return cls(kind="pulse_effective", omega_t=omega_t)
 
     def matrix(self, j: SpinQuantumNumber, t) -> np.ndarray:
         """H at the time t, or at each of an array of times (a stack); a
@@ -130,10 +123,6 @@ class HamiltonianSpec:
                 raise DimensionMismatch("rotating_field Hamiltonian is defined for spin 1/2")
             wt = np.asarray(self.drive_omega * t)[..., None, None]
             return -self.b0 * ops.jz - self.b1 * (np.cos(wt) * ops.jx + np.sin(wt) * ops.jy)
-        if self.kind == "pulse_effective":
-            if j.two_j != 1:
-                raise DimensionMismatch("pulse_effective Hamiltonian is defined for spin 1/2")
-            return np.asarray(self.omega_t(t))[..., None, None] * ops.jz
         raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
 
 
@@ -343,11 +332,10 @@ def _covariant(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_gri
     else:
         dgamma = d.gamma * steps  # zero for dephasing
     dgamma = np.minimum(dgamma, 0.5 * _RELAXED / (d.nbar + 0.5))
-    dtheta = _step_integrals(h.omega_t, t_grid)[2] if h.kind == "pulse_effective" else h.omega * steps
     orders = [k for k in range(dim) if np.any(rho.diagonal(-k)) or np.any(rho.diagonal(k))]
     ks = np.array(orders)
     # Lower diagonal (k = a - b > 0) in column 0, upper (k < 0) in column 1.
-    lower = np.exp(1j * ks * dtheta[:, None] - 0.5 * d.lam * ks**2 * steps[:, None])
+    lower = np.exp(1j * ks * (h.omega * steps)[:, None] - 0.5 * d.lam * ks**2 * steps[:, None])
     phases = np.stack([lower, lower.conj()], axis=-1)[:, :, None, :]
     x = np.zeros((t_grid.size, len(orders), dim, 2), dtype=complex)
     for idx, k in enumerate(orders):
@@ -392,12 +380,12 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing with at least two points")
-    # Refuses an unknown kind, and a Hamiltonian defined for another spin.
-    lindblad_rhs(rho0.entries, t_grid[0], h, d)
-    # A propagator that overflows (a generator with inf entries, at nbar
-    # near the largest float) gives inf/nan states silently: their nan
-    # trace drift is refused below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # At nbar near the largest float the generator has inf entries: its
+    # check and its propagators overflow silently, to inf/nan states whose
+    # nan trace drift is refused below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # Refuses an unknown kind, and a Hamiltonian defined for another spin.
+        lindblad_rhs(rho0.entries, t_grid[0], h, d)
         if h.kind != "rotating_field":
             raw = _covariant(rho0, h, d, t_grid)
         elif d.kind == "time_dependent_damping":

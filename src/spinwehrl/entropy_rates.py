@@ -6,8 +6,7 @@ cross-validate each other:
 * spherical quadrature of the phase-space integrands (any J),
 * closed forms for spin 1/2,
 * an exact hypergeometric expression for the damping flux (any J),
-  with a dedicated T -> 0 limit and a large-J/small-coupling
-  asymptotic form.
+  with a dedicated T -> 0 limit.
 
 Von Neumann counterparts are provided for comparison; they diverge for
 pure states and for zero-temperature baths, which is signalled with
@@ -29,7 +28,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from .dynamics import DissipatorSpec, Trajectory
-from .errors import TailNotConverged, UndefinedRatio, UnsupportedParameters
+from .errors import TailNotConverged, UnsupportedParameters
 from .hypergeom import gauss_2f1
 from .phase_space import HusimiField, Q_FLOOR
 from .spin_ops import (
@@ -54,7 +53,8 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 @dataclass(frozen=True)
 class BathParams:
     """Amplitude-damping bath: rate gamma and mean occupation nbar. gamma
-    may be an array, the rate at each time of a trajectory."""
+    may be an array, the rate at each time of a trajectory. An nbar whose
+    2 nbar + 1 overflows, which would make tau_bar_z -0, is refused."""
 
     gamma: float
     nbar: float
@@ -64,6 +64,8 @@ class BathParams:
         negative = gamma < 0 if isinstance(gamma, (int, float)) else np.any(np.asarray(gamma) < 0)
         if negative or self.nbar < 0:
             raise UnsupportedParameters("gamma and nbar must be non-negative")
+        if 2.0 * self.nbar + 1.0 == math.inf:
+            raise UnsupportedParameters(f"nbar = {self.nbar:g} overflows 2 nbar + 1")
 
     @property
     def tau_bar_z(self) -> float:
@@ -299,30 +301,6 @@ def damping_phi_zero_temperature(jz_expect, gamma, j: SpinQuantumNumber):
     return _out(2.0 * gamma * jj * (jj + jz_expect))
 
 
-def damping_phi_asymptotic(populations: np.ndarray, bath: BathParams, j: SpinQuantumNumber) -> float:
-    """Large-J / small-|tau_bar_z| approximation of the exact damping flux.
-
-    Exact in the limits J -> infinity and/or tau_bar_z -> 0; the relative
-    deviation from damping_phi_exact shrinks with |tau_bar_z| at fixed state.
-    """
-    tbz = bath.tau_bar_z
-    pops = np.asarray(populations, dtype=float)
-    if pops.shape != (j.dim,):
-        raise UnsupportedParameters(f"expected {j.dim} populations, got shape {pops.shape}")
-    jj = j.j
-    ms = j.m_values()
-    jz = float(np.dot(pops, ms))
-    c = 3.0 + 2.0 * jj
-    avg = 0.0
-    for p, m in zip(pops, ms):
-        avg += p * (
-            (1.0 + jj + m) * (1.0 + (1.0 + 4.0 * jj) * tbz) / (c + (2.0 * m + 1.0) * tbz)
-            - (1.0 + jj - m) * (tbz - 1.0) / (c + (2.0 * m - 1.0) * tbz)
-        )
-    bracket = 1.0 - (c / (2.0 * (1.0 + jj))) * avg
-    return 2.0 * bath.gamma * jj * (jj + jz + ((1.0 + tbz) / (2.0 * tbz)) * bracket)
-
-
 def energy_flux(rho, bath: BathParams, omega: float):
     """Phi_E = (gamma omega / tau_bar_z) [tau_bar_z (J(J+1) - <J_z^2>) - <J_z>]
     of a DensityMatrix or of each matrix of an (..., d, d) stack of entries.
@@ -422,13 +400,14 @@ def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, ti
     # one grid and spin), every chunk's node rows in one reused buffer, and
     # the prefactors applied to the raw sums of all chunks at once.
     dephasing = d.kind == "dephasing"
+    bath = None if dephasing else bath_at(d, times)
     reduce = _kernels.dephasing_reduce if dephasing else _kernels.damping_reduce
     raw, out = [], np.empty(0)
     for field in fields:
         grid, j = field.grid, field.j
         if not raw:
             _, harmonics = grid.amplitude_table(j)
-            vectors = (grid.theta_weights,) if dephasing else _damping_vectors(grid, j.two_j, d.nbar)
+            vectors = (grid.theta_weights,) if dephasing else _damping_vectors(grid, j.two_j, bath.nbar)
         nodes = 3 * field.coef[0, 0].size * grid.n_phi
         if out.size < nodes:
             out = np.empty(nodes)
@@ -437,7 +416,7 @@ def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, ti
     if dephasing:
         pi = _dephasing_pi(raw, j, d.lam)
         return _rates(pi, pi, 0.0)
-    phi, terms = _damping_terms(raw, j, bath_at(d, times))
+    phi, terms = _damping_terms(raw, j, bath)
     return _rates(terms.total - phi, terms.total, phi)
 
 
@@ -550,15 +529,8 @@ def von_neumann_rates(rho, rho_dot: np.ndarray, bath: BathParams, omega: float) 
 
 
 # ---------------------------------------------------------------------------
-# Balance and bookkeeping.
+# Integral of a rate series.
 # ---------------------------------------------------------------------------
-
-
-def clausius_ratio(phi: float, phi_energy: float, temperature: float, j: SpinQuantumNumber) -> float:
-    """phi * T * (1 + 1/J) / phi_energy; tends to 1 in the high-temperature limit."""
-    if phi_energy == 0.0:
-        raise UndefinedRatio("energy flux is zero")
-    return phi * temperature * (1.0 + 1.0 / j.j) / phi_energy
 
 
 def integrate_rate_series(times: np.ndarray, values: np.ndarray, tail_tol: float = 1e-10) -> float:

@@ -42,10 +42,6 @@ class TailNotConverged(SpinWehrlError):
     """Entropy-production rate has not decayed by the end of the trajectory."""
 
 
-class UndefinedRatio(SpinWehrlError):
-    """Clausius ratio undefined because the energy flux vanishes."""
-
-
 class NothingToCompare(SpinWehrlError):
     """Scenario supports fewer than two independent computation methods."""
 

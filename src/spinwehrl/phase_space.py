@@ -1,4 +1,4 @@
-"""Spin coherent states, Husimi-Q fields, spherical quadrature, Wehrl entropy.
+"""Husimi-Q fields on spin coherent states, spherical quadrature, Wehrl entropy.
 
 The sphere is sampled by a Gauss-Legendre rule in u = cos(theta) tensored
 with a uniform (periodic trapezoid) rule in phi. Nodes never touch the
@@ -153,36 +153,6 @@ def _amplitude_table(two_j: int, theta: np.ndarray, phi: np.ndarray):
     pairs = np.ascontiguousarray(np.stack([prod, deriv]).transpose(0, 2, 3, 1))
     sphi = np.outer(a, phi)
     return pairs, np.stack([np.cos(sphi), np.sin(sphi)], axis=1).reshape(2 * d, -1)
-
-
-@dataclass(frozen=True)
-class CoherentStateVector:
-    """Amplitudes <J,m|Omega> at a single point with angular derivatives."""
-
-    j: SpinQuantumNumber
-    theta: float
-    phi: float
-    amplitudes: np.ndarray
-    d_theta: np.ndarray
-    d_phi: np.ndarray
-
-
-def coherent_state(j: SpinQuantumNumber, theta: float, phi: float) -> CoherentStateVector:
-    """Spin coherent state at interior polar angle theta in (0, pi)."""
-    if not 0.0 < theta < np.pi:
-        raise ValueError("theta must lie strictly inside (0, pi)")
-    mag, dmag = _magnitudes(j.two_j, np.array([theta]))
-    ms = j.m_values()
-    phase = np.exp(-1j * ms * phi)
-    amp = mag[0] * phase
-    return CoherentStateVector(
-        j=j,
-        theta=theta,
-        phi=phi,
-        amplitudes=amp,
-        d_theta=dmag[0] * phase,
-        d_phi=-1j * ms * amp,
-    )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ grids).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -279,28 +280,19 @@ def rotating_field_model(
 
 @dataclass(frozen=True)
 class PulseParams:
-    """Exponentially decaying single-photon pulse hitting a two-level atom.
-
-    gamma0 is the free-space decay rate, capital_omega the pulse bandwidth,
-    a0 the initial excited amplitude; omega0/omega_p are the atomic and
-    pulse centre frequencies (resonant by default).
-    """
+    """Resonant, exponentially decaying single-photon pulse hitting a
+    two-level atom: gamma0 is the free-space decay rate, capital_omega the
+    pulse bandwidth, a0 the initial excited amplitude."""
 
     gamma0: float
     capital_omega: float
     a0: float
-    omega0: float = 0.0
-    omega_p: float = 0.0
 
     def __post_init__(self):
         if self.gamma0 <= 0 or self.capital_omega <= self.gamma0:
             raise NonPhysicalState("requires capital_omega > gamma0 > 0")
         if not 0.0 < self.a0 <= 1.0:
             raise NonPhysicalState("requires 0 < a0 <= 1")
-
-    @property
-    def detuning(self) -> float:
-        return self.omega0 - self.omega_p
 
     @property
     def normalization(self) -> float:
@@ -328,10 +320,9 @@ def pulse_xi(params: PulseParams, t):
 
 
 def pulse_amplitude(params: PulseParams, t):
-    """Excited-state amplitude a(t) for the exponential pulse, t >= 0.
+    """Excited-state amplitude a(t) for the resonant pulse, t >= 0, real.
 
-    Closed form of the retarded integral: with kappa = (gamma0 - Omega)/2
-    + i (omega0 - omega_p),
+    Closed form of the retarded integral: with kappa = (gamma0 - Omega)/2,
 
         a(t) = e^{-gamma0 t/2} [a0 - sqrt(gamma0 Omega) N (e^{kappa t} - 1)/kappa].
     """
@@ -340,79 +331,49 @@ def pulse_amplitude(params: PulseParams, t):
         raise ValueError("pulse amplitude is defined for t >= 0")
     g0 = params.gamma0
     om = params.capital_omega
-    kappa = 0.5 * (g0 - om) + 1j * params.detuning
-    if abs(kappa) < 1e-14:
-        integral = t.astype(complex)
-    else:
-        integral = (np.exp(kappa * t) - 1.0) / kappa
+    kappa = 0.5 * (g0 - om)
+    integral = t if abs(kappa) < 1e-14 else (np.exp(kappa * t) - 1.0) / kappa
     amp = np.exp(-0.5 * g0 * t) * (params.a0 - math.sqrt(g0 * om) * params.normalization * integral)
-    return amp if amp.ndim else complex(amp)
-
-
-def pulse_amplitude_derivative(params: PulseParams, t):
-    """da/dt = -(gamma0/2) a - sqrt(gamma0) xi(t) e^{i(omega0 - omega_p)t}."""
-    t = np.asarray(t, dtype=float)
-    a = pulse_amplitude(params, t)
-    drive = math.sqrt(params.gamma0) * pulse_xi(params, t) * np.exp(1j * params.detuning * t)
-    out = -0.5 * params.gamma0 * a - drive
-    return out if out.ndim else complex(out)
+    return amp if amp.ndim else float(amp)
 
 
 def pulse_effective_rates(params: PulseParams, t):
-    """(Gamma_t, omega_t) from the logarithmic derivative of a(t):
-    Gamma_t = -2 Re[a'/a], omega_t = -Im[a'/a]."""
+    """Gamma_t = -2 a'/a, from the amplitude's equation of motion
+    a' = -(gamma0/2) a - sqrt(gamma0) xi(t); a float for a time, an array
+    for an array of times. Raises AmplitudeUnderflow where |a| < 1e-12."""
     a = np.asarray(pulse_amplitude(params, t))
     if np.any(np.abs(a) < 1e-12):
         raise AmplitudeUnderflow("excited amplitude below 1e-12")
-    ratio = np.asarray(pulse_amplitude_derivative(params, t)) / a
-    gamma_t = -2.0 * ratio.real
-    omega_t = -ratio.imag
-    if gamma_t.ndim:
-        return gamma_t, omega_t
-    return float(gamma_t), float(omega_t)
-
-
-def pulse_gamma_explicit(params: PulseParams, t):
-    """Gamma_t written in terms of the pulse drive:
-    gamma0 + 2 sqrt(gamma0) Re[a*(t) xi(t) e^{i(omega0-omega_p)t}] / |a(t)|^2."""
-    a = np.asarray(pulse_amplitude(params, t))
-    if np.any(np.abs(a) < 1e-12):
-        raise AmplitudeUnderflow("excited amplitude below 1e-12")
-    drive = pulse_xi(params, t) * np.exp(1j * params.detuning * np.asarray(t, dtype=float))
-    out = params.gamma0 + 2.0 * math.sqrt(params.gamma0) * (np.conj(a) * drive).real / np.abs(a) ** 2
-    return out if out.ndim else float(out)
+    a_dot = -0.5 * params.gamma0 * a - math.sqrt(params.gamma0) * pulse_xi(params, t)
+    gamma_t = -2.0 * (a_dot / a)
+    return gamma_t if gamma_t.ndim else float(gamma_t)
 
 
 def photon_pulse_model(params: PulseParams) -> Model:
-    """Master-equation evolution with the time-dependent decay rate Gamma_t.
+    """Master-equation evolution with the time-dependent decay rate Gamma_t
+    of pulse_effective_rates and no Hamiltonian: at resonance the pulse
+    acts on the atom through Gamma_t alone.
 
     The bath is at zero temperature (tau_bar_z = -1); Wehrl rates use the
     spin-1/2 closed forms with gamma -> Gamma_t, so the flux reduces to
     Phi(t) = (Gamma_t/2)(1 + tau_z(t)), and pulse_amplitude gives the
-    excited amplitude a(t), with tau_z = 2|a|^2 - 1. Raises
+    excited amplitude a(t), with tau_z = 2 a^2 - 1. Raises
     NonMarkovianRegime below the Markovianity threshold (markov_threshold).
     """
     if not is_markovian(params):
         raise NonMarkovianRegime(
             f"a0 = {params.a0} below the threshold {markov_threshold(params):.6f}"
         )
-
-    # evolve asks for each rate on an array of quadrature nodes, and the
-    # rates and energy flux on the array of output times.
-    def gamma_t(t):
-        return pulse_effective_rates(params, t)[0]
-
-    def omega_t(t):
-        return pulse_effective_rates(params, t)[1]
-
     p_exc = params.a0 ** 2
     rho0 = DensityMatrix(
         SpinQuantumNumber(1), np.diag([p_exc, 1.0 - p_exc]).astype(complex)
     )
+    # evolve asks for the rate on an array of quadrature nodes, and the
+    # rates and the CSV on the array of output times.
     return Model(
         rho0,
-        HamiltonianSpec.pulse_effective(omega_t),
-        DissipatorSpec.time_dependent_damping(gamma_t, nbar=0.0),
+        HamiltonianSpec.none(),
+        DissipatorSpec.time_dependent_damping(functools.partial(pulse_effective_rates, params), nbar=0.0),
     )
 
 

@@ -13,12 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidFrequency,
-    NonPhysicalState,
-    WrongDimension,
-)
+from .errors import DimensionMismatch, InvalidFrequency, NonPhysicalState
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -172,18 +167,6 @@ def bloch_to_rho(b: BlochVector) -> DensityMatrix:
     return DensityMatrix(SpinQuantumNumber(1), rho)
 
 
-def rho_to_bloch(rho: DensityMatrix) -> BlochVector:
-    """tau_i = tr(rho sigma_i); defined for spin 1/2 only."""
-    if rho.j.two_j != 1:
-        raise WrongDimension(f"Bloch representation needs two_j=1, got {rho.j.two_j}")
-    r = rho.entries
-    return BlochVector(
-        float(np.trace(r @ PAULI_X).real),
-        float(np.trace(r @ PAULI_Y).real),
-        float(np.trace(r @ PAULI_Z).real),
-    )
-
-
 def gibbs_state(j: SpinQuantumNumber, omega: float, temperature: float) -> DensityMatrix:
     """Thermal state exp(-H/T)/Z of H = omega*J_z.
 
@@ -234,10 +217,3 @@ def temperature_from_nbar(omega: float, nbar: float) -> float:
         return 0.0
     return omega / math.log1p(1.0 / nbar)
 
-
-def expectation(rho: DensityMatrix, op: np.ndarray) -> complex:
-    """tr(rho . op)."""
-    op = np.asarray(op)
-    if op.shape != rho.entries.shape:
-        raise DimensionMismatch(f"operator shape {op.shape} does not match state {rho.entries.shape}")
-    return complex(np.trace(rho.entries @ op))

@@ -8,6 +8,8 @@ package calls them.
   <Omega|G|Omega> ln Q for a generator G, against which the quadrature's
   current forms are checked.
 * The matrix current f(rho) whose divergence is the damping dissipator.
+* Spin coherent states with their angular derivatives at one point.
+* The pulse's decay rate Gamma_t written in terms of its drive.
 """
 
 import math
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spinwehrl.phase_space import Q_FLOOR, HusimiField, SphereGrid, husimi_chunks
+from spinwehrl.phase_space import Q_FLOOR, HusimiField, SphereGrid, _magnitudes, husimi_chunks
+from spinwehrl.scenarios import PulseParams, pulse_amplitude, pulse_xi
 from spinwehrl.spin_ops import DensityMatrix, SpinQuantumNumber, make_spin_operators
 
 
@@ -176,3 +179,34 @@ def generator_entropy_rate(generator_matrix: np.ndarray, field: HusimiField) -> 
     commutator generator of any Hamiltonian linear in J_i."""
     gfield = husimi_of_matrix(generator_matrix, field.j, field.grid)
     return dissipative_entropy_rate(field, gfield)
+
+
+@dataclass(frozen=True)
+class CoherentStateVector:
+    """Amplitudes <J,m|Omega> at a single point with angular derivatives."""
+
+    j: SpinQuantumNumber
+    theta: float
+    phi: float
+    amplitudes: np.ndarray
+    d_theta: np.ndarray
+    d_phi: np.ndarray
+
+
+def coherent_state(j: SpinQuantumNumber, theta: float, phi: float) -> CoherentStateVector:
+    """Spin coherent state at interior polar angle theta in (0, pi), in the
+    amplitude convention of spinwehrl.phase_space."""
+    if not 0.0 < theta < np.pi:
+        raise ValueError("theta must lie strictly inside (0, pi)")
+    mag, dmag = _magnitudes(j.two_j, np.array([theta]))
+    ms = j.m_values()
+    phase = np.exp(-1j * ms * phi)
+    amp = mag[0] * phase
+    return CoherentStateVector(j=j, theta=theta, phi=phi, amplitudes=amp, d_theta=dmag[0] * phase, d_phi=-1j * ms * amp)
+
+
+def pulse_gamma_explicit(params: PulseParams, t):
+    """Gamma_t written in terms of the pulse drive,
+    gamma0 + 2 sqrt(gamma0) Re[a*(t) xi(t)] / |a(t)|^2."""
+    a = np.asarray(pulse_amplitude(params, t))
+    return params.gamma0 + 2.0 * math.sqrt(params.gamma0) * (np.conj(a) * pulse_xi(params, t)).real / np.abs(a) ** 2

@@ -384,7 +384,7 @@ class TestRun:
         # %.17g round-trips, so the column is the pulse's own Gamma_t bit for bit
         table = np.loadtxt(tmp_path / "pulse.csv", delimiter=",", skiprows=1)
         params = PulseParams(gamma0=1.0, capital_omega=10.0, a0=0.7071067811865476)
-        assert np.array_equal(table[:, -1], pulse_effective_rates(params, table[:, 0])[0])
+        assert np.array_equal(table[:, -1], pulse_effective_rates(params, table[:, 0]))
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = {
@@ -667,6 +667,32 @@ def test_huge_nbar_rotating_field_reaches_its_steady_state(tmp_path, capsys, nba
     steady = rotating_field_steady_state(cfg["b0"], cfg["b1"], cfg["drive_omega"], bath)
     assert (rho[0, 0] - rho[1, 1]).real == pytest.approx(steady["tau_z"], abs=1e-12)
     assert abs(rho[0, 1]) <= 1e-12
+
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["spin_half", "spin_two", "undamped_rotating_field"])
+def test_overflowing_nbar_is_a_numerical_failure_without_warnings(tmp_path, capsys, case):
+    # At nbar = 1e308, 2 nbar + 1 overflows: a damped generator has inf
+    # entries, and without damping tau_bar_z = -1/(2 nbar + 1) would be -0.
+    if case == "undamped_rotating_field":
+        cfg = json.loads(bundled_configs()["rotating_field_damping.json"].read_text())
+        cfg = with_value(cfg, "dissipator.gamma", 0.0)
+    else:
+        two_j = 1 if case == "spin_half" else 4
+        cfg = with_value(CUSTOM_DAMPING_J2, "two_j", two_j)
+        cfg = with_value(cfg, "initial_state.populations", [1.0] + [0.0] * two_j)
+        cfg = with_value(cfg, "dissipator.gamma", 2.0)
+    cfg = with_value(cfg, "dissipator.nbar", 1e308)
+    cfg = with_value(cfg, "time", {"t_max": 1.0, "output_dt": 0.1})
+    cfg = with_value(cfg, "grid", {"n_theta": 9, "n_phi": 16})
+    path = write_config(tmp_path, cfg)
+    commands = [["run", "--config", path, "--out", str(tmp_path)]]
+    if case != "spin_two":  # spin-J damping above nbar = 1e6 has nothing to compare
+        commands.append(["compare", "--config", path])
+    for argv in commands:
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 class TestRunAgreement:

@@ -28,8 +28,9 @@ def unit(lo=0.0, hi=1.0):
 
 
 DEPHASING = st.fixed_dictionaries({"type": st.just("dephasing"), "lambda": unit(0.0, 2.0)})
-# nbar up to 1e300, where each step's damping exponent is capped.
-NBAR = st.one_of(unit(0.0, 2.0), st.sampled_from([1e20, 1e300]))
+# nbar up to 1e308, where each step's damping exponent is capped and, at
+# the largest, the generator overflows.
+NBAR = st.one_of(unit(0.0, 2.0), st.sampled_from([1e20, 1e300, 1e308]))
 DAMPING = st.fixed_dictionaries({"type": st.just("amplitude_damping"), "gamma": unit(0.0, 2.0), "nbar": NBAR})
 DISSIPATOR = st.one_of(DEPHASING, DAMPING)
 BLOCH_ANGLES = st.fixed_dictionaries(

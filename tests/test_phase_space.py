@@ -8,7 +8,6 @@ from spinwehrl import (
     DensityMatrix,
     SpinQuantumNumber,
     bloch_to_rho,
-    coherent_state,
     husimi,
     husimi_chunks,
     make_grid,
@@ -18,7 +17,7 @@ from spinwehrl import (
     wehrl_entropy_spin_half,
 )
 from conftest import random_density_matrix
-from oracles import angle_action_inverse, angle_action_map, tss_correspondences, v_function
+from oracles import angle_action_inverse, angle_action_map, coherent_state, tss_correspondences, v_function
 
 
 def node_angles(grid):

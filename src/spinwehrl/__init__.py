@@ -19,7 +19,6 @@ from .errors import (
     PrecisionFailure,
     SpinWehrlError,
     StiffnessFailure,
-    TailNotConverged,
     UnsupportedParameters,
     WrongDimension,
 )
@@ -32,7 +31,6 @@ from .spin_ops import (
     gibbs_state,
     make_spin_operators,
     nbar_from_temperature,
-    temperature_from_nbar,
 )
 from .phase_space import (
     HusimiField,
@@ -65,8 +63,6 @@ from .entropy_rates import (
     dephasing_pi_quadrature,
     dephasing_pi_spin_half,
     dephasing_pi_von_neumann,
-    energy_flux,
-    integrate_rate_series,
     spin_half_damping_rates,
     spin_half_damping_von_neumann,
     spin_half_dephasing_rates,

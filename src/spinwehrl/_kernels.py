@@ -19,6 +19,8 @@ Coefficient arrays are real and coefficient-major, (2d, ...): row 2s
 multiplies cos(s phi) and row 2s + 1 multiplies sin(s phi), so that
 Q = sum_s Re(c_s) cos(s phi) - Im(c_s) sin(s phi). The trailing axes are
 the states, if any, then the theta rows.
+
+Q is floored at Q_FLOOR wherever it divides or enters a logarithm.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 # Read by the benchmark harness; the numba backend is gone.
 USE_NUMBA = False
+Q_FLOOR = 1e-300
 
 
 @functools.lru_cache(maxsize=None)
@@ -73,17 +76,13 @@ def phi_derivative(coef, out):
     return out
 
 
-def node_rows(rows, harmonics, out):
+def node_rows(rows, harmonics):
     """Node values (f, ..., n_phi) of f stacked coefficient arrays, rows of
     shape (f, 2d, ...): one product with the (2d, n_phi) harmonics
-    cos(s phi), sin(s phi) interleaved. out is None or a flat float buffer
-    that holds at least the result, whose leading part it then occupies."""
+    cos(s phi), sin(s phi) interleaved."""
     n_rows, n_coef = rows.shape[:2]
-    n_phi = harmonics.shape[-1]
     flat = rows.reshape(n_rows, n_coef, -1).transpose(0, 2, 1)
-    if out is not None:
-        out = out[: flat.shape[0] * flat.shape[1] * n_phi].reshape(n_rows, -1, n_phi)
-    return np.matmul(flat, harmonics, out=out).reshape(n_rows, *rows.shape[2:], n_phi)
+    return np.matmul(flat, harmonics).reshape(n_rows, *rows.shape[2:], harmonics.shape[-1])
 
 
 def libm(fn, *args) -> np.ndarray:
@@ -101,29 +100,29 @@ def libm(fn, *args) -> np.ndarray:
 # Quadrature reductions of the rate integrands over the coefficients of a
 # field, (2, 2d, n_theta) for one state or (2, 2d, k, n_theta) for a chunk
 # (see husimi_contract). Each evaluates the node rows it reads in one
-# harmonic product, into out (None, or a flat buffer reused across chunks;
-# see node_rows), and sums each row over phi before contracting it with a
-# theta vector. weights are the Gauss-Legendre weights with the uniform phi
-# weight folded in. They return raw weighted sums, one per state (a scalar
-# for one state); physical prefactors are applied by the caller.
+# harmonic product (see node_rows), and sums each row over phi before
+# contracting it with a theta vector. weights are the Gauss-Legendre
+# weights with the uniform phi weight folded in. They return raw weighted
+# sums, one per state (a scalar for one state); physical prefactors are
+# applied by the caller.
 # ---------------------------------------------------------------------------
 
 
-def _inverse_and_squares(nodes, q_floor):
+def _inverse_and_squares(nodes):
     """Given node rows [Q, x, ...], Q replaced in place by 1 / max(Q,
-    q_floor) and every other row by its square, then the sum over phi of
+    Q_FLOOR) and every other row by its square, then the sum over phi of
     each squared row times the inverse, (rows - 1, ...)."""
     q, rest = nodes[0], nodes[1:]
-    np.maximum(q, q_floor, out=q)
+    np.maximum(q, Q_FLOOR, out=q)
     np.divide(1.0, q, out=q)
     np.square(rest, out=rest)
     return np.einsum("f...p,...p->f...", rest, q)
 
 
-def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coherence_weights, q_floor, out):
+def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coherence_weights):
     """(phi, pi_damping, pi_coherence) raw sums of each state. With
     r = 2 nbar + 1, the drift u = dQ/dtheta - 2J Q sin / (r - cos) and Q
-    floored at q_floor in the denominators, the integrands are
+    floored at Q_FLOOR in the denominators, the integrands are
 
     phi:          -sin u,
     pi_damping:   (r - cos) u^2 / Q,
@@ -144,16 +143,16 @@ def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coheren
     np.subtract(dq_dtheta, rows[1], out=rows[1])
     phi_derivative(q, rows[2])
     phi = rows[1, 0] @ phi_weights
-    pi_damp, pi_coh = _inverse_and_squares(node_rows(rows, harmonics, out), q_floor)
+    pi_damp, pi_coh = _inverse_and_squares(node_rows(rows, harmonics))
     return phi, pi_damp @ damping_weights, pi_coh @ coherence_weights
 
 
-def dephasing_reduce(coef, harmonics, weights, q_floor, out):
-    """Raw sum of (dQ/dphi)^2 / Q of each state, Q floored at q_floor; only
+def dephasing_reduce(coef, harmonics, weights):
+    """Raw sum of (dQ/dphi)^2 / Q of each state, Q floored at Q_FLOOR; only
     Q and dQ/dphi are evaluated at nodes."""
     q = coef[0]
     rows = np.empty((2,) + q.shape)
     rows[0] = q
     phi_derivative(q, rows[1])
-    (sums,) = _inverse_and_squares(node_rows(rows, harmonics, out), q_floor)
+    (sums,) = _inverse_and_squares(node_rows(rows, harmonics))
     return sums @ weights

@@ -92,7 +92,7 @@ SECTIONS = {
 def _custom_model(two_j: float, h: HamiltonianSpec, d: DissipatorSpec, rho0: DensityMatrix) -> Model:
     if rho0.j.two_j != two_j:
         raise ConfigError(f"the initial state has two_j = {rho0.j.two_j}, not the config's {two_j:g}")
-    # The von Neumann rates read a thermal bath's nbar as an occupation at omega.
+    # A thermal bath's nbar is an occupation at the level splitting omega.
     if h.kind == "static_jz" and d.kind == "amplitude_damping" and h.omega <= 0:
         raise InvalidFrequency("'omega' in 'hamiltonian' must be positive: it is the level splitting of the bath")
     return Model(rho0, h, d)

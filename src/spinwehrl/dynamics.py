@@ -340,8 +340,11 @@ def _covariant(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_gri
     x = np.zeros((t_grid.size, len(orders), dim, 2), dtype=complex)
     for idx, k in enumerate(orders):
         x[0, idx, : dim - k] = np.stack([rho.diagonal(-k), rho.diagonal(k)], axis=-1)
-    blocks = _damping_blocks(rho0.j, d.nbar, orders)
-    for n, r in enumerate(_step_propagators(dgamma, blocks, _conserve_populations)):
+    if np.any(dgamma):
+        propagators = _step_propagators(dgamma, _damping_blocks(rho0.j, d.nbar, orders), _conserve_populations)
+    else:  # no damping: at huge nbar the unit-rate blocks overflow, and exp(0 * inf) is nan
+        propagators = itertools.repeat(np.eye(dim), steps.size)
+    for n, r in enumerate(propagators):
         x[n + 1] = (r @ x[n]) * phases[n]
     states = np.zeros((t_grid.size, dim, dim), dtype=complex)
     for idx, k in enumerate(orders):

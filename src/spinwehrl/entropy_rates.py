@@ -8,9 +8,12 @@ cross-validate each other:
 * an exact hypergeometric expression for the damping flux (any J),
   with a dedicated T -> 0 limit.
 
-Von Neumann counterparts are provided for comparison; they diverge for
-pure states and for zero-temperature baths, which is signalled with
-infinities rather than exceptions.
+Von Neumann counterparts are provided for comparison, measured against
+the bath's Gibbs state whatever the Hamiltonian: closed forms for spin 1/2
+and, for any J, von_neumann_rates from D(rho). They diverge for pure
+states and for zero-temperature baths, which is signalled with infinities
+rather than exceptions; von_neumann_rates floors the eigenvalues, so its
+pure-state rates are large but finite.
 
 The closed forms, the exact flux and the von Neumann rates take one state
 or a whole trajectory's arrays: a BlochVector or an (n, 3) array of Bloch
@@ -28,15 +31,10 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from .dynamics import DissipatorSpec, Trajectory
-from .errors import TailNotConverged, UnsupportedParameters
+from .errors import UnsupportedParameters
 from .hypergeom import gauss_2f1
-from .phase_space import HusimiField, Q_FLOOR
-from .spin_ops import (
-    BlochVector,
-    DensityMatrix,
-    SpinQuantumNumber,
-    temperature_from_nbar,
-)
+from .phase_space import HusimiField
+from .spin_ops import BlochVector, DensityMatrix, SpinQuantumNumber
 from . import _kernels
 
 DIVERGENCE_EDGE = 1e-12
@@ -46,8 +44,6 @@ EXACT_FLUX_MIN_TBZ = -1.0 + 1e-15
 # Above this nbar the exact flux is not cross-checked: its error grows like
 # nbar times the machine epsilon (see damping_phi_exact).
 EXACT_FLUX_MAX_NBAR = 1e6
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ class BathParams:
 class EntropyRates:
     """Rate bundle {dS/dt, Pi, Phi} of one method: floats for one state, or
     arrays of one shape over a trajectory. The energy flux Phi_E belongs to
-    the run (see energy_flux and ScenarioResult.phi_energy)."""
+    the run (see ScenarioResult.phi_energy)."""
 
     ds_dt: float
     pi: float
@@ -172,7 +168,7 @@ def dephasing_pi_quadrature(field: HusimiField, lam: float):
     """
     grid = field.grid
     _, harmonics = grid.amplitude_table(field.j)
-    return _dephasing_pi(_kernels.dephasing_reduce(field.coef, harmonics, grid.theta_weights, Q_FLOOR, None), field.j, lam)
+    return _dephasing_pi(_kernels.dephasing_reduce(field.coef, harmonics, grid.theta_weights), field.j, lam)
 
 
 def dephasing_pi_spin_half(b, lam: float):
@@ -231,7 +227,7 @@ def damping_quadrature(field: HusimiField, bath: BathParams) -> tuple:
     grid, j = field.grid, field.j
     _, harmonics = grid.amplitude_table(j)
     vectors = _damping_vectors(grid, j.two_j, bath.nbar)
-    return _damping_terms(_kernels.damping_reduce(field.coef, harmonics, *vectors, Q_FLOOR, None), j, bath)
+    return _damping_terms(_kernels.damping_reduce(field.coef, harmonics, *vectors), j, bath)
 
 
 def damping_phi_quadrature(field: HusimiField, bath: BathParams) -> float:
@@ -299,23 +295,6 @@ def damping_phi_zero_temperature(jz_expect, gamma, j: SpinQuantumNumber):
     if not np.all(np.abs(jz_expect) <= jj + 1e-9):
         raise UnsupportedParameters(f"<J_z> = {jz_expect} outside [-J, J]")
     return _out(2.0 * gamma * jj * (jj + jz_expect))
-
-
-def energy_flux(rho, bath: BathParams, omega: float):
-    """Phi_E = (gamma omega / tau_bar_z) [tau_bar_z (J(J+1) - <J_z^2>) - <J_z>]
-    of a DensityMatrix or of each matrix of an (..., d, d) stack of entries.
-
-    Equals -tr(H D(rho)) for H = omega J_z.
-    """
-    entries = np.asarray(getattr(rho, "entries", rho))
-    j = SpinQuantumNumber(entries.shape[-1] - 1)
-    tbz = bath.tau_bar_z
-    jj = j.j
-    ms = j.m_values()
-    pops = entries.diagonal(axis1=-2, axis2=-1).real
-    jz = pops @ ms
-    jz2 = pops @ (ms * ms)
-    return _out((bath.gamma * omega / tbz) * (tbz * (jj * (jj + 1.0) - jz2) - jz))
 
 
 # ---------------------------------------------------------------------------
@@ -397,21 +376,18 @@ def bath_at(d: DissipatorSpec, t) -> BathParams:
 def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
     # The kernel of dephasing_pi_quadrature or damping_quadrature, with its
     # theta vectors and the bath made once per trajectory (the fields share
-    # one grid and spin), every chunk's node rows in one reused buffer, and
-    # the prefactors applied to the raw sums of all chunks at once.
+    # one grid and spin), and the prefactors applied to the raw sums of all
+    # chunks at once.
     dephasing = d.kind == "dephasing"
     bath = None if dephasing else bath_at(d, times)
     reduce = _kernels.dephasing_reduce if dephasing else _kernels.damping_reduce
-    raw, out = [], np.empty(0)
+    raw = []
     for field in fields:
         grid, j = field.grid, field.j
         if not raw:
             _, harmonics = grid.amplitude_table(j)
             vectors = (grid.theta_weights,) if dephasing else _damping_vectors(grid, j.two_j, bath.nbar)
-        nodes = 3 * field.coef[0, 0].size * grid.n_phi
-        if out.size < nodes:
-            out = np.empty(nodes)
-        raw.append(np.asarray(reduce(field.coef, harmonics, *vectors, Q_FLOOR, out)))
+        raw.append(np.asarray(reduce(field.coef, harmonics, *vectors)))
     raw = np.concatenate(raw, axis=-1)
     if dephasing:
         pi = _dephasing_pi(raw, j, d.lam)
@@ -513,31 +489,27 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(evals * np.log(evals)))
 
 
-def von_neumann_rates(rho, rho_dot: np.ndarray, bath: BathParams, omega: float) -> EntropyRates:
-    """General-J von Neumann bundle: dS/dt = -tr(rho_dot ln rho),
-    Phi = Phi_E / T, Pi = dS/dt + Phi, of a DensityMatrix or of each matrix
-    of a stack (one batched eigh). T = 0 is flagged with infinities."""
+def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec) -> EntropyRates:
+    """General-J von Neumann bundle in Spohn's form, of a DensityMatrix or of
+    each matrix of a stack (one batched eigh), from the states and their
+    dissipator images d_rho = D(rho) alone: the Hamiltonian's part
+    tr([H, rho] ln rho) is zero for any H.
+
+        dS/dt = -tr(D(rho) ln rho),
+        Phi   = tr(D(rho) ln rho_bar) = ln(nbar/(nbar+1)) tr(J_z D(rho)),
+        Pi    = dS/dt + Phi,
+
+    with rho_bar the Gibbs state of the damping bath d (so Phi = Phi_E/T
+    for H = omega J_z), and Phi = 0 for dephasing. At T = 0, Phi is +inf
+    where tr(J_z D(rho)) < 0 and 0 where it is 0. Eigenvalues are floored at
+    EIG_LOG_FLOOR, so a pure state's dS/dt is large but finite."""
     evals, vecs = np.linalg.eigh(getattr(rho, "entries", rho))
     log_rho = (vecs * np.log(np.clip(evals, EIG_LOG_FLOOR, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    ds = -np.trace(np.asarray(rho_dot) @ log_rho, axis1=-2, axis2=-1).real
-    phi_e = energy_flux(rho, bath, omega)
-    if bath.nbar == 0.0:
-        phi = np.where(phi_e == 0.0, 0.0, np.copysign(math.inf, phi_e))
-    else:
-        phi = phi_e / temperature_from_nbar(omega, bath.nbar)
+    d_rho = np.asarray(d_rho)
+    ds = -np.trace(d_rho @ log_rho, axis1=-2, axis2=-1).real
+    if d.kind == "dephasing":
+        return _rates(ds, ds, 0.0)
+    jz_dot = d_rho.diagonal(axis1=-2, axis2=-1).real @ SpinQuantumNumber(d_rho.shape[-1] - 1).m_values()
+    log_ratio = -math.log1p(1.0 / d.nbar) if d.nbar > 0.0 else -math.inf
+    phi = np.multiply(log_ratio, jz_dot, out=np.zeros(np.shape(jz_dot)), where=jz_dot != 0.0)
     return _rates(ds, ds + phi, phi)
-
-
-# ---------------------------------------------------------------------------
-# Integral of a rate series.
-# ---------------------------------------------------------------------------
-
-
-def integrate_rate_series(times: np.ndarray, values: np.ndarray, tail_tol: float = 1e-10) -> float:
-    """Trapezoid integral of a rate series whose tail must have decayed."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if abs(values[-1]) >= tail_tol:
-        raise TailNotConverged(f"|rate| = {abs(values[-1]):.3e} at the final time, >= {tail_tol}")
-    return float(_trapezoid(values, times))
-

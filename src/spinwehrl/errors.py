@@ -38,10 +38,6 @@ class PrecisionFailure(SpinWehrlError):
     """Series did not converge to the requested precision."""
 
 
-class TailNotConverged(SpinWehrlError):
-    """Entropy-production rate has not decayed by the end of the trajectory."""
-
-
 class NothingToCompare(SpinWehrlError):
     """Scenario supports fewer than two independent computation methods."""
 

@@ -24,9 +24,9 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels
+from ._kernels import Q_FLOOR
 from .spin_ops import DensityMatrix, SpinQuantumNumber
 
-Q_FLOOR = 1e-300
 GRID_MIN = 8  # the smallest n_theta and n_phi of a SphereGrid
 
 
@@ -175,7 +175,7 @@ class HusimiField:
 
     def _nodes(self, rows: np.ndarray) -> np.ndarray:
         _, harmonics = self.grid.amplitude_table(self.j)
-        return _kernels.node_rows(rows[None], harmonics, None)[0]
+        return _kernels.node_rows(rows[None], harmonics)[0]
 
     @functools.cached_property
     def q(self) -> np.ndarray:
@@ -196,9 +196,9 @@ class HusimiField:
 
 
 # Grid nodes per chunk of states (two on the default grid). A chunk is one
-# call of the transform and one of a reduction, whose node rows, up to
-# three per state, fill one buffer. Of one, two and four states per chunk
-# on 96 x 192, two ran the six bundled compares fastest.
+# call of the transform and one of a reduction, which evaluates up to three
+# node rows per state. Of one, two and four states per chunk on 96 x 192,
+# two ran the six bundled compares fastest.
 _CHUNK_NODES = 2 * 96 * 192
 
 

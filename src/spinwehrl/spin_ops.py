@@ -205,15 +205,3 @@ def nbar_from_temperature(omega: float, temperature: float) -> float:
         raise NonPhysicalState(f"T/omega = {temperature / omega:g} exceeds 1e300")
     # Beyond x = 700 the -1 is below double precision, and expm1 overflows.
     return 1.0 / math.expm1(x) if x < 700.0 else math.exp(-x)
-
-
-def temperature_from_nbar(omega: float, nbar: float) -> float:
-    """Inverse of nbar_from_temperature."""
-    if omega <= 0:
-        raise InvalidFrequency("omega must be positive")
-    if nbar < 0:
-        raise NonPhysicalState("nbar must be non-negative")
-    if nbar == 0.0:
-        return 0.0
-    return omega / math.log1p(1.0 / nbar)
-

@@ -10,6 +10,8 @@ package calls them.
 * The matrix current f(rho) whose divergence is the damping dissipator.
 * Spin coherent states with their angular derivatives at one point.
 * The pulse's decay rate Gamma_t written in terms of its drive.
+* The bath temperature of an occupation, and the energy flux Phi_E of
+  H = omega J_z under thermal damping in closed form.
 """
 
 import math
@@ -17,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spinwehrl.entropy_rates import BathParams
+from spinwehrl.errors import InvalidFrequency, NonPhysicalState
 from spinwehrl.phase_space import Q_FLOOR, HusimiField, SphereGrid, _magnitudes, husimi_chunks
 from spinwehrl.scenarios import PulseParams, pulse_amplitude, pulse_xi
 from spinwehrl.spin_ops import DensityMatrix, SpinQuantumNumber, make_spin_operators
@@ -210,3 +214,27 @@ def pulse_gamma_explicit(params: PulseParams, t):
     gamma0 + 2 sqrt(gamma0) Re[a*(t) xi(t)] / |a(t)|^2."""
     a = np.asarray(pulse_amplitude(params, t))
     return params.gamma0 + 2.0 * math.sqrt(params.gamma0) * (np.conj(a) * pulse_xi(params, t)).real / np.abs(a) ** 2
+
+
+def temperature_from_nbar(omega: float, nbar: float) -> float:
+    """Inverse of spinwehrl.spin_ops.nbar_from_temperature."""
+    if omega <= 0:
+        raise InvalidFrequency("omega must be positive")
+    if nbar < 0:
+        raise NonPhysicalState("nbar must be non-negative")
+    if nbar == 0.0:
+        return 0.0
+    return omega / math.log1p(1.0 / nbar)
+
+
+def energy_flux(rho, bath: BathParams, omega: float):
+    """Phi_E = (gamma omega / tau_bar_z) [tau_bar_z (J(J+1) - <J_z^2>) - <J_z>]
+    of a DensityMatrix or of each matrix of an (..., d, d) stack of entries:
+    -tr(H D(rho)) for H = omega J_z, in closed form. A float for one state."""
+    entries = np.asarray(getattr(rho, "entries", rho))
+    j = SpinQuantumNumber(entries.shape[-1] - 1)
+    tbz = bath.tau_bar_z
+    ms = j.m_values()
+    pops = entries.diagonal(axis1=-2, axis2=-1).real
+    flux = (bath.gamma * omega / tbz) * (tbz * (j.j * (j.j + 1.0) - pops @ (ms * ms)) - pops @ ms)
+    return float(flux) if np.ndim(flux) == 0 else flux

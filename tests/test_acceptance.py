@@ -26,7 +26,6 @@ from spinwehrl import (
     dephasing_pi_quadrature,
     dephasing_pi_spin_half,
     dephasing_pi_von_neumann,
-    energy_flux,
     evolve,
     gauss_2f1,
     gibbs_state,
@@ -42,11 +41,10 @@ from spinwehrl import (
     simulate,
     spin_half_damping_rates,
     spin_half_damping_von_neumann,
-    temperature_from_nbar,
     wehrl_entropy,
 )
 from conftest import random_bloch, random_diagonal_state, random_density_matrix
-from oracles import pulse_gamma_explicit
+from oracles import energy_flux, pulse_gamma_explicit, temperature_from_nbar
 
 mp.mp.dps = 40
 

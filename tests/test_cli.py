@@ -10,7 +10,8 @@ from spinwehrl.cli import bundled_configs, main, validate_config
 from spinwehrl.errors import ConfigError
 from spinwehrl.entropy_rates import BathParams
 from spinwehrl.scenarios import PulseParams, pulse_effective_rates, rotating_field_steady_state
-from spinwehrl.spin_ops import SpinQuantumNumber, gibbs_state, temperature_from_nbar
+from spinwehrl.spin_ops import SpinQuantumNumber, gibbs_state
+from oracles import temperature_from_nbar
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -654,6 +655,23 @@ def test_huge_nbar_custom_run_reaches_the_thermal_state(tmp_path, capsys, two_j,
     j = SpinQuantumNumber(two_j)
     thermal = gibbs_state(j, 1.0, temperature_from_nbar(1.0, nbar)).populations()
     assert np.max(np.abs(rho - np.diag(thermal))) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("two_j", [1, 4])
+def test_undamped_huge_nbar_custom_run_keeps_its_state(tmp_path, capsys, two_j):
+    # gamma = 0: no damping block is built, so none overflows at nbar = 8e307
+    populations = [0.3, 0.25, 0.2, 0.15, 0.1][: two_j + 1]
+    cfg = with_value(CUSTOM_DAMPING_J2, "two_j", two_j)
+    cfg = with_value(cfg, "initial_state.populations", populations)
+    cfg = with_value(cfg, "dissipator", {"type": "amplitude_damping", "gamma": 0.0, "nbar": 8e307})
+    cfg = with_value(cfg, "grid", {"n_theta": 8, "n_phi": 16})
+    path, states = write_config(tmp_path, cfg), tmp_path / "states.csv"
+    assert main(["run", "--config", path, "--out", str(tmp_path), "--states-csv", str(states)]) == 0
+    assert capsys.readouterr().err == ""
+    rho0 = np.diag(np.asarray(populations) / sum(populations)).astype(complex)
+    for row in np.loadtxt(states, delimiter=",", skiprows=1)[:, 1:]:
+        assert np.array_equal(row, rho0.reshape(-1).view(float))
 
 
 @pytest.mark.filterwarnings("error")

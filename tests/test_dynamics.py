@@ -20,10 +20,9 @@ from spinwehrl import (
     lindblad_rhs,
     make_spin_operators,
     nbar_from_temperature,
-    temperature_from_nbar,
 )
 from conftest import random_density_matrix
-from oracles import current_superoperator_f
+from oracles import current_superoperator_f, temperature_from_nbar
 
 
 class TestDephasingDissipator:

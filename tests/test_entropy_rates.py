@@ -11,8 +11,8 @@ from spinwehrl import (
     DissipatorSpec,
     EntropyRates,
     HamiltonianSpec,
+    Model,
     SpinQuantumNumber,
-    TailNotConverged,
     UnsupportedParameters,
     amplitude_damping_dissipator,
     bloch_to_rho,
@@ -25,20 +25,18 @@ from spinwehrl import (
     dephasing_pi_quadrature,
     dephasing_pi_spin_half,
     dephasing_pi_von_neumann,
-    energy_flux,
     evolve,
     gibbs_state,
     husimi,
     husimi_chunks,
-    integrate_rate_series,
     make_grid,
     make_spin_operators,
+    simulate,
     gauss_2f1,
     spin_half_damping_rates,
     spin_half_damping_von_neumann,
     spin_half_dephasing_rates,
     spin_half_dephasing_von_neumann,
-    temperature_from_nbar,
     von_neumann_rates,
 )
 from spinwehrl.entropy_rates import (
@@ -49,8 +47,15 @@ from spinwehrl.entropy_rates import (
     coherence_bracket,
     primary_rate_method,
 )
+from spinwehrl.scenarios import SIGMA_TAIL_TOL, _sigma_or_none
 from conftest import random_density_matrix, random_diagonal_state
-from oracles import dissipative_entropy_rate, generator_entropy_rate, husimi_of_matrix
+from oracles import (
+    dissipative_entropy_rate,
+    energy_flux,
+    generator_entropy_rate,
+    husimi_of_matrix,
+    temperature_from_nbar,
+)
 
 mp.mp.dps = 40
 
@@ -471,18 +476,31 @@ class TestSpinHalfClosedForms:
 
     def test_general_route_matches_closed_form(self, rng):
         # eigendecomposition route vs spin-1/2 closed forms
-        omega = 1.0
         bath = BathParams(gamma=1.0, nbar=0.8)
+        d = DissipatorSpec.amplitude_damping(bath.gamma, bath.nbar)
         for _ in range(10):
             v = rng.normal(size=3)
             v *= rng.uniform(0.1, 0.9) / np.linalg.norm(v)
             b = BlochVector(*v)
             rho = bloch_to_rho(b)
-            drho = amplitude_damping_dissipator(rho.entries, bath.gamma, bath.nbar)
-            general = von_neumann_rates(rho, drho, bath, omega)
+            general = von_neumann_rates(rho, d.apply(rho.entries, 0.0), d)
             closed = spin_half_damping_von_neumann(b, bath)
             assert general.phi == pytest.approx(closed.phi, rel=1e-10, abs=1e-12)
             assert general.pi == pytest.approx(closed.pi, rel=1e-8, abs=1e-10)
+
+    def test_general_route_matches_dephasing_closed_form(self):
+        # eigendecomposition route vs the spin-1/2 dephasing closed form: no flux
+        rng = np.random.default_rng(7)
+        d = DissipatorSpec.dephasing(0.7)
+        for _ in range(50):
+            v = rng.normal(size=3)
+            v *= rng.uniform(0.1, 0.9) / np.linalg.norm(v)
+            b = BlochVector(*v)
+            rho = bloch_to_rho(b)
+            general = von_neumann_rates(rho, d.apply(rho.entries, 0.0), d)
+            closed = spin_half_dephasing_von_neumann(b, d.lam)
+            assert general.pi == pytest.approx(closed.pi, rel=1e-13, abs=1e-15)
+            assert general.ds_dt == general.pi and general.phi == 0.0 == closed.phi
 
 
 class TestClausiusRatio:
@@ -544,35 +562,28 @@ class TestDissipativeEntropyRate:
 
 
 class TestTotalEntropyProduced:
+    # Sigma is ScenarioResult.sigma_wehrl, the trapezoid integral of Pi.
+    MODEL = Model(gibbs_state(J_HALF, 1.0, 2.0), HamiltonianSpec.static_jz(1.0),
+                  DissipatorSpec.amplitude_damping(1.0, 0.5))
+
     def test_equilibrium_integrates_to_zero(self):
         times = np.linspace(0, 5, 100)
-        assert integrate_rate_series(times, np.zeros_like(times)) == 0.0
+        assert _sigma_or_none(times, np.zeros_like(times)) == 0.0
 
     def test_trajectory_version(self):
-        omega, gamma, nbar = 1.0, 1.0, 0.5
-        bath = BathParams(gamma=gamma, nbar=nbar)
-        rho0 = gibbs_state(J_HALF, omega, 2.0)
-        t_grid = np.linspace(0, 20, 20001)
-        traj = evolve(rho0, HamiltonianSpec.static_jz(omega),
-                      DissipatorSpec.amplitude_damping(gamma, nbar), t_grid)
-
-        def sigma_of(traj):
-            return integrate_rate_series(traj.times, spin_half_damping_rates(traj.bloch, bath).pi)
-
-        sigma = sigma_of(traj)
+        sigma = simulate(self.MODEL, t_max=20.0, dt=1e-3).sigma_wehrl
         assert sigma > 0
-
         # halving the step changes the integral below 1e-6 relative
-        t2 = np.linspace(0, 20, 40001)
-        traj2 = evolve(rho0, HamiltonianSpec.static_jz(omega),
-                       DissipatorSpec.amplitude_damping(gamma, nbar), t2)
-        sigma2 = sigma_of(traj2)
+        sigma2 = simulate(self.MODEL, t_max=20.0, dt=5e-4).sigma_wehrl
         assert abs(sigma2 - sigma) / sigma < 1e-6
 
     def test_unconverged_tail_rejected(self):
+        # Pi has not decayed below SIGMA_TAIL_TOL by t_max: no Sigma
+        res = simulate(self.MODEL, t_max=1.0, dt=0.02)
+        assert abs(res.wehrl.pi[-1]) >= SIGMA_TAIL_TOL
+        assert res.sigma_wehrl is None
         times = np.linspace(0, 1, 50)
-        with pytest.raises(TailNotConverged):
-            integrate_rate_series(times, np.full(50, 0.3))
+        assert _sigma_or_none(times, np.full(50, 0.3)) is None
 
 
 # Bloch lengths at and around every branch point of the closed forms: zero,

@@ -30,13 +30,13 @@ from spinwehrl import (
     gibbs_state,
     nbar_from_temperature,
     pulse_amplitude,
-    temperature_from_nbar,
 )
 from spinwehrl.cli import bundled_configs, validate_config
 from spinwehrl import dynamics
 from spinwehrl.dynamics import _damping_blocks, expm
 from spinwehrl.scenarios import _uniform_grid, photon_pulse_model, quench_tau_z
 from conftest import random_density_matrix
+from oracles import temperature_from_nbar
 from rk45 import evolve_rk45
 
 

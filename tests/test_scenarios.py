@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import logm
 
 from spinwehrl import (
     BathParams,
@@ -16,7 +17,6 @@ from spinwehrl import (
     DensityMatrix,
     Model,
     bloch_to_rho,
-    energy_flux,
     gibbs_state,
     husimi,
     is_markovian,
@@ -31,6 +31,7 @@ from spinwehrl import (
     simulate,
     spontaneous_emission_model,
     thermal_quench_model,
+    von_neumann_rates,
 )
 from spinwehrl import dynamics, scenarios
 from spinwehrl.dynamics import HamiltonianSpec
@@ -40,7 +41,7 @@ from spinwehrl.phase_space import wehrl_entropy_spin_half
 from spinwehrl.scenarios import quench_tau_z
 
 from conftest import random_density_matrix
-from oracles import generator_entropy_rate, pulse_gamma_explicit
+from oracles import energy_flux, generator_entropy_rate, pulse_gamma_explicit, temperature_from_nbar
 
 
 class TestSpontaneousEmission:
@@ -131,7 +132,7 @@ class TestRotatingField:
     def test_undriven_equilibrium_is_silent(self):
         omega, gamma = 1.0, 1.0
         nbar = 0.8
-        rho0 = gibbs_state(SpinQuantumNumber(1), omega, nbar_to_temp(omega, nbar))
+        rho0 = gibbs_state(SpinQuantumNumber(1), omega, temperature_from_nbar(omega, nbar))
         model = rotating_field_model(b0=-omega, b1=0.0, drive_omega=0.5,
                                      dissipator=DissipatorSpec.amplitude_damping(gamma, nbar), initial_state=rho0)
         res = simulate(model, t_max=4.0, dt=0.05)
@@ -194,12 +195,6 @@ class TestRotatingField:
         ds_fd = np.gradient(res.entropy, res.times, edge_order=2)
         model = res.wehrl.pi - res.wehrl.phi
         assert np.max(np.abs(ds_fd[2:-2] - model[2:-2])) < 1e-4
-
-
-def nbar_to_temp(omega, nbar):
-    from spinwehrl import temperature_from_nbar
-
-    return temperature_from_nbar(omega, nbar)
 
 
 class TestPulseAmplitude:
@@ -417,6 +412,59 @@ class TestEnergyFlux:
         expected = energy_flux(res.trajectory.entries, bath, omega)
         assert res.phi_energy.shape == res.times.shape
         assert np.max(np.abs(res.phi_energy - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestVonNeumannRoute:
+    # The spin-J von Neumann rates from D(rho) and the bath alone, against
+    # scipy's logm: dS/dt = -tr(D(rho) ln rho), Phi = tr(D(rho) ln rho_bar).
+    J = SpinQuantumNumber(4)
+
+    def run(self, h, d, seed=4):
+        rho0 = random_density_matrix(self.J, np.random.default_rng(seed))
+        return simulate(Model(rho0, h, d), t_max=1.0, dt=0.1, grid=make_grid(8, 16))
+
+    @staticmethod
+    def assert_close(actual, expected, rel):
+        assert np.all(np.isfinite(actual))
+        assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("h, d", [
+        (HamiltonianSpec.none(), DissipatorSpec.amplitude_damping(1.1, 0.5)),
+        (HamiltonianSpec.static_jz(0.9), DissipatorSpec.dephasing(0.7)),
+        (HamiltonianSpec.none(), DissipatorSpec.amplitude_damping(1.1, 0.0)),
+    ], ids=["no_hamiltonian", "dephasing", "zero_temperature"])
+    def test_matches_the_logm_oracle(self, h, d):
+        res = self.run(h, d)
+        d_rho = d.apply(res.trajectory.entries, res.times)
+        ds = np.array([-np.trace(dr @ logm(r)).real for r, dr in zip(res.trajectory.entries, d_rho)])
+        vn = res.von_neumann
+        self.assert_close(vn.ds_dt, ds, 1e-12)
+        if d.kind == "dephasing":
+            assert np.array_equal(vn.phi, np.zeros(res.times.size)) and np.array_equal(vn.pi, vn.ds_dt)
+        elif d.nbar == 0.0:  # ln rho_bar diverges off the ground state, which D(rho) drains
+            assert np.all(vn.phi == math.inf) and np.all(vn.pi == math.inf)
+        else:
+            log_bar = logm(gibbs_state(self.J, 1.0, temperature_from_nbar(1.0, d.nbar)).entries)
+            self.assert_close(vn.phi, np.trace(d_rho @ log_bar, axis1=1, axis2=2).real, 1e-12)
+            self.assert_close(vn.pi, ds + vn.phi, 1e-12)
+
+    @pytest.mark.parametrize("two_j", [4, 12, 40])
+    def test_flux_is_the_energy_flux_over_temperature(self, two_j):
+        omega, bath = 0.9, BathParams(gamma=1.1, nbar=0.5)
+        model = Model(random_density_matrix(SpinQuantumNumber(two_j), np.random.default_rng(two_j)),
+                      HamiltonianSpec.static_jz(omega), DissipatorSpec.amplitude_damping(bath.gamma, bath.nbar))
+        res = simulate(model, t_max=1.0, dt=0.1, grid=make_grid(8, 16))
+        expected = energy_flux(res.trajectory.entries, bath, omega) / temperature_from_nbar(omega, bath.nbar)
+        self.assert_close(res.von_neumann.phi, expected, 1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_temperature_ground_state_is_at_rest(self):
+        ground = DensityMatrix(self.J, np.diag([0.0] * 4 + [1.0]).astype(complex))
+        d = DissipatorSpec.amplitude_damping(1.1, 0.0)
+        rates = von_neumann_rates(ground, d.apply(ground.entries, 0.0), d)
+        assert (rates.pi, rates.phi) == (0.0, 0.0)
+        res = simulate(Model(ground, HamiltonianSpec.none(), d), t_max=1.0, dt=0.1, grid=make_grid(8, 16))
+        assert np.all(res.von_neumann.pi == 0.0) and np.all(res.von_neumann.phi == 0.0)
 
 
 class TestCustomScenario:

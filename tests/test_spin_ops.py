@@ -14,9 +14,9 @@ from spinwehrl import (
     gibbs_state,
     make_spin_operators,
     nbar_from_temperature,
-    temperature_from_nbar,
 )
 from spinwehrl.spin_ops import check_density_entries
+from oracles import temperature_from_nbar
 
 
 class TestSpinOperators:

@@ -85,17 +85,6 @@ def node_rows(rows, harmonics):
     return np.matmul(flat, harmonics).reshape(n_rows, *rows.shape[2:], harmonics.shape[-1])
 
 
-def libm(fn, *args) -> np.ndarray:
-    """fn, a function of the math module, element by element over arrays
-    that broadcast together. numpy's own loops for atanh, log and pow can
-    round differently from the C library in the last bit; the closed forms
-    evaluate through this so that their array and scalar results agree bit
-    for bit."""
-    arrays = np.broadcast_arrays(*args)
-    values = map(fn, *(np.ravel(a).tolist() for a in arrays))
-    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
-
-
 # ---------------------------------------------------------------------------
 # Quadrature reductions of the rate integrands over the coefficients of a
 # field, (2, 2d, n_theta) for one state or (2, 2d, k, n_theta) for a chunk

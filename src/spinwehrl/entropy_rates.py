@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .dynamics import DissipatorSpec, Trajectory
 from .errors import UnsupportedParameters
 from .hypergeom import gauss_2f1
 from .phase_space import HusimiField
-from .spin_ops import BlochVector, DensityMatrix, SpinQuantumNumber
+from .spin_ops import EIGENVALUE_FLOOR, BlochVector, DensityMatrix, SpinQuantumNumber
 from . import _kernels
 
 DIVERGENCE_EDGE = 1e-12
@@ -80,20 +80,11 @@ class EntropyRates:
     phi: float
 
 
-class DampingPiTerms(NamedTuple):
-    """Damping entropy production split into its two integrand terms:
-    floats for one state, arrays for a chunk of states."""
-
-    total: float
-    damping_part: float
-    coherence_part: float
-
-
 # ---------------------------------------------------------------------------
 # Helpers shared by the closed forms. Their branches are picked by masks;
 # a branch is evaluated where it is not taken at a harmless stand-in
-# argument, so that no element raises or warns. Powers and atanh go through
-# the C library (_kernels.libm), as in a scalar evaluation.
+# argument, so that no element raises or warns. A BlochVector goes through
+# the array code, so scalar and array calls evaluate the same numpy loops.
 # ---------------------------------------------------------------------------
 
 
@@ -110,13 +101,16 @@ def _rates(ds_dt, pi, phi) -> EntropyRates:
 
 def _bloch_parts(b) -> tuple:
     """(tau_z, tau, tau_x^2 + tau_y^2, tau_z^2) of a BlochVector, or of each
-    row of an (..., 3) array of Bloch vectors."""
-    if isinstance(b, BlochVector):
-        return b.tau_z, b.tau, b.tau_x**2 + b.tau_y**2, b.tau_z**2
-    tx, ty, tz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
-    tx2, ty2, tz2 = (_kernels.libm(math.pow, c, 2.0) for c in (tx, ty, tz))
-    perp2 = tx2 + ty2
-    return tz, np.sqrt(perp2 + tz2), perp2, tz2
+    row of an (..., 3) array of Bloch vectors: the one Bloch length of the
+    spin-1/2 closed forms and S_wehrl. tau is clamped to 1 up to the excess
+    that check_density_entries admits (eigenvalues (1 -+ tau)/2 down to
+    EIGENVALUE_FLOOR); a longer vector keeps its length, which
+    coherence_bracket refuses."""
+    bloch = b.as_array() if isinstance(b, BlochVector) else np.asarray(b, dtype=float)
+    tx, ty, tz = np.moveaxis(bloch, -1, 0)
+    perp2, tz2 = tx**2 + ty**2, tz**2
+    tau = np.sqrt(perp2 + tz2)
+    return tz, np.where(tau <= 1.0 - 2.0 * EIGENVALUE_FLOOR, np.minimum(tau, 1.0), tau), perp2, tz2
 
 
 def coherence_bracket(tau):
@@ -133,7 +127,7 @@ def coherence_bracket(tau):
     series = 2.0 / 3.0 + x2 * (2.0 / 15.0 + x2 * (2.0 / 35.0 + x2 * (2.0 / 63.0 + x2 * 2.0 / 99.0)))
     small, edge = x < 0.01, x == 1.0
     y = np.where(small | edge, 0.5, x)
-    direct = (y - (1.0 - y * y) * _kernels.libm(math.atanh, y)) / _kernels.libm(math.pow, y, 3.0)
+    direct = (y - (1.0 - y * y) * np.arctanh(y)) / y**3
     return _out(np.where(small, series, np.where(edge, 1.0, direct)))
 
 
@@ -147,7 +141,7 @@ def atanh_over(x):
     series = 1.0 + x2 * (1.0 / 3.0 + x2 * (1.0 / 5.0 + x2 * (1.0 / 7.0 + x2 / 9.0)))
     small = ax < 0.01
     y = np.where(small, 0.5, x)
-    return _out(np.where(small, series, _kernels.libm(math.atanh, y) / y))
+    return _out(np.where(small, series, np.arctanh(y) / y))
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +203,16 @@ def _damping_vectors(grid, two_j: int, nbar: float) -> tuple:
 
 
 def _damping_terms(raw, j: SpinQuantumNumber, bath: BathParams) -> tuple:
-    """(Phi, Pi terms) of the damping channel from the raw sums
+    """(Phi, Pi) of the damping channel from the raw sums
     (phi, pi_damping, pi_coherence) of _kernels.damping_reduce."""
     phi_raw, pi_damp_raw, pi_coh_raw = raw
     norm = j.dim / (4.0 * np.pi)
     pref = 0.5 * bath.gamma * norm
-    damping_part = pref * pi_damp_raw
-    coherence_part = pref * pi_coh_raw
-    terms = DampingPiTerms(_out(damping_part + coherence_part), _out(damping_part), _out(coherence_part))
-    return _out(norm * bath.gamma * j.j * phi_raw), terms
+    return _out(norm * bath.gamma * j.j * phi_raw), _out(pref * pi_damp_raw + pref * pi_coh_raw)
 
 
 def damping_quadrature(field: HusimiField, bath: BathParams) -> tuple:
-    """(Phi, Pi terms) of the damping channel from one pass over the grid,
+    """(Phi, Pi) of the damping channel from one pass over the grid,
     floats for a one-state field, arrays for a chunk; see
     damping_phi_quadrature and damping_pi_quadrature."""
     grid, j = field.grid, field.j
@@ -236,9 +227,9 @@ def damping_phi_quadrature(field: HusimiField, bath: BathParams) -> float:
     return damping_quadrature(field, bath)[0]
 
 
-def damping_pi_quadrature(field: HusimiField, bath: BathParams) -> DampingPiTerms:
-    """Entropy production of the damping channel, split into the drift term
-    and the azimuthal-coherence term of the integrand.
+def damping_pi_quadrature(field: HusimiField, bath: BathParams):
+    """Entropy production of the damping channel, the sum of the drift term
+    and the azimuthal-coherence term of _kernels.damping_reduce.
 
     The coherence term carries the same |J_z(Q)|^2 current as the dephasing
     channel, weighted by a temperature- and latitude-dependent factor.
@@ -314,12 +305,7 @@ def spin_half_damping_rates(b, bath: BathParams) -> EntropyRates:
     g = bath.gamma
     tz, tau, _, tz2 = _bloch_parts(b)
     phi = 0.5 * g * coherence_bracket(tbz) * (tz - tbz)
-    correction = (
-        0.5 * g
-        * (2.0 * tbz * tz - (tau * tau + tz2))
-        / (2.0 * tbz)
-        * coherence_bracket(tau)
-    )
+    correction = 0.5 * g * (2.0 * tbz * tz - (tau * tau + tz2)) / (2.0 * tbz) * coherence_bracket(tau)
     pi = phi + correction
     return _rates(pi - phi, pi, phi)
 
@@ -392,8 +378,8 @@ def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, ti
     if dephasing:
         pi = _dephasing_pi(raw, j, d.lam)
         return _rates(pi, pi, 0.0)
-    phi, terms = _damping_terms(raw, j, bath)
-    return _rates(terms.total - phi, terms.total, phi)
+    phi, pi = _damping_terms(raw, j, bath)
+    return _rates(pi - phi, pi, phi)
 
 
 def _exact_2f1_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:

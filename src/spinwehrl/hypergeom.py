@@ -39,18 +39,18 @@ def _digamma_int(n: int) -> float:
     return s
 
 
-def _series(a: float, b: float, c: float, z: float, max_terms: int) -> float:
+def _series(a: float, b: float, c: float, z: float) -> float:
     total = 1.0
     term = 1.0
-    for k in range(max_terms):
+    for k in range(MAX_TERMS):
         term *= (a + k) * (b + k) * z / ((c + k) * (k + 1.0))
         total += term
         if term < TERM_STOP * total:
             return total
-    raise PrecisionFailure(f"2F1 series did not converge within {max_terms} terms at z={z}")
+    raise PrecisionFailure(f"2F1 series did not converge within {MAX_TERMS} terms at z={z}")
 
 
-def _log_branch(a: int, b: int, c: int, z: float, max_terms: int) -> float:
+def _log_branch(a: int, b: int, c: int, z: float) -> float:
     """Continuation around z = 1 for p = c - a - b a non-negative integer."""
     p = c - a - b
     omz = 1.0 - z
@@ -65,7 +65,7 @@ def _log_branch(a: int, b: int, c: int, z: float, max_terms: int) -> float:
     log_omz = math.log(omz)
     tail = 0.0
     term = 1.0 / math.factorial(p)
-    for k in range(max_terms):
+    for k in range(MAX_TERMS):
         if k > 0:
             term *= (a + p + k - 1.0) * (b + p + k - 1.0) * omz / (k * (k + p))
         bracket = (
@@ -79,12 +79,12 @@ def _log_branch(a: int, b: int, c: int, z: float, max_terms: int) -> float:
         if abs(term) * (abs(log_omz) + 25.0) < TERM_STOP * max(abs(tail), 1e-30):
             break
     else:
-        raise PrecisionFailure(f"2F1 continuation did not converge within {max_terms} terms")
+        raise PrecisionFailure(f"2F1 continuation did not converge within {MAX_TERMS} terms")
     tail *= math.exp(math.lgamma(a + b + p) - math.lgamma(a) - math.lgamma(b))
     return finite - ((-1.0) ** p) * (omz**p) * tail
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float, max_terms: int = MAX_TERMS) -> float:
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """2F1(a, b; c; z) for a, b > 0, c > b, 0 <= z < 1."""
     if not (a > 0 and b > 0 and c > b):
         raise UnsupportedParameters(f"need a > 0, b > 0, c > b; got a={a}, b={b}, c={c}")
@@ -93,7 +93,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float, max_terms: int = MAX_TERMS
     if z == 0.0:
         return 1.0
     if z <= Z_SWITCH:
-        return _series(a, b, c, z, max_terms)
+        return _series(a, b, c, z)
     p = c - a - b
     ints = (round(a), round(b), round(c))
     if (
@@ -106,4 +106,4 @@ def gauss_2f1(a: float, b: float, c: float, z: float, max_terms: int = MAX_TERMS
             f"z > {Z_SWITCH} requires integer a, b with c - a - b a non-negative integer; "
             f"got a={a}, b={b}, c={c}"
         )
-    return _log_branch(int(ints[0]), int(ints[1]), int(ints[2]), z, max_terms)
+    return _log_branch(int(ints[0]), int(ints[1]), int(ints[2]), z)

@@ -241,16 +241,16 @@ def wehrl_entropy_spin_half(tau):
     S = -(1/tau) [u^2 ln u - u^2/2] from u = (1 - tau)/2 to (1 + tau)/2,
 
     by its series ln 2 - tau^2/6 - tau^4/60 below tau = 1e-3; tau is
-    clamped to 1.
+    clamped to 1. Scalar and array calls evaluate the same numpy loops.
     """
     tau = np.minimum(np.abs(tau), 1.0)
-    series = math.log(2.0) - tau * tau / 6.0 - _kernels.libm(math.pow, tau, 4.0) / 60.0
+    series = math.log(2.0) - tau * tau / 6.0 - tau**4 / 60.0
 
     def f(u):
-        # u ln u at u > 0 through the C library, as _kernels.libm explains.
+        # u^2 ln u - u^2/2 at u > 0, and its limit 0 at u = 0.
         pos = u > 0.0
         v = np.where(pos, u, 1.0)
-        return np.where(pos, v * v * _kernels.libm(math.log, v) - 0.5 * v * v, 0.0)
+        return np.where(pos, v * v * np.log(v) - 0.5 * v * v, 0.0)
 
     small = tau < 1e-3
     t = np.where(small, 0.5, tau)

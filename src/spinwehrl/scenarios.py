@@ -19,12 +19,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels
 from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, evolve
 from .entropy_rates import (
     BathParams,
     EntropyRates,
     RateMethod,
+    _bloch_parts,
     applicable_rate_methods,
     bath_at,
     coherence_bracket,
@@ -165,7 +165,7 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
         fields = _recording_entropy(husimi_chunks(traj.entries, grid if grid is not None else make_grid()), entropy)
     else:
         fields = None
-        entropy = wehrl_entropy_spin_half(_kernels.libm(math.hypot, *traj.bloch.T))
+        entropy = wehrl_entropy_spin_half(_bloch_parts(traj.bloch)[1])
     wehrl = method.rates(traj, fields, d, times)
     field_free = [m for m in applicable_rate_methods(j.two_j, d) if not m.needs_field]
     agreement = _agreement(field_free, d, lambda m: wehrl if m is method else m.rates(traj, None, d, times))

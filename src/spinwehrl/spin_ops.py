@@ -161,8 +161,6 @@ def make_spin_operators(j: SpinQuantumNumber) -> SpinOperators:
 
 def bloch_to_rho(b: BlochVector) -> DensityMatrix:
     """rho = (1 + tau.sigma)/2 for a spin-1/2 state."""
-    if b.tau > 1.0 + 1e-12:
-        raise NonPhysicalState(f"Bloch vector length {b.tau} exceeds 1")
     rho = 0.5 * (np.eye(2, dtype=complex) + b.tau_x * PAULI_X + b.tau_y * PAULI_Y + b.tau_z * PAULI_Z)
     return DensityMatrix(SpinQuantumNumber(1), rho)
 

@@ -115,7 +115,7 @@ def test_criterion_02_damping_closed_form_triangle(grid_default, rng):
             b = random_bloch(rng, tau_max=0.95)
             field = husimi(bloch_to_rho(b), grid_default)
             closed = spin_half_damping_rates(b, bath)
-            quad_pi = damping_pi_quadrature(field, bath).total
+            quad_pi = damping_pi_quadrature(field, bath)
             quad_phi = damping_phi_quadrature(field, bath)
             worst_pi = max(worst_pi, abs(quad_pi - closed.pi) / max(abs(closed.pi), 1e-12))
             worst_phi = max(worst_phi, abs(quad_phi - closed.phi) / max(abs(closed.phi), 1e-12))
@@ -206,7 +206,7 @@ def test_criterion_05_entropy_balance(grid_default, rng):
                 phi = 0.0  # dephasing carries no entropy flux
             else:
                 bath = BathParams(gamma=diss.gamma, nbar=diss.nbar)
-                pi = damping_pi_quadrature(field, bath).total
+                pi = damping_pi_quadrature(field, bath)
                 phi = damping_phi_quadrature(field, bath)
             model[k] = pi - phi
         ds = fd_derivative(entropy, dt)
@@ -240,7 +240,7 @@ def test_criterion_06_positivity(grid_default, rng):
         j = SpinQuantumNumber(int(rng.choice([1, 2, 3])))
         bath = BathParams(gamma=rng.uniform(0.1, 3), nbar=rng.uniform(0.05, 5.0))
         field = husimi(random_density_matrix(j, rng), grid_default)
-        assert damping_pi_quadrature(field, bath).total >= floor
+        assert damping_pi_quadrature(field, bath) >= floor
         checked += 1
     assert checked == 1000
     # equality at equilibrium for every method
@@ -252,7 +252,7 @@ def test_criterion_06_positivity(grid_default, rng):
             j = SpinQuantumNumber(two_j)
             rho = gibbs_state(j, 1.0, temperature_from_nbar(1.0, nbar))
             field = husimi(rho, grid_default)
-            assert abs(damping_pi_quadrature(field, bath).total) <= 1e-8
+            assert abs(damping_pi_quadrature(field, bath)) <= 1e-8
             assert abs(dephasing_pi_quadrature(field, 1.0)) <= 1e-8
     print("\nACCEPTANCE 6 PASS: Pi >= -1e-8 on 1000 samples, zero at equilibrium")
 

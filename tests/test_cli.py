@@ -432,6 +432,21 @@ class TestRun:
         pi_w = float(first[header.index("Pi_wehrl")])
         assert abs(pi_w - 0.25) < 1e-9  # lambda/4 for the pure equator state
 
+    @pytest.mark.parametrize(
+        "dissipator",
+        [{"type": "dephasing", "lambda": 1.0}, {"type": "amplitude_damping", "gamma": 1.0, "nbar": 0.5}],
+        ids=["dephasing", "damping"],
+    )
+    def test_pure_state_with_bloch_length_above_one_runs(self, tmp_path, capsys, dissipator):
+        # This pure state's Bloch vector has length 1 + 2.2e-16 in floating point.
+        cfg = json.loads(bundled_configs()["rotating_field_dephasing.json"].read_text())
+        cfg["initial_state"] = {"type": "bloch_angles", "tau": 1.0, "theta": 2.5795714303404877, "phi": 6.16900929244083}
+        cfg["dissipator"] = dissipator
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["compare", "--config", path]) in (0, 1)
+
 
 class TestCompare:
     def test_spin_half_damping_triangle(self, tmp_path, capsys):

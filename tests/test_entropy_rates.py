@@ -39,9 +39,11 @@ from spinwehrl import (
     spin_half_dephasing_von_neumann,
     von_neumann_rates,
 )
+from spinwehrl import _kernels
 from spinwehrl.entropy_rates import (
     EXACT_FLUX_MAX_NBAR,
     EXACT_FLUX_MIN_TBZ,
+    _damping_vectors,
     applicable_rate_methods,
     atanh_over,
     coherence_bracket,
@@ -156,7 +158,7 @@ class TestDampingQuadrature:
         rho = gibbs_state(SpinQuantumNumber(2), omega, temperature_from_nbar(omega, bath.nbar))
         field = husimi(rho, default_grid)
         assert damping_phi_quadrature(field, bath) == pytest.approx(0.0, abs=1e-8)
-        assert damping_pi_quadrature(field, bath).total == pytest.approx(0.0, abs=1e-8)
+        assert damping_pi_quadrature(field, bath) == pytest.approx(0.0, abs=1e-8)
 
     @pytest.mark.parametrize("nbar", [0.0, 0.1, 1.0])
     @pytest.mark.parametrize("two_j", [1, 4, 12])
@@ -168,11 +170,11 @@ class TestDampingQuadrature:
         bath = BathParams(gamma=1.0, nbar=nbar)
         omega = 1.0
         gibbs = husimi(gibbs_state(j, omega, temperature_from_nbar(omega, nbar)), default_grid)
-        scale = damping_pi_quadrature(husimi(random_density_matrix(j, rng), default_grid), bath).total
+        scale = damping_pi_quadrature(husimi(random_density_matrix(j, rng), default_grid), bath)
         phi, pi = damping_quadrature(gibbs, bath)
         assert scale > 1e-3
         assert abs(phi) <= 1e-13 * scale
-        assert abs(pi.total) <= 1e-13 * scale
+        assert abs(pi) <= 1e-13 * scale
 
     @pytest.mark.parametrize("two_j", [1, 4, 40])
     def test_flux_from_the_constant_coefficient_is_the_node_sum(self, two_j, default_grid, rng):
@@ -201,10 +203,10 @@ class TestDampingQuadrature:
         for _ in range(8):
             v = rng.normal(size=3)
             b = BlochVector(*(v * rng.uniform(0.0, 0.9) / np.linalg.norm(v)))
-            phi, terms = damping_quadrature(husimi(bloch_to_rho(b), default_grid), bath)
+            phi, pi = damping_quadrature(husimi(bloch_to_rho(b), default_grid), bath)
             closed = spin_half_damping_rates(b, bath)
             assert phi == pytest.approx(closed.phi, rel=1e-12, abs=0)
-            assert terms.total == pytest.approx(closed.pi, rel=1e-12, abs=0)
+            assert pi == pytest.approx(closed.pi, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("two_j", [4, 12])
     def test_zero_temperature_flux_matches_its_limit(self, two_j, default_grid, rng):
@@ -226,20 +228,25 @@ class TestDampingQuadrature:
     def test_spin_half_production_matches_closed_form(self, default_grid):
         bath = BathParams(gamma=1.0, nbar=0.5)  # tau_bar_z = -1/2
         b = BlochVector(0.0, 0.0, 0.3)
-        quad = damping_pi_quadrature(husimi(bloch_to_rho(b), default_grid), bath).total
+        quad = damping_pi_quadrature(husimi(bloch_to_rho(b), default_grid), bath)
         closed = spin_half_damping_rates(b, bath).pi
         assert quad == pytest.approx(closed, rel=1e-5)
 
     def test_coherence_term_tracks_off_diagonals(self, default_grid):
+        # On the raw sums (phi, pi_damping, pi_coherence) of the fused kernel,
+        # each scaled by Pi's prefactor.
         bath = BathParams(gamma=1.0, nbar=0.5)
-        with_coh = bloch_to_rho(BlochVector(0.4, 0.1, 0.3))
-        dephased = bloch_to_rho(BlochVector(0.0, 0.0, 0.3))
-        terms_coh = damping_pi_quadrature(husimi(with_coh, default_grid), bath)
-        terms_diag = damping_pi_quadrature(husimi(dephased, default_grid), bath)
-        assert terms_coh.coherence_part > 1e-4
-        assert abs(terms_diag.coherence_part) < 1e-12
-        assert terms_coh.total == pytest.approx(
-            terms_coh.damping_part + terms_coh.coherence_part, rel=1e-12
+        _, harmonics = default_grid.amplitude_table(SpinQuantumNumber(1))
+        vectors = _damping_vectors(default_grid, 1, bath.nbar)
+        pref = 0.5 * bath.gamma * 2 / (4.0 * np.pi)
+        with_coh = husimi(bloch_to_rho(BlochVector(0.4, 0.1, 0.3)), default_grid)
+        dephased = husimi(bloch_to_rho(BlochVector(0.0, 0.0, 0.3)), default_grid)
+        _, damping_coh, coherence_coh = _kernels.damping_reduce(with_coh.coef, harmonics, *vectors)
+        _, _, coherence_diag = _kernels.damping_reduce(dephased.coef, harmonics, *vectors)
+        assert pref * coherence_coh > 1e-4
+        assert abs(pref * coherence_diag) < 1e-12
+        assert damping_pi_quadrature(with_coh, bath) == pytest.approx(
+            pref * damping_coh + pref * coherence_coh, rel=1e-12
         )
 
 
@@ -593,13 +600,18 @@ EDGE_TAUS = [0.0, 0.005, 0.01, 0.5, 1.0 - 1e-12, 1.0]
 EDGE_BATHS = [BathParams(gamma=0.8, nbar=0.0), BathParams(gamma=0.8, nbar=0.5)]  # tau_bar_z = -1, -0.5
 
 
-def edge_bloch_rows() -> np.ndarray:
+# Inside the unit ball: each component in [-1, 1] / sqrt(3).
+RANDOM_BLOCH_ROWS = np.random.default_rng(5).uniform(-1.0, 1.0, size=(400, 3)) / math.sqrt(3.0)
+
+
+def bloch_rows() -> np.ndarray:
     """Bloch vectors of every length in EDGE_TAUS along +x (all coherence),
-    +z and -z (none), and, below tau = 1, along a generic direction."""
+    +z and -z (none), and, below tau = 1, along a generic direction; then
+    RANDOM_BLOCH_ROWS."""
     generic = np.array([0.48, 0.64, -0.6])
     rows = [tau * np.array(axis) for tau in EDGE_TAUS for axis in ([1.0, 0, 0], [0, 0, 1.0], [0, 0, -1.0])]
     rows += [tau * generic for tau in EDGE_TAUS[:-2]]
-    return np.array(rows)
+    return np.concatenate([rows, RANDOM_BLOCH_ROWS])
 
 
 class TestArrayForms:
@@ -614,7 +626,7 @@ class TestArrayForms:
         np.testing.assert_array_equal(array_result, np.array(scalar_results), strict=True)
 
     def test_helpers(self):
-        taus = np.array(EDGE_TAUS + [-t for t in EDGE_TAUS] + [-1.0, -0.5])
+        taus = np.concatenate([EDGE_TAUS, [-t for t in EDGE_TAUS], [-1.0, -0.5], RANDOM_BLOCH_ROWS[:, 0]])
         self.assert_rowwise(coherence_bracket(taus), [coherence_bracket(float(t)) for t in taus])
         inside = taus[np.abs(taus) < 1.0]
         self.assert_rowwise(atanh_over(inside), [atanh_over(float(x)) for x in inside])
@@ -623,8 +635,8 @@ class TestArrayForms:
         assert coherence_bracket(np.array(-0.5)) == coherence_bracket(-0.5)
 
     def test_helpers_match_math_module_reference(self):
-        # The scalar code these forms replaced, in the math module: equal to
-        # the last bit, so that outputs do not move.
+        # The scalar formulas, with numpy's functions on Python floats: the
+        # array code evaluates the same loops, to the last bit.
         def g_ref(t):
             x = abs(t)
             if x == 1.0:
@@ -632,19 +644,19 @@ class TestArrayForms:
             if x < 0.01:
                 x2 = x * x
                 return 2.0 / 3.0 + x2 * (2.0 / 15.0 + x2 * (2.0 / 35.0 + x2 * (2.0 / 63.0 + x2 * 2.0 / 99.0)))
-            return (x - (1.0 - x * x) * math.atanh(x)) / x**3
+            return float((x - (1.0 - x * x) * np.arctanh(x)) / np.power(x, 3.0))
 
-        rows = np.random.default_rng(5).uniform(-1.0, 1.0, size=(400, 3)) / math.sqrt(3.0)
-        taus = np.concatenate([rows[:, 0], EDGE_TAUS])
-        np.testing.assert_array_equal(coherence_bracket(taus), [g_ref(t) for t in taus])
-        inside = taus[np.abs(taus) < 1.0]
-        np.testing.assert_array_equal(atanh_over(inside), [
+        rows = RANDOM_BLOCH_ROWS.tolist()
+        taus = [b[0] for b in rows] + EDGE_TAUS
+        np.testing.assert_array_equal(coherence_bracket(np.array(taus)), [g_ref(t) for t in taus])
+        inside = [x for x in taus if abs(x) < 1.0]
+        np.testing.assert_array_equal(atanh_over(np.array(inside)), [
             1.0 + x * x * (1.0 / 3.0 + x * x * (1.0 / 5.0 + x * x * (1.0 / 7.0 + x * x / 9.0))) if abs(x) < 0.01
-            else math.atanh(x) / x
+            else float(np.arctanh(x) / x)
             for x in inside
         ])
-        expected = [0.25 * 0.7 * (x**2 + y**2) * g_ref(math.sqrt(x**2 + y**2 + z**2)) for x, y, z in rows]
-        np.testing.assert_array_equal(dephasing_pi_spin_half(rows, 0.7), expected)
+        expected = [0.25 * 0.7 * (x**2 + y**2) * g_ref(float(np.sqrt(x**2 + y**2 + z**2))) for x, y, z in rows]
+        np.testing.assert_array_equal(dephasing_pi_spin_half(RANDOM_BLOCH_ROWS, 0.7), expected)
 
     def test_out_of_range_still_raises(self):
         with pytest.raises(UnsupportedParameters):
@@ -652,14 +664,33 @@ class TestArrayForms:
         with pytest.raises(UnsupportedParameters):
             atanh_over(np.array([0.5, -1.0]))
 
+    @pytest.mark.parametrize("bath", EDGE_BATHS, ids=["tbz=-1", "tbz=-0.5"])
+    def test_a_valid_bloch_vector_just_above_one_is_pure(self, bath):
+        # BlochVector admits lengths up to 1 + 1e-12; the closed forms take
+        # such a vector's length as 1, and give the pure state's rates.
+        longer, pure = BlochVector(1.0 + 1e-13, 0.0, 0.0), BlochVector(1.0, 0.0, 0.0)
+        for form, arg in [
+            (spin_half_dephasing_rates, 0.7),
+            (spin_half_dephasing_von_neumann, 0.7),
+            (spin_half_damping_rates, bath),
+            (spin_half_damping_von_neumann, bath),
+        ]:
+            expected = dataclasses.astuple(form(pure, arg))
+            assert dataclasses.astuple(form(longer, arg)) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_bloch_lengths_past_the_validated_band_raise(self):
+        for tau in (1.0 + 1e-9, 1.001):
+            with pytest.raises(UnsupportedParameters):
+                dephasing_pi_spin_half(np.array([[0.0, 0.0, 0.5], [tau, 0.0, 0.0]]), 1.0)
+
     @pytest.mark.parametrize("form", [dephasing_pi_spin_half, dephasing_pi_von_neumann])
     def test_dephasing_production(self, form):
-        rows = edge_bloch_rows()
+        rows = bloch_rows()
         self.assert_rowwise(form(rows, 0.7), [form(BlochVector(*b), 0.7) for b in rows])
 
     @pytest.mark.parametrize("form", [spin_half_dephasing_rates, spin_half_dephasing_von_neumann])
     def test_dephasing_bundles(self, form):
-        rows = edge_bloch_rows()
+        rows = bloch_rows()
         bundle = form(rows, 0.7)
         scalars = [form(BlochVector(*b), 0.7) for b in rows]
         for name in ("ds_dt", "pi", "phi"):
@@ -668,14 +699,14 @@ class TestArrayForms:
     @pytest.mark.parametrize("bath", EDGE_BATHS, ids=["tbz=-1", "tbz=-0.5"])
     @pytest.mark.parametrize("form", [spin_half_damping_rates, spin_half_damping_von_neumann])
     def test_damping_bundles(self, form, bath):
-        rows = edge_bloch_rows()
+        rows = bloch_rows()
         bundle = form(rows, bath)
         scalars = [form(BlochVector(*b), bath) for b in rows]
         for name in ("ds_dt", "pi", "phi"):
             self.assert_rowwise(getattr(bundle, name), [getattr(r, name) for r in scalars])
 
     def test_time_dependent_rate(self):
-        rows = edge_bloch_rows()
+        rows = bloch_rows()
         gammas = np.linspace(0.1, 2.0, len(rows))
         bundle = spin_half_damping_rates(rows, BathParams(gamma=gammas, nbar=0.0))
         for k, (b, g) in enumerate(zip(rows, gammas)):

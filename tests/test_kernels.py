@@ -19,6 +19,7 @@ from spinwehrl import _kernels, phase_space
 from spinwehrl.dynamics import DissipatorSpec, HamiltonianSpec
 from spinwehrl.entropy_rates import (
     RATE_METHODS,
+    _damping_vectors,
     bath_at,
     damping_phi_quadrature,
     damping_pi_quadrature,
@@ -123,7 +124,7 @@ class TestChunkReduction:
         rates, times = pipeline_rates(d, states, grid)
         one = [damping_quadrature(husimi(s, grid), bath_at(d, t)) for s, t in zip(states, times)]
         np.testing.assert_allclose(rates.phi, [phi for phi, _ in one], rtol=1e-13, atol=0)
-        np.testing.assert_allclose(rates.pi, [pi.total for _, pi in one], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(rates.pi, [pi for _, pi in one], rtol=1e-13, atol=0)
 
     def test_wehrl_entropy(self, grid_and_states):
         grid, states = grid_and_states
@@ -162,4 +163,8 @@ class TestDampingQuadrature:
         phi, pi = damping_quadrature(field, bath)
         assert phi == damping_phi_quadrature(field, bath)
         assert pi == damping_pi_quadrature(field, bath)
-        assert pi.total == pytest.approx(pi.damping_part + pi.coherence_part, rel=1e-15)
+        _, harmonics = field.grid.amplitude_table(j)
+        vectors = _damping_vectors(field.grid, j.two_j, bath.nbar)
+        _, pi_damping, pi_coherence = _kernels.damping_reduce(field.coef, harmonics, *vectors)
+        pref = 0.5 * bath.gamma * j.dim / (4.0 * np.pi)
+        assert pi == pytest.approx(pref * pi_damping + pref * pi_coherence, rel=1e-15)

@@ -197,6 +197,28 @@ class TestRotatingField:
         assert np.max(np.abs(ds_fd[2:-2] - model[2:-2])) < 1e-4
 
 
+    @pytest.mark.parametrize(
+        "d",
+        [
+            DissipatorSpec.dephasing(0.0),
+            DissipatorSpec.dephasing(1.0),
+            DissipatorSpec.amplitude_damping(1.0, 0.5),
+            DissipatorSpec.amplitude_damping(1.0, 0.0),
+        ],
+        ids=["undamped", "dephasing", "damping", "zero-T-damping"],
+    )
+    def test_pure_states_of_every_direction_run(self, d):
+        # Unit vectors in floating point have Bloch lengths a few ulps on
+        # either side of 1; each is a valid pure state, whose Wehrl rates
+        # and entropy are finite.
+        directions = np.random.default_rng(1).normal(size=(1000, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        h = HamiltonianSpec.rotating_field(1.0, 0.5, 0.3)
+        for b in directions:
+            res = simulate(Model(bloch_to_rho(BlochVector(*b)), h, d), t_max=0.02, dt=0.01)
+            assert np.all(np.isfinite(res.wehrl.pi)) and np.all(np.isfinite(res.entropy))
+
+
 class TestPulseAmplitude:
     PARAMS = PulseParams(gamma0=1.0, capital_omega=10.0, a0=math.sqrt(0.5))
 

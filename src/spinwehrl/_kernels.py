@@ -20,6 +20,14 @@ multiplies cos(s phi) and row 2s + 1 multiplies sin(s phi), so that
 Q = sum_s Re(c_s) cos(s phi) - Im(c_s) sin(s phi). The trailing axes are
 the states, if any, then the theta rows.
 
+A J_z-diagonal state has a phi-independent Q: every s >= 1 coefficient is
+exactly zero, and a J_z-covariant generator keeps it so. For a chunk whose
+s >= 1 rows of Q and dQ/dtheta are all exactly zero (phi_columns), the
+node rows are evaluated on the first phi column only, and each theta row's
+sum over phi is that column's value times n_phi; dQ/dphi is then zero. A
+chunk with any nonzero s >= 1 coefficient, however small, is evaluated on
+every phi column.
+
 Q is floored at Q_FLOOR wherever it divides or enters a logarithm.
 """
 
@@ -76,6 +84,18 @@ def phi_derivative(coef, out):
     return out
 
 
+def phi_columns(coef, harmonics):
+    """(harmonics, copies): the harmonics of the phi columns on which to
+    evaluate the node rows of a field with coefficients coef, and how many
+    phi nodes each of those columns stands for. That is every column, each
+    for itself, unless every s >= 1 coefficient row of Q and dQ/dtheta is
+    exactly zero: then each theta row is constant in phi, and the first
+    column stands for all n_phi."""
+    if coef[:, 2:].any():
+        return harmonics, 1
+    return harmonics[:, :1], harmonics.shape[-1]
+
+
 def node_rows(rows, harmonics):
     """Node values (f, ..., n_phi) of f stacked coefficient arrays, rows of
     shape (f, 2d, ...): one product with the (2d, n_phi) harmonics
@@ -89,23 +109,26 @@ def node_rows(rows, harmonics):
 # Quadrature reductions of the rate integrands over the coefficients of a
 # field, (2, 2d, n_theta) for one state or (2, 2d, k, n_theta) for a chunk
 # (see husimi_contract). Each evaluates the node rows it reads in one
-# harmonic product (see node_rows), and sums each row over phi before
-# contracting it with a theta vector. weights are the Gauss-Legendre
-# weights with the uniform phi weight folded in. They return raw weighted
+# harmonic product (see node_rows), on the phi columns of phi_columns, and
+# sums each row over phi before contracting it with a theta vector. weights
+# are the Gauss-Legendre weights with the uniform phi weight folded in. They return raw weighted
 # sums, one per state (a scalar for one state); physical prefactors are
 # applied by the caller.
 # ---------------------------------------------------------------------------
 
 
-def _inverse_and_squares(nodes):
-    """Given node rows [Q, x, ...], Q replaced in place by 1 / max(Q,
-    Q_FLOOR) and every other row by its square, then the sum over phi of
-    each squared row times the inverse, (rows - 1, ...)."""
+def _inverse_and_squares(rows, coef, harmonics):
+    """Given coefficient rows [Q, x, ...] of a field with coefficients
+    coef, the sum over the phi nodes of x^2 / max(Q, Q_FLOOR) for each row
+    x after the first, (rows - 1, ...), evaluated on the columns of
+    phi_columns."""
+    harmonics, copies = phi_columns(coef, harmonics)
+    nodes = node_rows(rows, harmonics)
     q, rest = nodes[0], nodes[1:]
     np.maximum(q, Q_FLOOR, out=q)
     np.divide(1.0, q, out=q)
     np.square(rest, out=rest)
-    return np.einsum("f...p,...p->f...", rest, q)
+    return copies * np.einsum("f...p,...p->f...", rest, q)
 
 
 def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coherence_weights):
@@ -123,7 +146,7 @@ def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coheren
     are dQ/dtheta's less drift times Q's. The flux integrand is linear in u,
     so its sum over the phi nodes of a theta row is n_phi times u's s = 0
     cosine coefficient, exactly when 2J < n_phi. Only Q, u and dQ/dphi are
-    evaluated at nodes.
+    evaluated at nodes, and pi_coherence is exactly 0 on one phi column.
     """
     q, dq_dtheta = coef
     rows = np.empty((3,) + q.shape)
@@ -132,16 +155,17 @@ def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coheren
     np.subtract(dq_dtheta, rows[1], out=rows[1])
     phi_derivative(q, rows[2])
     phi = rows[1, 0] @ phi_weights
-    pi_damp, pi_coh = _inverse_and_squares(node_rows(rows, harmonics))
+    pi_damp, pi_coh = _inverse_and_squares(rows, coef, harmonics)
     return phi, pi_damp @ damping_weights, pi_coh @ coherence_weights
 
 
 def dephasing_reduce(coef, harmonics, weights):
     """Raw sum of (dQ/dphi)^2 / Q of each state, Q floored at Q_FLOOR; only
-    Q and dQ/dphi are evaluated at nodes."""
+    Q and dQ/dphi are evaluated at nodes, and the sum is exactly 0 on one
+    phi column."""
     q = coef[0]
     rows = np.empty((2,) + q.shape)
     rows[0] = q
     phi_derivative(q, rows[1])
-    (sums,) = _inverse_and_squares(node_rows(rows, harmonics))
+    (sums,) = _inverse_and_squares(rows, coef, harmonics)
     return sums @ weights

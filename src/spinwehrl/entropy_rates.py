@@ -34,7 +34,7 @@ from .dynamics import DissipatorSpec, Trajectory
 from .errors import UnsupportedParameters
 from .hypergeom import gauss_2f1
 from .phase_space import HusimiField
-from .spin_ops import EIGENVALUE_FLOOR, BlochVector, DensityMatrix, SpinQuantumNumber
+from .spin_ops import BLOCH_LENGTH_MAX, BlochVector, DensityMatrix, SpinQuantumNumber
 from . import _kernels
 
 DIVERGENCE_EDGE = 1e-12
@@ -102,30 +102,34 @@ def _rates(ds_dt, pi, phi) -> EntropyRates:
 def _bloch_parts(b) -> tuple:
     """(tau_z, tau, tau_x^2 + tau_y^2, tau_z^2) of a BlochVector, or of each
     row of an (..., 3) array of Bloch vectors: the one Bloch length of the
-    spin-1/2 closed forms and S_wehrl. tau is clamped to 1 up to the excess
-    that check_density_entries admits (eigenvalues (1 -+ tau)/2 down to
-    EIGENVALUE_FLOOR); a longer vector keeps its length, which
-    coherence_bracket refuses."""
+    spin-1/2 closed forms and S_wehrl. tau is clamped to 1 up to
+    BLOCH_LENGTH_MAX, the bound of BlochVector and check_density_entries;
+    a longer vector keeps its length, which coherence_bracket refuses."""
     bloch = b.as_array() if isinstance(b, BlochVector) else np.asarray(b, dtype=float)
     tx, ty, tz = np.moveaxis(bloch, -1, 0)
     perp2, tz2 = tx**2 + ty**2, tz**2
     tau = np.sqrt(perp2 + tz2)
-    return tz, np.where(tau <= 1.0 - 2.0 * EIGENVALUE_FLOOR, np.minimum(tau, 1.0), tau), perp2, tz2
+    return tz, np.where(tau <= BLOCH_LENGTH_MAX, np.minimum(tau, 1.0), tau), perp2, tz2
+
+
+# Taylor coefficients 2 / ((2k + 1)(2k + 3)) of coherence_bracket in tau^2.
+# Forty terms are exact to rounding below |tau| = 0.5, where the direct form
+# still cancels most of its digits.
+_BRACKET_SERIES = 2.0 / ((2.0 * np.arange(40) + 1.0) * (2.0 * np.arange(40) + 3.0))
 
 
 def coherence_bracket(tau):
     """g(tau) = [tau - (1 - tau^2) atanh(tau)] / tau^3, of a number or
     elementwise of an array.
 
-    Even in tau, finite on [-1, 1]: g(0) = 2/3 by series below |tau| = 0.01,
+    Even in tau, finite on [-1, 1]: g(0) = 2/3 by series below |tau| = 0.5,
     g(+-1) = 1.
     """
     x = np.abs(tau)
     if np.any(x > 1.0):
         raise UnsupportedParameters(f"|tau| = {np.max(x)} exceeds 1")
-    x2 = x * x
-    series = 2.0 / 3.0 + x2 * (2.0 / 15.0 + x2 * (2.0 / 35.0 + x2 * (2.0 / 63.0 + x2 * 2.0 / 99.0)))
-    small, edge = x < 0.01, x == 1.0
+    series = np.polynomial.polynomial.polyval(x * x, _BRACKET_SERIES)
+    small, edge = x < 0.5, x == 1.0
     y = np.where(small | edge, 0.5, x)
     direct = (y - (1.0 - y * y) * np.arctanh(y)) / y**3
     return _out(np.where(small, series, np.where(edge, 1.0, direct)))

@@ -198,7 +198,10 @@ class HusimiField:
 # Grid nodes per chunk of states (two on the default grid). A chunk is one
 # call of the transform and one of a reduction, which evaluates up to three
 # node rows per state. Of one, two and four states per chunk on 96 x 192,
-# two ran the six bundled compares fastest.
+# two ran the six bundled compares fastest. A J_z-diagonal stack is reduced
+# on one phi column (see _kernels.phi_columns), so its chunks are sized by
+# their (2, 2d, k, n_theta) coefficient array instead: at most twice this
+# many numbers, with node rows smaller still.
 _CHUNK_NODES = 2 * 96 * 192
 
 
@@ -208,10 +211,15 @@ def husimi_chunks(states: np.ndarray, grid: SphereGrid) -> Iterator[HusimiField]
     without a copy.
 
     Each chunk is one call of the transform, so memory stays bounded
-    however many states there are.
+    however many states there are. A stack with no nonzero off-diagonal
+    entry has only phi-independent fields, which are reduced on one phi
+    column: it takes _CHUNK_NODES // (2d n_theta) states per chunk (at
+    least one), any other stack _CHUNK_NODES // n_nodes.
     """
-    per_chunk = max(1, _CHUNK_NODES // grid.n_nodes)
-    j = SpinQuantumNumber(states.shape[-1] - 1)
+    d = states.shape[-1]
+    diagonal = np.count_nonzero(states) == np.count_nonzero(np.diagonal(states, axis1=-2, axis2=-1))
+    per_chunk = max(1, _CHUNK_NODES // (grid.n_theta * 2 * d if diagonal else grid.n_nodes))
+    j = SpinQuantumNumber(d - 1)
     pairs, _ = grid.amplitude_table(j)
     for start in range(0, len(states), per_chunk):
         yield HusimiField(grid, j, _kernels.husimi_contract(pairs, states[start : start + per_chunk]))
@@ -225,13 +233,18 @@ def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:
 
 def wehrl_entropy(field: HusimiField):
     """S = -(2J+1)/(4 pi) * integral of Q ln Q (nats); x ln x -> 0 at Q = 0.
-    A float for a one-state field, an array for a chunk."""
-    q = field.q
+    A float for a one-state field, an array for a chunk. A phi-independent
+    field is evaluated on one phi column (see _kernels.phi_columns)."""
+    grid = field.grid
+    _, harmonics = grid.amplitude_table(field.j)
+    harmonics, copies = _kernels.phi_columns(field.coef, harmonics)
+    q = field.q if copies == 1 else _kernels.node_rows(field.coef[:1], harmonics)[0]
     integrand = np.maximum(q, Q_FLOOR)
     np.log(integrand, out=integrand)
     integrand *= q
     integrand[~(q > 0.0)] = 0.0
-    return -(field.j.dim / (4.0 * np.pi)) * field.grid.integrate(integrand)
+    integrand *= copies
+    return -(field.j.dim / (4.0 * np.pi)) * grid.integrate(integrand)
 
 
 def wehrl_entropy_spin_half(tau):

@@ -18,6 +18,9 @@ from .errors import DimensionMismatch, InvalidFrequency, NonPhysicalState
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+# The longest Bloch vector of a spin-1/2 state that check_density_entries
+# admits: its eigenvalue (1 - tau)/2 goes down to EIGENVALUE_FLOOR.
+BLOCH_LENGTH_MAX = 1.0 - 2.0 * EIGENVALUE_FLOOR
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ class BlochVector:
     def __post_init__(self):
         # Components are bounded first: squaring a huge one would overflow.
         parts = (self.tau_x, self.tau_y, self.tau_z)
-        if not all(abs(c) <= 1.0 + 1e-12 for c in parts) or self.tau > 1.0 + 1e-12:
+        if not all(abs(c) <= BLOCH_LENGTH_MAX for c in parts) or self.tau > BLOCH_LENGTH_MAX:
             raise NonPhysicalState(f"Bloch vector length {math.hypot(*parts)} exceeds 1")
 
     @property

@@ -641,9 +641,11 @@ class TestArrayForms:
             x = abs(t)
             if x == 1.0:
                 return 1.0
-            if x < 0.01:
-                x2 = x * x
-                return 2.0 / 3.0 + x2 * (2.0 / 15.0 + x2 * (2.0 / 35.0 + x2 * (2.0 / 63.0 + x2 * 2.0 / 99.0)))
+            if x < 0.5:
+                series = 0.0
+                for k in reversed(range(40)):
+                    series = series * (x * x) + 2.0 / ((2 * k + 1) * (2 * k + 3))
+                return series
             return float((x - (1.0 - x * x) * np.arctanh(x)) / np.power(x, 3.0))
 
         rows = RANDOM_BLOCH_ROWS.tolist()
@@ -658,6 +660,21 @@ class TestArrayForms:
         expected = [0.25 * 0.7 * (x**2 + y**2) * g_ref(float(np.sqrt(x**2 + y**2 + z**2))) for x, y, z in rows]
         np.testing.assert_array_equal(dephasing_pi_spin_half(RANDOM_BLOCH_ROWS, 0.7), expected)
 
+    def test_coherence_bracket_against_mpmath(self):
+        # The series below |tau| = 0.5 and the direct form above it, against
+        # g at 50 digits, across both switch points of earlier versions
+        # (0.01) and this one.
+        taus = np.concatenate([
+            np.geomspace(1e-9, 1.0, 300),
+            np.linspace(0.002, 1.0, 500),
+            [np.nextafter(0.01, 0.0), 0.01, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0)],
+        ])
+        with mp.workdps(50):
+            for tau in taus:
+                t = mp.mpf(float(tau))
+                exact = 1 if t == 1 else (t - (1 - t * t) * mp.atanh(t)) / t**3
+                assert abs(coherence_bracket(float(tau)) / exact - 1) <= 1.5e-15, tau
+
     def test_out_of_range_still_raises(self):
         with pytest.raises(UnsupportedParameters):
             coherence_bracket(np.array([0.5, 1.0 + 1e-9]))
@@ -666,7 +683,7 @@ class TestArrayForms:
 
     @pytest.mark.parametrize("bath", EDGE_BATHS, ids=["tbz=-1", "tbz=-0.5"])
     def test_a_valid_bloch_vector_just_above_one_is_pure(self, bath):
-        # BlochVector admits lengths up to 1 + 1e-12; the closed forms take
+        # BlochVector admits lengths up to 1 + 2e-10; the closed forms take
         # such a vector's length as 1, and give the pure state's rates.
         longer, pure = BlochVector(1.0 + 1e-13, 0.0, 0.0), BlochVector(1.0, 0.0, 0.0)
         for form, arg in [

@@ -27,7 +27,7 @@ from spinwehrl.entropy_rates import (
     dephasing_pi_quadrature,
 )
 from spinwehrl.scenarios import Model, simulate
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_diagonal_state
 from oracles import husimi_of_matrix
 
 
@@ -135,6 +135,9 @@ class TestChunkReduction:
 
     @pytest.mark.parametrize("kind", ["dephasing", "amplitude_damping"])
     def test_one_reduce_per_chunk(self, monkeypatch, kind):
+        # A stack with a coherence takes _CHUNK_NODES // n_nodes states per
+        # chunk; a J_z-diagonal one, reduced on one phi column,
+        # _CHUNK_NODES // (2d n_theta).
         name = "dephasing_reduce" if kind == "dephasing" else "damping_reduce"
         shapes = []
         original = getattr(_kernels, name)
@@ -145,14 +148,135 @@ class TestChunkReduction:
 
         monkeypatch.setattr(_kernels, name, counted)
         grid = make_grid(96, 192)
-        per_chunk = phase_space._CHUNK_NODES // grid.n_nodes
-        assert 1 < per_chunk < 11
         d = DissipatorSpec.dephasing(1.0) if kind == "dephasing" else DissipatorSpec.amplitude_damping(1.0, 0.5)
-        rho0 = DensityMatrix(SpinQuantumNumber(4), np.diag([0.3, 0.25, 0.2, 0.15, 0.1]).astype(complex))
-        result = simulate(Model(rho0, HamiltonianSpec.static_jz(1.0), d), t_max=1.0, dt=0.1, grid=grid)
-        sizes = [per_chunk] * (11 // per_chunk) + [11 % per_chunk] * (11 % per_chunk > 0)  # 11 states
-        assert shapes == [(2, 2 * 5, k, 96) for k in sizes]
-        assert result.wehrl.pi.shape == (11,) and np.all(np.isfinite(result.wehrl.pi))
+        for coherence, per_chunk, n_states in [
+            (0.05, phase_space._CHUNK_NODES // grid.n_nodes, 11),
+            (0.0, phase_space._CHUNK_NODES // (96 * 2 * 5), 101),
+        ]:
+            assert 1 < per_chunk < n_states and n_states % per_chunk > 0
+            shapes.clear()
+            entries = np.diag([0.3, 0.25, 0.2, 0.15, 0.1]).astype(complex)
+            entries[0, 1] = entries[1, 0] = coherence
+            rho0 = DensityMatrix(SpinQuantumNumber(4), entries)
+            dt = 1.0 / (n_states - 1)
+            result = simulate(Model(rho0, HamiltonianSpec.static_jz(1.0), d), t_max=1.0, dt=dt, grid=grid)
+            sizes = [per_chunk] * (n_states // per_chunk) + [n_states % per_chunk]
+            assert shapes == [(2, 2 * 5, k, 96) for k in sizes]
+            assert result.wehrl.pi.shape == (n_states,) and np.all(np.isfinite(result.wehrl.pi))
+
+
+def node_array_rates(states, grid, d):
+    """(Pi, Phi, S_wehrl) of each state, from its full-grid node arrays
+    (husimi(...).q, dq_dtheta and dq_dphi) through grid.integrate."""
+    j = states[0].j
+    norm = j.dim / (4.0 * np.pi)
+    sin, cos = grid.sin_theta[:, None], grid.cos_theta[:, None]
+    values = []
+    for state in states:
+        field = husimi(state, grid)
+        q, dq_dtheta, dq_dphi = field.q, field.dq_dtheta, field.dq_dphi
+        floored = np.maximum(q, _kernels.Q_FLOOR)
+        s_wehrl = -norm * grid.integrate(np.where(q > 0.0, q * np.log(floored), 0.0))
+        if d.kind == "dephasing":
+            pi, phi = 0.5 * d.lam * norm * grid.integrate(dq_dphi**2 / floored), 0.0
+        else:
+            r = 2.0 * d.nbar + 1.0
+            u = dq_dtheta - j.two_j * q * sin / (r - cos)
+            phi = norm * d.gamma * j.j * grid.integrate(-sin * u)
+            drift = grid.integrate((r - cos) * u**2 / floored)
+            coherence = grid.integrate(dq_dphi**2 * (r * cos - 1.0) * cos / (sin**2 * floored))
+            pi = 0.5 * d.gamma * norm * (drift + coherence)
+        values.append((pi, phi, s_wehrl))
+    return np.array(values).T
+
+
+def chunked_rates(states, grid, d):
+    """(Pi, Phi, S_wehrl) of each state from the quadrature method and
+    wehrl_entropy, fed by Husimi chunks as in simulate."""
+    rates, _ = pipeline_rates(d, states, grid)
+    stack = np.stack([s.entries for s in states])
+    s_wehrl = np.concatenate([wehrl_entropy(chunk) for chunk in husimi_chunks(stack, grid)])
+    return np.array([rates.pi, rates.phi, s_wehrl])
+
+
+def assert_series_close(got, want, rel):
+    """Each series of got within rel of the largest |value| of want's."""
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= rel * np.max(np.abs(w))
+
+
+@pytest.fixture
+def columns_evaluated(monkeypatch):
+    """The number of phi columns of every node evaluation made while the
+    test runs."""
+    widths = []
+    original = _kernels.node_rows
+
+    def recorded(rows, harmonics):
+        widths.append(harmonics.shape[-1])
+        return original(rows, harmonics)
+
+    monkeypatch.setattr(_kernels, "node_rows", recorded)
+    return widths
+
+
+DISSIPATORS = {
+    "damping-nbar0": DissipatorSpec.amplitude_damping(1.3, 0.0),
+    "damping-nbar0.5": DissipatorSpec.amplitude_damping(1.3, 0.5),
+    "dephasing": DissipatorSpec.dephasing(0.7),
+}
+
+
+class TestOnePhiColumn:
+    """J_z-diagonal states have a phi-independent Q and are reduced on one
+    phi column; any coherence keeps every column."""
+
+    @pytest.mark.parametrize("two_j", [1, 4, 12, 40])
+    @pytest.mark.parametrize("kind", list(DISSIPATORS))
+    def test_diagonal_stack_matches_the_node_arrays(self, two_j, kind, rng, default_grid, columns_evaluated):
+        j = SpinQuantumNumber(two_j)
+        pure = np.zeros((j.dim, j.dim), dtype=complex)
+        pure[0, 0] = 1.0
+        states = [random_diagonal_state(j, rng) for _ in range(5)] + [DensityMatrix(j, pure)]
+        want = node_array_rates(states, default_grid, DISSIPATORS[kind])
+        columns_evaluated.clear()
+        got = chunked_rates(states, default_grid, DISSIPATORS[kind])
+        assert set(columns_evaluated) == {1}
+        assert_series_close(got, want, 1e-15)
+
+    def test_dephasing_production_of_a_diagonal_stack_is_zero(self, rng, default_grid):
+        j = SpinQuantumNumber(6)
+        rates, _ = pipeline_rates(DISSIPATORS["dephasing"], [random_diagonal_state(j, rng) for _ in range(7)], default_grid)
+        assert np.all(rates.pi == 0.0)
+
+    @pytest.mark.parametrize("kind", list(DISSIPATORS))
+    def test_a_small_coherence_keeps_every_column(self, kind, rng, default_grid, columns_evaluated):
+        j = SpinQuantumNumber(4)
+        states = []
+        for _ in range(3):
+            entries = random_diagonal_state(j, rng).entries.copy()
+            entries[1, 2] = entries[2, 1] = 1e-3
+            states.append(DensityMatrix(j, entries))
+        field = husimi(states[0], default_grid)
+        _, harmonics = default_grid.amplitude_table(j)
+        assert _kernels.phi_columns(field.coef, harmonics)[1] == 1
+        want = node_array_rates(states, default_grid, DISSIPATORS[kind])
+        columns_evaluated.clear()
+        got = chunked_rates(states, default_grid, DISSIPATORS[kind])
+        assert set(columns_evaluated) == {default_grid.n_phi}
+        assert_series_close(got, want, 1e-15)
+
+    @pytest.mark.parametrize("kind", list(DISSIPATORS))
+    def test_a_chunk_with_one_coherent_state_keeps_every_column(self, kind, rng, default_grid, columns_evaluated):
+        j = SpinQuantumNumber(4)
+        states = [random_diagonal_state(j, rng), random_density_matrix(j, rng)]
+        stack = np.stack([s.entries for s in states])
+        assert [len(chunk.coef[0, 0]) for chunk in husimi_chunks(stack, default_grid)] == [2]
+        want = node_array_rates(states, default_grid, DISSIPATORS[kind])
+        columns_evaluated.clear()
+        got = chunked_rates(states, default_grid, DISSIPATORS[kind])
+        assert set(columns_evaluated) == {default_grid.n_phi}
+        assert_series_close(got, want, 1e-15)
 
 
 class TestDampingQuadrature:

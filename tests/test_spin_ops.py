@@ -68,6 +68,25 @@ class TestBlochMaps:
         with pytest.raises(NonPhysicalState):
             BlochVector(0.9, 0.9, 0.9)
 
+    @pytest.mark.parametrize("excess", [1e-13, 1e-11, 1.9e-10, 2.1e-10, 1e-9])
+    def test_same_length_bound_as_the_density_matrix(self, excess):
+        # (1 + t sigma_x)/2 has eigenvalue -excess/2: both checks accept it
+        # down to EIGENVALUE_FLOOR, and refuse it below.
+        t = 1.0 + excess
+        accepted = []
+        for build in (
+            lambda: DensityMatrix(SpinQuantumNumber(1), np.array([[1.0, t], [t, 1.0]], dtype=complex) / 2),
+            lambda: BlochVector(t, 0.0, 0.0),
+            lambda: BlochVector(0.0, 0.0, -t),
+            lambda: BlochVector(*(t * np.array([0.48, 0.64, -0.6]))),
+        ):
+            try:
+                build()
+                accepted.append(True)
+            except NonPhysicalState:
+                accepted.append(False)
+        assert accepted == [excess < 2e-10] * 4
+
 
 class TestDensityMatrixValidation:
     def test_non_hermitian_rejected(self):

@@ -257,9 +257,6 @@ class TestOnePhiColumn:
             entries = random_diagonal_state(j, rng).entries.copy()
             entries[1, 2] = entries[2, 1] = 1e-3
             states.append(DensityMatrix(j, entries))
-        field = husimi(states[0], default_grid)
-        _, harmonics = default_grid.amplitude_table(j)
-        assert _kernels.phi_columns(field.coef, harmonics)[1] == 1
         want = node_array_rates(states, default_grid, DISSIPATORS[kind])
         columns_evaluated.clear()
         got = chunked_rates(states, default_grid, DISSIPATORS[kind])

@@ -57,9 +57,7 @@ from .entropy_rates import (
     EntropyRates,
     damping_phi_exact,
     damping_quadrature,
-    damping_phi_quadrature,
     damping_phi_zero_temperature,
-    damping_pi_quadrature,
     dephasing_pi_quadrature,
     dephasing_pi_spin_half,
     dephasing_pi_von_neumann,
@@ -67,7 +65,6 @@ from .entropy_rates import (
     spin_half_damping_von_neumann,
     spin_half_dephasing_rates,
     spin_half_dephasing_von_neumann,
-    von_neumann_entropy,
     von_neumann_rates,
 )
 from .scenarios import (

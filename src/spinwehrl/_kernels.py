@@ -21,12 +21,11 @@ Q = sum_s Re(c_s) cos(s phi) - Im(c_s) sin(s phi). The trailing axes are
 the states, if any, then the theta rows.
 
 A J_z-diagonal state has a phi-independent Q: every s >= 1 coefficient is
-exactly zero, and a J_z-covariant generator keeps it so. For a chunk whose
-s >= 1 rows of Q and dQ/dtheta are all exactly zero (phi_columns), the
-node rows are evaluated on the first phi column only, and each theta row's
-sum over phi is that column's value times n_phi; dQ/dphi is then zero. A
-chunk with any nonzero s >= 1 coefficient, however small, is evaluated on
-every phi column.
+exactly zero, and a J_z-covariant generator keeps it so. The fields of a
+J_z-diagonal stack hold only their s = 0 rows (phase_space.husimi_chunks),
+whose node rows are evaluated on the first phi column (phi_columns): each
+theta row's sum over phi is that column's value times n_phi, and dQ/dphi
+is zero.
 
 Q is floored at Q_FLOOR wherever it divides or enters a logarithm.
 """
@@ -54,24 +53,25 @@ def _pair_indices(d: int) -> np.ndarray:
 
 def husimi_contract(pairs, mats):
     """phi-Fourier coefficients of q and dq/dtheta of each matrix of a
-    (T, d, d) stack, as a (2, 2d, T, n_theta) array (see the module
-    docstring).
+    (T, d, d) stack, as a (2, 2n, T, n_theta) array (see the module
+    docstring), for the n orders s = 0 .. n - 1 that pairs holds.
 
-    pairs is the (2, d, d, n_theta) table of SphereGrid.amplitude_table:
-    pairs[0, s, a] = (w_s / 2) mag_a mag_{a+s} over the theta nodes,
-    pairs[1, s, a] its theta derivative, both zero where a + s > 2J. Only
-    the Hermitian part (M + M^dagger)/2 enters, so q = Re <Omega|M|Omega>
-    for any M.
+    pairs is the (2, d, d, n_theta) table of SphereGrid.amplitude_table, or
+    its slice [:, :n]: pairs[0, s, a] = (w_s / 2) mag_a mag_{a+s} over the
+    theta nodes, pairs[1, s, a] its theta derivative, both zero where
+    a + s > 2J. Only the Hermitian part (M + M^dagger)/2 enters, so
+    q = Re <Omega|M|Omega> for any M.
     """
     mats = np.asarray(mats, dtype=complex)
     n_mats, d, _ = mats.shape
-    upper, lower = mats.reshape(n_mats, d * d)[:, _pair_indices(d)].transpose(1, 2, 0, 3)
+    orders = pairs.shape[1]
+    upper, lower = mats.reshape(n_mats, d * d)[:, _pair_indices(d)[:, :orders]].transpose(1, 2, 0, 3)
     # conj(M_{a,a+s}) + M_{a+s,a} is 2 conj(H_{a,a+s}) for the Hermitian part H:
     # with the pair weights w_s / 2, its real part gives Re c_s, its imaginary -Im c_s.
     diag = upper.conj()
     diag += lower
     parts = np.concatenate([diag.real, diag.imag], axis=1)  # (s, [re, im] x T, a)
-    return np.matmul(parts, pairs).reshape(2, 2 * d, n_mats, -1)
+    return np.matmul(parts, pairs).reshape(2, 2 * orders, n_mats, -1)
 
 
 def phi_derivative(coef, out):
@@ -87,13 +87,11 @@ def phi_derivative(coef, out):
 def phi_columns(coef, harmonics):
     """(harmonics, copies): the harmonics of the phi columns on which to
     evaluate the node rows of a field with coefficients coef, and how many
-    phi nodes each of those columns stands for. That is every column, each
-    for itself, unless every s >= 1 coefficient row of Q and dQ/dtheta is
-    exactly zero: then each theta row is constant in phi, and the first
-    column stands for all n_phi."""
-    if coef[:, 2:].any():
+    phi nodes each stands for: the first column for all n_phi when the
+    field holds only its s = 0 rows, else every column for itself."""
+    if coef.shape[1] > 2:
         return harmonics, 1
-    return harmonics[:, :1], harmonics.shape[-1]
+    return harmonics[:2, :1], harmonics.shape[-1]
 
 
 def node_rows(rows, harmonics):
@@ -108,12 +106,12 @@ def node_rows(rows, harmonics):
 # ---------------------------------------------------------------------------
 # Quadrature reductions of the rate integrands over the coefficients of a
 # field, (2, 2d, n_theta) for one state or (2, 2d, k, n_theta) for a chunk
-# (see husimi_contract). Each evaluates the node rows it reads in one
-# harmonic product (see node_rows), on the phi columns of phi_columns, and
-# sums each row over phi before contracting it with a theta vector. weights
-# are the Gauss-Legendre weights with the uniform phi weight folded in. They return raw weighted
-# sums, one per state (a scalar for one state); physical prefactors are
-# applied by the caller.
+# (see husimi_contract; 2 rows for a J_z-diagonal stack). Each evaluates the
+# node rows it reads in one harmonic product (see node_rows), on the phi
+# columns of phi_columns, and sums each row over phi before contracting it
+# with a theta vector. weights are the Gauss-Legendre weights with the
+# uniform phi weight folded in. They return raw weighted sums, one per state
+# (a scalar for one state); physical prefactors are applied by the caller.
 # ---------------------------------------------------------------------------
 
 

@@ -260,8 +260,8 @@ def compare_config(plan: RunPlan) -> int:
     agreement = compare(plan.model, plan.t_max, plan.dt, plan.grid)
     for name, value in agreement.items():
         print(f"{name}: max rel dev {value:.3e}")
-    worst = max(0.0, *agreement.values())
-    if worst > plan.tolerance:
+    worst = float(np.max([0.0, *agreement.values()]))  # NaN if any check gave NaN
+    if not worst <= plan.tolerance:
         print(f"FAIL: worst deviation {worst:.3e} exceeds tolerance {plan.tolerance:g}")
         return 1
     print(f"OK: worst deviation {worst:.3e} within tolerance {plan.tolerance:g}")

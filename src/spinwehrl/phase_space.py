@@ -161,11 +161,12 @@ class HusimiField:
     as the phi-Fourier coefficients of each theta row (see _kernels).
 
     coef holds the real coefficients of Q and of dQ/dtheta: (2, 2d, n_theta)
-    for one state, or (2, 2d, k, n_theta) for a chunk of k states (see
-    husimi_chunks). q, dq_dtheta and dq_dphi are the real node arrays (Q is
-    real for Hermitian rho, hence so are its angular derivatives),
-    (n_theta, n_phi) or (k, n_theta, n_phi), each evaluated on first use;
-    the quadrature reads the coefficients and evaluates its own node rows.
+    for one state, or (2, 2d, k, n_theta) for a chunk of k states, with 2
+    rows in place of 2d for a J_z-diagonal stack (see husimi_chunks). q,
+    dq_dtheta and dq_dphi are the real node arrays (Q is real for Hermitian
+    rho, hence so are its angular derivatives), (n_theta, n_phi) or
+    (k, n_theta, n_phi), each evaluated on first use; the quadrature reads
+    the coefficients and evaluates its own node rows.
     phase_space_currents gives the complex azimuthal current -i dQ/dphi.
     """
 
@@ -175,7 +176,7 @@ class HusimiField:
 
     def _nodes(self, rows: np.ndarray) -> np.ndarray:
         _, harmonics = self.grid.amplitude_table(self.j)
-        return _kernels.node_rows(rows[None], harmonics)[0]
+        return _kernels.node_rows(rows[None], harmonics[: len(rows)])[0]
 
     @functools.cached_property
     def q(self) -> np.ndarray:
@@ -198,10 +199,10 @@ class HusimiField:
 # Grid nodes per chunk of states (two on the default grid). A chunk is one
 # call of the transform and one of a reduction, which evaluates up to three
 # node rows per state. Of one, two and four states per chunk on 96 x 192,
-# two ran the six bundled compares fastest. A J_z-diagonal stack is reduced
-# on one phi column (see _kernels.phi_columns), so its chunks are sized by
-# their (2, 2d, k, n_theta) coefficient array instead: at most twice this
-# many numbers, with node rows smaller still.
+# two ran the six bundled compares fastest. A J_z-diagonal stack holds only
+# its s = 0 rows (see husimi_chunks), so its chunks are sized by their
+# (2, 2, k, n_theta) coefficient array instead: at most twice this many
+# numbers, 192 states on 96 x 192 whatever 2J.
 _CHUNK_NODES = 2 * 96 * 192
 
 
@@ -211,34 +212,38 @@ def husimi_chunks(states: np.ndarray, grid: SphereGrid) -> Iterator[HusimiField]
     without a copy.
 
     Each chunk is one call of the transform, so memory stays bounded
-    however many states there are. A stack with no nonzero off-diagonal
-    entry has only phi-independent fields, which are reduced on one phi
-    column: it takes _CHUNK_NODES // (2d n_theta) states per chunk (at
-    least one), any other stack _CHUNK_NODES // n_nodes.
+    however many states there are. phi-independence is decided here, once
+    per stack: a stack with no nonzero off-diagonal entry gets the s = 0
+    slice of the pair table alone, so its fields hold two coefficient rows
+    and are reduced on one phi column (see _kernels.phi_columns), at
+    _CHUNK_NODES // (2 n_theta) states per chunk. Any other stack keeps all
+    2d rows, at _CHUNK_NODES // n_nodes states per chunk (at least one).
     """
     d = states.shape[-1]
     diagonal = np.count_nonzero(states) == np.count_nonzero(np.diagonal(states, axis1=-2, axis2=-1))
-    per_chunk = max(1, _CHUNK_NODES // (grid.n_theta * 2 * d if diagonal else grid.n_nodes))
+    per_chunk = max(1, _CHUNK_NODES // (2 * grid.n_theta if diagonal else grid.n_nodes))
     j = SpinQuantumNumber(d - 1)
-    pairs, _ = grid.amplitude_table(j)
+    pairs = grid.amplitude_table(j)[0][:, : 1 if diagonal else d]
     for start in range(0, len(states), per_chunk):
         yield HusimiField(grid, j, _kernels.husimi_contract(pairs, states[start : start + per_chunk]))
 
 
 def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:
-    """The one-state Husimi field of rho on the grid."""
-    pairs, _ = grid.amplitude_table(rho.j)
-    return HusimiField(grid, rho.j, _kernels.husimi_contract(pairs, rho.entries[None])[:, :, 0])
+    """The one-state Husimi field of rho: husimi_chunks' one chunk of rho,
+    without its state axis."""
+    (chunk,) = husimi_chunks(rho.entries[None], grid)
+    return HusimiField(grid, rho.j, chunk.coef[:, :, 0])
 
 
 def wehrl_entropy(field: HusimiField):
     """S = -(2J+1)/(4 pi) * integral of Q ln Q (nats); x ln x -> 0 at Q = 0.
-    A float for a one-state field, an array for a chunk. A phi-independent
-    field is evaluated on one phi column (see _kernels.phi_columns)."""
+    A float for a one-state field, an array for a chunk. Q's node row is
+    evaluated on the phi columns of _kernels.phi_columns, as the reductions
+    evaluate theirs."""
     grid = field.grid
     _, harmonics = grid.amplitude_table(field.j)
     harmonics, copies = _kernels.phi_columns(field.coef, harmonics)
-    q = field.q if copies == 1 else _kernels.node_rows(field.coef[:1], harmonics)[0]
+    q = _kernels.node_rows(field.coef[:1], harmonics)[0]
     integrand = np.maximum(q, Q_FLOOR)
     np.log(integrand, out=integrand)
     integrand *= q

@@ -20,9 +20,7 @@ from spinwehrl import (
     SpinQuantumNumber,
     bloch_to_rho,
     damping_phi_exact,
-    damping_phi_quadrature,
     damping_phi_zero_temperature,
-    damping_pi_quadrature,
     dephasing_pi_quadrature,
     dephasing_pi_spin_half,
     dephasing_pi_von_neumann,
@@ -43,6 +41,7 @@ from spinwehrl import (
     spin_half_damping_von_neumann,
     wehrl_entropy,
 )
+from spinwehrl.entropy_rates import damping_phi_quadrature, damping_pi_quadrature
 from conftest import random_bloch, random_diagonal_state, random_density_matrix
 from oracles import energy_flux, pulse_gamma_explicit, temperature_from_nbar
 

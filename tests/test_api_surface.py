@@ -1,16 +1,14 @@
 """Every name that spinwehrl exports is reached by something besides the
 tests: code in another module of the package (a Name or Attribute node,
-not a docstring), the README, or the benchmark's tracer
-(perfbench/spans.py, parsed as test_perfbench_targets does). A name that
-only tests call belongs in tests/oracles.py or nowhere."""
+not a docstring) or the README. Neither the tests nor the benchmark's
+tracer count: a name that only they reach belongs in its module,
+tests/oracles.py or nowhere."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
-
-from test_perfbench_targets import span_targets
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spinwehrl"
@@ -39,11 +37,7 @@ def names_in_readme() -> set:
     return set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
 
 
-def names_in_spans() -> set:
-    return {target.partition(":")[2].split(".")[0] for target in span_targets()}
-
-
-REACHED = names_in_code() | names_in_readme() | names_in_spans()
+REACHED = names_in_code() | names_in_readme()
 
 
 @pytest.mark.parametrize("name", exported_names())

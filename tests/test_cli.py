@@ -586,6 +586,20 @@ class TestCompare:
         assert main(["compare", "--config", path, "--tol=inf"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].endswith("within tolerance inf")
 
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+    )
+    def test_a_nan_deviation_fails(self, tmp_path, capsys):
+        # At gamma = 1e308 the quadrature's Pi overflows and its deviation
+        # from the closed form is NaN: a check passes only at a deviation
+        # at most the tolerance.
+        cfg = dict(HOT_EMISSION, gamma=1e308, temperature=1.0, time={"t_max": 1.0, "output_dt": 0.1},
+                   grid={"n_theta": 16, "n_phi": 32})
+        assert main(["compare", "--config", write_config(tmp_path, cfg)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "pi quadrature vs closed-form: max rel dev nan" in out
+        assert out[-1] == "FAIL: worst deviation nan exceeds tolerance 1e-05"
+
     def test_one_husimi_field_per_state(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, sys.modules["spinwehrl._kernels"], "husimi_contract")
         path = write_config(tmp_path, CUSTOM_DEPHASING)

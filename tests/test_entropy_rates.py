@@ -17,9 +17,7 @@ from spinwehrl import (
     amplitude_damping_dissipator,
     bloch_to_rho,
     damping_phi_exact,
-    damping_phi_quadrature,
     damping_phi_zero_temperature,
-    damping_pi_quadrature,
     damping_quadrature,
     dephasing_dissipator,
     dephasing_pi_quadrature,
@@ -45,6 +43,8 @@ from spinwehrl.entropy_rates import (
     EXACT_FLUX_MIN_TBZ,
     _damping_vectors,
     applicable_rate_methods,
+    damping_phi_quadrature,
+    damping_pi_quadrature,
     atanh_over,
     coherence_bracket,
     primary_rate_method,

@@ -62,7 +62,7 @@ class TestSeparableTransform:
         grid = make_grid(48, 96)
         j = SpinQuantumNumber(two_j)
         amp, damp, ms = reference_amplitudes(two_j, grid)
-        for state in [random_density_matrix(j, rng) for _ in range(3)]:
+        for state in [random_density_matrix(j, rng) for _ in range(3)] + [random_diagonal_state(j, rng)]:
             field = husimi(state, grid)
             q, dth, dph = reference_contraction(amp, damp, ms, state.entries)
             assert np.max(np.abs(field.q - q)) < 1e-13
@@ -136,8 +136,8 @@ class TestChunkReduction:
     @pytest.mark.parametrize("kind", ["dephasing", "amplitude_damping"])
     def test_one_reduce_per_chunk(self, monkeypatch, kind):
         # A stack with a coherence takes _CHUNK_NODES // n_nodes states per
-        # chunk; a J_z-diagonal one, reduced on one phi column,
-        # _CHUNK_NODES // (2d n_theta).
+        # chunk of 2d coefficient rows; a J_z-diagonal one, which holds only
+        # its s = 0 rows, _CHUNK_NODES // (2 n_theta).
         name = "dephasing_reduce" if kind == "dephasing" else "damping_reduce"
         shapes = []
         original = getattr(_kernels, name)
@@ -149,9 +149,9 @@ class TestChunkReduction:
         monkeypatch.setattr(_kernels, name, counted)
         grid = make_grid(96, 192)
         d = DissipatorSpec.dephasing(1.0) if kind == "dephasing" else DissipatorSpec.amplitude_damping(1.0, 0.5)
-        for coherence, per_chunk, n_states in [
-            (0.05, phase_space._CHUNK_NODES // grid.n_nodes, 11),
-            (0.0, phase_space._CHUNK_NODES // (96 * 2 * 5), 101),
+        for coherence, rows, per_chunk, n_states in [
+            (0.05, 2 * 5, phase_space._CHUNK_NODES // grid.n_nodes, 11),
+            (0.0, 2, phase_space._CHUNK_NODES // (2 * 96), 201),
         ]:
             assert 1 < per_chunk < n_states and n_states % per_chunk > 0
             shapes.clear()
@@ -161,7 +161,7 @@ class TestChunkReduction:
             dt = 1.0 / (n_states - 1)
             result = simulate(Model(rho0, HamiltonianSpec.static_jz(1.0), d), t_max=1.0, dt=dt, grid=grid)
             sizes = [per_chunk] * (n_states // per_chunk) + [n_states % per_chunk]
-            assert shapes == [(2, 2 * 5, k, 96) for k in sizes]
+            assert shapes == [(2, rows, k, 96) for k in sizes]
             assert result.wehrl.pi.shape == (n_states,) and np.all(np.isfinite(result.wehrl.pi))
 
 
@@ -273,6 +273,42 @@ class TestOnePhiColumn:
         columns_evaluated.clear()
         got = chunked_rates(states, default_grid, DISSIPATORS[kind])
         assert set(columns_evaluated) == {default_grid.n_phi}
+        assert_series_close(got, want, 1e-15)
+
+
+class TestOneDecisionPerStack:
+    """husimi_chunks alone decides phi-independence, once per stack: a
+    J_z-diagonal stack's fields hold only their s = 0 rows, and any
+    coherence keeps all 2d rows in every chunk."""
+
+    @pytest.mark.parametrize("two_j", [1, 4, 12])
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "coherent"])
+    def test_husimi_is_the_one_state_chunk(self, two_j, diagonal, rng, default_grid):
+        j = SpinQuantumNumber(two_j)
+        state = random_diagonal_state(j, rng) if diagonal else random_density_matrix(j, rng)
+        (chunk,) = husimi_chunks(state.entries[None], default_grid)
+        assert np.array_equal(husimi(state, default_grid).coef, chunk.coef[:, :, 0])
+
+    @pytest.mark.parametrize("two_j", [1, 4, 12])
+    def test_rows_held_by_a_stack(self, two_j, rng, default_grid):
+        j = SpinQuantumNumber(two_j)
+        diagonal = np.stack([random_diagonal_state(j, rng).entries for _ in range(5)])
+        coherent = diagonal.copy()
+        coherent[-1, 0, -1] = coherent[-1, -1, 0] = 1e-12
+        assert [chunk.coef.shape for chunk in husimi_chunks(diagonal, default_grid)] == [(2, 2, 5, 96)]
+        assert {chunk.coef.shape[1] for chunk in husimi_chunks(coherent, default_grid)} == {2 * j.dim}
+
+    @pytest.mark.parametrize("kind", list(DISSIPATORS))
+    def test_a_coherence_late_in_the_stack_keeps_every_column(self, kind, rng, default_grid, columns_evaluated):
+        j = SpinQuantumNumber(4)
+        states = [random_diagonal_state(j, rng) for _ in range(4)] + [random_density_matrix(j, rng)]
+        chunks = list(husimi_chunks(np.stack([s.entries for s in states]), default_grid))
+        assert [chunk.coef.shape[1:3] for chunk in chunks] == [(2 * j.dim, 2), (2 * j.dim, 2), (2 * j.dim, 1)]
+        assert not chunks[0].coef[:, 2:].any()
+        want = node_array_rates(states, default_grid, DISSIPATORS[kind])
+        columns_evaluated.clear()
+        got = chunked_rates(states, default_grid, DISSIPATORS[kind])
+        assert len(columns_evaluated) == 6 and set(columns_evaluated) == {default_grid.n_phi}
         assert_series_close(got, want, 1e-15)
 
 

@@ -12,10 +12,10 @@ from spinwehrl import (
     husimi_chunks,
     make_grid,
     phase_space_currents,
-    von_neumann_entropy,
     wehrl_entropy,
     wehrl_entropy_spin_half,
 )
+from spinwehrl.entropy_rates import von_neumann_entropy
 from conftest import random_density_matrix
 from oracles import angle_action_inverse, angle_action_map, coherent_state, tss_correspondences, v_function
 

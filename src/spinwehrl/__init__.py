@@ -28,6 +28,7 @@ from .spin_ops import (
     SpinOperators,
     SpinQuantumNumber,
     bloch_to_rho,
+    coherence_orders,
     gibbs_state,
     make_spin_operators,
     nbar_from_temperature,
@@ -48,6 +49,7 @@ from .dynamics import (
     Trajectory,
     amplitude_damping_dissipator,
     dephasing_dissipator,
+    dissipation,
     evolve,
     lindblad_rhs,
 )

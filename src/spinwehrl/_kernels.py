@@ -15,17 +15,20 @@ of SphereGrid.amplitude_table: O(n_theta d^2) per state, and no Python
 loop over s. Node values cost one (rows, 2d) x (2d, n_phi) product with
 the harmonics, and each consumer evaluates only the rows it reads.
 
-Coefficient arrays are real and coefficient-major, (2d, ...): row 2s
-multiplies cos(s phi) and row 2s + 1 multiplies sin(s phi), so that
-Q = sum_s Re(c_s) cos(s phi) - Im(c_s) sin(s phi). The trailing axes are
-the states, if any, then the theta rows.
+Coefficient arrays are real and coefficient-major, (2n, ...) for the
+orders s = 0 .. n - 1: row 2s multiplies cos(s phi) and row 2s + 1
+multiplies sin(s phi), so that Q = sum_s Re(c_s) cos(s phi) - Im(c_s)
+sin(s phi). The trailing axes are the states, if any, then the theta rows.
 
-A J_z-diagonal state has a phi-independent Q: every s >= 1 coefficient is
-exactly zero, and a J_z-covariant generator keeps it so. The fields of a
-J_z-diagonal stack hold only their s = 0 rows (phase_space.husimi_chunks),
-whose node rows are evaluated on the first phi column (phi_columns): each
-theta row's sum over phi is that column's value times n_phi, and dQ/dphi
-is zero.
+c_s is zero unless s is a coherence order of the states, and a
+J_z-covariant generator keeps the orders of its initial state
+(dynamics.Trajectory.orders). So phase_space.husimi_chunks hands the
+transform the pair tables of the orders up to the largest one alone, from
+the orders, without reading the states: n = 2J + 1 for a full state, 1 for
+a J_z-diagonal one. A J_z-diagonal field holds only its s = 0 rows, its Q
+is phi-independent, and its node rows are evaluated on the first phi
+column (phi_columns): each theta row's sum over phi is that column's value
+times n_phi, and dQ/dphi is zero.
 
 Q is floored at Q_FLOOR wherever it divides or enters a logarithm.
 """
@@ -56,8 +59,8 @@ def husimi_contract(pairs, mats):
     (T, d, d) stack, as a (2, 2n, T, n_theta) array (see the module
     docstring), for the n orders s = 0 .. n - 1 that pairs holds.
 
-    pairs is the (2, d, d, n_theta) table of SphereGrid.amplitude_table, or
-    its slice [:, :n]: pairs[0, s, a] = (w_s / 2) mag_a mag_{a+s} over the
+    pairs is the (2, n, d, n_theta) table of SphereGrid.amplitude_table
+    for n orders: pairs[0, s, a] = (w_s / 2) mag_a mag_{a+s} over the
     theta nodes, pairs[1, s, a] its theta derivative, both zero where
     a + s > 2J. Only the Hermitian part (M + M^dagger)/2 enters, so
     q = Re <Omega|M|Omega> for any M.
@@ -105,7 +108,7 @@ def node_rows(rows, harmonics):
 
 # ---------------------------------------------------------------------------
 # Quadrature reductions of the rate integrands over the coefficients of a
-# field, (2, 2d, n_theta) for one state or (2, 2d, k, n_theta) for a chunk
+# field, (2, 2n, n_theta) for one state or (2, 2n, k, n_theta) for a chunk
 # (see husimi_contract; 2 rows for a J_z-diagonal stack). Each evaluates the
 # node rows it reads in one harmonic product (see node_rows), on the phi
 # columns of phi_columns, and sums each row over phi before contracting it

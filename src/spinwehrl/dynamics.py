@@ -27,8 +27,19 @@ squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005). Output
 states are Hermitized and trace-renormalized, with the drift monitored
 against a hard bound, and validated as one stack.
 
-The Hamiltonian, the dissipators and lindblad_rhs act on one (d, d)
-matrix at a time t, or on an (n, d, d) stack of them at n times.
+The Trajectory keeps the coherence orders K of its states: those of rho0
+under a J_z-covariant generator, every order under the rotating field.
+The states vanish off the diagonals of K, so the layers after evolve work
+per order or per block of K, not on dense (n, d, d) products:
+dissipation forms D(rho) order by order from the unit-rate damping bands
+that the propagators use, O(d) per order and state; the validation and the
+von Neumann eigenvalues take one block at a time (spin_ops.matrix_blocks),
+which for a J_z-diagonal stack are its populations.
+
+The Hamiltonian, the dense dissipators (DissipatorSpec.apply) and
+lindblad_rhs act on one (d, d) matrix at a time t, or on an (n, d, d)
+stack of them at n times: the rotating frame's generator and the check of
+the generator use them.
 """
 
 from __future__ import annotations
@@ -55,6 +66,7 @@ from .spin_ops import (
     DensityMatrix,
     SpinQuantumNumber,
     check_density_entries,
+    coherence_orders,
     make_spin_operators,
 )
 
@@ -156,18 +168,26 @@ class DissipatorSpec:
 
     def apply(self, rho: np.ndarray, t) -> np.ndarray:
         """D(rho) of one matrix at the time t, or of an (n, d, d) stack at
-        an array of n times."""
+        an array of n times, by dense products: the generator of the
+        rotating frame and lindblad_rhs use it; a trajectory's D(rho) is
+        dissipation's, order by order."""
         if self.kind == "dephasing":
             return dephasing_dissipator(rho, self.lam)
         if self.kind == "amplitude_damping":
             return amplitude_damping_dissipator(rho, self.gamma, self.nbar)
         if self.kind == "time_dependent_damping":
-            g = np.asarray(self.gamma_t(t), dtype=float)
-            if np.any(g < 0):
-                n = np.argmax(np.ravel(g) < 0)
-                raise NonMarkovianRate(f"gamma_t({np.ravel(t)[n]}) = {np.ravel(g)[n]} is negative")
-            return amplitude_damping_dissipator(rho, g[..., None, None], self.nbar)
+            return amplitude_damping_dissipator(rho, _gamma_at(self, t)[..., None, None], self.nbar)
         raise ValueError(f"unknown dissipator kind {self.kind!r}")
+
+
+def _gamma_at(d: DissipatorSpec, t) -> np.ndarray:
+    """gamma_t of a time-dependent damping at the time t, or at an array of
+    times; a negative rate raises NonMarkovianRate."""
+    g = np.asarray(d.gamma_t(t), dtype=float)
+    if np.any(g < 0):
+        n = np.argmax(np.ravel(g) < 0)
+        raise NonMarkovianRate(f"gamma_t({np.ravel(t)[n]}) = {np.ravel(g)[n]} is negative")
+    return g
 
 
 def dephasing_dissipator(rho: np.ndarray, lam: float) -> np.ndarray:
@@ -203,12 +223,18 @@ def lindblad_rhs(rho: np.ndarray, t, h: HamiltonianSpec, d: DissipatorSpec) -> n
 @dataclass(frozen=True)
 class Trajectory:
     """Validated states on a time grid, as one read-only (n, d, d) stack of
-    density-matrix entries, with the propagation's drift diagnostics."""
+    density-matrix entries, with the propagation's drift diagnostics and
+    the coherence orders K of the states: the k >= 0 whose diagonals +-k
+    may be nonzero. Every entry off them is exactly zero, so the layers
+    after evolve work per order (dissipation) or per block of K
+    (spin_ops.matrix_blocks). A J_z-covariant generator keeps the orders of
+    rho0 (spin_ops.coherence_orders); the rotating field keeps every order."""
 
     times: np.ndarray
     entries: np.ndarray
     max_trace_drift: float
     max_hermiticity_drift: float
+    orders: tuple
 
     @property
     def j(self) -> SpinQuantumNumber:
@@ -276,32 +302,71 @@ def _steps(t_grid: np.ndarray) -> np.ndarray:
     return np.diff(t_grid)
 
 
-def _step_integrals(rate: Callable, t_grid: np.ndarray) -> tuple:
-    """(nodes, rate at the nodes, integral over each step) of a rate
-    callable, which takes an array of times, by Gauss-Legendre per step."""
+def _step_integrals(rate: Callable, t_grid: np.ndarray) -> np.ndarray:
+    """The integral over each step of a rate callable, which takes an array
+    of times, by Gauss-Legendre per step."""
     half = 0.5 * np.diff(t_grid)[:, None]
     nodes = 0.5 * (t_grid[1:] + t_grid[:-1])[:, None] + half * _GL_NODES
     values = np.broadcast_to(np.asarray(rate(nodes), dtype=float), nodes.shape)
-    return nodes, values, (values * (half * _GL_WEIGHTS)).sum(axis=1)
+    return (values * (half * _GL_WEIGHTS)).sum(axis=1)
 
 
-def _damping_blocks(j: SpinQuantumNumber, nbar: float, orders: list) -> np.ndarray:
-    """Unit-rate damping on each coherence order k in orders, as a (d, d)
-    block acting on the diagonal x_i = rho_{i+k, i} (or rho_{i, i+k}),
-    i < d - k, zero-padded beyond. With p_a = <a-1|J+|a> (p_0 = p_d = 0):
+def _damping_bands(j: SpinQuantumNumber, nbar: float, orders) -> tuple:
+    """Unit-rate damping on each coherence order k in orders, acting on the
+    diagonal x_i = rho_{i+k, i} (or rho_{i, i+k}), i < d - k, as its three
+    bands (lower, main, upper), each (len(orders), d) and zero beyond
+    d - k. With p_a = <a-1|J+|a> (p_0 = p_d = 0):
 
         dx_i/dt = (nbar+1) p_{i+k} p_i x_{i-1} + nbar p_{i+k+1} p_{i+1} x_{i+1}
-                  - [(nbar+1)(p_{i+k+1}^2 + p_{i+1}^2) + nbar (p_{i+k}^2 + p_i^2)] x_i / 2.
+                  - [(nbar+1)(p_{i+k+1}^2 + p_{i+1}^2) + nbar (p_{i+k}^2 + p_i^2)] x_i / 2,
+
+    lower[:, i] multiplying x_{i-1} and upper[:, i] x_{i+1}.
     """
     d = j.dim
     p = np.concatenate(([0.0], make_spin_operators(j).jp.diagonal(1).real, [0.0]))
-    blocks = np.zeros((len(orders), d, d))
-    for block, k in zip(blocks, orders):
+    bands = np.zeros((3, len(orders), d))
+    for (lower, main, upper), k in zip(bands.transpose(1, 0, 2), orders):
         i = np.arange(d - k)
-        block[i, i] = -0.5 * ((nbar + 1.0) * (p[i + k + 1] ** 2 + p[i + 1] ** 2) + nbar * (p[i + k] ** 2 + p[i] ** 2))
-        block[i[1:], i[:-1]] = (nbar + 1.0) * p[i[1:] + k] * p[i[1:]]
-        block[i[:-1], i[1:]] = nbar * p[i[:-1] + k + 1] * p[i[1:]]
+        main[i] = -0.5 * ((nbar + 1.0) * (p[i + k + 1] ** 2 + p[i + 1] ** 2) + nbar * (p[i + k] ** 2 + p[i] ** 2))
+        lower[i[1:]] = (nbar + 1.0) * p[i[1:] + k] * p[i[1:]]
+        upper[i[:-1]] = nbar * p[i[:-1] + k + 1] * p[i[1:]]
+    return bands
+
+
+def _damping_blocks(j: SpinQuantumNumber, nbar: float, orders) -> np.ndarray:
+    """The bands of _damping_bands as (len(orders), d, d) tridiagonal
+    blocks, zero-padded beyond d - k."""
+    lower, main, upper = _damping_bands(j, nbar, orders)
+    i = np.arange(j.dim)
+    blocks = np.zeros((len(orders), j.dim, j.dim))
+    blocks[:, i, i] = main
+    blocks[:, i[1:], i[:-1]] = lower[:, 1:]
+    blocks[:, i[:-1], i[1:]] = upper[:, :-1]
     return blocks
+
+
+def _order_diagonals(entries: np.ndarray, orders) -> np.ndarray:
+    """The diagonals of each order k in orders of one (d, d) matrix or a
+    stack, (..., len(orders), d, 2): [..., idx, i, 0] = rho_{i+k, i} and
+    [..., idx, i, 1] = rho_{i, i+k}, zero beyond d - k."""
+    d = entries.shape[-1]
+    x = np.zeros(entries.shape[:-2] + (len(orders), d, 2), dtype=complex)
+    for idx, k in enumerate(orders):
+        x[..., idx, : d - k, 0] = entries.diagonal(-k, -2, -1)
+        x[..., idx, : d - k, 1] = entries.diagonal(k, -2, -1)
+    return x
+
+
+def _from_order_diagonals(x: np.ndarray, orders) -> np.ndarray:
+    """The (..., d, d) matrices whose order diagonals are x (see
+    _order_diagonals), zero off them."""
+    d = x.shape[-2]
+    states = np.zeros(x.shape[:-3] + (d, d), dtype=complex)
+    for idx, k in enumerate(orders):
+        i = np.arange(d - k)
+        states[..., i + k, i] = x[..., idx, : d - k, 0]
+        states[..., i, i + k] = x[..., idx, : d - k, 1]
+    return states
 
 
 def _conserve_populations(r: np.ndarray) -> np.ndarray:
@@ -318,40 +383,29 @@ def _conserve_populations(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _covariant(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: np.ndarray) -> np.ndarray:
+def _covariant(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: np.ndarray, orders) -> np.ndarray:
     """States on t_grid under a J_z-covariant generator, propagating only
-    the coherence orders where rho0 has a nonzero entry."""
-    rho = rho0.entries
+    orders, the coherence orders of rho0."""
     dim = rho0.dim
     steps = _steps(t_grid)
     if d.kind == "time_dependent_damping":
-        nodes, gamma, dgamma = _step_integrals(d.gamma_t, t_grid)
-        if np.any(gamma < 0):
-            n = np.argmax(gamma < 0)
-            raise NonMarkovianRate(f"gamma_t({nodes.flat[n]}) = {gamma.flat[n]} is negative")
+        dgamma = _step_integrals(functools.partial(_gamma_at, d), t_grid)
     else:
         dgamma = d.gamma * steps  # zero for dephasing
     dgamma = np.minimum(dgamma, 0.5 * _RELAXED / (d.nbar + 0.5))
-    orders = [k for k in range(dim) if np.any(rho.diagonal(-k)) or np.any(rho.diagonal(k))]
     ks = np.array(orders)
     # Lower diagonal (k = a - b > 0) in column 0, upper (k < 0) in column 1.
     lower = np.exp(1j * ks * (h.omega * steps)[:, None] - 0.5 * d.lam * ks**2 * steps[:, None])
     phases = np.stack([lower, lower.conj()], axis=-1)[:, :, None, :]
     x = np.zeros((t_grid.size, len(orders), dim, 2), dtype=complex)
-    for idx, k in enumerate(orders):
-        x[0, idx, : dim - k] = np.stack([rho.diagonal(-k), rho.diagonal(k)], axis=-1)
+    x[0] = _order_diagonals(rho0.entries, orders)
     if np.any(dgamma):
         propagators = _step_propagators(dgamma, _damping_blocks(rho0.j, d.nbar, orders), _conserve_populations)
     else:  # no damping: at huge nbar the unit-rate blocks overflow, and exp(0 * inf) is nan
         propagators = itertools.repeat(np.eye(dim), steps.size)
     for n, r in enumerate(propagators):
         x[n + 1] = (r @ x[n]) * phases[n]
-    states = np.zeros((t_grid.size, dim, dim), dtype=complex)
-    for idx, k in enumerate(orders):
-        i = np.arange(dim - k)
-        states[:, i + k, i] = x[:, idx, : dim - k, 0]
-        states[:, i, i + k] = x[:, idx, : dim - k, 1]
-    return states
+    return _from_order_diagonals(x, orders)
 
 
 def _rotating_frame(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: np.ndarray) -> np.ndarray:
@@ -390,10 +444,12 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
         # Refuses an unknown kind, and a Hamiltonian defined for another spin.
         lindblad_rhs(rho0.entries, t_grid[0], h, d)
         if h.kind != "rotating_field":
-            raw = _covariant(rho0, h, d, t_grid)
+            orders = coherence_orders(rho0.entries)
+            raw = _covariant(rho0, h, d, t_grid, orders)
         elif d.kind == "time_dependent_damping":
             raise UnsupportedParameters("a rotating field with a time-dependent damping rate has no exact propagator")
         else:
+            orders = tuple(range(rho0.dim))
             raw = _rotating_frame(rho0, h, d, t_grid)
         herm = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
         traces = np.trace(herm, axis1=1, axis2=2).real
@@ -403,11 +459,36 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
         first = drift[np.argmax(beyond)]
         raise StiffnessFailure(f"trace drift {first:.3e} exceeds {TRACE_DRIFT_BOUND}")
     entries = herm / traces[:, None, None]
-    check_density_entries(entries)
+    check_density_entries(entries, orders)
     entries.setflags(write=False)
     return Trajectory(
         times=t_grid,
         entries=entries,
         max_trace_drift=float(drift.max()),
         max_hermiticity_drift=float(np.max(np.abs(raw - herm))),
+        orders=orders,
     )
+
+
+def dissipation(traj: Trajectory, d: DissipatorSpec) -> np.ndarray:
+    """D(rho) of each state of traj, (n, d, d), computed order by order on
+    traj.orders and zero off them: dephasing multiplies order k by
+    -lambda k^2 / 2, and damping applies the unit-rate bands of
+    _damping_bands, O(d) per order and state, scaled by gamma, or by
+    gamma_t at each of traj.times. D is J_z-covariant, so it has no other
+    order. The dense dissipators (DissipatorSpec.apply) give the same
+    matrices to roundoff."""
+    x = _order_diagonals(traj.entries, traj.orders)
+    ks = np.array(traj.orders, dtype=float)
+    if d.kind == "dephasing":
+        x *= ((-0.5 * d.lam * ks) * ks)[:, None, None]
+        return _from_order_diagonals(x, traj.orders)
+    gamma = d.gamma if d.kind == "amplitude_damping" else _gamma_at(d, traj.times)[..., None, None, None]
+    if not np.any(gamma):  # undamped: at huge nbar the unit-rate bands overflow, and 0 * inf is nan
+        return np.zeros_like(traj.entries)
+    lower, main, upper = _damping_bands(traj.j, d.nbar, traj.orders)[..., None]
+    dx = main * x
+    dx[..., 1:, :] += lower[:, 1:] * x[..., :-1, :]
+    dx[..., :-1, :] += upper[:, :-1] * x[..., 1:, :]
+    dx *= gamma
+    return _from_order_diagonals(dx, traj.orders)

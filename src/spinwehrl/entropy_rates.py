@@ -34,7 +34,7 @@ from .dynamics import DissipatorSpec, Trajectory
 from .errors import UnsupportedParameters
 from .hypergeom import gauss_2f1
 from .phase_space import HusimiField
-from .spin_ops import BLOCH_LENGTH_MAX, BlochVector, DensityMatrix, SpinQuantumNumber
+from .spin_ops import BLOCH_LENGTH_MAX, BlochVector, DensityMatrix, SpinQuantumNumber, matrix_blocks
 from . import _kernels
 
 DIVERGENCE_EDGE = 1e-12
@@ -165,8 +165,7 @@ def dephasing_pi_quadrature(field: HusimiField, lam: float):
     Non-negative; zero iff Q is independent of phi at every node.
     """
     grid = field.grid
-    _, harmonics = grid.amplitude_table(field.j)
-    return _dephasing_pi(_kernels.dephasing_reduce(field.coef, harmonics, grid.theta_weights), field.j, lam)
+    return _dephasing_pi(_kernels.dephasing_reduce(field.coef, field.harmonics, grid.theta_weights), field.j, lam)
 
 
 def dephasing_pi_spin_half(b, lam: float):
@@ -220,9 +219,8 @@ def damping_quadrature(field: HusimiField, bath: BathParams) -> tuple:
     floats for a one-state field, arrays for a chunk; see
     damping_phi_quadrature and damping_pi_quadrature."""
     grid, j = field.grid, field.j
-    _, harmonics = grid.amplitude_table(j)
     vectors = _damping_vectors(grid, j.two_j, bath.nbar)
-    return _damping_terms(_kernels.damping_reduce(field.coef, harmonics, *vectors), j, bath)
+    return _damping_terms(_kernels.damping_reduce(field.coef, field.harmonics, *vectors), j, bath)
 
 
 def damping_phi_quadrature(field: HusimiField, bath: BathParams) -> float:
@@ -375,7 +373,7 @@ def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, ti
     for field in fields:
         grid, j = field.grid, field.j
         if not raw:
-            _, harmonics = grid.amplitude_table(j)
+            harmonics = field.harmonics
             vectors = (grid.theta_weights,) if dephasing else _damping_vectors(grid, j.two_j, bath.nbar)
         raw.append(np.asarray(reduce(field.coef, harmonics, *vectors)))
     raw = np.concatenate(raw, axis=-1)
@@ -479,11 +477,11 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(evals * np.log(evals)))
 
 
-def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec) -> EntropyRates:
+def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec, orders) -> EntropyRates:
     """General-J von Neumann bundle in Spohn's form, of a DensityMatrix or of
-    each matrix of a stack (one batched eigh), from the states and their
-    dissipator images d_rho = D(rho) alone: the Hamiltonian's part
-    tr([H, rho] ln rho) is zero for any H.
+    each matrix of a stack, from the states and their dissipator images
+    d_rho = D(rho) alone: the Hamiltonian's part tr([H, rho] ln rho) is
+    zero for any H.
 
         dS/dt = -tr(D(rho) ln rho),
         Phi   = tr(D(rho) ln rho_bar) = ln(nbar/(nbar+1)) tr(J_z D(rho)),
@@ -491,12 +489,25 @@ def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec) -> EntropyRates
 
     with rho_bar the Gibbs state of the damping bath d (so Phi = Phi_E/T
     for H = omega J_z), and Phi = 0 for dephasing. At T = 0, Phi is +inf
-    where tr(J_z D(rho)) < 0 and 0 where it is 0. Eigenvalues are floored at
-    EIG_LOG_FLOOR, so a pure state's dS/dt is large but finite."""
-    evals, vecs = np.linalg.eigh(getattr(rho, "entries", rho))
-    log_rho = (vecs * np.log(np.clip(evals, EIG_LOG_FLOOR, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    where tr(J_z D(rho)) < 0 and 0 where it is 0.
+
+    orders are the coherence orders of the states (Trajectory.orders, or
+    spin_ops.coherence_orders of rho), which D keeps. ln rho is
+    taken block by block (spin_ops.matrix_blocks), one batched eigh per
+    block size: a J_z-diagonal state's eigenvalues are its populations,
+    O(d) per state, and a state with order 1 is one block. Eigenvalues are
+    floored at EIG_LOG_FLOOR, so a pure state's dS/dt is large but finite."""
+    rho = getattr(rho, "entries", rho)
     d_rho = np.asarray(d_rho)
-    ds = -np.trace(d_rho @ log_rho, axis1=-2, axis2=-1).real
+    trace = 0.0
+    for block, d_block in zip(matrix_blocks(rho, orders), matrix_blocks(d_rho, orders)):
+        if block.shape[-1] == 1:  # a population
+            log_rho = np.log(np.clip(block.real, EIG_LOG_FLOOR, None))
+        else:
+            evals, vecs = np.linalg.eigh(block)
+            log_rho = (vecs * np.log(np.clip(evals, EIG_LOG_FLOOR, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+        trace = trace + np.trace(d_block @ log_rho, axis1=-2, axis2=-1).sum(axis=-1)
+    ds = -np.real(trace)
     if d.kind == "dephasing":
         return _rates(ds, ds, 0.0)
     jz_dot = d_rho.diagonal(axis1=-2, axis2=-1).real @ SpinQuantumNumber(d_rho.shape[-1] - 1).m_values()

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import Q_FLOOR
-from .spin_ops import DensityMatrix, SpinQuantumNumber
+from .spin_ops import DensityMatrix, SpinQuantumNumber, coherence_orders
 
 GRID_MIN = 8  # the smallest n_theta and n_phi of a SphereGrid
 
@@ -101,14 +101,17 @@ class SphereGrid:
         sums = np.asarray(values).sum(axis=-1) @ self.theta_weights
         return float(sums) if sums.ndim == 0 else sums
 
-    def amplitude_table(self, j: SpinQuantumNumber):
-        """Cached separable tables (pairs, harmonics) for spin j: see
-        _amplitude_table."""
+    def amplitude_table(self, j: SpinQuantumNumber, orders: int):
+        """Cached separable tables (pairs, harmonics) for spin j and the
+        orders s = 0 .. orders - 1 (2J + 1 of them for a full state): see
+        _amplitude_table. A request for more orders than the cached table
+        holds builds a new one; a request for fewer reads a slice."""
         tab = self._tables.get(j.two_j)
-        if tab is None:
-            tab = _amplitude_table(j.two_j, self.theta_nodes, self.phi_nodes)
+        if tab is None or tab[0].shape[1] < orders:
+            tab = _amplitude_table(j.two_j, orders, self.theta_nodes, self.phi_nodes)
             self._tables[j.two_j] = tab
-        return tab
+        pairs, harmonics = tab
+        return pairs[:, :orders], harmonics[: 2 * orders]
 
 
 def make_grid(n_theta: int = 96, n_phi: int = 192) -> SphereGrid:
@@ -133,26 +136,28 @@ def _magnitudes(two_j: int, theta: np.ndarray) -> tuple:
     return mag, mag * dfac
 
 
-def _amplitude_table(two_j: int, theta: np.ndarray, phi: np.ndarray):
-    """Separable tables of the Husimi transform (see _kernels).
+def _amplitude_table(two_j: int, orders: int, theta: np.ndarray, phi: np.ndarray):
+    """Separable tables of the Husimi transform (see _kernels), for the
+    orders s = 0 .. orders - 1.
 
-    Returns (pairs, harmonics): the (2, d, d, n_theta) pair table, whose
-    pairs[0, s, a] is (w_s / 2) mag_a mag_{a+s} over the theta nodes and
-    pairs[1, s, a] its theta derivative, zero where a + s > 2J; and the
-    (2d, n_phi) harmonics, cos(s phi) in row 2s and sin(s phi) in row
-    2s + 1, for s = 0 .. 2J.
+    Returns (pairs, harmonics): the (2, orders, d, n_theta) pair table,
+    whose pairs[0, s, a] is (w_s / 2) mag_a mag_{a+s} over the theta nodes
+    and pairs[1, s, a] its theta derivative, zero where a + s > 2J; and the
+    (2 orders, n_phi) harmonics, cos(s phi) in row 2s and sin(s phi) in row
+    2s + 1. Each entry is the same whatever the number of orders.
     """
     d = two_j + 1
     mag, dmag = _magnitudes(two_j, theta)
     a = np.arange(d)
-    b = np.minimum(a + a[:, None], d - 1)  # (s, a)
-    half_w = np.where(a[:, None] == 0, 0.5, 1.0) * (a + a[:, None] < d)
+    s = np.arange(orders)[:, None]
+    b = np.minimum(a + s, d - 1)  # (s, a)
+    half_w = np.where(s == 0, 0.5, 1.0) * (a + s < d)
     mag_a, dmag_a = mag[:, None, :], dmag[:, None, :]
     prod = half_w * mag_a * mag[:, b]  # (n_theta, s, a)
     deriv = half_w * (dmag_a * mag[:, b] + mag_a * dmag[:, b])
     pairs = np.ascontiguousarray(np.stack([prod, deriv]).transpose(0, 2, 3, 1))
-    sphi = np.outer(a, phi)
-    return pairs, np.stack([np.cos(sphi), np.sin(sphi)], axis=1).reshape(2 * d, -1)
+    sphi = np.outer(s, phi)
+    return pairs, np.stack([np.cos(sphi), np.sin(sphi)], axis=1).reshape(2 * orders, -1)
 
 
 @dataclass(frozen=True)
@@ -160,9 +165,11 @@ class HusimiField:
     """Q(Omega) = <Omega|rho|Omega> with analytic angular derivatives, held
     as the phi-Fourier coefficients of each theta row (see _kernels).
 
-    coef holds the real coefficients of Q and of dQ/dtheta: (2, 2d, n_theta)
-    for one state, or (2, 2d, k, n_theta) for a chunk of k states, with 2
-    rows in place of 2d for a J_z-diagonal stack (see husimi_chunks). q,
+    coef holds the real coefficients of Q and of dQ/dtheta: (2, 2n, n_theta)
+    for one state, or (2, 2n, k, n_theta) for a chunk of k states, for the
+    orders s = 0 .. n - 1 up to the largest coherence order of the states
+    (see husimi_chunks): n = 2J + 1 for a full state, 1 for a J_z-diagonal
+    stack. q,
     dq_dtheta and dq_dphi are the real node arrays (Q is real for Hermitian
     rho, hence so are its angular derivatives), (n_theta, n_phi) or
     (k, n_theta, n_phi), each evaluated on first use; the quadrature reads
@@ -174,9 +181,13 @@ class HusimiField:
     j: SpinQuantumNumber
     coef: np.ndarray
 
+    @property
+    def harmonics(self) -> np.ndarray:
+        """The (2n, n_phi) harmonics of the orders the field holds."""
+        return self.grid.amplitude_table(self.j, self.coef.shape[1] // 2)[1]
+
     def _nodes(self, rows: np.ndarray) -> np.ndarray:
-        _, harmonics = self.grid.amplitude_table(self.j)
-        return _kernels.node_rows(rows[None], harmonics[: len(rows)])[0]
+        return _kernels.node_rows(rows[None], self.harmonics)[0]
 
     @functools.cached_property
     def q(self) -> np.ndarray:
@@ -199,39 +210,43 @@ class HusimiField:
 # Grid nodes per chunk of states (two on the default grid). A chunk is one
 # call of the transform and one of a reduction, which evaluates up to three
 # node rows per state. Of one, two and four states per chunk on 96 x 192,
-# two ran the six bundled compares fastest. A J_z-diagonal stack holds only
-# its s = 0 rows (see husimi_chunks), so its chunks are sized by their
+# two ran the six bundled compares fastest. A J_z-diagonal stack's fields hold
+# only their s = 0 rows (see husimi_chunks), so its chunks are sized by their
 # (2, 2, k, n_theta) coefficient array instead: at most twice this many
 # numbers, 192 states on 96 x 192 whatever 2J.
 _CHUNK_NODES = 2 * 96 * 192
 
 
-def husimi_chunks(states: np.ndarray, grid: SphereGrid) -> Iterator[HusimiField]:
-    """The Husimi fields of an (n, d, d) stack of density-matrix entries,
-    in order, a chunk of states per HusimiField; the stack is sliced
-    without a copy.
+def husimi_chunks(states: np.ndarray, grid: SphereGrid, orders) -> Iterator[HusimiField]:
+    """The Husimi fields of an (n, d, d) stack of density-matrix entries
+    whose coherence orders are orders (Trajectory.orders, or
+    spin_ops.coherence_orders of the stack), in order, a chunk of states
+    per HusimiField; the stack is sliced without a copy, and its entries
+    are not inspected.
 
     Each chunk is one call of the transform, so memory stays bounded
-    however many states there are. phi-independence is decided here, once
-    per stack: a stack with no nonzero off-diagonal entry gets the s = 0
-    slice of the pair table alone, so its fields hold two coefficient rows
-    and are reduced on one phi column (see _kernels.phi_columns), at
-    _CHUNK_NODES // (2 n_theta) states per chunk. Any other stack keeps all
-    2d rows, at _CHUNK_NODES // n_nodes states per chunk (at least one).
+    however many states there are. The transform takes the pair table of
+    the orders s = 0 .. max(orders) alone, so the fields hold only those
+    coefficient rows. phi-independence is decided here, once per stack,
+    from orders: a J_z-diagonal stack (orders (0,)) has fields of two
+    coefficient rows, reduced on one phi column (see _kernels.phi_columns),
+    at _CHUNK_NODES // (2 n_theta) states per chunk. Any other stack is
+    evaluated on every phi column, at _CHUNK_NODES // n_nodes states per
+    chunk (at least one).
     """
     d = states.shape[-1]
-    diagonal = np.count_nonzero(states) == np.count_nonzero(np.diagonal(states, axis1=-2, axis2=-1))
-    per_chunk = max(1, _CHUNK_NODES // (2 * grid.n_theta if diagonal else grid.n_nodes))
+    n_orders = max(orders, default=0) + 1
+    per_chunk = max(1, _CHUNK_NODES // (2 * grid.n_theta if n_orders == 1 else grid.n_nodes))
     j = SpinQuantumNumber(d - 1)
-    pairs = grid.amplitude_table(j)[0][:, : 1 if diagonal else d]
+    pairs, _ = grid.amplitude_table(j, n_orders)
     for start in range(0, len(states), per_chunk):
         yield HusimiField(grid, j, _kernels.husimi_contract(pairs, states[start : start + per_chunk]))
 
 
 def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:
     """The one-state Husimi field of rho: husimi_chunks' one chunk of rho,
-    without its state axis."""
-    (chunk,) = husimi_chunks(rho.entries[None], grid)
+    on the coherence orders of rho, without its state axis."""
+    (chunk,) = husimi_chunks(rho.entries[None], grid, coherence_orders(rho.entries))
     return HusimiField(grid, rho.j, chunk.coef[:, :, 0])
 
 
@@ -241,8 +256,7 @@ def wehrl_entropy(field: HusimiField):
     evaluated on the phi columns of _kernels.phi_columns, as the reductions
     evaluate theirs."""
     grid = field.grid
-    _, harmonics = grid.amplitude_table(field.j)
-    harmonics, copies = _kernels.phi_columns(field.coef, harmonics)
+    harmonics, copies = _kernels.phi_columns(field.coef, field.harmonics)
     q = _kernels.node_rows(field.coef[:1], harmonics)[0]
     integrand = np.maximum(q, Q_FLOOR)
     np.log(integrand, out=integrand)

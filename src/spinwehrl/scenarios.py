@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, evolve
+from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, dissipation, evolve
 from .entropy_rates import (
     BathParams,
     EntropyRates,
@@ -35,7 +35,7 @@ from .entropy_rates import (
     spin_half_dephasing_von_neumann,
     von_neumann_rates,
 )
-from .errors import AmplitudeUnderflow, NonMarkovianRegime, NonPhysicalState, NothingToCompare
+from .errors import AmplitudeUnderflow, NonMarkovianRegime, NonPhysicalState, NothingToCompare, UnsupportedParameters
 from .phase_space import SphereGrid, husimi_chunks, make_grid, wehrl_entropy, wehrl_entropy_spin_half
 from .spin_ops import (
     BlochVector,
@@ -47,6 +47,12 @@ from .spin_ops import (
 )
 
 SIGMA_TAIL_TOL = 1e-10
+# Every rate a run reports is linear in the dissipator's rate and grows with
+# the bath and the spin like (2 nbar + 1) d^2, d = 2J + 1 (a pure state's
+# von Neumann rate at 2J = 40 is ~700 gamma). Up to this bound on their
+# product, the rates, and the products and sums that form them, stay well
+# inside the range of doubles (1.8e308).
+RATE_SCALE_MAX = 1e305
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -85,6 +91,19 @@ class ScenarioResult:
         return self.trajectory.times
 
 
+def _check_rate_scale(model: Model) -> None:
+    """Raise UnsupportedParameters, before integrating, for a dissipator
+    whose rate times (2 nbar + 1) d^2 exceeds RATE_SCALE_MAX: gamma for
+    damping, lambda for dephasing. An undamped bath is left to BathParams,
+    which refuses an nbar whose 2 nbar + 1 overflows."""
+    d, dim = model.d, model.rho0.dim
+    rate = d.lam if d.kind == "dephasing" else d.gamma * (2.0 * d.nbar + 1.0)
+    if rate * dim * dim > RATE_SCALE_MAX:  # False at gamma = 0 with an infinite 2 nbar + 1 (nan)
+        raise UnsupportedParameters(
+            f"rate {rate:g} times (2J + 1)^2 = {dim * dim} exceeds {RATE_SCALE_MAX:g}: the rates would overflow"
+        )
+
+
 def _uniform_grid(t_max: float, dt: float) -> np.ndarray:
     n = int(round(t_max / dt))
     if n < 2:
@@ -109,12 +128,20 @@ def _sigma_or_none(times, pi_values) -> Optional[float]:
 def _von_neumann(traj: Trajectory, d: DissipatorSpec, dr: np.ndarray) -> EntropyRates:
     """The von Neumann rates against the bath's Gibbs state, from the closed
     forms for spin 1/2, on the trajectory's Bloch array, and otherwise from
-    von_neumann_rates on the states and dr = D(rho)."""
+    von_neumann_rates on the states, their orders and dr = D(rho)."""
     if traj.j.two_j == 1:
         if d.kind == "dephasing":
             return spin_half_dephasing_von_neumann(traj.bloch, d.lam)
         return spin_half_damping_von_neumann(traj.bloch, bath_at(d, traj.times))
-    return von_neumann_rates(traj.entries, dr, d)
+    return von_neumann_rates(traj.entries, dr, d, traj.orders)
+
+
+def _energy_flux(h: HamiltonianSpec, traj: Trajectory, dr: np.ndarray) -> np.ndarray:
+    """Phi_E = -tr(H(t) D(rho)) of each state, from dr = D(rho): for a
+    static omega J_z, or no Hamiltonian, only D's order 0 enters."""
+    if h.kind == "rotating_field":
+        return -np.trace(h.matrix(traj.j, traj.times) @ dr, axis1=-2, axis2=-1).real
+    return -(dr.diagonal(axis1=-2, axis2=-1).real @ (h.omega * traj.j.m_values()))
 
 
 def _recording_entropy(chunks, entropy: np.ndarray):
@@ -152,29 +179,33 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     at a time on grid, by default make_grid()) also gives the Wehrl
     entropy. Spin-1/2 runs take the entropy from its closed form and build
     no field. The agreement checks the primary series against the other
-    methods that need no field. D(rho) of the states gives both phi_energy
-    and the von Neumann rates of _von_neumann.
+    methods that need no field. D(rho) of the states, formed per coherence
+    order (dynamics.dissipation), gives both phi_energy and the von Neumann
+    rates of _von_neumann. A rate that would overflow (RATE_SCALE_MAX)
+    raises UnsupportedParameters before integrating.
     """
     rho0, h, d = model.rho0, model.h, model.d
     j = rho0.j
     method = primary_rate_method(j.two_j, d)
+    _check_rate_scale(model)
     traj = evolve(rho0, h, d, _uniform_grid(t_max, dt))
     times = traj.times
     if method.needs_field:
         entropy = np.empty(times.size)
-        fields = _recording_entropy(husimi_chunks(traj.entries, grid if grid is not None else make_grid()), entropy)
+        grid = grid if grid is not None else make_grid()
+        fields = _recording_entropy(husimi_chunks(traj.entries, grid, traj.orders), entropy)
     else:
         fields = None
         entropy = wehrl_entropy_spin_half(_bloch_parts(traj.bloch)[1])
     wehrl = method.rates(traj, fields, d, times)
     field_free = [m for m in applicable_rate_methods(j.two_j, d) if not m.needs_field]
     agreement = _agreement(field_free, d, lambda m: wehrl if m is method else m.rates(traj, None, d, times))
-    hm, dr = h.matrix(j, times), d.apply(traj.entries, times)
+    dr = dissipation(traj, d)
     return ScenarioResult(
         trajectory=traj,
         wehrl=wehrl,
         von_neumann=_von_neumann(traj, d, dr),
-        phi_energy=-np.trace(hm @ dr, axis1=-2, axis2=-1).real,
+        phi_energy=_energy_flux(h, traj, dr),
         entropy=entropy,
         sigma_wehrl=_sigma_or_none(times, wehrl.pi),
         agreement=agreement,
@@ -186,7 +217,9 @@ def compare(model: Model, t_max: float, dt: float, grid: SphereGrid) -> dict:
     """Integrate once and give the maximum relative deviation of each check
     in rate_pairs among every rate method that applies, by label, building
     each state's Husimi field on grid once. Raises NothingToCompare, before
-    integrating, when no two of them give a common quantity."""
+    integrating, when no two of them give a common quantity, and
+    UnsupportedParameters, as simulate does, for a rate that would
+    overflow."""
     d = model.d
     methods = applicable_rate_methods(model.rho0.j.two_j, d)
     if not rate_pairs(methods, d):
@@ -195,10 +228,13 @@ def compare(model: Model, t_max: float, dt: float, grid: SphereGrid) -> dict:
             f"fewer than two rate methods apply to 2J = {model.rho0.j.two_j}, {d.kind}, "
             f"nbar = {d.nbar:g}: {names}"
         )
+    _check_rate_scale(model)
     traj = evolve(model.rho0, model.h, d, _uniform_grid(t_max, dt))
-    return _agreement(
-        methods, d, lambda m: m.rates(traj, husimi_chunks(traj.entries, grid) if m.needs_field else None, d, traj.times)
-    )
+
+    def series(m):
+        return m.rates(traj, husimi_chunks(traj.entries, grid, traj.orders) if m.needs_field else None, d, traj.times)
+
+    return _agreement(methods, d, series)
 
 
 def spontaneous_emission_model(omega: float, gamma: float, temperature: float) -> Model:

@@ -52,22 +52,85 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_density_entries(rho: np.ndarray) -> None:
+def coherence_orders(rho) -> tuple:
+    """The coherence orders of rho, one (d, d) matrix or a (..., d, d) stack:
+    each k >= 0 for which some matrix has a nonzero entry on its k-th
+    diagonal below or above the main one, ascending. A J_z-covariant
+    generator keeps the orders of its initial state (see dynamics)."""
+    rho = np.asarray(rho)
+    return tuple(
+        k for k in range(rho.shape[-1])
+        if np.any(rho.diagonal(-k, -2, -1)) or np.any(rho.diagonal(k, -2, -1))
+    )
+
+
+@lru_cache(maxsize=None)
+def coherence_blocks(d: int, orders: tuple) -> tuple:
+    """The blocks of a (d, d) matrix whose entries vanish off the diagonals
+    +-k, k in orders: the connected components of the indices 0 .. d - 1,
+    where a and a + k share a component for each k in orders. Components
+    of one size are stacked, so the result is a tuple of read-only (g, c)
+    index arrays, one per size c, ascending, each row one component's
+    indices ascending. Order 0 alone gives d components of one index, and
+    order 1 one component of all d."""
+    root = list(range(d))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for k in orders:
+        for a in range(d - k if k else 0):
+            ra, rb = find(a), find(a + k)
+            root[max(ra, rb)] = min(ra, rb)
+    components = {}
+    for a in range(d):
+        components.setdefault(find(a), []).append(a)
+    by_size = {}
+    for members in components.values():
+        by_size.setdefault(len(members), []).append(members)
+    return tuple(_freeze(np.array(by_size[c])) for c in sorted(by_size))
+
+
+def matrix_blocks(rho: np.ndarray, orders) -> list:
+    """The diagonal blocks of rho, one (..., d, d) matrix or stack, on the
+    components of coherence_blocks: a (..., g, c, c) array per component
+    size. A matrix of one block is returned whole, as a (..., 1, d, d)
+    view."""
+    d = rho.shape[-1]
+    blocks = coherence_blocks(d, tuple(orders))
+    if blocks[0].shape == (1, d):
+        return [rho[..., None, :, :]]
+    return [rho[..., idx[:, :, None], idx[:, None, :]] for idx in blocks]
+
+
+def check_density_entries(rho: np.ndarray, orders) -> None:
     """Raise NonPhysicalState unless rho, one (d, d) matrix or a (..., d, d)
     stack of them, is Hermitian, of unit trace and positive semidefinite up
     to HERMITICITY_TOL, TRACE_TOL and EIGENVALUE_FLOOR, with finite entries.
-    For a stack the message names the worst matrix's defect."""
-    if not np.all(np.isfinite(rho)):
+    For a stack the message names the worst matrix's defect.
+
+    rho vanishes off the diagonals of its coherence orders, orders (see
+    coherence_orders), so it is checked block by block (matrix_blocks): a
+    J_z-diagonal matrix's eigenvalues are its populations, O(d) per matrix,
+    and a matrix with order 1 is one block, checked whole."""
+    parts = matrix_blocks(rho, orders)
+    if not all(np.all(np.isfinite(part)) for part in parts):
         raise NonPhysicalState("matrix has non-finite entries")
-    adjoint = rho.conj().swapaxes(-1, -2)
-    herm = np.max(np.abs(rho - adjoint), axis=(-2, -1))
-    if np.any(herm > HERMITICITY_TOL):
-        raise NonPhysicalState(f"matrix is not Hermitian (defect {np.max(herm):.3e})")
-    tr = np.trace(rho, axis1=-2, axis2=-1)
+    adjoints = [part.conj().swapaxes(-1, -2) for part in parts]
+    herm = max(float(np.max(np.abs(part - adj))) for part, adj in zip(parts, adjoints))
+    if herm > HERMITICITY_TOL:
+        raise NonPhysicalState(f"matrix is not Hermitian (defect {herm:.3e})")
+    tr = sum(np.trace(part, axis1=-2, axis2=-1).sum(axis=-1) for part in parts)
     drift = np.abs(tr - 1.0)
     if np.any(drift > TRACE_TOL):
         raise NonPhysicalState(f"trace is {np.ravel(tr)[np.argmax(drift)]}, expected 1")
-    lo = np.min(np.linalg.eigvalsh(0.5 * (rho + adjoint)))
+    lo = min(
+        float(np.min(np.linalg.eigvalsh(0.5 * (part + adj)) if part.shape[-1] > 1 else part.real))
+        for part, adj in zip(parts, adjoints)
+    )
     if lo < EIGENVALUE_FLOOR:
         raise NonPhysicalState(f"matrix has negative eigenvalue {lo:.3e}")
 
@@ -89,7 +152,7 @@ class DensityMatrix:
         d = self.j.dim
         if rho.shape != (d, d):
             raise DimensionMismatch(f"expected {(d, d)} matrix, got {rho.shape}")
-        check_density_entries(rho)
+        check_density_entries(rho, coherence_orders(rho))
         object.__setattr__(self, "entries", _freeze(rho))
 
     @property

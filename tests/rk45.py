@@ -55,4 +55,5 @@ def evolve_rk45(rho0: DensityMatrix, h, d, t_grid, tol: float = 1e-10) -> Trajec
         entries=np.array(entries),
         max_trace_drift=max_trace_drift,
         max_hermiticity_drift=max_herm_drift,
+        orders=tuple(range(dim)),
     )

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from spinwehrl import entropy_rates
 from spinwehrl.cli import bundled_configs, main, validate_config
 from spinwehrl.errors import ConfigError
 from spinwehrl.entropy_rates import BathParams
@@ -586,14 +588,21 @@ class TestCompare:
         assert main(["compare", "--config", path, "--tol=inf"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].endswith("within tolerance inf")
 
-    @pytest.mark.filterwarnings(
-        "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
-    )
-    def test_a_nan_deviation_fails(self, tmp_path, capsys):
-        # At gamma = 1e308 the quadrature's Pi overflows and its deviation
-        # from the closed form is NaN: a check passes only at a deviation
-        # at most the tolerance.
-        cfg = dict(HOT_EMISSION, gamma=1e308, temperature=1.0, time={"t_max": 1.0, "output_dt": 0.1},
+    def test_a_nan_deviation_fails(self, tmp_path, capsys, monkeypatch):
+        # A NaN in one series (the closed form's Pi at one time) makes its
+        # deviation NaN: a check passes only at a deviation at most the
+        # tolerance. (A rate large enough to overflow is refused before
+        # integrating; see test_overflowing_rate_is_a_numerical_failure_without_warnings.)
+        original = entropy_rates.spin_half_damping_rates
+
+        def with_a_nan(b, bath):
+            rates = original(b, bath)
+            pi = rates.pi.copy()
+            pi[3] = math.nan
+            return dataclasses.replace(rates, pi=pi)
+
+        monkeypatch.setattr(entropy_rates, "spin_half_damping_rates", with_a_nan)
+        cfg = dict(HOT_EMISSION, temperature=1.0, time={"t_max": 1.0, "output_dt": 0.1},
                    grid={"n_theta": 16, "n_phi": 32})
         assert main(["compare", "--config", write_config(tmp_path, cfg)]) == 1
         out = capsys.readouterr().out.splitlines()
@@ -740,6 +749,33 @@ def test_overflowing_nbar_is_a_numerical_failure_without_warnings(tmp_path, caps
     for argv in commands:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["spontaneous_emission", "zero_temperature", "spin_two_damping", "spin_two_dephasing"])
+def test_overflowing_rate_is_a_numerical_failure_without_warnings(tmp_path, capsys, case):
+    # At gamma = 1e308 every rate overflows: run and compare refuse the
+    # config before integrating, as the README documents, and print no
+    # RuntimeWarning. At 1e300 the rates fit, and the runs go through.
+    if case in ("spontaneous_emission", "zero_temperature"):
+        cfg = dict(HOT_EMISSION, temperature=1.0 if case == "spontaneous_emission" else 0.0,
+                   time={"t_max": 1.0, "output_dt": 0.1}, grid={"n_theta": 16, "n_phi": 32})
+        key = "gamma"
+    else:
+        cfg = with_value(CUSTOM_DAMPING_J2, "grid", {"n_theta": 16, "n_phi": 32})
+        if case == "spin_two_dephasing":
+            cfg = with_value(cfg, "dissipator", {"type": "dephasing", "lambda": 1.0})
+        key = "dissipator.lambda" if case == "spin_two_dephasing" else "dissipator.gamma"
+    commands = lambda path: [["run", "--config", path, "--out", str(tmp_path)]] + (
+        [] if case == "spin_two_dephasing" else [["compare", "--config", path]])  # spin-J dephasing: exit 2
+    path = write_config(tmp_path, with_value(cfg, key, 1e308))
+    for argv in commands(path):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: UnsupportedParameters: rate ")
+    path = write_config(tmp_path, with_value(cfg, key, 1e300), "fits.json")
+    for argv in commands(path):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestRunAgreement:

@@ -32,15 +32,18 @@ DEPHASING = st.fixed_dictionaries({"type": st.just("dephasing"), "lambda": unit(
 # the largest, the generator overflows; at 8e307 the unit-rate damping
 # blocks overflow, which an undamped run must not build.
 NBAR = st.one_of(unit(0.0, 2.0), st.sampled_from([1e20, 1e300, 8e307, 1e308]))
-DAMPING = st.fixed_dictionaries({"type": st.just("amplitude_damping"), "gamma": unit(0.0, 2.0), "nbar": NBAR})
+# gamma up to 1e308, where the rates overflow and run and compare refuse the
+# config before integrating; at 1e300 they fit.
+GAMMA = st.one_of(unit(0.0, 2.0), st.sampled_from([1e300, 1e308]))
+DAMPING = st.fixed_dictionaries({"type": st.just("amplitude_damping"), "gamma": GAMMA, "nbar": NBAR})
 DISSIPATOR = st.one_of(DEPHASING, DAMPING)
 BLOCH_ANGLES = st.fixed_dictionaries(
     {"type": st.just("bloch_angles"), "tau": unit(), "theta": unit(0.0, math.pi), "phi": unit(0.0, 2 * math.pi)}
 )
 SPIN_HALF = {
-    "spontaneous_emission": {"omega": unit(0.1, 5.0), "gamma": unit(0.0, 2.0), "temperature": unit(0.0, 5.0)},
+    "spontaneous_emission": {"omega": unit(0.1, 5.0), "gamma": GAMMA, "temperature": unit(0.0, 5.0)},
     "thermal_quench": {"initial_temperature": unit(0.0, 5.0), "bath_temperature": unit(0.0, 5.0),
-                       "omega": unit(0.1, 5.0), "gamma": unit(0.0, 2.0)},
+                       "omega": unit(0.1, 5.0), "gamma": GAMMA},
     "rotating_field": {"b0": unit(-3.0, 3.0), "b1": unit(-3.0, 3.0), "drive_omega": unit(-3.0, 3.0),
                        "dissipator": DISSIPATOR, "initial_state": BLOCH_ANGLES},
     # a0 below the Markovianity threshold (about 0.57 at bandwidth 10) exits 3.

@@ -1,0 +1,269 @@
+"""The layers after evolve work per coherence order: D(rho) order by order,
+validation and von Neumann eigenvalues per block of the orders, and the
+Husimi transform on the pair tables up to the largest order. Each is
+checked against the dense computation it replaces, in the hard regimes:
+pure states, T = 0, two blocks that share no gcd, and 2J up to 40."""
+
+import math
+
+import numpy as np
+import pytest
+
+from spinwehrl import (
+    BlochVector,
+    DensityMatrix,
+    DissipatorSpec,
+    HamiltonianSpec,
+    NonPhysicalState,
+    SpinQuantumNumber,
+    Trajectory,
+    bloch_to_rho,
+    evolve,
+    husimi_chunks,
+    make_grid,
+    von_neumann_rates,
+)
+from spinwehrl import _kernels, phase_space
+from spinwehrl.dynamics import dissipation
+from spinwehrl.entropy_rates import EIG_LOG_FLOOR
+from spinwehrl.spin_ops import check_density_entries, coherence_blocks, coherence_orders
+
+# (2J, coherence orders): J_z-diagonal, one even block and one odd, two
+# blocks although gcd(3, 5) = 1 (2J = 5 joins 0-3-5-2 and 1-4), and full.
+ORDER_SETS = [
+    (1, (0,)), (1, (0, 1)),
+    (4, (0,)), (4, (0, 2)), (4, (0, 1, 2, 3, 4)),
+    (5, (0, 3, 5)),
+    (12, (0,)), (12, (0, 2)), (12, tuple(range(13))),
+    (40, (0,)), (40, (0, 2)), (40, tuple(range(41))),
+]
+N_STATES = 7
+
+
+def block_state(two_j: int, orders: tuple, rng) -> np.ndarray:
+    """A random full-rank state whose coherence orders are exactly orders:
+    random entries on their diagonals, made positive by diagonal
+    dominance."""
+    d = two_j + 1
+    i, k = np.indices((d, d))
+    rho = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * np.isin(np.abs(i - k), orders)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho[i == k] = np.abs(rho).sum(axis=1) + 0.1
+    return rho / np.trace(rho).real
+
+
+def block_stack(two_j: int, orders: tuple, rng, n: int = N_STATES) -> np.ndarray:
+    return np.stack([block_state(two_j, orders, rng) for _ in range(n)])
+
+
+def trajectory(stack: np.ndarray, orders: tuple) -> Trajectory:
+    return Trajectory(times=np.linspace(0.0, 1.0, len(stack)), entries=stack, max_trace_drift=0.0,
+                      max_hermiticity_drift=0.0, orders=orders)
+
+
+def dense_von_neumann_ds(stack: np.ndarray, d_rho: np.ndarray) -> np.ndarray:
+    """-tr(D(rho) ln rho) by one dense eigh per state, eigenvalues floored."""
+    evals, vecs = np.linalg.eigh(stack)
+    log_rho = (vecs * np.log(np.clip(evals, EIG_LOG_FLOOR, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return -np.trace(d_rho @ log_rho, axis1=-2, axis2=-1).real
+
+
+def assert_relative(got, want, rtol):
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= rtol * scale, (np.max(np.abs(got - want)) / scale)
+
+
+class TestOrders:
+    @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
+    def test_orders_of_a_block_state(self, two_j, orders, rng):
+        assert coherence_orders(block_stack(two_j, orders, rng)) == orders
+
+    def test_blocks(self):
+        assert [idx.tolist() for idx in coherence_blocks(6, (0, 3, 5))] == [[[1, 4]], [[0, 2, 3, 5]]]
+        assert [idx.tolist() for idx in coherence_blocks(5, (0, 2))] == [[[1, 3]], [[0, 2, 4]]]
+        assert [idx.tolist() for idx in coherence_blocks(3, (0,))] == [[[0], [1], [2]]]
+        assert [idx.tolist() for idx in coherence_blocks(4, (0, 1))] == [[[0, 1, 2, 3]]]
+
+    @pytest.mark.parametrize("two_j, orders", [(4, (0,)), (4, (0, 2)), (12, (0, 2)), (5, (0, 3, 5))])
+    def test_a_covariant_generator_keeps_the_orders(self, two_j, orders, rng):
+        rho0 = DensityMatrix(SpinQuantumNumber(two_j), block_state(two_j, orders, rng))
+        traj = evolve(rho0, HamiltonianSpec.static_jz(1.3), DissipatorSpec.amplitude_damping(0.7, 0.4),
+                      np.linspace(0.0, 1.0, 6))
+        assert traj.orders == orders
+        i, k = np.indices(rho0.entries.shape)
+        assert not np.any(traj.entries[:, ~np.isin(np.abs(i - k), orders)])
+
+    def test_the_rotating_field_keeps_every_order(self):
+        rho0 = bloch_to_rho(BlochVector(0.0, 0.0, 0.6))
+        traj = evolve(rho0, HamiltonianSpec.rotating_field(1.0, 0.5, 1.0), DissipatorSpec.dephasing(0.3),
+                      np.linspace(0.0, 1.0, 6))
+        assert traj.orders == (0, 1)
+
+
+class TestDissipationPerOrder:
+    """D(rho) order by order matches the dense dissipators to 1e-14 of its
+    largest entry, at a constant and at a time-dependent rate."""
+
+    @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
+    @pytest.mark.parametrize("kind", ["constant", "time_dependent", "zero_temperature"])
+    def test_damping(self, two_j, orders, kind, rng):
+        stack = block_stack(two_j, orders, rng)
+        traj = trajectory(stack, orders)
+        if kind == "time_dependent":
+            d = DissipatorSpec.time_dependent_damping(lambda t: 0.3 + np.sin(3.0 * t) ** 2, nbar=0.25)
+        else:
+            d = DissipatorSpec.amplitude_damping(1.7, 0.0 if kind == "zero_temperature" else 0.6)
+        assert_relative(dissipation(traj, d), d.apply(stack, traj.times), 1e-14)
+
+    @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
+    def test_dephasing_is_the_dense_dissipator_bit_for_bit(self, two_j, orders, rng):
+        stack = block_stack(two_j, orders, rng)
+        d = DissipatorSpec.dephasing(0.9)
+        assert np.array_equal(dissipation(trajectory(stack, orders), d), d.apply(stack, 0.0))
+
+    def test_no_damping_builds_no_band(self):
+        # At nbar = 8e307 the unit-rate bands overflow; gamma = 0 needs none.
+        stack = block_stack(4, (0, 2), np.random.default_rng(3))
+        with np.errstate(all="raise"):
+            d_rho = dissipation(trajectory(stack, (0, 2)), DissipatorSpec.amplitude_damping(0.0, 8e307))
+        assert not np.any(d_rho)
+
+
+class TestValidationPerBlock:
+    def test_a_diagonal_stack_at_the_eigenvalue_floor(self):
+        good = np.diag([0.5, 0.3, 0.2 + 5e-11, -5e-11]).astype(complex)
+        bad = np.diag([0.5, 0.3, 0.2 + 2e-10, -2e-10]).astype(complex)
+        check_density_entries(np.stack([good, good]), (0,))
+        DensityMatrix(SpinQuantumNumber(3), good)
+        for refuse in (lambda: check_density_entries(np.stack([good, bad, good]), (0,)),
+                       lambda: DensityMatrix(SpinQuantumNumber(3), bad)):
+            with pytest.raises(NonPhysicalState, match=r"^matrix has negative eigenvalue -2\.000e-10$"):
+                refuse()
+
+    def test_a_negative_eigenvalue_inside_the_even_block(self):
+        # Every population is positive and the odd block is positive; the
+        # even block (0, 2, 4) has the eigenvalue -0.069.
+        rho = np.diag([0.3, 0.2, 0.1, 0.2, 0.2]).astype(complex)
+        rho[0, 2] = rho[2, 0] = 0.25
+        orders = (0, 2)
+        assert coherence_orders(rho) == orders
+        lo = np.linalg.eigvalsh(rho)[0]
+        assert lo < -1e-3
+        good = block_state(4, orders, np.random.default_rng(1))
+        with pytest.raises(NonPhysicalState, match=f"negative eigenvalue {lo:.3e}"):
+            check_density_entries(np.stack([good, rho]), orders)
+        with pytest.raises(NonPhysicalState, match="negative eigenvalue"):
+            DensityMatrix(SpinQuantumNumber(4), rho)
+
+    @pytest.mark.parametrize("orders, entry", [((0,), (2, 2)), ((0, 2), (3, 1)), ((0, 1, 2, 3, 4), (0, 1))])
+    def test_a_non_finite_entry_is_refused_on_every_path(self, orders, entry):
+        for value in (math.nan, math.inf):
+            rho = block_state(4, orders, np.random.default_rng(2))
+            rho[entry] = value
+            with pytest.raises(NonPhysicalState, match="non-finite"):
+                check_density_entries(rho[None], orders)
+            with pytest.raises(NonPhysicalState, match="non-finite"):
+                DensityMatrix(SpinQuantumNumber(4), rho)
+
+    @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
+    def test_a_hermiticity_defect_is_found_in_its_block(self, two_j, orders, rng):
+        stack = block_stack(two_j, orders, rng)
+        stack[-1, -1, -1] += 1e-9j
+        with pytest.raises(NonPhysicalState, match=r"not Hermitian \(defect 2\.000e-09\)"):
+            check_density_entries(stack, orders)
+
+
+class TestVonNeumannPerBlock:
+    """von_neumann_rates per block matches one dense eigh per state to
+    1e-14 of the largest rate."""
+
+    @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
+    @pytest.mark.parametrize("kind", ["damping", "dephasing"])
+    def test_matches_dense_eigh(self, two_j, orders, kind, rng):
+        stack = block_stack(two_j, orders, rng)
+        d = DissipatorSpec.amplitude_damping(1.2, 0.4) if kind == "damping" else DissipatorSpec.dephasing(0.8)
+        d_rho = dissipation(trajectory(stack, orders), d)
+        rates = von_neumann_rates(stack, d_rho, d, orders)
+        assert_relative(rates.ds_dt, dense_von_neumann_ds(stack, d_rho), 1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nbar", [0.0, 0.5])
+    def test_pure_pole_state_takes_the_floor(self, nbar):
+        # Twelve zero populations: their logarithms are ln(EIG_LOG_FLOOR).
+        j = SpinQuantumNumber(12)
+        rho0 = DensityMatrix(j, np.diag([1.0] + [0.0] * 12).astype(complex))
+        d = DissipatorSpec.amplitude_damping(1.0, nbar)
+        traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 0.5, 6))
+        assert traj.orders == (0,)
+        d_rho = dissipation(traj, d)
+        rates = von_neumann_rates(traj.entries, d_rho, d, traj.orders)
+        assert_relative(rates.ds_dt, dense_von_neumann_ds(traj.entries, d_rho), 1e-14)
+        # At t = 0 only D's population 1, (nbar + 1) 2J, meets a zero population.
+        assert rates.ds_dt[0] == pytest.approx(-(nbar + 1.0) * 12.0 * math.log(EIG_LOG_FLOOR), rel=1e-14)
+        if nbar == 0.0:  # T = 0: Phi_vN = +inf wherever <J_z> still falls
+            assert np.all(rates.phi == math.inf) and np.all(rates.pi == math.inf)
+        else:
+            assert np.all(np.isfinite(rates.phi))
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_temperature_ground_state(self):
+        # At the ground state of T = 0 damping, D(rho) = 0: every rate is 0.
+        j = SpinQuantumNumber(12)
+        rho0 = DensityMatrix(j, np.diag([0.0] * 12 + [1.0]).astype(complex))
+        d = DissipatorSpec.amplitude_damping(1.0, 0.0)
+        traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 0.5, 6))
+        rates = von_neumann_rates(traj.entries, dissipation(traj, d), d, traj.orders)
+        assert not np.any(rates.ds_dt) and not np.any(rates.phi) and not np.any(rates.pi)
+
+
+class TestHusimiChunksFromOrders:
+    """husimi_chunks takes the phi decision and its pair table from the
+    orders alone."""
+
+    def transform_of_today(self, stack, grid, n_orders):
+        """The fields the transform gave before the orders reached it: the
+        full pair table's first n_orders orders, chunked as husimi_chunks."""
+        j = SpinQuantumNumber(stack.shape[-1] - 1)
+        full = phase_space._amplitude_table(j.two_j, j.dim, grid.theta_nodes, grid.phi_nodes)[0]
+        per_chunk = max(1, phase_space._CHUNK_NODES // (2 * grid.n_theta if n_orders == 1 else grid.n_nodes))
+        return [_kernels.husimi_contract(full[:, :n_orders], stack[s : s + per_chunk])
+                for s in range(0, len(stack), per_chunk)]
+
+    @pytest.mark.parametrize("two_j", [1, 4, 12, 40])
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "coherent"])
+    def test_same_fields_bit_for_bit(self, two_j, diagonal, rng):
+        grid = make_grid(24, 48)
+        orders = (0,) if diagonal else tuple(range(two_j + 1))
+        # Two chunks of each kind: 768 diagonal states per chunk on 24 x 48, or 32.
+        stack = block_stack(two_j, orders, rng, n=800 if diagonal else 40)
+        chunks = [chunk.coef for chunk in husimi_chunks(stack, grid, orders)]
+        want = self.transform_of_today(stack, grid, 1 if diagonal else two_j + 1)
+        assert len(chunks) == len(want) and all(np.array_equal(a, b) for a, b in zip(chunks, want))
+
+    def test_rows_up_to_the_largest_order(self, rng):
+        grid = make_grid(24, 48)
+        stack = block_stack(12, (0, 2), rng, n=3)
+        (chunk,) = husimi_chunks(stack, grid, (0, 2))
+        (full,) = self.transform_of_today(stack, grid, 13)
+        assert chunk.coef.shape[1] == 2 * 3
+        assert np.array_equal(chunk.coef, full[:, :6])
+        assert not np.any(full[:, 6:])
+
+    def test_the_decision_reads_the_orders_not_the_entries(self, rng):
+        # Handed order 0 alone, a stack is transformed as J_z-diagonal.
+        grid = make_grid(24, 48)
+        stack = block_stack(4, (0, 1, 2, 3, 4), rng, n=3)
+        (chunk,) = husimi_chunks(stack, grid, (0,))
+        assert chunk.coef.shape == (2, 2, 3, 24)
+
+    def test_the_pair_table_is_built_up_to_the_largest_order(self):
+        grid = make_grid(24, 48)
+        j = SpinQuantumNumber(40)
+        pairs, harmonics = grid.amplitude_table(j, 1)
+        assert pairs.shape == (2, 1, 41, 24) and harmonics.shape == (2, 48)
+        full_pairs, full_harmonics = phase_space._amplitude_table(40, 41, grid.theta_nodes, grid.phi_nodes)
+        assert np.array_equal(pairs, full_pairs[:, :1]) and np.array_equal(harmonics, full_harmonics[:2])
+        more_pairs, _ = grid.amplitude_table(j, 3)  # a larger request builds a larger table
+        assert np.array_equal(more_pairs, full_pairs[:, :3])
+        assert grid.amplitude_table(j, 1)[0].shape[1] == 1

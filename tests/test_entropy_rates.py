@@ -50,6 +50,7 @@ from spinwehrl.entropy_rates import (
     primary_rate_method,
 )
 from spinwehrl.scenarios import SIGMA_TAIL_TOL, _sigma_or_none
+from spinwehrl.spin_ops import coherence_orders
 from conftest import random_density_matrix, random_diagonal_state
 from oracles import (
     dissipative_entropy_rate,
@@ -236,7 +237,7 @@ class TestDampingQuadrature:
         # On the raw sums (phi, pi_damping, pi_coherence) of the fused kernel,
         # each scaled by Pi's prefactor.
         bath = BathParams(gamma=1.0, nbar=0.5)
-        _, harmonics = default_grid.amplitude_table(SpinQuantumNumber(1))
+        _, harmonics = default_grid.amplitude_table(SpinQuantumNumber(1), 2)
         vectors = _damping_vectors(default_grid, 1, bath.nbar)
         pref = 0.5 * bath.gamma * 2 / (4.0 * np.pi)
         with_coh = husimi(bloch_to_rho(BlochVector(0.4, 0.1, 0.3)), default_grid)
@@ -351,7 +352,7 @@ def test_each_method_gives_only_what_it_computes(two_j, kind, nbar):
     rho0 = random_density_matrix(SpinQuantumNumber(two_j), np.random.default_rng(two_j))
     traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 0.5, 6))
     for method in applicable_rate_methods(two_j, d):
-        fields = husimi_chunks(traj.entries, make_grid(24, 48)) if method.needs_field else None
+        fields = husimi_chunks(traj.entries, make_grid(24, 48), traj.orders) if method.needs_field else None
         rates = method.rates(traj, fields, d, traj.times)
         assert [f.name for f in dataclasses.fields(rates)] == ["ds_dt", "pi", "phi"]
         assert isinstance(rates, EntropyRates)
@@ -490,7 +491,7 @@ class TestSpinHalfClosedForms:
             v *= rng.uniform(0.1, 0.9) / np.linalg.norm(v)
             b = BlochVector(*v)
             rho = bloch_to_rho(b)
-            general = von_neumann_rates(rho, d.apply(rho.entries, 0.0), d)
+            general = von_neumann_rates(rho, d.apply(rho.entries, 0.0), d, coherence_orders(rho.entries))
             closed = spin_half_damping_von_neumann(b, bath)
             assert general.phi == pytest.approx(closed.phi, rel=1e-10, abs=1e-12)
             assert general.pi == pytest.approx(closed.pi, rel=1e-8, abs=1e-10)
@@ -504,7 +505,7 @@ class TestSpinHalfClosedForms:
             v *= rng.uniform(0.1, 0.9) / np.linalg.norm(v)
             b = BlochVector(*v)
             rho = bloch_to_rho(b)
-            general = von_neumann_rates(rho, d.apply(rho.entries, 0.0), d)
+            general = von_neumann_rates(rho, d.apply(rho.entries, 0.0), d, coherence_orders(rho.entries))
             closed = spin_half_dephasing_von_neumann(b, d.lam)
             assert general.pi == pytest.approx(closed.pi, rel=1e-13, abs=1e-15)
             assert general.ds_dt == general.pi and general.phi == 0.0 == closed.phi

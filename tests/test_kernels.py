@@ -17,6 +17,7 @@ from spinwehrl import (
 )
 from spinwehrl import _kernels, phase_space
 from spinwehrl.dynamics import DissipatorSpec, HamiltonianSpec
+from spinwehrl.spin_ops import coherence_orders
 from spinwehrl.entropy_rates import (
     RATE_METHODS,
     _damping_vectors,
@@ -81,7 +82,8 @@ class TestSeparableTransform:
         j = SpinQuantumNumber(3)
         per_chunk = phase_space._CHUNK_NODES // grid.n_nodes
         states = [random_density_matrix(j, rng) for _ in range(2 * per_chunk + 3)]
-        chunks = list(husimi_chunks(np.stack([s.entries for s in states]), grid))
+        stack = np.stack([s.entries for s in states])
+        chunks = list(husimi_chunks(stack, grid, coherence_orders(stack)))
         assert sum(len(chunk.q) for chunk in chunks) == len(states)
         for name in ("q", "dq_dtheta", "dq_dphi"):
             rows = np.concatenate([getattr(chunk, name) for chunk in chunks])
@@ -92,7 +94,8 @@ class TestSeparableTransform:
 def pipeline_rates(d, states, grid):
     """The quadrature's rates of the states, fed by Husimi chunks as in simulate."""
     times = np.linspace(0.0, 1.0, len(states))
-    fields = husimi_chunks(np.stack([s.entries for s in states]), grid)
+    stack = np.stack([s.entries for s in states])
+    fields = husimi_chunks(stack, grid, coherence_orders(stack))
     return RATE_METHODS["quadrature"].rates(None, fields, d, times), times
 
 
@@ -129,15 +132,17 @@ class TestChunkReduction:
     def test_wehrl_entropy(self, grid_and_states):
         grid, states = grid_and_states
         stack = np.stack([s.entries for s in states])
-        chunked = np.concatenate([wehrl_entropy(chunk) for chunk in husimi_chunks(stack, grid)])
+        chunks = husimi_chunks(stack, grid, coherence_orders(stack))
+        chunked = np.concatenate([wehrl_entropy(chunk) for chunk in chunks])
         one = [wehrl_entropy(husimi(s, grid)) for s in states]
         np.testing.assert_allclose(chunked, one, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("kind", ["dephasing", "amplitude_damping"])
     def test_one_reduce_per_chunk(self, monkeypatch, kind):
         # A stack with a coherence takes _CHUNK_NODES // n_nodes states per
-        # chunk of 2d coefficient rows; a J_z-diagonal one, which holds only
-        # its s = 0 rows, _CHUNK_NODES // (2 n_theta).
+        # chunk of coefficient rows up to its largest order (here 1); a
+        # J_z-diagonal one, which holds only its s = 0 rows,
+        # _CHUNK_NODES // (2 n_theta).
         name = "dephasing_reduce" if kind == "dephasing" else "damping_reduce"
         shapes = []
         original = getattr(_kernels, name)
@@ -150,7 +155,7 @@ class TestChunkReduction:
         grid = make_grid(96, 192)
         d = DissipatorSpec.dephasing(1.0) if kind == "dephasing" else DissipatorSpec.amplitude_damping(1.0, 0.5)
         for coherence, rows, per_chunk, n_states in [
-            (0.05, 2 * 5, phase_space._CHUNK_NODES // grid.n_nodes, 11),
+            (0.05, 2 * 2, phase_space._CHUNK_NODES // grid.n_nodes, 11),
             (0.0, 2, phase_space._CHUNK_NODES // (2 * 96), 201),
         ]:
             assert 1 < per_chunk < n_states and n_states % per_chunk > 0
@@ -195,7 +200,7 @@ def chunked_rates(states, grid, d):
     wehrl_entropy, fed by Husimi chunks as in simulate."""
     rates, _ = pipeline_rates(d, states, grid)
     stack = np.stack([s.entries for s in states])
-    s_wehrl = np.concatenate([wehrl_entropy(chunk) for chunk in husimi_chunks(stack, grid)])
+    s_wehrl = np.concatenate([wehrl_entropy(chunk) for chunk in husimi_chunks(stack, grid, coherence_orders(stack))])
     return np.array([rates.pi, rates.phi, s_wehrl])
 
 
@@ -268,7 +273,7 @@ class TestOnePhiColumn:
         j = SpinQuantumNumber(4)
         states = [random_diagonal_state(j, rng), random_density_matrix(j, rng)]
         stack = np.stack([s.entries for s in states])
-        assert [len(chunk.coef[0, 0]) for chunk in husimi_chunks(stack, default_grid)] == [2]
+        assert [len(chunk.coef[0, 0]) for chunk in husimi_chunks(stack, default_grid, coherence_orders(stack))] == [2]
         want = node_array_rates(states, default_grid, DISSIPATORS[kind])
         columns_evaluated.clear()
         got = chunked_rates(states, default_grid, DISSIPATORS[kind])
@@ -286,7 +291,7 @@ class TestOneDecisionPerStack:
     def test_husimi_is_the_one_state_chunk(self, two_j, diagonal, rng, default_grid):
         j = SpinQuantumNumber(two_j)
         state = random_diagonal_state(j, rng) if diagonal else random_density_matrix(j, rng)
-        (chunk,) = husimi_chunks(state.entries[None], default_grid)
+        (chunk,) = husimi_chunks(state.entries[None], default_grid, coherence_orders(state.entries))
         assert np.array_equal(husimi(state, default_grid).coef, chunk.coef[:, :, 0])
 
     @pytest.mark.parametrize("two_j", [1, 4, 12])
@@ -295,14 +300,16 @@ class TestOneDecisionPerStack:
         diagonal = np.stack([random_diagonal_state(j, rng).entries for _ in range(5)])
         coherent = diagonal.copy()
         coherent[-1, 0, -1] = coherent[-1, -1, 0] = 1e-12
-        assert [chunk.coef.shape for chunk in husimi_chunks(diagonal, default_grid)] == [(2, 2, 5, 96)]
-        assert {chunk.coef.shape[1] for chunk in husimi_chunks(coherent, default_grid)} == {2 * j.dim}
+        assert [chunk.coef.shape for chunk in husimi_chunks(diagonal, default_grid, (0,))] == [(2, 2, 5, 96)]
+        chunks = husimi_chunks(coherent, default_grid, coherence_orders(coherent))
+        assert {chunk.coef.shape[1] for chunk in chunks} == {2 * j.dim}
 
     @pytest.mark.parametrize("kind", list(DISSIPATORS))
     def test_a_coherence_late_in_the_stack_keeps_every_column(self, kind, rng, default_grid, columns_evaluated):
         j = SpinQuantumNumber(4)
         states = [random_diagonal_state(j, rng) for _ in range(4)] + [random_density_matrix(j, rng)]
-        chunks = list(husimi_chunks(np.stack([s.entries for s in states]), default_grid))
+        stack = np.stack([s.entries for s in states])
+        chunks = list(husimi_chunks(stack, default_grid, coherence_orders(stack)))
         assert [chunk.coef.shape[1:3] for chunk in chunks] == [(2 * j.dim, 2), (2 * j.dim, 2), (2 * j.dim, 1)]
         assert not chunks[0].coef[:, 2:].any()
         want = node_array_rates(states, default_grid, DISSIPATORS[kind])
@@ -320,7 +327,7 @@ class TestDampingQuadrature:
         phi, pi = damping_quadrature(field, bath)
         assert phi == damping_phi_quadrature(field, bath)
         assert pi == damping_pi_quadrature(field, bath)
-        _, harmonics = field.grid.amplitude_table(j)
+        _, harmonics = field.grid.amplitude_table(j, j.dim)
         vectors = _damping_vectors(field.grid, j.two_j, bath.nbar)
         _, pi_damping, pi_coherence = _kernels.damping_reduce(field.coef, harmonics, *vectors)
         pref = 0.5 * bath.gamma * j.dim / (4.0 * np.pi)

@@ -371,16 +371,24 @@ SPIN_J_DAMPING = Model(
 
 class TestEachSeriesOnce:
     def test_dissipator_applied_to_the_trajectory_once(self, monkeypatch):
-        original = dynamics.amplitude_damping_dissipator
-        shapes = []
+        # Once, per coherence order; the dense dissipator sees only the
+        # one-matrix generator check of evolve.
+        dense, per_order = [], []
+        original_dense, original_per_order = dynamics.amplitude_damping_dissipator, scenarios.dissipation
 
-        def wrapper(rho, *args):
-            shapes.append(np.shape(rho))
-            return original(rho, *args)
+        def dense_wrapper(rho, *args):
+            dense.append(np.shape(rho))
+            return original_dense(rho, *args)
 
-        monkeypatch.setattr(dynamics, "amplitude_damping_dissipator", wrapper)
+        def per_order_wrapper(traj, d):
+            per_order.append(traj)
+            return original_per_order(traj, d)
+
+        monkeypatch.setattr(dynamics, "amplitude_damping_dissipator", dense_wrapper)
+        monkeypatch.setattr(scenarios, "dissipation", per_order_wrapper)
         res = simulate(SPIN_J_DAMPING, t_max=0.5, dt=0.1, grid=make_grid(24, 48))
-        assert shapes.count(res.trajectory.entries.shape) == 1
+        assert len(per_order) == 1 and per_order[0] is res.trajectory
+        assert dense == [(5, 5)]
 
     @pytest.mark.parametrize(
         "model, labels",
@@ -483,7 +491,7 @@ class TestVonNeumannRoute:
     def test_zero_temperature_ground_state_is_at_rest(self):
         ground = DensityMatrix(self.J, np.diag([0.0] * 4 + [1.0]).astype(complex))
         d = DissipatorSpec.amplitude_damping(1.1, 0.0)
-        rates = von_neumann_rates(ground, d.apply(ground.entries, 0.0), d)
+        rates = von_neumann_rates(ground, d.apply(ground.entries, 0.0), d, (0,))
         assert (rates.pi, rates.phi) == (0.0, 0.0)
         res = simulate(Model(ground, HamiltonianSpec.none(), d), t_max=1.0, dt=0.1, grid=make_grid(8, 16))
         assert np.all(res.von_neumann.pi == 0.0) and np.all(res.von_neumann.phi == 0.0)

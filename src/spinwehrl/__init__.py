@@ -47,8 +47,6 @@ from .dynamics import (
     DissipatorSpec,
     HamiltonianSpec,
     Trajectory,
-    amplitude_damping_dissipator,
-    dephasing_dissipator,
     dissipation,
     evolve,
     lindblad_rhs,

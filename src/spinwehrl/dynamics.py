@@ -29,17 +29,14 @@ against a hard bound, and validated as one stack.
 
 The Trajectory keeps the coherence orders K of its states: those of rho0
 under a J_z-covariant generator, every order under the rotating field.
-The states vanish off the diagonals of K, so the layers after evolve work
-per order or per block of K, not on dense (n, d, d) products:
-dissipation forms D(rho) order by order from the unit-rate damping bands
-that the propagators use, O(d) per order and state; the validation and the
-von Neumann eigenvalues take one block at a time (spin_ops.matrix_blocks),
-which for a J_z-diagonal stack are its populations.
-
-The Hamiltonian, the dense dissipators (DissipatorSpec.apply) and
-lindblad_rhs act on one (d, d) matrix at a time t, or on an (n, d, d)
-stack of them at n times: the rotating frame's generator and the check of
-the generator use them.
+The states vanish off the diagonals of K, so the layers after evolve need
+no dense (n, d, d) products. dissipation, the one D(rho) of the package,
+forms it order by order from the unit-rate damping bands that the
+propagators use, O(d) per order and state; lindblad_rhs (every order of
+one matrix, or of a stack at n times) and the rotating frame's generator
+(the stack of basis matrices) call it too. The validation and the von
+Neumann eigenvalues read a J_z-diagonal stack's populations alone, and any
+other stack whole (spin_ops.matrix_blocks).
 """
 
 from __future__ import annotations
@@ -110,6 +107,12 @@ class HamiltonianSpec:
     b1: float = 0.0
     drive_omega: float = 0.0
 
+    KINDS = ("none", "static_jz", "rotating_field")
+
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
+
     @classmethod
     def none(cls) -> "HamiltonianSpec":
         return cls(kind="none")
@@ -130,12 +133,10 @@ class HamiltonianSpec:
             return np.zeros((j.dim, j.dim), dtype=complex)
         if self.kind == "static_jz":
             return self.omega * ops.jz
-        if self.kind == "rotating_field":
-            if j.two_j != 1:
-                raise DimensionMismatch("rotating_field Hamiltonian is defined for spin 1/2")
-            wt = np.asarray(self.drive_omega * t)[..., None, None]
-            return -self.b0 * ops.jz - self.b1 * (np.cos(wt) * ops.jx + np.sin(wt) * ops.jy)
-        raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
+        if j.two_j != 1:
+            raise DimensionMismatch("rotating_field Hamiltonian is defined for spin 1/2")
+        wt = np.asarray(self.drive_omega * t)[..., None, None]
+        return -self.b0 * ops.jz - self.b1 * (np.cos(wt) * ops.jx + np.sin(wt) * ops.jy)
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,11 @@ class DissipatorSpec:
     nbar: float = 0.0
     gamma_t: Optional[Callable] = None
 
+    KINDS = ("dephasing", "amplitude_damping", "time_dependent_damping")
+
     def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown dissipator kind {self.kind!r}")
         if self.lam < 0 or self.gamma < 0 or self.nbar < 0:
             raise NonPhysicalState("dissipator rates and occupation must be non-negative")
 
@@ -166,19 +171,6 @@ class DissipatorSpec:
         array of times, and evolve integrates it over each step."""
         return cls(kind="time_dependent_damping", gamma_t=gamma_t, nbar=nbar)
 
-    def apply(self, rho: np.ndarray, t) -> np.ndarray:
-        """D(rho) of one matrix at the time t, or of an (n, d, d) stack at
-        an array of n times, by dense products: the generator of the
-        rotating frame and lindblad_rhs use it; a trajectory's D(rho) is
-        dissipation's, order by order."""
-        if self.kind == "dephasing":
-            return dephasing_dissipator(rho, self.lam)
-        if self.kind == "amplitude_damping":
-            return amplitude_damping_dissipator(rho, self.gamma, self.nbar)
-        if self.kind == "time_dependent_damping":
-            return amplitude_damping_dissipator(rho, _gamma_at(self, t)[..., None, None], self.nbar)
-        raise ValueError(f"unknown dissipator kind {self.kind!r}")
-
 
 def _gamma_at(d: DissipatorSpec, t) -> np.ndarray:
     """gamma_t of a time-dependent damping at the time t, or at an array of
@@ -190,34 +182,13 @@ def _gamma_at(d: DissipatorSpec, t) -> np.ndarray:
     return g
 
 
-def dephasing_dissipator(rho: np.ndarray, lam: float) -> np.ndarray:
-    """-(lambda/2) [J_z, [J_z, rho]]; elementwise -(lambda/2) (m - m')^2 rho."""
-    j = _spin_number_for(np.asarray(rho))
-    ms = j.m_values()
-    diff = ms[:, None] - ms[None, :]
-    return -0.5 * lam * diff * diff * np.asarray(rho, dtype=complex)
-
-
-def amplitude_damping_dissipator(rho: np.ndarray, gamma, nbar: float) -> np.ndarray:
-    """Thermal amplitude-damping dissipator targeting the Gibbs state of
-    omega*J_z; gamma is a number, or an array that broadcasts against rho."""
-    rho = np.asarray(rho, dtype=complex)
-    ops = make_spin_operators(_spin_number_for(rho))
-    jp, jm = ops.jp, ops.jm
-    jpjm = jp @ jm
-    jmjp = jm @ jp
-    down = jm @ rho @ jp - 0.5 * (jpjm @ rho + rho @ jpjm)
-    up = jp @ rho @ jm - 0.5 * (jmjp @ rho + rho @ jmjp)
-    return gamma * (nbar + 1.0) * down + gamma * nbar * up
-
-
 def lindblad_rhs(rho: np.ndarray, t, h: HamiltonianSpec, d: DissipatorSpec) -> np.ndarray:
     """d rho/dt = -i [H(t), rho] + D(rho), of one matrix or of a stack (see
     the module docstring)."""
     rho = np.asarray(rho, dtype=complex)
     j = _spin_number_for(rho)
     hm = h.matrix(j, t)
-    return -1j * (hm @ rho - rho @ hm) + d.apply(rho, t)
+    return -1j * (hm @ rho - rho @ hm) + dissipation(rho, d, t, tuple(range(j.dim)))
 
 
 @dataclass(frozen=True)
@@ -225,8 +196,9 @@ class Trajectory:
     """Validated states on a time grid, as one read-only (n, d, d) stack of
     density-matrix entries, with the propagation's drift diagnostics and
     the coherence orders K of the states: the k >= 0 whose diagonals +-k
-    may be nonzero. Every entry off them is exactly zero, so the layers
-    after evolve work per order (dissipation) or per block of K
+    may be nonzero. Every entry off them is exactly zero, so dissipation
+    works per order of K, and for K = {0} the validation and the von
+    Neumann eigenvalues read the populations alone
     (spin_ops.matrix_blocks). A J_z-covariant generator keeps the orders of
     rho0 (spin_ops.coherence_orders); the rotating field keeps every order."""
 
@@ -408,15 +380,23 @@ def _covariant(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_gri
     return _from_order_diagonals(x, orders)
 
 
+def _rotating_generator(j: SpinQuantumNumber, h: HamiltonianSpec, d: DissipatorSpec) -> np.ndarray:
+    """The generator of the co-rotating frame on the flattened matrix,
+    (d^2, d^2): H' = -(b0 + w) J_z - b1 J_x and D applied to the stack of
+    basis matrices at once, column i the image of the i-th."""
+    ops = make_spin_operators(j)
+    hf = -(h.b0 + h.drive_omega) * ops.jz - h.b1 * ops.jx
+    basis = np.eye(j.dim * j.dim).reshape(-1, j.dim, j.dim)
+    images = -1j * (hf @ basis - basis @ hf) + dissipation(basis, d, 0.0, tuple(range(j.dim)))
+    return images.reshape(j.dim * j.dim, -1).T
+
+
 def _rotating_frame(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: np.ndarray) -> np.ndarray:
     """States on t_grid under the rotating field: the time-independent
     generator of the co-rotating frame, propagated exactly, then rotated
     back to the lab frame."""
     dim = rho0.dim
-    ops = make_spin_operators(rho0.j)
-    hf = -(h.b0 + h.drive_omega) * ops.jz - h.b1 * ops.jx
-    basis = np.eye(dim * dim).reshape(-1, dim, dim)
-    generator = np.array([(-1j * (hf @ e - e @ hf) + d.apply(e, 0.0)).ravel() for e in basis]).T
+    generator = _rotating_generator(rho0.j, h, d)
     m = rho0.j.m_values()
     # U rho U^dagger with U = exp(-i w t J_z) multiplies rho_ab by exp(-i w t (m_a - m_b)).
     lab = np.exp(-1j * h.drive_omega * t_grid[:, None, None] * (m[:, None] - m[None, :]))
@@ -438,11 +418,14 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing with at least two points")
     # At nbar near the largest float the generator has inf entries: its
-    # check and its propagators overflow silently, to inf/nan states whose
-    # nan trace drift is refused below.
+    # propagators overflow silently, to inf/nan states whose nan trace
+    # drift is refused below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # Refuses an unknown kind, and a Hamiltonian defined for another spin.
-        lindblad_rhs(rho0.entries, t_grid[0], h, d)
+        # A Hamiltonian defined for another spin, or a negative rate at the
+        # start, is refused before integrating.
+        h.matrix(rho0.j, t_grid[0])
+        if d.kind == "time_dependent_damping":
+            _gamma_at(d, t_grid[0])
         if h.kind != "rotating_field":
             orders = coherence_orders(rho0.entries)
             raw = _covariant(rho0, h, d, t_grid, orders)
@@ -470,25 +453,27 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
     )
 
 
-def dissipation(traj: Trajectory, d: DissipatorSpec) -> np.ndarray:
-    """D(rho) of each state of traj, (n, d, d), computed order by order on
-    traj.orders and zero off them: dephasing multiplies order k by
-    -lambda k^2 / 2, and damping applies the unit-rate bands of
-    _damping_bands, O(d) per order and state, scaled by gamma, or by
-    gamma_t at each of traj.times. D is J_z-covariant, so it has no other
-    order. The dense dissipators (DissipatorSpec.apply) give the same
-    matrices to roundoff."""
-    x = _order_diagonals(traj.entries, traj.orders)
-    ks = np.array(traj.orders, dtype=float)
+def dissipation(rho: np.ndarray, d: DissipatorSpec, t, orders) -> np.ndarray:
+    """D(rho) of one (d, d) matrix at the time t, or of an (n, d, d) stack
+    at an array of n times, computed order by order on orders, the
+    coherence orders of rho (Trajectory.orders, or
+    spin_ops.coherence_orders), and zero off them: dephasing multiplies
+    order k by -lambda k^2 / 2, and damping applies the unit-rate bands of
+    _damping_bands, O(d) per order and matrix, scaled by gamma, or by
+    gamma_t at t. D is J_z-covariant, so it has no other order. It is the
+    package's one D(rho): lindblad_rhs, the rotating frame's generator and
+    the rates over a trajectory all form it here."""
+    x = _order_diagonals(rho, orders)
+    ks = np.array(orders, dtype=float)
     if d.kind == "dephasing":
         x *= ((-0.5 * d.lam * ks) * ks)[:, None, None]
-        return _from_order_diagonals(x, traj.orders)
-    gamma = d.gamma if d.kind == "amplitude_damping" else _gamma_at(d, traj.times)[..., None, None, None]
+        return _from_order_diagonals(x, orders)
+    gamma = d.gamma if d.kind == "amplitude_damping" else _gamma_at(d, t)[..., None, None, None]
     if not np.any(gamma):  # undamped: at huge nbar the unit-rate bands overflow, and 0 * inf is nan
-        return np.zeros_like(traj.entries)
-    lower, main, upper = _damping_bands(traj.j, d.nbar, traj.orders)[..., None]
+        return np.zeros(rho.shape, dtype=complex)
+    lower, main, upper = _damping_bands(SpinQuantumNumber(rho.shape[-1] - 1), d.nbar, orders)[..., None]
     dx = main * x
     dx[..., 1:, :] += lower[:, 1:] * x[..., :-1, :]
     dx[..., :-1, :] += upper[:, :-1] * x[..., 1:, :]
     dx *= gamma
-    return _from_order_diagonals(dx, traj.orders)
+    return _from_order_diagonals(dx, orders)

@@ -492,21 +492,20 @@ def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec, orders) -> Entr
     where tr(J_z D(rho)) < 0 and 0 where it is 0.
 
     orders are the coherence orders of the states (Trajectory.orders, or
-    spin_ops.coherence_orders of rho), which D keeps. ln rho is
-    taken block by block (spin_ops.matrix_blocks), one batched eigh per
-    block size: a J_z-diagonal state's eigenvalues are its populations,
-    O(d) per state, and a state with order 1 is one block. Eigenvalues are
-    floored at EIG_LOG_FLOOR, so a pure state's dS/dt is large but finite."""
+    spin_ops.coherence_orders of rho), which D keeps. ln rho is taken on
+    the blocks of spin_ops.matrix_blocks: a J_z-diagonal state's
+    eigenvalues are its populations, O(d) per state, and any other state
+    takes one batched eigh. Eigenvalues are floored at EIG_LOG_FLOOR, so a
+    pure state's dS/dt is large but finite."""
     rho = getattr(rho, "entries", rho)
     d_rho = np.asarray(d_rho)
-    trace = 0.0
-    for block, d_block in zip(matrix_blocks(rho, orders), matrix_blocks(d_rho, orders)):
-        if block.shape[-1] == 1:  # a population
-            log_rho = np.log(np.clip(block.real, EIG_LOG_FLOOR, None))
-        else:
-            evals, vecs = np.linalg.eigh(block)
-            log_rho = (vecs * np.log(np.clip(evals, EIG_LOG_FLOOR, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-        trace = trace + np.trace(d_block @ log_rho, axis1=-2, axis2=-1).sum(axis=-1)
+    block, d_block = matrix_blocks(rho, orders), matrix_blocks(d_rho, orders)
+    if block.shape[-1] == 1:  # populations
+        log_rho = np.log(np.clip(block.real, EIG_LOG_FLOOR, None))
+    else:
+        evals, vecs = np.linalg.eigh(block)
+        log_rho = (vecs * np.log(np.clip(evals, EIG_LOG_FLOOR, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    trace = np.trace(d_block @ log_rho, axis1=-2, axis2=-1).sum(axis=-1)
     ds = -np.real(trace)
     if d.kind == "dephasing":
         return _rates(ds, ds, 0.0)

@@ -38,6 +38,18 @@ def _ln_binomials(two_j: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(n_theta: int) -> tuple:
+    """The Gauss-Legendre nodes u = cos(theta) and weights of n_theta
+    points, u descending (theta ascending), read-only: every grid of
+    n_theta rows shares them."""
+    u, wu = np.polynomial.legendre.leggauss(n_theta)
+    u, wu = u[::-1], wu[::-1]
+    u.setflags(write=False)
+    wu.setflags(write=False)
+    return u, wu
+
+
 @dataclass(frozen=True)
 class SphereGrid:
     """Gauss-Legendre x uniform-phi product rule on the unit sphere, of
@@ -62,16 +74,9 @@ class SphereGrid:
         return self.n_theta * self.n_phi
 
     @functools.cached_property
-    def _legendre(self) -> tuple:
-        """The Gauss-Legendre nodes u = cos(theta) and weights, u descending
-        (theta ascending)."""
-        u, wu = np.polynomial.legendre.leggauss(self.n_theta)
-        return u[::-1], wu[::-1]
-
-    @functools.cached_property
     def theta_nodes(self) -> np.ndarray:
         """theta of each row, ascending, (n_theta,)."""
-        return np.arccos(self._legendre[0])
+        return np.arccos(_legendre(self.n_theta)[0])
 
     @functools.cached_property
     def phi_nodes(self) -> np.ndarray:
@@ -92,7 +97,7 @@ class SphereGrid:
     def theta_weights(self) -> np.ndarray:
         """The d(Omega) weight of each theta row, (n_theta,): the
         Gauss-Legendre weight times the uniform phi weight."""
-        return self._legendre[1] * (2.0 * np.pi / self.n_phi)
+        return _legendre(self.n_theta)[1] * (2.0 * np.pi / self.n_phi)
 
     def integrate(self, values: np.ndarray):
         """Integral over the sphere of node samples, with d(Omega) weights:

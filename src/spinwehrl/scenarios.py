@@ -200,7 +200,7 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     wehrl = method.rates(traj, fields, d, times)
     field_free = [m for m in applicable_rate_methods(j.two_j, d) if not m.needs_field]
     agreement = _agreement(field_free, d, lambda m: wehrl if m is method else m.rates(traj, None, d, times))
-    dr = dissipation(traj, d)
+    dr = dissipation(traj.entries, d, times, traj.orders)
     return ScenarioResult(
         trajectory=traj,
         wehrl=wehrl,

@@ -7,6 +7,9 @@ package calls them.
 * The ln Q route to entropy rates: -(2J+1)/(4 pi) * integral of
   <Omega|G|Omega> ln Q for a generator G, against which the quadrature's
   current forms are checked.
+* The dense dissipators D(rho) by matrix products, and the master
+  equation's right-hand side built on them, against which the package's
+  per-order D(rho) (dynamics.dissipation) is checked.
 * The matrix current f(rho) whose divergence is the damping dissipator.
 * Spin coherent states with their angular derivatives at one point.
 * The pulse's decay rate Gamma_t written in terms of its drive.
@@ -144,6 +147,44 @@ def angle_action_inverse(action: float, theta: float, phi: float, psi: float = 0
     alpha = r * math.cos(0.5 * theta) * np.exp(-0.5j * (phi + psi))
     beta = r * math.sin(0.5 * theta) * np.exp(0.5j * (phi - psi))
     return complex(alpha), complex(beta)
+
+
+def dephasing_dissipator(rho: np.ndarray, lam: float) -> np.ndarray:
+    """-(lambda/2) [J_z, [J_z, rho]]; elementwise -(lambda/2) (m - m')^2 rho."""
+    rho = np.asarray(rho, dtype=complex)
+    ms = SpinQuantumNumber(rho.shape[-1] - 1).m_values()
+    diff = ms[:, None] - ms[None, :]
+    return -0.5 * lam * diff * diff * rho
+
+
+def amplitude_damping_dissipator(rho: np.ndarray, gamma, nbar: float) -> np.ndarray:
+    """Thermal amplitude-damping dissipator targeting the Gibbs state of
+    omega*J_z, by dense products; gamma is a number, or an array that
+    broadcasts against rho."""
+    rho = np.asarray(rho, dtype=complex)
+    ops = make_spin_operators(SpinQuantumNumber(rho.shape[-1] - 1))
+    jp, jm = ops.jp, ops.jm
+    jpjm = jp @ jm
+    jmjp = jm @ jp
+    down = jm @ rho @ jp - 0.5 * (jpjm @ rho + rho @ jpjm)
+    up = jp @ rho @ jm - 0.5 * (jmjp @ rho + rho @ jmjp)
+    return gamma * (nbar + 1.0) * down + gamma * nbar * up
+
+
+def dense_dissipator(rho: np.ndarray, d, t) -> np.ndarray:
+    """D(rho) of the DissipatorSpec d by the dense dissipators, of one
+    matrix at the time t or of an (n, d, d) stack at n times."""
+    if d.kind == "dephasing":
+        return dephasing_dissipator(rho, d.lam)
+    gamma = d.gamma if d.kind == "amplitude_damping" else np.asarray(d.gamma_t(t), dtype=float)[..., None, None]
+    return amplitude_damping_dissipator(rho, gamma, d.nbar)
+
+
+def dense_lindblad_rhs(rho: np.ndarray, t, h, d) -> np.ndarray:
+    """-i [H(t), rho] + D(rho) with the dense dissipators."""
+    rho = np.asarray(rho, dtype=complex)
+    hm = h.matrix(SpinQuantumNumber(rho.shape[-1] - 1), t)
+    return -1j * (hm @ rho - rho @ hm) + dense_dissipator(rho, d, t)
 
 
 def current_superoperator_f(rho: np.ndarray, nbar: float) -> np.ndarray:

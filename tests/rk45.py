@@ -1,17 +1,21 @@
 """Adaptive RK45 integration of the master equation: the test oracle of the
 exact propagators in spinwehrl.dynamics.evolve.
 
-evolve_rk45 integrates lindblad_rhs on the flattened complex matrix with
-scipy's embedded Runge-Kutta 4(5) pair (rtol = tol, atol = tol * 1e-3) and
-applies evolve's own contract to the output: every state is Hermitized and
-trace-renormalized, and a trace drift above TRACE_DRIFT_BOUND raises.
+evolve_rk45 integrates the master equation on the flattened complex
+matrix with scipy's embedded Runge-Kutta 4(5) pair (rtol = tol, atol =
+tol * 1e-3). Its right-hand side takes D(rho) from the dense dissipators of
+tests/oracles.py, apart from the package's per-order D(rho) and the damping
+bands that the propagators share with it. It applies evolve's own contract
+to the output: every state is Hermitized and trace-renormalized, and a
+trace drift above TRACE_DRIFT_BOUND raises.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from spinwehrl import DensityMatrix, StiffnessFailure
-from spinwehrl.dynamics import TRACE_DRIFT_BOUND, Trajectory, lindblad_rhs
+from spinwehrl.dynamics import TRACE_DRIFT_BOUND, Trajectory
+from oracles import dense_lindblad_rhs
 
 
 def evolve_rk45(rho0: DensityMatrix, h, d, t_grid, tol: float = 1e-10) -> Trajectory:
@@ -24,7 +28,7 @@ def evolve_rk45(rho0: DensityMatrix, h, d, t_grid, tol: float = 1e-10) -> Trajec
     dim = rho0.dim
 
     def rhs(t, y):
-        return lindblad_rhs(y.reshape(dim, dim), t, h, d).ravel()
+        return dense_lindblad_rhs(y.reshape(dim, dim), t, h, d).ravel()
 
     sol = solve_ivp(
         rhs,

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinwehrl import entropy_rates
+from spinwehrl import entropy_rates, phase_space
 from spinwehrl.cli import bundled_configs, main, validate_config
 from spinwehrl.errors import ConfigError
 from spinwehrl.entropy_rates import BathParams
@@ -126,7 +126,9 @@ def count_calls(monkeypatch, module, name):
 
 def count_legendre_rules(monkeypatch):
     """Wrap numpy's Gauss-Legendre rule; returns the list of calls, each
-    (n,): a sphere grid computes its nodes through it."""
+    (n,): a sphere grid computes its nodes through it, once per n_theta
+    in a process, so the rules cached so far are dropped first."""
+    phase_space._legendre.cache_clear()
     original = np.polynomial.legendre.leggauss
     calls = []
 

@@ -1,8 +1,9 @@
 """The layers after evolve work per coherence order: D(rho) order by order,
-validation and von Neumann eigenvalues per block of the orders, and the
-Husimi transform on the pair tables up to the largest order. Each is
-checked against the dense computation it replaces, in the hard regimes:
-pure states, T = 0, two blocks that share no gcd, and 2J up to 40."""
+validation and von Neumann eigenvalues on the populations of a
+J_z-diagonal stack and on any other stack whole, and the Husimi transform
+on the pair tables up to the largest order. Each is checked against the
+dense computation it replaces, in the hard regimes: pure states, T = 0,
+orders without 1, and 2J up to 40."""
 
 import math
 
@@ -16,7 +17,6 @@ from spinwehrl import (
     HamiltonianSpec,
     NonPhysicalState,
     SpinQuantumNumber,
-    Trajectory,
     bloch_to_rho,
     evolve,
     husimi_chunks,
@@ -26,10 +26,11 @@ from spinwehrl import (
 from spinwehrl import _kernels, phase_space
 from spinwehrl.dynamics import dissipation
 from spinwehrl.entropy_rates import EIG_LOG_FLOOR
-from spinwehrl.spin_ops import check_density_entries, coherence_blocks, coherence_orders
+from spinwehrl.spin_ops import check_density_entries, coherence_orders
+from oracles import dense_dissipator
 
-# (2J, coherence orders): J_z-diagonal, one even block and one odd, two
-# blocks although gcd(3, 5) = 1 (2J = 5 joins 0-3-5-2 and 1-4), and full.
+# (2J, coherence orders): J_z-diagonal, even orders only, orders without 1
+# that still join every index (2J = 5: 0-3-5-2 and 1-4), and full.
 ORDER_SETS = [
     (1, (0,)), (1, (0, 1)),
     (4, (0,)), (4, (0, 2)), (4, (0, 1, 2, 3, 4)),
@@ -56,11 +57,6 @@ def block_stack(two_j: int, orders: tuple, rng, n: int = N_STATES) -> np.ndarray
     return np.stack([block_state(two_j, orders, rng) for _ in range(n)])
 
 
-def trajectory(stack: np.ndarray, orders: tuple) -> Trajectory:
-    return Trajectory(times=np.linspace(0.0, 1.0, len(stack)), entries=stack, max_trace_drift=0.0,
-                      max_hermiticity_drift=0.0, orders=orders)
-
-
 def dense_von_neumann_ds(stack: np.ndarray, d_rho: np.ndarray) -> np.ndarray:
     """-tr(D(rho) ln rho) by one dense eigh per state, eigenvalues floored."""
     evals, vecs = np.linalg.eigh(stack)
@@ -78,12 +74,6 @@ class TestOrders:
     @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
     def test_orders_of_a_block_state(self, two_j, orders, rng):
         assert coherence_orders(block_stack(two_j, orders, rng)) == orders
-
-    def test_blocks(self):
-        assert [idx.tolist() for idx in coherence_blocks(6, (0, 3, 5))] == [[[1, 4]], [[0, 2, 3, 5]]]
-        assert [idx.tolist() for idx in coherence_blocks(5, (0, 2))] == [[[1, 3]], [[0, 2, 4]]]
-        assert [idx.tolist() for idx in coherence_blocks(3, (0,))] == [[[0], [1], [2]]]
-        assert [idx.tolist() for idx in coherence_blocks(4, (0, 1))] == [[[0, 1, 2, 3]]]
 
     @pytest.mark.parametrize("two_j, orders", [(4, (0,)), (4, (0, 2)), (12, (0, 2)), (5, (0, 3, 5))])
     def test_a_covariant_generator_keeps_the_orders(self, two_j, orders, rng):
@@ -109,24 +99,24 @@ class TestDissipationPerOrder:
     @pytest.mark.parametrize("kind", ["constant", "time_dependent", "zero_temperature"])
     def test_damping(self, two_j, orders, kind, rng):
         stack = block_stack(two_j, orders, rng)
-        traj = trajectory(stack, orders)
+        times = np.linspace(0.0, 1.0, len(stack))
         if kind == "time_dependent":
             d = DissipatorSpec.time_dependent_damping(lambda t: 0.3 + np.sin(3.0 * t) ** 2, nbar=0.25)
         else:
             d = DissipatorSpec.amplitude_damping(1.7, 0.0 if kind == "zero_temperature" else 0.6)
-        assert_relative(dissipation(traj, d), d.apply(stack, traj.times), 1e-14)
+        assert_relative(dissipation(stack, d, times, orders), dense_dissipator(stack, d, times), 1e-14)
 
     @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
     def test_dephasing_is_the_dense_dissipator_bit_for_bit(self, two_j, orders, rng):
         stack = block_stack(two_j, orders, rng)
         d = DissipatorSpec.dephasing(0.9)
-        assert np.array_equal(dissipation(trajectory(stack, orders), d), d.apply(stack, 0.0))
+        assert np.array_equal(dissipation(stack, d, 0.0, orders), dense_dissipator(stack, d, 0.0))
 
     def test_no_damping_builds_no_band(self):
         # At nbar = 8e307 the unit-rate bands overflow; gamma = 0 needs none.
         stack = block_stack(4, (0, 2), np.random.default_rng(3))
         with np.errstate(all="raise"):
-            d_rho = dissipation(trajectory(stack, (0, 2)), DissipatorSpec.amplitude_damping(0.0, 8e307))
+            d_rho = dissipation(stack, DissipatorSpec.amplitude_damping(0.0, 8e307), 0.0, (0, 2))
         assert not np.any(d_rho)
 
 
@@ -175,15 +165,16 @@ class TestValidationPerBlock:
 
 
 class TestVonNeumannPerBlock:
-    """von_neumann_rates per block matches one dense eigh per state to
-    1e-14 of the largest rate."""
+    """von_neumann_rates, on the populations of a J_z-diagonal stack and on
+    any other stack whole, matches one dense eigh per state to 1e-14 of
+    the largest rate."""
 
     @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
     @pytest.mark.parametrize("kind", ["damping", "dephasing"])
     def test_matches_dense_eigh(self, two_j, orders, kind, rng):
         stack = block_stack(two_j, orders, rng)
         d = DissipatorSpec.amplitude_damping(1.2, 0.4) if kind == "damping" else DissipatorSpec.dephasing(0.8)
-        d_rho = dissipation(trajectory(stack, orders), d)
+        d_rho = dissipation(stack, d, 0.0, orders)
         rates = von_neumann_rates(stack, d_rho, d, orders)
         assert_relative(rates.ds_dt, dense_von_neumann_ds(stack, d_rho), 1e-14)
 
@@ -196,7 +187,7 @@ class TestVonNeumannPerBlock:
         d = DissipatorSpec.amplitude_damping(1.0, nbar)
         traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 0.5, 6))
         assert traj.orders == (0,)
-        d_rho = dissipation(traj, d)
+        d_rho = dissipation(traj.entries, d, traj.times, traj.orders)
         rates = von_neumann_rates(traj.entries, d_rho, d, traj.orders)
         assert_relative(rates.ds_dt, dense_von_neumann_ds(traj.entries, d_rho), 1e-14)
         # At t = 0 only D's population 1, (nbar + 1) 2J, meets a zero population.
@@ -213,7 +204,7 @@ class TestVonNeumannPerBlock:
         rho0 = DensityMatrix(j, np.diag([0.0] * 12 + [1.0]).astype(complex))
         d = DissipatorSpec.amplitude_damping(1.0, 0.0)
         traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 0.5, 6))
-        rates = von_neumann_rates(traj.entries, dissipation(traj, d), d, traj.orders)
+        rates = von_neumann_rates(traj.entries, dissipation(traj.entries, d, traj.times, traj.orders), d, traj.orders)
         assert not np.any(rates.ds_dt) and not np.any(rates.phi) and not np.any(rates.pi)
 
 

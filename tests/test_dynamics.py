@@ -12,9 +12,7 @@ from spinwehrl import (
     SpinQuantumNumber,
     StiffnessFailure,
     WrongDimension,
-    amplitude_damping_dissipator,
     bloch_to_rho,
-    dephasing_dissipator,
     evolve,
     gibbs_state,
     lindblad_rhs,
@@ -22,7 +20,7 @@ from spinwehrl import (
     nbar_from_temperature,
 )
 from conftest import random_density_matrix
-from oracles import current_superoperator_f, temperature_from_nbar
+from oracles import amplitude_damping_dissipator, current_superoperator_f, dephasing_dissipator, temperature_from_nbar
 
 
 class TestDephasingDissipator:
@@ -110,6 +108,13 @@ class TestCurrentSuperoperator:
             )
             direct = amplitude_damping_dissipator(rho, gamma, nbar)
             assert np.max(np.abs(rebuilt - direct)) < 1e-12
+
+
+class TestSpecs:
+    @pytest.mark.parametrize("spec", [HamiltonianSpec, DissipatorSpec])
+    def test_unknown_kind_is_refused(self, spec):
+        with pytest.raises(ValueError, match="unknown .* kind 'bogus'"):
+            spec(kind="bogus")
 
 
 class TestLindbladRhs:

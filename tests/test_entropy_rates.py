@@ -14,12 +14,10 @@ from spinwehrl import (
     Model,
     SpinQuantumNumber,
     UnsupportedParameters,
-    amplitude_damping_dissipator,
     bloch_to_rho,
     damping_phi_exact,
     damping_phi_zero_temperature,
     damping_quadrature,
-    dephasing_dissipator,
     dephasing_pi_quadrature,
     dephasing_pi_spin_half,
     dephasing_pi_von_neumann,
@@ -53,6 +51,9 @@ from spinwehrl.scenarios import SIGMA_TAIL_TOL, _sigma_or_none
 from spinwehrl.spin_ops import coherence_orders
 from conftest import random_density_matrix, random_diagonal_state
 from oracles import (
+    amplitude_damping_dissipator,
+    dense_dissipator,
+    dephasing_dissipator,
     dissipative_entropy_rate,
     energy_flux,
     generator_entropy_rate,
@@ -491,7 +492,7 @@ class TestSpinHalfClosedForms:
             v *= rng.uniform(0.1, 0.9) / np.linalg.norm(v)
             b = BlochVector(*v)
             rho = bloch_to_rho(b)
-            general = von_neumann_rates(rho, d.apply(rho.entries, 0.0), d, coherence_orders(rho.entries))
+            general = von_neumann_rates(rho, dense_dissipator(rho.entries, d, 0.0), d, coherence_orders(rho.entries))
             closed = spin_half_damping_von_neumann(b, bath)
             assert general.phi == pytest.approx(closed.phi, rel=1e-10, abs=1e-12)
             assert general.pi == pytest.approx(closed.pi, rel=1e-8, abs=1e-10)
@@ -505,7 +506,7 @@ class TestSpinHalfClosedForms:
             v *= rng.uniform(0.1, 0.9) / np.linalg.norm(v)
             b = BlochVector(*v)
             rho = bloch_to_rho(b)
-            general = von_neumann_rates(rho, d.apply(rho.entries, 0.0), d, coherence_orders(rho.entries))
+            general = von_neumann_rates(rho, dense_dissipator(rho.entries, d, 0.0), d, coherence_orders(rho.entries))
             closed = spin_half_dephasing_von_neumann(b, d.lam)
             assert general.pi == pytest.approx(closed.pi, rel=1e-13, abs=1e-15)
             assert general.ds_dt == general.pi and general.phi == 0.0 == closed.phi

@@ -15,6 +15,7 @@ from spinwehrl import (
     wehrl_entropy,
     wehrl_entropy_spin_half,
 )
+from spinwehrl import phase_space
 from spinwehrl.entropy_rates import von_neumann_entropy
 from conftest import random_density_matrix
 from oracles import angle_action_inverse, angle_action_map, coherent_state, tss_correspondences, v_function
@@ -54,6 +55,14 @@ class TestGrid:
     def test_nodes_avoid_poles(self, default_grid):
         assert default_grid.theta_nodes.min() > 0.0
         assert default_grid.theta_nodes.max() < math.pi
+
+    def test_grids_of_one_n_theta_share_the_rule(self):
+        # The Gauss-Legendre rule is computed once per n_theta, not per grid.
+        a, b = make_grid(40, 80), make_grid(40, 16)
+        assert phase_space._legendre(40) is phase_space._legendre(40)
+        assert np.array_equal(a.theta_nodes, b.theta_nodes)
+        u, w = phase_space._legendre(40)
+        assert not u.flags.writeable and not w.flags.writeable
 
     def test_minimum_size_enforced(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,6 @@ from spinwehrl import (
     SpinQuantumNumber,
     StiffnessFailure,
     UnsupportedParameters,
-    amplitude_damping_dissipator,
     BlochVector,
     bloch_to_rho,
     evolve,
@@ -36,7 +35,7 @@ from spinwehrl import dynamics
 from spinwehrl.dynamics import _damping_blocks, expm
 from spinwehrl.scenarios import _uniform_grid, photon_pulse_model, quench_tau_z
 from conftest import random_density_matrix
-from oracles import temperature_from_nbar
+from oracles import amplitude_damping_dissipator, dense_dissipator, temperature_from_nbar
 from rk45 import evolve_rk45
 
 
@@ -51,14 +50,26 @@ def liouvillian_blocks() -> list:
         a[np.arange(j.dim - k), np.arange(j.dim - k)] += 1j * k * 1.3 - 0.5 * 0.4 * k * k
         blocks.append(a)
     blocks.append(_damping_blocks(SpinQuantumNumber(1), 0.0, [0])[0])
-    for name in ("rotating_field_damping.json", "rotating_field_dephasing.json"):
-        model = validate_config(json.loads(bundled_configs()[name].read_text())).model
-        h, d = model.h, model.d
-        ops = spinwehrl.make_spin_operators(SpinQuantumNumber(1))
-        hf = -(h.b0 + h.drive_omega) * ops.jz - h.b1 * ops.jx
-        basis = np.eye(4).reshape(4, 2, 2)
-        blocks.append(np.array([(-1j * (hf @ e - e @ hf) + d.apply(e, 0.0)).ravel() for e in basis]).T)
+    for name in ROTATING_FIELD_CONFIGS:
+        blocks.append(dense_rotating_generator(rotating_field_model(name)))
     return blocks
+
+
+ROTATING_FIELD_CONFIGS = ("rotating_field_damping.json", "rotating_field_dephasing.json")
+
+
+def rotating_field_model(name: str):
+    return validate_config(json.loads(bundled_configs()[name].read_text())).model
+
+
+def dense_rotating_generator(model) -> np.ndarray:
+    """The 4x4 co-rotating generator of a spin-1/2 rotating-field model,
+    one basis matrix at a time, with the dense dissipators."""
+    h, d = model.h, model.d
+    ops = spinwehrl.make_spin_operators(SpinQuantumNumber(1))
+    hf = -(h.b0 + h.drive_omega) * ops.jz - h.b1 * ops.jx
+    basis = np.eye(4).reshape(4, 2, 2)
+    return np.array([(-1j * (hf @ e - e @ hf) + dense_dissipator(e, d, 0.0)).ravel() for e in basis]).T
 
 
 class TestExpm:
@@ -241,6 +252,14 @@ class TestRotatingFramePropagator:
         assert np.max(np.abs(exact.entries - oracle.entries)) < 1e-11
         bloch = bloch_oracle(m.h, m.d, exact.bloch[0], t_grid)
         assert np.max(np.abs(exact.bloch - bloch)) < 1e-11
+
+    @pytest.mark.parametrize("name", ROTATING_FIELD_CONFIGS)
+    def test_generator_matches_the_dense_oracle(self, name):
+        # One per-order D(rho) call on the basis stack, against the dense
+        # dissipators one basis matrix at a time.
+        model = rotating_field_model(name)
+        generator = dynamics._rotating_generator(model.rho0.j, model.h, model.d)
+        assert np.max(np.abs(generator - dense_rotating_generator(model))) <= 1e-15
 
     def test_time_dependent_damping_is_unsupported(self):
         rho0 = bloch_to_rho(BlochVector(1.0, 0.0, 0.0))

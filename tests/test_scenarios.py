@@ -41,7 +41,7 @@ from spinwehrl.phase_space import wehrl_entropy_spin_half
 from spinwehrl.scenarios import quench_tau_z
 
 from conftest import random_density_matrix
-from oracles import energy_flux, generator_entropy_rate, pulse_gamma_explicit, temperature_from_nbar
+from oracles import dense_dissipator, energy_flux, generator_entropy_rate, pulse_gamma_explicit, temperature_from_nbar
 
 
 class TestSpontaneousEmission:
@@ -371,24 +371,21 @@ SPIN_J_DAMPING = Model(
 
 class TestEachSeriesOnce:
     def test_dissipator_applied_to_the_trajectory_once(self, monkeypatch):
-        # Once, per coherence order; the dense dissipator sees only the
-        # one-matrix generator check of evolve.
-        dense, per_order = [], []
-        original_dense, original_per_order = dynamics.amplitude_damping_dissipator, scenarios.dissipation
+        # Once, on the whole stack at its times and orders; evolve forms no D.
+        calls = []
+        original = dynamics.dissipation
 
-        def dense_wrapper(rho, *args):
-            dense.append(np.shape(rho))
-            return original_dense(rho, *args)
+        def wrapper(rho, d, t, orders):
+            calls.append((rho, t, orders))
+            return original(rho, d, t, orders)
 
-        def per_order_wrapper(traj, d):
-            per_order.append(traj)
-            return original_per_order(traj, d)
-
-        monkeypatch.setattr(dynamics, "amplitude_damping_dissipator", dense_wrapper)
-        monkeypatch.setattr(scenarios, "dissipation", per_order_wrapper)
+        monkeypatch.setattr(dynamics, "dissipation", wrapper)
+        monkeypatch.setattr(scenarios, "dissipation", wrapper)
         res = simulate(SPIN_J_DAMPING, t_max=0.5, dt=0.1, grid=make_grid(24, 48))
-        assert len(per_order) == 1 and per_order[0] is res.trajectory
-        assert dense == [(5, 5)]
+        traj = res.trajectory
+        assert len(calls) == 1
+        rho, t, orders = calls[0]
+        assert rho is traj.entries and t is traj.times and orders == traj.orders == (0,)
 
     @pytest.mark.parametrize(
         "model, labels",
@@ -465,7 +462,7 @@ class TestVonNeumannRoute:
     ], ids=["no_hamiltonian", "dephasing", "zero_temperature"])
     def test_matches_the_logm_oracle(self, h, d):
         res = self.run(h, d)
-        d_rho = d.apply(res.trajectory.entries, res.times)
+        d_rho = dense_dissipator(res.trajectory.entries, d, res.times)
         ds = np.array([-np.trace(dr @ logm(r)).real for r, dr in zip(res.trajectory.entries, d_rho)])
         vn = res.von_neumann
         self.assert_close(vn.ds_dt, ds, 1e-12)
@@ -491,7 +488,7 @@ class TestVonNeumannRoute:
     def test_zero_temperature_ground_state_is_at_rest(self):
         ground = DensityMatrix(self.J, np.diag([0.0] * 4 + [1.0]).astype(complex))
         d = DissipatorSpec.amplitude_damping(1.1, 0.0)
-        rates = von_neumann_rates(ground, d.apply(ground.entries, 0.0), d, (0,))
+        rates = von_neumann_rates(ground, dense_dissipator(ground.entries, d, 0.0), d, (0,))
         assert (rates.pi, rates.phi) == (0.0, 0.0)
         res = simulate(Model(ground, HamiltonianSpec.none(), d), t_max=1.0, dt=0.1, grid=make_grid(8, 16))
         assert np.all(res.von_neumann.pi == 0.0) and np.all(res.von_neumann.phi == 0.0)

@@ -30,6 +30,15 @@ is phi-independent, and its node rows are evaluated on the first phi
 column (phi_columns): each theta row's sum over phi is that column's value
 times n_phi, and dQ/dphi is zero.
 
+A spin-1/2 stack with a coherence keeps these lab-frame coefficients, and
+its fields also carry each state's own frame (phase_space.OwnFrame), whose
+z' axis is the state's Bloch vector b: Q' = (tr + |b| cos theta')/2 depends
+on theta' alone, and is held as the s = 0 rows of the populations
+(tr +- |b|)/2. The reductions read such a field on one theta' column, with
+no node rows at all: every integrand's phi' dependence there is a
+trigonometric polynomial of degree <= 2, which the uniform phi' rule
+integrates exactly, so the phi' sums are done in closed form.
+
 Q is floored at Q_FLOOR wherever it divides or enters a logarithm.
 """
 
@@ -115,7 +124,17 @@ def node_rows(rows, harmonics):
 # with a theta vector. weights are the Gauss-Legendre weights with the
 # uniform phi weight folded in. They return raw weighted sums, one per state
 # (a scalar for one state); physical prefactors are applied by the caller.
+# Given a frame (coef, cos_beta, sin2_beta), the OwnFrame of a spin-1/2
+# field, they reduce it in its states' own frames instead (see the module
+# docstring), where g = (dQ'/dtheta')^2 / max(Q', Q_FLOOR) is a theta' row.
 # ---------------------------------------------------------------------------
+
+
+def _framed_g(frame, harmonics):
+    """n_phi g of each state of a framed field, (..., n_theta): the sum of
+    g over the phi' nodes of each theta' row."""
+    q, dq = frame[0][:, 0]
+    return harmonics.shape[-1] * (dq * dq / np.maximum(q, Q_FLOOR))
 
 
 def _inverse_and_squares(rows, coef, harmonics):
@@ -132,7 +151,7 @@ def _inverse_and_squares(rows, coef, harmonics):
     return copies * np.einsum("f...p,...p->f...", rest, q)
 
 
-def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coherence_weights):
+def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coherence_weights, cos_weights, frame=None):
     """(phi, pi_damping, pi_coherence) raw sums of each state. With
     r = 2 nbar + 1, the drift u = dQ/dtheta - 2J Q sin / (r - cos) and Q
     floored at Q_FLOOR in the denominators, the integrands are
@@ -142,14 +161,36 @@ def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coheren
     pi_coherence: (dQ/dphi)^2 (r cos - 1) cos / (sin^2 Q),
 
     and the theta vectors are drift = 2J sin / (r - cos), phi_weights =
-    -n_phi sin weights, damping_weights = (r - cos) weights and
-    coherence_weights = (r cos - 1) cos weights / sin^2. u's coefficients
-    are dQ/dtheta's less drift times Q's. The flux integrand is linear in u,
-    so its sum over the phi nodes of a theta row is n_phi times u's s = 0
-    cosine coefficient, exactly when 2J < n_phi. Only Q, u and dQ/dphi are
-    evaluated at nodes, and pi_coherence is exactly 0 on one phi column.
+    -n_phi sin weights, damping_weights = (r - cos) weights,
+    coherence_weights = (r cos - 1) cos weights / sin^2 and cos_weights =
+    cos weights. u's coefficients are dQ/dtheta's less drift times Q's. The
+    flux integrand is linear in u, so its sum over the phi nodes of a theta
+    row is n_phi times u's s = 0 cosine coefficient, exactly when
+    2J < n_phi. Only Q, u and dQ/dphi are evaluated at nodes, and
+    pi_coherence is exactly 0 on one phi column.
+
+    A framed field (spin 1/2) gives the whole production as pi_damping and
+    0 as pi_coherence. Their sum is, pointwise,
+
+        (r - cos)|grad Q|^2/Q - r (dQ/dphi)^2/Q - 2 sin dQ/dtheta + Q sin^2/(r - cos).
+
+    The last two terms are linear in Q, so they come from the lab s = 0
+    rows, as phi does. In the own frame |grad Q|^2/Q is g(theta'), cos is
+    cos(beta) cos(theta') + sin(beta) sin(theta') cos(phi') and
+    (dQ/dphi)^2/Q is sin^2(beta) sin^2(phi') g, so the quadratic part is
+    r (1 - sin^2(beta)/2) S1 - cos(beta) S2, with S1 and S2 the sums of g
+    against weights and cos_weights. It is formed as
+    (1 - sin^2(beta)/2) (r S1 - S2) + (1 - cos(beta))^2 S2 / 2, where
+    r S1 - S2 is the sum of g against damping_weights.
     """
     q, dq_dtheta = coef
+    if frame is not None:
+        _, cos_beta, sin2_beta = frame
+        g = _framed_g(frame, harmonics)
+        u = dq_dtheta[0] - drift * q[0]
+        pi = (1.0 - 0.5 * sin2_beta) * (g @ damping_weights) + 0.5 * (1.0 - cos_beta) ** 2 * (g @ cos_weights)
+        pi += (u + dq_dtheta[0]) @ phi_weights
+        return u @ phi_weights, pi, np.zeros_like(pi)
     rows = np.empty((3,) + q.shape)
     rows[0] = q
     np.multiply(q, drift, out=rows[1])
@@ -160,10 +201,14 @@ def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coheren
     return phi, pi_damp @ damping_weights, pi_coh @ coherence_weights
 
 
-def dephasing_reduce(coef, harmonics, weights):
+def dephasing_reduce(coef, harmonics, weights, frame=None):
     """Raw sum of (dQ/dphi)^2 / Q of each state, Q floored at Q_FLOOR; only
     Q and dQ/dphi are evaluated at nodes, and the sum is exactly 0 on one
-    phi column."""
+    phi column. On a framed field the integrand is sin^2(beta)
+    sin^2(phi') g, and the sum is sin^2(beta)/2 times that of g."""
+    if frame is not None:
+        _, _, sin2_beta = frame
+        return 0.5 * sin2_beta * (_framed_g(frame, harmonics) @ weights)
     q = coef[0]
     rows = np.empty((2,) + q.shape)
     rows[0] = q

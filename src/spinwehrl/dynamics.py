@@ -25,7 +25,8 @@ evolve propagates it exactly, with numpy alone, in one of two ways:
 Matrix exponentials use the [13/13] Pade approximant with scaling and
 squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005). Output
 states are Hermitized and trace-renormalized, with the drift monitored
-against a hard bound, and validated as one stack.
+against a hard bound, and validated as one stack; a J_z-diagonal stack
+on its populations alone.
 
 The Trajectory keeps the coherence orders K of its states: those of rho0
 under a J_z-covariant generator, every order under the rotating field.
@@ -154,6 +155,8 @@ class DissipatorSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown dissipator kind {self.kind!r}")
+        if self.kind == "time_dependent_damping" and not callable(self.gamma_t):
+            raise ValueError(f"time_dependent_damping needs a callable gamma_t, got {self.gamma_t!r}")
         if self.lam < 0 or self.gamma < 0 or self.nbar < 0:
             raise NonPhysicalState("dissipator rates and occupation must be non-negative")
 
@@ -434,21 +437,36 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
         else:
             orders = tuple(range(rho0.dim))
             raw = _rotating_frame(rho0, h, d, t_grid)
-        herm = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-        traces = np.trace(herm, axis1=1, axis2=2).real
+        diagonal = orders == (0,)
+        if diagonal:
+            # raw vanishes off its diagonal: its Hermitian part is the real
+            # part of the diagonal, and raw less that part is i Im(raw_aa).
+            populations = raw.diagonal(axis1=1, axis2=2)
+            traces = np.trace(raw, axis1=1, axis2=2).real
+            defect = np.abs(populations.imag)
+        else:
+            herm = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+            traces = np.trace(herm, axis1=1, axis2=2).real
+            defect = np.abs(raw - herm)
         drift = np.abs(traces - 1.0)
     beyond = ~(drift <= TRACE_DRIFT_BOUND)  # a nan drift (overflow) is beyond it too
     if np.any(beyond):
         first = drift[np.argmax(beyond)]
         raise StiffnessFailure(f"trace drift {first:.3e} exceeds {TRACE_DRIFT_BOUND}")
-    entries = herm / traces[:, None, None]
+    if diagonal:
+        entries = np.zeros_like(raw)
+        a = np.arange(rho0.dim)
+        # Times 1/trace, as the complex division below scales a real entry.
+        entries[:, a, a] = populations.real * (1.0 / traces)[:, None]
+    else:
+        entries = herm / traces[:, None, None]
     check_density_entries(entries, orders)
     entries.setflags(write=False)
     return Trajectory(
         times=t_grid,
         entries=entries,
         max_trace_drift=float(drift.max()),
-        max_hermiticity_drift=float(np.max(np.abs(raw - herm))),
+        max_hermiticity_drift=float(defect.max()),
         orders=orders,
     )
 

@@ -165,7 +165,8 @@ def dephasing_pi_quadrature(field: HusimiField, lam: float):
     Non-negative; zero iff Q is independent of phi at every node.
     """
     grid = field.grid
-    return _dephasing_pi(_kernels.dephasing_reduce(field.coef, field.harmonics, grid.theta_weights), field.j, lam)
+    raw = _kernels.dephasing_reduce(field.coef, field.harmonics, grid.theta_weights, field.frame)
+    return _dephasing_pi(raw, field.j, lam)
 
 
 def dephasing_pi_spin_half(b, lam: float):
@@ -193,7 +194,7 @@ def dephasing_pi_von_neumann(b, lam: float):
 
 def _damping_vectors(grid, two_j: int, nbar: float) -> tuple:
     """The theta vectors of _kernels.damping_reduce on grid: drift,
-    phi_weights, damping_weights and coherence_weights."""
+    phi_weights, damping_weights, coherence_weights and cos_weights."""
     r = 2.0 * nbar + 1.0
     cos_t, sin_t, weights = grid.cos_theta, grid.sin_theta, grid.theta_weights
     den = r - cos_t
@@ -202,6 +203,7 @@ def _damping_vectors(grid, two_j: int, nbar: float) -> tuple:
         -grid.n_phi * weights * sin_t,
         weights * den,
         weights * (r * cos_t - 1.0) * cos_t / (sin_t * sin_t),
+        weights * cos_t,
     )
 
 
@@ -220,7 +222,7 @@ def damping_quadrature(field: HusimiField, bath: BathParams) -> tuple:
     damping_phi_quadrature and damping_pi_quadrature."""
     grid, j = field.grid, field.j
     vectors = _damping_vectors(grid, j.two_j, bath.nbar)
-    return _damping_terms(_kernels.damping_reduce(field.coef, field.harmonics, *vectors), j, bath)
+    return _damping_terms(_kernels.damping_reduce(field.coef, field.harmonics, *vectors, field.frame), j, bath)
 
 
 def damping_phi_quadrature(field: HusimiField, bath: BathParams) -> float:
@@ -375,7 +377,7 @@ def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, ti
         if not raw:
             harmonics = field.harmonics
             vectors = (grid.theta_weights,) if dephasing else _damping_vectors(grid, j.two_j, bath.nbar)
-        raw.append(np.asarray(reduce(field.coef, harmonics, *vectors)))
+        raw.append(np.asarray(reduce(field.coef, harmonics, *vectors, field.frame)))
     raw = np.concatenate(raw, axis=-1)
     if dephasing:
         pi = _dephasing_pi(raw, j, d.lam)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -165,6 +165,36 @@ def _amplitude_table(two_j: int, orders: int, theta: np.ndarray, phi: np.ndarray
     return pairs, np.stack([np.cos(sphi), np.sin(sphi)], axis=1).reshape(2 * orders, -1)
 
 
+class OwnFrame(NamedTuple):
+    """Each spin-1/2 state of a field in its own frame, whose z' axis is the
+    state's Bloch vector b (the Hermitian part is tr/2 + b.sigma/2; see
+    _kernels). coef holds the s = 0 rows of the populations (tr +- |b|)/2,
+    in the layout of a J_z-diagonal field's coefficients, (2, 2, n_theta)
+    or (2, 2, k, n_theta): Q' on the grid's theta nodes read as theta'.
+    cos_beta = b_z/|b| and sin2_beta = (b_x^2 + b_y^2)/|b|^2 tilt z' from
+    z; they are 1 and 0 where b = 0."""
+
+    coef: np.ndarray
+    cos_beta: np.ndarray
+    sin2_beta: np.ndarray
+
+
+def _own_frames(pairs: np.ndarray, mats: np.ndarray) -> OwnFrame:
+    """The OwnFrame of each matrix of a (k, 2, 2) stack, its rows formed
+    from the s = 0 table of pairs (see _amplitude_table)."""
+    mats = np.asarray(mats, dtype=complex)
+    trace = (mats[:, 0, 0] + mats[:, 1, 1]).real
+    b_z = (mats[:, 0, 0] - mats[:, 1, 1]).real
+    perp2 = np.abs(mats[:, 1, 0] + mats[:, 0, 1].conj()) ** 2
+    length = np.sqrt(perp2 + b_z * b_z)
+    tilted = length > 0.0
+    length_or_1 = np.where(tilted, length, 1.0)
+    populations = 0.5 * (trace[:, None] + np.outer(length, [1.0, -1.0]))
+    coef = np.zeros((2, 2, len(mats), pairs.shape[-1]))
+    coef[:, 0] = populations @ (2.0 * pairs[:, 0])
+    return OwnFrame(coef, np.where(tilted, b_z / length_or_1, 1.0), perp2 / length_or_1**2)
+
+
 @dataclass(frozen=True)
 class HusimiField:
     """Q(Omega) = <Omega|rho|Omega> with analytic angular derivatives, held
@@ -180,11 +210,14 @@ class HusimiField:
     (k, n_theta, n_phi), each evaluated on first use; the quadrature reads
     the coefficients and evaluates its own node rows.
     phase_space_currents gives the complex azimuthal current -i dQ/dphi.
+    frame is the states' OwnFrame for a spin-1/2 stack with a coherence,
+    which the quadrature reduces instead of the node rows, and else None.
     """
 
     grid: SphereGrid
     j: SpinQuantumNumber
     coef: np.ndarray
+    frame: Optional[OwnFrame] = None
 
     @property
     def harmonics(self) -> np.ndarray:
@@ -218,7 +251,12 @@ class HusimiField:
 # two ran the six bundled compares fastest. A J_z-diagonal stack's fields hold
 # only their s = 0 rows (see husimi_chunks), so its chunks are sized by their
 # (2, 2, k, n_theta) coefficient array instead: at most twice this many
-# numbers, 192 states on 96 x 192 whatever 2J.
+# numbers, 192 states on 96 x 192 whatever 2J. A framed spin-1/2 stack's
+# reductions evaluate no node rows either, so its chunks are sized the same
+# way by their (2, 4, k, n_theta) coefficients and (2, 2, k, n_theta) frame
+# rows: 64 states on 96 x 192. Of 16, 64 and 192 states per chunk, 64 ran
+# the two rotating-field compares fastest; a node array read from such a
+# chunk (q, wehrl_entropy) takes 9.4 MB.
 _CHUNK_NODES = 2 * 96 * 192
 
 
@@ -226,33 +264,48 @@ def husimi_chunks(states: np.ndarray, grid: SphereGrid, orders) -> Iterator[Husi
     """The Husimi fields of an (n, d, d) stack of density-matrix entries
     whose coherence orders are orders (Trajectory.orders, or
     spin_ops.coherence_orders of the stack), in order, a chunk of states
-    per HusimiField; the stack is sliced without a copy, and its entries
-    are not inspected.
+    per HusimiField; the stack is sliced without a copy, and the layout is
+    decided without inspecting its entries.
 
     Each chunk is one call of the transform, so memory stays bounded
     however many states there are. The transform takes the pair table of
     the orders s = 0 .. max(orders) alone, so the fields hold only those
-    coefficient rows. phi-independence is decided here, once per stack,
-    from orders: a J_z-diagonal stack (orders (0,)) has fields of two
+    coefficient rows. The layout is decided here, once per stack, from
+    orders and 2J: a J_z-diagonal stack (orders (0,)) has fields of two
     coefficient rows, reduced on one phi column (see _kernels.phi_columns),
-    at _CHUNK_NODES // (2 n_theta) states per chunk. Any other stack is
-    evaluated on every phi column, at _CHUNK_NODES // n_nodes states per
-    chunk (at least one).
+    at _CHUNK_NODES // (2 n_theta) states per chunk. A spin-1/2 stack with
+    a coherence also gets its OwnFrame, reduced on one theta' column of
+    each state's own frame, at _CHUNK_NODES // (6 n_theta) states per
+    chunk. Any other stack is evaluated on every phi column, at
+    _CHUNK_NODES // n_nodes states per chunk. Every chunk holds at least
+    one state.
     """
     d = states.shape[-1]
     n_orders = max(orders, default=0) + 1
-    per_chunk = max(1, _CHUNK_NODES // (2 * grid.n_theta if n_orders == 1 else grid.n_nodes))
+    framed = d == 2 and n_orders == 2
+    if n_orders == 1:
+        nodes = 2 * grid.n_theta
+    elif framed:
+        nodes = 6 * grid.n_theta
+    else:
+        nodes = grid.n_nodes
+    per_chunk = max(1, _CHUNK_NODES // nodes)
     j = SpinQuantumNumber(d - 1)
     pairs, _ = grid.amplitude_table(j, n_orders)
     for start in range(0, len(states), per_chunk):
-        yield HusimiField(grid, j, _kernels.husimi_contract(pairs, states[start : start + per_chunk]))
+        chunk = states[start : start + per_chunk]
+        frame = _own_frames(pairs, chunk) if framed else None
+        yield HusimiField(grid, j, _kernels.husimi_contract(pairs, chunk), frame)
 
 
 def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:
     """The one-state Husimi field of rho: husimi_chunks' one chunk of rho,
     on the coherence orders of rho, without its state axis."""
     (chunk,) = husimi_chunks(rho.entries[None], grid, coherence_orders(rho.entries))
-    return HusimiField(grid, rho.j, chunk.coef[:, :, 0])
+    frame = chunk.frame
+    if frame is not None:
+        frame = OwnFrame(frame.coef[:, :, 0], frame.cos_beta[0], frame.sin2_beta[0])
+    return HusimiField(grid, rho.j, chunk.coef[:, :, 0], frame)
 
 
 def wehrl_entropy(field: HusimiField):

@@ -449,7 +449,7 @@ class TestRun:
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
-        assert main(["compare", "--config", path]) in (0, 1)
+        assert main(["compare", "--config", path]) == 0
 
 
 class TestCompare:
@@ -493,6 +493,15 @@ class TestCompare:
         }
         path = write_config(tmp_path, cfg)
         assert main(["compare", "--config", path, "--tol", "1e-5"]) == 0
+
+    @pytest.mark.parametrize("name", ["rotating_field_damping.json", "rotating_field_dephasing.json"])
+    def test_rotating_field_quadrature_passes(self, capsys, name):
+        # Coherent spin-1/2 states, pure at t = 0, reduced in their own
+        # frames on the config's own 96 x 192 grid.
+        assert main(["compare", "--config", str(bundled_configs()[name])]) == 0
+        out = capsys.readouterr().out
+        deviations = [float(line.split()[-1]) for line in out.splitlines() if ": max rel dev" in line]
+        assert deviations and max(deviations) <= 1e-9
 
     def test_impossible_tolerance_fails(self, tmp_path):
         cfg = {

@@ -214,10 +214,17 @@ class TestHusimiChunksFromOrders:
 
     def transform_of_today(self, stack, grid, n_orders):
         """The fields the transform gave before the orders reached it: the
-        full pair table's first n_orders orders, chunked as husimi_chunks."""
+        full pair table's first n_orders orders, chunked as husimi_chunks
+        (a spin-1/2 stack with a coherence by its coefficients and frame
+        rows)."""
         j = SpinQuantumNumber(stack.shape[-1] - 1)
         full = phase_space._amplitude_table(j.two_j, j.dim, grid.theta_nodes, grid.phi_nodes)[0]
-        per_chunk = max(1, phase_space._CHUNK_NODES // (2 * grid.n_theta if n_orders == 1 else grid.n_nodes))
+        if n_orders == 1:
+            per_chunk = phase_space._CHUNK_NODES // (2 * grid.n_theta)
+        elif j.two_j == 1:
+            per_chunk = phase_space._CHUNK_NODES // (6 * grid.n_theta)
+        else:
+            per_chunk = max(1, phase_space._CHUNK_NODES // grid.n_nodes)
         return [_kernels.husimi_contract(full[:, :n_orders], stack[s : s + per_chunk])
                 for s in range(0, len(stack), per_chunk)]
 
@@ -226,8 +233,9 @@ class TestHusimiChunksFromOrders:
     def test_same_fields_bit_for_bit(self, two_j, diagonal, rng):
         grid = make_grid(24, 48)
         orders = (0,) if diagonal else tuple(range(two_j + 1))
-        # Two chunks of each kind: 768 diagonal states per chunk on 24 x 48, or 32.
-        stack = block_stack(two_j, orders, rng, n=800 if diagonal else 40)
+        # Two chunks of each kind: 768 diagonal states per chunk on 24 x 48,
+        # 256 coherent spin-1/2 states, or 32.
+        stack = block_stack(two_j, orders, rng, n=800 if diagonal else 300 if two_j == 1 else 40)
         chunks = [chunk.coef for chunk in husimi_chunks(stack, grid, orders)]
         want = self.transform_of_today(stack, grid, 1 if diagonal else two_j + 1)
         assert len(chunks) == len(want) and all(np.array_equal(a, b) for a, b in zip(chunks, want))

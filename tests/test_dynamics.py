@@ -5,6 +5,7 @@ import pytest
 
 from spinwehrl import (
     BlochVector,
+    DensityMatrix,
     DissipatorSpec,
     HamiltonianSpec,
     NonMarkovianRate,
@@ -19,6 +20,7 @@ from spinwehrl import (
     make_spin_operators,
     nbar_from_temperature,
 )
+from spinwehrl import dynamics
 from conftest import random_density_matrix
 from oracles import amplitude_damping_dissipator, current_superoperator_f, dephasing_dissipator, temperature_from_nbar
 
@@ -116,6 +118,12 @@ class TestSpecs:
         with pytest.raises(ValueError, match="unknown .* kind 'bogus'"):
             spec(kind="bogus")
 
+    @pytest.mark.parametrize("gamma_t", [None, 0.5])
+    def test_time_dependent_damping_needs_a_rate(self, gamma_t):
+        # Refused when built, not with a TypeError once evolve reads the rate.
+        with pytest.raises(ValueError, match="needs a callable gamma_t"):
+            DissipatorSpec(kind="time_dependent_damping", gamma_t=gamma_t)
+
 
 class TestLindbladRhs:
     def test_trivial_generator(self):
@@ -171,6 +179,37 @@ class TestEvolve:
         herm = 0.5 * (rho0.entries + rho0.entries.conj().T)
         assert np.array_equal(traj.entries[0], herm / np.trace(herm).real)
         assert np.array_equal(traj.populations(), traj.entries.diagonal(axis1=1, axis2=2).real)
+
+    @pytest.mark.parametrize("two_j", [1, 4, 40])
+    def test_diagonal_stack_is_finished_on_its_populations(self, two_j, monkeypatch):
+        # A J_z-diagonal stack is Hermitized, renormalized and measured on its
+        # populations, bit for bit as the dense formulas on the (n, d, d)
+        # stack. The propagated states are perturbed on the diagonal, so that
+        # both drifts are nonzero.
+        rng = np.random.default_rng(two_j)
+        j = SpinQuantumNumber(two_j)
+        pops = rng.dirichlet(np.ones(j.dim))
+        rho0 = DensityMatrix(j, np.diag(pops).astype(complex))
+        raws = []
+
+        def perturbed(*args):
+            raw = propagate(*args)
+            a = np.arange(j.dim)
+            raw[:, a, a] *= 1.0 + 1e-12 * rng.normal(size=raw.shape[:2]) + 1e-13j * rng.normal(size=raw.shape[:2])
+            raws.append(raw.copy())
+            return raw
+
+        propagate = dynamics._covariant
+        monkeypatch.setattr(dynamics, "_covariant", perturbed)
+        traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5),
+                      np.linspace(0.0, 2.0, 51))
+        (raw,) = raws
+        herm = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+        traces = np.trace(herm, axis1=1, axis2=2).real
+        assert traj.orders == (0,)
+        assert traj.entries.tobytes() == (herm / traces[:, None, None]).tobytes()
+        assert traj.max_trace_drift == float(np.abs(traces - 1.0).max()) > 0.0
+        assert traj.max_hermiticity_drift == float(np.max(np.abs(raw - herm))) > 0.0
 
     def test_bloch_series_of_larger_spin_rejected(self, rng):
         rho0 = random_density_matrix(SpinQuantumNumber(2), rng)

@@ -8,12 +8,18 @@ import pytest
 
 from spinwehrl import (
     BathParams,
+    BlochVector,
     DensityMatrix,
+    HusimiField,
     SpinQuantumNumber,
+    bloch_to_rho,
     husimi,
     husimi_chunks,
     make_grid,
+    spin_half_damping_rates,
+    spin_half_dephasing_rates,
     wehrl_entropy,
+    wehrl_entropy_spin_half,
 )
 from spinwehrl import _kernels, phase_space
 from spinwehrl.dynamics import DissipatorSpec, HamiltonianSpec
@@ -332,3 +338,108 @@ class TestDampingQuadrature:
         _, pi_damping, pi_coherence = _kernels.damping_reduce(field.coef, harmonics, *vectors)
         pref = 0.5 * bath.gamma * j.dim / (4.0 * np.pi)
         assert pi == pytest.approx(pref * pi_damping + pref * pi_coherence, rel=1e-15)
+
+
+def bloch_stack(rng, length, n=20):
+    """(n, 3) Bloch vectors of length `length` in random directions, and
+    their (n, 2, 2) spin-1/2 states."""
+    directions = rng.normal(size=(n, 3))
+    taus = length * directions / np.linalg.norm(directions, axis=1)[:, None]
+    return taus, np.stack([bloch_to_rho(BlochVector(*tau)).entries for tau in taus])
+
+
+FRAMED_DISSIPATORS = {
+    "dephasing": DissipatorSpec.dephasing(0.7),
+    "damping-nbar0": DissipatorSpec.amplitude_damping(1.3, 0.0),
+    "damping-nbar1": DissipatorSpec.amplitude_damping(1.3, 1.0),
+}
+
+
+def framed_rates(stack, grid, d):
+    """The quadrature's (pi, phi) of a spin-1/2 stack, as in compare."""
+    states = [DensityMatrix(SpinQuantumNumber(1), rho) for rho in stack]
+    rates, _ = pipeline_rates(d, states, grid)
+    return rates.pi, rates.phi
+
+
+def closed_form_rates(taus, d):
+    if d.kind == "dephasing":
+        rates = spin_half_dephasing_rates(taus, d.lam)
+    else:
+        rates = spin_half_damping_rates(taus, BathParams(d.gamma, d.nbar))
+    return rates.pi, rates.phi
+
+
+class TestOwnFrame:
+    """A spin-1/2 stack with a coherence is reduced on one theta' column of
+    each state's own frame (phase_space.OwnFrame)."""
+
+    @pytest.mark.parametrize(
+        "purity_gap, tol",
+        [(0.5, 1e-13), (0.1, 1e-13), (0.02, 1e-13), (0.0, 1e-13), (1e-3, 5e-5), (1e-6, 5e-5)],
+    )
+    @pytest.mark.parametrize("kind", list(FRAMED_DISSIPATORS))
+    def test_closed_forms(self, purity_gap, tol, kind, rng, default_grid):
+        # Pi relative to each state's own, Phi to the largest |Phi|, at
+        # 1 - |tau| = purity_gap. A pure state's integrands are polynomials
+        # in cos(theta'), which Gauss-Legendre integrates exactly.
+        d = FRAMED_DISSIPATORS[kind]
+        taus, stack = bloch_stack(rng, 1.0 - purity_gap)
+        pi, phi = framed_rates(stack, default_grid, d)
+        want_pi, want_phi = closed_form_rates(taus, d)
+        assert np.max(np.abs(pi - want_pi) / want_pi) <= tol
+        assert np.max(np.abs(phi - want_phi)) <= tol * np.max(np.abs(want_phi))
+
+    @pytest.mark.parametrize("purity_gap", [0.5, 0.1, 0.02])
+    def test_matches_the_full_grid_kernels(self, purity_gap, rng, default_grid):
+        _, stack = bloch_stack(rng, 1.0 - purity_gap)
+        (field,) = husimi_chunks(stack, default_grid, (0, 1))
+        assert field.frame is not None
+        harmonics, weights = field.harmonics, default_grid.theta_weights
+        framed = _kernels.dephasing_reduce(field.coef, harmonics, weights, field.frame)
+        full = _kernels.dephasing_reduce(field.coef, harmonics, weights)
+        assert np.max(np.abs(framed - full)) <= 1e-13 * np.max(full)
+        for nbar in (0.0, 0.5, 1.0):
+            vectors = _damping_vectors(default_grid, 1, nbar)
+            phi, pi_damping, pi_coherence = _kernels.damping_reduce(field.coef, harmonics, *vectors, field.frame)
+            full_phi, full_damping, full_coherence = _kernels.damping_reduce(field.coef, harmonics, *vectors)
+            assert not np.any(pi_coherence)
+            assert np.array_equal(phi, full_phi)
+            full_pi = full_damping + full_coherence
+            assert np.max(np.abs(pi_damping - full_pi)) <= 1e-13 * np.max(np.abs(full_pi))
+
+    def test_no_node_rows(self, rng, default_grid, columns_evaluated):
+        _, stack = bloch_stack(rng, 0.9, n=150)  # three chunks
+        for d in FRAMED_DISSIPATORS.values():
+            framed_rates(stack, default_grid, d)
+        assert columns_evaluated == []
+
+    def test_a_small_tilt_keeps_its_relative_accuracy(self, rng, default_grid):
+        # sin^2(beta) is formed from the transverse Bloch components, not as
+        # 1 - cos^2(beta), so a 1e-9 coherence keeps its digits; b = 0 is
+        # its own frame.
+        taus, stack = bloch_stack(rng, 0.5, n=4)
+        taus[:2] = [[1e-9, 0.0, 0.6], [0.0, 0.0, 0.0]]
+        stack[:2] = [bloch_to_rho(BlochVector(*tau)).entries for tau in taus[:2]]
+        d = FRAMED_DISSIPATORS["dephasing"]
+        pi, _ = framed_rates(stack, default_grid, d)
+        want, _ = closed_form_rates(taus, d)
+        assert pi[1] == 0.0
+        assert abs(pi[0] - want[0]) <= 1e-13 * want[0]
+        for kind in ("damping-nbar0", "damping-nbar1"):
+            d = FRAMED_DISSIPATORS[kind]
+            pi, phi = framed_rates(stack, default_grid, d)
+            want_pi, want_phi = closed_form_rates(taus, d)
+            assert np.max(np.abs(pi - want_pi) / want_pi) <= 1e-13
+            assert np.max(np.abs(phi - want_phi)) <= 1e-13 * np.max(np.abs(want_phi))
+
+    def test_frames_are_one_column_fields(self, rng, default_grid):
+        # The frame rows are a J_z-diagonal field of the turned states: the
+        # Wehrl entropy, which a rotation keeps, matches the lab field's.
+        _, stack = bloch_stack(rng, 0.8, n=5)
+        (field,) = husimi_chunks(stack, default_grid, (0, 1))
+        turned = HusimiField(default_grid, SpinQuantumNumber(1), field.frame.coef)
+        assert field.frame.coef.shape == (2, 2, 5, 96)
+        np.testing.assert_allclose(wehrl_entropy(turned), wehrl_entropy(field), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(wehrl_entropy(turned), wehrl_entropy_spin_half(0.8), rtol=1e-13, atol=0)
+        assert husimi(DensityMatrix(SpinQuantumNumber(1), stack[0]), default_grid).frame.cos_beta == field.frame.cos_beta[0]

@@ -408,9 +408,22 @@ def photon_pulse_model(params: PulseParams) -> Model:
 
 
 def write_csv(path, header: list, table) -> None:
-    """A table as CSV under a header line, at full double precision;
-    divergences appear as literal inf tokens."""
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    """A table (2-D, or 1-D as one column) as CSV under a header line, each
+    cell at %.17g, so at full double precision; divergences appear as
+    literal inf tokens.
+
+    A column that is +0.0 in every row is written as the literal 0, which
+    is "%.17g" % 0.0, without formatting its cells: most columns of a
+    spin-J trajectory dump are such columns. A column holding -0.0 keeps
+    %.17g and reads -0."""
+    table = np.asarray(table, dtype=float)
+    if table.ndim == 1:
+        table = table[:, None]
+    zero = np.all(table == 0.0, axis=0) & ~np.any(np.signbit(table), axis=0)
+    row = ",".join(np.where(zero, "0", "%.17g")) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % tuple(values) for values in table[:, ~zero].tolist())
 
 
 def write_scenario_csv(result: ScenarioResult, path) -> None:

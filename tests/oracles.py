@@ -15,6 +15,8 @@ package calls them.
 * The pulse's decay rate Gamma_t written in terms of its drive.
 * The bath temperature of an occupation, and the energy flux Phi_E of
   H = omega J_z under thermal damping in closed form.
+* numpy's savetxt at %.17g, whose bytes every CSV the package writes
+  (scenarios.write_csv) must reproduce.
 """
 
 import math
@@ -279,3 +281,9 @@ def energy_flux(rho, bath: BathParams, omega: float):
     pops = entries.diagonal(axis1=-2, axis2=-1).real
     flux = (bath.gamma * omega / tbz) * (tbz * (j.j * (j.j + 1.0) - pops @ (ms * ms)) - pops @ ms)
     return float(flux) if np.ndim(flux) == 0 else flux
+
+
+def savetxt_csv(path, header: list, table) -> None:
+    """table under a comma-joined header line, every cell at %.17g, by
+    numpy's savetxt: the CSV bytes that scenarios.write_csv must write."""
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")

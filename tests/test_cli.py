@@ -7,12 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from spinwehrl import entropy_rates, phase_space
-from spinwehrl.cli import bundled_configs, main, validate_config
+from spinwehrl import DissipatorSpec, HamiltonianSpec, Model, entropy_rates, make_grid, phase_space, simulate
+from spinwehrl.cli import _write_states_csv, bundled_configs, main, validate_config
 from spinwehrl.errors import ConfigError
 from spinwehrl.entropy_rates import BathParams
 from spinwehrl.scenarios import PulseParams, pulse_effective_rates, rotating_field_steady_state
 from spinwehrl.spin_ops import SpinQuantumNumber, gibbs_state
+from conftest import random_density_matrix
 from oracles import temperature_from_nbar
 
 
@@ -680,6 +681,55 @@ def run_final_state(tmp_path, capsys, cfg) -> np.ndarray:
     final = np.loadtxt(states, delimiter=",", skiprows=1)[-1, 1:]
     d = math.isqrt(final.size // 2)
     return (final[0::2] + 1j * final[1::2]).reshape(d, d)
+
+
+
+def read_states_csv(path):
+    """Times and (n, d, d) entries of a --states-csv dump."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    d = math.isqrt((data.shape[1] - 1) // 2)
+    return data[:, 0], np.ascontiguousarray(data[:, 1:]).view(complex).reshape(-1, d, d)
+
+
+class TestStatesDump:
+    """A --states-csv dump reads back to the trajectory bit for bit."""
+
+    def assert_reads_back(self, path, result):
+        times, entries = read_states_csv(path)
+        assert times.tobytes() == result.times.tobytes()
+        assert entries.tobytes() == np.ascontiguousarray(result.trajectory.entries).tobytes()
+
+    def run_dump(self, tmp_path, monkeypatch, cfg):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.cli"], "_write_states_csv")
+        dump = tmp_path / "states.csv"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path),
+                     "--states-csv", str(dump)]) == 0
+        ((result, _),) = calls
+        return dump, result
+
+    def test_diagonal_spin_j_dump(self, tmp_path, monkeypatch):
+        populations = [1.0 + k % 5 for k in range(13)]
+        cfg = with_value(with_value(CUSTOM_DAMPING_J2, "two_j", 12), "initial_state.populations", populations)
+        dump, result = self.run_dump(tmp_path, monkeypatch, cfg)
+        assert result.trajectory.orders == (0,)
+        self.assert_reads_back(dump, result)
+
+    def test_coherent_spin_half_dump(self, tmp_path, monkeypatch):
+        cfg = with_value(CUSTOM_DAMPING_J2, "two_j", 1)
+        cfg = with_value(cfg, "initial_state", {"type": "bloch_angles", "tau": 0.9, "theta": 1.1, "phi": 0.4})
+        dump, result = self.run_dump(tmp_path, monkeypatch, cfg)
+        assert np.all(result.trajectory.entries[:, 0, 1] != 0)
+        self.assert_reads_back(dump, result)
+
+    def test_coherent_spin_j_result(self, tmp_path):
+        # the CLI starts spin J > 1/2 from J_z-diagonal states only
+        j = SpinQuantumNumber(4)
+        rho0 = random_density_matrix(j, np.random.default_rng(24))
+        model = Model(rho0, HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5))
+        result = simulate(model, t_max=0.5, dt=0.1, grid=make_grid(8, 16))
+        assert np.all(result.trajectory.entries != 0)
+        _write_states_csv(result, tmp_path / "states.csv")
+        self.assert_reads_back(tmp_path / "states.csv", result)
 
 
 @pytest.mark.filterwarnings("error")

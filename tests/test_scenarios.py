@@ -41,7 +41,14 @@ from spinwehrl.phase_space import wehrl_entropy_spin_half
 from spinwehrl.scenarios import quench_tau_z
 
 from conftest import random_density_matrix
-from oracles import dense_dissipator, energy_flux, generator_entropy_rate, pulse_gamma_explicit, temperature_from_nbar
+from oracles import (
+    dense_dissipator,
+    energy_flux,
+    generator_entropy_rate,
+    pulse_gamma_explicit,
+    savetxt_csv,
+    temperature_from_nbar,
+)
 
 
 class TestSpontaneousEmission:
@@ -528,3 +535,31 @@ class TestCustomScenario:
         b = simulate(Model(rho0, HamiltonianSpec.none(), DissipatorSpec.dephasing(1.0)), **kwargs)
         assert np.array_equal(a.entropy, b.entropy)
         assert np.array_equal(a.wehrl.pi, b.wehrl.pi)
+
+
+# Tables of every kind write_csv meets: the all-zero columns of a spin-J
+# trajectory dump, the sign and the special values that must keep %.17g,
+# degenerate shapes, and the sweep's list of row lists.
+_NAN, _INF = math.nan, math.inf
+CSV_TABLES = {
+    "all_plus_zero_column": np.column_stack([[1.5, -2.25, 1e-300], np.zeros(3), [3.0, 0.0, 7.0]]),
+    "all_minus_zero_column": np.column_stack([[1.5, -2.25, 1e-300], np.full(3, -0.0), np.zeros(3)]),
+    "plus_and_minus_zero_column": np.column_stack([[0.0, -0.0, 0.0], [0.1, 0.2, 0.3]]),
+    "zero_but_one_row": np.column_stack([[0.0, 0.0, 4.5e-17, 0.0], [1.0, 2.0, 3.0, 4.0]]),
+    "special_values": np.array([[_NAN, _INF, -_INF, 5e-324], [0.0, -5e-324, _NAN, 1.0], [0.0, _INF, 0.1, 0.0]]),
+    "one_by_one_zero": np.array([[0.0]]),
+    "one_by_one": np.array([[1 / 3]]),
+    "one_dimensional": np.array([0.1, 0.0, -3.0]),
+    "one_dimensional_zeros": np.zeros(4),
+    "row_lists": [[0.25, _NAN, 0.0, 1.0, 0.0], [0.5, 1e-3, 0.0, 2.0, -0.0]],
+}
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("name", list(CSV_TABLES))
+    def test_bytes_match_savetxt(self, tmp_path, name):
+        header = ["t", "a", "b", "c", "d"]
+        scenarios.write_csv(tmp_path / "new.csv", header, CSV_TABLES[name])
+        savetxt_csv(tmp_path / "oracle.csv", header, CSV_TABLES[name])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+

@@ -265,20 +265,22 @@ def damping_phi_exact(populations: np.ndarray, bath: BathParams, j: SpinQuantumN
     pops = np.asarray(populations, dtype=float)
     if pops.ndim == 0 or pops.shape[-1] != j.dim:
         raise UnsupportedParameters(f"expected {j.dim} populations, got shape {pops.shape}")
+    # Sums over m run in basis order, term by term, so that a state's flux
+    # does not depend on how many states share the call.
+    jz = 0.0
+    for k, m in enumerate(j.m_values()):
+        jz = jz + pops[..., k] * m
     if tbz <= EXACT_FLUX_MIN_TBZ:
-        return damping_phi_zero_temperature(pops @ j.m_values(), bath.gamma, j)
+        return damping_phi_zero_temperature(jz, bath.gamma, j)
     jj = j.j
     z = 2.0 * tbz / (tbz - 1.0)
     c = 3.0 + 2.0 * jj
-    # Summed over m in basis order, term by term, so that a state's flux does
-    # not depend on how many states share the call.
-    acc = jz = 0.0
+    acc = 0.0
     for k, m in enumerate(j.m_values()):
         f1 = gauss_2f1(1.0, 1.0 + jj + m, c, z)
         f2 = gauss_2f1(1.0, 2.0 + jj + m, c, z)
         weight = ((1.0 + jj - m) / tbz) * f1 + ((1.0 + jj + m) * (1.0 + 4.0 * jj + 1.0 / tbz) / (1.0 - tbz)) * f2
         acc = acc + pops[..., k] * weight
-        jz = jz + pops[..., k] * m
     total = (1.0 + tbz) / tbz + 2.0 * (jj + jz) - 0.5 * ((1.0 + tbz) / (1.0 + jj)) * acc
     return _out(bath.gamma * jj * total)
 

@@ -287,22 +287,24 @@ class TestDampingExactFlux:
         exact = damping_phi_exact(rho.populations(), bath, j)
         assert quad == pytest.approx(exact, rel=1e-6)
 
-    def test_zero_temperature_boundary_rejected(self, rng):
+    def test_zero_temperature_boundary_rejected(self):
         # At and below EXACT_FLUX_MIN_TBZ the exact flux is its T -> 0 limit,
-        # of one state and of each row of a stack with gamma an array.
-        for two_j in (1, 4, 12):
+        # of one state and of each row of a stack with gamma an array, and a
+        # state's flux is the same to the bit in either call.
+        rng = np.random.default_rng(2024)
+        for two_j in (1, 4, 12, 40):
             j = SpinQuantumNumber(two_j)
-            pops = rng.dirichlet(np.ones(j.dim), size=5)
-            jz = pops @ j.m_values()
-            gamma = rng.uniform(0.5, 2.0, size=5)
+            pops = rng.dirichlet(np.ones(j.dim), size=200)
+            gamma = rng.uniform(0.5, 2.0, size=200)
+            jz = np.array([math.fsum(p * j.m_values()) for p in pops])
             for nbar in (0.0, 1e-17):
                 assert BathParams(gamma=1.0, nbar=nbar).tau_bar_z <= EXACT_FLUX_MIN_TBZ
-                np.testing.assert_array_equal(
-                    damping_phi_exact(pops, BathParams(gamma=gamma, nbar=nbar), j),
-                    damping_phi_zero_temperature(jz, gamma, j),
-                )
-                one = damping_phi_exact(pops[0], BathParams(gamma=1.3, nbar=nbar), j)
-                assert one == damping_phi_zero_temperature(float(jz[0]), 1.3, j)
+                stacked = damping_phi_exact(pops, BathParams(gamma=gamma, nbar=nbar), j)
+                limit = 2.0 * gamma * j.j * (j.j + jz)
+                np.testing.assert_allclose(stacked, limit, rtol=0, atol=1e-14 * 8 * j.j ** 2)
+                for k in range(pops.shape[0]):
+                    one = damping_phi_exact(pops[k], BathParams(gamma=float(gamma[k]), nbar=nbar), j)
+                    assert np.float64(one).tobytes() == stacked[k].tobytes()
 
     @pytest.mark.parametrize("two_j", [1, 4, 40])
     def test_error_at_the_nbar_bound(self, two_j, rng):

@@ -300,7 +300,7 @@ class TestDampingExactFlux:
             for nbar in (0.0, 1e-17):
                 assert BathParams(gamma=1.0, nbar=nbar).tau_bar_z <= EXACT_FLUX_MIN_TBZ
                 stacked = damping_phi_exact(pops, BathParams(gamma=gamma, nbar=nbar), j)
-                limit = 2.0 * gamma * j.j * (j.j + jz)
+                limit = damping_phi_zero_temperature(jz, gamma, j)
                 np.testing.assert_allclose(stacked, limit, rtol=0, atol=1e-14 * 8 * j.j ** 2)
                 for k in range(pops.shape[0]):
                     one = damping_phi_exact(pops[k], BathParams(gamma=float(gamma[k]), nbar=nbar), j)

@@ -23,7 +23,12 @@ evolve propagates it exactly, with numpy alone, in one of two ways:
   and rho' follows H' = -(b0 + w) J_z - b1 J_x.
 
 Matrix exponentials use the [13/13] Pade approximant with scaling and
-squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005). Output
+squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005). On a uniform
+grid with a constant rate every step has one propagator R, exponentiated
+once, and the states are filled by doubling (_fill_by_doubling): R^f
+maps the first f states onto the next f, then R^f is squared. The steps
+of a time-dependent rate (photon_pulse) or of a non-uniform grid each
+have their own propagator, applied one step at a time. Output
 states are Hermitized and trace-renormalized, with the drift monitored
 against a hard bound, and validated as one stack; a J_z-diagonal stack
 on its populations alone.
@@ -253,12 +258,28 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _fill_by_doubling(x: np.ndarray, power, apply: Callable, square: Callable) -> np.ndarray:
+    """x[1:] from x[0] when every step has the same propagator R, given as
+    power, its first power: with f states filled and m = min(f, len(x) - f),
+    apply(power, x[:m], x[f:f + m]) writes R^f x[:m] into x[f:f + m], and
+    square(power) gives R^2f. That is ceil(log2 len(x)) batched products
+    where stepping takes len(x) - 1."""
+    filled = 1
+    while True:
+        m = min(filled, x.shape[0] - filled)
+        apply(power, x[:m], x[filled:filled + m])
+        filled += m
+        if filled == x.shape[0]:
+            return x
+        power = square(power)
+
+
 def _step_propagators(weights: np.ndarray, generator: np.ndarray, finish: Callable = lambda r: r):
-    """finish(exp(w G)) for each step's weight w, in step order: one
-    exponential when every step has the same weight, otherwise batches of
-    steps; finish maps each exponential, or batch of them, once."""
-    if np.all(weights == weights[0]):
-        return itertools.repeat(finish(expm(weights[0] * generator)), weights.size)
+    """finish(exp(w G)) for each step's weight w, in step order, for the
+    trajectories whose steps differ (a time-dependent rate such as
+    photon_pulse's, or a non-uniform grid): batches of steps, finish mapping
+    each batch of exponentials once. A uniform trajectory is filled by
+    _fill_by_doubling instead."""
     chunk = max(1, _EXPM_BATCH // generator.size)
     shape = (-1,) + (1,) * generator.ndim
     return itertools.chain.from_iterable(
@@ -350,17 +371,37 @@ def _conserve_populations(r: np.ndarray) -> np.ndarray:
     by their sums. exp(dGamma A_0) conserves the trace exactly, but scaling
     and squaring lets its column sums drift from 1 as dGamma (2 nbar + 1)
     grows: up to the _RELAXED cap, by 2.3e-12 per step at 2J = 40, which
-    compounds over the steps toward the trace-drift bound. A nan or inf
-    propagator stays nan, and raises StiffnessFailure there."""
+    compounds over the steps toward the trace-drift bound. The powers that
+    _fill_by_doubling squares drift the same way, by roundoff, and are
+    renormalized too. A nan or inf propagator stays nan, and raises
+    StiffnessFailure there."""
     pops = r[..., 0, :, :]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pops /= pops.sum(axis=-2, keepdims=True)
     return r
 
 
+def _apply_covariant(power: tuple, states: np.ndarray, out: np.ndarray) -> None:
+    """R states q into out, for power = (R, q): R the damping propagators
+    of the orders (None undamped) and q their phases. q is one number per
+    order and side of the diagonal, so it commutes with R."""
+    r, q = power
+    if r is not None:
+        states = np.matmul(r, states, out=out)
+    np.multiply(states, q, out=out)
+
+
+def _square_covariant(power: tuple) -> tuple:
+    """(R^2, q^2) for power = (R, q) of _apply_covariant, the population
+    block of R^2 renormalized."""
+    r, q = power
+    return (None if r is None else _conserve_populations(r @ r), q * q)
+
+
 def _covariant(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: np.ndarray, orders) -> np.ndarray:
     """States on t_grid under a J_z-covariant generator, propagating only
-    orders, the coherence orders of rho0."""
+    orders, the coherence orders of rho0: filled by doubling when every
+    step is the same, step by step otherwise."""
     dim = rho0.dim
     steps = _steps(t_grid)
     if d.kind == "time_dependent_damping":
@@ -374,12 +415,17 @@ def _covariant(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_gri
     phases = np.stack([lower, lower.conj()], axis=-1)[:, :, None, :]
     x = np.zeros((t_grid.size, len(orders), dim, 2), dtype=complex)
     x[0] = _order_diagonals(rho0.entries, orders)
-    if np.any(dgamma):
-        propagators = _step_propagators(dgamma, _damping_blocks(rho0.j, d.nbar, orders), _conserve_populations)
-    else:  # no damping: at huge nbar the unit-rate blocks overflow, and exp(0 * inf) is nan
-        propagators = itertools.repeat(np.eye(dim), steps.size)
-    for n, r in enumerate(propagators):
-        x[n + 1] = (r @ x[n]) * phases[n]
+    # No damping, no blocks: at huge nbar the unit-rate blocks overflow, and exp(0 * inf) is nan.
+    damped = np.any(dgamma)
+    if np.all(dgamma == dgamma[0]) and np.all(steps == steps[0]):
+        r = _conserve_populations(expm(dgamma[0] * _damping_blocks(rho0.j, d.nbar, orders))) if damped else None
+        _fill_by_doubling(x, (r, phases[0]), _apply_covariant, _square_covariant)
+    else:
+        propagators = [None] * steps.size
+        if damped:
+            propagators = _step_propagators(dgamma, _damping_blocks(rho0.j, d.nbar, orders), _conserve_populations)
+        for n, r in enumerate(propagators):
+            _apply_covariant((r, phases[n]), x[n], x[n + 1])
     return _from_order_diagonals(x, orders)
 
 
@@ -406,8 +452,12 @@ def _rotating_frame(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, 
     x = np.empty((t_grid.size, dim * dim), dtype=complex)
     x[0] = (rho0.entries * lab[0].conj()).ravel()
     steps = _steps(t_grid) if d.gamma == 0 else np.minimum(_steps(t_grid), 0.5 * _RELAXED / d.gamma / (d.nbar + 0.5))
-    for n, r in enumerate(_step_propagators(steps, generator)):
-        x[n + 1] = r @ x[n]
+    if np.all(steps == steps[0]):  # row form: R^f x[:m] is x[:m] R^f.T
+        _fill_by_doubling(x, expm(steps[0] * generator).T, lambda rt, states, out: np.matmul(states, rt, out=out),
+                          lambda rt: rt @ rt)
+    else:
+        for n, r in enumerate(_step_propagators(steps, generator)):
+            x[n + 1] = r @ x[n]
     return x.reshape(-1, dim, dim) * lab
 
 
@@ -418,8 +468,8 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
     rotating field with a time-dependent damping rate, whose parts do not
     commute, raises UnsupportedParameters."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing with at least two points")
+    if t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid)) or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be finite and strictly increasing with at least two points")
     # At nbar near the largest float the generator has inf entries: its
     # propagators overflow silently, to inf/nan states whose nan trace
     # drift is refused below.

@@ -285,3 +285,10 @@ class TestEvolve:
             evolve(rho0, h, d, np.array([0.0, 0.5, 0.5, 1.0]))
         with pytest.raises(NonPhysicalState):
             DissipatorSpec.amplitude_damping(-1.0, 0.5)
+
+    @pytest.mark.parametrize("t_grid", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [np.nan, 1.0]])
+    def test_non_finite_grid_rejected(self, t_grid):
+        # refused as a grid, not blamed on the integrator as a nan trace drift
+        rho0 = bloch_to_rho(BlochVector(0, 0, 0.3))
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            evolve(rho0, HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5), np.array(t_grid))

@@ -34,7 +34,7 @@ from spinwehrl.cli import bundled_configs, validate_config
 from spinwehrl import dynamics
 from spinwehrl.dynamics import _damping_blocks, expm
 from spinwehrl.scenarios import _uniform_grid, photon_pulse_model, quench_tau_z
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_diagonal_state
 from oracles import amplitude_damping_dissipator, dense_dissipator, temperature_from_nbar
 from rk45 import evolve_rk45
 
@@ -51,7 +51,8 @@ def liouvillian_blocks() -> list:
         blocks.append(a)
     blocks.append(_damping_blocks(SpinQuantumNumber(1), 0.0, [0])[0])
     for name in ROTATING_FIELD_CONFIGS:
-        blocks.append(dense_rotating_generator(rotating_field_model(name)))
+        model = rotating_field_model(name)
+        blocks.append(dense_rotating_generator(model.h, model.d))
     return blocks
 
 
@@ -62,10 +63,9 @@ def rotating_field_model(name: str):
     return validate_config(json.loads(bundled_configs()[name].read_text())).model
 
 
-def dense_rotating_generator(model) -> np.ndarray:
-    """The 4x4 co-rotating generator of a spin-1/2 rotating-field model,
-    one basis matrix at a time, with the dense dissipators."""
-    h, d = model.h, model.d
+def dense_rotating_generator(h: HamiltonianSpec, d: DissipatorSpec) -> np.ndarray:
+    """The 4x4 co-rotating generator of a spin-1/2 rotating field h with
+    the dissipator d, one basis matrix at a time, with the dense dissipators."""
     ops = spinwehrl.make_spin_operators(SpinQuantumNumber(1))
     hf = -(h.b0 + h.drive_omega) * ops.jz - h.b1 * ops.jx
     basis = np.eye(4).reshape(4, 2, 2)
@@ -259,7 +259,7 @@ class TestRotatingFramePropagator:
         # dissipators one basis matrix at a time.
         model = rotating_field_model(name)
         generator = dynamics._rotating_generator(model.rho0.j, model.h, model.d)
-        assert np.max(np.abs(generator - dense_rotating_generator(model))) <= 1e-15
+        assert np.max(np.abs(generator - dense_rotating_generator(model.h, model.d))) <= 1e-15
 
     def test_time_dependent_damping_is_unsupported(self):
         rho0 = bloch_to_rho(BlochVector(1.0, 0.0, 0.0))
@@ -267,6 +267,120 @@ class TestRotatingFramePropagator:
         d = DissipatorSpec.time_dependent_damping(lambda t: np.ones_like(t), nbar=0.0)
         with pytest.raises(UnsupportedParameters):
             evolve(rho0, h, d, np.linspace(0.0, 1.0, 11))
+
+
+def dense_liouvillian(h: HamiltonianSpec, d: DissipatorSpec, j: SpinQuantumNumber, orders) -> tuple:
+    """The dense generator -i [H, .] + D on the row-major entries (a, b) of
+    rho with |a - b| in orders, one basis matrix at a time, with the dense
+    dissipators, and the flat indices of those entries. A J_z-covariant
+    generator keeps them among themselves, so a state on them stays there."""
+    dim = j.dim
+    idx = [a * dim + b for a in range(dim) for b in range(dim) if abs(a - b) in orders]
+    basis = np.eye(dim * dim)[idx].reshape(-1, dim, dim)
+    hm = h.matrix(j, 0.0)
+    images = (-1j * (hm @ basis - basis @ hm) + dense_dissipator(basis, d, 0.0)).reshape(len(idx), -1)
+    assert np.all(np.delete(images, idx, axis=1) == 0.0)
+    return images[:, idx].T, idx
+
+
+STEP_COUNTS = (1, 2, 3, 7, 8, 9, 600, 801)
+COVARIANT_DISSIPATORS = {
+    "damping_nbar_0": DissipatorSpec.amplitude_damping(1.0, 0.0),
+    "damping_nbar_0.5": DissipatorSpec.amplitude_damping(1.0, 0.5),
+    "dephasing": DissipatorSpec.dephasing(0.8),
+}
+
+
+class TestDoubling:
+    """A uniform trajectory is filled by doubling from one propagator; every
+    state against scipy's exp(t_n L) rho0 with the dense Liouvillian L."""
+
+    @staticmethod
+    def assert_matches_expm(rho0, h, d, t_grid):
+        n = t_grid.size
+        if h.kind == "rotating_field":
+            # the co-rotating frame: rho(t) = U rho'(t) U^dagger, U = exp(-i w t J_z)
+            generator, idx = dense_rotating_generator(h, d), list(range(4))
+            m = rho0.j.m_values()
+            lab = np.exp(-1j * h.drive_omega * t_grid[:, None, None] * (m[:, None] - m[None, :])).reshape(n, -1)
+        else:
+            generator, idx = dense_liouvillian(h, d, rho0.j, spinwehrl.coherence_orders(rho0.entries))
+            lab = 1.0
+        oracle = (scipy_expm(t_grid[:, None, None] * generator) @ rho0.entries.ravel()[idx]) * lab
+        traj = evolve(rho0, h, d, t_grid)
+        assert np.max(np.abs(traj.entries.reshape(n, -1)[:, idx] - oracle)) <= 1e-13
+
+    @pytest.mark.parametrize("steps", STEP_COUNTS)
+    @pytest.mark.parametrize("dissipator", COVARIANT_DISSIPATORS)
+    @pytest.mark.parametrize("two_j", [1, 4, 40])
+    def test_diagonal_states(self, two_j, dissipator, steps):
+        j = SpinQuantumNumber(two_j)
+        rho0 = random_diagonal_state(j, np.random.default_rng(two_j))
+        self.assert_matches_expm(rho0, HamiltonianSpec.static_jz(1.3), COVARIANT_DISSIPATORS[dissipator],
+                                 np.linspace(0.0, 2.0, steps + 1))
+
+    @pytest.mark.parametrize("steps", STEP_COUNTS)
+    @pytest.mark.parametrize("dissipator", COVARIANT_DISSIPATORS)
+    def test_coherent_state(self, dissipator, steps):
+        rho0 = random_density_matrix(SpinQuantumNumber(4), np.random.default_rng(4))
+        self.assert_matches_expm(rho0, HamiltonianSpec.static_jz(1.3), COVARIANT_DISSIPATORS[dissipator],
+                                 np.linspace(0.0, 2.0, steps + 1))
+
+    @pytest.mark.parametrize("steps", STEP_COUNTS)
+    @pytest.mark.parametrize("name", ROTATING_FIELD_CONFIGS)
+    def test_rotating_field(self, name, steps):
+        model = rotating_field_model(name)
+        self.assert_matches_expm(model.rho0, model.h, model.d, np.linspace(0.0, 2.0, steps + 1))
+
+    @pytest.mark.parametrize("name", ["damping_nbar_0.5", "dephasing", *ROTATING_FIELD_CONFIGS])
+    def test_non_uniform_grid_steps(self, name):
+        # each step has its own propagator: the per-step path
+        t_grid = np.cumsum(np.concatenate(([0.0], np.random.default_rng(7).uniform(0.01, 0.3, 30))))
+        if name in ROTATING_FIELD_CONFIGS:
+            model = rotating_field_model(name)
+            rho0, h, d = model.rho0, model.h, model.d
+        else:
+            rho0 = random_density_matrix(SpinQuantumNumber(4), np.random.default_rng(5))
+            h, d = HamiltonianSpec.static_jz(1.3), COVARIANT_DISSIPATORS[name]
+        self.assert_matches_expm(rho0, h, d, t_grid)
+
+    def test_time_dependent_rate_steps(self):
+        # gamma(t) D_1 at different times commute with each other and with
+        # -i omega [J_z, .], so rho(t) = exp(-i omega t [J_z, .] + G(t) D_1) rho0
+        # with G(t) = t + (1 - cos t)/2, the integral of gamma(t) = 1 + sin(t)/2.
+        rho0 = random_density_matrix(SpinQuantumNumber(4), np.random.default_rng(6))
+        h, nbar = HamiltonianSpec.static_jz(1.3), 0.5
+        d = DissipatorSpec.time_dependent_damping(lambda t: 1.0 + 0.5 * np.sin(t), nbar=nbar)
+        t_grid = np.linspace(0.0, 3.0, 61)
+        traj = evolve(rho0, h, d, t_grid)
+        hamiltonian, idx = dense_liouvillian(h, DissipatorSpec.dephasing(0.0), rho0.j, range(rho0.dim))
+        damping, _ = dense_liouvillian(HamiltonianSpec.none(), DissipatorSpec.amplitude_damping(1.0, nbar), rho0.j,
+                                       range(rho0.dim))
+        integral = t_grid + 0.5 * (1.0 - np.cos(t_grid))
+        oracle = scipy_expm(t_grid[:, None, None] * hamiltonian + integral[:, None, None] * damping) @ rho0.entries.ravel()
+        assert np.max(np.abs(traj.entries.reshape(t_grid.size, -1) - oracle)) <= 1e-13
+
+    def test_long_coherent_run_keeps_the_trace(self):
+        # every power of the propagator is renormalized, not only the first
+        rho0 = random_density_matrix(SpinQuantumNumber(4), np.random.default_rng(8))
+        traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 2.0),
+                      np.linspace(0.0, 10.0, 5001))
+        assert traj.max_trace_drift <= 1e-15
+
+    @pytest.mark.parametrize("case, shapes", [("damping_nbar_0.5", [(5, 5, 5)]), ("dephasing", []),
+                                              ("rotating_field_damping.json", [(4, 4)])])
+    def test_one_exponential_per_uniform_trajectory(self, case, shapes, monkeypatch):
+        # one exponential of the generator (per order), not a stack of steps
+        calls = []
+        monkeypatch.setattr(dynamics, "expm", lambda a: calls.append(a) or expm(a))
+        if case in ROTATING_FIELD_CONFIGS:
+            model = rotating_field_model(case)
+            rho0, h, d = model.rho0, model.h, model.d
+        else:
+            rho0 = random_density_matrix(SpinQuantumNumber(4), np.random.default_rng(9))
+            h, d = HamiltonianSpec.static_jz(1.0), COVARIANT_DISSIPATORS[case]
+        evolve(rho0, h, d, np.linspace(0.0, 12.0, 601))
+        assert [a.shape for a in calls] == shapes
 
 
 class TestRK45Oracle:

@@ -357,7 +357,8 @@ class TestDoubling:
         damping, _ = dense_liouvillian(HamiltonianSpec.none(), DissipatorSpec.amplitude_damping(1.0, nbar), rho0.j,
                                        range(rho0.dim))
         integral = t_grid + 0.5 * (1.0 - np.cos(t_grid))
-        oracle = scipy_expm(t_grid[:, None, None] * hamiltonian + integral[:, None, None] * damping) @ rho0.entries.ravel()
+        generators = t_grid[:, None, None] * hamiltonian + integral[:, None, None] * damping
+        oracle = scipy_expm(generators) @ rho0.entries.ravel()
         assert np.max(np.abs(traj.entries.reshape(t_grid.size, -1) - oracle)) <= 1e-13
 
     def test_long_coherent_run_keeps_the_trace(self):

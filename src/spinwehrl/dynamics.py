@@ -7,31 +7,35 @@ time-dependent) thermal amplitude-damping dissipator
     D(rho) = gamma (nbar+1) (J- rho J+ - {J+ J-, rho}/2)
            + gamma nbar     (J+ rho J- - {J- J+, rho}/2).
 
-evolve propagates it exactly, with numpy alone, in one of two ways:
+evolve propagates it exactly, with numpy alone. The generators at any two
+times commute, so each state comes straight from rho0 by one exponential,
+in one of two ways:
 
 - A J_z-covariant generator (no Hamiltonian or a static omega J_z, with
   any dissipator) maps each coherence order k = a - b, the k-th diagonal
   of rho, onto itself. The Hamiltonian and dephasing multiply it by a
   number, i k omega - lambda k^2 / 2; damping couples neighbouring entries
-  of it, a tridiagonal block A_|k| of size d - |k|. Over one output step
-  the propagator of order k is therefore
-  exp(dGamma A_|k|) exp(i k omega dt - lambda k^2 dt / 2), where dGamma is
-  the integral of gamma(t) over the step (Gauss-Legendre per step when it
-  depends on time).
+  of it, a tridiagonal block A_|k| of size d - |k|. At t_n the state of
+  order k is therefore
+  exp(Gamma_n A_|k|) exp(i k omega (t_n - t_0) - lambda k^2 (t_n - t_0) / 2)
+  applied to that of rho0, where Gamma_n is the integral of gamma(t) from
+  t_0 to t_n (Gauss-Legendre per step when it depends on time).
 - The rotating field is time-independent in the frame co-rotating with
   the drive: rho(t) = U(t) rho'(t) U(t)^dagger with U = exp(-i w t J_z),
-  and rho' follows H' = -(b0 + w) J_z - b1 J_x.
+  and rho' follows H' = -(b0 + w) J_z - b1 J_x, so rho'(t_n) is
+  exp((t_n - t_0) G) rho'(t_0).
 
 Matrix exponentials use the [13/13] Pade approximant with scaling and
-squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005). On a uniform
-grid with a constant rate every step has one propagator R, exponentiated
-once, and the states are filled by doubling (_fill_by_doubling): R^f
-maps the first f states onto the next f, then R^f is squared. The steps
-of a time-dependent rate (photon_pulse) or of a non-uniform grid each
-have their own propagator, applied one step at a time. Output
-states are Hermitized and trace-renormalized, with the drift monitored
-against a hard bound, and validated as one stack; a J_z-diagonal stack
-on its populations alone.
+squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005). Both ways
+take the exponentials by one rule (_propagate): where the increments of
+the exponent are equal (a uniform grid with a constant rate) the first
+one is exponentiated once and the states are filled by doubling, R^f
+mapping the first f states onto the next f before it is squared; where
+they differ (a time-dependent rate such as photon_pulse's, or a
+non-uniform grid) each state's exponent is exponentiated directly, all of
+them in batches. Output states are Hermitized and trace-renormalized,
+with the drift monitored against a hard bound, and validated as one
+stack; a J_z-diagonal stack on its populations alone.
 
 The Trajectory keeps the coherence orders K of its states: those of rho0
 under a J_z-covariant generator, every order under the rotating field.
@@ -48,7 +52,6 @@ other stack whole (spin_ops.matrix_blocks).
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -84,12 +87,13 @@ _PADE13 = tuple(c / 64764752532480000.0 for c in (
     1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 ))
 _THETA13 = 5.371920351148152
-# Matrix entries exponentiated per batch when each step has its own propagator.
+# Matrix entries exponentiated per batch when each state has its own exponent.
 _EXPM_BATCH = 1 << 18
-# Each step's damping exponent gamma dt (2 nbar + 1) is capped here, which
-# keeps scaling and squaring in range at huge nbar. The slowest damping rates
-# are gamma (2 nbar + 1) for populations and half that for coherences, so a
-# longer step gives the same propagator, the stationary projector, to e^-50.
+# Each damping exponent Gamma (2 nbar + 1), of a step or of a state's whole
+# integral, is capped here, which keeps scaling and squaring in range at huge
+# nbar. The slowest damping rates are gamma (2 nbar + 1) for populations and
+# half that for coherences, so a larger exponent gives the same propagator,
+# the stationary projector, to e^-50.
 _RELAXED = 100.0
 # Gauss-Legendre rule for the integral of a time-dependent rate over a step.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -258,33 +262,31 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _fill_by_doubling(x: np.ndarray, power, apply: Callable, square: Callable) -> np.ndarray:
-    """x[1:] from x[0] when every step has the same propagator R, given as
-    power, its first power: with f states filled and m = min(f, len(x) - f),
-    apply(power, x[:m], x[f:f + m]) writes R^f x[:m] into x[f:f + m], and
-    square(power) gives R^2f. That is ceil(log2 len(x)) batched products
-    where stepping takes len(x) - 1."""
-    filled = 1
-    while True:
-        m = min(filled, x.shape[0] - filled)
-        apply(power, x[:m], x[filled:filled + m])
-        filled += m
-        if filled == x.shape[0]:
-            return x
-        power = square(power)
-
-
-def _step_propagators(weights: np.ndarray, generator: np.ndarray, finish: Callable = lambda r: r):
-    """finish(exp(w G)) for each step's weight w, in step order, for the
-    trajectories whose steps differ (a time-dependent rate such as
-    photon_pulse's, or a non-uniform grid): batches of steps, finish mapping
-    each batch of exponentials once. A uniform trajectory is filled by
-    _fill_by_doubling instead."""
+def _propagate(x: np.ndarray, weights: np.ndarray, generator: np.ndarray, cap: float,
+               finish: Callable = lambda r: r) -> np.ndarray:
+    """x[1:] from x[0], each state straight from it:
+    x[n] = finish(exp(w_n G)) x[0], with w_n the sum of the first n
+    weights (elapsed time, or the integral of the rate) capped at cap.
+    When the weights are equal, R = finish(exp(w_1 G)) is taken once and
+    the states are filled by doubling: with f states filled and
+    m = min(f, len(x) - f), R^f maps x[:m] onto x[f:f + m], then R^f is
+    squared and finished, ceil(log2 len(x)) batched products in all.
+    Otherwise each w_n is exponentiated directly, in batches of
+    _EXPM_BATCH matrix entries."""
+    if np.all(weights == weights[0]):
+        power, filled = finish(expm(min(weights[0], cap) * generator)), 1
+        while True:
+            m = min(filled, x.shape[0] - filled)
+            np.matmul(power, x[:m], out=x[filled:filled + m])
+            filled += m
+            if filled == x.shape[0]:
+                return x
+            power = finish(power @ power)
+    w = np.minimum(np.cumsum(weights), cap).reshape((-1,) + (1,) * generator.ndim)
     chunk = max(1, _EXPM_BATCH // generator.size)
-    shape = (-1,) + (1,) * generator.ndim
-    return itertools.chain.from_iterable(
-        finish(expm(weights[s:s + chunk].reshape(shape) * generator)) for s in range(0, weights.size, chunk)
-    )
+    for s in range(0, w.shape[0], chunk):
+        np.matmul(finish(expm(w[s:s + chunk] * generator)), x[0], out=x[1 + s:1 + s + chunk])
+    return x
 
 
 def _steps(t_grid: np.ndarray) -> np.ndarray:
@@ -368,12 +370,12 @@ def _from_order_diagonals(x: np.ndarray, orders) -> np.ndarray:
 def _conserve_populations(r: np.ndarray) -> np.ndarray:
     """r, a stack of propagators of the coherence orders (..., orders, d, d)
     whose first order is 0, with the columns of each order-0 block divided
-    by their sums. exp(dGamma A_0) conserves the trace exactly, but scaling
-    and squaring lets its column sums drift from 1 as dGamma (2 nbar + 1)
-    grows: up to the _RELAXED cap, by 2.3e-12 per step at 2J = 40, which
-    compounds over the steps toward the trace-drift bound. The powers that
-    _fill_by_doubling squares drift the same way, by roundoff, and are
-    renormalized too. A nan or inf propagator stays nan, and raises
+    by their sums. exp(Gamma A_0) conserves the trace exactly, but scaling
+    and squaring lets its column sums drift from 1 as Gamma (2 nbar + 1)
+    grows: up to the _RELAXED cap, by 2.5e-12 at 2J = 40, whether Gamma is
+    one step's increment or a state's whole integral. The powers that the
+    doubling of _propagate squares drift the same way, by roundoff, and
+    are renormalized too. A nan or inf propagator stays nan, and raises
     StiffnessFailure there."""
     pops = r[..., 0, :, :]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -381,51 +383,28 @@ def _conserve_populations(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _apply_covariant(power: tuple, states: np.ndarray, out: np.ndarray) -> None:
-    """R states q into out, for power = (R, q): R the damping propagators
-    of the orders (None undamped) and q their phases. q is one number per
-    order and side of the diagonal, so it commutes with R."""
-    r, q = power
-    if r is not None:
-        states = np.matmul(r, states, out=out)
-    np.multiply(states, q, out=out)
-
-
-def _square_covariant(power: tuple) -> tuple:
-    """(R^2, q^2) for power = (R, q) of _apply_covariant, the population
-    block of R^2 renormalized."""
-    r, q = power
-    return (None if r is None else _conserve_populations(r @ r), q * q)
-
-
 def _covariant(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: np.ndarray, orders) -> np.ndarray:
     """States on t_grid under a J_z-covariant generator, propagating only
-    orders, the coherence orders of rho0: filled by doubling when every
-    step is the same, step by step otherwise."""
-    dim = rho0.dim
-    steps = _steps(t_grid)
+    orders, the coherence orders of rho0: the damping blocks by
+    _propagate, then each state's phases, one number per order and side
+    of the diagonal, from the time elapsed since t_grid[0]."""
     if d.kind == "time_dependent_damping":
         dgamma = _step_integrals(functools.partial(_gamma_at, d), t_grid)
     else:
-        dgamma = d.gamma * steps  # zero for dephasing
-    dgamma = np.minimum(dgamma, 0.5 * _RELAXED / (d.nbar + 0.5))
-    ks = np.array(orders)
-    # Lower diagonal (k = a - b > 0) in column 0, upper (k < 0) in column 1.
-    lower = np.exp(1j * ks * (h.omega * steps)[:, None] - 0.5 * d.lam * ks**2 * steps[:, None])
-    phases = np.stack([lower, lower.conj()], axis=-1)[:, :, None, :]
-    x = np.zeros((t_grid.size, len(orders), dim, 2), dtype=complex)
+        dgamma = d.gamma * _steps(t_grid)  # zero for dephasing
+    x = np.empty((t_grid.size, len(orders), rho0.dim, 2), dtype=complex)
     x[0] = _order_diagonals(rho0.entries, orders)
     # No damping, no blocks: at huge nbar the unit-rate blocks overflow, and exp(0 * inf) is nan.
-    damped = np.any(dgamma)
-    if np.all(dgamma == dgamma[0]) and np.all(steps == steps[0]):
-        r = _conserve_populations(expm(dgamma[0] * _damping_blocks(rho0.j, d.nbar, orders))) if damped else None
-        _fill_by_doubling(x, (r, phases[0]), _apply_covariant, _square_covariant)
+    if np.any(dgamma):
+        _propagate(x, dgamma, _damping_blocks(rho0.j, d.nbar, orders), 0.5 * _RELAXED / (d.nbar + 0.5),
+                   _conserve_populations)
     else:
-        propagators = [None] * steps.size
-        if damped:
-            propagators = _step_propagators(dgamma, _damping_blocks(rho0.j, d.nbar, orders), _conserve_populations)
-        for n, r in enumerate(propagators):
-            _apply_covariant((r, phases[n]), x[n], x[n + 1])
+        x[1:] = x[0]
+    ks = np.array(orders)
+    elapsed = (t_grid - t_grid[0])[:, None]
+    # Lower diagonal (k = a - b > 0) in column 0, upper (k < 0) in column 1.
+    lower = np.exp(1j * ks * (h.omega * elapsed) - 0.5 * d.lam * ks**2 * elapsed)
+    x *= np.stack([lower, lower.conj()], axis=-1)[:, :, None, :]
     return _from_order_diagonals(x, orders)
 
 
@@ -445,19 +424,13 @@ def _rotating_frame(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, 
     generator of the co-rotating frame, propagated exactly, then rotated
     back to the lab frame."""
     dim = rho0.dim
-    generator = _rotating_generator(rho0.j, h, d)
     m = rho0.j.m_values()
     # U rho U^dagger with U = exp(-i w t J_z) multiplies rho_ab by exp(-i w t (m_a - m_b)).
     lab = np.exp(-1j * h.drive_omega * t_grid[:, None, None] * (m[:, None] - m[None, :]))
-    x = np.empty((t_grid.size, dim * dim), dtype=complex)
-    x[0] = (rho0.entries * lab[0].conj()).ravel()
-    steps = _steps(t_grid) if d.gamma == 0 else np.minimum(_steps(t_grid), 0.5 * _RELAXED / d.gamma / (d.nbar + 0.5))
-    if np.all(steps == steps[0]):  # row form: R^f x[:m] is x[:m] R^f.T
-        _fill_by_doubling(x, expm(steps[0] * generator).T, lambda rt, states, out: np.matmul(states, rt, out=out),
-                          lambda rt: rt @ rt)
-    else:
-        for n, r in enumerate(_step_propagators(steps, generator)):
-            x[n + 1] = r @ x[n]
+    x = np.empty((t_grid.size, dim * dim, 1), dtype=complex)
+    x[0, :, 0] = (rho0.entries * lab[0].conj()).ravel()
+    cap = np.inf if d.gamma == 0 else 0.5 * _RELAXED / d.gamma / (d.nbar + 0.5)
+    _propagate(x, _steps(t_grid), _rotating_generator(rho0.j, h, d), cap)
     return x.reshape(-1, dim, dim) * lab
 
 
@@ -504,9 +477,10 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
         first = drift[np.argmax(beyond)]
         raise StiffnessFailure(f"trace drift {first:.3e} exceeds {TRACE_DRIFT_BOUND}")
     if diagonal:
-        entries = np.zeros_like(raw)
+        # Finished in place: raw is zero off its diagonal. Times 1/trace, as
+        # the complex division below scales a real entry.
+        entries = raw
         a = np.arange(rho0.dim)
-        # Times 1/trace, as the complex division below scales a real entry.
         entries[:, a, a] = populations.real * (1.0 / traces)[:, None]
     else:
         entries = herm / traces[:, None, None]

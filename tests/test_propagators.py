@@ -220,6 +220,29 @@ class TestCovariantPropagator:
         assert np.max(np.abs(traj.populations()[1:] - thermal)) <= 1e-14
         assert np.max(np.abs(final - final.diagonal(axis1=1, axis2=2)[:, :, None] * np.eye(j.dim))) <= 1e-15
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", ["time_dependent_rate", "non_uniform_grid"])
+    @pytest.mark.parametrize("nbar", [1e20, 1e300])
+    @pytest.mark.parametrize("two_j", [1, 4, 40])
+    def test_a_relaxed_state_is_the_thermal_projector(self, two_j, nbar, grid):
+        # Each state's own exponent, the integral of the rate from t_0 times
+        # 2 nbar + 1, is far past the cap: every state after rho0 is the
+        # thermal one, and the capped exponentials stay in range.
+        j = SpinQuantumNumber(two_j)
+        rho0 = random_density_matrix(j, np.random.default_rng(two_j))
+        if grid == "time_dependent_rate":
+            d = DissipatorSpec.time_dependent_damping(lambda t: 1.0 + 0.5 * np.sin(t), nbar=nbar)
+            t_grid = np.linspace(0.0, 3.0, 61)
+        else:
+            d = DissipatorSpec.amplitude_damping(1.0, nbar)
+            t_grid = np.cumsum(np.concatenate(([0.0], np.random.default_rng(7).uniform(0.01, 0.3, 30))))
+        traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, t_grid)
+        thermal = gibbs_state(j, 1.0, temperature_from_nbar(1.0, nbar)).populations()
+        final = traj.entries[1:]
+        assert traj.max_trace_drift <= 1e-12
+        assert np.max(np.abs(traj.populations()[1:] - thermal)) <= 1e-12
+        assert np.max(np.abs(final - final.diagonal(axis1=1, axis2=2)[:, :, None] * np.eye(j.dim))) <= 1e-12
+
 
 def bloch_oracle(h: HamiltonianSpec, d: DissipatorSpec, tau0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """tau(t) from the spin-1/2 Bloch equations, integrated with DOP853:
@@ -292,8 +315,9 @@ COVARIANT_DISSIPATORS = {
 
 
 class TestDoubling:
-    """A uniform trajectory is filled by doubling from one propagator; every
-    state against scipy's exp(t_n L) rho0 with the dense Liouvillian L."""
+    """A uniform trajectory is filled by doubling from one propagator, and
+    any other takes each state's exponential directly; every state against
+    scipy's exp(t_n L) rho0 with the dense Liouvillian L."""
 
     @staticmethod
     def assert_matches_expm(rho0, h, d, t_grid):
@@ -304,7 +328,13 @@ class TestDoubling:
             m = rho0.j.m_values()
             lab = np.exp(-1j * h.drive_omega * t_grid[:, None, None] * (m[:, None] - m[None, :])).reshape(n, -1)
         else:
-            generator, idx = dense_liouvillian(h, d, rho0.j, spinwehrl.coherence_orders(rho0.entries))
+            orders = spinwehrl.coherence_orders(rho0.entries)
+            generator, idx = dense_liouvillian(h, d, rho0.j, orders)
+            if orders == (0,):
+                # On the populations the Hamiltonian and dephasing vanish: the
+                # generator is the real population block of the damping.
+                assert np.all(generator.imag == 0.0)
+                generator = generator.real
             lab = 1.0
         oracle = (scipy_expm(t_grid[:, None, None] * generator) @ rho0.entries.ravel()[idx]) * lab
         traj = evolve(rho0, h, d, t_grid)
@@ -334,7 +364,7 @@ class TestDoubling:
 
     @pytest.mark.parametrize("name", ["damping_nbar_0.5", "dephasing", *ROTATING_FIELD_CONFIGS])
     def test_non_uniform_grid_steps(self, name):
-        # each step has its own propagator: the per-step path
+        # each state's exponent is taken directly, from t_0
         t_grid = np.cumsum(np.concatenate(([0.0], np.random.default_rng(7).uniform(0.01, 0.3, 30))))
         if name in ROTATING_FIELD_CONFIGS:
             model = rotating_field_model(name)
@@ -382,6 +412,30 @@ class TestDoubling:
             h, d = HamiltonianSpec.static_jz(1.0), COVARIANT_DISSIPATORS[case]
         evolve(rho0, h, d, np.linspace(0.0, 12.0, 601))
         assert [a.shape for a in calls] == shapes
+
+    @pytest.mark.parametrize("name, shape", [("photon_pulse.json", (600, 1, 2, 2)),
+                                             ("rotating_field_damping.json", (30, 4, 4))])
+    def test_one_batched_exponential_per_non_uniform_trajectory(self, name, shape, monkeypatch):
+        # photon_pulse's time-dependent rate and a 30-step non-uniform grid:
+        # one exponential of a stack, each state's exponent taken from t_0
+        # (the integral of the rate, or the elapsed time), not one per step.
+        calls = []
+        monkeypatch.setattr(dynamics, "expm", lambda a: calls.append(a) or expm(a))
+        cfg = json.loads(bundled_configs()[name].read_text())
+        plan = validate_config(cfg)
+        model = plan.model
+        if name == "photon_pulse.json":
+            t_grid = _uniform_grid(plan.t_max, plan.dt)
+            params = PulseParams(gamma0=cfg["gamma0"], capital_omega=cfg["bandwidth"], a0=cfg["a0"])
+            # Gamma_t = -2 a'/a, so its integral from 0 is -2 ln(a(t) / a0).
+            integral = -2.0 * np.log(pulse_amplitude(params, t_grid[1:]) / params.a0)
+            expected = integral[:, None, None, None] * _damping_blocks(model.rho0.j, 0.0, [0])
+        else:
+            t_grid = np.cumsum(np.concatenate(([0.0], np.random.default_rng(7).uniform(0.01, 0.3, 30))))
+            expected = (t_grid[1:] - t_grid[0])[:, None, None] * dense_rotating_generator(model.h, model.d)
+        evolve(model.rho0, model.h, model.d, t_grid)
+        assert [a.shape for a in calls] == [shape]
+        assert np.max(np.abs(calls[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestRK45Oracle:

@@ -9,11 +9,13 @@ so with b = a + s each theta row of Q is a short phi-Fourier series,
 
 w_0 = 1 and w_s = 2 otherwise. dQ/dtheta follows from the theta derivative
 of mag_a mag_b, and dQ/dphi brings down a factor of i s. husimi_contract
-forms the coefficients of a stack of states with one gather of the shifted
-diagonals rho_{a, a+s} and one product batched over s with the pair tables
-of SphereGrid.amplitude_table: O(n_theta d^2) per state, and no Python
-loop over s. Node values cost one (rows, 2d) x (2d, n_phi) product with
-the harmonics, and each consumer evaluates only the rows it reads.
+forms the coefficients of a stack of states from its order diagonals
+rho_{a+s, a} and rho_{a, a+s}, gathered by the package's one gather
+(spin_ops._order_diagonals, as propagation and D(rho) read them), and one
+product batched over s with the pair tables of SphereGrid.amplitude_table:
+O(n_theta d^2) per state, and no Python loop over s. Node values cost one
+(rows, 2d) x (2d, n_phi) product with the harmonics, and each consumer
+evaluates only the rows it reads.
 
 Coefficient arrays are real and coefficient-major, (2n, ...) for the
 orders s = 0 .. n - 1: row 2s multiplies cos(s phi) and row 2s + 1
@@ -44,23 +46,13 @@ Q is floored at Q_FLOOR wherever it divides or enters a logarithm.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
+
+from .spin_ops import _order_diagonals
 
 # Read by the benchmark harness; the numba backend is gone.
 USE_NUMBA = False
 Q_FLOOR = 1e-300
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_indices(d: int) -> np.ndarray:
-    """Flat indices into a d x d matrix, (2, d, d): [0, s, a] of entry
-    (a, a + s) and [1, s, a] of entry (a + s, a), with a + s clipped to
-    d - 1 where it runs past the matrix (the pair tables are zero there)."""
-    a = np.arange(d)
-    b = np.minimum(a + a[:, None], d - 1)
-    return np.stack([a * d + b, b * d + a])
 
 
 def husimi_contract(pairs, mats):
@@ -71,19 +63,19 @@ def husimi_contract(pairs, mats):
     pairs is the (2, n, d, n_theta) table of SphereGrid.amplitude_table
     for n orders: pairs[0, s, a] = (w_s / 2) mag_a mag_{a+s} over the
     theta nodes, pairs[1, s, a] its theta derivative, both zero where
-    a + s > 2J. Only the Hermitian part (M + M^dagger)/2 enters, so
+    a + s > 2J. The shifted diagonals M_{a+s,a} and M_{a,a+s} come from
+    one gather of the orders 0 .. n - 1 (spin_ops._order_diagonals), zero
+    there too. Only the Hermitian part (M + M^dagger)/2 enters, so
     q = Re <Omega|M|Omega> for any M.
     """
-    mats = np.asarray(mats, dtype=complex)
-    n_mats, d, _ = mats.shape
     orders = pairs.shape[1]
-    upper, lower = mats.reshape(n_mats, d * d)[:, _pair_indices(d)[:, :orders]].transpose(1, 2, 0, 3)
+    lower, upper = _order_diagonals(mats, range(orders)).transpose(3, 1, 0, 2)  # each (s, T, a)
     # conj(M_{a,a+s}) + M_{a+s,a} is 2 conj(H_{a,a+s}) for the Hermitian part H:
     # with the pair weights w_s / 2, its real part gives Re c_s, its imaginary -Im c_s.
     diag = upper.conj()
     diag += lower
     parts = np.concatenate([diag.real, diag.imag], axis=1)  # (s, [re, im] x T, a)
-    return np.matmul(parts, pairs).reshape(2, 2 * orders, n_mats, -1)
+    return np.matmul(parts, pairs).reshape(2, 2 * orders, len(mats), -1)
 
 
 def phi_derivative(coef, out):

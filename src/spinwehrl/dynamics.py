@@ -33,18 +33,19 @@ one is exponentiated once and the states are filled by doubling, R^f
 mapping the first f states onto the next f before it is squared; where
 they differ (a time-dependent rate such as photon_pulse's, or a
 non-uniform grid) each state's exponent is exponentiated directly, all of
-them in batches. Output states are Hermitized and trace-renormalized,
-with the drift monitored against a hard bound, and validated as one
-stack; a J_z-diagonal stack on its populations alone.
+them in batches. Every trajectory is finished on its order diagonals
+(spin_ops._order_diagonals; the rotating frame's states are gathered
+once): each order is Hermitized as (lower + conj(upper))/2, the trace
+drift is held to a hard bound, and the states are trace-renormalized,
+scattered once into one (n, d, d) stack and validated as one stack.
 
 The Trajectory keeps the coherence orders K of its states: those of rho0
 under a J_z-covariant generator, every order under the rotating field.
 The states vanish off the diagonals of K, so the layers after evolve need
 no dense (n, d, d) products. dissipation, the one D(rho) of the package,
-forms it order by order from the unit-rate damping bands that the
-propagators use, O(d) per order and state; lindblad_rhs (every order of
-one matrix, or of a stack at n times) and the rotating frame's generator
-(the stack of basis matrices) call it too. The validation and the von
+forms it on the same order diagonals from the unit-rate damping bands
+that the propagators use, O(d) per order and state; lindblad_rhs and the
+rotating frame's generator call it too. The validation and the von
 Neumann eigenvalues read a J_z-diagonal stack's populations alone, and any
 other stack whole (spin_ops.matrix_blocks).
 """
@@ -71,6 +72,8 @@ from .spin_ops import (
     PAULI_Z,
     DensityMatrix,
     SpinQuantumNumber,
+    _from_order_diagonals,
+    _order_diagonals,
     check_density_entries,
     coherence_orders,
     make_spin_operators,
@@ -343,30 +346,6 @@ def _damping_blocks(j: SpinQuantumNumber, nbar: float, orders) -> np.ndarray:
     return blocks
 
 
-def _order_diagonals(entries: np.ndarray, orders) -> np.ndarray:
-    """The diagonals of each order k in orders of one (d, d) matrix or a
-    stack, (..., len(orders), d, 2): [..., idx, i, 0] = rho_{i+k, i} and
-    [..., idx, i, 1] = rho_{i, i+k}, zero beyond d - k."""
-    d = entries.shape[-1]
-    x = np.zeros(entries.shape[:-2] + (len(orders), d, 2), dtype=complex)
-    for idx, k in enumerate(orders):
-        x[..., idx, : d - k, 0] = entries.diagonal(-k, -2, -1)
-        x[..., idx, : d - k, 1] = entries.diagonal(k, -2, -1)
-    return x
-
-
-def _from_order_diagonals(x: np.ndarray, orders) -> np.ndarray:
-    """The (..., d, d) matrices whose order diagonals are x (see
-    _order_diagonals), zero off them."""
-    d = x.shape[-2]
-    states = np.zeros(x.shape[:-3] + (d, d), dtype=complex)
-    for idx, k in enumerate(orders):
-        i = np.arange(d - k)
-        states[..., i + k, i] = x[..., idx, : d - k, 0]
-        states[..., i, i + k] = x[..., idx, : d - k, 1]
-    return states
-
-
 def _conserve_populations(r: np.ndarray) -> np.ndarray:
     """r, a stack of propagators of the coherence orders (..., orders, d, d)
     whose first order is 0, with the columns of each order-0 block divided
@@ -384,10 +363,11 @@ def _conserve_populations(r: np.ndarray) -> np.ndarray:
 
 
 def _covariant(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: np.ndarray, orders) -> np.ndarray:
-    """States on t_grid under a J_z-covariant generator, propagating only
-    orders, the coherence orders of rho0: the damping blocks by
-    _propagate, then each state's phases, one number per order and side
-    of the diagonal, from the time elapsed since t_grid[0]."""
+    """The order diagonals (n, len(orders), d, 2) of the states on t_grid
+    under a J_z-covariant generator (see spin_ops._order_diagonals),
+    propagating only orders, the coherence orders of rho0: the damping
+    blocks by _propagate, then each state's phases, one number per order
+    and side of the diagonal, from the time elapsed since t_grid[0]."""
     if d.kind == "time_dependent_damping":
         dgamma = _step_integrals(functools.partial(_gamma_at, d), t_grid)
     else:
@@ -405,7 +385,7 @@ def _covariant(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_gri
     # Lower diagonal (k = a - b > 0) in column 0, upper (k < 0) in column 1.
     lower = np.exp(1j * ks * (h.omega * elapsed) - 0.5 * d.lam * ks**2 * elapsed)
     x *= np.stack([lower, lower.conj()], axis=-1)[:, :, None, :]
-    return _from_order_diagonals(x, orders)
+    return x
 
 
 def _rotating_generator(j: SpinQuantumNumber, h: HamiltonianSpec, d: DissipatorSpec) -> np.ndarray:
@@ -454,36 +434,24 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
             _gamma_at(d, t_grid[0])
         if h.kind != "rotating_field":
             orders = coherence_orders(rho0.entries)
-            raw = _covariant(rho0, h, d, t_grid, orders)
+            x = _covariant(rho0, h, d, t_grid, orders)
         elif d.kind == "time_dependent_damping":
             raise UnsupportedParameters("a rotating field with a time-dependent damping rate has no exact propagator")
         else:
             orders = tuple(range(rho0.dim))
-            raw = _rotating_frame(rho0, h, d, t_grid)
-        diagonal = orders == (0,)
-        if diagonal:
-            # raw vanishes off its diagonal: its Hermitian part is the real
-            # part of the diagonal, and raw less that part is i Im(raw_aa).
-            populations = raw.diagonal(axis1=1, axis2=2)
-            traces = np.trace(raw, axis1=1, axis2=2).real
-            defect = np.abs(populations.imag)
-        else:
-            herm = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-            traces = np.trace(herm, axis1=1, axis2=2).real
-            defect = np.abs(raw - herm)
+            x = _order_diagonals(_rotating_frame(rho0, h, d, t_grid), orders)
+        # (raw + raw^dagger)/2 per order: (lower + conj(upper))/2 and its mirror.
+        # The traces are summed as complex numbers, as np.trace sums them.
+        herm = 0.5 * (x + x[..., ::-1].conj())
+        traces = herm[:, 0, :, 0].sum(axis=-1).real
         drift = np.abs(traces - 1.0)
+        defect = np.abs(x - herm)
     beyond = ~(drift <= TRACE_DRIFT_BOUND)  # a nan drift (overflow) is beyond it too
     if np.any(beyond):
         first = drift[np.argmax(beyond)]
         raise StiffnessFailure(f"trace drift {first:.3e} exceeds {TRACE_DRIFT_BOUND}")
-    if diagonal:
-        # Finished in place: raw is zero off its diagonal. Times 1/trace, as
-        # the complex division below scales a real entry.
-        entries = raw
-        a = np.arange(rho0.dim)
-        entries[:, a, a] = populations.real * (1.0 / traces)[:, None]
-    else:
-        entries = herm / traces[:, None, None]
+    herm /= traces[:, None, None, None]
+    entries = _from_order_diagonals(herm, orders)
     check_density_entries(entries, orders)
     entries.setflags(write=False)
     return Trajectory(

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, dissipation, evolve
+from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, _gamma_at, dissipation, evolve
 from .entropy_rates import (
     BathParams,
     EntropyRates,
@@ -91,13 +91,15 @@ class ScenarioResult:
         return self.trajectory.times
 
 
-def _check_rate_scale(model: Model) -> None:
+def _check_rate_scale(model: Model, times: np.ndarray) -> None:
     """Raise UnsupportedParameters, before integrating, for a dissipator
-    whose rate times (2 nbar + 1) d^2 exceeds RATE_SCALE_MAX: gamma for
-    damping, lambda for dephasing. An undamped bath is left to BathParams,
-    which refuses an nbar whose 2 nbar + 1 overflows."""
+    whose rate times (2 nbar + 1) d^2 exceeds RATE_SCALE_MAX: lambda for
+    dephasing, gamma for damping, and the largest gamma_t at the output
+    times for a time-dependent damping. An undamped bath is left to
+    BathParams, which refuses an nbar whose 2 nbar + 1 overflows."""
     d, dim = model.d, model.rho0.dim
-    rate = d.lam if d.kind == "dephasing" else d.gamma * (2.0 * d.nbar + 1.0)
+    gamma = float(np.max(_gamma_at(d, times))) if d.kind == "time_dependent_damping" else d.gamma
+    rate = d.lam if d.kind == "dephasing" else gamma * (2.0 * d.nbar + 1.0)
     if rate * dim * dim > RATE_SCALE_MAX:  # False at gamma = 0 with an infinite 2 nbar + 1 (nan)
         raise UnsupportedParameters(
             f"rate {rate:g} times (2J + 1)^2 = {dim * dim} exceeds {RATE_SCALE_MAX:g}: the rates would overflow"
@@ -187,9 +189,9 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     rho0, h, d = model.rho0, model.h, model.d
     j = rho0.j
     method = primary_rate_method(j.two_j, d)
-    _check_rate_scale(model)
-    traj = evolve(rho0, h, d, _uniform_grid(t_max, dt))
-    times = traj.times
+    times = _uniform_grid(t_max, dt)
+    _check_rate_scale(model, times)
+    traj = evolve(rho0, h, d, times)
     if method.needs_field:
         entropy = np.empty(times.size)
         grid = grid if grid is not None else make_grid()
@@ -228,8 +230,9 @@ def compare(model: Model, t_max: float, dt: float, grid: SphereGrid) -> dict:
             f"fewer than two rate methods apply to 2J = {model.rho0.j.two_j}, {d.kind}, "
             f"nbar = {d.nbar:g}: {names}"
         )
-    _check_rate_scale(model)
-    traj = evolve(model.rho0, model.h, d, _uniform_grid(t_max, dt))
+    times = _uniform_grid(t_max, dt)
+    _check_rate_scale(model, times)
+    traj = evolve(model.rho0, model.h, d, times)
 
     def series(m):
         return m.rates(traj, husimi_chunks(traj.entries, grid, traj.orders) if m.needs_field else None, d, traj.times)

@@ -57,11 +57,35 @@ def coherence_orders(rho) -> tuple:
     each k >= 0 for which some matrix has a nonzero entry on its k-th
     diagonal below or above the main one, ascending. A J_z-covariant
     generator keeps the orders of its initial state (see dynamics)."""
-    rho = np.asarray(rho)
-    return tuple(
-        k for k in range(rho.shape[-1])
-        if np.any(rho.diagonal(-k, -2, -1)) or np.any(rho.diagonal(k, -2, -1))
-    )
+    x = _order_diagonals(rho, range(np.shape(rho)[-1]))
+    return tuple(np.flatnonzero(np.any(x, axis=tuple(range(x.ndim - 3)) + (-2, -1))).tolist())
+
+
+def _order_diagonals(entries: np.ndarray, orders) -> np.ndarray:
+    """The diagonals of each order k in orders of one (d, d) matrix or a
+    stack, (..., len(orders), d, 2): [..., idx, i, 0] = rho_{i+k, i} and
+    [..., idx, i, 1] = rho_{i, i+k}, zero beyond d - k: the package's one
+    gather of them. It is a view with the last two axes swapped, so that
+    each diagonal is copied into contiguous memory."""
+    rho = np.asarray(entries, dtype=complex)
+    d = rho.shape[-1]
+    x = np.zeros(rho.shape[:-2] + (len(orders), 2, d), dtype=complex)
+    for idx, k in enumerate(orders):
+        x[..., idx, 0, : d - k] = rho.diagonal(-k, -2, -1)
+        x[..., idx, 1, : d - k] = rho.diagonal(k, -2, -1)
+    return x.swapaxes(-1, -2)
+
+
+def _from_order_diagonals(x: np.ndarray, orders) -> np.ndarray:
+    """The (..., d, d) matrices whose order diagonals are x (see
+    _order_diagonals), zero off them: its one scatter."""
+    d = x.shape[-2]
+    states = np.zeros(x.shape[:-3] + (d, d), dtype=complex)
+    for idx, k in enumerate(orders):
+        i = np.arange(d - k)
+        states[..., i + k, i] = x[..., idx, : d - k, 0]
+        states[..., i, i + k] = x[..., idx, : d - k, 1]
+    return states
 
 
 def matrix_blocks(rho: np.ndarray, orders) -> np.ndarray:

@@ -143,7 +143,7 @@ def count_legendre_rules(monkeypatch):
 
 def husimi_grid_sizes(contract_calls, reduce_calls) -> set:
     """(n_theta, n_phi) of the recorded Husimi fields: n_theta of each
-    husimi_contract call, whose arguments are the (2, d, d, n_theta) pair
+    husimi_contract call, whose arguments are the (2, n, d, n_theta) pair
     table and the states, with n_phi of each call of a quadrature reduction,
     whose second argument is the (2d, n_phi) harmonics of its node rows.
     A single pair means every field was on that one grid."""

@@ -26,7 +26,7 @@ from spinwehrl import (
 from spinwehrl import _kernels, phase_space
 from spinwehrl.dynamics import dissipation
 from spinwehrl.entropy_rates import EIG_LOG_FLOOR
-from spinwehrl.spin_ops import check_density_entries, coherence_orders
+from spinwehrl.spin_ops import _from_order_diagonals, _order_diagonals, check_density_entries, coherence_orders
 from oracles import dense_dissipator
 
 # (2J, coherence orders): J_z-diagonal, even orders only, orders without 1
@@ -89,6 +89,31 @@ class TestOrders:
         traj = evolve(rho0, HamiltonianSpec.rotating_field(1.0, 0.5, 1.0), DissipatorSpec.dephasing(0.3),
                       np.linspace(0.0, 1.0, 6))
         assert traj.orders == (0, 1)
+
+
+class TestOrderDiagonals:
+    """The one gather and the one scatter of the order-diagonal layout
+    (spin_ops._order_diagonals, _from_order_diagonals)."""
+
+    @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
+    def test_round_trip_bit_for_bit(self, two_j, orders, rng):
+        stack = block_stack(two_j, orders, rng)
+        for rho in (stack, stack[0]):
+            back = _from_order_diagonals(_order_diagonals(rho, orders), orders)
+            assert back.shape == rho.shape and back.tobytes() == rho.tobytes()
+
+    @pytest.mark.parametrize("two_j, orders", [(1, (0, 1)), (4, (0, 2)), (5, (0, 3, 5)), (12, tuple(range(13)))])
+    def test_entries_beyond_the_diagonal_are_zero(self, two_j, orders, rng):
+        # A dense stack: every slot past the end of its diagonal, i >= d - k,
+        # comes back 0, not an entry of the matrix.
+        d = two_j + 1
+        stack = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        x = _order_diagonals(stack, orders)
+        assert x.shape == (3, len(orders), d, 2)
+        for idx, k in enumerate(orders):
+            assert x[:, idx, : d - k, 0].tobytes() == stack.diagonal(-k, 1, 2).tobytes()
+            assert x[:, idx, : d - k, 1].tobytes() == stack.diagonal(k, 1, 2).tobytes()
+            assert not np.any(x[:, idx, d - k :])
 
 
 class TestDissipationPerOrder:

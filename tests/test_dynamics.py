@@ -21,6 +21,7 @@ from spinwehrl import (
     nbar_from_temperature,
 )
 from spinwehrl import dynamics
+from spinwehrl.spin_ops import _from_order_diagonals
 from conftest import random_density_matrix
 from oracles import amplitude_damping_dissipator, current_superoperator_f, dephasing_dissipator, temperature_from_nbar
 
@@ -180,36 +181,73 @@ class TestEvolve:
         assert np.array_equal(traj.entries[0], herm / np.trace(herm).real)
         assert np.array_equal(traj.populations(), traj.entries.diagonal(axis1=1, axis2=2).real)
 
-    @pytest.mark.parametrize("two_j", [1, 4, 40])
-    def test_diagonal_stack_is_finished_on_its_populations(self, two_j, monkeypatch):
-        # A J_z-diagonal stack is Hermitized, renormalized and measured on its
-        # populations, bit for bit as the dense formulas on the (n, d, d)
-        # stack. The propagated states are perturbed on the diagonal, so that
-        # both drifts are nonzero.
-        rng = np.random.default_rng(two_j)
-        j = SpinQuantumNumber(two_j)
-        pops = rng.dirichlet(np.ones(j.dim))
-        rho0 = DensityMatrix(j, np.diag(pops).astype(complex))
+    @staticmethod
+    def assert_finished_as_dense(monkeypatch, rho0, h, d, propagator, perturb):
+        """evolve with its propagator's output perturbed by perturb (the
+        propagated order diagonals, or the rotating frame's dense states)
+        gives, bit for bit, the dense formulas on the perturbed (n, d, d)
+        stack raw: the Hermitian part (raw + raw^dagger)/2 over its trace,
+        and both drifts, each nonzero."""
         raws = []
 
         def perturbed(*args):
-            raw = propagate(*args)
-            a = np.arange(j.dim)
-            raw[:, a, a] *= 1.0 + 1e-12 * rng.normal(size=raw.shape[:2]) + 1e-13j * rng.normal(size=raw.shape[:2])
-            raws.append(raw.copy())
-            return raw
+            out = perturb(exact(*args))
+            raws.append(out if out.ndim == 3 else _from_order_diagonals(out, args[-1]))
+            return out
 
-        propagate = dynamics._covariant
-        monkeypatch.setattr(dynamics, "_covariant", perturbed)
-        traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5),
-                      np.linspace(0.0, 2.0, 51))
+        exact = getattr(dynamics, propagator)
+        monkeypatch.setattr(dynamics, propagator, perturbed)
+        traj = evolve(rho0, h, d, np.linspace(0.0, 2.0, 51))
         (raw,) = raws
         herm = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
         traces = np.trace(herm, axis1=1, axis2=2).real
-        assert traj.orders == (0,)
         assert traj.entries.tobytes() == (herm / traces[:, None, None]).tobytes()
         assert traj.max_trace_drift == float(np.abs(traces - 1.0).max()) > 0.0
         assert traj.max_hermiticity_drift == float(np.max(np.abs(raw - herm))) > 0.0
+        return traj
+
+    @pytest.mark.parametrize("two_j", [1, 4, 40])
+    def test_diagonal_stack_is_finished_on_its_populations(self, two_j, monkeypatch):
+        # The propagated populations, order 0 in both of its columns alike,
+        # are perturbed so that both drifts are nonzero.
+        rng = np.random.default_rng(two_j)
+        j = SpinQuantumNumber(two_j)
+        rho0 = DensityMatrix(j, np.diag(rng.dirichlet(np.ones(j.dim))).astype(complex))
+
+        def perturb(x):
+            noise = rng.normal(size=(2,) + x.shape[::2])
+            x[:, 0] *= (1.0 + 1e-12 * noise[0] + 1e-13j * noise[1])[..., None]
+            return x
+
+        traj = self.assert_finished_as_dense(monkeypatch, rho0, HamiltonianSpec.static_jz(1.0),
+                                             DissipatorSpec.amplitude_damping(1.0, 0.5), "_covariant", perturb)
+        assert traj.orders == (0,)
+
+    @pytest.mark.parametrize("propagator", ["_covariant", "_rotating_frame"])
+    def test_coherent_stack_is_finished_as_the_dense_formulas(self, propagator, monkeypatch):
+        # Every trajectory is finished on its order diagonals: a spin-1/2
+        # coherence under a J_z-covariant generator and the rotating frame's
+        # states too. The populations are perturbed as above and each side
+        # of the coherence apart, so that its Hermitian part is their mean.
+        rng = np.random.default_rng(7)
+        rho0 = bloch_to_rho(BlochVector(0.3, -0.4, 0.5))
+        if propagator == "_covariant":
+            h = HamiltonianSpec.static_jz(1.0)
+
+            def perturb(x):
+                noise = rng.normal(size=(2,) + x.shape[::2])
+                x[:, 0] *= (1.0 + 1e-12 * noise[0] + 1e-13j * noise[1])[..., None]
+                x[:, 1] *= 1.0 + 1e-12 * rng.normal(size=x.shape[:1] + x.shape[2:])
+                return x
+        else:
+            h = HamiltonianSpec.rotating_field(1.0, 0.7, 1.3)
+
+            def perturb(raw):
+                return raw * (1.0 + 1e-12 * rng.normal(size=raw.shape) + 1e-13j * rng.normal(size=raw.shape))
+
+        traj = self.assert_finished_as_dense(monkeypatch, rho0, h, DissipatorSpec.amplitude_damping(1.0, 0.5),
+                                             propagator, perturb)
+        assert traj.orders == (0, 1)
 
     def test_bloch_series_of_larger_spin_rejected(self, rng):
         rho0 = random_density_matrix(SpinQuantumNumber(2), rng)

@@ -31,6 +31,7 @@ from spinwehrl import (
     simulate,
     spontaneous_emission_model,
     thermal_quench_model,
+    UnsupportedParameters,
     von_neumann_rates,
 )
 from spinwehrl import dynamics, scenarios
@@ -374,6 +375,26 @@ class TestModelBuilders:
 SPIN_J_DAMPING = Model(
     gibbs_state(SpinQuantumNumber(4), 1.0, 3.0), HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5)
 )
+
+
+class TestRateGuard:
+    # A rate whose products with (2 nbar + 1) d^2 overflow is refused before
+    # integrating, and warns of nothing: a constant one, and a time-dependent
+    # one at its largest over the output times (here only at t = t_max).
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", [
+        DissipatorSpec.amplitude_damping(1e307, 0.5),
+        DissipatorSpec.time_dependent_damping(lambda t: np.full(np.shape(t), 1e307), nbar=0.5),
+        DissipatorSpec.time_dependent_damping(lambda t: 1e307 * np.asarray(t) ** 4, nbar=0.5),
+    ], ids=["constant", "time-dependent", "rising"])
+    @pytest.mark.parametrize("run", ["simulate", "compare"])
+    def test_overflowing_rate_is_refused(self, d, run):
+        model = Model(gibbs_state(SpinQuantumNumber(40), 1.0, 2.0), HamiltonianSpec.static_jz(1.0), d)
+        with pytest.raises(UnsupportedParameters, match="the rates would overflow"):
+            if run == "simulate":
+                simulate(model, 1.0, 0.1)
+            else:
+                scenarios.compare(model, 1.0, 0.1, make_grid(8, 16))
 
 
 class TestEachSeriesOnce:

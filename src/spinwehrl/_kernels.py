@@ -10,9 +10,10 @@ so with b = a + s each theta row of Q is a short phi-Fourier series,
 w_0 = 1 and w_s = 2 otherwise. dQ/dtheta follows from the theta derivative
 of mag_a mag_b, and dQ/dphi brings down a factor of i s. husimi_contract
 forms the coefficients of a stack of states from its order diagonals
-rho_{a+s, a} and rho_{a, a+s}, gathered by the package's one gather
-(spin_ops._order_diagonals, as propagation and D(rho) read them), and one
-product batched over s with the pair tables of SphereGrid.amplitude_table:
+rho_{a+s, a} and rho_{a, a+s}, in the layout of the package's one gather
+(spin_ops._order_diagonals, as propagation, D(rho) and the Trajectory
+hold them), and one product batched over s with the pair tables of
+SphereGrid.amplitude_table:
 O(n_theta d^2) per state, and no Python loop over s. Node values cost one
 (rows, 2d) x (2d, n_phi) product with the harmonics, and each consumer
 evaluates only the rows it reads.
@@ -48,34 +49,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spin_ops import _order_diagonals
-
 # Read by the benchmark harness; the numba backend is gone.
 USE_NUMBA = False
 Q_FLOOR = 1e-300
 
 
-def husimi_contract(pairs, mats):
-    """phi-Fourier coefficients of q and dq/dtheta of each matrix of a
-    (T, d, d) stack, as a (2, 2n, T, n_theta) array (see the module
-    docstring), for the n orders s = 0 .. n - 1 that pairs holds.
+def husimi_contract(pairs, x):
+    """phi-Fourier coefficients of q and dq/dtheta of each matrix M of a
+    stack of T, given as its order diagonals x on the orders 0 .. n - 1,
+    (T, n, d, 2) (see spin_ops._order_diagonals), as a (2, 2n, T, n_theta)
+    array (see the module docstring), for the n orders s that pairs holds.
 
     pairs is the (2, n, d, n_theta) table of SphereGrid.amplitude_table
     for n orders: pairs[0, s, a] = (w_s / 2) mag_a mag_{a+s} over the
     theta nodes, pairs[1, s, a] its theta derivative, both zero where
-    a + s > 2J. The shifted diagonals M_{a+s,a} and M_{a,a+s} come from
-    one gather of the orders 0 .. n - 1 (spin_ops._order_diagonals), zero
-    there too. Only the Hermitian part (M + M^dagger)/2 enters, so
+    a + s > 2J. x[:, s, a] holds M_{a+s,a} and M_{a,a+s}, zero there too.
+    Only the Hermitian part (M + M^dagger)/2 enters, so
     q = Re <Omega|M|Omega> for any M.
     """
     orders = pairs.shape[1]
-    lower, upper = _order_diagonals(mats, range(orders)).transpose(3, 1, 0, 2)  # each (s, T, a)
+    lower, upper = x.transpose(3, 1, 0, 2)  # each (s, T, a)
     # conj(M_{a,a+s}) + M_{a+s,a} is 2 conj(H_{a,a+s}) for the Hermitian part H:
     # with the pair weights w_s / 2, its real part gives Re c_s, its imaginary -Im c_s.
     diag = upper.conj()
     diag += lower
     parts = np.concatenate([diag.real, diag.imag], axis=1)  # (s, [re, im] x T, a)
-    return np.matmul(parts, pairs).reshape(2, 2 * orders, len(mats), -1)
+    return np.matmul(parts, pairs).reshape(2, 2 * orders, len(x), -1)
 
 
 def phi_derivative(coef, out):

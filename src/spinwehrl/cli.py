@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys
@@ -28,6 +29,8 @@ from .phase_space import GRID_MIN, SphereGrid, make_grid
 from .scenarios import (
     Model,
     PulseParams,
+    _cell_formats,
+    _write_rows,
     compare,
     photon_pulse_model,
     rotating_field_model,
@@ -337,14 +340,31 @@ def _load_config(path: str) -> dict:
 
 
 def _write_states_csv(result, path: Path) -> None:
-    """Trajectory dump: t plus Re/Im of every density-matrix entry."""
-    states = result.trajectory.entries
-    n, d, _ = states.shape
-    header = ["t"] + [f"{part}_rho_{a}{b}" for a in range(d) for b in range(d) for part in ("re", "im")]
-    write_csv(path, header, np.column_stack([result.times, states.reshape(n, -1).view(float)]))
+    """Trajectory dump: t plus Re/Im of every density-matrix entry, as
+    write_csv writes the dense table, from the trajectory's order diagonals:
+    an entry off the coherence orders is the literal 0, and the columns of
+    the others keep write_csv's zero rule."""
+    traj = result.trajectory
+    x = traj.diagonals
+    n, _, d, _ = x.shape
+    index = [str(a) for a in range(d)]  # formatted once, not once per column
+    header = ["t"] + [f"{part}_rho_{a}{b}" for a in index for b in index for part in ("re", "im")]
+    a, b = np.divmod(np.arange(d * d), d)
+    on = np.isin(np.abs(a - b), traj.orders)
+    a, b = a[on], b[on]
+    # Entry (a, b) sits in the diagonal of order |a - b| at min(a, b): column 0 below the main diagonal.
+    slot = (np.searchsorted(traj.orders, np.abs(a - b)) * d + np.minimum(a, b)) * 2 + (a <= b)
+    cells = np.column_stack([traj.times, x.reshape(n, -1).take(slot, axis=1).view(float)])
+    columns = np.concatenate(([0], (1 + 2 * np.flatnonzero(on)[:, None] + np.arange(2)).ravel()))
+    formats = np.full(len(header), "0", dtype=object)
+    formats[columns] = _cell_formats(cells)
+    _write_rows(path, header, formats, cells[:, formats[columns] != "0"])
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main call of a process
+    and reused by every later one."""
     parser = argparse.ArgumentParser(prog="spinwehrl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -370,8 +390,11 @@ def main(argv=None) -> int:
     p_val.add_argument("--config", required=True)
 
     sub.add_parser("list-scenarios", help="list scenario types and bundled configs")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "list-scenarios":
             for name, (desc, _, _) in SCENARIOS.items():
@@ -402,6 +425,8 @@ def main(argv=None) -> int:
             # loses no work.
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
+            if args.states_csv and Path(args.states_csv).is_dir():
+                raise IsADirectoryError(f"--states-csv {args.states_csv!r} is a directory")
             if args.states_csv and not Path(args.states_csv).parent.is_dir():
                 raise FileNotFoundError(f"the directory of --states-csv {args.states_csv!r} does not exist")
             result = simulate(plan.model, plan.t_max, plan.dt, plan.grid)

@@ -36,18 +36,20 @@ non-uniform grid) each state's exponent is exponentiated directly, all of
 them in batches. Every trajectory is finished on its order diagonals
 (spin_ops._order_diagonals; the rotating frame's states are gathered
 once): each order is Hermitized as (lower + conj(upper))/2, the trace
-drift is held to a hard bound, and the states are trace-renormalized,
-scattered once into one (n, d, d) stack and validated as one stack.
+drift is held to a hard bound, and the states are trace-renormalized and
+validated as one stack.
 
-The Trajectory keeps the coherence orders K of its states: those of rho0
-under a J_z-covariant generator, every order under the rotating field.
-The states vanish off the diagonals of K, so the layers after evolve need
-no dense (n, d, d) products. dissipation, the one D(rho) of the package,
-forms it on the same order diagonals from the unit-rate damping bands
-that the propagators use, O(d) per order and state; lindblad_rhs and the
-rotating frame's generator call it too. The validation and the von
-Neumann eigenvalues read a J_z-diagonal stack's populations alone, and any
-other stack whole (spin_ops.matrix_blocks).
+The Trajectory keeps those order diagonals and the coherence orders K of
+its states: those of rho0 under a J_z-covariant generator, every order
+under the rotating field. The states vanish off the diagonals of K, so
+the layers after evolve read the diagonals and need no dense (n, d, d)
+stack; Trajectory.entries scatters one on first read. D(rho), the one
+dissipator of the package, is formed on the same order diagonals from the
+unit-rate damping bands that the propagators use, O(d) per order and
+state (_order_dissipation); dissipation is its form on matrices, which
+lindblad_rhs and the rotating frame's generator call. The validation and
+the von Neumann eigenvalues read a J_z-diagonal stack's populations alone,
+and any other stack whole (Trajectory.blocks).
 """
 
 from __future__ import annotations
@@ -67,16 +69,14 @@ from .errors import (
     WrongDimension,
 )
 from .spin_ops import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     DensityMatrix,
     SpinQuantumNumber,
+    _check_blocks,
     _from_order_diagonals,
     _order_diagonals,
-    check_density_entries,
     coherence_orders,
     make_spin_operators,
+    order_blocks,
 )
 
 TRACE_DRIFT_BOUND = 1e-9
@@ -100,7 +100,6 @@ _EXPM_BATCH = 1 << 18
 _RELAXED = 100.0
 # Gauss-Legendre rule for the integral of a time-dependent rate over a step.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 
 def _spin_number_for(rho: np.ndarray) -> SpinQuantumNumber:
@@ -208,37 +207,63 @@ def lindblad_rhs(rho: np.ndarray, t, h: HamiltonianSpec, d: DissipatorSpec) -> n
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Validated states on a time grid, as one read-only (n, d, d) stack of
-    density-matrix entries, with the propagation's drift diagnostics and
-    the coherence orders K of the states: the k >= 0 whose diagonals +-k
-    may be nonzero. Every entry off them is exactly zero, so dissipation
-    works per order of K, and for K = {0} the validation and the von
-    Neumann eigenvalues read the populations alone
-    (spin_ops.matrix_blocks). A J_z-covariant generator keeps the orders of
-    rho0 (spin_ops.coherence_orders); the rotating field keeps every order."""
+    """Validated states on a time grid, held as their read-only order
+    diagonals (n, len(K), d, 2) on the coherence orders K of the states,
+    the k >= 0 whose diagonals +-k may be nonzero, with the propagation's
+    drift diagnostics. diagonals[:, idx, i, 0] is rho_{i+k, i} and
+    diagonals[:, idx, i, 1] is rho_{i, i+k} for k = K[idx], in the layout
+    of the gather spin_ops._order_diagonals of the states: order 0, the
+    populations, in both columns, and zero beyond d - k. Every entry off K
+    is exactly zero, so D(rho)
+    works per order of K, and for K = {0}, 2J + 1 populations per state,
+    the validation and the von Neumann eigenvalues read the populations
+    alone (blocks). A J_z-covariant generator keeps the orders of rho0
+    (spin_ops.coherence_orders); the rotating field keeps every order."""
 
     times: np.ndarray
-    entries: np.ndarray
+    diagonals: np.ndarray
     max_trace_drift: float
     max_hermiticity_drift: float
     orders: tuple
 
     @property
     def j(self) -> SpinQuantumNumber:
-        return SpinQuantumNumber(self.entries.shape[-1] - 1)
+        return SpinQuantumNumber(self.diagonals.shape[-2] - 1)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """The states as one read-only (n, d, d) stack of density-matrix
+        entries, scattered from the diagonals on first read and cached."""
+        entries = _from_order_diagonals(self.diagonals, self.orders)
+        entries.setflags(write=False)
+        return entries
 
     def populations(self) -> np.ndarray:
         """(n, d) J_z populations (m descending)."""
-        return self.entries.diagonal(axis1=1, axis2=2).real
+        return self.diagonals[:, 0, :, 1].real
+
+    def blocks(self) -> np.ndarray:
+        """The blocks of spin_ops.matrix_blocks of the states: their
+        populations for K = {0}, and otherwise entries whole."""
+        if self.orders == (0,):
+            return order_blocks(self.diagonals, self.orders)
+        return self.entries[..., None, :, :]
 
     @functools.cached_property
     def bloch(self) -> np.ndarray:
         """(n, 3) array of tau vectors tau_i = tr(rho sigma_i), computed on
-        first read; spin-1/2 trajectories only."""
+        first read from the diagonals; spin-1/2 trajectories only."""
         if self.j.two_j != 1:
             raise WrongDimension(f"Bloch representation needs two_j=1, got {self.j.two_j}")
-        bloch = np.einsum("nab,iba->ni", self.entries, _PAULIS).real
-        bloch.setflags(write=False)  # shared by every reader, as entries is
+        pops = self.populations()
+        tau_z = pops[:, 0] - pops[:, 1]
+        if self.orders == (0,):
+            tau_x = tau_y = np.zeros_like(tau_z)
+        else:  # from rho_10 and rho_01
+            lower, upper = self.diagonals[:, 1, 0, 0], self.diagonals[:, 1, 0, 1]
+            tau_x, tau_y = lower.real + upper.real, lower.imag - upper.imag
+        bloch = np.stack([tau_x, tau_y, tau_z], axis=1)
+        bloch.setflags(write=False)  # shared by every reader, as diagonals is
         return bloch
 
 
@@ -451,39 +476,47 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
         first = drift[np.argmax(beyond)]
         raise StiffnessFailure(f"trace drift {first:.3e} exceeds {TRACE_DRIFT_BOUND}")
     herm /= traces[:, None, None, None]
-    entries = _from_order_diagonals(herm, orders)
-    check_density_entries(entries, orders)
-    entries.setflags(write=False)
-    return Trajectory(
+    herm.setflags(write=False)
+    traj = Trajectory(
         times=t_grid,
-        entries=entries,
+        diagonals=herm,
         max_trace_drift=float(drift.max()),
         max_hermiticity_drift=float(defect.max()),
         orders=orders,
     )
+    _check_blocks(traj.blocks())
+    return traj
+
+
+def _order_dissipation(x: np.ndarray, d: DissipatorSpec, t, orders) -> np.ndarray:
+    """D(rho) on the order diagonals x of rho (see spin_ops._order_diagonals)
+    on orders, the coherence orders of rho, as a new array of x's layout:
+    one matrix at the time t, or a stack (n, len(orders), d, 2) at an array
+    of n times. Dephasing multiplies order k by -lambda k^2 / 2, and damping
+    applies the unit-rate bands of _damping_bands, O(d) per order and
+    matrix, scaled by gamma, or by gamma_t at t. D is J_z-covariant, so it
+    has no other order. It is the package's one D(rho): dissipation gives
+    it on matrices, and the rates over a trajectory read it here, on
+    Trajectory.diagonals."""
+    ks = np.array(orders, dtype=float)
+    if d.kind == "dephasing":
+        return x * ((-0.5 * d.lam * ks) * ks)[:, None, None]
+    gamma = d.gamma if d.kind == "amplitude_damping" else _gamma_at(d, t)[..., None, None, None]
+    if not np.any(gamma):  # undamped: at huge nbar the unit-rate bands overflow, and 0 * inf is nan
+        return np.zeros(x.shape, dtype=complex)
+    lower, main, upper = _damping_bands(SpinQuantumNumber(x.shape[-2] - 1), d.nbar, orders)[..., None]
+    dx = main * x
+    dx[..., 1:, :] += lower[:, 1:] * x[..., :-1, :]
+    dx[..., :-1, :] += upper[:, :-1] * x[..., 1:, :]
+    dx *= gamma
+    return dx
 
 
 def dissipation(rho: np.ndarray, d: DissipatorSpec, t, orders) -> np.ndarray:
     """D(rho) of one (d, d) matrix at the time t, or of an (n, d, d) stack
     at an array of n times, computed order by order on orders, the
     coherence orders of rho (Trajectory.orders, or
-    spin_ops.coherence_orders), and zero off them: dephasing multiplies
-    order k by -lambda k^2 / 2, and damping applies the unit-rate bands of
-    _damping_bands, O(d) per order and matrix, scaled by gamma, or by
-    gamma_t at t. D is J_z-covariant, so it has no other order. It is the
-    package's one D(rho): lindblad_rhs, the rotating frame's generator and
-    the rates over a trajectory all form it here."""
-    x = _order_diagonals(rho, orders)
-    ks = np.array(orders, dtype=float)
-    if d.kind == "dephasing":
-        x *= ((-0.5 * d.lam * ks) * ks)[:, None, None]
-        return _from_order_diagonals(x, orders)
-    gamma = d.gamma if d.kind == "amplitude_damping" else _gamma_at(d, t)[..., None, None, None]
-    if not np.any(gamma):  # undamped: at huge nbar the unit-rate bands overflow, and 0 * inf is nan
-        return np.zeros(rho.shape, dtype=complex)
-    lower, main, upper = _damping_bands(SpinQuantumNumber(rho.shape[-1] - 1), d.nbar, orders)[..., None]
-    dx = main * x
-    dx[..., 1:, :] += lower[:, 1:] * x[..., :-1, :]
-    dx[..., :-1, :] += upper[:, :-1] * x[..., 1:, :]
-    dx *= gamma
-    return _from_order_diagonals(dx, orders)
+    spin_ops.coherence_orders), and zero off them (_order_dissipation, on
+    the gathered order diagonals of rho, scattered back). lindblad_rhs and
+    the rotating frame's generator form D(rho) here."""
+    return _from_order_diagonals(_order_dissipation(_order_diagonals(rho, orders), d, t, orders), orders)

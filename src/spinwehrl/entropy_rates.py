@@ -34,7 +34,7 @@ from .dynamics import DissipatorSpec, Trajectory
 from .errors import UnsupportedParameters
 from .hypergeom import gauss_2f1
 from .phase_space import HusimiField
-from .spin_ops import BLOCH_LENGTH_MAX, BlochVector, DensityMatrix, SpinQuantumNumber, matrix_blocks
+from .spin_ops import BLOCH_LENGTH_MAX, BlochVector, DensityMatrix, SpinQuantumNumber, matrix_blocks, order_blocks
 from . import _kernels
 
 DIVERGENCE_EDGE = 1e-12
@@ -485,7 +485,8 @@ def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec, orders) -> Entr
     """General-J von Neumann bundle in Spohn's form, of a DensityMatrix or of
     each matrix of a stack, from the states and their dissipator images
     d_rho = D(rho) alone: the Hamiltonian's part tr([H, rho] ln rho) is
-    zero for any H.
+    zero for any H. rho may also be a Trajectory, with d_rho then the
+    order diagonals of D of its states (Trajectory.diagonals' layout).
 
         dS/dt = -tr(D(rho) ln rho),
         Phi   = tr(D(rho) ln rho_bar) = ln(nbar/(nbar+1)) tr(J_z D(rho)),
@@ -501,19 +502,27 @@ def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec, orders) -> Entr
     eigenvalues are its populations, O(d) per state, and any other state
     takes one batched eigh. Eigenvalues are floored at EIG_LOG_FLOOR, so a
     pure state's dS/dt is large but finite."""
-    rho = getattr(rho, "entries", rho)
-    d_rho = np.asarray(d_rho)
-    block, d_block = matrix_blocks(rho, orders), matrix_blocks(d_rho, orders)
+    if isinstance(rho, Trajectory):
+        block, d_block = rho.blocks(), order_blocks(d_rho, orders)
+    else:
+        rho = getattr(rho, "entries", rho)
+        block, d_block = matrix_blocks(rho, orders), matrix_blocks(np.asarray(d_rho), orders)
     if block.shape[-1] == 1:  # populations
         log_rho = np.log(np.clip(block.real, EIG_LOG_FLOOR, None))
     else:
         evals, vecs = np.linalg.eigh(block)
         log_rho = (vecs * np.log(np.clip(evals, EIG_LOG_FLOOR, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    trace = np.trace(d_block @ log_rho, axis1=-2, axis2=-1).sum(axis=-1)
+    # The blocks' traces are summed in basis order, term by term, so that a
+    # state's rates do not depend on the memory layout of its blocks.
+    traces = np.trace(d_block @ log_rho, axis1=-2, axis2=-1)
+    trace = traces[..., 0]
+    for k in range(1, traces.shape[-1]):
+        trace = trace + traces[..., k]
     ds = -np.real(trace)
     if d.kind == "dephasing":
         return _rates(ds, ds, 0.0)
-    jz_dot = d_rho.diagonal(axis1=-2, axis2=-1).real @ SpinQuantumNumber(d_rho.shape[-1] - 1).m_values()
+    d_pops = d_block.diagonal(axis1=-2, axis2=-1).real.reshape(d_block.shape[:-3] + (-1,))
+    jz_dot = d_pops @ SpinQuantumNumber(d_pops.shape[-1] - 1).m_values()
     log_ratio = -math.log1p(1.0 / d.nbar) if d.nbar > 0.0 else -math.inf
     phi = np.multiply(log_ratio, jz_dot, out=np.zeros(np.shape(jz_dot)), where=jz_dot != 0.0)
     return _rates(ds, ds + phi, phi)

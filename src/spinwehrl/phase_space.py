@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import Q_FLOOR
-from .spin_ops import DensityMatrix, SpinQuantumNumber, coherence_orders
+from .spin_ops import DensityMatrix, SpinQuantumNumber, _order_diagonals, coherence_orders
 
 GRID_MIN = 8  # the smallest n_theta and n_phi of a SphereGrid
 
@@ -179,18 +179,20 @@ class OwnFrame(NamedTuple):
     sin2_beta: np.ndarray
 
 
-def _own_frames(pairs: np.ndarray, mats: np.ndarray) -> OwnFrame:
-    """The OwnFrame of each matrix of a (k, 2, 2) stack, its rows formed
-    from the s = 0 table of pairs (see _amplitude_table)."""
-    mats = np.asarray(mats, dtype=complex)
-    trace = (mats[:, 0, 0] + mats[:, 1, 1]).real
-    b_z = (mats[:, 0, 0] - mats[:, 1, 1]).real
-    perp2 = np.abs(mats[:, 1, 0] + mats[:, 0, 1].conj()) ** 2
+def _own_frames(pairs: np.ndarray, x: np.ndarray) -> OwnFrame:
+    """The OwnFrame of each matrix of a stack of k spin-1/2 matrices, given
+    as their order diagonals (k, 2, 2, 2) on the orders 0 and 1 (see
+    husimi_contract), its rows formed from the s = 0 table of pairs (see
+    _amplitude_table)."""
+    rho_00, rho_11 = x[:, 0, 0, 1], x[:, 0, 1, 1]
+    trace = (rho_00 + rho_11).real
+    b_z = (rho_00 - rho_11).real
+    perp2 = np.abs(x[:, 1, 0, 0] + x[:, 1, 0, 1].conj()) ** 2
     length = np.sqrt(perp2 + b_z * b_z)
     tilted = length > 0.0
     length_or_1 = np.where(tilted, length, 1.0)
     populations = 0.5 * (trace[:, None] + np.outer(length, [1.0, -1.0]))
-    coef = np.zeros((2, 2, len(mats), pairs.shape[-1]))
+    coef = np.zeros((2, 2, len(x), pairs.shape[-1]))
     coef[:, 0] = populations @ (2.0 * pairs[:, 0])
     return OwnFrame(coef, np.where(tilted, b_z / length_or_1, 1.0), perp2 / length_or_1**2)
 
@@ -260,12 +262,15 @@ class HusimiField:
 _CHUNK_NODES = 2 * 96 * 192
 
 
-def husimi_chunks(states: np.ndarray, grid: SphereGrid, orders) -> Iterator[HusimiField]:
+def husimi_chunks(states, grid: SphereGrid, orders) -> Iterator[HusimiField]:
     """The Husimi fields of an (n, d, d) stack of density-matrix entries
-    whose coherence orders are orders (Trajectory.orders, or
-    spin_ops.coherence_orders of the stack), in order, a chunk of states
-    per HusimiField; the stack is sliced without a copy, and the layout is
-    decided without inspecting its entries.
+    whose coherence orders are orders (spin_ops.coherence_orders of the
+    stack), or of a Trajectory's states on its orders, in order, a chunk of
+    states per HusimiField. The transform reads the order diagonals of
+    each chunk: gathered from the stack, or sliced from
+    Trajectory.diagonals without a copy (with zeros for the orders below
+    max(orders) that orders lacks); the layout is decided without
+    inspecting them.
 
     Each chunk is one call of the transform, so memory stays bounded
     however many states there are. The transform takes the pair table of
@@ -280,7 +285,8 @@ def husimi_chunks(states: np.ndarray, grid: SphereGrid, orders) -> Iterator[Husi
     _CHUNK_NODES // n_nodes states per chunk. Every chunk holds at least
     one state.
     """
-    d = states.shape[-1]
+    diagonals = getattr(states, "diagonals", None)
+    d = states.shape[-1] if diagonals is None else diagonals.shape[-2]
     n_orders = max(orders, default=0) + 1
     framed = d == 2 and n_orders == 2
     if n_orders == 1:
@@ -292,10 +298,18 @@ def husimi_chunks(states: np.ndarray, grid: SphereGrid, orders) -> Iterator[Husi
     per_chunk = max(1, _CHUNK_NODES // nodes)
     j = SpinQuantumNumber(d - 1)
     pairs, _ = grid.amplitude_table(j, n_orders)
-    for start in range(0, len(states), per_chunk):
-        chunk = states[start : start + per_chunk]
-        frame = _own_frames(pairs, chunk) if framed else None
-        yield HusimiField(grid, j, _kernels.husimi_contract(pairs, chunk), frame)
+    n = len(states) if diagonals is None else len(diagonals)
+    for start in range(0, n, per_chunk):
+        if diagonals is None:
+            x = _order_diagonals(states[start : start + per_chunk], range(n_orders))
+        elif len(orders) == n_orders:
+            x = diagonals[start : start + per_chunk]
+        else:
+            part = diagonals[start : start + per_chunk]
+            x = np.zeros((len(part), n_orders, d, 2), dtype=complex)
+            x[:, list(orders)] = part
+        frame = _own_frames(pairs, x) if framed else None
+        yield HusimiField(grid, j, _kernels.husimi_contract(pairs, x), frame)
 
 
 def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:

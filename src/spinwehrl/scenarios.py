@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, _gamma_at, dissipation, evolve
+from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, _gamma_at, _order_dissipation, evolve
 from .entropy_rates import (
     BathParams,
     EntropyRates,
@@ -41,6 +41,7 @@ from .spin_ops import (
     BlochVector,
     DensityMatrix,
     SpinQuantumNumber,
+    _from_order_diagonals,
     bloch_to_rho,
     gibbs_state,
     nbar_from_temperature,
@@ -127,23 +128,26 @@ def _sigma_or_none(times, pi_values) -> Optional[float]:
     return None if abs(sigma - coarse) / 3.0 > max(1e-2 * abs(sigma), SIGMA_TAIL_TOL) else sigma
 
 
-def _von_neumann(traj: Trajectory, d: DissipatorSpec, dr: np.ndarray) -> EntropyRates:
+def _von_neumann(traj: Trajectory, d: DissipatorSpec, dx: np.ndarray) -> EntropyRates:
     """The von Neumann rates against the bath's Gibbs state, from the closed
     forms for spin 1/2, on the trajectory's Bloch array, and otherwise from
-    von_neumann_rates on the states, their orders and dr = D(rho)."""
+    von_neumann_rates on the trajectory and dx, the order diagonals of
+    D(rho)."""
     if traj.j.two_j == 1:
         if d.kind == "dephasing":
             return spin_half_dephasing_von_neumann(traj.bloch, d.lam)
         return spin_half_damping_von_neumann(traj.bloch, bath_at(d, traj.times))
-    return von_neumann_rates(traj.entries, dr, d, traj.orders)
+    return von_neumann_rates(traj, dx, d, traj.orders)
 
 
-def _energy_flux(h: HamiltonianSpec, traj: Trajectory, dr: np.ndarray) -> np.ndarray:
-    """Phi_E = -tr(H(t) D(rho)) of each state, from dr = D(rho): for a
-    static omega J_z, or no Hamiltonian, only D's order 0 enters."""
+def _energy_flux(h: HamiltonianSpec, traj: Trajectory, dx: np.ndarray) -> np.ndarray:
+    """Phi_E = -tr(H(t) D(rho)) of each state, from dx, the order diagonals
+    of D(rho): for a static omega J_z, or no Hamiltonian, only D's order 0
+    enters; the rotating field (spin 1/2) takes the 2 x 2 matrices whole."""
     if h.kind == "rotating_field":
+        dr = _from_order_diagonals(dx, traj.orders)
         return -np.trace(h.matrix(traj.j, traj.times) @ dr, axis1=-2, axis2=-1).real
-    return -(dr.diagonal(axis1=-2, axis2=-1).real @ (h.omega * traj.j.m_values()))
+    return -(dx[:, 0, :, 1].real @ (h.omega * traj.j.m_values()))
 
 
 def _recording_entropy(chunks, entropy: np.ndarray):
@@ -181,10 +185,12 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     at a time on grid, by default make_grid()) also gives the Wehrl
     entropy. Spin-1/2 runs take the entropy from its closed form and build
     no field. The agreement checks the primary series against the other
-    methods that need no field. D(rho) of the states, formed per coherence
-    order (dynamics.dissipation), gives both phi_energy and the von Neumann
-    rates of _von_neumann. A rate that would overflow (RATE_SCALE_MAX)
-    raises UnsupportedParameters before integrating.
+    methods that need no field. D(rho) of the states, formed on the
+    trajectory's order diagonals (dynamics._order_dissipation), gives both
+    phi_energy and the von Neumann rates of _von_neumann. Nothing here
+    forms a dense (n, d, d) stack for a J_z-diagonal trajectory. A rate
+    that would overflow (RATE_SCALE_MAX) raises UnsupportedParameters
+    before integrating.
     """
     rho0, h, d = model.rho0, model.h, model.d
     j = rho0.j
@@ -195,19 +201,19 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     if method.needs_field:
         entropy = np.empty(times.size)
         grid = grid if grid is not None else make_grid()
-        fields = _recording_entropy(husimi_chunks(traj.entries, grid, traj.orders), entropy)
+        fields = _recording_entropy(husimi_chunks(traj, grid, traj.orders), entropy)
     else:
         fields = None
         entropy = wehrl_entropy_spin_half(_bloch_parts(traj.bloch)[1])
     wehrl = method.rates(traj, fields, d, times)
     field_free = [m for m in applicable_rate_methods(j.two_j, d) if not m.needs_field]
     agreement = _agreement(field_free, d, lambda m: wehrl if m is method else m.rates(traj, None, d, times))
-    dr = dissipation(traj.entries, d, times, traj.orders)
+    dx = _order_dissipation(traj.diagonals, d, times, traj.orders)
     return ScenarioResult(
         trajectory=traj,
         wehrl=wehrl,
-        von_neumann=_von_neumann(traj, d, dr),
-        phi_energy=_energy_flux(h, traj, dr),
+        von_neumann=_von_neumann(traj, d, dx),
+        phi_energy=_energy_flux(h, traj, dx),
         entropy=entropy,
         sigma_wehrl=_sigma_or_none(times, wehrl.pi),
         agreement=agreement,
@@ -235,7 +241,7 @@ def compare(model: Model, t_max: float, dt: float, grid: SphereGrid) -> dict:
     traj = evolve(model.rho0, model.h, d, times)
 
     def series(m):
-        return m.rates(traj, husimi_chunks(traj.entries, grid, traj.orders) if m.needs_field else None, d, traj.times)
+        return m.rates(traj, husimi_chunks(traj, grid, traj.orders) if m.needs_field else None, d, traj.times)
 
     return _agreement(methods, d, series)
 
@@ -410,23 +416,37 @@ def photon_pulse_model(params: PulseParams) -> Model:
     )
 
 
+def _cell_formats(table: np.ndarray) -> np.ndarray:
+    """The cell format of each column of a 2-D table: the literal 0 for a
+    column that is +0.0 in every row, which is "%.17g" % 0.0, and %.17g
+    otherwise; a column holding -0.0 keeps %.17g and reads -0."""
+    zero = np.all(table == 0.0, axis=0) & ~np.any(np.signbit(table), axis=0)
+    return np.where(zero, "0", "%.17g").astype(object)
+
+
+def _write_rows(path, header: list, formats: np.ndarray, cells: np.ndarray) -> None:
+    """CSV of a header line and one row per row of cells, a 2-D float
+    array: each row is the template of formats, a format per column, whose
+    %.17g columns take the row's cells in order. The whole table is
+    formatted in one % pass over bytes, which copies the literal text
+    between formats in blocks (a str template is scanned character by
+    character, and most of a spin-J dump's template is literal 0 cells)."""
+    row = (",".join(formats) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.write((row * len(cells)) % tuple(cells.ravel().tolist()))
+
+
 def write_csv(path, header: list, table) -> None:
     """A table (2-D, or 1-D as one column) as CSV under a header line, each
     cell at %.17g, so at full double precision; divergences appear as
-    literal inf tokens.
-
-    A column that is +0.0 in every row is written as the literal 0, which
-    is "%.17g" % 0.0, without formatting its cells: most columns of a
-    spin-J trajectory dump are such columns. A column holding -0.0 keeps
-    %.17g and reads -0."""
+    literal inf tokens. A column that is +0.0 in every row is written as
+    the literal 0, without formatting its cells (see _cell_formats)."""
     table = np.asarray(table, dtype=float)
     if table.ndim == 1:
         table = table[:, None]
-    zero = np.all(table == 0.0, axis=0) & ~np.any(np.signbit(table), axis=0)
-    row = ",".join(np.where(zero, "0", "%.17g")) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row % tuple(values) for values in table[:, ~zero].tolist())
+    formats = _cell_formats(table)
+    _write_rows(path, header, formats, table[:, formats != "0"])
 
 
 def write_scenario_csv(result: ScenarioResult, path) -> None:

@@ -101,6 +101,15 @@ def matrix_blocks(rho: np.ndarray, orders) -> np.ndarray:
     return rho[..., None, :, :]
 
 
+def order_blocks(x: np.ndarray, orders) -> np.ndarray:
+    """The blocks of matrix_blocks of the matrices whose order diagonals on
+    orders are x (see _order_diagonals): for orders (0,) the populations,
+    a view of x, and otherwise the matrices scattered whole."""
+    if tuple(orders) == (0,):
+        return x[..., 0, :, 1, None, None]
+    return _from_order_diagonals(x, orders)[..., None, :, :]
+
+
 def check_density_entries(rho: np.ndarray, orders) -> None:
     """Raise NonPhysicalState unless rho, one (d, d) matrix or a (..., d, d)
     stack of them, is Hermitian, of unit trace and positive semidefinite up
@@ -111,7 +120,12 @@ def check_density_entries(rho: np.ndarray, orders) -> None:
     coherence_orders), so it is checked on its blocks (matrix_blocks): a
     J_z-diagonal matrix's eigenvalues are its populations, O(d) per matrix,
     and any other matrix is checked whole."""
-    part = matrix_blocks(rho, orders)
+    _check_blocks(matrix_blocks(rho, orders))
+
+
+def _check_blocks(part: np.ndarray) -> None:
+    """check_density_entries on the blocks of the matrices, (..., blocks,
+    b, b) (see matrix_blocks and order_blocks)."""
     if not np.all(np.isfinite(part)):
         raise NonPhysicalState("matrix has non-finite entries")
     adj = part.conj().swapaxes(-1, -2)

@@ -15,6 +15,7 @@ from scipy.integrate import solve_ivp
 
 from spinwehrl import DensityMatrix, StiffnessFailure
 from spinwehrl.dynamics import TRACE_DRIFT_BOUND, Trajectory
+from spinwehrl.spin_ops import _order_diagonals
 from oracles import dense_lindblad_rhs
 
 
@@ -56,7 +57,7 @@ def evolve_rk45(rho0: DensityMatrix, h, d, t_grid, tol: float = 1e-10) -> Trajec
         entries.append(DensityMatrix(rho0.j, herm / tr).entries)
     return Trajectory(
         times=t_grid,
-        entries=np.array(entries),
+        diagonals=_order_diagonals(np.array(entries), range(dim)),
         max_trace_drift=max_trace_drift,
         max_hermiticity_drift=max_herm_drift,
         orders=tuple(range(dim)),

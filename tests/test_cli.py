@@ -1,20 +1,35 @@
+import argparse
 import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from spinwehrl import DissipatorSpec, HamiltonianSpec, Model, entropy_rates, make_grid, phase_space, simulate
+from spinwehrl import (
+    BlochVector,
+    DensityMatrix,
+    DissipatorSpec,
+    HamiltonianSpec,
+    Model,
+    bloch_to_rho,
+    entropy_rates,
+    make_grid,
+    phase_space,
+    simulate,
+)
+from spinwehrl import cli
 from spinwehrl.cli import _write_states_csv, bundled_configs, main, validate_config
 from spinwehrl.errors import ConfigError
 from spinwehrl.entropy_rates import BathParams
 from spinwehrl.scenarios import PulseParams, pulse_effective_rates, rotating_field_steady_state
 from spinwehrl.spin_ops import SpinQuantumNumber, gibbs_state
 from conftest import random_density_matrix
-from oracles import temperature_from_nbar
+from oracles import savetxt_csv, temperature_from_nbar
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -651,6 +666,15 @@ class TestIOErrors:
         assert calls == []  # checked before integrating, and before writing the run CSV
         assert not (tmp_path / "custom.csv").exists()
 
+    def test_states_csv_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
+        path = write_config(tmp_path, CUSTOM_DEPHASING)
+        dump = tmp_path / "dump"
+        dump.mkdir()
+        self.run_io(capsys, ["run", "--config", path, "--out", str(tmp_path), "--states-csv", str(dump)])
+        assert calls == []  # checked before integrating, and before writing the run CSV
+        assert not (tmp_path / "custom.csv").exists() and not any(dump.iterdir())
+
     def test_config_is_a_directory(self, tmp_path, capsys):
         self.run_io(capsys, ["validate", "--config", str(tmp_path)])
 
@@ -691,6 +715,30 @@ def read_states_csv(path):
     return data[:, 0], np.ascontiguousarray(data[:, 1:]).view(complex).reshape(-1, d, d)
 
 
+def _even_orders_state() -> DensityMatrix:
+    j = SpinQuantumNumber(4)
+    i, k = np.indices((j.dim, j.dim))
+    rho = random_density_matrix(j, np.random.default_rng(31)).entries
+    return DensityMatrix(j, rho * (np.abs(i - k) % 2 == 0))
+
+
+# Trajectories of each layout the dump writes: J_z-diagonal with populations
+# that stay +0.0 (no damping), spin-1/2 coherences under both propagators,
+# and spin-J coherences on every order or on the even ones.
+DUMP_MODELS = {
+    "pole_undamped": lambda: Model(DensityMatrix(SpinQuantumNumber(4), np.diag([1.0, 0, 0, 0, 0]).astype(complex)),
+                                   HamiltonianSpec.static_jz(1.0), DissipatorSpec.dephasing(1.0)),
+    "spin_half_covariant": lambda: Model(bloch_to_rho(BlochVector(0.3, -0.4, 0.5)), HamiltonianSpec.static_jz(1.0),
+                                         DissipatorSpec.amplitude_damping(1.0, 0.5)),
+    "spin_half_rotating": lambda: Model(bloch_to_rho(BlochVector(0.0, 0.0, 0.7)),
+                                        HamiltonianSpec.rotating_field(1.0, 0.7, 1.3), DissipatorSpec.dephasing(1.0)),
+    "spin_j_coherent": lambda: Model(random_density_matrix(SpinQuantumNumber(4), np.random.default_rng(24)),
+                                     HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5)),
+    "spin_j_even_orders": lambda: Model(_even_orders_state(), HamiltonianSpec.static_jz(1.0),
+                                        DissipatorSpec.amplitude_damping(1.0, 0.5)),
+}
+
+
 class TestStatesDump:
     """A --states-csv dump reads back to the trajectory bit for bit."""
 
@@ -720,6 +768,18 @@ class TestStatesDump:
         dump, result = self.run_dump(tmp_path, monkeypatch, cfg)
         assert np.all(result.trajectory.entries[:, 0, 1] != 0)
         self.assert_reads_back(dump, result)
+
+    @pytest.mark.parametrize("case", list(DUMP_MODELS))
+    def test_dump_is_the_dense_table(self, tmp_path, case):
+        # The dump, written from the order diagonals, is byte for byte the
+        # dense table of every entry at %.17g (numpy's savetxt).
+        result = simulate(DUMP_MODELS[case](), t_max=0.5, dt=0.1, grid=make_grid(8, 16))
+        entries = np.ascontiguousarray(result.trajectory.entries)
+        n, d, _ = entries.shape
+        header = ["t"] + [f"{part}_rho_{a}{b}" for a in range(d) for b in range(d) for part in ("re", "im")]
+        savetxt_csv(tmp_path / "dense.csv", header, np.column_stack([result.times, entries.reshape(n, -1).view(float)]))
+        _write_states_csv(result, tmp_path / "states.csv")
+        assert (tmp_path / "states.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
 
     def test_coherent_spin_j_result(self, tmp_path):
         # the CLI starts spin J > 1/2 from J_z-diagonal states only
@@ -995,3 +1055,42 @@ class TestBundledConfigRuntimes:
             start = time.perf_counter()
             assert main(["run", "--config", str(src), "--out", str(tmp_path / name)]) == 0
             assert time.perf_counter() - start < 60.0, name
+
+
+class TestParser:
+    """The parser is built on the first main call of a process, not at
+    import, and serves every later call alike."""
+
+    def test_built_once(self, monkeypatch, capsys):
+        main(["list-scenarios"])
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["list-scenarios"]) == 0 and main(["list-scenarios"]) == 0
+        assert built == []
+
+    def test_not_built_at_import(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = "import spinwehrl.cli as c; print(c._parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "0\n"
+
+    def test_help_and_usage_errors_repeat(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--tol", "1"])
+            assert exc.value.code == 2
+            texts.append(capsys.readouterr().err)
+        assert texts[:2] == texts[2:] and texts[0].startswith("usage: spinwehrl run")
+        assert cli._parser() is cli._parser()

@@ -24,7 +24,7 @@ from spinwehrl import (
     von_neumann_rates,
 )
 from spinwehrl import _kernels, phase_space
-from spinwehrl.dynamics import dissipation
+from spinwehrl.dynamics import _order_dissipation, dissipation
 from spinwehrl.entropy_rates import EIG_LOG_FLOOR
 from spinwehrl.spin_ops import _from_order_diagonals, _order_diagonals, check_density_entries, coherence_orders
 from oracles import dense_dissipator
@@ -233,6 +233,47 @@ class TestVonNeumannPerBlock:
         assert not np.any(rates.ds_dt) and not np.any(rates.phi) and not np.any(rates.pi)
 
 
+def block_trajectory(two_j: int, orders: tuple, rng, d=DissipatorSpec.amplitude_damping(1.2, 0.4)):
+    """A trajectory of eleven states from block_state(two_j, orders) under
+    static omega J_z and d, which keep its orders."""
+    rho0 = DensityMatrix(SpinQuantumNumber(two_j), block_state(two_j, orders, rng))
+    traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 1.0, 11))
+    assert traj.orders == orders
+    return traj
+
+
+class TestFromTheTrajectory:
+    """D(rho), the von Neumann rates and the Husimi fields, read from a
+    Trajectory's order diagonals, are bit for bit those of its dense
+    stack."""
+
+    @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
+    @pytest.mark.parametrize("kind", ["damping", "dephasing"])
+    def test_dissipation_and_von_neumann(self, two_j, orders, kind):
+        d = DissipatorSpec.amplitude_damping(1.2, 0.4) if kind == "damping" else DissipatorSpec.dephasing(0.8)
+        traj = block_trajectory(two_j, orders, np.random.default_rng(two_j), d)
+        dx = _order_dissipation(traj.diagonals, d, traj.times, orders)
+        d_rho = dissipation(traj.entries, d, traj.times, orders)
+        assert _from_order_diagonals(dx, orders).tobytes() == d_rho.tobytes()
+        rates = von_neumann_rates(traj, dx, d, orders)
+        dense = von_neumann_rates(traj.entries, d_rho, d, orders)
+        for name in ("ds_dt", "pi", "phi"):
+            assert getattr(rates, name).tobytes() == getattr(dense, name).tobytes()
+
+    @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
+    def test_husimi_fields(self, two_j, orders):
+        traj = block_trajectory(two_j, orders, np.random.default_rng(two_j))
+        grid = make_grid(24, 48)
+        fields = list(husimi_chunks(traj, grid, orders))
+        dense = list(husimi_chunks(traj.entries, grid, orders))
+        assert len(fields) == len(dense)
+        for field, want in zip(fields, dense):
+            assert field.coef.tobytes() == want.coef.tobytes()
+            assert (field.frame is None) == (want.frame is None)
+            if field.frame is not None:
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(field.frame, want.frame))
+
+
 class TestHusimiChunksFromOrders:
     """husimi_chunks takes the phi decision and its pair table from the
     orders alone."""
@@ -250,7 +291,7 @@ class TestHusimiChunksFromOrders:
             per_chunk = phase_space._CHUNK_NODES // (6 * grid.n_theta)
         else:
             per_chunk = max(1, phase_space._CHUNK_NODES // grid.n_nodes)
-        return [_kernels.husimi_contract(full[:, :n_orders], stack[s : s + per_chunk])
+        return [_kernels.husimi_contract(full[:, :n_orders], _order_diagonals(stack[s : s + per_chunk], range(n_orders)))
                 for s in range(0, len(stack), per_chunk)]
 
     @pytest.mark.parametrize("two_j", [1, 4, 12, 40])

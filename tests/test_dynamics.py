@@ -21,9 +21,15 @@ from spinwehrl import (
     nbar_from_temperature,
 )
 from spinwehrl import dynamics
-from spinwehrl.spin_ops import _from_order_diagonals
+from spinwehrl.spin_ops import PAULI_X, PAULI_Y, PAULI_Z, _from_order_diagonals, _order_diagonals
 from conftest import random_density_matrix
 from oracles import amplitude_damping_dissipator, current_superoperator_f, dephasing_dissipator, temperature_from_nbar
+
+
+def assert_gather_of_entries(traj):
+    """traj.diagonals is, bit for bit, the gather of traj.entries on its orders."""
+    gathered = _order_diagonals(traj.entries, traj.orders)
+    assert np.ascontiguousarray(traj.diagonals).tobytes() == np.ascontiguousarray(gathered).tobytes()
 
 
 class TestDephasingDissipator:
@@ -202,6 +208,7 @@ class TestEvolve:
         herm = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
         traces = np.trace(herm, axis1=1, axis2=2).real
         assert traj.entries.tobytes() == (herm / traces[:, None, None]).tobytes()
+        assert_gather_of_entries(traj)
         assert traj.max_trace_drift == float(np.abs(traces - 1.0).max()) > 0.0
         assert traj.max_hermiticity_drift == float(np.max(np.abs(raw - herm))) > 0.0
         return traj
@@ -248,6 +255,55 @@ class TestEvolve:
         traj = self.assert_finished_as_dense(monkeypatch, rho0, h, DissipatorSpec.amplitude_damping(1.0, 0.5),
                                              propagator, perturb)
         assert traj.orders == (0, 1)
+
+    @pytest.mark.parametrize("case", ["diagonal", "even_orders", "coherent", "rotating_field"])
+    def test_diagonals_are_the_gather_of_the_states(self, case):
+        # The trajectory keeps its order diagonals in the layout of the
+        # gather: the populations in both columns of order 0, zeros beyond d - k.
+        rng = np.random.default_rng(11)
+        j = SpinQuantumNumber(1 if case == "rotating_field" else 6)
+        h = HamiltonianSpec.rotating_field(1.0, 0.7, 1.3) if case == "rotating_field" else HamiltonianSpec.static_jz(1.0)
+        if case == "diagonal":
+            rho0 = DensityMatrix(j, np.diag(rng.dirichlet(np.ones(j.dim))).astype(complex))
+        elif case == "even_orders":
+            i, k = np.indices((j.dim, j.dim))
+            rho0 = DensityMatrix(j, random_density_matrix(j, rng).entries * (np.abs(i - k) % 2 == 0))
+        else:
+            rho0 = random_density_matrix(j, rng)
+        traj = evolve(rho0, h, DissipatorSpec.amplitude_damping(1.0, 0.5), np.linspace(0.0, 1.0, 11))
+        assert traj.orders == {"diagonal": (0,), "even_orders": (0, 2, 4, 6)}.get(case, tuple(range(j.dim)))
+        assert_gather_of_entries(traj)
+        assert np.array_equal(traj.populations(), traj.entries.diagonal(axis1=1, axis2=2).real)
+
+    @pytest.mark.parametrize("h", [HamiltonianSpec.static_jz(1.0), HamiltonianSpec.rotating_field(1.0, 0.7, 1.3)])
+    @pytest.mark.parametrize("tau", [(0.0, 0.0, 0.6), (0.3, -0.4, 0.5), (0.0, 0.8, 0.0)])
+    def test_bloch_from_the_diagonals_is_the_pauli_contraction(self, h, tau):
+        traj = evolve(bloch_to_rho(BlochVector(*tau)), h, DissipatorSpec.amplitude_damping(1.0, 0.5),
+                      np.linspace(0.0, 1.0, 11))
+        dense = np.einsum("nab,iba->ni", traj.entries, np.stack([PAULI_X, PAULI_Y, PAULI_Z])).real
+        assert traj.bloch.tobytes() == dense.tobytes() and not traj.bloch.flags.writeable
+
+    def test_entries_are_scattered_once_on_first_read(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        calls = []
+        original = dynamics._from_order_diagonals
+
+        def counted(x, orders):
+            calls.append(orders)
+            return original(x, orders)
+
+        monkeypatch.setattr(dynamics, "_from_order_diagonals", counted)
+        rho0 = DensityMatrix(SpinQuantumNumber(4), np.diag(rng.dirichlet(np.ones(5))).astype(complex))
+        traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5),
+                      np.linspace(0.0, 1.0, 6))
+        assert calls == []  # evolve validates a J_z-diagonal trajectory on its populations
+        entries = traj.entries
+        assert traj.entries is entries and calls == [(0,)]
+        assert entries.shape == (6, 5, 5)
+        for array in (entries, traj.diagonals):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0, 0] = 1.0
 
     def test_bloch_series_of_larger_spin_rejected(self, rng):
         rho0 = random_density_matrix(SpinQuantumNumber(2), rng)

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +40,7 @@ from spinwehrl.dynamics import HamiltonianSpec
 from spinwehrl.entropy_rates import RATE_METHODS
 from spinwehrl.errors import InvalidFrequency
 from spinwehrl.phase_space import wehrl_entropy_spin_half
-from spinwehrl.scenarios import quench_tau_z
+from spinwehrl.scenarios import compare, quench_tau_z
 
 from conftest import random_density_matrix
 from oracles import (
@@ -397,23 +398,46 @@ class TestRateGuard:
                 scenarios.compare(model, 1.0, 0.1, make_grid(8, 16))
 
 
+class TestJzDiagonalMemory:
+    """A J_z-diagonal run holds its populations: a 101-state 2J = 200 run
+    allocates no (n, d, d) stack, each of which would take 62.3 MiB."""
+
+    MODEL = Model(
+        DensityMatrix(SpinQuantumNumber(200), np.diag(np.random.default_rng(5).dirichlet(np.ones(201))).astype(complex)),
+        HamiltonianSpec.static_jz(1.0),
+        DissipatorSpec.amplitude_damping(1.0, 0.5),
+    )
+    BOUND = 16 * 2**20  # a quarter of one dense stack
+
+    @pytest.mark.parametrize("run", [simulate, compare], ids=["simulate", "compare"])
+    def test_peak_memory(self, run):
+        tracemalloc.start()
+        try:
+            run(self.MODEL, 2.0, 0.02, make_grid(96, 192))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.BOUND
+
+
 class TestEachSeriesOnce:
     def test_dissipator_applied_to_the_trajectory_once(self, monkeypatch):
-        # Once, on the whole stack at its times and orders; evolve forms no D.
+        # Once, on the trajectory's order diagonals at its times and orders;
+        # evolve forms no D.
         calls = []
-        original = dynamics.dissipation
+        original = dynamics._order_dissipation
 
-        def wrapper(rho, d, t, orders):
-            calls.append((rho, t, orders))
-            return original(rho, d, t, orders)
+        def wrapper(x, d, t, orders):
+            calls.append((x, t, orders))
+            return original(x, d, t, orders)
 
-        monkeypatch.setattr(dynamics, "dissipation", wrapper)
-        monkeypatch.setattr(scenarios, "dissipation", wrapper)
+        monkeypatch.setattr(dynamics, "_order_dissipation", wrapper)
+        monkeypatch.setattr(scenarios, "_order_dissipation", wrapper)
         res = simulate(SPIN_J_DAMPING, t_max=0.5, dt=0.1, grid=make_grid(24, 48))
         traj = res.trajectory
         assert len(calls) == 1
-        rho, t, orders = calls[0]
-        assert rho is traj.entries and t is traj.times and orders == traj.orders == (0,)
+        x, t, orders = calls[0]
+        assert x is traj.diagonals and t is traj.times and orders == traj.orders == (0,)
 
     @pytest.mark.parametrize(
         "model, labels",

@@ -28,19 +28,18 @@ J_z-covariant generator keeps the orders of its initial state
 (dynamics.Trajectory.orders). So phase_space.husimi_chunks hands the
 transform the pair tables of the orders up to the largest one alone, from
 the orders, without reading the states: n = 2J + 1 for a full state, 1 for
-a J_z-diagonal one. A J_z-diagonal field holds only its s = 0 rows, its Q
-is phi-independent, and its node rows are evaluated on the first phi
-column (phi_columns): each theta row's sum over phi is that column's value
-times n_phi, and dQ/dphi is zero.
+a J_z-diagonal one.
 
-A spin-1/2 stack with a coherence keeps these lab-frame coefficients, and
-its fields also carry each state's own frame (phase_space.OwnFrame), whose
-z' axis is the state's Bloch vector b: Q' = (tr + |b| cos theta')/2 depends
-on theta' alone, and is held as the s = 0 rows of the populations
-(tr +- |b|)/2. The reductions read such a field on one theta' column, with
-no node rows at all: every integrand's phi' dependence there is a
-trigonometric polynomial of degree <= 2, which the uniform phi' rule
-integrates exactly, so the phi' sums are done in closed form.
+A column field's Q depends on one angle: it carries each state's own
+frame (phase_space.OwnFrame), tilted from z by beta, in which Q' depends on
+theta' alone. A J_z-diagonal field is its own frame, at beta = 0. A
+spin-1/2 field with a coherence keeps its lab-frame coefficients, and its
+frame's z' axis is each state's Bloch vector b: Q' = (tr + |b| cos
+theta')/2. The reductions read a column field on one theta' column, with
+no node rows: every integrand's phi' dependence there is a trigonometric
+polynomial of degree <= 2, which the uniform phi' rule integrates exactly,
+so the phi' sums are done in closed form. Any other field is a full-grid
+field, evaluated on every phi column.
 
 Q is floored at Q_FLOOR wherever it divides or enters a logarithm.
 """
@@ -87,16 +86,6 @@ def phi_derivative(coef, out):
     return out
 
 
-def phi_columns(coef, harmonics):
-    """(harmonics, copies): the harmonics of the phi columns on which to
-    evaluate the node rows of a field with coefficients coef, and how many
-    phi nodes each stands for: the first column for all n_phi when the
-    field holds only its s = 0 rows, else every column for itself."""
-    if coef.shape[1] > 2:
-        return harmonics, 1
-    return harmonics[:2, :1], harmonics.shape[-1]
-
-
 def node_rows(rows, harmonics):
     """Node values (f, ..., n_phi) of f stacked coefficient arrays, rows of
     shape (f, 2d, ...): one product with the (2d, n_phi) harmonics
@@ -109,37 +98,34 @@ def node_rows(rows, harmonics):
 # ---------------------------------------------------------------------------
 # Quadrature reductions of the rate integrands over the coefficients of a
 # field, (2, 2n, n_theta) for one state or (2, 2n, k, n_theta) for a chunk
-# (see husimi_contract; 2 rows for a J_z-diagonal stack). Each evaluates the
-# node rows it reads in one harmonic product (see node_rows), on the phi
-# columns of phi_columns, and sums each row over phi before contracting it
-# with a theta vector. weights are the Gauss-Legendre weights with the
+# (see husimi_contract). weights are the Gauss-Legendre weights with the
 # uniform phi weight folded in. They return raw weighted sums, one per state
 # (a scalar for one state); physical prefactors are applied by the caller.
-# Given a frame (coef, cos_beta, sin2_beta), the OwnFrame of a spin-1/2
-# field, they reduce it in its states' own frames instead (see the module
-# docstring), where g = (dQ'/dtheta')^2 / max(Q', Q_FLOOR) is a theta' row.
+# frame alone picks the branch. Given the OwnFrame of a column field, they
+# reduce it on one theta' column of its states' own frames, where g =
+# n_phi (dQ'/dtheta')^2 / max(Q', Q_FLOOR) is the phi' sum of a theta' row.
+# Without one, they evaluate the node rows they read on every phi column in
+# one harmonic product (see node_rows), and sum each row over phi before
+# contracting it with a theta vector.
 # ---------------------------------------------------------------------------
 
 
 def _framed_g(frame, harmonics):
-    """n_phi g of each state of a framed field, (..., n_theta): the sum of
-    g over the phi' nodes of each theta' row."""
+    """g of each state of a framed field, (..., n_theta)."""
     q, dq = frame[0][:, 0]
     return harmonics.shape[-1] * (dq * dq / np.maximum(q, Q_FLOOR))
 
 
-def _inverse_and_squares(rows, coef, harmonics):
-    """Given coefficient rows [Q, x, ...] of a field with coefficients
-    coef, the sum over the phi nodes of x^2 / max(Q, Q_FLOOR) for each row
-    x after the first, (rows - 1, ...), evaluated on the columns of
-    phi_columns."""
-    harmonics, copies = phi_columns(coef, harmonics)
+def _inverse_and_squares(rows, harmonics):
+    """Given coefficient rows [Q, x, ...] of a field, the sum over the phi
+    nodes of x^2 / max(Q, Q_FLOOR) for each row x after the first,
+    (rows - 1, ...)."""
     nodes = node_rows(rows, harmonics)
     q, rest = nodes[0], nodes[1:]
     np.maximum(q, Q_FLOOR, out=q)
     np.divide(1.0, q, out=q)
     np.square(rest, out=rest)
-    return copies * np.einsum("f...p,...p->f...", rest, q)
+    return np.einsum("f...p,...p->f...", rest, q)
 
 
 def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coherence_weights, cos_weights, frame=None):
@@ -157,30 +143,42 @@ def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coheren
     cos weights. u's coefficients are dQ/dtheta's less drift times Q's. The
     flux integrand is linear in u, so its sum over the phi nodes of a theta
     row is n_phi times u's s = 0 cosine coefficient, exactly when
-    2J < n_phi. Only Q, u and dQ/dphi are evaluated at nodes, and
-    pi_coherence is exactly 0 on one phi column.
+    2J < n_phi. Only Q, u and dQ/dphi are evaluated at nodes.
 
-    A framed field (spin 1/2) gives the whole production as pi_damping and
-    0 as pi_coherence. Their sum is, pointwise,
+    A framed field gives the whole production as pi_damping and 0 as
+    pi_coherence. Their sum is, pointwise,
 
-        (r - cos)|grad Q|^2/Q - r (dQ/dphi)^2/Q - 2 sin dQ/dtheta + Q sin^2/(r - cos).
+        (r - cos)|grad Q|^2/Q - r (dQ/dphi)^2/Q - 2J sin (u + dQ/dtheta).
 
-    The last two terms are linear in Q, so they come from the lab s = 0
-    rows, as phi does. In the own frame |grad Q|^2/Q is g(theta'), cos is
-    cos(beta) cos(theta') + sin(beta) sin(theta') cos(phi') and
-    (dQ/dphi)^2/Q is sin^2(beta) sin^2(phi') g, so the quadratic part is
-    r (1 - sin^2(beta)/2) S1 - cos(beta) S2, with S1 and S2 the sums of g
-    against weights and cos_weights. It is formed as
-    (1 - sin^2(beta)/2) (r S1 - S2) + (1 - cos(beta))^2 S2 / 2, where
-    r S1 - S2 is the sum of g against damping_weights.
+    In the own frame |grad Q|^2/Q is g(theta'), cos is cos(beta) cos(theta')
+    + sin(beta) sin(theta') cos(phi') and (dQ/dphi)^2/Q is sin^2(beta)
+    sin^2(phi') g, so the quadratic part is (1 - sin^2(beta)/2) (r S1 - S2)
+    + (1 - cos(beta))^2 S2 / 2, with S1 and S2 the sums of g against weights
+    and cos_weights. With u' = dQ'/dtheta' - drift Q', g is n_phi u'^2/Q' +
+    n_phi drift (u' + dQ'/dtheta'), and r S1 - S2 is its sum against
+    damping_weights, so the production, with @ a sum against a theta vector,
+    is
+
+        n_phi (u'^2/Q') @ damping_weights - sin^2(beta)/2 g @ damping_weights
+        - n_phi (drift ((u + dQ/dtheta) - (u' + dQ'/dtheta'))) @ damping_weights
+        + (1 - cos(beta))^2/2 g @ cos_weights.
+
+    At beta = 0 the frame rows are the lab s = 0 rows, and every term after
+    the first is exactly 0: the production is a sum of squares.
     """
     q, dq_dtheta = coef
     if frame is not None:
-        _, cos_beta, sin2_beta = frame
+        own, cos_beta, sin2_beta = frame
+        q, dq_dtheta = q[0], dq_dtheta[0]
+        own_q, own_dq = own[:, 0]
+        n_phi = harmonics.shape[-1]
+        u = dq_dtheta - drift * q
+        own_u = own_dq - drift * own_q
+        pi = (n_phi * (own_u * own_u * (1.0 / np.maximum(own_q, Q_FLOOR)))) @ damping_weights
+        pi -= (n_phi * drift * ((u + dq_dtheta) - (own_u + own_dq))) @ damping_weights
         g = _framed_g(frame, harmonics)
-        u = dq_dtheta[0] - drift * q[0]
-        pi = (1.0 - 0.5 * sin2_beta) * (g @ damping_weights) + 0.5 * (1.0 - cos_beta) ** 2 * (g @ cos_weights)
-        pi += (u + dq_dtheta[0]) @ phi_weights
+        pi -= 0.5 * sin2_beta * (g @ damping_weights)
+        pi += 0.5 * (1.0 - cos_beta) ** 2 * (g @ cos_weights)
         return u @ phi_weights, pi, np.zeros_like(pi)
     rows = np.empty((3,) + q.shape)
     rows[0] = q
@@ -188,15 +186,15 @@ def damping_reduce(coef, harmonics, drift, phi_weights, damping_weights, coheren
     np.subtract(dq_dtheta, rows[1], out=rows[1])
     phi_derivative(q, rows[2])
     phi = rows[1, 0] @ phi_weights
-    pi_damp, pi_coh = _inverse_and_squares(rows, coef, harmonics)
+    pi_damp, pi_coh = _inverse_and_squares(rows, harmonics)
     return phi, pi_damp @ damping_weights, pi_coh @ coherence_weights
 
 
 def dephasing_reduce(coef, harmonics, weights, frame=None):
     """Raw sum of (dQ/dphi)^2 / Q of each state, Q floored at Q_FLOOR; only
-    Q and dQ/dphi are evaluated at nodes, and the sum is exactly 0 on one
-    phi column. On a framed field the integrand is sin^2(beta)
-    sin^2(phi') g, and the sum is sin^2(beta)/2 times that of g."""
+    Q and dQ/dphi are evaluated at nodes. On a framed field the integrand
+    is sin^2(beta) sin^2(phi') g, and the sum is sin^2(beta)/2 times that
+    of g: exactly 0 at beta = 0."""
     if frame is not None:
         _, _, sin2_beta = frame
         return 0.5 * sin2_beta * (_framed_g(frame, harmonics) @ weights)
@@ -204,5 +202,5 @@ def dephasing_reduce(coef, harmonics, weights, frame=None):
     rows = np.empty((2,) + q.shape)
     rows[0] = q
     phi_derivative(q, rows[1])
-    (sums,) = _inverse_and_squares(rows, coef, harmonics)
+    (sums,) = _inverse_and_squares(rows, harmonics)
     return sums @ weights

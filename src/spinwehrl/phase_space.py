@@ -166,13 +166,14 @@ def _amplitude_table(two_j: int, orders: int, theta: np.ndarray, phi: np.ndarray
 
 
 class OwnFrame(NamedTuple):
-    """Each spin-1/2 state of a field in its own frame, whose z' axis is the
-    state's Bloch vector b (the Hermitian part is tr/2 + b.sigma/2; see
-    _kernels). coef holds the s = 0 rows of the populations (tr +- |b|)/2,
-    in the layout of a J_z-diagonal field's coefficients, (2, 2, n_theta)
-    or (2, 2, k, n_theta): Q' on the grid's theta nodes read as theta'.
-    cos_beta = b_z/|b| and sin2_beta = (b_x^2 + b_y^2)/|b|^2 tilt z' from
-    z; they are 1 and 0 where b = 0."""
+    """Each state of a column field in its own frame, tilted from z by beta,
+    where Q' depends on theta' alone (see _kernels): coef holds its s = 0
+    rows, (2, 2, n_theta) or (2, 2, k, n_theta). A J_z-diagonal field is its
+    own frame: coef is the field's coef, the same array, with cos_beta 1 and
+    sin2_beta 0. A spin-1/2 field with a coherence has z' along each state's
+    Bloch vector b: coef holds the s = 0 rows of the populations
+    (tr +- |b|)/2, cos_beta = b_z/|b| and sin2_beta = (b_x^2 + b_y^2)/|b|^2,
+    1 and 0 where b = 0."""
 
     coef: np.ndarray
     cos_beta: np.ndarray
@@ -206,14 +207,14 @@ class HusimiField:
     for one state, or (2, 2n, k, n_theta) for a chunk of k states, for the
     orders s = 0 .. n - 1 up to the largest coherence order of the states
     (see husimi_chunks): n = 2J + 1 for a full state, 1 for a J_z-diagonal
-    stack. q,
-    dq_dtheta and dq_dphi are the real node arrays (Q is real for Hermitian
-    rho, hence so are its angular derivatives), (n_theta, n_phi) or
-    (k, n_theta, n_phi), each evaluated on first use; the quadrature reads
-    the coefficients and evaluates its own node rows.
+    stack. q, dq_dtheta and dq_dphi are the real node arrays (Q is real for
+    Hermitian rho, hence so are its angular derivatives), (n_theta, n_phi)
+    or (k, n_theta, n_phi), each evaluated on first use; the quadrature
+    reads the coefficients and evaluates its own node rows.
     phase_space_currents gives the complex azimuthal current -i dQ/dphi.
-    frame is the states' OwnFrame for a spin-1/2 stack with a coherence,
-    which the quadrature reduces instead of the node rows, and else None.
+    frame is the states' OwnFrame for a column field (a J_z-diagonal stack,
+    or a spin-1/2 one), which the quadrature reduces on one theta' column,
+    and None for a full-grid field.
     """
 
     grid: SphereGrid
@@ -247,18 +248,18 @@ class HusimiField:
         return (self.j.dim / (4.0 * np.pi)) * self.grid.integrate(self.q)
 
 
-# Grid nodes per chunk of states (two on the default grid). A chunk is one
-# call of the transform and one of a reduction, which evaluates up to three
-# node rows per state. Of one, two and four states per chunk on 96 x 192,
-# two ran the six bundled compares fastest. A J_z-diagonal stack's fields hold
-# only their s = 0 rows (see husimi_chunks), so its chunks are sized by their
-# (2, 2, k, n_theta) coefficient array instead: at most twice this many
-# numbers, 192 states on 96 x 192 whatever 2J. A framed spin-1/2 stack's
-# reductions evaluate no node rows either, so its chunks are sized the same
-# way by their (2, 4, k, n_theta) coefficients and (2, 2, k, n_theta) frame
-# rows: 64 states on 96 x 192. Of 16, 64 and 192 states per chunk, 64 ran
-# the two rotating-field compares fastest; a node array read from such a
-# chunk (q, wehrl_entropy) takes 9.4 MB.
+# Grid nodes per chunk of a full-grid stack (two states on the default
+# grid). A chunk is one call of the transform and one of a reduction, which
+# evaluates up to three node rows per state. Of one, two and four states per
+# chunk on 96 x 192, two ran the six bundled compares fastest. A column
+# stack's reductions evaluate no node rows (see husimi_chunks), so its chunks
+# are sized by the numbers they hold instead, at most twice this many: the
+# (2, 2n, k, n_theta) coefficients and the (2, 2, k, n_theta) frame rows,
+# which a J_z-diagonal field shares with its coefficients. That is 192
+# states on 96 x 192 for a J_z-diagonal stack whatever 2J, and 64 for a
+# spin-1/2 stack with a coherence. Of 16, 64 and 192 spin-1/2 states per
+# chunk, 64 ran the two rotating-field compares fastest; a node array read
+# from such a chunk (q, wehrl_entropy) takes 9.4 MB.
 _CHUNK_NODES = 2 * 96 * 192
 
 
@@ -276,25 +277,21 @@ def husimi_chunks(states, grid: SphereGrid, orders) -> Iterator[HusimiField]:
     however many states there are. The transform takes the pair table of
     the orders s = 0 .. max(orders) alone, so the fields hold only those
     coefficient rows. The layout is decided here, once per stack, from
-    orders and 2J: a J_z-diagonal stack (orders (0,)) has fields of two
-    coefficient rows, reduced on one phi column (see _kernels.phi_columns),
-    at _CHUNK_NODES // (2 n_theta) states per chunk. A spin-1/2 stack with
-    a coherence also gets its OwnFrame, reduced on one theta' column of
-    each state's own frame, at _CHUNK_NODES // (6 n_theta) states per
-    chunk. Any other stack is evaluated on every phi column, at
+    orders and 2J, and is one of two. A column stack, J_z-diagonal (orders
+    (0,)) or spin-1/2, gets each chunk's OwnFrame and is reduced on one
+    theta' column of its states' own frames: a J_z-diagonal field is its
+    own frame, with beta = 0, and its frame rows are its two coefficient
+    rows themselves. Its chunks hold at most 2 _CHUNK_NODES numbers. Any
+    other stack is a full-grid stack, evaluated on every phi column, at
     _CHUNK_NODES // n_nodes states per chunk. Every chunk holds at least
     one state.
     """
     diagonals = getattr(states, "diagonals", None)
     d = states.shape[-1] if diagonals is None else diagonals.shape[-2]
     n_orders = max(orders, default=0) + 1
-    framed = d == 2 and n_orders == 2
-    if n_orders == 1:
-        nodes = 2 * grid.n_theta
-    elif framed:
-        nodes = 6 * grid.n_theta
-    else:
-        nodes = grid.n_nodes
+    column = n_orders == 1 or d == 2
+    # Half the numbers a column chunk holds per state (see _CHUNK_NODES).
+    nodes = (2 if n_orders == 1 else 6) * grid.n_theta if column else grid.n_nodes
     per_chunk = max(1, _CHUNK_NODES // nodes)
     j = SpinQuantumNumber(d - 1)
     pairs, _ = grid.amplitude_table(j, n_orders)
@@ -308,8 +305,12 @@ def husimi_chunks(states, grid: SphereGrid, orders) -> Iterator[HusimiField]:
             part = diagonals[start : start + per_chunk]
             x = np.zeros((len(part), n_orders, d, 2), dtype=complex)
             x[:, list(orders)] = part
-        frame = _own_frames(pairs, x) if framed else None
-        yield HusimiField(grid, j, _kernels.husimi_contract(pairs, x), frame)
+        coef = _kernels.husimi_contract(pairs, x)
+        if n_orders == 1:
+            frame = OwnFrame(coef, np.ones(len(x)), np.zeros(len(x)))
+        else:
+            frame = _own_frames(pairs, x) if column else None
+        yield HusimiField(grid, j, coef, frame)
 
 
 def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:
@@ -324,17 +325,18 @@ def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:
 
 def wehrl_entropy(field: HusimiField):
     """S = -(2J+1)/(4 pi) * integral of Q ln Q (nats); x ln x -> 0 at Q = 0.
-    A float for a one-state field, an array for a chunk. Q's node row is
-    evaluated on the phi columns of _kernels.phi_columns, as the reductions
-    evaluate theirs."""
+    A float for a one-state field, an array for a chunk. It reads the lab
+    Q: the row of a field of s = 0 rows alone, the same on every phi
+    column, and else Q on every column."""
     grid = field.grid
-    harmonics, copies = _kernels.phi_columns(field.coef, field.harmonics)
-    q = _kernels.node_rows(field.coef[:1], harmonics)[0]
+    one_column = field.coef.shape[1] == 2
+    q = field.coef[0, 0, ..., None] if one_column else _kernels.node_rows(field.coef[:1], field.harmonics)[0]
     integrand = np.maximum(q, Q_FLOOR)
     np.log(integrand, out=integrand)
     integrand *= q
     integrand[~(q > 0.0)] = 0.0
-    integrand *= copies
+    if one_column:
+        integrand *= grid.n_phi
     return -(field.j.dim / (4.0 * np.pi)) * grid.integrate(integrand)
 
 

@@ -244,7 +244,7 @@ class TestDampingQuadrature:
         with_coh = husimi(bloch_to_rho(BlochVector(0.4, 0.1, 0.3)), default_grid)
         dephased = husimi(bloch_to_rho(BlochVector(0.0, 0.0, 0.3)), default_grid)
         _, damping_coh, coherence_coh = _kernels.damping_reduce(with_coh.coef, harmonics, *vectors)
-        _, _, coherence_diag = _kernels.damping_reduce(dephased.coef, harmonics, *vectors)
+        _, _, coherence_diag = _kernels.damping_reduce(dephased.coef, dephased.harmonics, *vectors)
         assert pref * coherence_coh > 1e-4
         assert abs(pref * coherence_diag) < 1e-12
         assert damping_pi_quadrature(with_coh, bath) == pytest.approx(

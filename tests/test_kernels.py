@@ -13,6 +13,7 @@ from spinwehrl import (
     HusimiField,
     SpinQuantumNumber,
     bloch_to_rho,
+    gibbs_state,
     husimi,
     husimi_chunks,
     make_grid,
@@ -239,8 +240,9 @@ DISSIPATORS = {
 
 
 class TestOnePhiColumn:
-    """J_z-diagonal states have a phi-independent Q and are reduced on one
-    phi column; any coherence keeps every column."""
+    """J_z-diagonal states have a phi-independent Q and are reduced as
+    column fields at zero tilt, with no node rows; any coherence keeps
+    every column."""
 
     @pytest.mark.parametrize("two_j", [1, 4, 12, 40])
     @pytest.mark.parametrize("kind", list(DISSIPATORS))
@@ -252,8 +254,33 @@ class TestOnePhiColumn:
         want = node_array_rates(states, default_grid, DISSIPATORS[kind])
         columns_evaluated.clear()
         got = chunked_rates(states, default_grid, DISSIPATORS[kind])
-        assert set(columns_evaluated) == {1}
+        assert columns_evaluated == []
         assert_series_close(got, want, 1e-15)
+
+    @pytest.mark.parametrize("two_j", [1, 4, 40])
+    def test_a_diagonal_field_is_its_own_frame(self, two_j, rng, default_grid):
+        j = SpinQuantumNumber(two_j)
+        stack = np.stack([random_diagonal_state(j, rng).entries for _ in range(3)])
+        (chunk,) = husimi_chunks(stack, default_grid, (0,))
+        assert chunk.frame.coef is chunk.coef
+        assert np.all(chunk.frame.cos_beta == 1.0) and np.all(chunk.frame.sin2_beta == 0.0)
+        field = husimi(DensityMatrix(j, stack[0]), default_grid)
+        assert np.shares_memory(field.frame.coef, field.coef)
+        assert np.array_equal(field.frame.coef, field.coef)
+
+    @pytest.mark.parametrize("two_j", [4, 12, 40])
+    @pytest.mark.parametrize(
+        "nbar, temperature", [(1.0 / (math.e - 1.0), 1.0), (3.0, 1.0 / math.log(4.0 / 3.0))], ids=["nbar-e", "nbar-3"]
+    )
+    def test_the_baths_gibbs_state_produces_no_entropy(self, two_j, nbar, temperature):
+        # A damping run started at the bath's Gibbs state stays there, and
+        # its Pi, a sum of squares of a drift that vanishes, is 0 up to
+        # roundoff of that drift: no cancellation between large terms.
+        j = SpinQuantumNumber(two_j)
+        bath = DissipatorSpec.amplitude_damping(1.0, nbar)
+        pi = simulate(Model(gibbs_state(j, 1.0, temperature), HamiltonianSpec.static_jz(1.0), bath), 1.0, 0.1).wehrl.pi
+        assert len(pi) == 11
+        assert np.all((pi >= 0.0) & (pi <= 1e-20))
 
     def test_dephasing_production_of_a_diagonal_stack_is_zero(self, rng, default_grid):
         j = SpinQuantumNumber(6)
@@ -379,12 +406,14 @@ class TestOwnFrame:
         [(0.5, 1e-13), (0.1, 1e-13), (0.02, 1e-13), (0.0, 1e-13), (1e-3, 5e-5), (1e-6, 5e-5)],
     )
     @pytest.mark.parametrize("kind", list(FRAMED_DISSIPATORS))
-    def test_closed_forms(self, purity_gap, tol, kind, rng, default_grid):
+    def test_closed_forms(self, purity_gap, tol, kind, default_grid):
         # Pi relative to each state's own, Phi to the largest |Phi|, at
         # 1 - |tau| = purity_gap. A pure state's integrands are polynomials
-        # in cos(theta'), which Gauss-Legendre integrates exactly.
+        # in cos(theta'), which Gauss-Legendre integrates exactly. The
+        # directions come from a generator of the test's own, so that they
+        # do not depend on the draws of the tests run before it.
         d = FRAMED_DISSIPATORS[kind]
-        taus, stack = bloch_stack(rng, 1.0 - purity_gap)
+        taus, stack = bloch_stack(np.random.default_rng(373), 1.0 - purity_gap)
         pi, phi = framed_rates(stack, default_grid, d)
         want_pi, want_phi = closed_form_rates(taus, d)
         assert np.max(np.abs(pi - want_pi) / want_pi) <= tol

@@ -29,8 +29,6 @@ from .phase_space import GRID_MIN, SphereGrid, make_grid
 from .scenarios import (
     Model,
     PulseParams,
-    _cell_formats,
-    _write_rows,
     compare,
     photon_pulse_model,
     rotating_field_model,
@@ -159,7 +157,8 @@ def _check_keys(section: dict, allowed: dict, where: str) -> None:
 
 def _number(section, key, where: str, minimum: float = -math.inf) -> float:
     v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    # abs(v) <= the largest double also refuses nan, and an integer too large for a double
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
         raise ConfigError(f"key '{key}' in {where} must be a finite number, got {v!r}")
     if key in _NON_NEGATIVE:
         minimum = max(minimum, 0.0)
@@ -222,7 +221,7 @@ def validate_config(cfg: dict) -> RunPlan:
     output = cfg.get("output", {})
     _check_keys(output, _OUTPUT_KEYS, "'output'")
     csv = output.get("csv", f"{scenario}.csv")
-    if not isinstance(csv, str):
+    if not isinstance(csv, str) or not csv:
         raise ConfigError("'csv' in 'output' must be a file name")
     comparison = cfg.get("compare", {})
     _check_keys(comparison, _COMPARE_KEYS, "'compare'")
@@ -302,6 +301,8 @@ def sweep_config(cfg: dict, param: str, values: list, out_path: Path, grid: Sphe
     summary-scalar row per run."""
     if not values:
         raise ConfigError("sweep needs a non-empty list of values")
+    if param.split(".")[0] == "grid":
+        raise ConfigError(f"sweep parameter '{param}' is a grid size: every value runs on one grid; set it with --grid")
     rows = []
     for v in values:
         trial = copy.deepcopy(cfg)
@@ -309,15 +310,8 @@ def sweep_config(cfg: dict, param: str, values: list, out_path: Path, grid: Sphe
         plan = validate_config(trial)
         result = simulate(plan.model, plan.t_max, plan.dt, grid)
         w, vn = result.wehrl, result.von_neumann
-        rows.append([
-            v,
-            math.nan if result.sigma_wehrl is None else result.sigma_wehrl,
-            w.pi[0],
-            w.pi[-1],
-            w.phi[-1],
-            vn.pi[0],
-            vn.pi[-1],
-        ])
+        sigma = math.nan if result.sigma_wehrl is None else result.sigma_wehrl
+        rows.append([v, sigma, w.pi[0], w.pi[-1], w.phi[-1], vn.pi[0], vn.pi[-1]])  # as SWEEP_COLUMNS
     write_csv(out_path, SWEEP_COLUMNS, rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
 
@@ -339,26 +333,34 @@ def _load_config(path: str) -> dict:
             raise ConfigError("config is nested too deeply") from None
 
 
+def _check_output(path: Path, what: str) -> None:
+    """Raise the OSError of writing an output file that is a directory or lies in a missing one."""
+    if path.is_dir():
+        raise IsADirectoryError(f"{what} is a directory")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"the directory of {what} does not exist")
+
+
+def _sweep_value(text: str):
+    """A --values entry: an int for a nonzero integer literal, so that two_j
+    can be swept, and otherwise a float (-0 is -0.0)."""
+    try:
+        return int(text) or float(text)
+    except ValueError:
+        return float(text)
+
+
 def _write_states_csv(result, path: Path) -> None:
     """Trajectory dump: t plus Re/Im of every density-matrix entry, as
-    write_csv writes the dense table, from the trajectory's order diagonals:
-    an entry off the coherence orders is the literal 0, and the columns of
-    the others keep write_csv's zero rule."""
+    write_csv writes the dense table, from the entries on the trajectory's
+    coherence orders (Trajectory.order_entries): every other entry is the
+    literal 0."""
     traj = result.trajectory
-    x = traj.diagonals
-    n, _, d, _ = x.shape
-    index = [str(a) for a in range(d)]  # formatted once, not once per column
+    position, values = traj.order_entries()
+    index = [str(a) for a in range(traj.j.dim)]  # formatted once, not once per column
     header = ["t"] + [f"{part}_rho_{a}{b}" for a in index for b in index for part in ("re", "im")]
-    a, b = np.divmod(np.arange(d * d), d)
-    on = np.isin(np.abs(a - b), traj.orders)
-    a, b = a[on], b[on]
-    # Entry (a, b) sits in the diagonal of order |a - b| at min(a, b): column 0 below the main diagonal.
-    slot = (np.searchsorted(traj.orders, np.abs(a - b)) * d + np.minimum(a, b)) * 2 + (a <= b)
-    cells = np.column_stack([traj.times, x.reshape(n, -1).take(slot, axis=1).view(float)])
-    columns = np.concatenate(([0], (1 + 2 * np.flatnonzero(on)[:, None] + np.arange(2)).ravel()))
-    formats = np.full(len(header), "0", dtype=object)
-    formats[columns] = _cell_formats(cells)
-    _write_rows(path, header, formats, cells[:, formats[columns] != "0"])
+    columns = np.concatenate(([0], (1 + 2 * position[:, None] + np.arange(2)).ravel()))
+    write_csv(path, header, np.column_stack([traj.times, values.view(float)]), columns)
 
 
 @functools.lru_cache(maxsize=None)
@@ -425,12 +427,11 @@ def main(argv=None) -> int:
             # loses no work.
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            if args.states_csv and Path(args.states_csv).is_dir():
-                raise IsADirectoryError(f"--states-csv {args.states_csv!r} is a directory")
-            if args.states_csv and not Path(args.states_csv).parent.is_dir():
-                raise FileNotFoundError(f"the directory of --states-csv {args.states_csv!r} does not exist")
-            result = simulate(plan.model, plan.t_max, plan.dt, plan.grid)
             csv_path = out_dir / plan.csv
+            _check_output(csv_path, f"the run CSV {str(csv_path)!r}")
+            if args.states_csv:
+                _check_output(Path(args.states_csv), f"--states-csv {args.states_csv!r}")
+            result = simulate(plan.model, plan.t_max, plan.dt, plan.grid)
             write_scenario_csv(result, csv_path)
             print(f"wrote {csv_path}")
             if args.states_csv:
@@ -445,7 +446,7 @@ def main(argv=None) -> int:
             if not raw:
                 raise ConfigError("--values is empty")
             try:
-                values = [float(v) for v in raw]
+                values = [_sweep_value(v) for v in raw]
             except ValueError as exc:
                 raise ConfigError(f"--values must be numbers: {exc}") from exc
             out_dir = Path(args.out)

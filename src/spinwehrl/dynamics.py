@@ -49,7 +49,7 @@ unit-rate damping bands that the propagators use, O(d) per order and
 state (_order_dissipation); dissipation is its form on matrices, which
 lindblad_rhs and the rotating frame's generator call. The validation and
 the von Neumann eigenvalues read a J_z-diagonal stack's populations alone,
-and any other stack whole (Trajectory.blocks).
+and any other stack whole (spin_ops.order_blocks).
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ from .spin_ops import (
     coherence_orders,
     make_spin_operators,
     order_blocks,
+    order_layout,
 )
 
 TRACE_DRIFT_BOUND = 1e-9
@@ -214,11 +215,11 @@ class Trajectory:
     diagonals[:, idx, i, 1] is rho_{i, i+k} for k = K[idx], in the layout
     of the gather spin_ops._order_diagonals of the states: order 0, the
     populations, in both columns, and zero beyond d - k. Every entry off K
-    is exactly zero, so D(rho)
-    works per order of K, and for K = {0}, 2J + 1 populations per state,
-    the validation and the von Neumann eigenvalues read the populations
-    alone (blocks). A J_z-covariant generator keeps the orders of rho0
-    (spin_ops.coherence_orders); the rotating field keeps every order."""
+    is exactly zero, so D(rho) works per order of K, and for K = {0}, 2J + 1
+    populations per state, the validation and the von Neumann eigenvalues
+    read the populations alone (spin_ops.order_blocks). A J_z-covariant
+    generator keeps the orders of rho0 (spin_ops.coherence_orders); the
+    rotating field keeps every order."""
 
     times: np.ndarray
     diagonals: np.ndarray
@@ -242,12 +243,12 @@ class Trajectory:
         """(n, d) J_z populations (m descending)."""
         return self.diagonals[:, 0, :, 1].real
 
-    def blocks(self) -> np.ndarray:
-        """The blocks of spin_ops.matrix_blocks of the states: their
-        populations for K = {0}, and otherwise entries whole."""
-        if self.orders == (0,):
-            return order_blocks(self.diagonals, self.orders)
-        return self.entries[..., None, :, :]
+    def order_entries(self) -> tuple:
+        """The row-major positions a d + b of the entries on the orders
+        (spin_ops.order_layout) and their values in each state, (n,
+        len(positions)); every other entry is exactly zero."""
+        position, slot = order_layout(self.j.dim, self.orders)
+        return position, self.diagonals.reshape(len(self.diagonals), -1).take(slot, axis=1)
 
     @functools.cached_property
     def bloch(self) -> np.ndarray:
@@ -484,7 +485,7 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
         max_hermiticity_drift=float(defect.max()),
         orders=orders,
     )
-    _check_blocks(traj.blocks())
+    _check_blocks(order_blocks(herm, orders))
     return traj
 
 

@@ -34,7 +34,7 @@ from .dynamics import DissipatorSpec, Trajectory
 from .errors import UnsupportedParameters
 from .hypergeom import gauss_2f1
 from .phase_space import HusimiField
-from .spin_ops import BLOCH_LENGTH_MAX, BlochVector, DensityMatrix, SpinQuantumNumber, matrix_blocks, order_blocks
+from .spin_ops import BLOCH_LENGTH_MAX, BlochVector, DensityMatrix, SpinQuantumNumber, _order_diagonals, order_blocks
 from . import _kernels
 
 DIVERGENCE_EDGE = 1e-12
@@ -498,15 +498,15 @@ def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec, orders) -> Entr
 
     orders are the coherence orders of the states (Trajectory.orders, or
     spin_ops.coherence_orders of rho), which D keeps. ln rho is taken on
-    the blocks of spin_ops.matrix_blocks: a J_z-diagonal state's
+    the blocks of spin_ops.order_blocks: a J_z-diagonal state's
     eigenvalues are its populations, O(d) per state, and any other state
     takes one batched eigh. Eigenvalues are floored at EIG_LOG_FLOOR, so a
     pure state's dS/dt is large but finite."""
     if isinstance(rho, Trajectory):
-        block, d_block = rho.blocks(), order_blocks(d_rho, orders)
+        x = rho.diagonals
     else:
-        rho = getattr(rho, "entries", rho)
-        block, d_block = matrix_blocks(rho, orders), matrix_blocks(np.asarray(d_rho), orders)
+        x, d_rho = _order_diagonals(getattr(rho, "entries", rho), orders), _order_diagonals(d_rho, orders)
+    block, d_block = order_blocks(x, orders), order_blocks(d_rho, orders)
     if block.shape[-1] == 1:  # populations
         log_rho = np.log(np.clip(block.real, EIG_LOG_FLOOR, None))
     else:

@@ -92,12 +92,13 @@ class ScenarioResult:
         return self.trajectory.times
 
 
-def _check_rate_scale(model: Model, times: np.ndarray) -> None:
+def _check_rate_scale(model: Model, times: np.ndarray) -> float:
     """Raise UnsupportedParameters, before integrating, for a dissipator
     whose rate times (2 nbar + 1) d^2 exceeds RATE_SCALE_MAX: lambda for
     dephasing, gamma for damping, and the largest gamma_t at the output
     times for a time-dependent damping. An undamped bath is left to
-    BathParams, which refuses an nbar whose 2 nbar + 1 overflows."""
+    BathParams, which refuses an nbar whose 2 nbar + 1 overflows. Returns
+    the product."""
     d, dim = model.d, model.rho0.dim
     gamma = float(np.max(_gamma_at(d, times))) if d.kind == "time_dependent_damping" else d.gamma
     rate = d.lam if d.kind == "dephasing" else gamma * (2.0 * d.nbar + 1.0)
@@ -105,6 +106,7 @@ def _check_rate_scale(model: Model, times: np.ndarray) -> None:
         raise UnsupportedParameters(
             f"rate {rate:g} times (2J + 1)^2 = {dim * dim} exceeds {RATE_SCALE_MAX:g}: the rates would overflow"
         )
+    return rate * dim * dim
 
 
 def _uniform_grid(t_max: float, dt: float) -> np.ndarray:
@@ -190,13 +192,17 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     phi_energy and the von Neumann rates of _von_neumann. Nothing here
     forms a dense (n, d, d) stack for a J_z-diagonal trajectory. A rate
     that would overflow (RATE_SCALE_MAX) raises UnsupportedParameters
-    before integrating.
+    before integrating, and so does phi_energy, whose scale is the rates'
+    times the largest absolute row sum of H at the output times.
     """
     rho0, h, d = model.rho0, model.h, model.d
     j = rho0.j
     method = primary_rate_method(j.two_j, d)
     times = _uniform_grid(t_max, dt)
-    _check_rate_scale(model, times)
+    scale = _check_rate_scale(model, times)
+    h_norm = float(np.max(np.abs(h.matrix(j, times)).sum(axis=-1)))
+    if scale * h_norm > RATE_SCALE_MAX:
+        raise UnsupportedParameters(f"rate scale {scale:g} times |H| = {h_norm:g}: the energy flux would overflow")
     traj = evolve(rho0, h, d, times)
     if method.needs_field:
         entropy = np.empty(times.size)
@@ -416,37 +422,24 @@ def photon_pulse_model(params: PulseParams) -> Model:
     )
 
 
-def _cell_formats(table: np.ndarray) -> np.ndarray:
-    """The cell format of each column of a 2-D table: the literal 0 for a
-    column that is +0.0 in every row, which is "%.17g" % 0.0, and %.17g
-    otherwise; a column holding -0.0 keeps %.17g and reads -0."""
-    zero = np.all(table == 0.0, axis=0) & ~np.any(np.signbit(table), axis=0)
-    return np.where(zero, "0", "%.17g").astype(object)
-
-
-def _write_rows(path, header: list, formats: np.ndarray, cells: np.ndarray) -> None:
-    """CSV of a header line and one row per row of cells, a 2-D float
-    array: each row is the template of formats, a format per column, whose
-    %.17g columns take the row's cells in order. The whole table is
-    formatted in one % pass over bytes, which copies the literal text
-    between formats in blocks (a str template is scanned character by
-    character, and most of a spin-J dump's template is literal 0 cells)."""
-    row = (",".join(formats) + "\n").encode()
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        fh.write((row * len(cells)) % tuple(cells.ravel().tolist()))
-
-
-def write_csv(path, header: list, table) -> None:
+def write_csv(path, header: list, table, columns=None) -> None:
     """A table (2-D, or 1-D as one column) as CSV under a header line, each
-    cell at %.17g, so at full double precision; divergences appear as
-    literal inf tokens. A column that is +0.0 in every row is written as
-    the literal 0, without formatting its cells (see _cell_formats)."""
+    cell at %.17g; divergences appear as literal inf tokens. The package's
+    one CSV writer. A column that is +0.0 in every row is the literal 0,
+    "%.17g" % 0.0, with no cell formatted (-0.0 reads -0). With columns,
+    the table's columns sit at those header positions, and every other
+    position is the literal 0. The table is formatted in one % pass over
+    bytes, which copies the literal text between formats in blocks."""
     table = np.asarray(table, dtype=float)
     if table.ndim == 1:
         table = table[:, None]
-    formats = _cell_formats(table)
-    _write_rows(path, header, formats, table[:, formats != "0"])
+    zero = np.all(table == 0.0, axis=0) & ~np.any(np.signbit(table), axis=0)
+    formats = np.full(table.shape[1] if columns is None else len(header), "0", dtype=object)
+    formats[slice(None) if columns is None else columns] = np.where(zero, "0", "%.17g")
+    row = (",".join(formats) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.write((row * len(table)) % tuple(table[:, ~zero].ravel().tolist()))
 
 
 def write_scenario_csv(result: ScenarioResult, path) -> None:

@@ -76,35 +76,38 @@ def _order_diagonals(entries: np.ndarray, orders) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
+@lru_cache(maxsize=None)
+def order_layout(d: int, orders: tuple) -> tuple:
+    """The package's one map of the order layout: for each entry (a, b) of a
+    (d, d) matrix on the diagonals of orders, in row-major order, its
+    position a d + b and its slot in the flat (len(orders), d, 2) layout of
+    _order_diagonals (order |a - b| at min(a, b), column a <= b)."""
+    a, b = np.divmod(np.arange(d * d), d)
+    index = np.full(d, -1)
+    index[list(orders)] = np.arange(len(orders))
+    on = np.flatnonzero(index[np.abs(a - b)] >= 0)
+    a, b = a[on], b[on]
+    slot = (index[np.abs(a - b)] * d + np.minimum(a, b)) * 2 + (a <= b)
+    return _freeze(on), _freeze(slot)
+
+
 def _from_order_diagonals(x: np.ndarray, orders) -> np.ndarray:
     """The (..., d, d) matrices whose order diagonals are x (see
-    _order_diagonals), zero off them: its one scatter."""
+    _order_diagonals), zero off them: its one scatter, through
+    order_layout."""
     d = x.shape[-2]
-    states = np.zeros(x.shape[:-3] + (d, d), dtype=complex)
-    for idx, k in enumerate(orders):
-        i = np.arange(d - k)
-        states[..., i + k, i] = x[..., idx, : d - k, 0]
-        states[..., i, i + k] = x[..., idx, : d - k, 1]
-    return states
-
-
-def matrix_blocks(rho: np.ndarray, orders) -> np.ndarray:
-    """The diagonal blocks of rho, one (..., d, d) matrix or stack of
-    coherence orders orders (see coherence_orders), as one array: the d
-    populations as (..., d, 1, 1) blocks when orders is (0,), otherwise rho
-    whole as a (..., 1, d, d) view. Every state the package makes has
-    orders (0,) or orders that hold 1, which join every index in one block."""
-    d = rho.shape[-1]
-    if tuple(orders) == (0,):
-        a = np.arange(d)[:, None, None]
-        return rho[..., a, a]
-    return rho[..., None, :, :]
+    position, slot = order_layout(d, tuple(orders))
+    states = np.zeros(x.shape[:-3] + (d * d,), dtype=complex)
+    states[..., position] = x.reshape(x.shape[:-3] + (-1,))[..., slot]
+    return states.reshape(x.shape[:-3] + (d, d))
 
 
 def order_blocks(x: np.ndarray, orders) -> np.ndarray:
-    """The blocks of matrix_blocks of the matrices whose order diagonals on
-    orders are x (see _order_diagonals): for orders (0,) the populations,
-    a view of x, and otherwise the matrices scattered whole."""
+    """The diagonal blocks of the matrices whose order diagonals on orders
+    are x: for orders (0,) the populations as (..., d, 1, 1), a view of x,
+    and otherwise the matrices whole as (..., 1, d, d). Every state the
+    package makes has orders (0,) or orders holding 1, which join every
+    index in one block."""
     if tuple(orders) == (0,):
         return x[..., 0, :, 1, None, None]
     return _from_order_diagonals(x, orders)[..., None, :, :]
@@ -117,15 +120,15 @@ def check_density_entries(rho: np.ndarray, orders) -> None:
     For a stack the message names the worst matrix's defect.
 
     rho vanishes off the diagonals of its coherence orders, orders (see
-    coherence_orders), so it is checked on its blocks (matrix_blocks): a
-    J_z-diagonal matrix's eigenvalues are its populations, O(d) per matrix,
-    and any other matrix is checked whole."""
-    _check_blocks(matrix_blocks(rho, orders))
+    coherence_orders), so it is checked on its blocks (order_blocks of its
+    gathered order diagonals): a J_z-diagonal matrix's eigenvalues are its
+    populations, O(d) per matrix, and any other matrix is checked whole."""
+    _check_blocks(order_blocks(_order_diagonals(rho, orders), orders))
 
 
 def _check_blocks(part: np.ndarray) -> None:
     """check_density_entries on the blocks of the matrices, (..., blocks,
-    b, b) (see matrix_blocks and order_blocks)."""
+    b, b) (see order_blocks)."""
     if not np.all(np.isfinite(part)):
         raise NonPhysicalState("matrix has non-finite entries")
     adj = part.conj().swapaxes(-1, -2)

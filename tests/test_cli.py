@@ -232,6 +232,7 @@ class TestValidate:
             pytest.param(with_value(CUSTOM_DEPHASING, "dissipator", 1.0), id="section-not-object"),
             pytest.param(dict(QUENCH_IDLE, compare={"tolerance": "1e-5"}), id="tolerance-not-number"),
             pytest.param(dict(QUENCH_IDLE, output={"csv": 5}), id="csv-not-name"),
+            pytest.param(dict(QUENCH_IDLE, output={"csv": ""}), id="csv-empty"),
             pytest.param(with_value(CUSTOM_DAMPING_J2, "hamiltonian.omega", 0.0), id="static_jz-omega=0-damping"),
             pytest.param(with_value(CUSTOM_DAMPING_J2, "hamiltonian.omega", -1.0), id="static_jz-omega<0-damping"),
             pytest.param(
@@ -266,6 +267,17 @@ class TestValidate:
         path = write_config(tmp_path, cfg)
         assert main(["validate", "--config", path]) == 2
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("dotted", ["two_j", "dissipator.gamma"])
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    def test_an_integer_too_large_for_a_double_is_a_config_error(self, tmp_path, capsys, dotted, command):
+        # A JSON integer of 401 digits loads as a Python int that no double holds.
+        path = write_config(tmp_path, with_value(CUSTOM_DAMPING_J2, dotted, 10**400))
+        argv = [command, "--config", path] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: key '{dotted.split('.')[-1]}'") and "must be a finite number" in err
+        assert "Traceback" not in err
 
     def test_non_markovian_pulse_exit_code(self, tmp_path):
         # a0 below the Markovianity threshold 0.8 is a numerical failure in
@@ -675,6 +687,31 @@ class TestIOErrors:
         assert calls == []  # checked before integrating, and before writing the run CSV
         assert not (tmp_path / "custom.csv").exists() and not any(dump.iterdir())
 
+    def test_run_csv_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
+        path = write_config(tmp_path, dict(CUSTOM_DEPHASING, output={"csv": "taken"}))
+        (tmp_path / "taken").mkdir()
+        self.run_io(capsys, ["run", "--config", path, "--out", str(tmp_path)])
+        assert calls == []  # checked before integrating
+        assert not any((tmp_path / "taken").iterdir())
+
+    def test_run_csv_in_missing_directory(self, tmp_path, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
+        path = write_config(tmp_path, dict(CUSTOM_DEPHASING, output={"csv": "missing/run.csv"}))
+        dump = tmp_path / "states.csv"
+        self.run_io(capsys, ["run", "--config", path, "--out", str(tmp_path), "--states-csv", str(dump)])
+        assert calls == []  # checked before integrating, and before writing the dump
+        assert not (tmp_path / "missing").exists() and not dump.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_empty_run_csv_name(self, tmp_path, monkeypatch, capsys, command):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
+        path = write_config(tmp_path, dict(CUSTOM_DEPHASING, output={"csv": ""}))
+        out = tmp_path / "out"
+        assert main([command, "--config", path] + (["--out", str(out)] if command == "run" else [])) == 2
+        assert capsys.readouterr().err == "config error: 'csv' in 'output' must be a file name\n"
+        assert calls == [] and not out.exists()
+
     def test_config_is_a_directory(self, tmp_path, capsys):
         self.run_io(capsys, ["validate", "--config", str(tmp_path)])
 
@@ -1022,6 +1059,43 @@ class TestSweep:
         assert main(argv + ["--config", path, "--out", str(tmp_path / "b")]) == 0
         name = "j2_sweep_dissipator_nbar.csv"
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_integer_key_sweep(self, tmp_path):
+        cfg = with_value(CUSTOM_DAMPING_J2, "initial_state", {"type": "gibbs", "temperature": 2.0, "omega": 1.0})
+        path = write_config(tmp_path, cfg, "gibbs.json")
+        argv = ["sweep", "--config", path, "--param", "two_j", "--values", "2,4", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        data = np.loadtxt(tmp_path / "gibbs_sweep_two_j.csv", delimiter=",", skiprows=1)
+        assert data[:, 0].tolist() == [2.0, 4.0]
+        result = simulate(validate_config(cfg).model, 0.5, 0.1, make_grid(48, 96))
+        assert data[1, 5] == result.von_neumann.pi[0]  # pi_vn_initial of the 2J = 4 run
+
+    @pytest.mark.parametrize("param, ints, floats", [
+        ("temperature", "1,2", "1.0,2.0"),
+        ("initial_state.theta", "-0,1", "-0.0,1.0"),  # -0 stays -0.0
+    ])
+    def test_integer_literals_sweep_as_their_floats(self, tmp_path, param, ints, floats):
+        cfg = dict(QUENCH_IDLE, scenario="spontaneous_emission", temperature=1.0)
+        del cfg["initial_temperature"], cfg["bath_temperature"]
+        if param != "temperature":
+            state = {"type": "bloch_angles", "tau": 0.8, "theta": 1.0, "phi": 0.5}
+            cfg = with_value(ROTATING_DEPHASING, "initial_state", state)
+        path = write_config(tmp_path, cfg)
+        csvs = []
+        for values in (ints, floats):
+            out = tmp_path / values
+            assert main(["sweep", "--config", path, "--param", param, f"--values={values}", "--out", str(out)]) == 0
+            csvs.append((out / f"cfg_sweep_{param.replace('.', '_')}.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("param", ["grid.n_theta", "grid.n_phi"])
+    def test_grid_key_is_refused(self, tmp_path, monkeypatch, capsys, param):
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
+        path = write_config(tmp_path, QUENCH_IDLE)
+        assert main(["sweep", "--config", path, "--param", param, "--values", "16,24", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--grid" in err
+        assert calls == []
 
     def test_empty_values_exit_code(self, tmp_path):
         path = write_config(tmp_path, QUENCH_IDLE)

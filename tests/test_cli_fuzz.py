@@ -49,7 +49,8 @@ SPIN_HALF = {
     # a0 below the Markovianity threshold (about 0.57 at bandwidth 10) exits 3.
     "photon_pulse": {"gamma0": st.just(1.0), "bandwidth": unit(1.5, 20.0), "a0": unit(0.5, 1.0)},
 }
-JUNK = st.sampled_from([None, "x", [], {}, True, math.nan, -1.0, 0.0, 1e-300, 1e300, [1.0, 2.0]])
+# 10**400, written as a JSON integer, loads as an int too large for a double.
+JUNK = st.sampled_from([None, "x", [], {}, True, math.nan, -1.0, 0.0, 1e-300, 1e300, 10**400, [1.0, 2.0]])
 
 
 @st.composite
@@ -98,8 +99,9 @@ ARGV = st.one_of(
                                                ["--states-csv", "s.csv"], ["--states-csv", "missing/s.csv"]])),
     st.tuples(st.just("compare"), st.sampled_from([[], ["--tol", "1"], ["--tol", "-1"], ["--tol", "0"],
                                                    ["--tol", "nan"], ["--grid", "8x8"]])),
-    st.tuples(st.just("sweep"), st.sampled_from(["gamma", "omega", "two_j", "a0", "initial_state.tau", "nope"]),
-              st.lists(st.sampled_from(["0.1", "0.5", "2", "-1", "0", "x"]), min_size=1, max_size=3)),
+    st.tuples(st.just("sweep"), st.sampled_from(["gamma", "omega", "two_j", "a0", "initial_state.tau", "grid.n_phi",
+                                                 "nope"]),
+              st.lists(st.sampled_from(["0.1", "0.5", "2", "-1", "0", "x", "1" + "0" * 400]), min_size=1, max_size=3)),
 )
 
 

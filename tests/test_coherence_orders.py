@@ -6,6 +6,7 @@ dense computation it replaces, in the hard regimes: pure states, T = 0,
 orders without 1, and 2J up to 40."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,10 +25,17 @@ from spinwehrl import (
     von_neumann_rates,
 )
 from spinwehrl import _kernels, phase_space
-from spinwehrl.dynamics import _order_dissipation, dissipation
+from spinwehrl.cli import _write_states_csv
+from spinwehrl.dynamics import Trajectory, _order_dissipation, dissipation
 from spinwehrl.entropy_rates import EIG_LOG_FLOOR
-from spinwehrl.spin_ops import _from_order_diagonals, _order_diagonals, check_density_entries, coherence_orders
-from oracles import dense_dissipator
+from spinwehrl.spin_ops import (
+    _from_order_diagonals,
+    _order_diagonals,
+    check_density_entries,
+    coherence_orders,
+    order_layout,
+)
+from oracles import dense_dissipator, savetxt_csv
 
 # (2J, coherence orders): J_z-diagonal, even orders only, orders without 1
 # that still join every index (2J = 5: 0-3-5-2 and 1-4), and full.
@@ -92,8 +100,9 @@ class TestOrders:
 
 
 class TestOrderDiagonals:
-    """The one gather and the one scatter of the order-diagonal layout
-    (spin_ops._order_diagonals, _from_order_diagonals)."""
+    """The one gather, the one scatter and the one map of the order-diagonal
+    layout (spin_ops._order_diagonals, _from_order_diagonals,
+    order_layout)."""
 
     @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
     def test_round_trip_bit_for_bit(self, two_j, orders, rng):
@@ -101,6 +110,35 @@ class TestOrderDiagonals:
         for rho in (stack, stack[0]):
             back = _from_order_diagonals(_order_diagonals(rho, orders), orders)
             assert back.shape == rho.shape and back.tobytes() == rho.tobytes()
+
+    @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
+    def test_the_map_places_every_entry_on_the_orders(self, two_j, orders):
+        d = two_j + 1
+        stack = block_stack(two_j, orders, np.random.default_rng(two_j))
+        position, slot = order_layout(d, orders)
+        assert order_layout(d, orders) is order_layout(d, orders)  # cached
+        assert not position.flags.writeable and not slot.flags.writeable
+        a, b = np.divmod(np.arange(d * d), d)
+        assert position.tolist() == np.flatnonzero(np.isin(np.abs(a - b), orders)).tolist()
+        flat = stack.reshape(len(stack), -1)
+        # The slot of each entry holds it; every entry off the map is zero.
+        x = np.ascontiguousarray(_order_diagonals(stack, orders)).reshape(len(stack), -1)
+        assert x[:, slot].tobytes() == np.ascontiguousarray(flat[:, position]).tobytes()
+        assert not np.any(np.delete(flat, position, axis=1))
+
+    @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
+    def test_the_dump_columns_are_the_dense_entries_at_the_maps_positions(self, two_j, orders, tmp_path):
+        stack = block_stack(two_j, orders, np.random.default_rng(100 + two_j))
+        n, d, _ = stack.shape
+        traj = Trajectory(times=np.linspace(0.0, 1.0, n), diagonals=_order_diagonals(stack, orders),
+                          max_trace_drift=0.0, max_hermiticity_drift=0.0, orders=orders)
+        position, values = traj.order_entries()
+        assert position.tobytes() == order_layout(d, orders)[0].tobytes()
+        assert values.tobytes() == np.ascontiguousarray(stack.reshape(n, -1)[:, position]).tobytes()
+        header = ["t"] + [f"{part}_rho_{a}{b}" for a in range(d) for b in range(d) for part in ("re", "im")]
+        savetxt_csv(tmp_path / "dense.csv", header, np.column_stack([traj.times, stack.reshape(n, -1).view(float)]))
+        _write_states_csv(SimpleNamespace(trajectory=traj), tmp_path / "states.csv")
+        assert (tmp_path / "states.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
 
     @pytest.mark.parametrize("two_j, orders", [(1, (0, 1)), (4, (0, 2)), (5, (0, 3, 5)), (12, tuple(range(13)))])
     def test_entries_beyond_the_diagonal_are_zero(self, two_j, orders, rng):

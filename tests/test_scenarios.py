@@ -398,6 +398,29 @@ class TestRateGuard:
                 scenarios.compare(model, 1.0, 0.1, make_grid(8, 16))
 
 
+class TestEnergyFluxGuard:
+    # Phi_E = -tr(H D(rho)) scales with H as well: at omega = gamma = 1e300
+    # every rate fits, but Phi_E ~ 1e600 would overflow. simulate, which
+    # reports Phi_E, refuses it before integrating and warns of nothing;
+    # compare, which does not, runs.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [HamiltonianSpec.static_jz(1e300), HamiltonianSpec.rotating_field(1e300, 1.0, 1.0)],
+                             ids=["static_jz", "rotating_field"])
+    def test_overflowing_energy_flux_is_refused(self, h):
+        model = Model(bloch_to_rho(BlochVector(0.0, 0.0, 1.0)), h, DissipatorSpec.amplitude_damping(1e300, 0.0))
+        with pytest.raises(UnsupportedParameters, match="the energy flux would overflow"):
+            simulate(model, 1.0, 0.5)
+        if h.kind == "static_jz":
+            assert compare(model, 1.0, 0.5, make_grid(8, 16))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_large_flux_that_fits_runs(self):
+        model = Model(bloch_to_rho(BlochVector(0.0, 0.0, 1.0)), HamiltonianSpec.static_jz(1e300),
+                      DissipatorSpec.amplitude_damping(1.0, 0.0))
+        result = simulate(model, 1.0, 0.5)
+        assert np.all(np.isfinite(result.phi_energy)) and result.phi_energy[0] == pytest.approx(1e300)
+
+
 class TestJzDiagonalMemory:
     """A J_z-diagonal run holds its populations: a 101-state 2J = 200 run
     allocates no (n, d, d) stack, each of which would take 62.3 MiB."""

@@ -35,7 +35,9 @@ frame (phase_space.OwnFrame), tilted from z by beta, in which Q' depends on
 theta' alone. A J_z-diagonal field is its own frame, at beta = 0. A
 spin-1/2 field with a coherence keeps its lab-frame coefficients, and its
 frame's z' axis is each state's Bloch vector b: Q' = (tr + |b| cos
-theta')/2. The reductions read a column field on one theta' column, with
+theta')/2, the field of the J_z-diagonal state of the populations
+(tr +- |b|)/2. husimi_contract forms both, the lab fields and the own
+frames. The reductions read a column field on one theta' column, with
 no node rows: every integrand's phi' dependence there is a trigonometric
 polynomial of degree <= 2, which the uniform phi' rule integrates exactly,
 so the phi' sums are done in closed form. Any other field is a full-grid

@@ -331,6 +331,10 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         except RecursionError:
             raise ConfigError("config is nested too deeply") from None
+        except UnicodeDecodeError:  # not UTF-8: an I/O error, though a ValueError
+            raise
+        except ValueError as exc:  # such as an integer literal beyond int's digit limit
+            raise ConfigError(f"config cannot be read: {exc}") from exc
 
 
 def _check_output(path: Path, what: str) -> None:

@@ -153,20 +153,14 @@ def atanh_over(x):
 # ---------------------------------------------------------------------------
 
 
-def _dephasing_pi(raw, j: SpinQuantumNumber, lam: float):
-    """Pi of the dephasing channel from the raw sums of dephasing_reduce."""
-    return _out(0.5 * lam * (j.dim / (4.0 * np.pi)) * raw)
-
-
 def dephasing_pi_quadrature(field: HusimiField, lam: float):
     """Pi = (lambda/2) (2J+1)/(4 pi) * integral of |J_z(Q)|^2 / Q, a float
     for a one-state field, an array for a chunk.
 
     Non-negative; zero iff Q is independent of phi at every node.
     """
-    grid = field.grid
-    raw = _kernels.dephasing_reduce(field.coef, field.harmonics, grid.theta_weights, field.frame)
-    return _dephasing_pi(raw, field.j, lam)
+    raw = _kernels.dephasing_reduce(field.coef, field.harmonics, field.grid.theta_weights, field.frame)
+    return _out(0.5 * lam * (field.j.dim / (4.0 * np.pi)) * raw)
 
 
 def dephasing_pi_spin_half(b, lam: float):
@@ -207,22 +201,16 @@ def _damping_vectors(grid, two_j: int, nbar: float) -> tuple:
     )
 
 
-def _damping_terms(raw, j: SpinQuantumNumber, bath: BathParams) -> tuple:
-    """(Phi, Pi) of the damping channel from the raw sums
-    (phi, pi_damping, pi_coherence) of _kernels.damping_reduce."""
-    phi_raw, pi_damp_raw, pi_coh_raw = raw
-    norm = j.dim / (4.0 * np.pi)
-    pref = 0.5 * bath.gamma * norm
-    return _out(norm * bath.gamma * j.j * phi_raw), _out(pref * pi_damp_raw + pref * pi_coh_raw)
-
-
 def damping_quadrature(field: HusimiField, bath: BathParams) -> tuple:
     """(Phi, Pi) of the damping channel from one pass over the grid,
     floats for a one-state field, arrays for a chunk; see
     damping_phi_quadrature and damping_pi_quadrature."""
-    grid, j = field.grid, field.j
-    vectors = _damping_vectors(grid, j.two_j, bath.nbar)
-    return _damping_terms(_kernels.damping_reduce(field.coef, field.harmonics, *vectors, field.frame), j, bath)
+    j = field.j
+    vectors = _damping_vectors(field.grid, j.two_j, bath.nbar)
+    phi_raw, pi_damp_raw, pi_coh_raw = _kernels.damping_reduce(field.coef, field.harmonics, *vectors, field.frame)
+    norm = j.dim / (4.0 * np.pi)
+    pref = 0.5 * bath.gamma * norm
+    return _out(norm * bath.gamma * j.j * phi_raw), _out(pref * pi_damp_raw + pref * pi_coh_raw)
 
 
 def damping_phi_quadrature(field: HusimiField, bath: BathParams) -> float:
@@ -366,25 +354,19 @@ def bath_at(d: DissipatorSpec, t) -> BathParams:
 
 
 def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
-    # The kernel of dephasing_pi_quadrature or damping_quadrature, with its
-    # theta vectors and the bath made once per trajectory (the fields share
-    # one grid and spin), and the prefactors applied to the raw sums of all
-    # chunks at once.
-    dephasing = d.kind == "dephasing"
-    bath = None if dephasing else bath_at(d, times)
-    reduce = _kernels.dephasing_reduce if dephasing else _kernels.damping_reduce
-    raw = []
+    # dephasing_pi_quadrature or damping_quadrature on each chunk, at its times.
+    parts, start = [], 0
     for field in fields:
-        grid, j = field.grid, field.j
-        if not raw:
-            harmonics = field.harmonics
-            vectors = (grid.theta_weights,) if dephasing else _damping_vectors(grid, j.two_j, bath.nbar)
-        raw.append(np.asarray(reduce(field.coef, harmonics, *vectors, field.frame)))
-    raw = np.concatenate(raw, axis=-1)
-    if dephasing:
-        pi = _dephasing_pi(raw, j, d.lam)
+        stop = start + field.coef.shape[2]
+        if d.kind == "dephasing":
+            parts.append(dephasing_pi_quadrature(field, d.lam))
+        else:
+            parts.append(damping_quadrature(field, bath_at(d, times[start:stop])))
+        start = stop
+    if d.kind == "dephasing":
+        pi = np.concatenate(parts)
         return _rates(pi, pi, 0.0)
-    phi, pi = _damping_terms(raw, j, bath)
+    phi, pi = map(np.concatenate, zip(*parts))
     return _rates(pi - phi, pi, phi)
 
 

@@ -183,8 +183,8 @@ class OwnFrame(NamedTuple):
 def _own_frames(pairs: np.ndarray, x: np.ndarray) -> OwnFrame:
     """The OwnFrame of each matrix of a stack of k spin-1/2 matrices, given
     as their order diagonals (k, 2, 2, 2) on the orders 0 and 1 (see
-    husimi_contract), its rows formed from the s = 0 table of pairs (see
-    _amplitude_table)."""
+    husimi_contract): its rows are the transform, on the s = 0 table of
+    pairs, of the J_z-diagonal states of the own-frame populations."""
     rho_00, rho_11 = x[:, 0, 0, 1], x[:, 0, 1, 1]
     trace = (rho_00 + rho_11).real
     b_z = (rho_00 - rho_11).real
@@ -193,8 +193,8 @@ def _own_frames(pairs: np.ndarray, x: np.ndarray) -> OwnFrame:
     tilted = length > 0.0
     length_or_1 = np.where(tilted, length, 1.0)
     populations = 0.5 * (trace[:, None] + np.outer(length, [1.0, -1.0]))
-    coef = np.zeros((2, 2, len(x), pairs.shape[-1]))
-    coef[:, 0] = populations @ (2.0 * pairs[:, 0])
+    # Their order-0 diagonals, (k, 1, 2, 2): each population in both columns.
+    coef = _kernels.husimi_contract(pairs[:, :1], np.repeat(populations[:, None, :, None], 2, axis=-1))
     return OwnFrame(coef, np.where(tilted, b_z / length_or_1, 1.0), perp2 / length_or_1**2)
 
 

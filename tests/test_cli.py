@@ -208,6 +208,19 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    def test_integer_beyond_the_digit_limit(self, tmp_path, capsys, command):
+        # json.load raises ValueError on an integer literal of more than
+        # sys.get_int_max_str_digits() (4300) digits.
+        path = tmp_path / "huge.json"
+        text = json.dumps(CUSTOM_DEPHASING)
+        path.write_text(text.replace('"lambda": 1.0', '"lambda": 1' + "0" * 5000))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path)] + (["--out", str(out)] if command == "run" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -649,10 +662,22 @@ class TestCompare:
         assert out[-1] == "FAIL: worst deviation nan exceeds tolerance 1e-05"
 
     def test_one_husimi_field_per_state(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, sys.modules["spinwehrl._kernels"], "husimi_contract")
+        # The states of the fields husimi_chunks yields: the transform also
+        # runs on the own-frame populations of this coherent spin-1/2 run.
+        states = []
+        original = phase_space.husimi_chunks
+
+        def counted(*args):
+            for field in original(*args):
+                states.append(field.coef.shape[2])
+                yield field
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("spinwehrl") and getattr(mod, "husimi_chunks", None) is original:
+                monkeypatch.setattr(mod, "husimi_chunks", counted)
         path = write_config(tmp_path, CUSTOM_DEPHASING)
         assert main(["compare", "--config", path]) == 0
-        assert sum(len(args[-1]) for args in calls) == 6  # states at t = 0, 0.1, ..., 0.5
+        assert sum(states) == 6  # states at t = 0, 0.1, ..., 0.5
 
 
 class TestIOErrors:

@@ -109,13 +109,42 @@ def pipeline_rates(d, states, grid):
 class TestChunkReduction:
     """A chunk of states reduces to the rates of its states one by one."""
 
-    @pytest.fixture(params=[(24, 48), (192, 384)], ids=["many-per-chunk", "one-per-chunk"])
+    @pytest.fixture(
+        params=[
+            ((24, 48), "full-grid"),
+            ((192, 384), "full-grid"),
+            ((96, 192), "diagonal-2J4"),
+            ((96, 192), "diagonal-2J40"),
+            ((96, 192), "spin-half"),
+        ],
+        ids=["many-per-chunk", "one-per-chunk", "diagonal-2J4", "diagonal-2J40-pole", "coherent-spin-half"],
+    )
     def grid_and_states(self, request, rng):
-        grid = make_grid(*request.param)
-        per_chunk = max(1, phase_space._CHUNK_NODES // grid.n_nodes)
-        assert (per_chunk == 1) == (request.param == (192, 384))
-        j = SpinQuantumNumber(3)
-        return grid, [random_density_matrix(j, rng) for _ in range(2 * per_chunk + 3)]
+        size, layout = request.param
+        grid = make_grid(*size)
+        if layout == "full-grid":
+            per_chunk = max(1, phase_space._CHUNK_NODES // grid.n_nodes)
+            assert (per_chunk == 1) == (size == (192, 384))
+            j = SpinQuantumNumber(3)
+            return grid, [random_density_matrix(j, rng) for _ in range(2 * per_chunk + 3)]
+        # A column stack of one state more than a chunk holds (see
+        # husimi_chunks), so that its last chunk holds one state.
+        if layout == "spin-half":
+            j = SpinQuantumNumber(1)
+            states = [random_density_matrix(j, rng) for _ in range(phase_space._CHUNK_NODES // (6 * grid.n_theta) + 1)]
+            states[1] = bloch_to_rho(BlochVector(0.6, 0.0, 0.8))  # pure
+            states[-1] = bloch_to_rho(BlochVector(0.0, 0.0, 0.0))  # b = 0
+        else:
+            j = SpinQuantumNumber(4 if layout == "diagonal-2J4" else 40)
+            states = [random_diagonal_state(j, rng) for _ in range(phase_space._CHUNK_NODES // (2 * grid.n_theta) + 1)]
+            if j.two_j == 40:
+                pops = rng.uniform(0.05, 1.0, size=j.dim)
+                pops *= (1.0 - 5e-5) / (pops.sum() - pops[-1])
+                pops[-1] = 5e-5  # the south pole, m = -J
+                states[0] = DensityMatrix(j, np.diag(pops).astype(complex))
+        stack = np.stack([s.entries for s in states])
+        assert [chunk.coef.shape[2] for chunk in husimi_chunks(stack, grid, coherence_orders(stack))][1:] == [1]
+        return grid, states
 
     def test_dephasing(self, grid_and_states):
         grid, states = grid_and_states
@@ -461,6 +490,25 @@ class TestOwnFrame:
             want_pi, want_phi = closed_form_rates(taus, d)
             assert np.max(np.abs(pi - want_pi) / want_pi) <= 1e-13
             assert np.max(np.abs(phi - want_phi)) <= 1e-13 * np.max(np.abs(want_phi))
+
+    @pytest.mark.parametrize("length", [None, 1.0, 1.0 - 1e-9, 0.0], ids=["random", "pure", "gap-1e-9", "b=0"])
+    def test_a_frame_is_the_transform_of_its_own_frame_states(self, length, rng, default_grid):
+        # Bit for bit: the frame rows are the s = 0 rows of the J_z-diagonal
+        # states diag((tr + |b|)/2, (tr - |b|)/2), with the populations
+        # formed from the same entries.
+        if length is None:
+            stack = np.stack([random_density_matrix(SpinQuantumNumber(1), rng).entries for _ in range(5)])
+        else:
+            _, stack = bloch_stack(rng, length, n=5)
+        (field,) = husimi_chunks(stack, default_grid, (0, 1))
+        trace = (stack[:, 0, 0] + stack[:, 1, 1]).real
+        b_z = (stack[:, 0, 0] - stack[:, 1, 1]).real
+        b = np.sqrt(np.abs(stack[:, 1, 0] + stack[:, 0, 1].conj()) ** 2 + b_z * b_z)
+        populations = 0.5 * (trace[:, None] + np.outer(b, [1.0, -1.0]))
+        own = np.zeros_like(stack)
+        own[:, 0, 0], own[:, 1, 1] = populations.T
+        (own_field,) = husimi_chunks(own, default_grid, (0,))
+        assert field.frame.coef.tobytes() == own_field.coef.tobytes()
 
     def test_frames_are_one_column_fields(self, rng, default_grid):
         # The frame rows are a J_z-diagonal field of the turned states: the

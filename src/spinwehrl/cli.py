@@ -52,6 +52,11 @@ _OUTPUT_KEYS = {"csv": False}
 _COMPARE_KEYS = {"tolerance": False}
 # Scenario keys that must not be negative (rates, occupations, temperatures).
 _NON_NEGATIVE = {"gamma", "lambda", "nbar", "temperature", "initial_temperature", "bath_temperature"}
+# The largest two_j a config may set (2J + 1 = 1001 levels, 16 MB a dense
+# state). Far above it, building the initial state fails in numpy (a
+# MemoryError, or a ValueError beyond its largest array) instead of exiting
+# with a config error.
+TWO_J_MAX = 1000
 
 
 def _bloch_angles_state(j: SpinQuantumNumber, tau: float, theta: float, phi: float) -> DensityMatrix:
@@ -227,7 +232,11 @@ def validate_config(cfg: dict) -> RunPlan:
     _check_keys(comparison, _COMPARE_KEYS, "'compare'")
     tolerance = _number(comparison, "tolerance", "'compare'", minimum=0.0) if "tolerance" in comparison else 1e-5
     # only custom sets two_j; the other scenarios are spin 1/2
-    j = SpinQuantumNumber(_integer(cfg.get("two_j", 1), "'two_j'", 1))
+    two_j = _integer(cfg.get("two_j", 1), "'two_j'", 1)
+    if two_j > TWO_J_MAX:
+        _number(cfg, "two_j", "config")  # an integer that no double holds is refused as not finite
+        raise ConfigError(f"key 'two_j' in config must be at most {TWO_J_MAX}, got {two_j!r}")
+    j = SpinQuantumNumber(two_j)
     try:
         model = build(*(
             _typed_section(key, cfg[key], j) if key in SECTIONS else _number(cfg, key, "config") for key in keys

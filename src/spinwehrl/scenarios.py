@@ -422,24 +422,232 @@ def photon_pulse_model(params: PulseParams) -> Model:
     )
 
 
+# ---------------------------------------------------------------------------
+# CSV output.
+# ---------------------------------------------------------------------------
+
+# write_csv lays out the %.17g text of a cell in 48 bytes, six 8-byte words,
+# from which NUL bytes are then deleted: a sign, "0." and up to three zeros
+# (a fixed layout below 1), the 17 digits each followed by a possible decimal
+# point (digit i at byte 6 + 2i), and "e", the exponent's sign and digits.
+# Each word comes from a table and is masked by the cell's class: its
+# layout (fixed at exponent X in [-4, 16], or scientific) and how many of
+# its 17 digits are trailing zeros.
+_CELL_WORDS = 6
+# The most text a block of rows formatted at once may hold (a block holds at
+# least one row): 2048 cells of 48 bytes, fewer with literal words. Every
+# array of a block then stays below 128 KiB, whose pages the C allocator
+# keeps and reuses; blocks of 8192 cells faulted ~2,100 fresh pages in per
+# pass of the five long spin-1/2 runs and formatted ~1.5 times slower.
+_BLOCK_BYTES = 96 * 1024
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
+
+
+def _split(a: np.ndarray) -> tuple:
+    """Dekker's split of a into halves of 26 bits a1 + a2 = a; |a| < 1e290."""
+    c = _SPLIT * a
+    a1 = c - (c - a)
+    return a1, a - a1
+
+
+def _two_product(a: np.ndarray, b: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> tuple:
+    """(p, e) with p = fl(a b) and p + e = a b exactly, from b's halves b1,
+    b2 (_split), without a fused multiply-add."""
+    a1, a2 = _split(a)
+    p = a * b
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+@functools.cache
+def _cell_tables() -> dict:
+    """The tables of _format_cells, built on its first call; those indexed
+    by a decimal exponent X in [-200, 199] are at X + 200.
+
+    hi, hi1, hi2, lo: 10^(16 - X) as a double-double hi + lo, to within
+    2^-100 of it, and hi's halves (_split). 10^k, k >= 0, is the product of
+    10^(22 a), exact from ints, and 10^b, b < 22, an exact double; 10^-n is
+    the double-double reciprocal of 10^n. lead: the first word, "-0.000"
+    d0 "." with the sign a NUL for a positive cell, at 10 sign + d0; group:
+    the word "d.d.d.d." of each base-10^4 group; zeros: a group's trailing
+    zeros (4 for 0). exponent: the last word, "e+05" or "e-200" and NULs,
+    all NULs for a fixed layout; layout: 17 times X's layout, 0-20 fixed at
+    X + 4, 21 scientific. masks: the masks of the six words of each class
+    17 layout + trailing zeros (the last all ones).
+    """
+    big, hi, lo = 1, [], []  # 10^(22 a), a < 10, from ints
+    for _ in range(10):
+        h = float(big)
+        hi.append(h)
+        lo.append(float(big - int(h)))
+        big *= 10**22
+    small = [1.0]  # 10^b, b < 22, exact
+    for _ in range(21):
+        small.append(small[-1] * 10.0)
+    small = np.array(small)
+    p, e = _two_product(np.array(hi)[:, None], small, *_split(small))
+    e += np.array(lo)[:, None] * small
+    p, e = p.ravel()[:217], e.ravel()[:217]  # 10^k = 10^(22 a) 10^b, k < 217
+    hi = p + e
+    lo = e - (hi - p)
+    inv = 1.0 / hi[1:184]
+    q, e = _two_product(inv, hi[1:184], *_split(hi[1:184]))
+    inv_lo = (((1.0 - q) - e) - inv * lo[1:184]) / hi[1:184]
+    hi, lo = np.concatenate((hi[::-1], inv)), np.concatenate((lo[::-1], inv_lo))
+
+    pair = np.full((10, 10, 4), ord("."), np.uint8)  # "d.d." for 00-99
+    pair[..., 0] = np.arange(48, 58, dtype=np.uint8)[:, None]
+    pair[..., 2] = np.arange(48, 58, dtype=np.uint8)
+    pair = pair.reshape(100, 4)
+    group = np.empty((100, 100, 2), np.uint32)
+    group[..., 0] = pair.view(np.uint32)
+    group[..., 1] = pair.view(np.uint32)[:, 0]
+    zeros = np.zeros(10000, np.intp)
+    for count, step in enumerate((10, 100, 1000, 10000), 1):
+        zeros[::step] = count
+    x = np.arange(-200, 200)
+    fixed = (x >= -4) & (x <= 16)
+    exponent = np.zeros((400, 8), np.uint8)
+    exponent[:, 0] = ord("e")
+    exponent[:, 1] = np.where(x < 0, ord("-"), ord("+"))
+    exponent[:, 2] = 48 + np.abs(x) // 100
+    exponent[:, 3:5] = pair[np.abs(x) % 100, ::2]
+    two = np.abs(x) < 100
+    exponent[two, 2:5] = exponent[two, 3:6]
+
+    layout, trailing = np.divmod(np.arange(22 * 17), 17)
+    x_fixed = np.where(layout < 21, layout - 4, 0)  # scientific: the point follows digit 0
+    last = 16 - trailing  # the last digit kept
+    keep = np.zeros((layout.size, 8 * _CELL_WORDS), np.uint8)
+    byte = keep.T
+    byte[0] = 1  # the sign, a NUL in a positive cell's first word
+    byte[1] = byte[2] = x_fixed < 0
+    byte[3:6] = x_fixed <= -np.arange(2, 5)[:, None]
+    byte[6:40:2] = np.arange(17)[:, None] <= np.maximum(last, x_fixed)
+    byte[7:40:2] = (np.arange(17)[:, None] == x_fixed) & (last > x_fixed)
+    byte[40:] = 1
+    keep *= 255
+    lead = np.empty((2, 10, 8), np.uint8)  # by sign and digit 0
+    lead[...] = np.frombuffer(b"-0.000d.", np.uint8)
+    lead[0, :, 0] = 0
+    lead[..., 6] = np.arange(48, 58, dtype=np.uint8)
+    hi1, hi2 = _split(hi)
+    return {
+        "hi": hi,
+        "hi1": hi1,
+        "hi2": hi2,
+        "lo": lo,
+        "lead": lead.reshape(20, 8).view(np.uint64)[:, 0],
+        "group": group.reshape(10000, 2).view(np.uint64)[:, 0],
+        "zeros": zeros,
+        "exponent": np.where(fixed, 0, exponent.view(np.uint64)[:, 0]),
+        "layout": 17 * np.where(fixed, x + 4, 21),
+        "masks": keep.view(np.uint64),
+    }
+
+
+def _format_cells(x: np.ndarray) -> np.ndarray:
+    """The %.17g text of each cell of x (2-D) as its _CELL_WORDS words, an
+    array of x's shape plus one, from which the NULs are to be deleted.
+
+    A cell with 1e-200 <= |x| <= 1e200 is scaled by 10^(16 - X), X from
+    log10, in double-double arithmetic, to within 1e-13 of the exact
+    product y, and rounded to the 17-digit integer D. Its digits are D's
+    when they are certain: y is not within 1e-6 of a half-integer and
+    10^16 < D < 10^17. Every other cell (zeros, infinities, nans,
+    subnormal or extreme magnitudes, near-ties, D = 10^16, an X one off)
+    is formatted by b"%.17g" % x, once per distinct value.
+    """
+    t = _cell_tables()
+    a = np.abs(x)
+    s = np.fmax(np.fmin(a, 1e200), 1e-200)  # nan -> 1e200
+    ok = s == a
+    at = np.floor(np.log10(s)).astype(np.intp)
+    at += 200  # the tables' index of the exponent X
+    p, e = _two_product(s, *(t[k].take(at, mode="clip") for k in ("hi", "hi1", "hi2")))
+    y = t["lo"].take(at, mode="clip")
+    y *= s
+    y += e  # y - p, below 20 in magnitude; p is an integer once y >= 2^53
+    r = np.rint(y)
+    d = p.astype(np.int64)
+    d += r.astype(np.int64)
+    y -= r
+    ok &= np.abs(y) < 0.5 - 1e-6
+    ok &= (d > 10**16) & (d < 10**17)
+
+    high = d // 10**8
+    low = d - high * 10**8
+    lead = high // 10**8
+    g1 = high - lead * 10**8
+    g3 = low // 10**4
+    groups = [g1 // 10**4, g1 % 10**4, g3, low - g3 * 10**4]
+    zeros = [t["zeros"].take(g, mode="clip") for g in groups]
+    trailing = zeros[0]
+    for z in zeros[1:]:
+        trailing *= z == 4
+        trailing += z
+    cls = t["layout"].take(at, mode="clip")
+    cls += trailing
+    lead += 10 * np.signbit(x)
+    words = np.empty(x.shape + (_CELL_WORDS,), np.uint64)
+    for w, (table, index) in enumerate(
+        [(t["lead"], lead)] + [(t["group"], g) for g in groups] + [(t["exponent"], at)]
+    ):
+        table.take(index, mode="clip", out=words[..., w])
+    words &= t["masks"].take(cls, axis=0, mode="clip")
+
+    slow = np.nonzero(~ok)
+    if slow[0].size:
+        values, which = np.unique(x[slow].view(np.int64), return_inverse=True)
+        cells = np.array([b"%.17g" % v for v in values.view(float).tolist()], dtype=f"S{8 * _CELL_WORDS}")
+        words[slow] = cells.view(np.uint64).reshape(-1, _CELL_WORDS)[which]
+    return words
+
+
 def write_csv(path, header: list, table, columns=None) -> None:
     """A table (2-D, or 1-D as one column) as CSV under a header line, each
-    cell at %.17g; divergences appear as literal inf tokens. The package's
-    one CSV writer. A column that is +0.0 in every row is the literal 0,
-    "%.17g" % 0.0, with no cell formatted (-0.0 reads -0). With columns,
-    the table's columns sit at those header positions, and every other
-    position is the literal 0. The table is formatted in one % pass over
-    bytes, which copies the literal text between formats in blocks."""
+    cell at %.17g, byte for byte as numpy's savetxt writes it; divergences
+    appear as literal inf tokens. The package's one CSV writer. A column
+    that is +0.0 in every row is the literal 0, "%.17g" % 0.0, with no cell
+    formatted (-0.0 reads -0). With columns, increasing, the table's
+    columns sit at those header positions, and every other position is the
+    literal 0.
+
+    The cells are formatted in numpy (_format_cells), a block of whole rows
+    (_BLOCK_BYTES) at a time, each certified per cell; the few cells that
+    cannot be fall back to Python's %.17g. Each cell's words are followed
+    by the literal text after it (a separator and literal zeros), its first
+    three bytes in the NULs that end the cell, all padded with NULs, which
+    are then deleted. The literal zeros that open a row close the row
+    before, and the header."""
     table = np.asarray(table, dtype=float)
     if table.ndim == 1:
         table = table[:, None]
     zero = np.all(table == 0.0, axis=0) & ~np.any(np.signbit(table), axis=0)
-    formats = np.full(table.shape[1] if columns is None else len(header), "0", dtype=object)
-    formats[slice(None) if columns is None else columns] = np.where(zero, "0", "%.17g")
-    row = (",".join(formats) + "\n").encode()
+    width = table.shape[1] if columns is None else len(header)
+    at = np.flatnonzero(~zero) if columns is None else np.asarray(columns, dtype=int)[~zero]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        fh.write((row * len(table)) % tuple(table[:, ~zero].ravel().tolist()))
+        if not at.size:
+            fh.write((",".join(["0"] * width) + "\n").encode() * len(table))
+            return
+        lead = "0," * at[0]
+        literals = ["," + "0," * g for g in (np.diff(at) - 1).tolist()] + [",0" * (width - 1 - at[-1]) + "\n" + lead]
+        size = -(-max(len(a) - 3 for a in literals) // 8)  # the words after a cell's
+        rows = min(len(table), max(1, _BLOCK_BYTES // (8 * at.size * (_CELL_WORDS + size))))
+        words = np.zeros((rows, at.size, _CELL_WORDS + size), np.uint64)
+        text = words.view(np.uint8)[..., 8 * _CELL_WORDS - 3 :]
+        for c, literal in enumerate(literals):
+            text[:, c, : len(literal)] = np.frombuffer(literal.encode(), np.uint8)
+        tail = words[0, :, _CELL_WORDS - 1].copy()  # each literal's first three bytes
+        cells = words[..., :_CELL_WORDS].view(f"V{8 * _CELL_WORDS}")  # copied whole, a cell at a time
+        fh.write(lead.encode())
+        values = table[:, ~zero] if zero.any() else table
+        for start in range(0, len(table), rows):
+            block = _format_cells(values[start : start + rows])
+            block[..., -1] |= tail
+            cells[: len(block)] = block.view(cells.dtype)
+            out = words[: len(block)].tobytes().translate(None, b"\0")
+            fh.write(out[: len(out) - len(lead)] if start + rows >= len(table) else out)
 
 
 def write_scenario_csv(result: ScenarioResult, path) -> None:

@@ -4,10 +4,12 @@ from hypothesis import HealthCheck, settings
 
 from spinwehrl import DensityMatrix, SpinQuantumNumber, BlochVector, make_grid
 
-# Hypothesis profiles of the CLI fuzz (test_cli_fuzz.py): "tier1", loaded
-# here, draws 50 examples; "fuzz" draws 3,000 (pytest
-# --hypothesis-profile=fuzz). Both draw the same examples on every run.
-for _name, _examples in (("tier1", 50), ("fuzz", 3000)):
+# Hypothesis profiles: "tier1", loaded here, draws 50 examples; "fuzz"
+# draws 3,000 for the CLI fuzz (test_cli_fuzz.py) and "csv" 20,000 for the
+# CSV formatter's property tests (test_scenarios.py::TestWriteCsv), chosen
+# with pytest --hypothesis-profile=NAME. All draw the same examples on
+# every run.
+for _name, _examples in (("tier1", 50), ("fuzz", 3000), ("csv", 20000)):
     settings.register_profile(_name, max_examples=_examples, deadline=None, derandomize=True, database=None,
                               suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("tier1")

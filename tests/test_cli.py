@@ -23,7 +23,7 @@ from spinwehrl import (
     simulate,
 )
 from spinwehrl import cli
-from spinwehrl.cli import _write_states_csv, bundled_configs, main, validate_config
+from spinwehrl.cli import TWO_J_MAX, _write_states_csv, bundled_configs, main, validate_config
 from spinwehrl.errors import ConfigError
 from spinwehrl.entropy_rates import BathParams
 from spinwehrl.scenarios import PulseParams, pulse_effective_rates, rotating_field_steady_state
@@ -71,6 +71,7 @@ CUSTOM_DAMPING_J2 = {
 }
 
 SPIN_J_DEPHASING = dict(CUSTOM_DAMPING_J2, dissipator={"type": "dephasing", "lambda": 1.0})
+GIBBS_J2 = dict(CUSTOM_DAMPING_J2, initial_state={"type": "gibbs", "temperature": 2.0, "omega": 1.0})
 
 # What compare checks on spin-1/2 damping up to EXACT_FLUX_MAX_NBAR, T = 0 included.
 SPIN_HALF_DAMPING_CHECKS = [
@@ -220,6 +221,22 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("two_j", [1001, 10**6, 10**300], ids=["1001", "1e6", "1e300"])
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    def test_two_j_above_the_limit(self, tmp_path, capsys, command, two_j):
+        # At 10**6 numpy would ask for 14.6 TiB for the Gibbs state (a
+        # MemoryError), at 10**300 for more than it can (a ValueError).
+        path = write_config(tmp_path, dict(GIBBS_J2, two_j=two_j))
+        out = tmp_path / "out"
+        assert main([command, "--config", path] + (["--out", str(out)] if command == "run" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"at most {TWO_J_MAX}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_two_j_at_the_limit_validates(self, tmp_path):
+        assert TWO_J_MAX == 1000
+        assert main(["validate", "--config", write_config(tmp_path, dict(GIBBS_J2, two_j=TWO_J_MAX))]) == 0
 
     @pytest.mark.parametrize(
         "cfg",

@@ -1,10 +1,13 @@
 import functools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import logm
 
@@ -630,4 +633,122 @@ class TestWriteCsv:
         scenarios.write_csv(tmp_path / "new.csv", header, CSV_TABLES[name])
         savetxt_csv(tmp_path / "oracle.csv", header, CSV_TABLES[name])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    # The formatter's oracle is Python's %.17g, cell by cell: a column that
+    # is +0.0 throughout is written as the literal 0, which is its text too.
+    @staticmethod
+    def oracle(header, table) -> bytes:
+        rows = np.asarray(table, dtype=float).reshape(len(table), -1).tolist()
+        return (",".join(header) + "\n").encode() + b"".join(
+            b",".join(b"%.17g" % v for v in row) + b"\n" for row in rows
+        )
+
+    def check(self, path, table, header=None):
+        table = np.asarray(table, dtype=float)
+        header = header or [f"c{k}" for k in range(table.reshape(len(table), -1).shape[1])]
+        scenarios.write_csv(path, header, table)
+        assert path.read_bytes() == self.oracle(header, table)
+
+    @staticmethod
+    def as_table(values, columns):
+        values = np.asarray(values, dtype=float)
+        rows = max(1, len(values) // columns)
+        return np.resize(values, rows * columns).reshape(rows, columns)
+
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=48), columns=st.integers(1, 4))
+    def test_bit_patterns_match_percent_format(self, tmp_path_factory, bits, columns):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        self.check(tmp_path_factory.getbasetemp() / "bits.csv", self.as_table(values, columns))
+
+    @given(values=st.lists(st.floats(), min_size=1, max_size=48), columns=st.integers(1, 4))
+    def test_floats_match_percent_format(self, tmp_path_factory, values, columns):
+        self.check(tmp_path_factory.getbasetemp() / "floats.csv", self.as_table(values, columns))
+
+    EDGES = {
+        # Exact ties at the 18th significant digit: m / 2^j, m odd, whose
+        # expansion m 5^j / 10^j has 18 digits, such as 0.100002288818359375
+        # (j = 18, all of them), and up to 1,000 for each other j. From j = 24
+        # on (3 / 2^24 = 1.78813934326171875e-07) the scale 10^(16 - X) is no
+        # double but a double-double.
+        "ties": np.concatenate(
+            [np.arange(26215, 262144, 2) / 2**18]
+            + [np.arange(-(-10**17 // 5**j) | 1, min(-(-10**18 // 5**j), -(-10**17 // 5**j) + 2000), 2) / 2.0**j
+               for j in range(3, 26) if j != 18]
+        ),
+        "powers_of_ten": np.concatenate(
+            [np.nextafter(10.0 ** np.arange(-200, 201), w) for w in (0.0, math.inf)] + [10.0 ** np.arange(-200, 201)]
+        ),
+        "fixed_scientific_switches": np.concatenate(
+            [np.nextafter(np.array([1e-5, 1e-4, 1e16, 1e17]), w) for w in (0.0, math.inf)]
+            + [[1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5, 0.00010000000000000002, 9999999999999998.0,
+                99999999999999984.0, 1.2345678901234567e16, 1.2345678901234567e-5, 100.0, 0.001, 0.5]]
+        ),
+        "three_digit_exponents": np.array([1e100, 1e-100, 1.5e100, 9.87e199, 1.2345e-150, 3.3e-199, 7e123, 2.5e-101]),
+        "specials": np.array([5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 0.0, -0.0, math.inf,
+                              -math.inf, math.nan, np.copysign(math.nan, -1.0), 1.7976931348623157e308, 1e300]),
+    }
+
+    @pytest.mark.parametrize("name", list(EDGES))
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_edge_values_match_percent_format(self, tmp_path, name, sign):
+        values = sign * self.EDGES[name]
+        self.check(tmp_path / "edges.csv", self.as_table(values, 5 if len(values) % 5 == 0 else 1))
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.random.default_rng(1).standard_normal((1, 9)),
+            np.random.default_rng(2).standard_normal((9, 1)),
+            np.array([[math.nan, -0.0], [math.inf, 0.0], [0.0, -5e-324]]),  # no cell on the fast path
+            np.zeros((3, 0)),
+        ],
+        ids=["one_row", "one_column", "no_fast_cell", "no_column"],
+    )
+    def test_shapes_match_percent_format(self, tmp_path, table):
+        self.check(tmp_path / "shape.csv", table)
+
+    @pytest.mark.parametrize("block_bytes", [1, 300, 500])
+    def test_blocks_end_inside_the_table(self, tmp_path, monkeypatch, block_bytes):
+        # A row of three cells is 144 bytes: blocks of one, two and three
+        # rows, the last one short.
+        monkeypatch.setattr(scenarios, "_BLOCK_BYTES", block_bytes)
+        self.check(tmp_path / "blocks.csv", np.random.default_rng(3).standard_normal((7, 3)) * [1.0, 1e-7, 1e30])
+
+    @pytest.mark.parametrize("block_bytes", [1, 400, 96 * 1024])
+    def test_columns_layout_matches_savetxt_of_the_dense_table(self, tmp_path, monkeypatch, block_bytes):
+        # Literal zeros open each row, fall between the table's columns and
+        # close it; a zero column of the table is one more literal. Rows of
+        # 168 bytes: blocks of one row, two, and the whole table.
+        monkeypatch.setattr(scenarios, "_BLOCK_BYTES", block_bytes)
+        table = np.random.default_rng(4).standard_normal((5, 4))
+        table[:, 2] = 0.0
+        columns = [2, 3, 9, 10]
+        dense = np.zeros((5, 13))
+        dense[:, columns] = table
+        header = [f"c{k}" for k in range(13)]
+        scenarios.write_csv(tmp_path / "new.csv", header, table, columns)
+        savetxt_csv(tmp_path / "oracle.csv", header, dense)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_large_table_peak_memory(self, tmp_path):
+        # 101.6 MiB: the peak of formatting this table in one Python % pass,
+        # which holds its cells as Python floats and their text at once.
+        table = np.random.default_rng(0).standard_normal((200_000, 8))
+        tracemalloc.start()
+        try:
+            scenarios.write_csv(tmp_path / "large.csv", list("abcdefgh"), table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 101.6 * 2**20
+        with open(tmp_path / "large.csv", "rb") as fh:
+            fh.readline()
+            head = [fh.readline() for _ in range(3)]
+        assert head == [b",".join(b"%.17g" % v for v in row) + b"\n" for row in table[:3].tolist()]
+
+    def test_special_values_raise_no_warning(self, tmp_path):
+        table = np.array([[math.inf, math.nan, -0.0, 1e300, 5e-324], [1.0, -math.inf, 0.5, -1e-300, -5e-324]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check(tmp_path / "specials.csv", table)
 

@@ -23,12 +23,10 @@ orders s = 0 .. n - 1: row 2s multiplies cos(s phi) and row 2s + 1
 multiplies sin(s phi), so that Q = sum_s Re(c_s) cos(s phi) - Im(c_s)
 sin(s phi). The trailing axes are the states, if any, then the theta rows.
 
-c_s is zero unless s is a coherence order of the states, and a
-J_z-covariant generator keeps the orders of its initial state
-(dynamics.Trajectory.orders). So phase_space.husimi_chunks hands the
-transform the pair tables of the orders up to the largest one alone, from
-the orders, without reading the states: n = 2J + 1 for a full state, 1 for
-a J_z-diagonal one.
+c_s is zero unless s is a coherence order of the states (a J_z-covariant
+generator keeps those of its initial state), so phase_space.husimi_chunks
+hands the transform the pair tables of the orders up to the largest one
+alone: n = 2J + 1 for a full state, 1 for a J_z-diagonal one.
 
 A column field's Q depends on one angle: it carries each state's own
 frame (phase_space.OwnFrame), tilted from z by beta, in which Q' depends on

@@ -57,6 +57,17 @@ _NON_NEGATIVE = {"gamma", "lambda", "nbar", "temperature", "initial_temperature"
 # MemoryError, or a ValueError beyond its largest array) instead of exiting
 # with a config error.
 TWO_J_MAX = 1000
+# The most output steps a config may ask for. At TWO_J_MAX a J_z-diagonal
+# trajectory holds 32 bytes per step and level, 0.64 GB at this bound; a
+# run's peak RSS there grew by 117 kB a step from 1,000 to 3,000 steps, 3.6
+# times the trajectory's, so about 2.5 GB at the bound. Far above it numpy
+# cannot allocate the time grid (72.8 TiB for output_dt 1e-12 at t_max 10).
+STEPS_MAX = 20000
+# The largest n_theta and n_phi of a config's grid or --grid: the
+# Gauss-Legendre rule alone takes 134 MB at 4096 nodes (its companion
+# matrix), and a node array of one state as much. Far above it numpy
+# cannot allocate the nodes. SphereGrid itself is unbounded.
+GRID_MAX = 4096
 
 
 def _bloch_angles_state(j: SpinQuantumNumber, tau: float, theta: float, phi: float) -> DensityMatrix:
@@ -172,9 +183,11 @@ def _number(section, key, where: str, minimum: float = -math.inf) -> float:
     return float(v)
 
 
-def _integer(value, what: str, minimum: int) -> int:
+def _integer(value, what: str, minimum: int, maximum: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise ConfigError(f"{what} must be at most {maximum}, got {value!r}")
     return value
 
 
@@ -217,12 +230,14 @@ def validate_config(cfg: dict) -> RunPlan:
     dt = _number(time, "output_dt", "'time'")
     if dt <= 0 or not math.isfinite(t_max / dt) or round(t_max / dt) < 2:
         raise ConfigError("'output_dt' must be positive and give at least two steps up to 't_max'")
+    if round(t_max / dt) > STEPS_MAX:
+        raise ConfigError(f"'output_dt' must give at most {STEPS_MAX} steps up to 't_max', got {t_max / dt:.6g}")
     if "tol" in time and _number(time, "tol", "'time'") <= 0:  # checked, changes no result
         raise ConfigError("'tol' in 'time' must be positive")
     size = ()
     if "grid" in cfg:
         _check_keys(cfg["grid"], _GRID_KEYS, "'grid'")
-        size = tuple(_integer(cfg["grid"][key], f"key '{key}' in 'grid'", GRID_MIN) for key in _GRID_KEYS)
+        size = tuple(_integer(cfg["grid"][key], f"key '{key}' in 'grid'", GRID_MIN, GRID_MAX) for key in _GRID_KEYS)
     output = cfg.get("output", {})
     _check_keys(output, _OUTPUT_KEYS, "'output'")
     csv = output.get("csv", f"{scenario}.csv")
@@ -425,12 +440,14 @@ def main(argv=None) -> int:
             return 0
         if args.grid:
             try:
-                a, b = args.grid.lower().split("x")
-                plan = replace(plan, grid=make_grid(int(a), int(b)))
+                a, b = (int(n) for n in args.grid.lower().split("x"))
             except ValueError:
+                a = b = 0
+            if not (GRID_MIN <= a <= GRID_MAX and GRID_MIN <= b <= GRID_MAX):
                 raise ConfigError(
-                    f"--grid must look like 96x192, with both sizes >= {GRID_MIN}, got {args.grid!r}"
-                ) from None
+                    f"--grid must look like 96x192, with both sizes from {GRID_MIN} to {GRID_MAX}, got {args.grid!r}"
+                )
+            plan = replace(plan, grid=make_grid(a, b))
         if args.command == "compare" and args.tol is not None:
             if not args.tol >= 0:  # also refuses nan, which no deviation exceeds
                 raise ConfigError(f"comparison tolerance must be non-negative, got {args.tol:g}")
@@ -444,6 +461,8 @@ def main(argv=None) -> int:
             _check_output(csv_path, f"the run CSV {str(csv_path)!r}")
             if args.states_csv:
                 _check_output(Path(args.states_csv), f"--states-csv {args.states_csv!r}")
+                if Path(args.states_csv).resolve() == csv_path.resolve():
+                    raise OSError(f"--states-csv {args.states_csv!r} names the run CSV")
             result = simulate(plan.model, plan.t_max, plan.dt, plan.grid)
             write_scenario_csv(result, csv_path)
             print(f"wrote {csv_path}")

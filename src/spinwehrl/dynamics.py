@@ -72,6 +72,7 @@ from .spin_ops import (
     DensityMatrix,
     SpinQuantumNumber,
     _check_blocks,
+    _diagonals_and_orders,
     _from_order_diagonals,
     _order_diagonals,
     coherence_orders,
@@ -203,7 +204,7 @@ def lindblad_rhs(rho: np.ndarray, t, h: HamiltonianSpec, d: DissipatorSpec) -> n
     rho = np.asarray(rho, dtype=complex)
     j = _spin_number_for(rho)
     hm = h.matrix(j, t)
-    return -1j * (hm @ rho - rho @ hm) + dissipation(rho, d, t, tuple(range(j.dim)))
+    return -1j * (hm @ rho - rho @ hm) + dissipation(rho, d, t)
 
 
 @dataclass(frozen=True)
@@ -421,7 +422,7 @@ def _rotating_generator(j: SpinQuantumNumber, h: HamiltonianSpec, d: DissipatorS
     ops = make_spin_operators(j)
     hf = -(h.b0 + h.drive_omega) * ops.jz - h.b1 * ops.jx
     basis = np.eye(j.dim * j.dim).reshape(-1, j.dim, j.dim)
-    images = -1j * (hf @ basis - basis @ hf) + dissipation(basis, d, 0.0, tuple(range(j.dim)))
+    images = -1j * (hf @ basis - basis @ hf) + dissipation(basis, d, 0.0)
     return images.reshape(j.dim * j.dim, -1).T
 
 
@@ -513,11 +514,10 @@ def _order_dissipation(x: np.ndarray, d: DissipatorSpec, t, orders) -> np.ndarra
     return dx
 
 
-def dissipation(rho: np.ndarray, d: DissipatorSpec, t, orders) -> np.ndarray:
+def dissipation(rho, d: DissipatorSpec, t) -> np.ndarray:
     """D(rho) of one (d, d) matrix at the time t, or of an (n, d, d) stack
-    at an array of n times, computed order by order on orders, the
-    coherence orders of rho (Trajectory.orders, or
-    spin_ops.coherence_orders), and zero off them (_order_dissipation, on
-    the gathered order diagonals of rho, scattered back). lindblad_rhs and
-    the rotating frame's generator form D(rho) here."""
-    return _from_order_diagonals(_order_dissipation(_order_diagonals(rho, orders), d, t, orders), orders)
+    or a Trajectory's states at an array of n times: _order_dissipation on
+    their coherence orders (spin_ops._diagonals_and_orders), scattered
+    back. lindblad_rhs and the rotating frame's generator form D(rho) here."""
+    x, orders = _diagonals_and_orders(rho)
+    return _from_order_diagonals(_order_dissipation(x, d, t, orders), orders)

@@ -34,7 +34,8 @@ from .dynamics import DissipatorSpec, Trajectory
 from .errors import UnsupportedParameters
 from .hypergeom import gauss_2f1
 from .phase_space import HusimiField
-from .spin_ops import BLOCH_LENGTH_MAX, BlochVector, DensityMatrix, SpinQuantumNumber, _order_diagonals, order_blocks
+from .spin_ops import BLOCH_LENGTH_MAX, BlochVector, DensityMatrix, SpinQuantumNumber, order_blocks
+from .spin_ops import _diagonals_and_orders, _order_diagonals
 from . import _kernels
 
 DIVERGENCE_EDGE = 1e-12
@@ -463,7 +464,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(evals * np.log(evals)))
 
 
-def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec, orders) -> EntropyRates:
+def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec) -> EntropyRates:
     """General-J von Neumann bundle in Spohn's form, of a DensityMatrix or of
     each matrix of a stack, from the states and their dissipator images
     d_rho = D(rho) alone: the Hamiltonian's part tr([H, rho] ln rho) is
@@ -478,16 +479,14 @@ def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec, orders) -> Entr
     for H = omega J_z), and Phi = 0 for dephasing. At T = 0, Phi is +inf
     where tr(J_z D(rho)) < 0 and 0 where it is 0.
 
-    orders are the coherence orders of the states (Trajectory.orders, or
-    spin_ops.coherence_orders of rho), which D keeps. ln rho is taken on
-    the blocks of spin_ops.order_blocks: a J_z-diagonal state's
-    eigenvalues are its populations, O(d) per state, and any other state
-    takes one batched eigh. Eigenvalues are floored at EIG_LOG_FLOOR, so a
-    pure state's dS/dt is large but finite."""
-    if isinstance(rho, Trajectory):
-        x = rho.diagonals
-    else:
-        x, d_rho = _order_diagonals(getattr(rho, "entries", rho), orders), _order_diagonals(d_rho, orders)
+    ln rho is taken on the blocks of the states' coherence orders, which D
+    keeps (spin_ops.order_blocks): a J_z-diagonal state's eigenvalues are
+    its populations, O(d) per state, and any other state takes one batched
+    eigh. Eigenvalues are floored at EIG_LOG_FLOOR, so a pure state's
+    dS/dt is large but finite."""
+    x, orders = _diagonals_and_orders(rho)
+    if not isinstance(rho, Trajectory):
+        d_rho = _order_diagonals(d_rho, orders)
     block, d_block = order_blocks(x, orders), order_blocks(d_rho, orders)
     if block.shape[-1] == 1:  # populations
         log_rho = np.log(np.clip(block.real, EIG_LOG_FLOOR, None))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import Q_FLOOR
-from .spin_ops import DensityMatrix, SpinQuantumNumber, _order_diagonals, coherence_orders
+from .spin_ops import DensityMatrix, SpinQuantumNumber, _diagonals_and_orders
 
 GRID_MIN = 8  # the smallest n_theta and n_phi of a SphereGrid
 
@@ -263,47 +263,39 @@ class HusimiField:
 _CHUNK_NODES = 2 * 96 * 192
 
 
-def husimi_chunks(states, grid: SphereGrid, orders) -> Iterator[HusimiField]:
-    """The Husimi fields of an (n, d, d) stack of density-matrix entries
-    whose coherence orders are orders (spin_ops.coherence_orders of the
-    stack), or of a Trajectory's states on its orders, in order, a chunk of
-    states per HusimiField. The transform reads the order diagonals of
-    each chunk: gathered from the stack, or sliced from
-    Trajectory.diagonals without a copy (with zeros for the orders below
-    max(orders) that orders lacks); the layout is decided without
-    inspecting them.
+def husimi_chunks(states, grid: SphereGrid) -> Iterator[HusimiField]:
+    """The Husimi fields of an (n, d, d) stack of density-matrix entries, or
+    of a Trajectory's states, in order, a chunk of states per HusimiField.
+    The transform reads each chunk's slice of the order diagonals of the
+    states on their coherence orders (spin_ops._diagonals_and_orders: a
+    Trajectory's own, without a copy), with zeros for the orders below the
+    largest one that they lack.
 
-    Each chunk is one call of the transform, so memory stays bounded
-    however many states there are. The transform takes the pair table of
-    the orders s = 0 .. max(orders) alone, so the fields hold only those
-    coefficient rows. The layout is decided here, once per stack, from
-    orders and 2J, and is one of two. A column stack, J_z-diagonal (orders
-    (0,)) or spin-1/2, gets each chunk's OwnFrame and is reduced on one
-    theta' column of its states' own frames: a J_z-diagonal field is its
-    own frame, with beta = 0, and its frame rows are its two coefficient
-    rows themselves. Its chunks hold at most 2 _CHUNK_NODES numbers. Any
-    other stack is a full-grid stack, evaluated on every phi column, at
-    _CHUNK_NODES // n_nodes states per chunk. Every chunk holds at least
-    one state.
+    Each chunk is one call of the transform, so the fields' memory stays
+    bounded however many states there are. The transform takes the pair
+    table of the orders s = 0 .. max(orders) alone, so the fields hold
+    only those coefficient rows. The layout is decided here, once per
+    stack, from orders and 2J, and is one of two. A column stack,
+    J_z-diagonal (orders (0,)) or spin-1/2, gets each chunk's OwnFrame and
+    is reduced on one theta' column of its states' own frames: a
+    J_z-diagonal field is its own frame, with beta = 0, and its frame rows
+    are its two coefficient rows themselves. Its chunks hold at most 2
+    _CHUNK_NODES numbers. Any other stack is a full-grid stack, evaluated
+    on every phi column, at _CHUNK_NODES // n_nodes states per chunk.
+    Every chunk holds at least one state.
     """
-    diagonals = getattr(states, "diagonals", None)
-    d = states.shape[-1] if diagonals is None else diagonals.shape[-2]
+    diagonals, orders = _diagonals_and_orders(states)
+    j = SpinQuantumNumber(diagonals.shape[-2] - 1)
     n_orders = max(orders, default=0) + 1
-    column = n_orders == 1 or d == 2
+    column = n_orders == 1 or j.dim == 2
     # Half the numbers a column chunk holds per state (see _CHUNK_NODES).
     nodes = (2 if n_orders == 1 else 6) * grid.n_theta if column else grid.n_nodes
     per_chunk = max(1, _CHUNK_NODES // nodes)
-    j = SpinQuantumNumber(d - 1)
     pairs, _ = grid.amplitude_table(j, n_orders)
-    n = len(states) if diagonals is None else len(diagonals)
-    for start in range(0, n, per_chunk):
-        if diagonals is None:
-            x = _order_diagonals(states[start : start + per_chunk], range(n_orders))
-        elif len(orders) == n_orders:
-            x = diagonals[start : start + per_chunk]
-        else:
-            part = diagonals[start : start + per_chunk]
-            x = np.zeros((len(part), n_orders, d, 2), dtype=complex)
+    for start in range(0, len(diagonals), per_chunk):
+        x = diagonals[start : start + per_chunk]
+        if len(orders) < n_orders:
+            part, x = x, np.zeros((len(x), n_orders, j.dim, 2), dtype=complex)
             x[:, list(orders)] = part
         coef = _kernels.husimi_contract(pairs, x)
         if n_orders == 1:
@@ -315,8 +307,8 @@ def husimi_chunks(states, grid: SphereGrid, orders) -> Iterator[HusimiField]:
 
 def husimi(rho: DensityMatrix, grid: SphereGrid) -> HusimiField:
     """The one-state Husimi field of rho: husimi_chunks' one chunk of rho,
-    on the coherence orders of rho, without its state axis."""
-    (chunk,) = husimi_chunks(rho.entries[None], grid, coherence_orders(rho.entries))
+    without its state axis."""
+    (chunk,) = husimi_chunks(rho.entries[None], grid)
     frame = chunk.frame
     if frame is not None:
         frame = OwnFrame(frame.coef[:, :, 0], frame.cos_beta[0], frame.sin2_beta[0])

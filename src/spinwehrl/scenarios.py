@@ -139,7 +139,7 @@ def _von_neumann(traj: Trajectory, d: DissipatorSpec, dx: np.ndarray) -> Entropy
         if d.kind == "dephasing":
             return spin_half_dephasing_von_neumann(traj.bloch, d.lam)
         return spin_half_damping_von_neumann(traj.bloch, bath_at(d, traj.times))
-    return von_neumann_rates(traj, dx, d, traj.orders)
+    return von_neumann_rates(traj, dx, d)
 
 
 def _energy_flux(h: HamiltonianSpec, traj: Trajectory, dx: np.ndarray) -> np.ndarray:
@@ -207,7 +207,7 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     if method.needs_field:
         entropy = np.empty(times.size)
         grid = grid if grid is not None else make_grid()
-        fields = _recording_entropy(husimi_chunks(traj, grid, traj.orders), entropy)
+        fields = _recording_entropy(husimi_chunks(traj, grid), entropy)
     else:
         fields = None
         entropy = wehrl_entropy_spin_half(_bloch_parts(traj.bloch)[1])
@@ -247,7 +247,7 @@ def compare(model: Model, t_max: float, dt: float, grid: SphereGrid) -> dict:
     traj = evolve(model.rho0, model.h, d, times)
 
     def series(m):
-        return m.rates(traj, husimi_chunks(traj, grid, traj.orders) if m.needs_field else None, d, traj.times)
+        return m.rates(traj, husimi_chunks(traj, grid) if m.needs_field else None, d, traj.times)
 
     return _agreement(methods, d, series)
 

@@ -57,8 +57,19 @@ def coherence_orders(rho) -> tuple:
     each k >= 0 for which some matrix has a nonzero entry on its k-th
     diagonal below or above the main one, ascending. A J_z-covariant
     generator keeps the orders of its initial state (see dynamics)."""
-    x = _order_diagonals(rho, range(np.shape(rho)[-1]))
-    return tuple(np.flatnonzero(np.any(x, axis=tuple(range(x.ndim - 3)) + (-2, -1))).tolist())
+    rho = np.asarray(rho)
+    a, b = np.nonzero(np.any(rho != 0, axis=tuple(range(rho.ndim - 2))))
+    return tuple(np.flatnonzero(np.bincount(np.abs(a - b))).tolist())
+
+
+def _diagonals_and_orders(states) -> tuple:
+    """(order diagonals, coherence orders) of a Trajectory, its own, or of a
+    DensityMatrix or (..., d, d) entries, on coherence_orders of them."""
+    if hasattr(states, "diagonals"):
+        return states.diagonals, states.orders
+    entries = getattr(states, "entries", states)
+    orders = coherence_orders(entries)
+    return _order_diagonals(entries, orders), orders
 
 
 def _order_diagonals(entries: np.ndarray, orders) -> np.ndarray:
@@ -113,17 +124,16 @@ def order_blocks(x: np.ndarray, orders) -> np.ndarray:
     return _from_order_diagonals(x, orders)[..., None, :, :]
 
 
-def check_density_entries(rho: np.ndarray, orders) -> None:
+def check_density_entries(rho) -> None:
     """Raise NonPhysicalState unless rho, one (d, d) matrix or a (..., d, d)
     stack of them, is Hermitian, of unit trace and positive semidefinite up
     to HERMITICITY_TOL, TRACE_TOL and EIGENVALUE_FLOOR, with finite entries.
     For a stack the message names the worst matrix's defect.
 
-    rho vanishes off the diagonals of its coherence orders, orders (see
-    coherence_orders), so it is checked on its blocks (order_blocks of its
-    gathered order diagonals): a J_z-diagonal matrix's eigenvalues are its
-    populations, O(d) per matrix, and any other matrix is checked whole."""
-    _check_blocks(order_blocks(_order_diagonals(rho, orders), orders))
+    rho is checked on the blocks of its coherence orders (order_blocks): a
+    J_z-diagonal matrix's eigenvalues are its populations, O(d) per
+    matrix, and any other matrix is checked whole."""
+    _check_blocks(order_blocks(*_diagonals_and_orders(rho)))
 
 
 def _check_blocks(part: np.ndarray) -> None:
@@ -161,7 +171,7 @@ class DensityMatrix:
         d = self.j.dim
         if rho.shape != (d, d):
             raise DimensionMismatch(f"expected {(d, d)} matrix, got {rho.shape}")
-        check_density_entries(rho, coherence_orders(rho))
+        check_density_entries(rho)
         object.__setattr__(self, "entries", _freeze(rho))
 
     @property

@@ -28,7 +28,7 @@ from spinwehrl.entropy_rates import BathParams
 from spinwehrl.errors import InvalidFrequency, NonPhysicalState
 from spinwehrl.phase_space import Q_FLOOR, HusimiField, SphereGrid, _magnitudes, husimi_chunks
 from spinwehrl.scenarios import PulseParams, pulse_amplitude, pulse_xi
-from spinwehrl.spin_ops import DensityMatrix, SpinQuantumNumber, coherence_orders, make_spin_operators
+from spinwehrl.spin_ops import DensityMatrix, SpinQuantumNumber, make_spin_operators
 
 
 class VFunction:
@@ -207,7 +207,7 @@ def husimi_of_matrix(mat: np.ndarray, j: SpinQuantumNumber, grid: SphereGrid) ->
     Used for generator fields such as <Omega|D(rho)|Omega>.
     """
     mats = np.asarray(mat, dtype=complex).reshape(1, j.dim, j.dim)
-    return next(husimi_chunks(mats, grid, coherence_orders(mats))).q[0]
+    return next(husimi_chunks(mats, grid)).q[0]
 
 
 def dissipative_entropy_rate(field: HusimiField, dissipator_field: np.ndarray) -> float:

@@ -2,13 +2,18 @@
 tests: code in another module of the package (a Name or Attribute node,
 not a docstring) or the README. Neither the tests nor the benchmark's
 tracer count: a name that only they reach belongs in its module,
-tests/oracles.py or nowhere."""
+tests/oracles.py or nowhere. No public function takes the coherence
+orders of its states as an argument: it reads them from the states."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
+
+import spinwehrl
+from spinwehrl.spin_ops import check_density_entries
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spinwehrl"
@@ -43,3 +48,14 @@ REACHED = names_in_code() | names_in_readme()
 @pytest.mark.parametrize("name", exported_names())
 def test_exported_name_is_reached(name):
     assert name in REACHED, f"{name} is exported but only tests reach it"
+
+
+def exported_functions() -> list:
+    functions = [getattr(spinwehrl, name) for name in exported_names()]
+    return [f for f in functions if inspect.isfunction(f)] + [check_density_entries]
+
+
+@pytest.mark.parametrize("function", exported_functions(), ids=lambda f: f.__name__)
+def test_no_function_takes_the_orders(function):
+    # Classes (Trajectory keeps its states' orders) are left out.
+    assert "orders" not in inspect.signature(function).parameters

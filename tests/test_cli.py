@@ -23,7 +23,7 @@ from spinwehrl import (
     simulate,
 )
 from spinwehrl import cli
-from spinwehrl.cli import TWO_J_MAX, _write_states_csv, bundled_configs, main, validate_config
+from spinwehrl.cli import GRID_MAX, STEPS_MAX, TWO_J_MAX, _write_states_csv, bundled_configs, main, validate_config
 from spinwehrl.errors import ConfigError
 from spinwehrl.entropy_rates import BathParams
 from spinwehrl.scenarios import PulseParams, pulse_effective_rates, rotating_field_steady_state
@@ -237,6 +237,73 @@ class TestValidate:
     def test_two_j_at_the_limit_validates(self, tmp_path):
         assert TWO_J_MAX == 1000
         assert main(["validate", "--config", write_config(tmp_path, dict(GIBBS_J2, two_j=TWO_J_MAX))]) == 0
+
+    def test_steps_and_grid_at_the_limits_validate(self, tmp_path):
+        cfg = with_value(QUENCH_IDLE, "time", {"t_max": 2.0, "output_dt": 2.0 / STEPS_MAX})
+        cfg = with_value(cfg, "grid", {"n_theta": GRID_MAX, "n_phi": GRID_MAX})
+        assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert STEPS_MAX >= 800 and GRID_MAX >= 192  # every bundled config's
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def main_under_memory_limit(argv, cwd):
+    """main(argv) in a fresh process whose address space is capped at 3 GiB:
+    an oversized run that validation let through fails to allocate there,
+    instead of filling the host's memory."""
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+            f"from spinwehrl.cli import main; sys.exit(main({argv!r}))")
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestOversizedRuns:
+    """A run whose arrays numpy cannot allocate is a config error, refused
+    before any array is built: exit 2, no traceback and no file."""
+
+    def assert_refused(self, tmp_path, argv, message):
+        proc = main_under_memory_limit(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error:") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["validate", "run", "compare", "sweep"])
+    def test_too_many_steps(self, tmp_path, command):
+        # 1.4e13 steps up to t_max = 14: the time grid alone would take 102 TiB.
+        path = write_config(tmp_path, with_value(
+            json.loads(bundled_configs()["spontaneous_emission.json"].read_text()), "time.output_dt", 1e-12))
+        extra = {
+            "validate": [],
+            "run": ["--out", str(tmp_path)],
+            "compare": [],
+            # The first value runs; the second is refused, and no table is written.
+            "sweep": ["--param", "time.output_dt", "--values", "0.1,1e-12", "--out", str(tmp_path)],
+        }[command]
+        self.assert_refused(tmp_path, [command, "--config", path] + extra, f"at most {STEPS_MAX} steps")
+
+    @pytest.mark.parametrize(
+        "command, grid",
+        [("compare", "8x10000000000"), ("compare", "100000x200"), ("run", "4097x8"), ("sweep", "8x4097")],
+    )
+    def test_grid_override_above_the_limit(self, tmp_path, command, grid):
+        # 8 x 1e10 nodes: 74.5 GiB of phi nodes; 1e5 theta nodes: an 80 GB
+        # Legendre companion matrix.
+        path = write_config(tmp_path, json.loads(bundled_configs()["spontaneous_emission.json"].read_text()))
+        extra = {
+            "compare": [],
+            "run": ["--out", str(tmp_path)],
+            "sweep": ["--param", "temperature", "--values", "0.5", "--out", str(tmp_path)],
+        }[command]
+        self.assert_refused(tmp_path, [command, "--config", path, "--grid", grid] + extra, f"to {GRID_MAX}")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key, size", [("n_theta", 4097), ("n_phi", 10**10)])
+    def test_grid_section_above_the_limit(self, tmp_path, command, key, size):
+        path = write_config(tmp_path, with_value(QUENCH_IDLE, f"grid.{key}", size))
+        extra = ["--out", str(tmp_path)] if command == "run" else []
+        self.assert_refused(tmp_path, [command, "--config", path] + extra, f"must be at most {GRID_MAX}, got {size}")
 
     @pytest.mark.parametrize(
         "cfg",
@@ -744,6 +811,19 @@ class TestIOErrors:
         self.run_io(capsys, ["run", "--config", path, "--out", str(tmp_path), "--states-csv", str(dump)])
         assert calls == []  # checked before integrating, and before writing the dump
         assert not (tmp_path / "missing").exists() and not dump.exists()
+
+    def test_states_csv_names_the_run_csv(self, tmp_path, monkeypatch, capsys):
+        # By another spelling of the same path: refused before integrating,
+        # where the dump would silently replace the run CSV.
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
+        path = write_config(tmp_path, CUSTOM_DEPHASING)
+        out = tmp_path / "out"
+        dump = str(out / ".." / "out" / "custom.csv")
+        code = main(["run", "--config", path, "--out", str(out), "--states-csv", dump])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"I/O error: --states-csv {dump!r} names the run CSV\n"
+        assert calls == [] and not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_empty_run_csv_name(self, tmp_path, monkeypatch, capsys, command):

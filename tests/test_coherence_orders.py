@@ -27,7 +27,8 @@ from spinwehrl import (
 from spinwehrl import _kernels, phase_space
 from spinwehrl.cli import _write_states_csv
 from spinwehrl.dynamics import Trajectory, _order_dissipation, dissipation
-from spinwehrl.entropy_rates import EIG_LOG_FLOOR
+from spinwehrl.entropy_rates import EIG_LOG_FLOOR, spin_half_dephasing_von_neumann
+from spinwehrl.phase_space import wehrl_entropy, wehrl_entropy_spin_half
 from spinwehrl.spin_ops import (
     _from_order_diagonals,
     _order_diagonals,
@@ -78,10 +79,30 @@ def assert_relative(got, want, rtol):
     assert np.max(np.abs(got - want)) <= rtol * scale, (np.max(np.abs(got - want)) / scale)
 
 
+def gathered_orders(rho) -> tuple:
+    """The coherence orders by the rule that coherence_orders replaced:
+    every diagonal gathered, then any nonzero entry on each."""
+    x = _order_diagonals(rho, range(np.shape(rho)[-1]))
+    return tuple(np.flatnonzero(np.any(x, axis=tuple(range(x.ndim - 3)) + (-2, -1))).tolist())
+
+
 class TestOrders:
     @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
     def test_orders_of_a_block_state(self, two_j, orders, rng):
-        assert coherence_orders(block_stack(two_j, orders, rng)) == orders
+        stack = block_stack(two_j, orders, rng)
+        assert coherence_orders(stack) == orders == gathered_orders(stack)
+        assert coherence_orders(stack[0]) == orders == gathered_orders(stack[0])
+
+    def test_edge_stacks_match_the_gathered_rule(self, rng):
+        nan_stack = block_stack(4, (0, 2), rng)
+        nan_stack[3, 4, 1] = math.nan  # a NaN entry counts as nonzero, on order 3
+        coherent = np.stack([bloch_to_rho(BlochVector(0.3, -0.2, 0.1)).entries] * 700)
+        gapped = np.zeros((1001, 1001), dtype=complex)
+        gapped[0, 1000] = gapped[500, 0] = 1.0
+        cases = [(nan_stack, (0, 2, 3)), (np.zeros((5, 5)), ()), (np.zeros((3, 5, 5)), ()),
+                 (coherent, (0, 1)), (gapped, (500, 1000)), (np.eye(1001), (0,))]
+        for rho, want in cases:
+            assert coherence_orders(rho) == want == gathered_orders(rho)
 
     @pytest.mark.parametrize("two_j, orders", [(4, (0,)), (4, (0, 2)), (12, (0, 2)), (5, (0, 3, 5))])
     def test_a_covariant_generator_keeps_the_orders(self, two_j, orders, rng):
@@ -167,19 +188,19 @@ class TestDissipationPerOrder:
             d = DissipatorSpec.time_dependent_damping(lambda t: 0.3 + np.sin(3.0 * t) ** 2, nbar=0.25)
         else:
             d = DissipatorSpec.amplitude_damping(1.7, 0.0 if kind == "zero_temperature" else 0.6)
-        assert_relative(dissipation(stack, d, times, orders), dense_dissipator(stack, d, times), 1e-14)
+        assert_relative(dissipation(stack, d, times), dense_dissipator(stack, d, times), 1e-14)
 
     @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
     def test_dephasing_is_the_dense_dissipator_bit_for_bit(self, two_j, orders, rng):
         stack = block_stack(two_j, orders, rng)
         d = DissipatorSpec.dephasing(0.9)
-        assert np.array_equal(dissipation(stack, d, 0.0, orders), dense_dissipator(stack, d, 0.0))
+        assert np.array_equal(dissipation(stack, d, 0.0), dense_dissipator(stack, d, 0.0))
 
     def test_no_damping_builds_no_band(self):
         # At nbar = 8e307 the unit-rate bands overflow; gamma = 0 needs none.
         stack = block_stack(4, (0, 2), np.random.default_rng(3))
         with np.errstate(all="raise"):
-            d_rho = dissipation(stack, DissipatorSpec.amplitude_damping(0.0, 8e307), 0.0, (0, 2))
+            d_rho = dissipation(stack, DissipatorSpec.amplitude_damping(0.0, 8e307), 0.0)
         assert not np.any(d_rho)
 
 
@@ -187,9 +208,9 @@ class TestValidationPerBlock:
     def test_a_diagonal_stack_at_the_eigenvalue_floor(self):
         good = np.diag([0.5, 0.3, 0.2 + 5e-11, -5e-11]).astype(complex)
         bad = np.diag([0.5, 0.3, 0.2 + 2e-10, -2e-10]).astype(complex)
-        check_density_entries(np.stack([good, good]), (0,))
+        check_density_entries(np.stack([good, good]))
         DensityMatrix(SpinQuantumNumber(3), good)
-        for refuse in (lambda: check_density_entries(np.stack([good, bad, good]), (0,)),
+        for refuse in (lambda: check_density_entries(np.stack([good, bad, good])),
                        lambda: DensityMatrix(SpinQuantumNumber(3), bad)):
             with pytest.raises(NonPhysicalState, match=r"^matrix has negative eigenvalue -2\.000e-10$"):
                 refuse()
@@ -205,7 +226,7 @@ class TestValidationPerBlock:
         assert lo < -1e-3
         good = block_state(4, orders, np.random.default_rng(1))
         with pytest.raises(NonPhysicalState, match=f"negative eigenvalue {lo:.3e}"):
-            check_density_entries(np.stack([good, rho]), orders)
+            check_density_entries(np.stack([good, rho]))
         with pytest.raises(NonPhysicalState, match="negative eigenvalue"):
             DensityMatrix(SpinQuantumNumber(4), rho)
 
@@ -215,7 +236,7 @@ class TestValidationPerBlock:
             rho = block_state(4, orders, np.random.default_rng(2))
             rho[entry] = value
             with pytest.raises(NonPhysicalState, match="non-finite"):
-                check_density_entries(rho[None], orders)
+                check_density_entries(rho[None])
             with pytest.raises(NonPhysicalState, match="non-finite"):
                 DensityMatrix(SpinQuantumNumber(4), rho)
 
@@ -224,7 +245,7 @@ class TestValidationPerBlock:
         stack = block_stack(two_j, orders, rng)
         stack[-1, -1, -1] += 1e-9j
         with pytest.raises(NonPhysicalState, match=r"not Hermitian \(defect 2\.000e-09\)"):
-            check_density_entries(stack, orders)
+            check_density_entries(stack)
 
 
 class TestVonNeumannPerBlock:
@@ -237,8 +258,8 @@ class TestVonNeumannPerBlock:
     def test_matches_dense_eigh(self, two_j, orders, kind, rng):
         stack = block_stack(two_j, orders, rng)
         d = DissipatorSpec.amplitude_damping(1.2, 0.4) if kind == "damping" else DissipatorSpec.dephasing(0.8)
-        d_rho = dissipation(stack, d, 0.0, orders)
-        rates = von_neumann_rates(stack, d_rho, d, orders)
+        d_rho = dissipation(stack, d, 0.0)
+        rates = von_neumann_rates(stack, d_rho, d)
         assert_relative(rates.ds_dt, dense_von_neumann_ds(stack, d_rho), 1e-14)
 
     @pytest.mark.filterwarnings("error")
@@ -250,8 +271,8 @@ class TestVonNeumannPerBlock:
         d = DissipatorSpec.amplitude_damping(1.0, nbar)
         traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 0.5, 6))
         assert traj.orders == (0,)
-        d_rho = dissipation(traj.entries, d, traj.times, traj.orders)
-        rates = von_neumann_rates(traj.entries, d_rho, d, traj.orders)
+        d_rho = dissipation(traj.entries, d, traj.times)
+        rates = von_neumann_rates(traj.entries, d_rho, d)
         assert_relative(rates.ds_dt, dense_von_neumann_ds(traj.entries, d_rho), 1e-14)
         # At t = 0 only D's population 1, (nbar + 1) 2J, meets a zero population.
         assert rates.ds_dt[0] == pytest.approx(-(nbar + 1.0) * 12.0 * math.log(EIG_LOG_FLOOR), rel=1e-14)
@@ -267,7 +288,7 @@ class TestVonNeumannPerBlock:
         rho0 = DensityMatrix(j, np.diag([0.0] * 12 + [1.0]).astype(complex))
         d = DissipatorSpec.amplitude_damping(1.0, 0.0)
         traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 0.5, 6))
-        rates = von_neumann_rates(traj.entries, dissipation(traj.entries, d, traj.times, traj.orders), d, traj.orders)
+        rates = von_neumann_rates(traj.entries, dissipation(traj.entries, d, traj.times), d)
         assert not np.any(rates.ds_dt) and not np.any(rates.phi) and not np.any(rates.pi)
 
 
@@ -281,29 +302,36 @@ def block_trajectory(two_j: int, orders: tuple, rng, d=DissipatorSpec.amplitude_
 
 
 class TestFromTheTrajectory:
-    """D(rho), the von Neumann rates and the Husimi fields, read from a
-    Trajectory's order diagonals, are bit for bit those of its dense
-    stack."""
+    """Each public function that takes states reads their coherence orders
+    itself: Trajectory.orders from a Trajectory, and coherence_orders of
+    a dense stack. On either it is bit for bit the private path on those
+    orders, and the two agree bit for bit."""
 
     @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
     @pytest.mark.parametrize("kind", ["damping", "dephasing"])
     def test_dissipation_and_von_neumann(self, two_j, orders, kind):
         d = DissipatorSpec.amplitude_damping(1.2, 0.4) if kind == "damping" else DissipatorSpec.dephasing(0.8)
         traj = block_trajectory(two_j, orders, np.random.default_rng(two_j), d)
+        stack = traj.entries
+        assert coherence_orders(stack) == traj.orders == orders
         dx = _order_dissipation(traj.diagonals, d, traj.times, orders)
-        d_rho = dissipation(traj.entries, d, traj.times, orders)
-        assert _from_order_diagonals(dx, orders).tobytes() == d_rho.tobytes()
-        rates = von_neumann_rates(traj, dx, d, orders)
-        dense = von_neumann_rates(traj.entries, d_rho, d, orders)
+        d_rho = dissipation(stack, d, traj.times)
+        want = _from_order_diagonals(_order_dissipation(_order_diagonals(stack, orders), d, traj.times, orders), orders)
+        assert d_rho.tobytes() == want.tobytes() == _from_order_diagonals(dx, orders).tobytes()
+        assert dissipation(traj, d, traj.times).tobytes() == d_rho.tobytes()
+        rates = von_neumann_rates(traj, dx, d)
+        dense = von_neumann_rates(stack, d_rho, d)
         for name in ("ds_dt", "pi", "phi"):
             assert getattr(rates, name).tobytes() == getattr(dense, name).tobytes()
+        check_density_entries(traj)
+        check_density_entries(stack)
 
     @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
     def test_husimi_fields(self, two_j, orders):
         traj = block_trajectory(two_j, orders, np.random.default_rng(two_j))
         grid = make_grid(24, 48)
-        fields = list(husimi_chunks(traj, grid, orders))
-        dense = list(husimi_chunks(traj.entries, grid, orders))
+        fields = list(husimi_chunks(traj, grid))
+        dense = list(husimi_chunks(traj.entries, grid))
         assert len(fields) == len(dense)
         for field, want in zip(fields, dense):
             assert field.coef.tobytes() == want.coef.tobytes()
@@ -311,10 +339,51 @@ class TestFromTheTrajectory:
             if field.frame is not None:
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(field.frame, want.frame))
 
+    @pytest.mark.parametrize("two_j, orders", [(t, o) for t, o in ORDER_SETS if len(o) <= t])
+    def test_a_trajectory_is_read_on_its_own_orders(self, two_j, orders):
+        # A trajectory that carries one order more than its entries hold is
+        # transformed on the orders it carries; its dense stack on its own.
+        traj = block_trajectory(two_j, orders, np.random.default_rng(two_j))
+        wider = tuple(sorted(orders + (max(set(range(two_j + 1)) - set(orders)),)))
+        padded = np.zeros((len(traj.times), len(wider), two_j + 1, 2), dtype=complex)
+        padded[:, [wider.index(k) for k in orders]] = traj.diagonals
+        loose = Trajectory(times=traj.times, diagonals=padded, max_trace_drift=0.0,
+                           max_hermiticity_drift=0.0, orders=wider)
+        grid = make_grid(24, 48)
+        assert coherence_orders(loose.entries) == orders
+        assert next(husimi_chunks(loose, grid)).coef.shape[1] == 2 * (max(wider) + 1)
+        assert next(husimi_chunks(loose.entries, grid)).coef.shape[1] == 2 * (max(orders) + 1)
+
+
+class TestProbes:
+    """The cases that an orders argument got wrong when it named order 0
+    alone for a spin-1/2 state with a coherence."""
+
+    RHO = np.array([[0.6, 0.3], [0.3, 0.4]], dtype=complex)
+
+    def test_a_negative_eigenvalue_off_the_diagonal_is_refused(self):
+        with pytest.raises(NonPhysicalState, match=r"^matrix has negative eigenvalue -4\.000e-01$"):
+            check_density_entries(np.array([[0.5, 0.9], [0.9, 0.5]]))
+
+    def test_wehrl_entropy(self):
+        (chunk,) = husimi_chunks(self.RHO[None], make_grid(24, 48))
+        s = wehrl_entropy(chunk)[0]
+        assert s == pytest.approx(0.62344474, abs=1e-8)
+        assert s == pytest.approx(wehrl_entropy_spin_half(math.sqrt(0.4)), rel=1e-12)
+
+    def test_dephasing_rates_and_dissipator(self):
+        d = DissipatorSpec.dephasing(1.0)
+        d_rho = dissipation(self.RHO, d, 0.0)
+        assert d_rho[0, 1] == d_rho[1, 0] == -0.15
+        rates = von_neumann_rates(self.RHO, d_rho, d)
+        assert rates.pi == pytest.approx(0.2121724943697506, rel=1e-14)
+        closed = spin_half_dephasing_von_neumann(BlochVector(0.6, 0.0, 0.2), 1.0)
+        assert rates.pi == pytest.approx(closed.pi, rel=1e-13) and rates.phi == 0.0
+
 
 class TestHusimiChunksFromOrders:
     """husimi_chunks takes the phi decision and its pair table from the
-    orders alone."""
+    coherence orders of the states."""
 
     def transform_of_today(self, stack, grid, n_orders):
         """The fields the transform gave before the orders reached it: the
@@ -340,25 +409,18 @@ class TestHusimiChunksFromOrders:
         # Two chunks of each kind: 768 diagonal states per chunk on 24 x 48,
         # 256 coherent spin-1/2 states, or 32.
         stack = block_stack(two_j, orders, rng, n=800 if diagonal else 300 if two_j == 1 else 40)
-        chunks = [chunk.coef for chunk in husimi_chunks(stack, grid, orders)]
+        chunks = [chunk.coef for chunk in husimi_chunks(stack, grid)]
         want = self.transform_of_today(stack, grid, 1 if diagonal else two_j + 1)
         assert len(chunks) == len(want) and all(np.array_equal(a, b) for a, b in zip(chunks, want))
 
     def test_rows_up_to_the_largest_order(self, rng):
         grid = make_grid(24, 48)
         stack = block_stack(12, (0, 2), rng, n=3)
-        (chunk,) = husimi_chunks(stack, grid, (0, 2))
+        (chunk,) = husimi_chunks(stack, grid)
         (full,) = self.transform_of_today(stack, grid, 13)
         assert chunk.coef.shape[1] == 2 * 3
         assert np.array_equal(chunk.coef, full[:, :6])
         assert not np.any(full[:, 6:])
-
-    def test_the_decision_reads_the_orders_not_the_entries(self, rng):
-        # Handed order 0 alone, a stack is transformed as J_z-diagonal.
-        grid = make_grid(24, 48)
-        stack = block_stack(4, (0, 1, 2, 3, 4), rng, n=3)
-        (chunk,) = husimi_chunks(stack, grid, (0,))
-        assert chunk.coef.shape == (2, 2, 3, 24)
 
     def test_the_pair_table_is_built_up_to_the_largest_order(self):
         grid = make_grid(24, 48)

@@ -48,7 +48,6 @@ from spinwehrl.entropy_rates import (
     primary_rate_method,
 )
 from spinwehrl.scenarios import SIGMA_TAIL_TOL, _sigma_or_none
-from spinwehrl.spin_ops import coherence_orders
 from conftest import random_density_matrix, random_diagonal_state
 from oracles import (
     amplitude_damping_dissipator,
@@ -355,7 +354,7 @@ def test_each_method_gives_only_what_it_computes(two_j, kind, nbar):
     rho0 = random_density_matrix(SpinQuantumNumber(two_j), np.random.default_rng(two_j))
     traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 0.5, 6))
     for method in applicable_rate_methods(two_j, d):
-        fields = husimi_chunks(traj.entries, make_grid(24, 48), traj.orders) if method.needs_field else None
+        fields = husimi_chunks(traj.entries, make_grid(24, 48)) if method.needs_field else None
         rates = method.rates(traj, fields, d, traj.times)
         assert [f.name for f in dataclasses.fields(rates)] == ["ds_dt", "pi", "phi"]
         assert isinstance(rates, EntropyRates)
@@ -494,7 +493,7 @@ class TestSpinHalfClosedForms:
             v *= rng.uniform(0.1, 0.9) / np.linalg.norm(v)
             b = BlochVector(*v)
             rho = bloch_to_rho(b)
-            general = von_neumann_rates(rho, dense_dissipator(rho.entries, d, 0.0), d, coherence_orders(rho.entries))
+            general = von_neumann_rates(rho, dense_dissipator(rho.entries, d, 0.0), d)
             closed = spin_half_damping_von_neumann(b, bath)
             assert general.phi == pytest.approx(closed.phi, rel=1e-10, abs=1e-12)
             assert general.pi == pytest.approx(closed.pi, rel=1e-8, abs=1e-10)
@@ -508,7 +507,7 @@ class TestSpinHalfClosedForms:
             v *= rng.uniform(0.1, 0.9) / np.linalg.norm(v)
             b = BlochVector(*v)
             rho = bloch_to_rho(b)
-            general = von_neumann_rates(rho, dense_dissipator(rho.entries, d, 0.0), d, coherence_orders(rho.entries))
+            general = von_neumann_rates(rho, dense_dissipator(rho.entries, d, 0.0), d)
             closed = spin_half_dephasing_von_neumann(b, d.lam)
             assert general.pi == pytest.approx(closed.pi, rel=1e-13, abs=1e-15)
             assert general.ds_dt == general.pi and general.phi == 0.0 == closed.phi

@@ -24,7 +24,6 @@ from spinwehrl import (
 )
 from spinwehrl import _kernels, phase_space
 from spinwehrl.dynamics import DissipatorSpec, HamiltonianSpec
-from spinwehrl.spin_ops import coherence_orders
 from spinwehrl.entropy_rates import (
     RATE_METHODS,
     _damping_vectors,
@@ -90,7 +89,7 @@ class TestSeparableTransform:
         per_chunk = phase_space._CHUNK_NODES // grid.n_nodes
         states = [random_density_matrix(j, rng) for _ in range(2 * per_chunk + 3)]
         stack = np.stack([s.entries for s in states])
-        chunks = list(husimi_chunks(stack, grid, coherence_orders(stack)))
+        chunks = list(husimi_chunks(stack, grid))
         assert sum(len(chunk.q) for chunk in chunks) == len(states)
         for name in ("q", "dq_dtheta", "dq_dphi"):
             rows = np.concatenate([getattr(chunk, name) for chunk in chunks])
@@ -102,7 +101,7 @@ def pipeline_rates(d, states, grid):
     """The quadrature's rates of the states, fed by Husimi chunks as in simulate."""
     times = np.linspace(0.0, 1.0, len(states))
     stack = np.stack([s.entries for s in states])
-    fields = husimi_chunks(stack, grid, coherence_orders(stack))
+    fields = husimi_chunks(stack, grid)
     return RATE_METHODS["quadrature"].rates(None, fields, d, times), times
 
 
@@ -143,7 +142,7 @@ class TestChunkReduction:
                 pops[-1] = 5e-5  # the south pole, m = -J
                 states[0] = DensityMatrix(j, np.diag(pops).astype(complex))
         stack = np.stack([s.entries for s in states])
-        assert [chunk.coef.shape[2] for chunk in husimi_chunks(stack, grid, coherence_orders(stack))][1:] == [1]
+        assert [chunk.coef.shape[2] for chunk in husimi_chunks(stack, grid)][1:] == [1]
         return grid, states
 
     def test_dephasing(self, grid_and_states):
@@ -168,7 +167,7 @@ class TestChunkReduction:
     def test_wehrl_entropy(self, grid_and_states):
         grid, states = grid_and_states
         stack = np.stack([s.entries for s in states])
-        chunks = husimi_chunks(stack, grid, coherence_orders(stack))
+        chunks = husimi_chunks(stack, grid)
         chunked = np.concatenate([wehrl_entropy(chunk) for chunk in chunks])
         one = [wehrl_entropy(husimi(s, grid)) for s in states]
         np.testing.assert_allclose(chunked, one, rtol=1e-13, atol=0)
@@ -236,7 +235,7 @@ def chunked_rates(states, grid, d):
     wehrl_entropy, fed by Husimi chunks as in simulate."""
     rates, _ = pipeline_rates(d, states, grid)
     stack = np.stack([s.entries for s in states])
-    s_wehrl = np.concatenate([wehrl_entropy(chunk) for chunk in husimi_chunks(stack, grid, coherence_orders(stack))])
+    s_wehrl = np.concatenate([wehrl_entropy(chunk) for chunk in husimi_chunks(stack, grid)])
     return np.array([rates.pi, rates.phi, s_wehrl])
 
 
@@ -290,7 +289,7 @@ class TestOnePhiColumn:
     def test_a_diagonal_field_is_its_own_frame(self, two_j, rng, default_grid):
         j = SpinQuantumNumber(two_j)
         stack = np.stack([random_diagonal_state(j, rng).entries for _ in range(3)])
-        (chunk,) = husimi_chunks(stack, default_grid, (0,))
+        (chunk,) = husimi_chunks(stack, default_grid)
         assert chunk.frame.coef is chunk.coef
         assert np.all(chunk.frame.cos_beta == 1.0) and np.all(chunk.frame.sin2_beta == 0.0)
         field = husimi(DensityMatrix(j, stack[0]), default_grid)
@@ -335,7 +334,7 @@ class TestOnePhiColumn:
         j = SpinQuantumNumber(4)
         states = [random_diagonal_state(j, rng), random_density_matrix(j, rng)]
         stack = np.stack([s.entries for s in states])
-        assert [len(chunk.coef[0, 0]) for chunk in husimi_chunks(stack, default_grid, coherence_orders(stack))] == [2]
+        assert [len(chunk.coef[0, 0]) for chunk in husimi_chunks(stack, default_grid)] == [2]
         want = node_array_rates(states, default_grid, DISSIPATORS[kind])
         columns_evaluated.clear()
         got = chunked_rates(states, default_grid, DISSIPATORS[kind])
@@ -353,7 +352,7 @@ class TestOneDecisionPerStack:
     def test_husimi_is_the_one_state_chunk(self, two_j, diagonal, rng, default_grid):
         j = SpinQuantumNumber(two_j)
         state = random_diagonal_state(j, rng) if diagonal else random_density_matrix(j, rng)
-        (chunk,) = husimi_chunks(state.entries[None], default_grid, coherence_orders(state.entries))
+        (chunk,) = husimi_chunks(state.entries[None], default_grid)
         assert np.array_equal(husimi(state, default_grid).coef, chunk.coef[:, :, 0])
 
     @pytest.mark.parametrize("two_j", [1, 4, 12])
@@ -362,8 +361,8 @@ class TestOneDecisionPerStack:
         diagonal = np.stack([random_diagonal_state(j, rng).entries for _ in range(5)])
         coherent = diagonal.copy()
         coherent[-1, 0, -1] = coherent[-1, -1, 0] = 1e-12
-        assert [chunk.coef.shape for chunk in husimi_chunks(diagonal, default_grid, (0,))] == [(2, 2, 5, 96)]
-        chunks = husimi_chunks(coherent, default_grid, coherence_orders(coherent))
+        assert [chunk.coef.shape for chunk in husimi_chunks(diagonal, default_grid)] == [(2, 2, 5, 96)]
+        chunks = husimi_chunks(coherent, default_grid)
         assert {chunk.coef.shape[1] for chunk in chunks} == {2 * j.dim}
 
     @pytest.mark.parametrize("kind", list(DISSIPATORS))
@@ -371,7 +370,7 @@ class TestOneDecisionPerStack:
         j = SpinQuantumNumber(4)
         states = [random_diagonal_state(j, rng) for _ in range(4)] + [random_density_matrix(j, rng)]
         stack = np.stack([s.entries for s in states])
-        chunks = list(husimi_chunks(stack, default_grid, coherence_orders(stack)))
+        chunks = list(husimi_chunks(stack, default_grid))
         assert [chunk.coef.shape[1:3] for chunk in chunks] == [(2 * j.dim, 2), (2 * j.dim, 2), (2 * j.dim, 1)]
         assert not chunks[0].coef[:, 2:].any()
         want = node_array_rates(states, default_grid, DISSIPATORS[kind])
@@ -451,7 +450,7 @@ class TestOwnFrame:
     @pytest.mark.parametrize("purity_gap", [0.5, 0.1, 0.02])
     def test_matches_the_full_grid_kernels(self, purity_gap, rng, default_grid):
         _, stack = bloch_stack(rng, 1.0 - purity_gap)
-        (field,) = husimi_chunks(stack, default_grid, (0, 1))
+        (field,) = husimi_chunks(stack, default_grid)
         assert field.frame is not None
         harmonics, weights = field.harmonics, default_grid.theta_weights
         framed = _kernels.dephasing_reduce(field.coef, harmonics, weights, field.frame)
@@ -500,21 +499,21 @@ class TestOwnFrame:
             stack = np.stack([random_density_matrix(SpinQuantumNumber(1), rng).entries for _ in range(5)])
         else:
             _, stack = bloch_stack(rng, length, n=5)
-        (field,) = husimi_chunks(stack, default_grid, (0, 1))
+        (field,) = husimi_chunks(stack, default_grid)
         trace = (stack[:, 0, 0] + stack[:, 1, 1]).real
         b_z = (stack[:, 0, 0] - stack[:, 1, 1]).real
         b = np.sqrt(np.abs(stack[:, 1, 0] + stack[:, 0, 1].conj()) ** 2 + b_z * b_z)
         populations = 0.5 * (trace[:, None] + np.outer(b, [1.0, -1.0]))
         own = np.zeros_like(stack)
         own[:, 0, 0], own[:, 1, 1] = populations.T
-        (own_field,) = husimi_chunks(own, default_grid, (0,))
+        (own_field,) = husimi_chunks(own, default_grid)
         assert field.frame.coef.tobytes() == own_field.coef.tobytes()
 
     def test_frames_are_one_column_fields(self, rng, default_grid):
         # The frame rows are a J_z-diagonal field of the turned states: the
         # Wehrl entropy, which a rotation keeps, matches the lab field's.
         _, stack = bloch_stack(rng, 0.8, n=5)
-        (field,) = husimi_chunks(stack, default_grid, (0, 1))
+        (field,) = husimi_chunks(stack, default_grid)
         turned = HusimiField(default_grid, SpinQuantumNumber(1), field.frame.coef)
         assert field.frame.coef.shape == (2, 2, 5, 96)
         np.testing.assert_allclose(wehrl_entropy(turned), wehrl_entropy(field), rtol=1e-13, atol=0)

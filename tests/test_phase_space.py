@@ -75,7 +75,7 @@ class TestNodeLayout:
         states = [random_density_matrix(SpinQuantumNumber(3), np.random.default_rng(k)) for k in range(3)]
         shape = (small_grid.n_theta, small_grid.n_phi)
         one = husimi(states[0], small_grid)
-        chunk = next(husimi_chunks(np.stack([s.entries for s in states]), small_grid, tuple(range(4))))
+        chunk = next(husimi_chunks(np.stack([s.entries for s in states]), small_grid))
         for name in ("q", "dq_dtheta", "dq_dphi"):
             assert getattr(one, name).shape == shape
             assert getattr(chunk, name).shape == (3, *shape)

@@ -566,7 +566,7 @@ class TestVonNeumannRoute:
     def test_zero_temperature_ground_state_is_at_rest(self):
         ground = DensityMatrix(self.J, np.diag([0.0] * 4 + [1.0]).astype(complex))
         d = DissipatorSpec.amplitude_damping(1.1, 0.0)
-        rates = von_neumann_rates(ground, dense_dissipator(ground.entries, d, 0.0), d, (0,))
+        rates = von_neumann_rates(ground, dense_dissipator(ground.entries, d, 0.0), d)
         assert (rates.pi, rates.phi) == (0.0, 0.0)
         res = simulate(Model(ground, HamiltonianSpec.none(), d), t_max=1.0, dt=0.1, grid=make_grid(8, 16))
         assert np.all(res.von_neumann.pi == 0.0) and np.all(res.von_neumann.phi == 0.0)

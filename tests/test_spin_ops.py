@@ -15,7 +15,7 @@ from spinwehrl import (
     make_spin_operators,
     nbar_from_temperature,
 )
-from spinwehrl.spin_ops import check_density_entries, coherence_orders
+from spinwehrl.spin_ops import check_density_entries
 from oracles import temperature_from_nbar
 
 
@@ -112,13 +112,13 @@ class TestDensityMatrixValidation:
 
     def test_stack_is_checked_with_the_same_bounds(self):
         good = np.stack([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])]).astype(complex)
-        check_density_entries(good, (0,))
+        check_density_entries(good)
         for bad in (np.diag([1.2, -0.2]), np.diag([0.6, 0.6]), np.array([[0.5, 0.1], [0.3, 0.5]])):
             with pytest.raises(NonPhysicalState):
                 DensityMatrix(SpinQuantumNumber(1), bad.astype(complex))
             with pytest.raises(NonPhysicalState):
                 stack = np.stack([good[0], bad, good[1]]).astype(complex)
-                check_density_entries(stack, coherence_orders(stack))
+                check_density_entries(stack)
 
 
 class TestGibbsState:

@@ -39,7 +39,6 @@ from .phase_space import (
     husimi,
     husimi_chunks,
     make_grid,
-    phase_space_currents,
     wehrl_entropy,
     wehrl_entropy_spin_half,
 )

@@ -321,17 +321,22 @@ SWEEP_COLUMNS = [
 
 
 def sweep_config(cfg: dict, param: str, values: list, out_path: Path, grid: SphereGrid) -> None:
-    """One scenario run per value, each validated and run on grid; a
-    summary-scalar row per run."""
+    """One scenario run per value on grid, a summary-scalar row per run.
+    Every value is validated before any runs, and the directory of
+    out_path is created only then, so that a bad value loses no work and
+    leaves nothing behind."""
     if not values:
         raise ConfigError("sweep needs a non-empty list of values")
     if param.split(".")[0] == "grid":
         raise ConfigError(f"sweep parameter '{param}' is a grid size: every value runs on one grid; set it with --grid")
-    rows = []
+    plans = []
     for v in values:
         trial = copy.deepcopy(cfg)
         _set_by_path(trial, param, v)
-        plan = validate_config(trial)
+        plans.append(validate_config(trial))
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for v, plan in zip(values, plans):
         result = simulate(plan.model, plan.t_max, plan.dt, grid)
         w, vn = result.wehrl, result.von_neumann
         sigma = math.nan if result.sigma_wehrl is None else result.sigma_wehrl
@@ -361,11 +366,12 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"config cannot be read: {exc}") from exc
 
 
-def _check_output(path: Path, what: str) -> None:
-    """Raise the OSError of writing an output file that is a directory or lies in a missing one."""
+def _check_output(path: Path, what: str, out_dir: Path) -> None:
+    """Raise the OSError of writing an output file that is a directory or lies
+    in a missing directory other than out_dir, which is created after the checks."""
     if path.is_dir():
         raise IsADirectoryError(f"{what} is a directory")
-    if not path.parent.is_dir():
+    if not (path.parent.is_dir() or path.parent.resolve() == out_dir.resolve()):
         raise FileNotFoundError(f"the directory of {what} does not exist")
 
 
@@ -454,15 +460,16 @@ def main(argv=None) -> int:
             plan = replace(plan, tolerance=args.tol)
         if args.command == "run":
             # Output paths are checked before integrating, so that a bad one
-            # loses no work.
+            # loses no work, and before --out is created, so that a refused
+            # run leaves nothing behind.
             out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
             csv_path = out_dir / plan.csv
-            _check_output(csv_path, f"the run CSV {str(csv_path)!r}")
+            _check_output(csv_path, f"the run CSV {str(csv_path)!r}", out_dir)
             if args.states_csv:
-                _check_output(Path(args.states_csv), f"--states-csv {args.states_csv!r}")
+                _check_output(Path(args.states_csv), f"--states-csv {args.states_csv!r}", out_dir)
                 if Path(args.states_csv).resolve() == csv_path.resolve():
                     raise OSError(f"--states-csv {args.states_csv!r} names the run CSV")
+            out_dir.mkdir(parents=True, exist_ok=True)
             result = simulate(plan.model, plan.t_max, plan.dt, plan.grid)
             write_scenario_csv(result, csv_path)
             print(f"wrote {csv_path}")
@@ -481,10 +488,8 @@ def main(argv=None) -> int:
                 values = [_sweep_value(v) for v in raw]
             except ValueError as exc:
                 raise ConfigError(f"--values must be numbers: {exc}") from exc
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
             stem = Path(args.config).stem
-            out_path = out_dir / f"{stem}_sweep_{args.param.replace('.', '_')}.csv"
+            out_path = Path(args.out) / f"{stem}_sweep_{args.param.replace('.', '_')}.csv"
             sweep_config(cfg, args.param, values, out_path, plan.grid)
             return 0
     except (ConfigError, NothingToCompare) as exc:

@@ -188,9 +188,12 @@ class DissipatorSpec:
         return cls(kind="time_dependent_damping", gamma_t=gamma_t, nbar=nbar)
 
 
-def _gamma_at(d: DissipatorSpec, t) -> np.ndarray:
-    """gamma_t of a time-dependent damping at the time t, or at an array of
-    times; a negative rate raises NonMarkovianRate."""
+def _gamma_at(d: DissipatorSpec, t):
+    """The damping rate of d at the time t, or at an array of times: the
+    constant gamma (0 under dephasing), or the array of gamma_t, of which a
+    negative rate raises NonMarkovianRate."""
+    if d.kind != "time_dependent_damping":
+        return d.gamma
     g = np.asarray(d.gamma_t(t), dtype=float)
     if np.any(g < 0):
         n = np.argmax(np.ravel(g) < 0)
@@ -457,8 +460,7 @@ def evolve(rho0: DensityMatrix, h: HamiltonianSpec, d: DissipatorSpec, t_grid: n
         # A Hamiltonian defined for another spin, or a negative rate at the
         # start, is refused before integrating.
         h.matrix(rho0.j, t_grid[0])
-        if d.kind == "time_dependent_damping":
-            _gamma_at(d, t_grid[0])
+        _gamma_at(d, t_grid[0])
         if h.kind != "rotating_field":
             orders = coherence_orders(rho0.entries)
             x = _covariant(rho0, h, d, t_grid, orders)
@@ -503,7 +505,7 @@ def _order_dissipation(x: np.ndarray, d: DissipatorSpec, t, orders) -> np.ndarra
     ks = np.array(orders, dtype=float)
     if d.kind == "dephasing":
         return x * ((-0.5 * d.lam * ks) * ks)[:, None, None]
-    gamma = d.gamma if d.kind == "amplitude_damping" else _gamma_at(d, t)[..., None, None, None]
+    gamma = np.asarray(_gamma_at(d, t))[..., None, None, None]
     if not np.any(gamma):  # undamped: at huge nbar the unit-rate bands overflow, and 0 * inf is nan
         return np.zeros(x.shape, dtype=complex)
     lower, main, upper = _damping_bands(SpinQuantumNumber(x.shape[-2] - 1), d.nbar, orders)[..., None]

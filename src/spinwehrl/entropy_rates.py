@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .dynamics import DissipatorSpec, Trajectory
+from .dynamics import DissipatorSpec, Trajectory, _gamma_at
 from .errors import UnsupportedParameters
 from .hypergeom import gauss_2f1
 from .phase_space import HusimiField
@@ -350,8 +350,7 @@ def spin_half_damping_von_neumann(b, bath: BathParams) -> EntropyRates:
 
 def bath_at(d: DissipatorSpec, t) -> BathParams:
     """The bath of a damping dissipator at time t, or at an array of times."""
-    gamma = d.gamma_t(t) if d.kind == "time_dependent_damping" else d.gamma
-    return BathParams(gamma=gamma, nbar=d.nbar)
+    return BathParams(gamma=_gamma_at(d, t), nbar=d.nbar)
 
 
 def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, times: np.ndarray) -> EntropyRates:

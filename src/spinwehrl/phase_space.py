@@ -2,8 +2,11 @@
 
 The sphere is sampled by a Gauss-Legendre rule in u = cos(theta) tensored
 with a uniform (periodic trapezoid) rule in phi. Nodes never touch the
-poles, which keeps the cot(theta) and 1/sin^2(theta) factors appearing in
-the phase-space currents finite at every node.
+poles, which keeps the 1/sin^2(theta) factor of the damping production's
+coherence integrand finite at every node.
+
+A HusimiField holds coefficients, not node values: each consumer forms
+the node rows it reads with _kernels.node_rows (see HusimiField).
 
 The coherent-state amplitude convention is
 
@@ -200,21 +203,18 @@ def _own_frames(pairs: np.ndarray, x: np.ndarray) -> OwnFrame:
 
 @dataclass(frozen=True)
 class HusimiField:
-    """Q(Omega) = <Omega|rho|Omega> with analytic angular derivatives, held
-    as the phi-Fourier coefficients of each theta row (see _kernels).
+    """Q(Omega) = <Omega|rho|Omega> and dQ/dtheta, held as the phi-Fourier
+    coefficients of each theta row (see _kernels); every consumer evaluates
+    the node rows it reads from them (_kernels.node_rows).
 
     coef holds the real coefficients of Q and of dQ/dtheta: (2, 2n, n_theta)
     for one state, or (2, 2n, k, n_theta) for a chunk of k states, for the
     orders s = 0 .. n - 1 up to the largest coherence order of the states
     (see husimi_chunks): n = 2J + 1 for a full state, 1 for a J_z-diagonal
-    stack. q, dq_dtheta and dq_dphi are the real node arrays (Q is real for
-    Hermitian rho, hence so are its angular derivatives), (n_theta, n_phi)
-    or (k, n_theta, n_phi), each evaluated on first use; the quadrature
-    reads the coefficients and evaluates its own node rows.
-    phase_space_currents gives the complex azimuthal current -i dQ/dphi.
-    frame is the states' OwnFrame for a column field (a J_z-diagonal stack,
-    or a spin-1/2 one), which the quadrature reduces on one theta' column,
-    and None for a full-grid field.
+    stack. harmonics are the grid's cos(s phi), sin(s phi) rows of those
+    orders. frame is the states' OwnFrame for a column field (a
+    J_z-diagonal stack, or a spin-1/2 one), which the quadrature reduces on
+    one theta' column, and None for a full-grid field.
     """
 
     grid: SphereGrid
@@ -227,26 +227,6 @@ class HusimiField:
         """The (2n, n_phi) harmonics of the orders the field holds."""
         return self.grid.amplitude_table(self.j, self.coef.shape[1] // 2)[1]
 
-    def _nodes(self, rows: np.ndarray) -> np.ndarray:
-        return _kernels.node_rows(rows[None], self.harmonics)[0]
-
-    @functools.cached_property
-    def q(self) -> np.ndarray:
-        return self._nodes(self.coef[0])
-
-    @functools.cached_property
-    def dq_dtheta(self) -> np.ndarray:
-        return self._nodes(self.coef[1])
-
-    @functools.cached_property
-    def dq_dphi(self) -> np.ndarray:
-        return self._nodes(_kernels.phi_derivative(self.coef[0], np.empty_like(self.coef[0])))
-
-    def normalization(self):
-        """(2J+1)/(4 pi) * integral of Q, of each state; equals 1 for a
-        unit-trace state."""
-        return (self.j.dim / (4.0 * np.pi)) * self.grid.integrate(self.q)
-
 
 # Grid nodes per chunk of a full-grid stack (two states on the default
 # grid). A chunk is one call of the transform and one of a reduction, which
@@ -258,8 +238,8 @@ class HusimiField:
 # which a J_z-diagonal field shares with its coefficients. That is 192
 # states on 96 x 192 for a J_z-diagonal stack whatever 2J, and 64 for a
 # spin-1/2 stack with a coherence. Of 16, 64 and 192 spin-1/2 states per
-# chunk, 64 ran the two rotating-field compares fastest; a node array read
-# from such a chunk (q, wehrl_entropy) takes 9.4 MB.
+# chunk, 64 ran the two rotating-field compares fastest; the node rows of Q
+# that wehrl_entropy evaluates on such a chunk take 9.4 MB.
 _CHUNK_NODES = 2 * 96 * 192
 
 
@@ -354,29 +334,3 @@ def wehrl_entropy_spin_half(tau):
     t = np.where(small, 0.5, tau)
     s = np.where(small, series, -(f(0.5 * (1.0 + t)) - f(0.5 * (1.0 - t))) / t)
     return float(s) if s.ndim == 0 else s
-
-
-@dataclass(frozen=True)
-class PhaseSpaceCurrents:
-    """Orbital angular-momentum currents of a Husimi field."""
-
-    j_plus: np.ndarray
-    j_minus: np.ndarray
-    j_z: np.ndarray
-
-
-def phase_space_currents(field: HusimiField) -> PhaseSpaceCurrents:
-    """J_z(Q) = -i dQ/dphi and the raising/lowering currents
-
-    J_+(Q) = e^{i phi} (d_theta + i cot(theta) d_phi) Q,
-    J_-(Q) = -e^{-i phi} (d_theta - i cot(theta) d_phi) Q,
-
-    evaluated at the (interior) grid nodes, in the field's node layout.
-    """
-    grid = field.grid
-    ph = grid.phi_nodes
-    cot = (grid.cos_theta / grid.sin_theta)[:, None]
-    j_z = -1j * field.dq_dphi
-    j_plus = np.exp(1j * ph) * (field.dq_dtheta + 1j * cot * field.dq_dphi)
-    j_minus = -np.exp(-1j * ph) * (field.dq_dtheta - 1j * cot * field.dq_dphi)
-    return PhaseSpaceCurrents(j_plus=j_plus, j_minus=j_minus, j_z=j_z)

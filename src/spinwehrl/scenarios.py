@@ -100,8 +100,7 @@ def _check_rate_scale(model: Model, times: np.ndarray) -> float:
     BathParams, which refuses an nbar whose 2 nbar + 1 overflows. Returns
     the product."""
     d, dim = model.d, model.rho0.dim
-    gamma = float(np.max(_gamma_at(d, times))) if d.kind == "time_dependent_damping" else d.gamma
-    rate = d.lam if d.kind == "dephasing" else gamma * (2.0 * d.nbar + 1.0)
+    rate = d.lam if d.kind == "dephasing" else float(np.max(_gamma_at(d, times))) * (2.0 * d.nbar + 1.0)
     if rate * dim * dim > RATE_SCALE_MAX:  # False at gamma = 0 with an infinite 2 nbar + 1 (nan)
         raise UnsupportedParameters(
             f"rate {rate:g} times (2J + 1)^2 = {dim * dim} exceeds {RATE_SCALE_MAX:g}: the rates would overflow"

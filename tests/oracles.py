@@ -1,6 +1,8 @@
 """Oracles that the tests compare the package against; no path of the
 package calls them.
 
+* A Husimi field's Q, dQ/dtheta and dQ/dphi at the grid nodes, from its
+  coefficients, and its orbital angular-momentum currents built on them.
 * The two-mode (Schwinger boson) cross-representation of the Husimi
   function: its polynomial kernel V(alpha, beta), the current
   correspondences on it, and the angle-action map.
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spinwehrl import _kernels
 from spinwehrl.entropy_rates import BathParams
 from spinwehrl.errors import InvalidFrequency, NonPhysicalState
 from spinwehrl.phase_space import Q_FLOOR, HusimiField, SphereGrid, _magnitudes, husimi_chunks
@@ -201,13 +204,39 @@ def current_superoperator_f(rho: np.ndarray, nbar: float) -> np.ndarray:
     return (nbar + 1.0) * rho @ ops.jp - nbar * ops.jp @ rho
 
 
+def node_values(field: HusimiField) -> tuple:
+    """(Q, dQ/dtheta, dQ/dphi) of a field at the grid nodes, each
+    (n_theta, n_phi) for one state or (k, n_theta, n_phi) for a chunk: the
+    coefficient rows of Q, of dQ/dtheta and of dQ/dphi
+    (_kernels.phi_derivative) times the field's harmonics."""
+    q, dq_dtheta = field.coef
+    rows = np.stack([q, dq_dtheta, _kernels.phi_derivative(q, np.empty_like(q))])
+    return tuple(_kernels.node_rows(rows, field.harmonics))
+
+
+def phase_space_currents(field: HusimiField) -> tuple:
+    """(J_+(Q), J_-(Q), J_z(Q)) of a field at the (interior) grid nodes:
+
+    J_z(Q) = -i dQ/dphi,
+    J_+(Q) = e^{i phi} (d_theta + i cot(theta) d_phi) Q,
+    J_-(Q) = -e^{-i phi} (d_theta - i cot(theta) d_phi) Q.
+    """
+    grid = field.grid
+    _, dq_dtheta, dq_dphi = node_values(field)
+    ph = grid.phi_nodes
+    cot = (grid.cos_theta / grid.sin_theta)[:, None]
+    j_plus = np.exp(1j * ph) * (dq_dtheta + 1j * cot * dq_dphi)
+    j_minus = -np.exp(-1j * ph) * (dq_dtheta - 1j * cot * dq_dphi)
+    return j_plus, j_minus, -1j * dq_dphi
+
+
 def husimi_of_matrix(mat: np.ndarray, j: SpinQuantumNumber, grid: SphereGrid) -> np.ndarray:
     """Re <Omega|M|Omega> for an arbitrary matrix (no state checks).
 
     Used for generator fields such as <Omega|D(rho)|Omega>.
     """
     mats = np.asarray(mat, dtype=complex).reshape(1, j.dim, j.dim)
-    return next(husimi_chunks(mats, grid)).q[0]
+    return node_values(next(husimi_chunks(mats, grid)))[0][0]
 
 
 def dissipative_entropy_rate(field: HusimiField, dissipator_field: np.ndarray) -> float:
@@ -216,7 +245,7 @@ def dissipative_entropy_rate(field: HusimiField, dissipator_field: np.ndarray) -
     dissipator_field holds <Omega|D(rho)|Omega> on the same grid (see
     husimi_of_matrix).
     """
-    lnq = np.log(np.maximum(field.q, Q_FLOOR))
+    lnq = np.log(np.maximum(node_values(field)[0], Q_FLOOR))
     return -(field.j.dim / (4.0 * np.pi)) * field.grid.integrate(np.asarray(dissipator_field) * lnq)
 
 

@@ -278,10 +278,23 @@ class TestOversizedRuns:
             "validate": [],
             "run": ["--out", str(tmp_path)],
             "compare": [],
-            # The first value runs; the second is refused, and no table is written.
+            # The config's own output_dt is refused before any value runs.
             "sweep": ["--param", "time.output_dt", "--values", "0.1,1e-12", "--out", str(tmp_path)],
         }[command]
         self.assert_refused(tmp_path, [command, "--config", path] + extra, f"at most {STEPS_MAX} steps")
+
+    def test_sweep_runs_no_value_before_checking_all(self, tmp_path, monkeypatch, capsys):
+        # The config is valid and so is its first value; the second is
+        # refused before the first runs. In-process: the refused value
+        # builds no array, so no memory limit is needed.
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.cli"], "simulate")
+        path = write_config(tmp_path, json.loads(bundled_configs()["spontaneous_emission.json"].read_text()))
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", path, "--param", "time.output_dt", "--values", "0.1,1e-12", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"at most {STEPS_MAX} steps" in err
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize(
         "command, grid",
@@ -823,7 +836,25 @@ class TestIOErrors:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"I/O error: --states-csv {dump!r} names the run CSV\n"
-        assert calls == [] and not any(out.iterdir())
+        assert calls == [] and not out.exists()
+
+    def test_states_csv_in_missing_directory_beside_a_new_out(self, tmp_path, monkeypatch, capsys):
+        # Refused before --out is created.
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
+        path = write_config(tmp_path, CUSTOM_DEPHASING)
+        out = tmp_path / "out"
+        dump = str(tmp_path / "missing" / "x.csv")
+        self.run_io(capsys, ["run", "--config", path, "--out", str(out), "--states-csv", dump])
+        assert calls == [] and not out.exists()
+
+    def test_states_csv_in_a_new_out(self, tmp_path, capsys):
+        # --out is created after the checks, so a dump inside it is not in a missing directory.
+        path = write_config(tmp_path, CUSTOM_DEPHASING)
+        out = tmp_path / "new" / "out"
+        dump = out / "states.csv"
+        assert main(["run", "--config", path, "--out", str(out), "--states-csv", str(dump)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == ["custom.csv", "states.csv"]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_empty_run_csv_name(self, tmp_path, monkeypatch, capsys, command):

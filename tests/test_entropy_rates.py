@@ -57,6 +57,7 @@ from oracles import (
     energy_flux,
     generator_entropy_rate,
     husimi_of_matrix,
+    node_values,
     temperature_from_nbar,
 )
 
@@ -185,7 +186,8 @@ class TestDampingQuadrature:
         grid = default_grid
         r = 2.0 * bath.nbar + 1.0
         drift = two_j * grid.sin_theta / (r - grid.cos_theta)
-        u = field.dq_dtheta - drift[:, None] * field.q
+        q, dq_dtheta, _ = node_values(field)
+        u = dq_dtheta - drift[:, None] * q
         node_sum = -(u.sum(axis=-1) @ (grid.theta_weights * grid.sin_theta))
         expected = (j.dim / (4.0 * np.pi)) * bath.gamma * j.j * node_sum
         assert damping_quadrature(field, bath)[0] == pytest.approx(expected, rel=1e-13, abs=0)

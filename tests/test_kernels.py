@@ -35,7 +35,7 @@ from spinwehrl.entropy_rates import (
 )
 from spinwehrl.scenarios import Model, simulate
 from conftest import random_density_matrix, random_diagonal_state
-from oracles import husimi_of_matrix
+from oracles import husimi_of_matrix, node_values
 
 
 def reference_amplitudes(two_j, grid):
@@ -70,11 +70,9 @@ class TestSeparableTransform:
         j = SpinQuantumNumber(two_j)
         amp, damp, ms = reference_amplitudes(two_j, grid)
         for state in [random_density_matrix(j, rng) for _ in range(3)] + [random_diagonal_state(j, rng)]:
-            field = husimi(state, grid)
-            q, dth, dph = reference_contraction(amp, damp, ms, state.entries)
-            assert np.max(np.abs(field.q - q)) < 1e-13
-            assert np.max(np.abs(field.dq_dtheta - dth)) < 1e-13
-            assert np.max(np.abs(field.dq_dphi - dph)) < 1e-13
+            nodes = node_values(husimi(state, grid))
+            for field_nodes, reference in zip(nodes, reference_contraction(amp, damp, ms, state.entries)):
+                assert np.max(np.abs(field_nodes - reference)) < 1e-13
 
     def test_non_hermitian_matrix(self, rng):
         grid = make_grid(48, 96)
@@ -89,12 +87,12 @@ class TestSeparableTransform:
         per_chunk = phase_space._CHUNK_NODES // grid.n_nodes
         states = [random_density_matrix(j, rng) for _ in range(2 * per_chunk + 3)]
         stack = np.stack([s.entries for s in states])
-        chunks = list(husimi_chunks(stack, grid))
-        assert sum(len(chunk.q) for chunk in chunks) == len(states)
-        for name in ("q", "dq_dtheta", "dq_dphi"):
-            rows = np.concatenate([getattr(chunk, name) for chunk in chunks])
+        chunks = [node_values(chunk) for chunk in husimi_chunks(stack, grid)]
+        assert sum(len(q) for q, _, _ in chunks) == len(states)
+        for i in range(3):  # Q, dQ/dtheta, dQ/dphi
+            rows = np.concatenate([chunk[i] for chunk in chunks])
             for state, row in zip(states, rows):
-                assert np.max(np.abs(row - getattr(husimi(state, grid), name))) < 1e-14
+                assert np.max(np.abs(row - node_values(husimi(state, grid))[i])) < 1e-14
 
 
 def pipeline_rates(d, states, grid):
@@ -207,14 +205,14 @@ class TestChunkReduction:
 
 def node_array_rates(states, grid, d):
     """(Pi, Phi, S_wehrl) of each state, from its full-grid node arrays
-    (husimi(...).q, dq_dtheta and dq_dphi) through grid.integrate."""
+    (node_values of husimi(...): Q, dQ/dtheta and dQ/dphi) through
+    grid.integrate."""
     j = states[0].j
     norm = j.dim / (4.0 * np.pi)
     sin, cos = grid.sin_theta[:, None], grid.cos_theta[:, None]
     values = []
     for state in states:
-        field = husimi(state, grid)
-        q, dq_dtheta, dq_dphi = field.q, field.dq_dtheta, field.dq_dphi
+        q, dq_dtheta, dq_dphi = node_values(husimi(state, grid))
         floored = np.maximum(q, _kernels.Q_FLOOR)
         s_wehrl = -norm * grid.integrate(np.where(q > 0.0, q * np.log(floored), 0.0))
         if d.kind == "dephasing":

@@ -322,9 +322,9 @@ SWEEP_COLUMNS = [
 
 def sweep_config(cfg: dict, param: str, values: list, out_path: Path, grid: SphereGrid) -> None:
     """One scenario run per value on grid, a summary-scalar row per run.
-    Every value is validated before any runs, and the directory of
-    out_path is created only then, so that a bad value loses no work and
-    leaves nothing behind."""
+    Every value and out_path are checked before any runs, and the directory
+    of out_path is created only then, so that a bad value or path loses no
+    work and leaves nothing behind."""
     if not values:
         raise ConfigError("sweep needs a non-empty list of values")
     if param.split(".")[0] == "grid":
@@ -334,6 +334,7 @@ def sweep_config(cfg: dict, param: str, values: list, out_path: Path, grid: Sphe
         trial = copy.deepcopy(cfg)
         _set_by_path(trial, param, v)
         plans.append(validate_config(trial))
+    _check_output(out_path, f"the sweep table {str(out_path)!r}", out_path.parent)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for v, plan in zip(values, plans):

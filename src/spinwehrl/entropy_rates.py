@@ -10,15 +10,16 @@ cross-validate each other:
 
 Von Neumann counterparts are provided for comparison, measured against
 the bath's Gibbs state whatever the Hamiltonian: closed forms for spin 1/2
-and, for any J, von_neumann_rates from D(rho). They diverge for pure
-states and for zero-temperature baths, which is signalled with infinities
-rather than exceptions; von_neumann_rates floors the eigenvalues, so its
-pure-state rates are large but finite.
+and, for any J, von_neumann_rates, which forms D(rho) itself. They diverge
+for pure states and for zero-temperature baths, which is signalled with
+infinities rather than exceptions; von_neumann_rates floors the
+eigenvalues, so its pure-state rates are large but finite.
 
 The closed forms, the exact flux and the von Neumann rates take one state
 or a whole trajectory's arrays: a BlochVector or an (n, 3) array of Bloch
-vectors, one density matrix or an (n, d, d) stack, populations of shape
-(d,) or (n, d). Scalar calls return floats; array calls return arrays.
+vectors, populations of shape (d,) or (n, d), whose d fixes the spin, one
+density matrix, an (n, d, d) stack or a Trajectory. Scalar calls return
+floats; array calls return arrays.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .dynamics import DissipatorSpec, Trajectory, _gamma_at
+from .dynamics import DissipatorSpec, Trajectory, _gamma_at, _order_dissipation
 from .errors import UnsupportedParameters
 from .hypergeom import gauss_2f1
 from .phase_space import HusimiField
 from .spin_ops import BLOCH_LENGTH_MAX, BlochVector, DensityMatrix, SpinQuantumNumber, order_blocks
-from .spin_ops import _diagonals_and_orders, _order_diagonals
+from .spin_ops import _diagonals_and_orders
 from . import _kernels
 
 DIVERGENCE_EDGE = 1e-12
@@ -235,9 +236,9 @@ def damping_pi_quadrature(field: HusimiField, bath: BathParams):
 # ---------------------------------------------------------------------------
 
 
-def damping_phi_exact(populations: np.ndarray, bath: BathParams, j: SpinQuantumNumber):
-    """Exact damping entropy flux from the J_z populations (m descending),
-    of one state, shape (d,), or of each row of a (..., d) array.
+def damping_phi_exact(populations: np.ndarray, bath: BathParams):
+    """Exact damping entropy flux from the J_z populations (m descending)
+    of a spin 2J + 1 = d >= 2: of one state, (d,), or each row of (..., d).
 
     The flux depends only on the diagonal of the state, linearly: its
     2(2J+1) 2F1 values depend on J and nbar alone and are evaluated once per
@@ -252,8 +253,9 @@ def damping_phi_exact(populations: np.ndarray, bath: BathParams, j: SpinQuantumN
     """
     tbz = bath.tau_bar_z
     pops = np.asarray(populations, dtype=float)
-    if pops.ndim == 0 or pops.shape[-1] != j.dim:
-        raise UnsupportedParameters(f"expected {j.dim} populations, got shape {pops.shape}")
+    if pops.ndim == 0 or pops.shape[-1] < 2:
+        raise UnsupportedParameters(f"expected 2J + 1 >= 2 populations, got shape {pops.shape}")
+    j = SpinQuantumNumber(pops.shape[-1] - 1)
     # Sums over m run in basis order, term by term, so that a state's flux
     # does not depend on how many states share the call.
     jz = 0.0
@@ -353,7 +355,7 @@ def bath_at(d: DissipatorSpec, t) -> BathParams:
     return BathParams(gamma=_gamma_at(d, t), nbar=d.nbar)
 
 
-def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
+def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec) -> EntropyRates:
     # dephasing_pi_quadrature or damping_quadrature on each chunk, at its times.
     parts, start = [], 0
     for field in fields:
@@ -361,7 +363,7 @@ def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, ti
         if d.kind == "dephasing":
             parts.append(dephasing_pi_quadrature(field, d.lam))
         else:
-            parts.append(damping_quadrature(field, bath_at(d, times[start:stop])))
+            parts.append(damping_quadrature(field, bath_at(d, traj.times[start:stop])))
         start = stop
     if d.kind == "dephasing":
         pi = np.concatenate(parts)
@@ -370,15 +372,15 @@ def _quadrature_rates(traj, fields: Iterable[HusimiField], d: DissipatorSpec, ti
     return _rates(pi - phi, pi, phi)
 
 
-def _exact_2f1_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
-    phi = damping_phi_exact(traj.populations(), bath_at(d, times), traj.j)
+def _exact_2f1_rates(traj: Trajectory, fields, d: DissipatorSpec) -> EntropyRates:
+    phi = damping_phi_exact(traj.populations(), bath_at(d, traj.times))
     return _rates(math.nan, math.nan, phi)
 
 
-def _closed_form_rates(traj: Trajectory, fields, d: DissipatorSpec, times: np.ndarray) -> EntropyRates:
+def _closed_form_rates(traj: Trajectory, fields, d: DissipatorSpec) -> EntropyRates:
     if d.kind == "dephasing":
         return spin_half_dephasing_rates(traj.bloch, d.lam)
-    return spin_half_damping_rates(traj.bloch, bath_at(d, times))
+    return spin_half_damping_rates(traj.bloch, bath_at(d, traj.times))
 
 
 @dataclass(frozen=True)
@@ -388,19 +390,20 @@ class RateMethod:
     applies(two_j, dissipator) says where the method is defined and
     trusted; gives names which of "phi" and "pi" it yields (rate_pairs
     drops "phi" for dephasing, which has no flux). rates(trajectory,
-    fields, dissipator, times) returns one EntropyRates of arrays over
-    times, NaN in a field the method does not compute (exact-2F1's ds_dt
-    and pi). fields is an iterable of the states' Husimi fields in time
-    order, a chunk of states per HusimiField (see husimi_chunks), which
-    the method consumes once, or None if needs_field is False; a method
-    that needs fields reads nothing else of the trajectory.
+    fields, dissipator) returns one EntropyRates of arrays over the
+    trajectory's times, NaN in a field the method does not compute
+    (exact-2F1's ds_dt and pi). fields is an iterable of the states'
+    Husimi fields in time order, a chunk of states per HusimiField (see
+    husimi_chunks), which the method consumes once, or None if needs_field
+    is False; a method that needs fields reads nothing else of the
+    trajectory but its times.
     """
 
     name: str
     applies: Callable[[int, DissipatorSpec], bool]
     gives: tuple
     needs_field: bool
-    rates: Callable[[Trajectory, Optional[Iterable[HusimiField]], DissipatorSpec, np.ndarray], EntropyRates]
+    rates: Callable[[Trajectory, Optional[Iterable[HusimiField]], DissipatorSpec], EntropyRates]
 
 
 # In the order compare reports them.
@@ -463,12 +466,12 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(evals * np.log(evals)))
 
 
-def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec) -> EntropyRates:
-    """General-J von Neumann bundle in Spohn's form, of a DensityMatrix or of
-    each matrix of a stack, from the states and their dissipator images
-    d_rho = D(rho) alone: the Hamiltonian's part tr([H, rho] ln rho) is
-    zero for any H. rho may also be a Trajectory, with d_rho then the
-    order diagonals of D of its states (Trajectory.diagonals' layout).
+def von_neumann_rates(states, d: DissipatorSpec, t) -> EntropyRates:
+    """General-J von Neumann bundle in Spohn's form, of a DensityMatrix at
+    the time t, or of each state of an (n, d, d) stack or a Trajectory at
+    an array of n times, from the states and D(rho) alone, formed here on
+    their coherence orders as dissipation forms it: the Hamiltonian's part
+    tr([H, rho] ln rho) is zero for any H.
 
         dS/dt = -tr(D(rho) ln rho),
         Phi   = tr(D(rho) ln rho_bar) = ln(nbar/(nbar+1)) tr(J_z D(rho)),
@@ -483,10 +486,14 @@ def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec) -> EntropyRates
     its populations, O(d) per state, and any other state takes one batched
     eigh. Eigenvalues are floored at EIG_LOG_FLOOR, so a pure state's
     dS/dt is large but finite."""
-    x, orders = _diagonals_and_orders(rho)
-    if not isinstance(rho, Trajectory):
-        d_rho = _order_diagonals(d_rho, orders)
-    block, d_block = order_blocks(x, orders), order_blocks(d_rho, orders)
+    x, orders = _diagonals_and_orders(states)
+    return _spohn_rates(x, _order_dissipation(x, d, t, orders), orders, d)
+
+
+def _spohn_rates(x: np.ndarray, dx: np.ndarray, orders, d: DissipatorSpec) -> EntropyRates:
+    """von_neumann_rates of the states whose order diagonals on orders are
+    x, from dx, those of D(rho), which simulate forms once for its runs."""
+    block, d_block = order_blocks(x, orders), order_blocks(dx, orders)
     if block.shape[-1] == 1:  # populations
         log_rho = np.log(np.clip(block.real, EIG_LOG_FLOOR, None))
     else:
@@ -494,15 +501,11 @@ def von_neumann_rates(rho, d_rho: np.ndarray, d: DissipatorSpec) -> EntropyRates
         log_rho = (vecs * np.log(np.clip(evals, EIG_LOG_FLOOR, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     # The blocks' traces are summed in basis order, term by term, so that a
     # state's rates do not depend on the memory layout of its blocks.
-    traces = np.trace(d_block @ log_rho, axis1=-2, axis2=-1)
-    trace = traces[..., 0]
-    for k in range(1, traces.shape[-1]):
-        trace = trace + traces[..., k]
-    ds = -np.real(trace)
+    traces = np.moveaxis(np.trace(d_block @ log_rho, axis1=-2, axis2=-1), -1, 0)
+    ds = -np.real(sum(traces[1:], traces[0]))
     if d.kind == "dephasing":
         return _rates(ds, ds, 0.0)
-    d_pops = d_block.diagonal(axis1=-2, axis2=-1).real.reshape(d_block.shape[:-3] + (-1,))
-    jz_dot = d_pops @ SpinQuantumNumber(d_pops.shape[-1] - 1).m_values()
+    jz_dot = dx[..., 0, :, 1].real @ SpinQuantumNumber(dx.shape[-2] - 1).m_values()
     log_ratio = -math.log1p(1.0 / d.nbar) if d.nbar > 0.0 else -math.inf
     phi = np.multiply(log_ratio, jz_dot, out=np.zeros(np.shape(jz_dot)), where=jz_dot != 0.0)
     return _rates(ds, ds + phi, phi)

@@ -25,6 +25,7 @@ from .entropy_rates import (
     EntropyRates,
     RateMethod,
     _bloch_parts,
+    _spohn_rates,
     applicable_rate_methods,
     bath_at,
     coherence_bracket,
@@ -33,7 +34,6 @@ from .entropy_rates import (
     rate_pairs,
     spin_half_damping_von_neumann,
     spin_half_dephasing_von_neumann,
-    von_neumann_rates,
 )
 from .errors import AmplitudeUnderflow, NonMarkovianRegime, NonPhysicalState, NothingToCompare, UnsupportedParameters
 from .phase_space import SphereGrid, husimi_chunks, make_grid, wehrl_entropy, wehrl_entropy_spin_half
@@ -131,14 +131,13 @@ def _sigma_or_none(times, pi_values) -> Optional[float]:
 
 def _von_neumann(traj: Trajectory, d: DissipatorSpec, dx: np.ndarray) -> EntropyRates:
     """The von Neumann rates against the bath's Gibbs state, from the closed
-    forms for spin 1/2, on the trajectory's Bloch array, and otherwise from
-    von_neumann_rates on the trajectory and dx, the order diagonals of
-    D(rho)."""
+    forms for spin 1/2, on the trajectory's Bloch array, and otherwise as
+    von_neumann_rates gives them, from dx, the order diagonals of D(rho)."""
     if traj.j.two_j == 1:
         if d.kind == "dephasing":
             return spin_half_dephasing_von_neumann(traj.bloch, d.lam)
         return spin_half_damping_von_neumann(traj.bloch, bath_at(d, traj.times))
-    return von_neumann_rates(traj, dx, d)
+    return _spohn_rates(traj.diagonals, dx, traj.orders, d)
 
 
 def _energy_flux(h: HamiltonianSpec, traj: Trajectory, dx: np.ndarray) -> np.ndarray:
@@ -210,9 +209,9 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
     else:
         fields = None
         entropy = wehrl_entropy_spin_half(_bloch_parts(traj.bloch)[1])
-    wehrl = method.rates(traj, fields, d, times)
+    wehrl = method.rates(traj, fields, d)
     field_free = [m for m in applicable_rate_methods(j.two_j, d) if not m.needs_field]
-    agreement = _agreement(field_free, d, lambda m: wehrl if m is method else m.rates(traj, None, d, times))
+    agreement = _agreement(field_free, d, lambda m: wehrl if m is method else m.rates(traj, None, d))
     dx = _order_dissipation(traj.diagonals, d, times, traj.orders)
     return ScenarioResult(
         trajectory=traj,
@@ -244,11 +243,7 @@ def compare(model: Model, t_max: float, dt: float, grid: SphereGrid) -> dict:
     times = _uniform_grid(t_max, dt)
     _check_rate_scale(model, times)
     traj = evolve(model.rho0, model.h, d, times)
-
-    def series(m):
-        return m.rates(traj, husimi_chunks(traj, grid) if m.needs_field else None, d, traj.times)
-
-    return _agreement(methods, d, series)
+    return _agreement(methods, d, lambda m: m.rates(traj, husimi_chunks(traj, grid) if m.needs_field else None, d))
 
 
 def spontaneous_emission_model(omega: float, gamma: float, temperature: float) -> Model:

@@ -11,7 +11,8 @@ package calls them.
   current forms are checked.
 * The dense dissipators D(rho) by matrix products, and the master
   equation's right-hand side built on them, against which the package's
-  per-order D(rho) (dynamics.dissipation) is checked.
+  per-order D(rho) (dynamics.dissipation) is checked, and the von Neumann
+  dS/dt = -tr(D(rho) ln rho) by one dense eigh per state.
 * The matrix current f(rho) whose divergence is the damping dissipator.
 * Spin coherent states with their angular derivatives at one point.
 * The pulse's decay rate Gamma_t written in terms of its drive.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinwehrl import _kernels
-from spinwehrl.entropy_rates import BathParams
+from spinwehrl.entropy_rates import EIG_LOG_FLOOR, BathParams
 from spinwehrl.errors import InvalidFrequency, NonPhysicalState
 from spinwehrl.phase_space import Q_FLOOR, HusimiField, SphereGrid, _magnitudes, husimi_chunks
 from spinwehrl.scenarios import PulseParams, pulse_amplitude, pulse_xi
@@ -183,6 +184,13 @@ def dense_dissipator(rho: np.ndarray, d, t) -> np.ndarray:
         return dephasing_dissipator(rho, d.lam)
     gamma = d.gamma if d.kind == "amplitude_damping" else np.asarray(d.gamma_t(t), dtype=float)[..., None, None]
     return amplitude_damping_dissipator(rho, gamma, d.nbar)
+
+
+def dense_von_neumann_ds(stack: np.ndarray, d_rho: np.ndarray) -> np.ndarray:
+    """-tr(D(rho) ln rho) by one dense eigh per state, eigenvalues floored."""
+    evals, vecs = np.linalg.eigh(stack)
+    log_rho = (vecs * np.log(np.clip(evals, EIG_LOG_FLOOR, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return -np.trace(d_rho @ log_rho, axis1=-2, axis2=-1).real
 
 
 def dense_lindblad_rhs(rho: np.ndarray, t, h, d) -> np.ndarray:

@@ -136,7 +136,7 @@ def test_criterion_03_exact_flux_vs_quadrature(rng):
             bath = BathParams(gamma=1.0, nbar=nbar)
             for _ in range(3):
                 rho = random_diagonal_state(j, rng)
-                exact = damping_phi_exact(rho.populations(), bath, j)
+                exact = damping_phi_exact(rho.populations(), bath)
                 quad = damping_phi_quadrature(husimi(rho, grid), bath)
                 worst = max(worst, abs(quad - exact) / max(abs(exact), 1e-12))
     assert worst <= 1e-6
@@ -146,7 +146,7 @@ def test_criterion_03_exact_flux_vs_quadrature(rng):
     for _ in range(20):
         tz = rng.uniform(-0.95, 0.95)
         pops = np.array([(1 + tz) / 2, (1 - tz) / 2])
-        exact = damping_phi_exact(pops, bath, SpinQuantumNumber(1))
+        exact = damping_phi_exact(pops, bath)
         closed = spin_half_damping_rates(BlochVector(0, 0, tz), bath).phi
         worst_half = max(worst_half, abs(exact - closed) / max(abs(closed), 1e-12))
     assert worst_half <= 1e-10
@@ -166,7 +166,7 @@ def test_criterion_04_zero_temperature_limit_chain(rng):
         pops = rng.uniform(0.1, 1.0, j.dim)
         pops /= pops.sum()
         jz = float(np.dot(pops, j.m_values()))
-        exact = damping_phi_exact(pops, bath, j)
+        exact = damping_phi_exact(pops, bath)
         limit = damping_phi_zero_temperature(jz, 1.0, j)
         worst = max(worst, abs(exact - limit) / abs(limit))
     assert worst <= 1e-4
@@ -264,7 +264,7 @@ def test_criterion_07_clausius_limit(rng):
     for two_j in (1, 2, 10):
         j = SpinQuantumNumber(two_j)
         rho = gibbs_state(j, omega, temp * 1.05)  # near-equilibrium
-        phi = damping_phi_exact(rho.populations(), bath, j)
+        phi = damping_phi_exact(rho.populations(), bath)
         phi_e = energy_flux(rho, bath, omega)
         ratio = phi * temp * (1.0 + 1.0 / j.j) / phi_e
         worst = max(worst, abs(ratio - 1.0))

@@ -3,7 +3,8 @@ tests: code in another module of the package (a Name or Attribute node,
 not a docstring) or the README. Neither the tests nor the benchmark's
 tracer count: a name that only they reach belongs in its module,
 tests/oracles.py or nowhere. No public function takes the coherence
-orders of its states as an argument: it reads them from the states."""
+orders of its states, or their dissipator image D(rho), as an argument:
+it reads the orders from the states and forms D(rho) itself."""
 
 import ast
 import inspect
@@ -58,4 +59,5 @@ def exported_functions() -> list:
 @pytest.mark.parametrize("function", exported_functions(), ids=lambda f: f.__name__)
 def test_no_function_takes_the_orders(function):
     # Classes (Trajectory keeps its states' orders) are left out.
-    assert "orders" not in inspect.signature(function).parameters
+    parameters = inspect.signature(function).parameters
+    assert "orders" not in parameters and "d_rho" not in parameters

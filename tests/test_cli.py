@@ -856,6 +856,25 @@ class TestIOErrors:
         assert capsys.readouterr().err == ""
         assert sorted(p.name for p in out.iterdir()) == ["custom.csv", "states.csv"]
 
+    def test_sweep_table_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        # Refused before any value runs, as run refuses its CSV.
+        calls = count_calls(monkeypatch, sys.modules["spinwehrl.cli"], "simulate")
+        table = tmp_path / "spontaneous_emission_sweep_temperature.csv"
+        table.mkdir()
+        path = str(bundled_configs()["spontaneous_emission.json"])
+        argv = ["sweep", "--config", path, "--param", "temperature", "--values", "0.2,0.4,0.7", "--out", str(tmp_path)]
+        self.run_io(capsys, argv)
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == [table.name] and not any(table.iterdir())
+
+    def test_sweep_table_in_a_new_out(self, tmp_path, capsys):
+        # --out is created after the checks, so the table inside it is not in a missing directory.
+        out = tmp_path / "new" / "out"
+        path = str(bundled_configs()["spontaneous_emission.json"])
+        assert main(["sweep", "--config", path, "--param", "temperature", "--values", "0.2,0.4", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert [p.name for p in out.iterdir()] == ["spontaneous_emission_sweep_temperature.csv"]
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_empty_run_csv_name(self, tmp_path, monkeypatch, capsys, command):
         calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")

@@ -20,6 +20,7 @@ from spinwehrl import (
     SpinQuantumNumber,
     bloch_to_rho,
     evolve,
+    gibbs_state,
     husimi_chunks,
     make_grid,
     von_neumann_rates,
@@ -27,7 +28,13 @@ from spinwehrl import (
 from spinwehrl import _kernels, phase_space
 from spinwehrl.cli import _write_states_csv
 from spinwehrl.dynamics import Trajectory, _order_dissipation, dissipation
-from spinwehrl.entropy_rates import EIG_LOG_FLOOR, spin_half_dephasing_von_neumann
+from spinwehrl.entropy_rates import (
+    EIG_LOG_FLOOR,
+    _spohn_rates,
+    bath_at,
+    spin_half_damping_von_neumann,
+    spin_half_dephasing_von_neumann,
+)
 from spinwehrl.phase_space import wehrl_entropy, wehrl_entropy_spin_half
 from spinwehrl.spin_ops import (
     _from_order_diagonals,
@@ -36,7 +43,7 @@ from spinwehrl.spin_ops import (
     coherence_orders,
     order_layout,
 )
-from oracles import dense_dissipator, savetxt_csv
+from oracles import dense_dissipator, dense_von_neumann_ds, savetxt_csv
 
 # (2J, coherence orders): J_z-diagonal, even orders only, orders without 1
 # that still join every index (2J = 5: 0-3-5-2 and 1-4), and full.
@@ -64,13 +71,6 @@ def block_state(two_j: int, orders: tuple, rng) -> np.ndarray:
 
 def block_stack(two_j: int, orders: tuple, rng, n: int = N_STATES) -> np.ndarray:
     return np.stack([block_state(two_j, orders, rng) for _ in range(n)])
-
-
-def dense_von_neumann_ds(stack: np.ndarray, d_rho: np.ndarray) -> np.ndarray:
-    """-tr(D(rho) ln rho) by one dense eigh per state, eigenvalues floored."""
-    evals, vecs = np.linalg.eigh(stack)
-    log_rho = (vecs * np.log(np.clip(evals, EIG_LOG_FLOOR, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return -np.trace(d_rho @ log_rho, axis1=-2, axis2=-1).real
 
 
 def assert_relative(got, want, rtol):
@@ -250,17 +250,16 @@ class TestValidationPerBlock:
 
 class TestVonNeumannPerBlock:
     """von_neumann_rates, on the populations of a J_z-diagonal stack and on
-    any other stack whole, matches one dense eigh per state to 1e-14 of
-    the largest rate."""
+    any other stack whole, matches one dense eigh per state of the dense
+    dissipator's D(rho) to 1e-14 of the largest rate."""
 
     @pytest.mark.parametrize("two_j, orders", ORDER_SETS)
     @pytest.mark.parametrize("kind", ["damping", "dephasing"])
     def test_matches_dense_eigh(self, two_j, orders, kind, rng):
         stack = block_stack(two_j, orders, rng)
         d = DissipatorSpec.amplitude_damping(1.2, 0.4) if kind == "damping" else DissipatorSpec.dephasing(0.8)
-        d_rho = dissipation(stack, d, 0.0)
-        rates = von_neumann_rates(stack, d_rho, d)
-        assert_relative(rates.ds_dt, dense_von_neumann_ds(stack, d_rho), 1e-14)
+        rates = von_neumann_rates(stack, d, 0.0)
+        assert_relative(rates.ds_dt, dense_von_neumann_ds(stack, dense_dissipator(stack, d, 0.0)), 1e-14)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("nbar", [0.0, 0.5])
@@ -271,8 +270,8 @@ class TestVonNeumannPerBlock:
         d = DissipatorSpec.amplitude_damping(1.0, nbar)
         traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 0.5, 6))
         assert traj.orders == (0,)
-        d_rho = dissipation(traj.entries, d, traj.times)
-        rates = von_neumann_rates(traj.entries, d_rho, d)
+        rates = von_neumann_rates(traj.entries, d, traj.times)
+        d_rho = dense_dissipator(traj.entries, d, traj.times)
         assert_relative(rates.ds_dt, dense_von_neumann_ds(traj.entries, d_rho), 1e-14)
         # At t = 0 only D's population 1, (nbar + 1) 2J, meets a zero population.
         assert rates.ds_dt[0] == pytest.approx(-(nbar + 1.0) * 12.0 * math.log(EIG_LOG_FLOOR), rel=1e-14)
@@ -288,8 +287,37 @@ class TestVonNeumannPerBlock:
         rho0 = DensityMatrix(j, np.diag([0.0] * 12 + [1.0]).astype(complex))
         d = DissipatorSpec.amplitude_damping(1.0, 0.0)
         traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 0.5, 6))
-        rates = von_neumann_rates(traj.entries, dissipation(traj.entries, d, traj.times), d)
+        assert not np.any(dense_dissipator(traj.entries, d, traj.times))
+        rates = von_neumann_rates(traj.entries, d, traj.times)
         assert not np.any(rates.ds_dt) and not np.any(rates.phi) and not np.any(rates.pi)
+
+    def test_gibbs_trajectory(self):
+        # A 2J = 4 Gibbs state at T = 2 relaxing to a colder bath: Spohn's
+        # production is positive and decays towards the bath's Gibbs state.
+        d = DissipatorSpec.amplitude_damping(1.0, 0.5)
+        traj = evolve(gibbs_state(SpinQuantumNumber(4), 1.0, 2.0), HamiltonianSpec.static_jz(1.0), d,
+                      np.linspace(0.0, 1.0, 5))
+        rates = von_neumann_rates(traj, d, traj.times)
+        d_rho = dense_dissipator(traj.entries, d, traj.times)
+        assert_relative(rates.ds_dt, dense_von_neumann_ds(traj.entries, d_rho), 1e-14)
+        want_phi = np.log(0.5 / 1.5) * (d_rho.diagonal(axis1=-2, axis2=-1).real @ traj.j.m_values())
+        assert_relative(rates.phi, want_phi, 1e-14)
+        assert np.all(rates.pi >= 0.0)
+        np.testing.assert_allclose(rates.pi, [1.1292, 0.2968, 0.0740, 0.0175, 0.0039], rtol=0, atol=5e-5)
+
+    def test_rotating_field_trajectory(self):
+        # A spin 1/2 with a coherence under the rotating field: every order
+        # carries D(rho), and the rates are the spin-1/2 closed forms'.
+        d = DissipatorSpec.amplitude_damping(1.0, 0.5)
+        traj = evolve(bloch_to_rho(BlochVector(0.5, 0.2, 0.3)), HamiltonianSpec.rotating_field(1.0, 0.7, 1.3), d,
+                      np.linspace(0.0, 1.0, 5))
+        rates = von_neumann_rates(traj, d, traj.times)
+        assert_relative(rates.ds_dt, dense_von_neumann_ds(traj.entries, dense_dissipator(traj.entries, d, traj.times)),
+                        1e-14)
+        assert np.all(rates.pi >= 0.0)
+        closed = spin_half_damping_von_neumann(traj.bloch, bath_at(d, traj.times))
+        for name in ("ds_dt", "pi", "phi"):
+            assert_relative(getattr(rates, name), getattr(closed, name), 1e-13)
 
 
 def block_trajectory(two_j: int, orders: tuple, rng, d=DissipatorSpec.amplitude_damping(1.2, 0.4)):
@@ -319,10 +347,12 @@ class TestFromTheTrajectory:
         want = _from_order_diagonals(_order_dissipation(_order_diagonals(stack, orders), d, traj.times, orders), orders)
         assert d_rho.tobytes() == want.tobytes() == _from_order_diagonals(dx, orders).tobytes()
         assert dissipation(traj, d, traj.times).tobytes() == d_rho.tobytes()
-        rates = von_neumann_rates(traj, dx, d)
-        dense = von_neumann_rates(stack, d_rho, d)
+        rates = von_neumann_rates(traj, d, traj.times)
+        dense = von_neumann_rates(stack, d, traj.times)
+        private = _spohn_rates(traj.diagonals, dx, orders, d)
         for name in ("ds_dt", "pi", "phi"):
-            assert getattr(rates, name).tobytes() == getattr(dense, name).tobytes()
+            assert getattr(rates, name).tobytes() == getattr(dense, name).tobytes() == getattr(private, name).tobytes()
+        assert_relative(rates.ds_dt, dense_von_neumann_ds(stack, dense_dissipator(stack, d, traj.times)), 1e-14)
         check_density_entries(traj)
         check_density_entries(stack)
 
@@ -375,8 +405,9 @@ class TestProbes:
         d = DissipatorSpec.dephasing(1.0)
         d_rho = dissipation(self.RHO, d, 0.0)
         assert d_rho[0, 1] == d_rho[1, 0] == -0.15
-        rates = von_neumann_rates(self.RHO, d_rho, d)
+        rates = von_neumann_rates(self.RHO, d, 0.0)
         assert rates.pi == pytest.approx(0.2121724943697506, rel=1e-14)
+        assert rates.ds_dt == pytest.approx(dense_von_neumann_ds(self.RHO, dense_dissipator(self.RHO, d, 0.0)), rel=1e-14)
         closed = spin_half_dephasing_von_neumann(BlochVector(0.6, 0.0, 0.2), 1.0)
         assert rates.pi == pytest.approx(closed.pi, rel=1e-13) and rates.phi == 0.0
 

@@ -52,6 +52,7 @@ from conftest import random_density_matrix, random_diagonal_state
 from oracles import (
     amplitude_damping_dissipator,
     dense_dissipator,
+    dense_von_neumann_ds,
     dephasing_dissipator,
     dissipative_entropy_rate,
     energy_flux,
@@ -225,7 +226,7 @@ class TestDampingQuadrature:
         bath = BathParams(gamma=1.0, nbar=1.0)
         rho = random_diagonal_state(j, rng)
         quad = damping_phi_quadrature(husimi(rho, default_grid), bath)
-        exact = damping_phi_exact(rho.populations(), bath, j)
+        exact = damping_phi_exact(rho.populations(), bath)
         assert quad == pytest.approx(exact, rel=1e-6)
 
     def test_spin_half_production_matches_closed_form(self, default_grid):
@@ -258,7 +259,7 @@ class TestDampingExactFlux:
         bath = BathParams(gamma=1.0, nbar=0.8)
         tbz = bath.tau_bar_z
         pops = np.array([(1 + tbz) / 2, (1 - tbz) / 2])
-        assert damping_phi_exact(pops, bath, J_HALF) == pytest.approx(0.0, abs=1e-10)
+        assert damping_phi_exact(pops, bath) == pytest.approx(0.0, abs=1e-10)
 
     def test_spin_half_matches_closed_form(self, rng):
         for nbar in (0.1, 0.5, 1.0, 5.0):
@@ -266,7 +267,7 @@ class TestDampingExactFlux:
             for _ in range(10):
                 tz = rng.uniform(-0.95, 0.95)
                 pops = np.array([(1 + tz) / 2, (1 - tz) / 2])
-                exact = damping_phi_exact(pops, bath, J_HALF)
+                exact = damping_phi_exact(pops, bath)
                 closed = spin_half_damping_rates(BlochVector(0, 0, tz), bath).phi
                 assert exact == pytest.approx(closed, rel=1e-10, abs=1e-12)
 
@@ -275,7 +276,7 @@ class TestDampingExactFlux:
         bath = BathParams(gamma=1.0, nbar=0.5)
         grid = make_grid(192, 384)
         rho = random_diagonal_state(j, rng)
-        exact = damping_phi_exact(rho.populations(), bath, j)
+        exact = damping_phi_exact(rho.populations(), bath)
         quad = damping_phi_quadrature(husimi(rho, grid), bath)
         assert quad == pytest.approx(exact, rel=1e-6)
 
@@ -285,7 +286,7 @@ class TestDampingExactFlux:
         bath = BathParams(gamma=1.0, nbar=1.0)
         rho = random_density_matrix(j, rng)
         quad = damping_phi_quadrature(husimi(rho, default_grid), bath)
-        exact = damping_phi_exact(rho.populations(), bath, j)
+        exact = damping_phi_exact(rho.populations(), bath)
         assert quad == pytest.approx(exact, rel=1e-6)
 
     def test_zero_temperature_boundary_rejected(self):
@@ -300,11 +301,11 @@ class TestDampingExactFlux:
             jz = np.array([math.fsum(p * j.m_values()) for p in pops])
             for nbar in (0.0, 1e-17):
                 assert BathParams(gamma=1.0, nbar=nbar).tau_bar_z <= EXACT_FLUX_MIN_TBZ
-                stacked = damping_phi_exact(pops, BathParams(gamma=gamma, nbar=nbar), j)
+                stacked = damping_phi_exact(pops, BathParams(gamma=gamma, nbar=nbar))
                 limit = damping_phi_zero_temperature(jz, gamma, j)
                 np.testing.assert_allclose(stacked, limit, rtol=0, atol=1e-14 * 8 * j.j ** 2)
                 for k in range(pops.shape[0]):
-                    one = damping_phi_exact(pops[k], BathParams(gamma=float(gamma[k]), nbar=nbar), j)
+                    one = damping_phi_exact(pops[k], BathParams(gamma=float(gamma[k]), nbar=nbar))
                     assert np.float64(one).tobytes() == stacked[k].tobytes()
 
     @pytest.mark.parametrize("two_j", [1, 4, 40])
@@ -327,7 +328,7 @@ class TestDampingExactFlux:
                         - ((1 + tbz) / (1 + jj)) * mp.fsum(mp.mpf(p) * w for p, w in zip(row, weights)) / 2))
             for row in pops
         ]
-        exact = damping_phi_exact(pops, BathParams(gamma=1.0, nbar=EXACT_FLUX_MAX_NBAR), j)
+        exact = damping_phi_exact(pops, BathParams(gamma=1.0, nbar=EXACT_FLUX_MAX_NBAR))
         assert np.max(np.abs(exact - oracle)) <= 1e-8 * np.max(np.abs(oracle))
 
     def test_not_cross_checked_above_the_nbar_bound(self):
@@ -357,7 +358,7 @@ def test_each_method_gives_only_what_it_computes(two_j, kind, nbar):
     traj = evolve(rho0, HamiltonianSpec.static_jz(1.0), d, np.linspace(0.0, 0.5, 6))
     for method in applicable_rate_methods(two_j, d):
         fields = husimi_chunks(traj.entries, make_grid(24, 48)) if method.needs_field else None
-        rates = method.rates(traj, fields, d, traj.times)
+        rates = method.rates(traj, fields, d)
         assert [f.name for f in dataclasses.fields(rates)] == ["ds_dt", "pi", "phi"]
         assert isinstance(rates, EntropyRates)
         for name in ("ds_dt", "pi", "phi"):
@@ -392,7 +393,7 @@ class TestZeroTemperatureFlux:
         pops = rng.uniform(0.1, 1.0, j.dim)
         pops /= pops.sum()
         jz = float(np.dot(pops, j.m_values()))
-        exact = damping_phi_exact(pops, bath, j)
+        exact = damping_phi_exact(pops, bath)
         limit = damping_phi_zero_temperature(jz, 1.0, j)
         assert exact == pytest.approx(limit, rel=1e-4)
 
@@ -495,7 +496,9 @@ class TestSpinHalfClosedForms:
             v *= rng.uniform(0.1, 0.9) / np.linalg.norm(v)
             b = BlochVector(*v)
             rho = bloch_to_rho(b)
-            general = von_neumann_rates(rho, dense_dissipator(rho.entries, d, 0.0), d)
+            general = von_neumann_rates(rho, d, 0.0)
+            assert general.ds_dt == pytest.approx(
+                dense_von_neumann_ds(rho.entries, dense_dissipator(rho.entries, d, 0.0)), rel=1e-13)
             closed = spin_half_damping_von_neumann(b, bath)
             assert general.phi == pytest.approx(closed.phi, rel=1e-10, abs=1e-12)
             assert general.pi == pytest.approx(closed.pi, rel=1e-8, abs=1e-10)
@@ -509,7 +512,9 @@ class TestSpinHalfClosedForms:
             v *= rng.uniform(0.1, 0.9) / np.linalg.norm(v)
             b = BlochVector(*v)
             rho = bloch_to_rho(b)
-            general = von_neumann_rates(rho, dense_dissipator(rho.entries, d, 0.0), d)
+            general = von_neumann_rates(rho, d, 0.0)
+            assert general.ds_dt == pytest.approx(
+                dense_von_neumann_ds(rho.entries, dense_dissipator(rho.entries, d, 0.0)), rel=1e-13)
             closed = spin_half_dephasing_von_neumann(b, d.lam)
             assert general.pi == pytest.approx(closed.pi, rel=1e-13, abs=1e-15)
             assert general.ds_dt == general.pi and general.phi == 0.0 == closed.phi
@@ -524,7 +529,7 @@ class TestClausiusRatio:
         nbar = 1.0 / math.expm1(omega / temp)
         bath = BathParams(gamma=1.0, nbar=nbar)
         rho = gibbs_state(j, omega, temp * 1.05)
-        phi = damping_phi_exact(rho.populations(), bath, j)
+        phi = damping_phi_exact(rho.populations(), bath)
         phi_e = energy_flux(rho, bath, omega)
         assert phi * temp * (1.0 + 1.0 / j.j) / phi_e == pytest.approx(1.0, abs=0.01)
 
@@ -770,11 +775,11 @@ class TestExactFluxWeightsOncePerCall:
         j = SpinQuantumNumber(two_j)
         bath = BathParams(gamma=0.7, nbar=0.4)
         pops = rng.dirichlet(np.ones(j.dim), size=12)
-        rows = damping_phi_exact(pops, bath, j)
+        rows = damping_phi_exact(pops, bath)
         assert rows.shape == (12,)
         expected = np.array([self.per_state_loop(p, bath, j) for p in pops])
         np.testing.assert_allclose(rows, expected, rtol=1e-14, atol=0)
-        one_by_one = [damping_phi_exact(p, bath, j) for p in pops]
+        one_by_one = [damping_phi_exact(p, bath) for p in pops]
         assert all(isinstance(x, float) for x in one_by_one)
         np.testing.assert_allclose(rows, one_by_one, rtol=1e-14, atol=0)
 
@@ -783,11 +788,14 @@ class TestExactFluxWeightsOncePerCall:
         j = SpinQuantumNumber(3)
         pops = rng.dirichlet(np.ones(j.dim), size=(2, 5))
         gammas = rng.uniform(0.1, 1.0, size=(2, 5))
-        out = damping_phi_exact(pops, BathParams(gamma=gammas, nbar=0.2), j)
+        out = damping_phi_exact(pops, BathParams(gamma=gammas, nbar=0.2))
         assert out.shape == (2, 5)
-        one = damping_phi_exact(pops[1, 3], BathParams(gamma=gammas[1, 3], nbar=0.2), j)
+        one = damping_phi_exact(pops[1, 3], BathParams(gamma=gammas[1, 3], nbar=0.2))
         assert out[1, 3] == pytest.approx(one, rel=1e-15)
 
-    def test_wrong_population_length_rejected(self):
-        with pytest.raises(UnsupportedParameters):
-            damping_phi_exact(np.full((4, 3), 1.0 / 3.0), BathParams(gamma=1.0, nbar=0.5), J_HALF)
+    @pytest.mark.parametrize("populations", [1.0, [1.0], np.ones((4, 1))], ids=["scalar", "one", "rows_of_one"])
+    def test_no_spin_rejected(self, populations):
+        # 2J comes from the populations' length: a scalar has none, and one
+        # population per state is no spin.
+        with pytest.raises(UnsupportedParameters, match="2J"):
+            damping_phi_exact(populations, BathParams(gamma=1.0, nbar=0.5))

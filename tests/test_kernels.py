@@ -2,6 +2,7 @@
 and the quadrature reductions over chunks of states."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def pipeline_rates(d, states, grid):
     times = np.linspace(0.0, 1.0, len(states))
     stack = np.stack([s.entries for s in states])
     fields = husimi_chunks(stack, grid)
-    return RATE_METHODS["quadrature"].rates(None, fields, d, times), times
+    return RATE_METHODS["quadrature"].rates(SimpleNamespace(times=times), fields, d), times
 
 
 class TestChunkReduction:

@@ -170,8 +170,8 @@ class DissipatorSpec:
             raise ValueError(f"unknown dissipator kind {self.kind!r}")
         if self.kind == "time_dependent_damping" and not callable(self.gamma_t):
             raise ValueError(f"time_dependent_damping needs a callable gamma_t, got {self.gamma_t!r}")
-        if self.lam < 0 or self.gamma < 0 or self.nbar < 0:
-            raise NonPhysicalState("dissipator rates and occupation must be non-negative")
+        if not all(0.0 <= x < np.inf for x in (self.lam, self.gamma, self.nbar)):  # also refuses nan
+            raise NonPhysicalState("dissipator rates and occupation must be finite and non-negative")
 
     @classmethod
     def dephasing(cls, lam: float) -> "DissipatorSpec":

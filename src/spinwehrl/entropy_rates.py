@@ -5,8 +5,8 @@ cross-validate each other:
 
 * spherical quadrature of the phase-space integrands (any J),
 * closed forms for spin 1/2,
-* an exact hypergeometric expression for the damping flux (any J),
-  with a dedicated T -> 0 limit.
+* an exact hypergeometric expression for the damping flux (any J, any
+  nbar, T = 0 included).
 
 Von Neumann counterparts are provided for comparison, measured against
 the bath's Gibbs state whatever the Hamiltonian: closed forms for spin 1/2
@@ -40,28 +40,29 @@ from .spin_ops import _diagonals_and_orders
 from . import _kernels
 
 DIVERGENCE_EDGE = 1e-12
-# At tau_bar_z up to this (nbar below about 5e-16) damping_phi_exact gives
-# its T -> 0 limit, damping_phi_zero_temperature.
-EXACT_FLUX_MIN_TBZ = -1.0 + 1e-15
-# Above this nbar the exact flux is not cross-checked: its error grows like
-# nbar times the machine epsilon (see damping_phi_exact).
-EXACT_FLUX_MAX_NBAR = 1e6
 
 
 @dataclass(frozen=True)
 class BathParams:
-    """Amplitude-damping bath: rate gamma and mean occupation nbar. gamma
-    may be an array, the rate at each time of a trajectory. An nbar whose
-    2 nbar + 1 overflows, which would make tau_bar_z -0, is refused."""
+    """Amplitude-damping bath: rate gamma and mean occupation nbar, finite
+    and non-negative. gamma may be an array, the rate at each time of a
+    trajectory. An nbar whose 2 nbar + 1 overflows, which would make
+    tau_bar_z -0, is refused."""
 
     gamma: float
     nbar: float
 
     def __post_init__(self):
+        # Comparisons with nan are False, so these refuse nan as well as
+        # negative and infinite values.
         gamma = self.gamma
-        negative = gamma < 0 if isinstance(gamma, (int, float)) else np.any(np.asarray(gamma) < 0)
-        if negative or self.nbar < 0:
-            raise UnsupportedParameters("gamma and nbar must be non-negative")
+        if isinstance(gamma, (int, float)):
+            valid = 0.0 <= gamma < math.inf
+        else:
+            gamma = np.asarray(gamma, dtype=float)
+            valid = np.all((0.0 <= gamma) & (gamma < math.inf))
+        if not (valid and 0.0 <= self.nbar < math.inf):
+            raise UnsupportedParameters("gamma and nbar must be finite and non-negative")
         if 2.0 * self.nbar + 1.0 == math.inf:
             raise UnsupportedParameters(f"nbar = {self.nbar:g} overflows 2 nbar + 1")
 
@@ -237,43 +238,39 @@ def damping_pi_quadrature(field: HusimiField, bath: BathParams):
 
 
 def damping_phi_exact(populations: np.ndarray, bath: BathParams):
-    """Exact damping entropy flux from the J_z populations (m descending)
-    of a spin 2J + 1 = d >= 2: of one state, (d,), or each row of (..., d).
+    """Exact damping entropy flux from the J_z populations p_k (m
+    descending, k = J + m) of a spin 2J + 1 = d >= 2: of one state, (d,),
+    or each row of (..., d).
 
-    The flux depends only on the diagonal of the state, linearly: its
-    2(2J+1) 2F1 values depend on J and nbar alone and are evaluated once per
-    call. At tau_bar_z <= EXACT_FLUX_MIN_TBZ, the T = 0 boundary, it is
-    the limit damping_phi_zero_temperature.
+        Phi = (2J+1) gamma J / 2 * sum_k p_k [2J w_k + 8m / ((2J+1)(2J+2))],
 
-    Its terms cancel at O(nbar), so its error grows like nbar times the
-    machine epsilon. Against an mpmath evaluation of the same formula, over
-    random and pure states and relative to their largest flux, the error
-    is below 1e-9 at nbar = 1e6 (EXACT_FLUX_MAX_NBAR), 5e-9 at 1e7, 1e-7
-    at 1e8 and 6e-6 at 1e10, for 2J = 1 to 40.
+    where w_k is the integral over u = cos(theta) in [-1, 1] of the Husimi
+    function of |J, m>, C(2J, k) ((1+u)/2)^k ((1-u)/2)^(2J-k), times
+    (1 - u^2)/(2 nbar + 1 - u). By Euler's integral, with z = 1/(nbar + 1),
+
+        w_k = 4 (k+1)(2J-k+1) / ((2J+1)(2J+2)(2J+3)) * z * 2F1(1, k+2; 2J+4; z),
+
+    a sum of positive terms: one 2F1 per level, evaluated once per call, at
+    every nbar. Where z rounds to 1 (nbar below about 1.1e-16), Gauss's
+    theorem gives 2F1(1, k+2; 2J+4; 1) = (2J+3)/(2J-k+1), and the flux is
+    its T -> 0 limit, damping_phi_zero_temperature.
     """
-    tbz = bath.tau_bar_z
     pops = np.asarray(populations, dtype=float)
     if pops.ndim == 0 or pops.shape[-1] < 2:
         raise UnsupportedParameters(f"expected 2J + 1 >= 2 populations, got shape {pops.shape}")
     j = SpinQuantumNumber(pops.shape[-1] - 1)
+    two_j = j.two_j
+    z = 1.0 / (bath.nbar + 1.0)
+    norm = (two_j + 1.0) * (two_j + 2.0)
     # Sums over m run in basis order, term by term, so that a state's flux
     # does not depend on how many states share the call.
-    jz = 0.0
-    for k, m in enumerate(j.m_values()):
-        jz = jz + pops[..., k] * m
-    if tbz <= EXACT_FLUX_MIN_TBZ:
-        return damping_phi_zero_temperature(jz, bath.gamma, j)
-    jj = j.j
-    z = 2.0 * tbz / (tbz - 1.0)
-    c = 3.0 + 2.0 * jj
     acc = 0.0
-    for k, m in enumerate(j.m_values()):
-        f1 = gauss_2f1(1.0, 1.0 + jj + m, c, z)
-        f2 = gauss_2f1(1.0, 2.0 + jj + m, c, z)
-        weight = ((1.0 + jj - m) / tbz) * f1 + ((1.0 + jj + m) * (1.0 + 4.0 * jj + 1.0 / tbz) / (1.0 - tbz)) * f2
-        acc = acc + pops[..., k] * weight
-    total = (1.0 + tbz) / tbz + 2.0 * (jj + jz) - 0.5 * ((1.0 + tbz) / (1.0 + jj)) * acc
-    return _out(bath.gamma * jj * total)
+    for i, m in enumerate(j.m_values()):
+        k = two_j - i
+        hyp = (two_j + 3.0) / (two_j - k + 1.0) if z == 1.0 else gauss_2f1(1.0, k + 2.0, two_j + 4.0, z)
+        w = 4.0 * (k + 1.0) * (two_j - k + 1.0) / (norm * (two_j + 3.0)) * z * hyp
+        acc = acc + pops[..., i] * (two_j * w + 8.0 * m / norm)
+    return _out(0.5 * j.dim * bath.gamma * j.j * acc)
 
 
 def damping_phi_zero_temperature(jz_expect, gamma, j: SpinQuantumNumber):
@@ -411,8 +408,7 @@ RATE_METHODS = {
     m.name: m
     for m in (
         RateMethod("quadrature", lambda two_j, d: True, ("phi", "pi"), True, _quadrature_rates),
-        RateMethod("exact-2F1", lambda two_j, d: d.kind != "dephasing" and d.nbar <= EXACT_FLUX_MAX_NBAR,
-                   ("phi",), False, _exact_2f1_rates),
+        RateMethod("exact-2F1", lambda two_j, d: d.kind != "dephasing", ("phi",), False, _exact_2f1_rates),
         RateMethod("closed-form", lambda two_j, d: two_j == 1, ("phi", "pi"), False, _closed_form_rates),
     )
 }

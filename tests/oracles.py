@@ -14,6 +14,8 @@ package calls them.
   per-order D(rho) (dynamics.dissipation) is checked, and the von Neumann
   dS/dt = -tr(D(rho) ln rho) by one dense eigh per state.
 * The matrix current f(rho) whose divergence is the damping dissipator.
+* The exact damping flux of J_z populations by mpmath quadrature of the
+  flux integrand of each level, with no hypergeometric function.
 * Spin coherent states with their angular derivatives at one point.
 * The pulse's decay rate Gamma_t written in terms of its drive.
 * The bath temperature of an occupation, and the energy flux Phi_E of
@@ -25,6 +27,7 @@ package calls them.
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from spinwehrl import _kernels
@@ -236,6 +239,48 @@ def phase_space_currents(field: HusimiField) -> tuple:
     j_plus = np.exp(1j * ph) * (dq_dtheta + 1j * cot * dq_dphi)
     j_minus = -np.exp(-1j * ph) * (dq_dtheta - 1j * cot * dq_dphi)
     return j_plus, j_minus, -1j * dq_dphi
+
+
+def damping_flux_mpmath(populations, gamma: float, nbar: float) -> np.ndarray:
+    """The damping flux of each row of (n, 2J + 1) J_z populations p_k
+    (m descending, k = J + m), by mpmath quadrature at 30 digits:
+
+        Phi = (2J+1) gamma J / 2 * sum_k p_k [2J w_k + 8m / ((2J+1)(2J+2))],
+        w_k = integral over [-1, 1] of B_k(u) (1 - u^2) / (r - u) du,
+
+    with B_k(u) = C(2J, k) ((1+u)/2)^k ((1-u)/2)^(2J-k) the Husimi function
+    of |J, m> on u = cos(theta) and r = 2 nbar + 1. Each w_k is one
+    tanh-sinh quadrature over [-1, 0, 1], of r times the integrand so that
+    its absolute convergence test stays meaningful at large nbar. The levels
+    share their nodes, so the powers of (1 +- u)/2 are formed once a node."""
+    pops = np.atleast_2d(np.asarray(populations, dtype=float))
+    two_j = pops.shape[1] - 1
+    with mp.workdps(30):
+        r = 2 * mp.mpf(nbar) + 1
+        nodes = {}
+
+        def powers(u):
+            if u not in nodes:
+                north, south = (1 + u) / 2, (1 - u) / 2
+                up, down = [mp.mpf(1)], [(1 - u * u) * r / (r - u)]
+                for _ in range(two_j):
+                    up.append(up[-1] * north)
+                    down.append(down[-1] * south)
+                nodes[u] = up, down
+            return nodes[u]
+
+        def integrand(u, k, binom):
+            up, down = powers(u)
+            return binom * up[k] * down[two_j - k]
+
+        weights = []
+        for k in range(two_j, -1, -1):
+            binom = mp.binomial(two_j, k)
+            weights.append(mp.quad(lambda u: integrand(u, k, binom), [-1, 0, 1]) / r)
+        ms = [mp.mpf(two_j) / 2 - i for i in range(two_j + 1)]
+        levels = [two_j * w + 8 * m / ((two_j + 1) * (two_j + 2)) for w, m in zip(weights, ms)]
+        scale = (two_j + 1) * mp.mpf(gamma) * mp.mpf(two_j) / 4
+        return np.array([float(scale * mp.fsum(mp.mpf(p) * x for p, x in zip(row, levels))) for row in pops])
 
 
 def husimi_of_matrix(mat: np.ndarray, j: SpinQuantumNumber, grid: SphereGrid) -> np.ndarray:

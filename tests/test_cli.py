@@ -73,7 +73,7 @@ CUSTOM_DAMPING_J2 = {
 SPIN_J_DEPHASING = dict(CUSTOM_DAMPING_J2, dissipator={"type": "dephasing", "lambda": 1.0})
 GIBBS_J2 = dict(CUSTOM_DAMPING_J2, initial_state={"type": "gibbs", "temperature": 2.0, "omega": 1.0})
 
-# What compare checks on spin-1/2 damping up to EXACT_FLUX_MAX_NBAR, T = 0 included.
+# What compare checks on spin-1/2 damping at every nbar, T = 0 included.
 SPIN_HALF_DAMPING_CHECKS = [
     "phi quadrature vs exact-2F1",
     "phi quadrature vs closed-form",
@@ -81,8 +81,8 @@ SPIN_HALF_DAMPING_CHECKS = [
     "pi quadrature vs closed-form",
 ]
 
-# nbar ~ 1e15, far above EXACT_FLUX_MAX_NBAR, where the exact flux would
-# miss the closed form by 0.375.
+# nbar ~ 1e15, a bath far hotter than any bundled config's, where every
+# spin-1/2 damping method still applies.
 HOT_EMISSION = {
     "scenario": "spontaneous_emission",
     "omega": 1.0,
@@ -667,11 +667,7 @@ class TestCompare:
             pytest.param(CUSTOM_DEPHASING, ["pi quadrature vs closed-form"], id="spin-1/2-dephasing"),
             pytest.param(QUENCH_WARM, SPIN_HALF_DAMPING_CHECKS, id="spin-1/2-damping"),
             pytest.param(CUSTOM_DAMPING_J2, ["phi quadrature vs exact-2F1"], id="2J=4-damping"),
-            pytest.param(
-                HOT_EMISSION,
-                ["phi quadrature vs closed-form", "pi quadrature vs closed-form"],
-                id="spin-1/2-damping-above-exact-flux-bound",
-            ),
+            pytest.param(HOT_EMISSION, SPIN_HALF_DAMPING_CHECKS, id="spin-1/2-hot-damping"),
         ],
     )
     def test_check_names_and_order(self, tmp_path, capsys, cfg, names):
@@ -699,17 +695,15 @@ class TestCompare:
         assert compare_check_names(out) == names
         assert out.splitlines()[-1].endswith("within tolerance 1e-05")
 
-    def test_hot_spin_j_bath_has_nothing_to_compare(self, tmp_path):
-        cfg = copy.deepcopy(CUSTOM_DAMPING_J2)
-        cfg["dissipator"]["nbar"] = 1e7  # above EXACT_FLUX_MAX_NBAR: the quadrature alone applies
-        path = write_config(tmp_path, cfg)
-        assert main(["compare", "--config", path]) == 2
+    def test_hot_spin_j_bath_is_cross_checked(self, tmp_path, capsys):
+        # The exact flux holds at every nbar, so a hot spin-J bath has two methods.
+        path = write_config(tmp_path, with_value(CUSTOM_DAMPING_J2, "dissipator.nbar", 1e7))
+        assert main(["compare", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert compare_check_names(out) == ["phi quadrature vs exact-2F1"]
+        assert out.splitlines()[-1].endswith("within tolerance 1e-05")
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [SPIN_J_DEPHASING, with_value(CUSTOM_DAMPING_J2, "dissipator.nbar", 2e6)],
-        ids=["spin-j-dephasing", "spin-j-damping-above-exact-flux-bound"],
-    )
+    @pytest.mark.parametrize("cfg", [SPIN_J_DEPHASING], ids=["spin-j-dephasing"])
     def test_single_method_rejected_before_integrating(self, tmp_path, monkeypatch, cfg):
         calls = count_calls(monkeypatch, sys.modules["spinwehrl.dynamics"], "evolve")
         assert main(["compare", "--config", write_config(tmp_path, cfg)]) == 2
@@ -1073,10 +1067,7 @@ def test_overflowing_nbar_is_a_numerical_failure_without_warnings(tmp_path, caps
     cfg = with_value(cfg, "time", {"t_max": 1.0, "output_dt": 0.1})
     cfg = with_value(cfg, "grid", {"n_theta": 9, "n_phi": 16})
     path = write_config(tmp_path, cfg)
-    commands = [["run", "--config", path, "--out", str(tmp_path)]]
-    if case != "spin_two":  # spin-J damping above nbar = 1e6 has nothing to compare
-        commands.append(["compare", "--config", path])
-    for argv in commands:
+    for argv in (["run", "--config", path, "--out", str(tmp_path)], ["compare", "--config", path]):
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
 
@@ -1133,13 +1124,13 @@ class TestRunAgreement:
         calls = count_calls(monkeypatch, sys.modules["spinwehrl.hypergeom"], "gauss_2f1")
         path = write_config(tmp_path, QUENCH_WARM)  # 6 states
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 0
-        assert len(calls) == 4  # 2(2J+1), not that many per state
+        assert len(calls) == 2  # 2J + 1, not that many per state
 
     def test_compare_evaluates_the_2f1_weights_once(self, monkeypatch):
         calls = count_calls(monkeypatch, sys.modules["spinwehrl.hypergeom"], "gauss_2f1")
         path = bundled_configs()["damping_j2_compare.json"]  # 2J = 4, 11 states
         assert main(["compare", "--config", str(path)]) == 0
-        assert len(calls) == 2 * (4 + 1)
+        assert len(calls) == 4 + 1
 
 
 class TestSweep:

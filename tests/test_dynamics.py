@@ -131,6 +131,13 @@ class TestSpecs:
         with pytest.raises(ValueError, match="needs a callable gamma_t"):
             DissipatorSpec(kind="time_dependent_damping", gamma_t=gamma_t)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["lam", "gamma", "nbar"])
+    def test_non_finite_dissipator_refused(self, key, value):
+        # nan < 0 is False, so a sign test alone lets nan through.
+        with pytest.raises(NonPhysicalState, match="finite and non-negative"):
+            DissipatorSpec(kind="amplitude_damping", **{key: value})
+
 
 class TestLindbladRhs:
     def test_trivial_generator(self):

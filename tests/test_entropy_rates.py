@@ -37,8 +37,6 @@ from spinwehrl import (
 )
 from spinwehrl import _kernels
 from spinwehrl.entropy_rates import (
-    EXACT_FLUX_MAX_NBAR,
-    EXACT_FLUX_MIN_TBZ,
     _damping_vectors,
     applicable_rate_methods,
     damping_phi_quadrature,
@@ -51,6 +49,7 @@ from spinwehrl.scenarios import SIGMA_TAIL_TOL, _sigma_or_none
 from conftest import random_density_matrix, random_diagonal_state
 from oracles import (
     amplitude_damping_dissipator,
+    damping_flux_mpmath,
     dense_dissipator,
     dense_von_neumann_ds,
     dephasing_dissipator,
@@ -148,6 +147,19 @@ class TestBathParams:
         assert BathParams(gamma=0.0, nbar=8e307).tau_bar_z < 0.0
         with pytest.raises(UnsupportedParameters):
             BathParams(gamma=0.0, nbar=1e308)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["gamma", "gamma-array", "nbar"])
+    def test_non_finite_parameters_raise(self, key, value):
+        # nan < 0 is False, so a sign test alone lets nan through, and the
+        # spin-1/2 rates of such a bath would be nan or inf.
+        params = {"gamma": 1.0, "nbar": 0.5}
+        if key == "gamma-array":
+            params["gamma"] = np.array([1.0, value, 2.0])
+        else:
+            params[key] = value
+        with pytest.raises(UnsupportedParameters, match="finite and non-negative"):
+            BathParams(**params)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.5, np.array([0.0, 1.0])])
     def test_non_negative_rates_accepted(self, gamma):
@@ -290,7 +302,7 @@ class TestDampingExactFlux:
         assert quad == pytest.approx(exact, rel=1e-6)
 
     def test_zero_temperature_boundary_rejected(self):
-        # At and below EXACT_FLUX_MIN_TBZ the exact flux is its T -> 0 limit,
+        # Where 1/(nbar + 1) rounds to 1 the exact flux is its T -> 0 limit,
         # of one state and of each row of a stack with gamma an array, and a
         # state's flux is the same to the bit in either call.
         rng = np.random.default_rng(2024)
@@ -300,7 +312,6 @@ class TestDampingExactFlux:
             gamma = rng.uniform(0.5, 2.0, size=200)
             jz = np.array([math.fsum(p * j.m_values()) for p in pops])
             for nbar in (0.0, 1e-17):
-                assert BathParams(gamma=1.0, nbar=nbar).tau_bar_z <= EXACT_FLUX_MIN_TBZ
                 stacked = damping_phi_exact(pops, BathParams(gamma=gamma, nbar=nbar))
                 limit = damping_phi_zero_temperature(jz, gamma, j)
                 np.testing.assert_allclose(stacked, limit, rtol=0, atol=1e-14 * 8 * j.j ** 2)
@@ -308,35 +319,24 @@ class TestDampingExactFlux:
                     one = damping_phi_exact(pops[k], BathParams(gamma=float(gamma[k]), nbar=nbar))
                     assert np.float64(one).tobytes() == stacked[k].tobytes()
 
-    @pytest.mark.parametrize("two_j", [1, 4, 40])
-    def test_error_at_the_nbar_bound(self, two_j, rng):
-        # the same formula in 40 digits, over random and pure states; the
-        # error is relative to their largest flux, as compare measures it
-        j = SpinQuantumNumber(two_j)
-        nbar = mp.mpf(EXACT_FLUX_MAX_NBAR)
-        tbz = -1 / (2 * nbar + 1)
-        jj = mp.mpf(two_j) / 2
-        z, c = 2 * tbz / (tbz - 1), 3 + 2 * jj
-        weights = []
-        for m in map(mp.mpf, j.m_values()):
-            f1 = mp.hyp2f1(1, 1 + jj + m, c, z)
-            f2 = mp.hyp2f1(1, 2 + jj + m, c, z)
-            weights.append(((1 + jj - m) / tbz) * f1 + ((1 + jj + m) * (1 + 4 * jj + 1 / tbz) / (1 - tbz)) * f2)
-        pops = np.vstack([rng.dirichlet(np.ones(j.dim), size=6), np.eye(j.dim)[[0, -1]]])
-        oracle = [
-            float(jj * ((1 + tbz) / tbz + 2 * (jj + mp.fsum(mp.mpf(p) * m for p, m in zip(row, j.m_values())))
-                        - ((1 + tbz) / (1 + jj)) * mp.fsum(mp.mpf(p) * w for p, w in zip(row, weights)) / 2))
-            for row in pops
-        ]
-        exact = damping_phi_exact(pops, BathParams(gamma=1.0, nbar=EXACT_FLUX_MAX_NBAR))
-        assert np.max(np.abs(exact - oracle)) <= 1e-8 * np.max(np.abs(oracle))
+    @pytest.mark.parametrize(
+        "two_j, nbar",
+        [(two_j, nbar) for two_j in (1, 4) for nbar in (0.0, 1e-13, 0.5, 1.0, 1e3, 1e6, 1e8, 1e12, 1e15, 1e300)]
+        + [(two_j, nbar) for two_j in (12, 40) for nbar in (0.0, 1e-13, 1.0, 1e8, 1e15, 1e300)],
+    )
+    def test_matches_the_mpmath_quadrature(self, two_j, nbar):
+        # Over random and pole states, relative to their largest flux, as
+        # compare measures it, from T = 0 to an nbar far above any config's.
+        rng = np.random.default_rng(two_j)
+        pops = np.vstack([rng.dirichlet(np.ones(two_j + 1), size=4), np.eye(two_j + 1)[[0, -1]]])
+        oracle = damping_flux_mpmath(pops, 1.3, nbar)
+        exact = damping_phi_exact(pops, BathParams(gamma=1.3, nbar=nbar))
+        assert np.max(np.abs(exact - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
-    def test_not_cross_checked_above_the_nbar_bound(self):
-        def names(nbar):
-            return [m.name for m in applicable_rate_methods(4, DissipatorSpec.amplitude_damping(1.0, nbar))]
-
-        assert names(EXACT_FLUX_MAX_NBAR) == ["quadrature", "exact-2F1"]
-        assert names(EXACT_FLUX_MAX_NBAR * (1 + 1e-12)) == ["quadrature"]
+    def test_cross_checked_at_every_nbar(self):
+        for nbar in (0.0, 1e6, 1e8, 1e300):
+            d = DissipatorSpec.amplitude_damping(1.0, nbar)
+            assert [m.name for m in applicable_rate_methods(4, d)] == ["quadrature", "exact-2F1"]
 
 
 @pytest.mark.parametrize("nbar", [0.0, 0.5, 2e6])
@@ -756,18 +756,16 @@ class TestExactFluxWeightsOncePerCall:
     @staticmethod
     def per_state_loop(pops, bath, j):
         """The flux of one state term by term over m, as a scalar code
-        would evaluate it, with its own 2F1 values."""
-        tbz, jj = bath.tau_bar_z, j.j
-        z, c = 2.0 * tbz / (tbz - 1.0), 3.0 + 2.0 * jj
+        would evaluate it, with its own 2F1 values of the Euler weights."""
+        two_j, z = j.two_j, 1.0 / (bath.nbar + 1.0)
+        norm = (two_j + 1.0) * (two_j + 2.0)
         acc = 0.0
         for p, m in zip(pops, j.m_values()):
-            acc += p * (
-                ((1.0 + jj - m) / tbz) * gauss_2f1(1.0, 1.0 + jj + m, c, z)
-                + ((1.0 + jj + m) * (1.0 + 4.0 * jj + 1.0 / tbz) / (1.0 - tbz)) * gauss_2f1(1.0, 2.0 + jj + m, c, z)
-            )
-        jz = float(np.dot(pops, j.m_values()))
-        total = (1.0 + tbz) / tbz + 2.0 * (jj + jz) - 0.5 * ((1.0 + tbz) / (1.0 + jj)) * acc
-        return bath.gamma * jj * total
+            k = j.j + m
+            prefactor = 4.0 * (k + 1.0) * (two_j - k + 1.0) / (norm * (two_j + 3.0))
+            w = prefactor * z * gauss_2f1(1.0, k + 2.0, two_j + 4.0, z)
+            acc += p * (two_j * w + 8.0 * m / norm)
+        return 0.5 * j.dim * bath.gamma * j.j * acc
 
     @pytest.mark.parametrize("two_j", [1, 4, 12, 40])
     def test_rows_match_the_per_state_loop(self, two_j):

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, _gamma_at, _order_dissipation, evolve
+from .dynamics import DissipatorSpec, HamiltonianSpec, Trajectory, _damping_blocks, _gamma_at, _order_dissipation, evolve
 from .entropy_rates import (
     BathParams,
     EntropyRates,
@@ -29,6 +29,7 @@ from .entropy_rates import (
     applicable_rate_methods,
     bath_at,
     coherence_bracket,
+    damping_phi_exact,
     max_relative_deviation,
     primary_rate_method,
     rate_pairs,
@@ -55,8 +56,6 @@ SIGMA_TAIL_TOL = 1e-10
 # inside the range of doubles (1.8e308).
 RATE_SCALE_MAX = 1e305
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 @dataclass(frozen=True)
 class Model:
@@ -74,8 +73,8 @@ class ScenarioResult:
     trajectory's times; the von Neumann flux is tr(D(rho) ln rho_bar)
     against the bath's Gibbs state rho_bar, see _von_neumann), the energy
     flux phi_energy = -tr(H(t) D(rho)), the Wehrl entropy, the total Wehrl
-    production sigma_wehrl (None where Pi has not decayed or the output
-    grid does not resolve it), the checks among the field-free methods
+    production sigma_wehrl (from the entropy balance, see _sigma_or_none;
+    None where Pi has not decayed), the checks among the field-free methods
     (see _agreement), and the model."""
 
     trajectory: Trajectory
@@ -115,18 +114,29 @@ def _uniform_grid(t_max: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, t_max, n + 1)
 
 
-def _sigma_or_none(times, pi_values) -> Optional[float]:
-    """The trapezoid integral T(h) of Pi over the output times, or None when
-    Pi is not finite, its final value is not below SIGMA_TAIL_TOL, or the
-    Richardson estimate |T(h) - T(2h)|/3 of the trapezoid's error, with
-    T(2h) over every second output point, exceeds both 1e-2 |T(h)| and
-    SIGMA_TAIL_TOL (Pi decaying within a few output steps)."""
-    pi_values = np.asarray(pi_values, dtype=float)
-    if not np.all(np.isfinite(pi_values)) or abs(pi_values[-1]) >= SIGMA_TAIL_TOL:
+@functools.lru_cache(maxsize=None)
+def _flux_potential(two_j: int, nbar: float) -> np.ndarray:
+    """g, read-only, with A_0^T g = c for the unit-rate flux c of each J_z level
+    and the unit-rate order-0 damping block A_0, solvable since Phi vanishes at
+    A_0's null vector. Under damping alone the integral of Phi is g.(p(t) - p(0))."""
+    c = damping_phi_exact(np.eye(two_j + 1), BathParams(1.0, nbar))
+    g = np.linalg.lstsq(_damping_blocks(SpinQuantumNumber(two_j), nbar, (0,))[0].T, c, rcond=None)[0]
+    g.setflags(write=False)
+    return g
+
+
+def _sigma_or_none(model: Model, traj: Trajectory, entropy: np.ndarray, pi: np.ndarray) -> Optional[float]:
+    """The integral of Pi over the run from the entropy balance at its two
+    ends: S(t_max) - S(0) + the integral of Phi, 0 under dephasing or with
+    unmoved populations (no block is formed; it overflows at huge nbar). None
+    where Pi is not finite, |Pi(t_max)| >= SIGMA_TAIL_TOL, or a damped
+    rotating field with b1 != 0 moves the populations through the coherences."""
+    h, d, dp = model.h, model.d, traj.populations()[-1] - traj.populations()[0]
+    driven = d.kind != "dephasing" and h.kind == "rotating_field" and h.b1 != 0.0
+    if driven or not np.all(np.isfinite(pi)) or abs(pi[-1]) >= SIGMA_TAIL_TOL:
         return None
-    sigma = float(_trapezoid(pi_values, times))
-    coarse = float(_trapezoid(pi_values[::2], times[::2]))
-    return None if abs(sigma - coarse) / 3.0 > max(1e-2 * abs(sigma), SIGMA_TAIL_TOL) else sigma
+    flux = _flux_potential(traj.j.two_j, d.nbar) @ dp if d.kind != "dephasing" and np.any(dp) else 0.0
+    return float(entropy[-1] - entropy[0] + flux)
 
 
 def _von_neumann(traj: Trajectory, d: DissipatorSpec, dx: np.ndarray) -> EntropyRates:
@@ -219,7 +229,7 @@ def simulate(model: Model, t_max: float, dt: float, grid: Optional[SphereGrid] =
         von_neumann=_von_neumann(traj, d, dx),
         phi_energy=_energy_flux(h, traj, dx),
         entropy=entropy,
-        sigma_wehrl=_sigma_or_none(times, wehrl.pi),
+        sigma_wehrl=_sigma_or_none(model, traj, entropy, wehrl.pi),
         agreement=agreement,
         model=model,
     )

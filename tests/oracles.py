@@ -18,6 +18,9 @@ package calls them.
   flux integrand of each level, with no hypergeometric function.
 * Spin coherent states with their angular derivatives at one point.
 * The pulse's decay rate Gamma_t written in terms of its drive.
+* The total Wehrl production Sigma of two spin-1/2 runs: by mpmath
+  quadrature in time of the closed-form Pi along the closed-form
+  relaxation of tau_z, and for the pulse with no integral at all.
 * The bath temperature of an occupation, and the energy flux Phi_E of
   H = omega J_z under thermal damping in closed form.
 * numpy's savetxt at %.17g, whose bytes every CSV the package writes
@@ -339,6 +342,62 @@ def pulse_gamma_explicit(params: PulseParams, t):
     gamma0 + 2 sqrt(gamma0) Re[a*(t) xi(t)] / |a(t)|^2."""
     a = np.asarray(pulse_amplitude(params, t))
     return params.gamma0 + 2.0 * math.sqrt(params.gamma0) * (np.conj(a) * pulse_xi(params, t)).real / np.abs(a) ** 2
+
+
+def _bracket_mp(x):
+    """The coherence bracket g(x) = [x - (1 - x^2) atanh x] / x^3 at the
+    working precision: its Taylor series below |x| = 1e-4, 1 at |x| = 1."""
+    if abs(x) >= 1:
+        return mp.mpf(1)
+    if abs(x) < mp.mpf("1e-4"):
+        return mp.fsum(2 * x ** (2 * k) / ((2 * k + 1) * (2 * k + 3)) for k in range(8))
+    return (x - (1 - x * x) * mp.atanh(x)) / x**3
+
+
+def relaxation_sigma_mpmath(tau_z0: float, gamma: float, nbar: float, t_max: float) -> float:
+    """The integral from 0 to t_max of the spin-1/2 damping production Pi
+    along tau_z(t) = b + exp(-gamma t/|b|) (tau_z0 - b), tau_x = tau_y = 0,
+    b = -1/(2 nbar + 1) (the law of scenarios.quench_tau_z), with Pi in
+    closed form,
+
+        Pi = (gamma/2) [g(b) (tau_z - b) + tau_z (b - tau_z) g(tau_z) / b],
+
+    g the coherence bracket: mpmath's tanh-sinh quadrature at 30 digits,
+    the interval split at 4^k relaxation times |b|/gamma."""
+    with mp.workdps(30):
+        g, b, z0 = mp.mpf(gamma), -1 / (2 * mp.mpf(nbar) + 1), mp.mpf(tau_z0)
+        rate = g / abs(b)
+
+        def pi(t):
+            tz = b + mp.exp(-rate * t) * (z0 - b)
+            return g / 2 * (_bracket_mp(b) * (tz - b) + tz * (b - tz) * _bracket_mp(tz) / b)
+
+        edges = [mp.mpf(4) ** k / rate for k in range(40) if mp.mpf(4) ** k / rate < t_max]
+        return float(mp.quad(pi, [0] + edges + [mp.mpf(t_max)]))
+
+
+def spin_half_wehrl_mpmath(tau) -> mp.mpf:
+    """S = -(1/tau) [u^2 ln u - u^2/2] from u = (1 - tau)/2 to (1 + tau)/2,
+    the Wehrl entropy of a spin 1/2 of Bloch length tau (ln 2 at tau = 0)."""
+    tau = abs(mp.mpf(tau))
+    if tau == 0:
+        return mp.log(2)
+
+    def f(u):
+        return u * u * mp.log(u) - u * u / 2 if u > 0 else mp.mpf(0)
+
+    return -(f((1 + tau) / 2) - f((1 - tau) / 2)) / tau
+
+
+def pulse_sigma(params: PulseParams, t_max: float) -> float:
+    """Sigma of the resonant pulse from 0 to t_max with no integral: at zero
+    temperature the flux is Gamma_t p and dp/dt = -Gamma_t p for the excited
+    population p = a^2 (a from pulse_amplitude), so the integral of Phi is
+    p(0) - p(t_max), and Sigma = S(t_max) - S(0) + p(0) - p(t_max), S of
+    the Bloch length |2p - 1|."""
+    with mp.workdps(30):
+        p0, p1 = (mp.mpf(float(pulse_amplitude(params, t))) ** 2 for t in (0.0, t_max))
+        return float(spin_half_wehrl_mpmath(2 * p1 - 1) - spin_half_wehrl_mpmath(2 * p0 - 1) + p0 - p1)
 
 
 def temperature_from_nbar(omega: float, nbar: float) -> float:

@@ -33,6 +33,7 @@ from spinwehrl import (
     spin_half_damping_von_neumann,
     spin_half_dephasing_rates,
     spin_half_dephasing_von_neumann,
+    thermal_quench_model,
     von_neumann_rates,
 )
 from spinwehrl import _kernels
@@ -579,28 +580,30 @@ class TestDissipativeEntropyRate:
 
 
 class TestTotalEntropyProduced:
-    # Sigma is ScenarioResult.sigma_wehrl, the trapezoid integral of Pi.
+    # Sigma is ScenarioResult.sigma_wehrl, the integral of Pi from the
+    # entropy balance at the run's two ends (scenarios._sigma_or_none).
     MODEL = Model(gibbs_state(J_HALF, 1.0, 2.0), HamiltonianSpec.static_jz(1.0),
                   DissipatorSpec.amplitude_damping(1.0, 0.5))
 
     def test_equilibrium_integrates_to_zero(self):
-        times = np.linspace(0, 5, 100)
-        assert _sigma_or_none(times, np.zeros_like(times)) == 0.0
+        res = simulate(thermal_quench_model(1.0, 1.0, omega=1.0, gamma=1.0), t_max=5.0, dt=0.05)
+        sigma = _sigma_or_none(res.model, res.trajectory, res.entropy, np.zeros_like(res.times))
+        assert abs(sigma) < 1e-15
 
     def test_trajectory_version(self):
         sigma = simulate(self.MODEL, t_max=20.0, dt=1e-3).sigma_wehrl
         assert sigma > 0
-        # halving the step changes the integral below 1e-6 relative
+        # halving the step changes Sigma only by rounding
         sigma2 = simulate(self.MODEL, t_max=20.0, dt=5e-4).sigma_wehrl
-        assert abs(sigma2 - sigma) / sigma < 1e-6
+        assert abs(sigma2 - sigma) / sigma < 1e-12
 
     def test_unconverged_tail_rejected(self):
         # Pi has not decayed below SIGMA_TAIL_TOL by t_max: no Sigma
         res = simulate(self.MODEL, t_max=1.0, dt=0.02)
         assert abs(res.wehrl.pi[-1]) >= SIGMA_TAIL_TOL
         assert res.sigma_wehrl is None
-        times = np.linspace(0, 1, 50)
-        assert _sigma_or_none(times, np.full(50, 0.3)) is None
+        pi = np.full(res.times.size, 0.3)
+        assert _sigma_or_none(res.model, res.trajectory, res.entropy, pi) is None
 
 
 # Bloch lengths at and around every branch point of the closed forms: zero,

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import tracemalloc
 import warnings
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
+from scipy.linalg import expm as scipy_expm
 from scipy.linalg import logm
 
 from spinwehrl import (
@@ -39,6 +41,7 @@ from spinwehrl import (
     von_neumann_rates,
 )
 from spinwehrl import dynamics, entropy_rates, scenarios
+from spinwehrl.cli import bundled_configs, validate_config
 from spinwehrl.dynamics import HamiltonianSpec
 from spinwehrl.entropy_rates import RATE_METHODS
 from spinwehrl.errors import InvalidFrequency
@@ -51,6 +54,8 @@ from oracles import (
     energy_flux,
     generator_entropy_rate,
     pulse_gamma_explicit,
+    pulse_sigma,
+    relaxation_sigma_mpmath,
     savetxt_csv,
     temperature_from_nbar,
 )
@@ -86,18 +91,105 @@ class TestSpontaneousEmission:
         assert all(s is not None and math.isfinite(s) for s in sigmas)
         assert sigmas[0] < sigmas[1] < sigmas[2]
 
-    @pytest.mark.parametrize("temperature, t_max, dt", [(1e8, 10.0, 0.1), (10.0, 5.0, 0.02)])
-    def test_sigma_unresolved_by_the_output_grid_is_none(self, temperature, t_max, dt):
-        # Pi decays within about one output step; the trapezoid gave 5.0e6
-        # for a Sigma of 0.193, and 0.236 for 0.210 (Richardson estimates 33%, 8%)
+    @pytest.mark.parametrize("temperature, t_max, dt, sigma", [
+        (1e8, 10.0, 0.1, 0.19314718222661), (10.0, 5.0, 0.02, 0.21022457869064),
+    ])
+    def test_sigma_of_pi_decaying_within_an_output_step(self, temperature, t_max, dt, sigma):
+        # Pi decays within about one output step, which no rule over the output times resolves
         res = simulate(spontaneous_emission_model(1.0, 1.0, temperature), t_max=t_max, dt=dt)
         assert np.all(np.isfinite(res.wehrl.pi)) and abs(res.wehrl.pi[-1]) < scenarios.SIGMA_TAIL_TOL
-        assert res.sigma_wehrl is None
+        assert res.sigma_wehrl == pytest.approx(sigma, abs=1e-12)
 
     def test_sigma_resolved_on_a_finer_grid(self):
         fine = simulate(spontaneous_emission_model(1.0, 1.0, 10.0), t_max=5.0, dt=0.002)
         finer = simulate(spontaneous_emission_model(1.0, 1.0, 10.0), t_max=5.0, dt=0.0002)
-        assert fine.sigma_wehrl == pytest.approx(finer.sigma_wehrl, rel=1e-2)
+        assert fine.sigma_wehrl == pytest.approx(finer.sigma_wehrl, rel=1e-12)
+
+
+class TestSigma:
+    """Sigma, the integral of Pi over a run, which simulate takes from the
+    entropy balance at the run's two ends, against oracles that do not use
+    the balance."""
+
+    @pytest.mark.parametrize("name", ["spontaneous_emission", "thermal_quench", "photon_pulse"])
+    def test_bundled_configs_meet_their_oracles(self, name):
+        cfg = json.loads(bundled_configs()[f"{name}.json"].read_text())
+        plan = validate_config(cfg)
+        model = plan.model
+        if name == "photon_pulse":
+            oracle = pulse_sigma(PulseParams(cfg["gamma0"], cfg["bandwidth"], cfg["a0"]), plan.t_max)
+        else:
+            tau_z0 = (model.rho0.entries[0, 0] - model.rho0.entries[1, 1]).real
+            oracle = relaxation_sigma_mpmath(tau_z0, model.d.gamma, model.d.nbar, plan.t_max)
+        sigma = simulate(model, plan.t_max, plan.dt).sigma_wehrl
+        assert sigma == pytest.approx(oracle, rel=1e-10, abs=0.0)
+        assert simulate(model, plan.t_max, plan.dt / 2).sigma_wehrl == pytest.approx(sigma, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("temperature, t_max, dt", [
+        (0.0, 40.0, 1.0), (0.2, 40.0, 0.5), (10.0, 5.0, 0.1), (1e8, 10.0, 1.0),
+    ])
+    def test_spontaneous_emission_on_coarse_grids(self, temperature, t_max, dt):
+        model = spontaneous_emission_model(1.0, 1.0, temperature)
+        sigma = simulate(model, t_max, dt).sigma_wehrl
+        oracle = relaxation_sigma_mpmath(1.0, 1.0, model.d.nbar, t_max)
+        assert sigma == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        if temperature == 0.0:  # from one pure state to another, with all of p(0) emitted
+            assert sigma == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("nbar", [0.0, 1e-13, 0.5, 1e8, 1e300])
+    @pytest.mark.parametrize("two_j", [1, 4, 12, 40])
+    def test_flux_integral_matches_panels_in_time(self, two_j, nbar):
+        # The excited state relaxes for three times 1/(2 nbar + 1) at unit
+        # rate; panels graded by halves toward t = 0 follow its fastest modes.
+        j = SpinQuantumNumber(two_j)
+        a = dynamics._damping_blocks(j, nbar, (0,))[0]
+        p0 = np.eye(j.dim)[0]
+        t_max = 3.0 / (2.0 * nbar + 1.0)
+        edges = t_max * np.concatenate(([0.0], 0.5 ** np.arange(12, -1, -1)))
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        panels = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            times = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+            pops = np.array([scipy_expm(t * a) @ p0 for t in times])
+            panels += 0.5 * (hi - lo) * weights @ entropy_rates.damping_phi_exact(pops, BathParams(1.0, nbar))
+        p1 = scipy_expm(t_max * a) @ p0
+        assert scenarios._flux_potential(two_j, nbar) @ (p1 - p0) == pytest.approx(panels, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_undamped_sigma_is_the_entropy_change(self):
+        # gamma = 0 at an nbar whose unit-rate block overflows: no block is formed
+        rho0 = DensityMatrix(SpinQuantumNumber(4), np.diag([0.3, 0.25, 0.2, 0.15, 0.1]).astype(complex))
+        model = Model(rho0, HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(0.0, 8e307))
+        res = simulate(model, t_max=2.0, dt=0.5, grid=make_grid(8, 16))
+        assert res.sigma_wehrl == res.entropy[-1] - res.entropy[0]
+
+    def test_damped_drive_has_no_sigma(self):
+        # Pi has decayed (to 1.9e-11), but the drive moves the populations
+        # through the coherences: the balance's flux term does not hold
+        res = simulate(self._rotating_damping(b1=1e-6), t_max=8.0, dt=0.01)
+        assert abs(res.wehrl.pi[-1]) < scenarios.SIGMA_TAIL_TOL
+        assert res.sigma_wehrl is None
+
+    def test_undriven_rotating_field_is_the_static_run(self):
+        rotating = self._rotating_damping(b1=0.0)
+        static = Model(rotating.rho0, HamiltonianSpec.static_jz(-5.0), rotating.d)
+        sigma = simulate(rotating, t_max=8.0, dt=0.01).sigma_wehrl
+        assert sigma == pytest.approx(simulate(static, t_max=8.0, dt=0.01).sigma_wehrl, rel=1e-14, abs=0.0)
+
+    def test_driven_dephasing_sigma_is_the_entropy_change(self):
+        # A resonant drive and dephasing take the pure state to the mixed one
+        state = bloch_to_rho(BlochVector(-1.0, 0.0, 0.0))
+        res = simulate(rotating_field_model(1.0, 2.0, -1.0, DissipatorSpec.dephasing(1.0), state), t_max=40.0, dt=0.01)
+        assert res.sigma_wehrl == res.entropy[-1] - res.entropy[0]
+        assert res.sigma_wehrl == pytest.approx(math.log(2.0) - 0.5, rel=1e-12)
+        # Simpson's rule on the output times, off by 5e-6 at the t ln t of Pi at the pure start
+        assert res.sigma_wehrl == pytest.approx(simpson(res.wehrl.pi, x=res.times), rel=1e-4)
+
+    @staticmethod
+    def _rotating_damping(b1: float) -> Model:
+        # rotating_field_damping.json with the drive amplitude b1
+        d = DissipatorSpec.amplitude_damping(1.0, 1.0)
+        return rotating_field_model(5.0, b1, 5.0, d, bloch_to_rho(BlochVector(1.0, 0.0, 0.0)))
 
 
 class TestThermalQuench:

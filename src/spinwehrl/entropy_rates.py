@@ -251,9 +251,10 @@ def damping_phi_exact(populations: np.ndarray, bath: BathParams):
         w_k = 4 (k+1)(2J-k+1) / ((2J+1)(2J+2)(2J+3)) * z * 2F1(1, k+2; 2J+4; z),
 
     a sum of positive terms: one 2F1 per level, evaluated once per call, at
-    every nbar. Where z rounds to 1 (nbar below about 1.1e-16), Gauss's
-    theorem gives 2F1(1, k+2; 2J+4; 1) = (2J+3)/(2J-k+1), and the flux is
-    its T -> 0 limit, damping_phi_zero_temperature.
+    every nbar, and handed 1 - z = nbar/(nbar + 1), which near T = 0 keeps
+    the digits that 1.0 - z loses. Where z rounds to 1 (nbar below about
+    1.1e-16), Gauss's theorem gives 2F1(1, k+2; 2J+4; 1) = (2J+3)/(2J-k+1),
+    and the flux is its T -> 0 limit, damping_phi_zero_temperature.
     """
     pops = np.asarray(populations, dtype=float)
     if pops.ndim == 0 or pops.shape[-1] < 2:
@@ -261,13 +262,14 @@ def damping_phi_exact(populations: np.ndarray, bath: BathParams):
     j = SpinQuantumNumber(pops.shape[-1] - 1)
     two_j = j.two_j
     z = 1.0 / (bath.nbar + 1.0)
+    omz = bath.nbar / (bath.nbar + 1.0)
     norm = (two_j + 1.0) * (two_j + 2.0)
     # Sums over m run in basis order, term by term, so that a state's flux
     # does not depend on how many states share the call.
     acc = 0.0
     for i, m in enumerate(j.m_values()):
         k = two_j - i
-        hyp = (two_j + 3.0) / (two_j - k + 1.0) if z == 1.0 else gauss_2f1(1.0, k + 2.0, two_j + 4.0, z)
+        hyp = (two_j + 3.0) / (two_j - k + 1.0) if z == 1.0 else gauss_2f1(1.0, k + 2.0, two_j + 4.0, z, omz)
         w = 4.0 * (k + 1.0) * (two_j - k + 1.0) / (norm * (two_j + 3.0)) * z * hyp
         acc = acc + pops[..., i] * (two_j * w + 8.0 * m / norm)
     return _out(0.5 * j.dim * bath.gamma * j.j * acc)

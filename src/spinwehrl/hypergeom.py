@@ -19,6 +19,7 @@ damping flux formulas, where a = 1 and b is a positive integer.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -50,10 +51,10 @@ def _series(a: float, b: float, c: float, z: float) -> float:
     raise PrecisionFailure(f"2F1 series did not converge within {MAX_TERMS} terms at z={z}")
 
 
-def _log_branch(a: int, b: int, c: int, z: float) -> float:
-    """Continuation around z = 1 for p = c - a - b a non-negative integer."""
+def _log_branch(a: int, b: int, c: int, omz: float) -> float:
+    """Continuation around z = 1 for p = c - a - b a non-negative integer,
+    in powers of omz = 1 - z."""
     p = c - a - b
-    omz = 1.0 - z
     finite = 0.0
     if p >= 1:
         term = 1.0
@@ -84,8 +85,11 @@ def _log_branch(a: int, b: int, c: int, z: float) -> float:
     return finite - ((-1.0) ** p) * (omz**p) * tail
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """2F1(a, b; c; z) for a, b > 0, c > b, 0 <= z < 1."""
+def gauss_2f1(a: float, b: float, c: float, z: float, one_minus_z: Optional[float] = None) -> float:
+    """2F1(a, b; c; z) for a, b > 0, c > b, 0 <= z < 1. The continuation
+    around z = 1 reads one_minus_z, when given, in place of 1.0 - z, which
+    loses digits near z = 1 that the caller may hold (z = 1/(nbar + 1) has
+    1 - z = nbar/(nbar + 1))."""
     if not (a > 0 and b > 0 and c > b):
         raise UnsupportedParameters(f"need a > 0, b > 0, c > b; got a={a}, b={b}, c={c}")
     if not 0.0 <= z < 1.0:
@@ -106,4 +110,5 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
             f"z > {Z_SWITCH} requires integer a, b with c - a - b a non-negative integer; "
             f"got a={a}, b={b}, c={c}"
         )
-    return _log_branch(int(ints[0]), int(ints[1]), int(ints[2]), z)
+    omz = 1.0 - z if one_minus_z is None else one_minus_z
+    return _log_branch(int(ints[0]), int(ints[1]), int(ints[2]), omz)

@@ -439,10 +439,11 @@ def photon_pulse_model(params: PulseParams) -> Model:
 # its 17 digits are trailing zeros.
 _CELL_WORDS = 6
 # The most text a block of rows formatted at once may hold (a block holds at
-# least one row): 2048 cells of 48 bytes, fewer with literal words. Every
-# array of a block then stays below 128 KiB, whose pages the C allocator
-# keeps and reuses; blocks of 8192 cells faulted ~2,100 fresh pages in per
-# pass of the five long spin-1/2 runs and formatted ~1.5 times slower.
+# least one row): 2048 cells of 48 bytes. The literal zeros between cells
+# take no room there (write_csv). Every array of a block then stays below
+# 128 KiB, whose pages the C allocator keeps and reuses; blocks of 8192
+# cells faulted ~2,100 fresh pages in per pass of the five long spin-1/2
+# runs and formatted ~1.5 times slower.
 _BLOCK_BYTES = 96 * 1024
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
 
@@ -618,11 +619,13 @@ def write_csv(path, header: list, table, columns=None) -> None:
 
     The cells are formatted in numpy (_format_cells), a block of whole rows
     (_BLOCK_BYTES) at a time, each certified per cell; the few cells that
-    cannot be fall back to Python's %.17g. Each cell's words are followed
-    by the literal text after it (a separator and literal zeros), its first
-    three bytes in the NULs that end the cell, all padded with NULs, which
-    are then deleted. The literal zeros that open a row close the row
-    before, and the header."""
+    cannot be fall back to Python's %.17g. The literal text after a cell (a
+    separator and literal zeros) fills the three NULs that end the cell's
+    words or, when longer, a marker of bytes 0x80-0xff that no other text
+    holds does; the NULs are deleted, and one bytes.replace per distinct
+    long literal expands the block. The markers share one width and a
+    cell's text parts any two, so none matches across two. The literal
+    zeros that open a row close the row before, and the header."""
     table = np.asarray(table, dtype=float)
     if table.ndim == 1:
         table = table[:, None]
@@ -634,23 +637,28 @@ def write_csv(path, header: list, table, columns=None) -> None:
         if not at.size:
             fh.write((",".join(["0"] * width) + "\n").encode() * len(table))
             return
-        lead = "0," * at[0]
-        literals = ["," + "0," * g for g in (np.diff(at) - 1).tolist()] + [",0" * (width - 1 - at[-1]) + "\n" + lead]
-        size = -(-max(len(a) - 3 for a in literals) // 8)  # the words after a cell's
-        rows = min(len(table), max(1, _BLOCK_BYTES // (8 * at.size * (_CELL_WORDS + size))))
-        words = np.zeros((rows, at.size, _CELL_WORDS + size), np.uint64)
-        text = words.view(np.uint8)[..., 8 * _CELL_WORDS - 3 :]
+        lead = b"0," * at[0]
+        literals = [b"," + b"0," * g for g in (np.diff(at) - 1).tolist()]
+        literals.append(b",0" * (width - 1 - at[-1]) + b"\n" + lead)
+        longs = list(dict.fromkeys(a for a in literals if len(a) > 3))
+        size = 1  # bytes per marker, base-128 digits: 3 reach 2^21 literals, a table of 2e12 columns
+        while 128**size < len(longs):
+            size += 1
+        markers = {a: bytes(0x80 | k >> 7 * i & 0x7F for i in range(size - 1, -1, -1)) for k, a in enumerate(longs)}
+        tail = np.zeros((at.size, 8), np.uint8)  # each cell's last word, its literal or marker at the end
         for c, literal in enumerate(literals):
-            text[:, c, : len(literal)] = np.frombuffer(literal.encode(), np.uint8)
-        tail = words[0, :, _CELL_WORDS - 1].copy()  # each literal's first three bytes
-        cells = words[..., :_CELL_WORDS].view(f"V{8 * _CELL_WORDS}")  # copied whole, a cell at a time
-        fh.write(lead.encode())
+            literal = markers.get(literal, literal)
+            tail[c, 5 : 5 + len(literal)] = np.frombuffer(literal, np.uint8)
+        tail = tail.view(np.uint64)[:, 0]
+        rows = min(len(table), max(1, _BLOCK_BYTES // (8 * _CELL_WORDS * at.size)))
+        fh.write(lead)
         values = table[:, ~zero] if zero.any() else table
         for start in range(0, len(table), rows):
             block = _format_cells(values[start : start + rows])
             block[..., -1] |= tail
-            cells[: len(block)] = block.view(cells.dtype)
-            out = words[: len(block)].tobytes().translate(None, b"\0")
+            out = block.tobytes().translate(None, b"\0")
+            for literal, marker in markers.items():
+                out = out.replace(marker, literal)
             fh.write(out[: len(out) - len(lead)] if start + rows >= len(table) else out)
 
 

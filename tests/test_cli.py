@@ -925,9 +925,18 @@ def _even_orders_state() -> DensityMatrix:
     return DensityMatrix(j, rho * (np.abs(i - k) % 2 == 0))
 
 
+def _diagonal_damping_model(two_j: int) -> Model:
+    populations = np.arange(two_j + 1) % 7.0
+    rho0 = DensityMatrix(SpinQuantumNumber(two_j), np.diag(populations / populations.sum()).astype(complex))
+    return Model(rho0, HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5))
+
+
 # Trajectories of each layout the dump writes: J_z-diagonal with populations
 # that stay +0.0 (no damping), spin-1/2 coherences under both propagators,
-# and spin-J coherences on every order or on the even ones.
+# spin-J coherences on every order or on the even ones, and J_z-diagonal
+# damping at 2J = 40 and 100, whose 2J + 1 formatted columns of
+# 2 (2J + 1)^2 + 1 lie between runs of 4J + 3 literal zeros (the levels
+# that start empty read 0 in the first row).
 DUMP_MODELS = {
     "pole_undamped": lambda: Model(DensityMatrix(SpinQuantumNumber(4), np.diag([1.0, 0, 0, 0, 0]).astype(complex)),
                                    HamiltonianSpec.static_jz(1.0), DissipatorSpec.dephasing(1.0)),
@@ -939,6 +948,8 @@ DUMP_MODELS = {
                                      HamiltonianSpec.static_jz(1.0), DissipatorSpec.amplitude_damping(1.0, 0.5)),
     "spin_j_even_orders": lambda: Model(_even_orders_state(), HamiltonianSpec.static_jz(1.0),
                                         DissipatorSpec.amplitude_damping(1.0, 0.5)),
+    "spin_j_40_diagonal": lambda: _diagonal_damping_model(40),
+    "spin_j_100_diagonal": lambda: _diagonal_damping_model(100),
 }
 
 

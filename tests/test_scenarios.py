@@ -758,6 +758,40 @@ class TestWriteCsv:
     def test_floats_match_percent_format(self, tmp_path_factory, values, columns):
         self.check(tmp_path_factory.getbasetemp() / "floats.csv", self.as_table(values, columns))
 
+    # Cells of every kind _format_cells meets, the zeros, the special values
+    # and the subnormals drawn more often than st.floats() draws them.
+    CELLS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, _NAN, _INF, -_INF, 5e-324, -2.2250738585072009e-308]))
+
+    @given(runs=st.lists(st.integers(0, 60), min_size=2, max_size=12), data=st.data())
+    def test_sparse_columns_match_percent_format(self, tmp_path_factory, runs, data):
+        # runs: the literal zeros that open each row, those between the
+        # table's columns, and those that close the row, in a row of at
+        # most 300 columns; each distinct run of two or more zeros is one
+        # long literal.
+        columns = np.cumsum(np.array(runs[:-1]) + 1) - 1
+        width = min(300, int(columns[-1]) + 1 + runs[-1])
+        columns = columns[columns < width]
+        rows = data.draw(st.integers(1, 4))
+        cells = data.draw(st.lists(self.CELLS, min_size=rows * columns.size, max_size=rows * columns.size))
+        table = np.array(cells, dtype=float).reshape(rows, columns.size)
+        dense = np.zeros((rows, width))
+        dense[:, columns] = table
+        header = [f"c{k}" for k in range(width)]
+        path = tmp_path_factory.getbasetemp() / "sparse.csv"
+        scenarios.write_csv(path, header, table, columns)
+        assert path.read_bytes() == self.oracle(header, dense)
+
+    def test_more_long_literals_than_one_byte_markers(self, tmp_path):
+        # 200 distinct runs of literal zeros, each its own long literal,
+        # take markers of two bytes.
+        columns = np.cumsum(np.arange(2, 203)) - 2
+        table = np.random.default_rng(5).standard_normal((3, columns.size))
+        dense = np.zeros((3, columns[-1] + 5))
+        dense[:, columns] = table
+        header = [f"c{k}" for k in range(dense.shape[1])]
+        scenarios.write_csv(tmp_path / "many.csv", header, table, columns)
+        assert (tmp_path / "many.csv").read_bytes() == self.oracle(header, dense)
+
     EDGES = {
         # Exact ties at the 18th significant digit: m / 2^j, m odd, whose
         # expansion m 5^j / 10^j has 18 digits, such as 0.100002288818359375
@@ -803,16 +837,19 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize("block_bytes", [1, 300, 500])
     def test_blocks_end_inside_the_table(self, tmp_path, monkeypatch, block_bytes):
-        # A row of three cells is 144 bytes: blocks of one, two and three
-        # rows, the last one short.
+        # Blocks are sized by their cells' 48-byte words alone: a row of
+        # three cells is 144 bytes, so blocks of one, two and three rows,
+        # the last one short.
         monkeypatch.setattr(scenarios, "_BLOCK_BYTES", block_bytes)
         self.check(tmp_path / "blocks.csv", np.random.default_rng(3).standard_normal((7, 3)) * [1.0, 1e-7, 1e30])
 
     @pytest.mark.parametrize("block_bytes", [1, 400, 96 * 1024])
     def test_columns_layout_matches_savetxt_of_the_dense_table(self, tmp_path, monkeypatch, block_bytes):
         # Literal zeros open each row, fall between the table's columns and
-        # close it; a zero column of the table is one more literal. Rows of
-        # 168 bytes: blocks of one row, two, and the whole table.
+        # close it; a zero column of the table is one more literal. Two of
+        # the literals are long and written as markers. Blocks are sized by
+        # the formatted cells' 48-byte words alone: rows of three cells, 144
+        # bytes, so blocks of one row, two, and the whole table.
         monkeypatch.setattr(scenarios, "_BLOCK_BYTES", block_bytes)
         table = np.random.default_rng(4).standard_normal((5, 4))
         table[:, 2] = 0.0
